@@ -11,7 +11,7 @@ Measures raw DES engine throughput (events/sec) over three workloads:
   cancel cost isolated from everything else, and the workload whose
   256-pump cell carries the dynkern >=5x acceptance gate.  The cell
   parameters are identical in smoke and full runs (only the grid
-  shrinks), so ``check_kernel_regression.py`` can compare shared
+  shrinks), so ``check_regression.py`` can compare shared
   cells.  Budget note: the 256 cell spends minutes in the *reference*
   engine — that wall clock is the measurement.
 * ``storm`` — one rank per node running a ring compute+sendrecv
@@ -33,8 +33,8 @@ single-heap loop preserved verbatim in
 Both engines must execute the identical event sequence, so each cell
 asserts equal ``n_events`` before any throughput number counts; the
 cell's ``speedup`` is the calendar/reference events-per-second ratio
-on the same host, which is what ``check_kernel_regression.py`` gates
-(machine-independent, same idiom as ``check_plan_regression.py``).
+on the same host, which is what ``check_regression.py`` gates
+(machine-independent, same idiom as its ``plan_scaling`` row).
 
 On a pre-dynkern tree (no engine switch) every cell runs once and is
 labelled ``current`` — how the pre-PR baseline column in
@@ -292,7 +292,7 @@ def test_kernel_events(record_table):
         ref = by_cell.get((workload, n_nodes, "reference"))
         if ref is not None:
             # loose in-run sanity (small cells jitter on a busy host);
-            # the real floor is check_kernel_regression.py's ratio gate
+            # the real floor is check_regression.py's ratio gate
             assert c.events_per_sec > 0.7 * ref.events_per_sec, (
                 workload, n_nodes)
     if not SMOKE:

@@ -16,7 +16,7 @@ with both axes; the acceptance bar is >= 10x at n=16384 / 64 ranks.
 ``DYNMPI_PLAN_SMOKE=1`` restricts the grid to its smallest cell and
 writes ``BENCH_plan_scaling_smoke.json`` (instead of the checked-in
 full-grid ``BENCH_plan_scaling.json``, which serves as the regression
-baseline for ``check_plan_regression.py`` / the CI perf-smoke job).
+baseline for ``check_regression.py`` / the CI perf-smoke job).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ come from) in three guises and applies two checks:
    drift means instrumentation leaked *simulated* cost into the
    model — the regression this gate exists to catch.  Gating on
    simulated rather than host time keeps the check machine-
-   independent (same reasoning as ``check_plan_regression.py``).
+   independent (same reasoning as ``check_regression.py``).
 
 2. **Observer purity** — re-running the identical cell with
    ``DYNMPI_OBS=1`` must produce byte-for-byte equal simulated times.

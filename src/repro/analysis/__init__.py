@@ -1,6 +1,6 @@
 """dynsan — the Dyn-MPI correctness-analysis subsystem.
 
-Three independent layers (see ``docs/ANALYSIS.md``):
+Three layers (see ``docs/ANALYSIS.md``):
 
 * :mod:`repro.analysis.plancheck` — static verification of a
   redistribution plan *before* it executes (Section 4.4 invariants:
@@ -11,18 +11,21 @@ Three independent layers (see ``docs/ANALYSIS.md``):
   accounting, ANY_SOURCE race warnings, collective-mismatch checks,
   and wait-for-graph deadlock detection that fails fast instead of
   hanging the simulation.
-* :mod:`repro.analysis.lint` — project-specific AST lint for the
-  failure modes generic linters cannot see (undriven generator
-  endpoints, nondeterminism in the deterministic zones, mutable
-  dataclass defaults).
-* :mod:`repro.analysis.flow` — dynflow, the whole-program
-  communication-flow analyzer: CFG-based collective matching,
-  rank-divergence detection, and static ownership checking over the
-  interprocedural call graph of the applications (DYN5xx codes).
+* ``python -m repro.analysis check`` — one static-analysis driver
+  over one rule registry (:mod:`repro.analysis.rules`), one finding
+  type and one ``# dyn: ok(CODE)`` suppression
+  (:mod:`repro.analysis.findings`).  It parses the tree once and runs
+  four passes over it: :mod:`repro.analysis.lint` (per-file AST rules
+  for the failure modes generic linters cannot see),
+  :mod:`repro.analysis.flow` (whole-program collective matching and
+  static ownership, DYN5xx), :mod:`repro.analysis.race`
+  (happens-before message races and determinism, DYN7xx — with the
+  ``perturb`` command as its dynamic cross-check) and
+  :mod:`repro.analysis.perf` (hot-path cost rules, DYN10xx).
 
-Command line: ``python -m repro.analysis lint src/``,
-``python -m repro.analysis plan spec.json``, and
-``python -m repro.analysis flow src/repro examples``.
+Command line: ``python -m repro.analysis check src examples``,
+``python -m repro.analysis plan spec.json`` and
+``python -m repro.analysis perturb --seeds 1,2,3``.
 
 Only the sanitizer is imported eagerly: :mod:`repro.simcluster` wires
 it into every cluster, and importing :mod:`plancheck` here would close
@@ -33,16 +36,14 @@ from __future__ import annotations
 
 from .sanitizer import CommSanitizer, SanitizerReport, sanitizer_enabled
 
+_LAZY = ("plancheck", "lint", "flow", "race", "perf")
+
 __all__ = [
     "CommSanitizer",
     "SanitizerReport",
     "sanitizer_enabled",
-    "plancheck",
-    "lint",
-    "flow",
+    *_LAZY,
 ]
-
-_LAZY = ("plancheck", "lint", "flow")
 
 
 def __getattr__(name: str):

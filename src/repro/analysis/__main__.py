@@ -2,50 +2,43 @@
 
 Usage::
 
-    python -m repro.analysis lint src/ [more paths...] [--json]
+    python -m repro.analysis check src examples [--json] [--quiet]
+        [--baseline F] [--write-baseline F] [--max-seconds N]
+        [--profile trace.json]
     python -m repro.analysis plan spec.json [--quiet]
-    python -m repro.analysis flow src/repro examples [--json]
-    python -m repro.analysis race src/repro examples [--json]
-    python -m repro.analysis perf src/repro examples [--profile trace.json]
     python -m repro.analysis perturb --seeds 1,2,3 [--target removal]
 
-``lint`` walks the given files/trees and prints one line per finding
-(``path:line:col: CODE message``), exiting 1 if any remain — the CI
-correctness gate.
-
-``flow`` runs dynflow, the whole-program communication-flow analyzer
-(collective matching, rank-divergence detection, static ownership
-checking — DYN5xx codes; see :mod:`repro.analysis.flow`).
-
-``race`` runs dynrace, the message-race and determinism analyzer
-(happens-before wildcard-race detection plus AST determinism rules —
-DYN7xx codes; see :mod:`repro.analysis.race`).  ``perturb`` is its
-dynamic cross-check: it re-runs a traced scenario under
-``DYNMPI_PERTURB`` seeds and byte-compares the exports; by default it
-*expects* schedule invariance (exit 0 when every seed reproduces the
-unperturbed trace), and with ``--expect-diff`` it expects a race to
-show up as a trace diff.
-
-``perf`` runs dynperf, the interprocedural hot-path cost analyzer
-(hot-zone inference from the kernel event loop + per-iteration cost
-rules — DYN1001–DYN1006 codes; see :mod:`repro.analysis.perf`).
+``check`` is the one static-analysis driver — the CI correctness
+gate.  It parses the given files/trees once and runs the four passes
+over them: the per-file AST rules (:mod:`repro.analysis.lint`), the
+whole-program communication-flow analysis (collective matching,
+rank-divergence, static ownership — :mod:`repro.analysis.flow`), the
+message-race and determinism analysis (:mod:`repro.analysis.race`)
+and the hot-path cost rules (:mod:`repro.analysis.perf`).  Which
+files a rule looks at is its zone in the rule registry
+(:mod:`repro.analysis.rules`); ``# dyn: ok(CODE)`` comments and
+``--baseline`` fingerprints are filtered here, after all passes.  It
+prints one block per finding (``path:line:col: CODE [function]
+message`` plus traces and a hint where the pass has them).
 ``--profile trace.json`` re-ranks the report by measured per-phase
 exclusive time from a dynscope trace export.
 
-Every subcommand follows one exit-code contract, and ``lint``,
-``flow``, ``race``, and ``perf`` share the same baseline-file
-mechanics (``--baseline`` to carry known findings,
-``--write-baseline`` to snapshot them; see
-:mod:`repro.analysis.baseline`):
+``perturb`` is the race pass's dynamic cross-check: it re-runs a
+traced scenario under ``DYNMPI_PERTURB`` seeds and byte-compares the
+exports; by default it *expects* schedule invariance (exit 0 when
+every seed reproduces the unperturbed trace), and with
+``--expect-diff`` it expects a race to show up as a trace diff.
+
+Every command follows one exit-code contract:
 
 =====  =============================================================
 exit   meaning
 =====  =============================================================
 0      clean — no findings (for ``perturb``: expectation met)
 1      findings remain / violations found / expectation not met
-2      usage or internal error (unreadable input, malformed spec,
-       unreadable ``--profile`` trace, blown ``--max-seconds``
-       budget)
+2      usage error (unknown command, unreadable input, malformed
+       spec or ``--baseline``, unreadable ``--profile`` trace) or a
+       blown ``--max-seconds`` budget
 =====  =============================================================
 
 ``plan`` statically verifies a redistribution plan from a JSON spec::
@@ -73,9 +66,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
-
-from .lint import lint_paths
+import time
+from typing import Any, Optional
 
 
 def _bounds(raw: list) -> tuple:
@@ -153,95 +145,100 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .baseline import load_baseline, save_baseline
+def analyze(paths, profile: Optional[dict] = None) -> tuple:
+    """The analysis pipeline: parse ``paths`` once, run every pass,
+    drop ``# dyn: ok(...)`` waivers.  Returns ``(findings, hot_zone)``
+    with the findings sorted by (path, line, code) — and, when
+    ``profile`` phase shares are given, stably re-ranked
+    hottest-measured-phase first.  Raises ``OSError`` for an
+    unreadable path."""
+    from . import flow, perf, race
+    from .findings import is_suppressed
+    from .lint import lint_tree, syntax_finding
+    from .rules import ZONES
 
+    registry = flow.load_registry(paths, indexed=ZONES["program"].contains)
+    lines = {mod.path: mod.lines for mod in registry.files}
+    findings = []
+    for path, source, exc in registry.broken:
+        lines[path] = source.splitlines()
+        findings.append(syntax_finding(path, exc))
+    for mod in registry.files:
+        findings.extend(lint_tree(mod.tree, mod.path))
+    findings.extend(flow.analyze(registry))
+    findings.extend(race.analyze(registry))
+    perf_findings, zone = perf.analyze(registry, profile)
+    findings.extend(perf_findings)
+
+    findings = [f for f in findings if not is_suppressed(f, lines[f.path])]
+    findings.sort(key=lambda f: (f.path, f.line, f.code))
+    if profile:
+        findings.sort(  # stable: static order breaks ties
+            key=lambda f: -f.detail.get("profile_share", 0.0)
+        )
+    return findings, zone
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    from ..errors import ConfigError
+    from .baseline import load_baseline, save_baseline
+    from .perf import load_profile
+
+    t0 = time.monotonic()
+    shares = None
+    if args.profile:
+        try:
+            shares = load_profile(args.profile)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"check: cannot load profile {args.profile}: {exc}",
+                  file=sys.stderr)
+            return 2
     try:
-        findings = lint_paths(args.paths)
+        known = load_baseline(args.baseline) if args.baseline else set()
+        findings, zone = analyze(args.paths, profile=shares)
+    except ConfigError as exc:
+        print(f"check: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
-        print(f"lint: cannot read {exc.filename}: {exc.strerror}",
+        print(f"check: cannot read {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
+    elapsed = time.monotonic() - t0
+
     if args.write_baseline:
-        save_baseline(args.write_baseline, findings, tool="dynsan-lint")
-    suppressed = 0
-    if args.baseline:
-        known = load_baseline(args.baseline)
-        kept = [f for f in findings if f.fingerprint not in known]
-        suppressed = len(findings) - len(kept)
-        findings = kept
+        save_baseline(args.write_baseline, findings)
+    kept = [f for f in findings if f.fingerprint not in known]
+    baselined = len(findings) - len(kept)
+    carried = f", {baselined} baselined" if baselined else ""
+
     if args.json:
-        print(json.dumps(
-            {
-                "tool": "dynsan-lint",
-                "count": len(findings),
-                "suppressed": suppressed,
-                "findings": [
-                    {
-                        "path": f.path, "line": f.line, "col": f.col,
-                        "code": f.code, "message": f.message,
-                        "fingerprint": f.fingerprint,
-                    }
-                    for f in findings
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ))
-        return 1 if findings else 0
-    for f in findings:
-        print(f)
-    if findings:
-        print(
-            f"lint: {len(findings)} finding(s)"
-            + (f", {suppressed} baselined" if suppressed else ""),
-            file=sys.stderr,
-        )
-        return 1
-    if not args.quiet:
-        print("lint: clean"
-              + (f" ({suppressed} baselined)" if suppressed else ""))
-    return 0
+        payload = {
+            "tool": "repro.analysis check",
+            "count": len(kept),
+            "suppressed": baselined,
+            "elapsed_seconds": round(elapsed, 3),
+            "hot_functions": len(zone),
+            "findings": [f.to_json() for f in kept],
+        }
+        if shares is not None:
+            payload["profile"] = {
+                k: round(v, 4) for k, v in sorted(shares.items())
+            }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif kept:
+        print("\n".join(f.render() for f in kept))
+        if not args.quiet:
+            print(f"check: {len(kept)} finding(s) "
+                  f"({len(zone)} hot functions{carried})")
+    elif not args.quiet:
+        print(f"check: clean ({len(zone)} hot functions{carried}) "
+              f"[{elapsed:.2f}s]")
 
-
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from .flow import run_flow
-
-    return run_flow(
-        args.paths,
-        json_out=args.json,
-        quiet=args.quiet,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
-        max_seconds=args.max_seconds,
-    )
-
-
-def _cmd_race(args: argparse.Namespace) -> int:
-    from .race import run_race
-
-    return run_race(
-        args.paths,
-        json_out=args.json,
-        quiet=args.quiet,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
-        max_seconds=args.max_seconds,
-    )
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .perf import run_perf
-
-    return run_perf(
-        args.paths,
-        json_out=args.json,
-        quiet=args.quiet,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
-        max_seconds=args.max_seconds,
-        profile=args.profile,
-    )
+    if args.max_seconds is not None and elapsed > args.max_seconds:
+        print(f"check: analysis took {elapsed:.1f}s, over the "
+              f"--max-seconds {args.max_seconds:g} budget", file=sys.stderr)
+        return 2
+    return 1 if kept else 0
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
@@ -272,73 +269,32 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="dynsan: Dyn-MPI communication-correctness analyzers",
+        description="dynsan: Dyn-MPI correctness analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_lint = sub.add_parser("lint", help="project-specific AST lint")
-    p_lint.add_argument("paths", nargs="+", help="files or directories")
-    p_lint.add_argument("--quiet", action="store_true")
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable findings on stdout")
-    p_lint.add_argument("--baseline", metavar="FILE", default=None,
-                        help="suppress findings whose fingerprint is in FILE")
-    p_lint.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE and continue")
-    p_lint.set_defaults(fn=_cmd_lint)
+    p_check = sub.add_parser(
+        "check", help="all static passes: AST rules, flow, race, perf"
+    )
+    p_check.add_argument("paths", nargs="+", help="files or directories")
+    p_check.add_argument("--quiet", action="store_true")
+    p_check.add_argument("--json", action="store_true",
+                         help="machine-readable findings on stdout")
+    p_check.add_argument("--baseline", metavar="FILE", default=None,
+                         help="carry findings whose fingerprint is in FILE")
+    p_check.add_argument("--write-baseline", metavar="FILE", default=None,
+                         help="write current findings to FILE and continue")
+    p_check.add_argument("--max-seconds", type=float, default=None,
+                         help="fail (exit 2) if analysis exceeds this budget")
+    p_check.add_argument("--profile", metavar="TRACE", default=None,
+                         help="dynscope trace export: re-rank findings by "
+                              "measured per-phase exclusive time")
+    p_check.set_defaults(fn=_cmd_check)
 
     p_plan = sub.add_parser("plan", help="verify a redistribution plan")
     p_plan.add_argument("spec", help="JSON plan spec (see module docstring)")
     p_plan.add_argument("--quiet", action="store_true")
     p_plan.set_defaults(fn=_cmd_plan)
-
-    p_flow = sub.add_parser(
-        "flow", help="dynflow whole-program communication-flow analysis"
-    )
-    p_flow.add_argument("paths", nargs="+", help="files or directories")
-    p_flow.add_argument("--quiet", action="store_true")
-    p_flow.add_argument("--json", action="store_true",
-                        help="machine-readable findings on stdout")
-    p_flow.add_argument("--baseline", metavar="FILE", default=None,
-                        help="suppress findings whose fingerprint is in FILE")
-    p_flow.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE and continue")
-    p_flow.add_argument("--max-seconds", type=float, default=None,
-                        help="fail (exit 2) if analysis exceeds this budget")
-    p_flow.set_defaults(fn=_cmd_flow)
-
-    p_race = sub.add_parser(
-        "race", help="dynrace message-race and determinism analysis"
-    )
-    p_race.add_argument("paths", nargs="+", help="files or directories")
-    p_race.add_argument("--quiet", action="store_true")
-    p_race.add_argument("--json", action="store_true",
-                        help="machine-readable findings on stdout")
-    p_race.add_argument("--baseline", metavar="FILE", default=None,
-                        help="suppress findings whose fingerprint is in FILE")
-    p_race.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE and continue")
-    p_race.add_argument("--max-seconds", type=float, default=None,
-                        help="fail (exit 2) if analysis exceeds this budget")
-    p_race.set_defaults(fn=_cmd_race)
-
-    p_perf = sub.add_parser(
-        "perf", help="dynperf interprocedural hot-path cost analysis"
-    )
-    p_perf.add_argument("paths", nargs="+", help="files or directories")
-    p_perf.add_argument("--quiet", action="store_true")
-    p_perf.add_argument("--json", action="store_true",
-                        help="machine-readable findings on stdout")
-    p_perf.add_argument("--baseline", metavar="FILE", default=None,
-                        help="suppress findings whose fingerprint is in FILE")
-    p_perf.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE and continue")
-    p_perf.add_argument("--max-seconds", type=float, default=None,
-                        help="fail (exit 2) if analysis exceeds this budget")
-    p_perf.add_argument("--profile", metavar="TRACE", default=None,
-                        help="dynscope trace export: re-rank findings by "
-                             "measured per-phase exclusive time")
-    p_perf.set_defaults(fn=_cmd_perf)
 
     p_pert = sub.add_parser(
         "perturb", help="schedule-perturbation determinism cross-check"

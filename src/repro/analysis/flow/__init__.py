@@ -1,8 +1,8 @@
 """dynflow — whole-program communication-flow analysis.
 
-The third static layer of the analysis suite (after the plan verifier
-and the AST lint): build per-function CFGs, resolve an interprocedural
-call graph rooted at the application entry points, and abstractly
+The ``flow`` pass of ``python -m repro.analysis check``: build
+per-function CFGs, resolve an interprocedural call graph rooted at
+the application entry points, and abstractly
 interpret each program into its *communication trace summary* — the
 sequence of collective/p2p signatures a rank may emit along each path.
 
@@ -20,129 +20,32 @@ Three analyses run over the summaries:
   region using the runtime's own :class:`IntervalSet`; an access
   outside it is DYN504.
 
-Usage::
-
-    python -m repro.analysis flow src/repro examples
-    python -m repro.analysis flow --json --max-seconds 30 src/repro
-
-Suppress a finding with ``# dynflow: ok`` on its line, or carry a
-baseline file (``--write-baseline`` / ``--baseline``).
+The pass takes the registry the driver loaded and returns raw
+findings; suppression comments and baselines are the driver's job.
 """
 
 from __future__ import annotations
-
-import sys
-import time
-from typing import Iterable, Optional
 
 from .callgraph import Registry, load_registry
 from .cfg import CFG, build_cfg
 from .collectives import CollectiveAnalyzer
 from .domain import CommEvent, TaintEnv, classify_call, skeleton
 from .ownership import OwnershipAnalyzer
-from .report import (
-    CODES,
-    FlowFinding,
-    SideBySide,
-    findings_to_json,
-    load_baseline,
-    render_findings,
-    save_baseline,
-)
 
 __all__ = [
-    "CODES",
     "CFG",
     "CommEvent",
-    "FlowFinding",
     "Registry",
-    "SideBySide",
     "TaintEnv",
-    "analyze_paths",
+    "analyze",
     "build_cfg",
     "classify_call",
     "load_registry",
-    "run_flow",
     "skeleton",
 ]
 
 
-def analyze_paths(paths: Iterable) -> list:
-    """Run all dynflow analyses over ``paths``; returns the findings
-    sorted by position (line-level ``# dynflow: ok`` suppressions
-    already applied, baseline filtering left to the caller)."""
-    registry = load_registry(paths)
-    findings = CollectiveAnalyzer(registry).run()
-    findings += OwnershipAnalyzer(registry).run()
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
-    return findings
-
-
-def run_flow(
-    paths: Iterable,
-    *,
-    json_out: bool = False,
-    quiet: bool = False,
-    baseline: Optional[str] = None,
-    write_baseline: Optional[str] = None,
-    max_seconds: Optional[float] = None,
-    stream=None,
-) -> int:
-    """CLI driver.  Exit codes: 0 clean, 1 findings, 2 usage or
-    internal error (including a blown ``--max-seconds`` budget)."""
-    out = stream if stream is not None else sys.stdout
-    t0 = time.monotonic()
-    try:
-        findings = analyze_paths(paths)
-    except Exception as exc:  # internal error, not a finding
-        print(f"dynflow: internal error: {exc!r}", file=sys.stderr)
-        return 2
-    elapsed = time.monotonic() - t0
-
-    if write_baseline:
-        save_baseline(write_baseline, findings)
-
-    suppressed = 0
-    if baseline:
-        known = load_baseline(baseline)
-        kept = [f for f in findings if f.fingerprint not in known]
-        suppressed = len(findings) - len(kept)
-        findings = kept
-
-    if json_out:
-        import json as _json
-
-        print(
-            _json.dumps(
-                findings_to_json(
-                    findings, suppressed=suppressed, elapsed=elapsed
-                ),
-                indent=2,
-                sort_keys=True,
-            ),
-            file=out,
-        )
-    elif findings:
-        print(render_findings(findings), file=out)
-        if not quiet:
-            print(
-                f"dynflow: {len(findings)} finding(s)"
-                + (f", {suppressed} baselined" if suppressed else ""),
-                file=out,
-            )
-    elif not quiet:
-        print(
-            f"dynflow: clean"
-            + (f" ({suppressed} baselined)" if suppressed else "")
-            + f" [{elapsed:.2f}s]",
-            file=out,
-        )
-
-    if max_seconds is not None and elapsed > max_seconds:
-        print(
-            f"dynflow: analysis took {elapsed:.1f}s, over the "
-            f"--max-seconds {max_seconds:g} budget",
-            file=sys.stderr,
-        )
-        return 2
-    return 1 if findings else 0
+def analyze(registry: Registry) -> list:
+    """All DYN5xx findings over the registry's indexed modules."""
+    return (CollectiveAnalyzer(registry).run()
+            + OwnershipAnalyzer(registry).run())

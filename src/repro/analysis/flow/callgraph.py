@@ -23,7 +23,8 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional
 
 from .cfg import CFG, build_cfg
 
@@ -71,8 +72,12 @@ class ModuleInfo:
     imports: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)  # qualname -> FuncInfo
 
+    @cached_property
+    def lines(self) -> list:
+        return self.source.splitlines()
+
     def line(self, lineno: int) -> str:
-        lines = self.source.splitlines()
+        lines = self.lines
         return lines[lineno - 1] if 1 <= lineno <= len(lines) else ""
 
 
@@ -127,7 +132,13 @@ class Registry:
     """All analyzed modules plus name-resolution helpers."""
 
     def __init__(self):
+        #: the whole-program index, by dotted module name
         self.modules: dict[str, ModuleInfo] = {}
+        #: every parsed file in load order, indexed or not — what the
+        #: per-file rules walk
+        self.files: list[ModuleInfo] = []
+        #: (path, source, SyntaxError) for files that did not parse
+        self.broken: list[tuple] = []
         #: bare function name -> list of (module, qualname); used as an
         #: unambiguous-name fallback when import chains leave the set
         self._by_name: dict[str, list] = {}
@@ -321,15 +332,28 @@ def iter_files(paths: Iterable) -> list:
     return files
 
 
-def load_registry(paths: Iterable) -> Registry:
+def load_registry(
+    paths: Iterable,
+    indexed: Callable[[pathlib.Path], bool] = lambda path: True,
+) -> Registry:
+    """Read and parse every file under ``paths`` exactly once.  Files
+    for which ``indexed(path)`` holds join the whole-program index
+    (``modules``, call resolution, roots); the rest are only kept in
+    ``files`` for the per-file rules, so harness code cannot shadow a
+    program function's name.  Raises ``OSError`` for an unreadable
+    path."""
     reg = Registry()
     for f in iter_files(paths):
         source = f.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(f))
-        except SyntaxError:
-            continue  # reported by the lint layer, not worth dying here
-        reg.add_module(ModuleInfo(
+        except SyntaxError as exc:
+            reg.broken.append((str(f), source, exc))
+            continue
+        mod = ModuleInfo(
             name=_module_name(f), path=str(f), tree=tree, source=source
-        ))
+        )
+        reg.files.append(mod)
+        if indexed(f):
+            reg.add_module(mod)
     return reg

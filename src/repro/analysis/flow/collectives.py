@@ -43,7 +43,7 @@ from .domain import (
     render_trace,
     skeleton,
 )
-from .report import SUPPRESS_MARK, FlowFinding, SideBySide
+from ..findings import Finding, SideBySide
 
 __all__ = ["Summary", "CollectiveAnalyzer"]
 
@@ -66,14 +66,10 @@ def _part_join(a: str, b: str) -> str:
 class CollectiveAnalyzer:
     def __init__(self, registry: Registry):
         self.reg = registry
-        self.findings: list[FlowFinding] = []
+        self.findings: list[Finding] = []
         self._summaries: dict = {}
         self._stack: set = set()
         self._emitted: set = set()
-        #: path -> ModuleInfo for suppression lookups
-        self._by_path = {
-            m.path: m for m in registry.modules.values()
-        }
 
     # -- public ---------------------------------------------------------
     def run(self) -> list:
@@ -82,17 +78,12 @@ class CollectiveAnalyzer:
         return self.findings
 
     # -- findings plumbing ---------------------------------------------
-    def _suppressed(self, path: str, line: int) -> bool:
-        mod = self._by_path.get(path)
-        return mod is not None and SUPPRESS_MARK in mod.line(line)
-
-    def _emit(self, finding: FlowFinding) -> None:
+    def _emit(self, finding: Finding) -> None:
         key = (finding.code, finding.path, finding.line, finding.anchor)
         if key in self._emitted:
             return
         self._emitted.add(key)
-        if not self._suppressed(finding.path, finding.line):
-            self.findings.append(finding)
+        self.findings.append(finding)
 
     # -- summaries ------------------------------------------------------
     def summarize(self, fi: FuncInfo, seeds: frozenset) -> Summary:
@@ -342,7 +333,7 @@ class _TraceWalker:
                 "scope collectives like global_reduce/begin_cycle must be "
                 "reachable on the non-participating path too"
             )
-        self.an._emit(FlowFinding(
+        self.an._emit(Finding(
             path=self.fi.path,
             line=node.lineno,
             col=node.col_offset,
@@ -375,7 +366,7 @@ class _TraceWalker:
             names = ", ".join(
                 sorted({e.name for e in colls})
             ) or "collective"
-            self.an._emit(FlowFinding(
+            self.an._emit(Finding(
                 path=self.fi.path,
                 line=node.lineno,
                 col=node.col_offset,
@@ -476,7 +467,7 @@ class _TraceWalker:
         return frozenset(seeds)
 
     def _emit_503(self, node, what: str, env: TaintEnv) -> None:
-        self.an._emit(FlowFinding(
+        self.an._emit(Finding(
             path=self.fi.path,
             line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", 0),

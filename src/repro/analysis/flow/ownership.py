@@ -39,7 +39,7 @@ from typing import Optional
 from ..._intervals import IntervalSet
 from .callgraph import FuncInfo, Registry
 from .domain import expr_text
-from .report import FlowFinding, SUPPRESS_MARK
+from ..findings import Finding
 
 __all__ = ["OwnershipAnalyzer", "WITNESS_S", "WITNESS_E", "WITNESS_ROWS"]
 
@@ -106,9 +106,8 @@ class OwnershipAnalyzer:
 
     def __init__(self, registry: Registry):
         self.reg = registry
-        self.findings: list[FlowFinding] = []
+        self.findings: list[Finding] = []
         self._emitted: set = set()
-        self._by_path = {m.path: m for m in registry.modules.values()}
 
     def run(self) -> list:
         for root in self.reg.roots():
@@ -124,10 +123,7 @@ class OwnershipAnalyzer:
         if key in self._emitted:
             return
         self._emitted.add(key)
-        mod = self._by_path.get(fi.path)
-        if mod is not None and SUPPRESS_MARK in mod.line(line):
-            return
-        self.findings.append(FlowFinding(
+        self.findings.append(Finding(
             path=fi.path,
             line=line,
             col=getattr(node, "col_offset", 0),

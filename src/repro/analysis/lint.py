@@ -1,4 +1,5 @@
-"""Project-specific AST lint (the lint layer of dynsan).
+"""The per-file AST rules (the ``lint`` pass, plus the AST half of the
+``race`` pass).
 
 Generic linters cannot know that this codebase's endpoint operations
 are *generators*: ``ep.send(...)`` as a bare statement builds a
@@ -6,110 +7,32 @@ generator object, drops it, and silently sends nothing.  Nor can they
 know that :mod:`repro.simcluster` and :mod:`repro.core` must stay
 bit-for-bit deterministic (wallclock or unseeded randomness there
 breaks reproducibility and the redistribution lockstep).  These checks
-are encoded here:
+are encoded here as two visitors over one parsed tree:
 
-=======  ==========================================================
-code     meaning
-=======  ==========================================================
-DYN001   generator endpoint/collective call used as a bare statement
-         (silent no-op — drive it with ``yield from``)
-DYN002   ``yield gen_call(...)`` where ``yield from`` is required
-         (yields the generator object as a bogus syscall)
-DYN101   wallclock/randomness in a deterministic zone
-         (``simcluster``/``core``): ``time.time``-family calls,
-         the ``random`` module, unseeded or convenience
-         ``numpy.random`` entry points
-DYN201   mutable default on a dataclass field (shared-state bug;
-         includes numpy-array defaults the stdlib check misses)
-DYN301   bare ``Simulator.kill(...)``/``inject(...)`` in library code
-         outside :mod:`repro.resilience` — ad-hoc fault injection
-         bypasses the FailureBoard and the runtime's crash
-         accounting; route faults through a ``FailureScript``
-DYN401   per-row row-membership construction in a data-plane hot
-         path (``core``/``resilience``): ``set(range(lo, hi))`` or a
-         list/set comprehension filtering ``range(lo, hi)`` builds
-         O(rows) Python objects where interval algebra
-         (:class:`repro.core.intervals.IntervalSet`) is O(spans);
-         the set-based reference oracle (``core/reference.py``) is
-         exempt
-DYN601   ad-hoc instrumentation in library code (under ``repro``):
-         raw ``time.time``-family reads or bare ``print(...)`` —
-         measure with the :mod:`repro.sysmon` timers and report
-         through :mod:`repro.obs` (dynscope) instead.  The two
-         instrumentation homes (``sysmon/``, ``obs/``), the dynflow
-         driver (``flow/``), CLI entry points (``__main__.py``) and
-         report formatters (``report.py``) are exempt; inside
-         deterministic zones the time-family check defers to DYN101
-DYN801   process-level parallelism in library code (under ``repro``)
-         outside :mod:`repro.campaign`: importing
-         ``multiprocessing``, ``concurrent.futures`` or
-         ``subprocess`` — the simulator's determinism story depends
-         on it staying single-process; fan out at the campaign
-         layer (dyncamp), which journals and aggregates
-         deterministically.  Suppressed with ``# dyncamp: ok``
-         (not ``# dynsan: ok``) so an exemption names the
-         subsystem that owns the rule
-DYN901   event-queue manipulation in library code (under ``repro``)
-         outside the kernel modules (``simcluster/kernel*.py``):
-         importing ``heapq`` or touching a simulator's ``._heap``.
-         The dynkern engine owns the event queue's invariants — the
-         two-lane ready/heap split, the ``(time, seq)`` total order
-         and tombstone accounting — and out-of-band pushes or pops
-         silently corrupt them; go through ``schedule`` /
-         ``call_soon`` / ``Timer.cancel``.  Suppressed with
-         ``# dynkern: ok`` (not ``# dynsan: ok``) so an exemption
-         names the subsystem that owns the rule
-DYN1101  farm-protocol access in library code (under ``repro``)
-         outside the farm runtime (``farm/``) and the one-sided home
-         (``mpi/rma*.py``): constructing an RMA ``Window(...)`` ad
-         hoc, or passing a raw integer literal from the reserved
-         farm tag band ``[210, 220)`` to an endpoint send/recv —
-         application code splicing into the master/worker
-         conversation corrupts the dispatch protocol; go through
-         ``repro.farm`` (and its named ``TAG_*`` constants) or
-         ``repro.mpi.rma.Window``.  Suppressed with ``# dynfarm: ok``
-         so an exemption names the subsystem that owns the rule
-=======  ==========================================================
+* :class:`_Linter` — DYN001/002 (undriven generator calls), DYN101,
+  DYN201, DYN301, DYN401, DYN601, DYN801, DYN901, DYN1101;
+* :class:`_RaceLinter` — the determinism rules DYN703/704/705.
 
-Suppress a finding by putting ``# dynsan: ok`` on the offending line.
-Run as ``python -m repro.analysis lint <paths...>``; exits non-zero
-when findings remain, which is the CI gate.
-
-This module also hosts dynrace's determinism AST rules — they run
-under the ``race`` subcommand (:mod:`repro.analysis.race`), not the
-plain lint gate, and are suppressed with ``# dynrace: ok`` instead:
-
-=======  ==========================================================
-code     meaning
-=======  ==========================================================
-DYN703   iteration over an unordered ``set``/``frozenset`` whose
-         body emits messages or trace events — emission *order*
-         then depends on hash seeding, not the program
-DYN704   RNG outside the sanctioned home
-         (``simcluster/rng.py``'s seeded StreamRegistry): the
-         ``random`` module, any ``numpy.random`` draw, or
-         constructing generators ad hoc — even seeded ones
-         fragment the reproducibility story
-DYN705   float accumulation (``+=`` / ``sum(...)``) over set
-         iteration — floating-point addition does not commute
-         with reordering, so the result varies run to run
-=======  ==========================================================
+What each code means, and the zone it applies in, is one row of the
+rule registry (:mod:`repro.analysis.rules`; long-form rationale in
+``docs/ANALYSIS.md``).  A visitor emits unconditionally and
+:meth:`_AstRules._emit` drops what the file's path puts out of zone,
+so the zone of every rule is derived from the path and nothing else.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import pathlib
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-from .zones import ZONES, suppress_mark_for
+from .findings import Finding, is_suppressed
+from .rules import RULES, ZONES
 
 __all__ = [
-    "LintFinding",
-    "lint_source", "lint_file", "lint_paths",
-    "race_lint_source", "race_lint_file", "race_lint_paths",
+    "lint_tree", "lint_source", "lint_file",
+    "race_lint_tree", "race_lint_source",
+    "syntax_finding",
 ]
 
 #: endpoint/runtime methods that return generators and must be driven
@@ -126,12 +49,6 @@ GENERATOR_FUNCS = frozenset({
     "allgather", "allgather_dissemination", "alltoallv", "redistribute",
 })
 
-#: zone definitions live in the shared registry (repro.analysis.zones)
-#: — one declarative entry per rule family, consumed by dynsan,
-#: dynrace, and dynperf alike.  The historical constants below are
-#: derived views kept for readability at the use sites.
-DETERMINISTIC_ZONES = ZONES["deterministic"].require_parts
-
 #: Simulator methods that constitute fault injection (DYN301; the
 #: resilience package is the zone's sanctioned home)
 _FAULT_METHODS = frozenset({"kill", "inject"})
@@ -140,16 +57,6 @@ _FAULT_METHODS = frozenset({"kill", "inject"})
 #: (``concurrent`` covers ``concurrent.futures``) — DYN801; the
 #: campaign engine is the zone's sanctioned home
 _PROCESS_MODULES = frozenset({"multiprocessing", "concurrent", "subprocess"})
-
-#: suppression marker for DYN801 — the rule belongs to dyncamp, so an
-#: exemption is spelled ``# dyncamp: ok``
-CAMPAIGN_SUPPRESS_MARK = ZONES["process"].suppress_mark
-
-#: suppression marker for DYN901 — the rule belongs to dynkern
-KERNEL_SUPPRESS_MARK = ZONES["kernel"].suppress_mark
-
-#: suppression marker for DYN1101 — the rule belongs to dynfarm
-FARM_SUPPRESS_MARK = ZONES["farm"].suppress_mark
 
 #: the reserved farm wire-protocol tag band (repro.farm.protocol)
 _FARM_TAG_LO, _FARM_TAG_HI = 210, 220
@@ -188,26 +95,6 @@ _NP_ARRAY_CTORS = frozenset({"zeros", "ones", "empty", "full", "array",
                              "arange", "eye"})
 
 
-@dataclass(frozen=True)
-class LintFinding:
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable id for baseline files (repro.analysis.baseline):
-        excludes the line number so a baseline entry survives
-        unrelated edits to the same file."""
-        raw = f"{self.code}|{self.path}|{self.message}"
-        return hashlib.sha1(raw.encode()).hexdigest()[:16]
-
-
 def _dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
@@ -220,61 +107,33 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-class _Linter(ast.NodeVisitor):
-    def __init__(self, path: str, source: str, *, deterministic_zone: bool,
-                 fault_injection_zone: bool = False,
-                 row_membership_zone: bool = False,
-                 instrumentation_zone: bool = False,
-                 process_zone: bool = False,
-                 kernel_zone: bool = False,
-                 farm_zone: bool = False):
+class _AstRules(ast.NodeVisitor):
+    """What the two rule sets share: import-alias tracking and
+    zone-gated emission."""
+
+    def __init__(self, path: str):
         self.path = path
-        self.lines = source.splitlines()
-        self.zone = deterministic_zone
-        self.fault_zone = fault_injection_zone
-        self.row_zone = row_membership_zone
-        self.inst_zone = instrumentation_zone
-        self.process_zone = process_zone
-        self.kernel_zone = kernel_zone
-        self.farm_zone = farm_zone
-        self.findings: list[LintFinding] = []
+        p = pathlib.Path(path)
+        #: the codes whose zone admits this file
+        self.active = frozenset(
+            r.code for r in RULES.values() if r.applies_to(p)
+        )
+        self.findings: list[Finding] = []
         #: local alias -> real module name (import numpy as np)
         self.aliases: dict[str, str] = {}
         #: names imported *from* banned modules (from random import choice)
         self.from_random: set[str] = set()
-        #: local name -> dotted origin for ``from time import ...``
-        #: (so DYN601 sees through ``from time import time as wallclock``)
-        self.from_time: dict[str, str] = {}
-
-    # -- helpers --------------------------------------------------------
-    def _suppressed(self, node: ast.AST, mark: str = "dynsan: ok") -> bool:
-        line = getattr(node, "lineno", 0)
-        if 1 <= line <= len(self.lines):
-            return mark in self.lines[line - 1]
-        return False
 
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
-        mark = suppress_mark_for(code)
-        if not self._suppressed(node, mark):
-            self.findings.append(LintFinding(
+        if code in self.active:
+            self.findings.append(Finding(
                 self.path, node.lineno, node.col_offset, code, message
             ))
 
-    def _check_process_import(self, node: ast.AST, module: str) -> None:
-        if self.process_zone and module.split(".")[0] in _PROCESS_MODULES:
-            self._emit(node, "DYN801",
-                       f"`{module}` brings process-level parallelism into "
-                       f"library code; the simulator must stay "
-                       f"single-process — fan out at the campaign layer "
-                       f"(repro.campaign) instead")
-
-    def _check_kernel_import(self, node: ast.AST, module: str) -> None:
-        if self.kernel_zone and module.split(".")[0] == "heapq":
-            self._emit(node, "DYN901",
-                       f"`{module}` manipulates an event queue outside the "
-                       f"kernel (simcluster/kernel*.py), which owns the "
-                       f"(time, seq) order and tombstone accounting; "
-                       f"schedule through the Simulator API instead")
+    def _track_aliases(self, node: ast.Import) -> None:
+        for alias in node.names:
+            top = alias.name.split(".")[0]
+            self.aliases[alias.asname or top] = top
 
     def _resolve(self, dotted: Optional[str]) -> Optional[str]:
         """Rewrite the leading alias of a dotted path to its module."""
@@ -283,6 +142,31 @@ class _Linter(ast.NodeVisitor):
         head, _, rest = dotted.partition(".")
         real = self.aliases.get(head, head)
         return f"{real}.{rest}" if rest else real
+
+
+class _Linter(_AstRules):
+    def __init__(self, path: str):
+        super().__init__(path)
+        #: local name -> dotted origin for ``from time import ...``
+        #: (so DYN601 sees through ``from time import time as wallclock``)
+        self.from_time: dict[str, str] = {}
+
+    # -- helpers --------------------------------------------------------
+    def _check_process_import(self, node: ast.AST, module: str) -> None:
+        if module.split(".")[0] in _PROCESS_MODULES:
+            self._emit(node, "DYN801",
+                       f"`{module}` brings process-level parallelism into "
+                       f"library code; the simulator must stay "
+                       f"single-process — fan out at the campaign layer "
+                       f"(repro.campaign) instead")
+
+    def _check_kernel_import(self, node: ast.AST, module: str) -> None:
+        if module.split(".")[0] == "heapq":
+            self._emit(node, "DYN901",
+                       f"`{module}` manipulates an event queue outside the "
+                       f"kernel (simcluster/kernel*.py), which owns the "
+                       f"(time, seq) order and tombstone accounting; "
+                       f"schedule through the Simulator API instead")
 
     def _is_generator_call(self, node: ast.AST) -> Optional[str]:
         """Return a short description if ``node`` calls a known
@@ -299,12 +183,11 @@ class _Linter(ast.NodeVisitor):
 
     # -- imports (alias tracking + DYN101 on the import itself) ---------
     def visit_Import(self, node: ast.Import) -> None:
+        self._track_aliases(node)
         for alias in node.names:
-            self.aliases[alias.asname or alias.name.split(".")[0]] = \
-                alias.name.split(".")[0]
             self._check_process_import(node, alias.name)
             self._check_kernel_import(node, alias.name)
-            if self.zone and alias.name.split(".")[0] == "random":
+            if alias.name.split(".")[0] == "random":
                 self._emit(node, "DYN101",
                            "the `random` module is nondeterministic state "
                            "shared across the process; use the cluster's "
@@ -315,7 +198,7 @@ class _Linter(ast.NodeVisitor):
         if node.module:
             self._check_process_import(node, node.module)
             self._check_kernel_import(node, node.module)
-        if self.zone and node.module and node.module.split(".")[0] == "random":
+        if node.module and node.module.split(".")[0] == "random":
             self._emit(node, "DYN101",
                        "importing from `random` breaks determinism; use the "
                        "cluster's seeded StreamRegistry instead")
@@ -345,7 +228,7 @@ class _Linter(ast.NodeVisitor):
 
     # -- DYN901: out-of-band event-queue access -------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self.kernel_zone and node.attr == _KERNEL_HEAP_ATTR:
+        if node.attr == _KERNEL_HEAP_ATTR:
             base = _dotted_name(node.value)
             self._emit(node, "DYN901",
                        f"`{base or '<expr>'}.{_KERNEL_HEAP_ATTR}` reaches "
@@ -371,8 +254,6 @@ class _Linter(ast.NodeVisitor):
     def _check_row_comprehension(self, node) -> None:
         """list/set comprehensions that *filter* a row range build and
         test one Python object per row."""
-        if not self.row_zone:
-            return
         for gen in node.generators:
             if gen.ifs and self._is_row_range(gen.iter):
                 kind = "set" if isinstance(node, ast.SetComp) else "list"
@@ -393,13 +274,13 @@ class _Linter(ast.NodeVisitor):
 
     # -- DYN101 / DYN301 / DYN401 / DYN601: calls -----------------------
     def visit_Call(self, node: ast.Call) -> None:
-        if self.inst_zone:
+        if "DYN601" in self.active:
             if isinstance(node.func, ast.Name) and node.func.id == "print":
                 self._emit(node, "DYN601",
                            "bare `print(...)` in library code; record a "
                            "dynscope span/metric (repro.obs) or return the "
                            "text to the caller")
-            elif not self.zone:
+            elif "DYN101" not in self.active:
                 # inside deterministic zones DYN101 already flags these
                 dotted = self._resolve(_dotted_name(node.func))
                 if isinstance(node.func, ast.Name):
@@ -409,30 +290,27 @@ class _Linter(ast.NodeVisitor):
                                f"`{dotted}()` is ad-hoc wallclock timing; "
                                f"use the repro.sysmon timers (HrTimer/"
                                f"ProcClock) or a dynscope span (repro.obs)")
-        if self.row_zone:
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id in ("set", "frozenset")
-                and len(node.args) == 1
-                and self._is_row_range(node.args[0])
-            ):
-                self._emit(node, "DYN401",
-                           f"`{node.func.id}(range(lo, hi))` materializes "
-                           f"one hash-set entry per row in a data-plane hot "
-                           f"path; use IntervalSet.span "
-                           f"(repro.core.intervals) — O(1), not O(rows)")
-        if self.farm_zone:
-            self._check_farm_call(node)
-        if self.fault_zone:
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in _FAULT_METHODS:
-                base = _dotted_name(func.value)
-                self._emit(node, "DYN301",
-                           f"bare `{base or '<expr>'}.{func.attr}(...)` "
-                           f"injects a fault behind the FailureBoard's back; "
-                           f"use a FailureScript (repro.resilience) so the "
-                           f"runtime's crash accounting sees it")
-        if self.zone:
+        if (
+            isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "frozenset")
+            and len(node.args) == 1
+            and self._is_row_range(node.args[0])
+        ):
+            self._emit(node, "DYN401",
+                       f"`{node.func.id}(range(lo, hi))` materializes "
+                       f"one hash-set entry per row in a data-plane hot "
+                       f"path; use IntervalSet.span "
+                       f"(repro.core.intervals) — O(1), not O(rows)")
+        self._check_farm_call(node)
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _FAULT_METHODS:
+            base = _dotted_name(func.value)
+            self._emit(node, "DYN301",
+                       f"bare `{base or '<expr>'}.{func.attr}(...)` "
+                       f"injects a fault behind the FailureBoard's back; "
+                       f"use a FailureScript (repro.resilience) so the "
+                       f"runtime's crash accounting sees it")
+        if "DYN101" in self.active:
             dotted = self._resolve(_dotted_name(node.func))
             if dotted is not None:
                 if dotted in _BANNED_CALLS:
@@ -531,119 +409,9 @@ class _Linter(ast.NodeVisitor):
         return None
 
 
-def _in_deterministic_zone(path: pathlib.Path) -> bool:
-    return ZONES["deterministic"].contains(path)
-
-
-def _in_fault_injection_zone(path: pathlib.Path) -> bool:
-    """Library code (under the ``repro`` package) outside the
-    resilience package: the only place DYN301 applies.  Tests,
-    examples, and benchmarks inject faults freely."""
-    return ZONES["fault"].contains(path)
-
-
-def _in_row_membership_zone(path: pathlib.Path) -> bool:
-    """Data-plane hot paths (``core``/``resilience``) where DYN401
-    applies; the set-based reference oracle is exempt by filename."""
-    return ZONES["row_membership"].contains(path)
-
-
-def _in_instrumentation_zone(path: pathlib.Path) -> bool:
-    """Library code (under ``repro``) where DYN601 applies, minus the
-    sanctioned instrumentation homes and stdout-facing files."""
-    return ZONES["instrumentation"].contains(path)
-
-
-def _in_process_zone(path: pathlib.Path) -> bool:
-    """Library code (under ``repro``) outside the campaign engine: the
-    only place DYN801 applies.  Tests, examples, and benchmarks may
-    spawn processes freely."""
-    return ZONES["process"].contains(path)
-
-
-def _in_kernel_zone(path: pathlib.Path) -> bool:
-    """Library code (under ``repro``) outside the kernel modules: the
-    only place DYN901 applies.  Tests and benchmarks may poke at heaps
-    freely (the bounded-heap regression test must)."""
-    return ZONES["kernel"].contains(path)
-
-
-def _in_farm_zone(path: pathlib.Path) -> bool:
-    """Library code (under ``repro``) outside the farm runtime and the
-    one-sided home (``mpi/rma*.py``): the only place DYN1101 applies.
-    Tests and benchmarks exercise the protocol freely."""
-    return ZONES["farm"].contains(path)
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    deterministic_zone: bool = False,
-    fault_injection_zone: bool = False,
-    row_membership_zone: bool = False,
-    instrumentation_zone: bool = False,
-    process_zone: bool = False,
-    kernel_zone: bool = False,
-    farm_zone: bool = False,
-) -> list[LintFinding]:
-    """Lint python ``source``; ``deterministic_zone`` enables DYN101,
-    ``fault_injection_zone`` enables DYN301, ``row_membership_zone``
-    enables DYN401, ``instrumentation_zone`` enables DYN601,
-    ``process_zone`` enables DYN801, ``kernel_zone`` enables DYN901,
-    ``farm_zone`` enables DYN1101."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [LintFinding(path, exc.lineno or 0, exc.offset or 0,
-                            "DYN000", f"syntax error: {exc.msg}")]
-    linter = _Linter(path, source, deterministic_zone=deterministic_zone,
-                     fault_injection_zone=fault_injection_zone,
-                     row_membership_zone=row_membership_zone,
-                     instrumentation_zone=instrumentation_zone,
-                     process_zone=process_zone,
-                     kernel_zone=kernel_zone,
-                     farm_zone=farm_zone)
-    linter.visit(tree)
-    return sorted(linter.findings, key=lambda f: (f.path, f.line, f.col))
-
-
-def lint_file(path: pathlib.Path) -> list[LintFinding]:
-    return lint_source(
-        path.read_text(encoding="utf-8"),
-        str(path),
-        deterministic_zone=_in_deterministic_zone(path),
-        fault_injection_zone=_in_fault_injection_zone(path),
-        row_membership_zone=_in_row_membership_zone(path),
-        instrumentation_zone=_in_instrumentation_zone(path),
-        process_zone=_in_process_zone(path),
-        kernel_zone=_in_kernel_zone(path),
-        farm_zone=_in_farm_zone(path),
-    )
-
-
-def lint_paths(paths: Iterable[str | pathlib.Path]) -> list[LintFinding]:
-    """Lint files and/or directory trees (``*.py``, recursively)."""
-    findings: list[LintFinding] = []
-    for raw in paths:
-        p = pathlib.Path(raw)
-        files: Sequence[pathlib.Path]
-        if p.is_dir():
-            files = sorted(p.rglob("*.py"))
-        else:
-            files = [p]
-        for f in files:
-            findings.extend(lint_file(f))
-    return findings
-
-
 # ---------------------------------------------------------------------------
 # dynrace determinism rules (DYN703/704/705)
 # ---------------------------------------------------------------------------
-
-#: suppression marker for the race rules — distinct from dynsan's so a
-#: line can be fine for one tool and a finding for the other
-RACE_SUPPRESS_MARK = ZONES["rng"].suppress_mark
 
 #: calls whose *relative order* is observable in the exported trace:
 #: message emission (endpoint/collective generators plus the nonblocking
@@ -652,52 +420,25 @@ _ORDER_SINKS = GENERATOR_METHODS | GENERATOR_FUNCS | {
     "isend", "irecv", "instant", "complete", "count", "observe",
 }
 
-#: the one sanctioned RNG construction site (seeded StreamRegistry) —
-#: declared in the shared zone registry, recognized via ``is_home``
-RNG_HOME = (ZONES["rng"].home_dir, ZONES["rng"].home_prefix)
 
-
-class _RaceLinter(ast.NodeVisitor):
+class _RaceLinter(_AstRules):
     """AST determinism rules for dynrace.
 
-    Unlike :class:`_Linter` there is no zone gating: these rules apply
-    to every path handed to the ``race`` subcommand.  Set-typedness is
-    inferred syntactically — literals, comprehensions, ``set()`` /
-    ``frozenset()`` calls, set-operator expressions over those, and
-    local names assigned from them.  ``sorted(...)`` launders: iterating
-    a sorted set is deterministic.  Dict iteration is *not* flagged —
-    Python dicts preserve insertion order, which the program controls.
+    Set-typedness is inferred syntactically — literals,
+    comprehensions, ``set()`` / ``frozenset()`` calls, set-operator
+    expressions over those, and local names assigned from them.
+    ``sorted(...)`` launders: iterating a sorted set is deterministic.
+    Dict iteration is *not* flagged — Python dicts preserve insertion
+    order, which the program controls.
     """
 
-    def __init__(self, path: str, source: str, *, rng_home: bool = False):
-        self.path = path
-        self.lines = source.splitlines()
-        self.rng_home = rng_home
-        self.findings: list[LintFinding] = []
-        self.aliases: dict[str, str] = {}
-        self.from_random: set[str] = set()
+    def __init__(self, path: str):
+        super().__init__(path)
+        #: the one sanctioned RNG construction site (the seeded
+        #: StreamRegistry), where building generators is the whole point
+        self.rng_home = ZONES["rng"].is_home(pathlib.Path(path))
         #: stack of per-scope {name: is-set-typed} maps
         self._set_vars: list[dict[str, bool]] = [{}]
-
-    # -- plumbing -------------------------------------------------------
-    def _suppressed(self, node: ast.AST) -> bool:
-        line = getattr(node, "lineno", 0)
-        if 1 <= line <= len(self.lines):
-            return RACE_SUPPRESS_MARK in self.lines[line - 1]
-        return False
-
-    def _emit(self, node: ast.AST, code: str, message: str) -> None:
-        if not self._suppressed(node):
-            self.findings.append(LintFinding(
-                self.path, node.lineno, node.col_offset, code, message
-            ))
-
-    def _resolve(self, dotted: Optional[str]) -> Optional[str]:
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        real = self.aliases.get(head, head)
-        return f"{real}.{rest}" if rest else real
 
     # -- scopes ---------------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -749,10 +490,9 @@ class _RaceLinter(ast.NodeVisitor):
 
     # -- imports (alias tracking + DYN704 on the import itself) ---------
     def visit_Import(self, node: ast.Import) -> None:
+        self._track_aliases(node)
         for alias in node.names:
-            top = alias.name.split(".")[0]
-            self.aliases[alias.asname or top] = top
-            if top == "random":
+            if alias.name.split(".")[0] == "random":
                 self._emit(node, "DYN704",
                            "the `random` module is process-global mutable "
                            "state; draw from the cluster's seeded "
@@ -849,45 +589,47 @@ class _RaceLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def race_lint_source(source: str, path: str = "<string>", *,
-                     rng_home: bool = False) -> list[LintFinding]:
-    """Run the dynrace AST rules (DYN703/704/705) over ``source``.
-    ``rng_home`` marks the sanctioned StreamRegistry module, where
-    seeded generator construction is the whole point."""
+def syntax_finding(path: str, exc: SyntaxError) -> Finding:
+    return Finding(path, exc.lineno or 0, exc.offset or 0, "DYN000",
+                   f"syntax error: {exc.msg}")
+
+
+def _run(rules: type, tree: ast.AST, path: str) -> list[Finding]:
+    visitor = rules(path)
+    visitor.visit(tree)
+    return sorted(visitor.findings, key=lambda f: (f.path, f.line, f.col))
+
+
+def lint_tree(tree: ast.AST, path: str) -> list[Finding]:
+    """The ``lint`` pass over one parsed file; every zone is derived
+    from ``path``.  Raw findings — suppression is the driver's job."""
+    return _run(_Linter, tree, path)
+
+
+def race_lint_tree(tree: ast.AST, path: str) -> list[Finding]:
+    """The determinism rules (DYN703/704/705) over one parsed file."""
+    return _run(_RaceLinter, tree, path)
+
+
+def _check_source(rules: type, source: str, path: str) -> list[Finding]:
+    """One rule set over a bare source string, as ``check`` would
+    report it for a file at ``path``: parse (DYN000 on failure), run,
+    drop ``# dyn: ok(...)`` waivers."""
     try:
-        tree = ast.parse(source, filename=path)
+        findings = _run(rules, ast.parse(source, filename=path), path)
     except SyntaxError as exc:
-        return [LintFinding(path, exc.lineno or 0, exc.offset or 0,
-                            "DYN000", f"syntax error: {exc.msg}")]
-    linter = _RaceLinter(path, source, rng_home=rng_home)
-    linter.visit(tree)
-    return sorted(linter.findings, key=lambda f: (f.path, f.line, f.col))
+        findings = [syntax_finding(path, exc)]
+    lines = source.splitlines()
+    return [f for f in findings if not is_suppressed(f, lines)]
 
 
-def _is_rng_home(path: pathlib.Path) -> bool:
-    return ZONES["rng"].is_home(path)
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    return _check_source(_Linter, source, path)
 
 
-def race_lint_file(path: pathlib.Path) -> list[LintFinding]:
-    return race_lint_source(
-        path.read_text(encoding="utf-8"),
-        str(path),
-        rng_home=_is_rng_home(path),
-    )
+def race_lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    return _check_source(_RaceLinter, source, path)
 
 
-def race_lint_paths(
-    paths: Iterable[str | pathlib.Path],
-) -> list[LintFinding]:
-    """Race-lint files and/or directory trees (``*.py``, recursively)."""
-    findings: list[LintFinding] = []
-    for raw in paths:
-        p = pathlib.Path(raw)
-        files: Sequence[pathlib.Path]
-        if p.is_dir():
-            files = sorted(p.rglob("*.py"))
-        else:
-            files = [p]
-        for f in files:
-            findings.extend(race_lint_file(f))
-    return findings
+def lint_file(path: pathlib.Path) -> list[Finding]:
+    return lint_source(path.read_text(encoding="utf-8"), str(path))

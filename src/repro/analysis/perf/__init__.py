@@ -1,8 +1,7 @@
 """dynperf — interprocedural hot-path cost analysis.
 
-The fifth static layer of the analysis suite.  PR 8 rebuilt the DES
-hot path for 1000-rank scenarios; dynperf is the guard that keeps
-those constant factors from silently creeping back.  It infers the
+PR 8 rebuilt the DES hot path for 1000-rank scenarios; dynperf is the
+guard that keeps those constant factors from silently creeping back.  It infers the
 **hot zone** — every function reachable from the kernel event loop,
 ``SimComm._try_match``/``_deliver``, per-NIC serialization, and the
 per-cycle runtime/balance/redistribute path (:mod:`.hotzone`) — and
@@ -15,32 +14,17 @@ measured per-phase exclusive time re-ranks the report so the
 subsystems that actually burn the cycles sort first, and each finding
 records the measured share of its phase as evidence.
 
-Usage::
-
-    python -m repro.analysis perf src/repro examples
-    python -m repro.analysis perf --json --profile trace.json src
-    python -m repro.analysis perf --baseline perf.json src
-
-Suppress a finding with ``# dynperf: ok`` on its line (justify it in
-a comment), or carry a baseline file (``--write-baseline`` /
-``--baseline``).  Declare a new hot root with ``# dynperf: hot`` on
-its ``def`` line.  Exit codes: 0 clean, 1 findings, 2 usage/internal
-error or a blown ``--max-seconds`` budget.
+Declare a new hot root with ``# dyn: hot`` on its ``def`` line.
+:func:`analyze` is the ``perf`` pass of ``python -m repro.analysis
+check``: it takes the registry the driver loaded and returns raw
+findings; suppression comments and baselines are the driver's job.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import Iterable, Optional
+from typing import Optional
 
-from ..flow.callgraph import load_registry
-from ..flow.report import (
-    findings_to_json,
-    load_baseline,
-    render_findings,
-    save_baseline,
-)
+from ..flow.callgraph import Registry
 from .hotzone import (
     HOT_DIRECTIVE,
     HotFunc,
@@ -48,131 +32,31 @@ from .hotzone import (
     infer_hot_zone,
     load_profile,
 )
-from .rules import PERF_CODES, SUPPRESS_MARK, check_function
+from .rules import check_function
 
 __all__ = [
-    "PERF_CODES",
-    "SUPPRESS_MARK",
     "HOT_DIRECTIVE",
     "HotFunc",
     "HotZone",
-    "analyze_perf_paths",
+    "analyze",
     "infer_hot_zone",
     "load_profile",
-    "run_perf",
 ]
 
 
-def analyze_perf_paths(
-    paths: Iterable,
-    profile: Optional[dict] = None,
-) -> tuple:
-    """Infer the hot zone over ``paths`` and run the cost rules in it.
-
-    Returns ``(findings, zone)``; findings are sorted by (path, line,
-    code), then — when ``profile`` phase shares are given — stably
-    re-ranked hottest-measured-phase first, with each finding's
-    ``detail`` carrying ``profile_share`` for its phase.  Line-level
-    ``# dynperf: ok`` suppressions are already applied; baseline
-    filtering is the caller's.
-    """
-    registry = load_registry(paths)
+def analyze(registry: Registry, profile: Optional[dict] = None) -> tuple:
+    """Infer the hot zone over the registry's indexed modules and run
+    the cost rules in it.  Returns ``(findings, zone)``; when
+    ``profile`` phase shares are given, each finding's ``detail``
+    carries ``profile_share`` for its phase (the driver re-ranks the
+    report by it)."""
     zone = infer_hot_zone(registry)
     findings = []
     for key in sorted(zone.functions):
-        hf = zone.functions[key]
-        mod = registry.modules.get(hf.info.module)
-        if mod is None:
-            continue
-        findings.extend(check_function(hf, mod, registry))
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
+        findings.extend(check_function(zone.functions[key], registry))
     if profile:
         for f in findings:
             f.detail["profile_share"] = round(
                 profile.get(f.detail.get("phase", "other"), 0.0), 4
             )
-        findings.sort(
-            key=lambda f: -f.detail["profile_share"]
-        )  # stable: static order breaks ties
     return findings, zone
-
-
-def run_perf(
-    paths: Iterable,
-    *,
-    json_out: bool = False,
-    quiet: bool = False,
-    baseline: Optional[str] = None,
-    write_baseline: Optional[str] = None,
-    max_seconds: Optional[float] = None,
-    profile: Optional[str] = None,
-    stream=None,
-) -> int:
-    """CLI driver.  Exit codes: 0 clean, 1 findings, 2 usage or
-    internal error (unreadable ``--profile`` trace, blown
-    ``--max-seconds`` budget)."""
-    out = stream if stream is not None else sys.stdout
-    t0 = time.monotonic()
-    shares = None
-    if profile:
-        try:
-            shares = load_profile(profile)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"dynperf: cannot load profile {profile}: {exc}",
-                  file=sys.stderr)
-            return 2
-    try:
-        findings, zone = analyze_perf_paths(paths, profile=shares)
-    except Exception as exc:  # internal error, not a finding
-        print(f"dynperf: internal error: {exc!r}", file=sys.stderr)
-        return 2
-    elapsed = time.monotonic() - t0
-
-    if write_baseline:
-        save_baseline(write_baseline, findings, tool="dynperf")
-
-    suppressed = 0
-    if baseline:
-        known = load_baseline(baseline)
-        kept = [f for f in findings if f.fingerprint not in known]
-        suppressed = len(findings) - len(kept)
-        findings = kept
-
-    if json_out:
-        import json as _json
-
-        payload = findings_to_json(
-            findings, suppressed=suppressed, elapsed=elapsed
-        )
-        payload["tool"] = "dynperf"
-        payload["hot_functions"] = len(zone)
-        if shares is not None:
-            payload["profile"] = {
-                k: round(v, 4) for k, v in sorted(shares.items())
-            }
-        print(_json.dumps(payload, indent=2, sort_keys=True), file=out)
-    elif findings:
-        print(render_findings(findings), file=out)
-        if not quiet:
-            print(
-                f"dynperf: {len(findings)} finding(s) in "
-                f"{len(zone)} hot function(s)"
-                + (f", {suppressed} baselined" if suppressed else ""),
-                file=out,
-            )
-    elif not quiet:
-        print(
-            f"dynperf: clean ({len(zone)} hot functions"
-            + (f", {suppressed} baselined" if suppressed else "")
-            + f") [{elapsed:.2f}s]",
-            file=out,
-        )
-
-    if max_seconds is not None and elapsed > max_seconds:
-        print(
-            f"dynperf: analysis took {elapsed:.1f}s, over the "
-            f"--max-seconds {max_seconds:g} budget",
-            file=sys.stderr,
-        )
-        return 2
-    return 1 if findings else 0

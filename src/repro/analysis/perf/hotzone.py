@@ -15,7 +15,7 @@ declared: reachability over dynflow's call graph
   / ``compute`` / ``global_reduce`` (``core/runtime.py``), which pulls
   in balance/redistribute/collectives through call edges;
 * the collective algorithms (``mpi/collectives.py``);
-* any function whose ``def`` line carries a ``# dynperf: hot``
+* any function whose ``def`` line carries a ``# dyn: hot``
   directive — how future hot paths (and the test fixtures) opt in
   without a registry edit.
 
@@ -61,7 +61,7 @@ __all__ = [
 HEAT_CAP = 6
 
 #: marker on a ``def`` line that declares the function a hot root
-HOT_DIRECTIVE = "dynperf: hot"
+HOT_DIRECTIVE = "dyn: hot"
 
 
 @dataclass(frozen=True)

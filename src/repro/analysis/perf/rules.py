@@ -27,9 +27,8 @@ DYN1006    result of an expensive pure call discarded — dead work
            in the hot zone
 =========  ========================================================
 
-Suppress with ``# dynperf: ok`` on the finding's line (justify it in
-a comment); the mark comes from the shared zone registry
-(:mod:`repro.analysis.zones`).
+The one-line summaries live in the rule registry
+(:mod:`repro.analysis.rules`).
 """
 
 from __future__ import annotations
@@ -37,26 +36,12 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from ..zones import ZONES
-from ..flow.callgraph import FuncInfo, ModuleInfo, Registry
+from ..findings import Finding
+from ..flow.callgraph import FuncInfo, Registry
 from ..flow.cfg import loop_depth_map
-from ..flow.report import FlowFinding
 from .hotzone import HotFunc
 
-__all__ = ["PERF_CODES", "SUPPRESS_MARK", "check_function"]
-
-SUPPRESS_MARK = ZONES["perf"].suppress_mark
-
-#: one-line summaries (the cross-analyzer table is
-#: ``repro.analysis.flow.report.CODES``; keep the two in sync)
-PERF_CODES = {
-    "DYN1001": "allocation inside a hot loop",
-    "DYN1002": "linear scan on the per-event path",
-    "DYN1003": "nested rank iteration (quadratic in world size)",
-    "DYN1004": "loop-invariant work repeated inside a hot loop",
-    "DYN1005": "exception control flow or eager formatting per event",
-    "DYN1006": "expensive call result discarded in the hot zone",
-}
+__all__ = ["check_function"]
 
 #: site heat (function heat + local loop depth) needed per rule; the
 #: per-iteration rules want an actual loop around the site, the scan
@@ -165,10 +150,9 @@ class _RuleWalker:
     their own hot-zone entries), tracking enclosing loops, list-typed
     locals, and raise/assert context."""
 
-    def __init__(self, hf: HotFunc, mod: ModuleInfo, registry: Registry):
+    def __init__(self, hf: HotFunc, registry: Registry):
         self.hf = hf
         self.fi: FuncInfo = hf.info
-        self.mod = mod
         self.registry = registry
         self.depths = loop_depth_map(self.fi.node)
         self.loops: list[_LoopFrame] = []
@@ -177,18 +161,13 @@ class _RuleWalker:
         #: inside an if-branch or except-handler: formatting there is
         #: already guarded — the fix DYN1005 would suggest
         self.guarded = 0
-        self.findings: list[FlowFinding] = []
+        self.findings: list[Finding] = []
         self._anchors: dict = {}
 
     # -- emission -----------------------------------------------------
     def _emit(self, code: str, node: ast.AST, message: str,
               anchor: str, hint: str = "") -> None:
         line = getattr(node, "lineno", self.fi.node.lineno)
-        # mark on the finding's line, or the line above it — multi-line
-        # expressions have no room for a trailing comment
-        if (SUPPRESS_MARK in self.mod.line(line)
-                or SUPPRESS_MARK in self.mod.line(line - 1)):
-            return
         seq = self._anchors.get((code, anchor), 0)
         self._anchors[(code, anchor)] = seq + 1
         if seq:
@@ -200,7 +179,7 @@ class _RuleWalker:
         }
         if self.hf.via:
             detail["via"] = self.hf.via
-        self.findings.append(FlowFinding(
+        self.findings.append(Finding(
             path=self.fi.path,
             line=line,
             col=getattr(node, "col_offset", 0),
@@ -617,8 +596,6 @@ def _is_format_call(call: ast.Call) -> Optional[str]:
     return None
 
 
-def check_function(hf: HotFunc, mod: ModuleInfo,
-                   registry: Registry) -> list:
-    """All DYN1001–1006 findings for one hot function (suppressions
-    already applied)."""
-    return _RuleWalker(hf, mod, registry).run()
+def check_function(hf: HotFunc, registry: Registry) -> list:
+    """All DYN1001–1006 findings for one hot function."""
+    return _RuleWalker(hf, registry).run()

@@ -216,7 +216,7 @@ def verify_plan(
         for name, n_rows in array_rows.items():
             must_arrive = needed[dst][name] - dst_old
             # the transfer list differs per (dst, array), nothing to
-            # hoist; verification runs per redistribution  # dynperf: ok
+            # hoist; verification runs per redistribution  # dyn: ok(DYN1001)
             incoming = [
                 (src, IntervalSet.from_rows(rows))
                 for src, rows in plan.incoming(dst, name)
@@ -242,7 +242,7 @@ def verify_plan(
                 violations.append(PlanViolation(
                     "duplicate-row", name,
                     # violation message: only built for duplicated
-                    # rows, which a correct plan never has  # dynperf: ok
+                    # rows, which a correct plan never has  # dyn: ok(DYN1005)
                     f"row {r} arrives at rank {dst} from multiple senders "
                     f"{senders}",
                 ))

@@ -1,11 +1,10 @@
 """dynrace — static message-race and determinism analysis with a
 schedule-perturbation cross-check.
 
-The fourth static layer of the analysis suite (after the plan
-verifier, the AST lint, and dynflow).  The repo's headline guarantee —
-two identical seeded runs export byte-identical traces — holds only in
-the *absence* of message races and hidden nondeterminism; the runtime
-sanitizer merely observes ANY_SOURCE races when they happen to occur.
+The repo's headline guarantee — two identical seeded runs export
+byte-identical traces — holds only in the *absence* of message races
+and hidden nondeterminism; the runtime sanitizer merely observes
+ANY_SOURCE races when they happen to occur.
 dynrace proves their absence statically and backs the verdict with a
 dynamic experiment:
 
@@ -17,7 +16,7 @@ dynamic experiment:
   arms emit different traffic — is flagged with the racing sites side
   by side.
 * **DYN703/DYN704/DYN705** are AST determinism rules
-  (:func:`repro.analysis.lint.race_lint_paths`): unordered-set
+  (:func:`repro.analysis.lint.race_lint_tree`): unordered-set
   iteration feeding message/event order, RNG use outside the seeded
   ``StreamRegistry`` home, and set-order-dependent float accumulation.
 * **The perturbation harness** (:mod:`.perturb`,
@@ -28,138 +27,40 @@ dynamic experiment:
 
 Usage::
 
-    python -m repro.analysis race src/repro examples
-    python -m repro.analysis race --json --baseline race.json src
+    python -m repro.analysis check src/repro examples
     python -m repro.analysis perturb --seeds 1,2,3
 
-Suppress a finding with ``# dynrace: ok`` on its line (justify it in a
-comment), or carry a baseline file (``--write-baseline`` /
-``--baseline``).
+:func:`analyze` is the ``race`` pass of ``check``: it takes the
+registry the driver loaded and returns raw findings; suppression
+comments and baselines are the driver's job.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import Iterable, Optional
-
-from ..flow.callgraph import load_registry
-from ..flow.report import (
-    FlowFinding,
-    findings_to_json,
-    load_baseline,
-    render_findings,
-    save_baseline,
-)
-from ..lint import race_lint_paths
-from .engine import SUPPRESS_MARK, RaceEngine
+from ..flow.callgraph import Registry
+from ..lint import race_lint_tree
+from .engine import RaceEngine
 from .hb import RaceEvent, collect_events, may_match, race_skeleton
 from .perturb import PerturbReport, capture_trace, run_perturbed
 
 __all__ = [
-    "RACE_CODES",
-    "SUPPRESS_MARK",
     "PerturbReport",
     "RaceEngine",
     "RaceEvent",
-    "analyze_race_paths",
+    "analyze",
     "capture_trace",
     "collect_events",
     "may_match",
     "race_skeleton",
     "run_perturbed",
-    "run_race",
 ]
 
-#: one-line summaries of the dynrace finding codes (the full table
-#: lives in ``repro.analysis.flow.report.CODES``, shared by --json)
-RACE_CODES = {
-    "DYN701": "wildcard receive matchable by concurrent sends from "
-              "several sources",
-    "DYN702": "schedule-dependent branch changes subsequent communication",
-    "DYN703": "unordered set iteration feeds message/event ordering",
-    "DYN704": "RNG outside the seeded StreamRegistry home",
-    "DYN705": "float accumulation order depends on set iteration",
-}
 
-
-def analyze_race_paths(paths: Iterable) -> list:
-    """Run the dynrace analyses over ``paths``: the happens-before
-    engine (DYN701/702) plus the determinism AST rules (DYN703–705),
-    all returned as :class:`FlowFinding` so rendering, JSON, and
-    baselines are uniform.  Line-level ``# dynrace: ok`` suppressions
-    are already applied; baseline filtering is the caller's."""
-    registry = load_registry(paths)
+def analyze(registry: Registry) -> list:
+    """The happens-before engine (DYN701/702) over the indexed
+    modules, plus the determinism AST rules (DYN703–705) over every
+    parsed file their zone admits."""
     findings = RaceEngine(registry).run()
-    for lf in race_lint_paths(paths):
-        findings.append(FlowFinding(
-            path=lf.path, line=lf.line, col=lf.col, code=lf.code,
-            function="", message=lf.message, anchor=lf.message,
-        ))
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
+    for mod in registry.files:
+        findings.extend(race_lint_tree(mod.tree, mod.path))
     return findings
-
-
-def run_race(
-    paths: Iterable,
-    *,
-    json_out: bool = False,
-    quiet: bool = False,
-    baseline: Optional[str] = None,
-    write_baseline: Optional[str] = None,
-    max_seconds: Optional[float] = None,
-    stream=None,
-) -> int:
-    """CLI driver.  Exit codes: 0 clean, 1 findings, 2 usage or
-    internal error (including a blown ``--max-seconds`` budget)."""
-    out = stream if stream is not None else sys.stdout
-    t0 = time.monotonic()
-    try:
-        findings = analyze_race_paths(paths)
-    except Exception as exc:  # internal error, not a finding
-        print(f"dynrace: internal error: {exc!r}", file=sys.stderr)
-        return 2
-    elapsed = time.monotonic() - t0
-
-    if write_baseline:
-        save_baseline(write_baseline, findings, tool="dynrace")
-
-    suppressed = 0
-    if baseline:
-        known = load_baseline(baseline)
-        kept = [f for f in findings if f.fingerprint not in known]
-        suppressed = len(findings) - len(kept)
-        findings = kept
-
-    if json_out:
-        import json as _json
-
-        payload = findings_to_json(
-            findings, suppressed=suppressed, elapsed=elapsed
-        )
-        payload["tool"] = "dynrace"
-        print(_json.dumps(payload, indent=2, sort_keys=True), file=out)
-    elif findings:
-        print(render_findings(findings), file=out)
-        if not quiet:
-            print(
-                f"dynrace: {len(findings)} finding(s)"
-                + (f", {suppressed} baselined" if suppressed else ""),
-                file=out,
-            )
-    elif not quiet:
-        print(
-            "dynrace: clean"
-            + (f" ({suppressed} baselined)" if suppressed else "")
-            + f" [{elapsed:.2f}s]",
-            file=out,
-        )
-
-    if max_seconds is not None and elapsed > max_seconds:
-        print(
-            f"dynrace: analysis took {elapsed:.1f}s, over the "
-            f"--max-seconds {max_seconds:g} budget",
-            file=sys.stderr,
-        )
-        return 2
-    return 1 if findings else 0

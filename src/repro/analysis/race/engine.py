@@ -3,7 +3,7 @@ DYN702 (schedule-dependent control flow).
 
 The engine reuses dynflow's interprocedural trace builder
 (:class:`~repro.analysis.flow.collectives.CollectiveAnalyzer`) purely
-as a summarizer — its own DYN5xx findings are the ``flow`` command's
+as a summarizer — its own DYN5xx findings are the ``flow`` pass's
 business and are discarded here — then applies the happens-before
 model of :mod:`.hb` to the per-root traces.
 
@@ -18,34 +18,26 @@ from __future__ import annotations
 from ..flow.callgraph import Registry
 from ..flow.collectives import CollectiveAnalyzer
 from ..flow.domain import ChoiceNode, LoopNode, render_trace
-from ..flow.report import FlowFinding, SideBySide
+from ..findings import Finding, SideBySide
 from .hb import RaceEvent, collect_events, may_match, race_skeleton
 
-__all__ = ["RaceEngine", "SUPPRESS_MARK"]
-
-SUPPRESS_MARK = "dynrace: ok"
+__all__ = ["RaceEngine"]
 
 
 class RaceEngine:
     def __init__(self, registry: Registry):
         self.reg = registry
         self.trace_builder = CollectiveAnalyzer(registry)
-        self.findings: list[FlowFinding] = []
+        self.findings: list[Finding] = []
         self._emitted: set = set()
-        self._by_path = {m.path: m for m in registry.modules.values()}
 
     # -- findings plumbing ---------------------------------------------
-    def _suppressed(self, path: str, line: int) -> bool:
-        mod = self._by_path.get(path)
-        return mod is not None and SUPPRESS_MARK in mod.line(line)
-
-    def _emit(self, finding: FlowFinding) -> None:
+    def _emit(self, finding: Finding) -> None:
         key = (finding.code, finding.path, finding.line, finding.anchor)
         if key in self._emitted:
             return
         self._emitted.add(key)
-        if not self._suppressed(finding.path, finding.line):
-            self.findings.append(finding)
+        self.findings.append(finding)
 
     # -- driver ---------------------------------------------------------
     def run(self) -> list:
@@ -97,7 +89,7 @@ class RaceEngine:
             [ev.name, ev.peer, ev.tag]
             + sorted({f"{s.event.name}->{s.event.peer}" for s in candidates})
         )
-        self._emit(FlowFinding(
+        self._emit(Finding(
             path=ev.path,
             line=ev.line,
             col=0,
@@ -140,7 +132,7 @@ class RaceEngine:
     def _emit_702(self, node: ChoiceNode) -> None:
         arms = [tuple(render_trace(a)) for a in node.arms]
         skels = tuple(race_skeleton(a) for a in node.arms)
-        self._emit(FlowFinding(
+        self._emit(Finding(
             path=node.path,
             line=node.line,
             col=0,

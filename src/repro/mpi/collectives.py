@@ -272,7 +272,7 @@ def allgather_dissemination(ep: Endpoint, group: Group, value: Any) -> Generator
         incoming, _ = yield from ep.sendrecv(
             # wire snapshot: the receiver must not observe keys merged
             # into `have` after this yield, so the copy is semantic,
-            # not waste  # dynperf: ok
+            # not waste  # dyn: ok(DYN1001)
             dst, tag, dict(have), src, tag, nbytes=size
         )
         for key, v in incoming.items():

@@ -2,10 +2,10 @@
 farm runtime and the one-sided home).
 
 The raw band tags and the ad-hoc ``Window(...)`` below are findings
-when linted as library code (``farm_zone=True``); the same file is
+when linted at a library path (``src/repro/apps/...``); the same file is
 clean outside the zone, which is why it may sit under tests/ without
 tripping the CI lint gate.  The suppressed lines demonstrate
-``# dynfarm: ok`` and must NOT be reported.
+``# dyn: ok(DYN1101)`` and must NOT be reported.
 """
 
 
@@ -22,8 +22,8 @@ def adhoc_window(comm):
 
 def sanctioned_uses(ep, comm, master):
     from repro.mpi.rma import Window
-    win = Window(comm, 4)                                  # dynfarm: ok
-    yield from ep.send(master, 214, None, nbytes=64)       # dynfarm: ok
+    win = Window(comm, 4)                             # dyn: ok(DYN1101)
+    yield from ep.send(master, 214, None, nbytes=64)  # dyn: ok(DYN1101)
     yield from ep.send(master, 101, None, nbytes=64)  # outside the band
     yield from ep.recv(master, tag=209)               # just below the band
     yield from ep.recv(master, tag=220)               # just above the band

@@ -2,16 +2,16 @@
 the kernel modules).
 
 The heapq imports and the ``sim._heap`` pokes below are findings when
-linted as library code (``kernel_zone=True``); the same file is clean
+linted at a library path (``src/repro/apps/...``); the same file is clean
 outside the zone, which is why it may sit under tests/ without
 tripping the CI lint gate.  The last import demonstrates the
-``# dynkern: ok`` suppression and must NOT be reported.
+``# dyn: ok(DYN901)`` suppression and must NOT be reported.
 """
 
 import heapq                                    # noqa: F401  (finding 1)
 from heapq import heappush                      # noqa: F401  (finding 2)
 
-import heapq as hq                              # noqa: F401  # dynkern: ok
+import heapq as hq                              # noqa: F401  # dyn: ok(DYN901)
 
 
 def sneak_in_timer(sim, when, timer):

@@ -1,7 +1,7 @@
 """DYN601 fixture: library code with ad-hoc instrumentation.
 
-Linted by ``tests/test_lint.py`` with ``instrumentation_zone=True``
-(its real path lacks a ``repro`` component, so the CI lint gate over
+Linted by ``tests/test_lint.py`` at a library path (``src/repro/apps/...``;
+its real path lacks a ``repro`` component, so the CI lint gate over
 ``tests/`` never fires on it).  Expected findings, in line order:
 ``print`` at the module level, ``time.perf_counter()`` in ``work``,
 and ``time.time()`` via the ``from``-import — the suppressed and
@@ -17,7 +17,7 @@ print("loading instrumented module")  # DYN601: bare print
 def work(n):
     t0 = time.perf_counter()  # DYN601: ad-hoc wallclock timing
     total = sum(range(n))
-    elapsed = time.perf_counter() - t0  # dynsan: ok
+    elapsed = time.perf_counter() - t0  # dyn: ok(DYN601)
     return total, elapsed
 
 

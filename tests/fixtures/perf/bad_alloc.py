@@ -1,7 +1,7 @@
 """DYN1001 fixture: allocation inside a hot loop."""
 
 
-def drain(events):  # dynperf: hot
+def drain(events):  # dyn: hot
     total = 0
     for ev in events:
         staged = list(ev.payload)        # DYN1001: alloc call per event

@@ -1,7 +1,7 @@
 """DYN1006 fixture: expensive results discarded in the hot zone."""
 
 
-def scrub(events):  # dynperf: hot
+def scrub(events):  # dyn: hot
     seen = 0
     for ev in events:
         sorted(ev.parts)           # DYN1006: pure result discarded

@@ -1,7 +1,7 @@
 """DYN1005 fixture: exception control flow and eager formatting."""
 
 
-def lookup(events, cache):  # dynperf: hot
+def lookup(events, cache):  # dyn: hot
     hits = 0
     for ev in events:
         try:                   # DYN1005: exceptions as control flow

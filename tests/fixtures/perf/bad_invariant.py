@@ -5,7 +5,7 @@ def cost(table):
     return len(table)
 
 
-def route(packets, cfg):  # dynperf: hot
+def route(packets, cfg):  # dyn: hot
     out = []
     for p in packets:
         base = cost(cfg)                      # DYN1004: invariant call

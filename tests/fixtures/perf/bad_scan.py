@@ -1,7 +1,7 @@
 """DYN1002 fixture: linear scans on the per-event path."""
 
 
-def match(queue, want):  # dynperf: hot
+def match(queue, want):  # dyn: hot
     pending = list(queue)
     if want in pending:       # DYN1002: membership test against a list
         pending.remove(want)  # DYN1002: whole-list scan

@@ -1,0 +1,104 @@
+"""One test over every row of the rule registry: the code has a
+summary, a seeded case fires it, ``# dyn: ok(<that code>)`` on the
+finding's line or on the line above silences it, and a waiver naming
+another code does not.  Plus the docs table staying in step."""
+
+import pathlib
+import re
+
+import pytest
+
+from repro.analysis.__main__ import analyze
+from repro.analysis.rules import RULES
+
+ROOT = pathlib.Path(__file__).parent.parent
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+LIB = "repro/apps/x.py"
+
+#: code -> (path the case is analyzed at, its source).  The path picks
+#: the zone; the whole-program families reuse their seeded fixtures.
+CASES = {
+    "DYN000": ("x.py", "def f(:\n"),
+    "DYN001": ("x.py", "def program(ep):\n"
+                       "    ep.send(1, tag=0, payload='lost')\n"
+                       "    yield from ep.recv(1, tag=1)\n"),
+    "DYN002": ("x.py", "def program(ep):\n"
+                       "    data = yield ep.recv(0, tag=1)\n"),
+    "DYN101": ("repro/core/x.py", "import time\nt = time.time()\n"),
+    "DYN201": ("x.py", "from dataclasses import dataclass\n"
+                       "@dataclass\n"
+                       "class Bad:\n"
+                       "    xs: list = []\n"),
+    "DYN301": (LIB, "def f(sim, p):\n    sim.kill(p)\n"),
+    "DYN401": ("core/x.py", "def owned(b):\n"
+                            "    return set(range(b[0], b[1] + 1))\n"),
+    "DYN601": (LIB, "print('chatty library')\n"),
+    "DYN801": (LIB, "import subprocess\n"),
+    "DYN901": (LIB, "import heapq\n"),
+    "DYN1101": (LIB, "def f(ep):\n    yield from ep.send(0, 211, None)\n"),
+}
+for _family, _names in {
+    "flow": {"DYN501": "bad_dyn501_branch", "DYN502": "bad_dyn502_loop",
+             "DYN503": "bad_dyn503_removed", "DYN504": "bad_dyn504_ownership",
+             "DYN505": "bad_dyn505_signature"},
+    "race": {"DYN701": "bad_dyn701_any_source",
+             "DYN702": "bad_dyn702_sched_branch",
+             "DYN703": "bad_dyn703_set_order", "DYN704": "bad_dyn704_rng",
+             "DYN705": "bad_dyn705_float_order"},
+    "perf": {"DYN1001": "bad_alloc", "DYN1002": "bad_scan",
+             "DYN1003": "bad_nest", "DYN1004": "bad_invariant",
+             "DYN1005": "bad_except", "DYN1006": "bad_dead"},
+}.items():
+    for _code, _name in _names.items():
+        CASES[_code] = (
+            f"{_name}.py", (FIXTURES / _family / f"{_name}.py").read_text()
+        )
+
+
+def test_every_rule_has_a_seeded_case():
+    assert set(CASES) == set(RULES)
+
+
+def _hits(tmp_path, rel, source, code):
+    f = tmp_path / rel
+    f.parent.mkdir(parents=True, exist_ok=True)
+    f.write_text(source)
+    return [x.line for x in analyze([f])[0] if x.code == code]
+
+
+@pytest.mark.parametrize("code", sorted(RULES))
+def test_code_fires_and_only_its_own_waiver_silences_it(tmp_path, code):
+    assert RULES[code].summary
+    rel, source = CASES[code]
+    hits = _hits(tmp_path, rel, source, code)
+    assert hits, f"the seeded case for {code} is clean"
+    at = hits[0]
+    lines = source.splitlines()
+    other = next(c for c in sorted(RULES) if c != code)
+
+    def with_trailing(mark):
+        out = list(lines)
+        out[at - 1] += f"  # dyn: ok({mark}) seeded on purpose"
+        return "\n".join(out) + "\n"
+
+    assert at not in _hits(tmp_path, rel, with_trailing(code), code)
+    assert at not in _hits(tmp_path, rel, with_trailing(f"{other}, {code}"),
+                           code)
+    assert at in _hits(tmp_path, rel, with_trailing(other), code)
+
+    indent = re.match(r"\s*", lines[at - 1]).group()
+    above = lines[:at - 1] + [f"{indent}# dyn: ok({code})"] + lines[at - 1:]
+    assert at + 1 not in _hits(tmp_path, rel, "\n".join(above) + "\n", code)
+
+
+def test_waiver_on_a_code_line_does_not_reach_the_next_line(tmp_path):
+    source = "import heapq  # dyn: ok(DYN901)\nimport heapq as hq\n"
+    assert _hits(tmp_path, LIB, source, "DYN901") == [2]
+
+
+def test_docs_table_lists_exactly_the_registry():
+    text = (ROOT / "docs" / "ANALYSIS.md").read_text()
+    section = text.split("## Finding codes", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| (DYN\d+) \|", section, flags=re.M)
+    assert sorted(documented) == sorted(RULES)

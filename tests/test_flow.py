@@ -1,12 +1,11 @@
 """dynflow tests: CFG construction on tricky shapes, call-graph
 resolution and rooting, the taint/trace domain, every DYN5xx code on
 the seeded-bad fixtures, the acceptance check that the real tree is
-clean, suppression + baseline handling, the CLI exit-code/JSON
-contract, and the CG removal regression the analyzer originally
-caught."""
+clean, suppression + baseline handling, the ``check`` CLI's
+exit-code/JSON contract, and the CG removal regression the analyzer
+originally caught."""
 
 import ast
-import io
 import json
 import pathlib
 import subprocess
@@ -15,7 +14,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.flow import analyze_paths, run_flow
+from repro.analysis.__main__ import analyze, main
 from repro.analysis.flow.callgraph import load_registry
 from repro.analysis.flow.cfg import build_cfg
 from repro.analysis.flow.domain import TaintEnv, classify_call
@@ -24,6 +23,10 @@ ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "flow"
 ENV = {"PYTHONPATH": str(SRC)}
+
+
+def analyze_paths(paths):
+    return analyze(paths)[0]
 
 
 def analyze_source(tmp_path, code, name="prog.py"):
@@ -385,25 +388,45 @@ def test_line_suppression_marker(tmp_path):
     findings = analyze_source(tmp_path, """
         def waived_program(ctx, cfg):
             s, e = ctx.my_bounds()
-            if e - s > 10:  # dynflow: ok
+            if e - s > 10:  # dyn: ok(DYN501)
                 acc = yield from ctx.allreduce_active(1.0)
     """)
     assert findings == []
 
 
-def test_baseline_roundtrip(tmp_path):
-    bad = FIXTURES / "bad_dyn501_branch.py"
+def test_baseline_roundtrip(tmp_path, capsys):
+    bad = str(FIXTURES / "bad_dyn501_branch.py")
     baseline = tmp_path / "flow-baseline.json"
-    out = io.StringIO()
-    rc = run_flow([bad], write_baseline=str(baseline), stream=out)
+    rc = main(["check", "--write-baseline", str(baseline), bad])
     assert rc == 1  # findings still reported on the writing run
     data = json.loads(baseline.read_text())
-    assert data["tool"] == "dynflow"
     assert len(data["findings"]) == 1
-    out = io.StringIO()
-    rc = run_flow([bad], baseline=str(baseline), stream=out)
+    capsys.readouterr()
+    rc = main(["check", "--baseline", str(baseline), bad])
     assert rc == 0
-    assert "1 baselined" in out.getvalue()
+    assert "1 baselined" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content,complaint", [
+    ("{bad", "is not valid JSON"),
+    ('{"findings": [{"code": "DYN501"}]}', "is malformed"),
+])
+def test_cli_bad_baseline_exits_two(tmp_path, capsys, content, complaint):
+    baseline = tmp_path / "b.json"
+    baseline.write_text(content)
+    rc = main(["check", "--baseline", str(baseline),
+               str(FIXTURES / "bad_dyn501_branch.py")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"check: baseline {baseline} {complaint}")
+
+
+def test_cli_missing_path_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nope.py"
+    assert main(["check", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"check: cannot read {missing}: No such file or directory\n"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -424,40 +447,52 @@ def test_cli_flow_clean_exits_zero(tmp_path):
             yield from ctx.begin_cycle()
             yield from ctx.end_cycle()
     """))
-    proc = _cli("flow", str(clean))
+    proc = _cli("check", str(clean))
     assert proc.returncode == 0
     assert "clean" in proc.stdout
 
 
 def test_cli_flow_findings_exit_one_and_json():
-    proc = _cli("flow", "--json", str(FIXTURES / "bad_dyn503_removed.py"))
+    proc = _cli("check", "--json", str(FIXTURES / "bad_dyn503_removed.py"))
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
-    assert payload["tool"] == "dynflow"
     assert [f["code"] for f in payload["findings"]] == ["DYN503", "DYN503"]
     assert all("fingerprint" in f for f in payload["findings"])
 
 
 def test_cli_flow_usage_error_exits_two():
-    proc = _cli("flow")  # missing paths
+    proc = _cli("check")  # missing paths
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("old", ["lint", "flow", "race", "perf"])
+def test_cli_old_subcommands_are_gone(old):
+    proc = _cli(old, "src")
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
 
 
 def test_cli_flow_budget_overrun_exits_two(tmp_path):
     clean = tmp_path / "fine.py"
     clean.write_text("def fine_program(ctx, cfg):\n    yield\n")
-    proc = _cli("flow", "--max-seconds", "0", str(clean))
+    proc = _cli("check", "--max-seconds", "0", str(clean))
     assert proc.returncode == 2
     assert "budget" in proc.stderr
 
 
 def test_cli_lint_json():
-    proc = _cli("lint", "--json", str(FIXTURES / "bad_dyn501_branch.py"))
-    # communication-bad but lint-clean: exit 0 with a JSON report
+    # seeded-bad for a library path, but out of every zone where it
+    # sits: exit 0 with a JSON report
+    args = ("check", "--json", "tests/fixtures/lint")
+    proc = _cli(*args)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
-    assert payload["tool"] == "dynsan-lint"
-    assert payload["count"] == 0
+    assert set(payload) == {"tool", "count", "suppressed", "elapsed_seconds",
+                            "hot_functions", "findings"}
+    assert payload["count"] == 0 and payload["findings"] == []
+    # byte determinism: a second run differs in the elapsed line only
+    strip = lambda text: [ln for ln in text.splitlines() if "elapsed" not in ln]
+    assert strip(proc.stdout) == strip(_cli(*args).stdout)
 
 
 # ----------------------------------------------------------------------

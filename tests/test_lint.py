@@ -1,16 +1,24 @@
-"""AST lint tests: each DYN code, suppression, zone scoping, the CLI
-gate, and the acceptance check that the real tree is clean."""
+"""AST lint tests: each DYN code, zone scoping (derived from the
+path), the CLI gate, and the acceptance check that the real tree is
+clean.  Suppression is covered once for every code in
+``tests/test_analysis_registry.py``."""
 
 import pathlib
 import textwrap
 
-from repro.analysis.lint import lint_file, lint_paths, lint_source
+from repro.analysis.__main__ import analyze
+from repro.analysis.lint import lint_file, lint_source
 
 SRC_ROOT = pathlib.Path(__file__).parent.parent / "src"
 
+#: a path inside every library zone but the deterministic/row ones
+LIB = "src/repro/apps/x.py"
+#: a path inside the deterministic (and row-membership) zone
+CORE = "src/repro/core/x.py"
+
 
 def lint(code, *, zone=False):
-    return lint_source(textwrap.dedent(code), deterministic_zone=zone)
+    return lint_source(textwrap.dedent(code), CORE if zone else "x.py")
 
 
 def codes(findings):
@@ -181,8 +189,7 @@ FAULTY = """
 
 
 def test_bare_kill_and_inject_flagged_in_library_zone():
-    findings = lint_source(textwrap.dedent(FAULTY),
-                           fault_injection_zone=True)
+    findings = lint_source(textwrap.dedent(FAULTY), LIB)
     assert codes(findings) == ["DYN301", "DYN301"]
     assert "sim.inject(...)" in findings[0].message
     assert "FailureScript" in findings[0].message
@@ -193,8 +200,8 @@ def test_bare_kill_and_inject_flagged_in_library_zone():
 def test_dyn301_suppressible():
     findings = lint_source(textwrap.dedent("""
         def hard_stop(sim, proc):
-            sim.kill(proc)  # dynsan: ok
-    """), fault_injection_zone=True)
+            sim.kill(proc)  # dyn: ok(DYN301)
+    """), LIB)
     assert findings == []
 
 
@@ -231,7 +238,7 @@ ROWY = """
 
 
 def test_dyn401_flags_row_loops_in_zone():
-    findings = lint_source(textwrap.dedent(ROWY), row_membership_zone=True)
+    findings = lint_source(textwrap.dedent(ROWY), CORE)
     assert codes(findings) == ["DYN401", "DYN401", "DYN401"]
     assert "IntervalSet" in findings[0].message
     # outside core/resilience the same code is fine
@@ -248,15 +255,15 @@ def test_dyn401_allows_rank_space_and_unfiltered_loops():
 
         def lazy(lo, hi, held):
             return (g for g in range(lo, hi) if g in held)  # genexp
-    """), row_membership_zone=True)
+    """), CORE)
     assert findings == []
 
 
 def test_dyn401_suppressible():
     findings = lint_source(textwrap.dedent("""
         def owned(b):
-            return set(range(b[0], b[1] + 1))  # dynsan: ok
-    """), row_membership_zone=True)
+            return set(range(b[0], b[1] + 1))  # dyn: ok(DYN401)
+    """), CORE)
     assert findings == []
 
 
@@ -287,8 +294,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint"
 
 def test_dyn601_fixture_findings():
     src = (FIXTURES / "instrumented_module.py").read_text()
-    findings = lint_source(src, "instrumented_module.py",
-                           instrumentation_zone=True)
+    findings = lint_source(src, "src/repro/apps/instrumented_module.py")
     assert codes(findings) == ["DYN601"] * 3
     messages = [f.message for f in findings]
     assert "print" in messages[0]
@@ -302,9 +308,9 @@ def test_dyn601_fixture_findings():
 def test_dyn601_suppressible():
     findings = lint_source(textwrap.dedent("""
         import time
-        t0 = time.monotonic()  # dynsan: ok
-        print("progress")  # dynsan: ok
-    """), instrumentation_zone=True)
+        t0 = time.monotonic()  # dyn: ok(DYN601)
+        print("progress")  # dyn: ok(DYN601)
+    """), LIB)
     assert findings == []
 
 
@@ -314,12 +320,10 @@ def test_dyn601_time_family_defers_to_dyn101_in_deterministic_zone():
         def stamp():
             return time.time()
     """)
-    both = lint_source(code, deterministic_zone=True,
-                       instrumentation_zone=True)
+    both = lint_source(code, CORE)
     assert codes(both) == ["DYN101"]  # no double report
     # print stays DYN601 even inside a deterministic zone
-    noisy = lint_source("print('hi')\n", deterministic_zone=True,
-                        instrumentation_zone=True)
+    noisy = lint_source("print('hi')\n", CORE)
     assert codes(noisy) == ["DYN601"]
 
 
@@ -329,7 +333,7 @@ def test_dyn601_sleep_and_fstrings_not_flagged():
         def pace():
             time.sleep(0.1)
             return f"n={1 + 1}"
-    """), instrumentation_zone=True)
+    """), LIB)
     assert findings == []
 
 
@@ -340,7 +344,7 @@ def test_dyn601_zone_detected_from_path(tmp_path):
         "repro/apps/jacobi.py": True,
         "repro/obs/recorder.py": False,       # instrumentation home
         "repro/sysmon/timers.py": False,      # instrumentation home
-        "repro/analysis/flow/driver.py": False,  # dynflow budget is wallclock
+        "repro/analysis/__main__.py": False,  # the check budget is wallclock
         "repro/obs/__main__.py": False,       # CLI entry point
         "repro/experiments/report.py": False,  # report formatter
         "benchmarks/bench_fig4.py": False,    # not under repro
@@ -360,7 +364,7 @@ def test_dyn601_zone_detected_from_path(tmp_path):
 def test_suppression_comment():
     findings = lint("""
         def program(ep):
-            ep.send(1, tag=0, payload="x")  # dynsan: ok
+            ep.send(1, tag=0, payload="x")  # dyn: ok(DYN001)
             yield from ep.recv(1, tag=1)
     """)
     assert findings == []
@@ -376,7 +380,7 @@ def test_syntax_error_reported_as_dyn000():
 # ----------------------------------------------------------------------
 
 def test_src_tree_is_clean():
-    findings = lint_paths([SRC_ROOT])
+    findings, _zone = analyze([SRC_ROOT])
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
@@ -385,8 +389,8 @@ def test_cli_clean_and_dirty(tmp_path, capsys):
 
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert main(["lint", str(clean)]) == 0
-    assert "lint: clean" in capsys.readouterr().out
+    assert main(["check", str(clean)]) == 0
+    assert "check: clean" in capsys.readouterr().out
 
     dirty = tmp_path / "dirty.py"
     dirty.write_text(
@@ -394,7 +398,7 @@ def test_cli_clean_and_dirty(tmp_path, capsys):
         "    ep.send(1, tag=0, payload='lost')\n"
         "    yield from ep.recv(1, tag=1)\n"
     )
-    assert main(["lint", str(dirty)]) == 1
+    assert main(["check", str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "DYN001" in out and "dirty.py:2" in out
 
@@ -405,7 +409,7 @@ def test_cli_clean_and_dirty(tmp_path, capsys):
 
 def test_dyn801_fixture_findings():
     src = (FIXTURES / "process_module.py").read_text()
-    findings = lint_source(src, "process_module.py", process_zone=True)
+    findings = lint_source(src, "src/repro/apps/process_module.py")
     assert codes(findings) == ["DYN801"] * 3
     assert "multiprocessing" in findings[0].message
     assert "concurrent.futures" in findings[1].message
@@ -431,23 +435,13 @@ def test_dyn801_zone_boundaries(tmp_path):
     assert lint_file(outside / "mod.py") == []       # tests are free
 
 
-def test_dyn801_suppression_is_dyncamp_not_dynsan():
-    ok = lint_source("import subprocess  # dyncamp: ok\n",
-                     process_zone=True)
-    assert ok == []
-    # dynsan's own marker does not silence a dyncamp-owned rule
-    wrong = lint_source("import subprocess  # dynsan: ok\n",
-                        process_zone=True)
-    assert codes(wrong) == ["DYN801"]
-
-
 # ----------------------------------------------------------------------
 # DYN901: event-queue manipulation outside simcluster/kernel*.py
 # ----------------------------------------------------------------------
 
 def test_dyn901_fixture_findings():
     src = (FIXTURES / "bad_dyn901_heapq.py").read_text()
-    findings = lint_source(src, "bad_dyn901_heapq.py", kernel_zone=True)
+    findings = lint_source(src, "src/repro/apps/bad_dyn901_heapq.py")
     assert codes(findings) == ["DYN901"] * 4
     assert "heapq" in findings[0].message
     assert "heapq" in findings[1].message
@@ -483,18 +477,10 @@ def test_dyn901_heap_attribute_is_caught():
         "def drain(sim):\n"
         "    while sim._heap:\n"
         "        sim._heap.pop()\n",
-        kernel_zone=True,
+        LIB,
     )
     assert codes(findings) == ["DYN901"] * 2
     assert "schedule" in findings[0].message
-
-
-def test_dyn901_suppression_is_dynkern_not_dynsan():
-    ok = lint_source("import heapq  # dynkern: ok\n", kernel_zone=True)
-    assert ok == []
-    # dynsan's own marker does not silence a dynkern-owned rule
-    wrong = lint_source("import heapq  # dynsan: ok\n", kernel_zone=True)
-    assert codes(wrong) == ["DYN901"]
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +489,7 @@ def test_dyn901_suppression_is_dynkern_not_dynsan():
 
 def test_dyn1101_fixture_findings():
     src = (FIXTURES / "bad_dyn1101_farm.py").read_text()
-    findings = lint_source(src, "bad_dyn1101_farm.py", farm_zone=True)
+    findings = lint_source(src, "src/repro/apps/bad_dyn1101_farm.py")
     assert codes(findings) == ["DYN1101"] * 3
     assert "211" in findings[0].message
     assert "213" in findings[1].message
@@ -540,20 +526,8 @@ def test_dyn1101_window_and_keyword_tags_caught():
         "def f(comm, ep):\n"
         "    w = Window(comm, 8)\n"
         "    yield from ep.recv(0, tag=215)\n",
-        farm_zone=True,
+        LIB,
     )
     assert codes(findings) == ["DYN1101"] * 2
     assert "Window" in findings[0].message
     assert "215" in findings[1].message
-
-
-def test_dyn1101_suppression_is_dynfarm_not_dynsan():
-    ok = lint_source("def f(ep):\n"
-                     "    yield from ep.send(0, 211, None)  # dynfarm: ok\n",
-                     farm_zone=True)
-    assert ok == []
-    # dynsan's own marker does not silence a dynfarm-owned rule
-    wrong = lint_source("def f(ep):\n"
-                        "    yield from ep.send(0, 211, None)  # dynsan: ok\n",
-                        farm_zone=True)
-    assert codes(wrong) == ["DYN1101"]

@@ -1,9 +1,9 @@
-"""dynperf tests: hot-zone inference (path roots, the ``# dynperf:
-hot`` directive, heat propagation through loops and ``self.`` calls),
-every DYN100x code on its seeded-bad fixture, the acceptance check
-that the real tree is clean, suppression + baseline handling, profile
-re-ranking, the shared zone registry, and the CLI exit-code/JSON
-contract."""
+"""dynperf tests: hot-zone inference (path roots, the ``# dyn: hot``
+directive, heat propagation through loops and ``self.`` calls), every
+DYN100x code on its seeded-bad fixture, the acceptance check that the
+real tree is clean, suppression + baseline handling, profile
+re-ranking, the rule registry's zones, and the ``check`` CLI's
+exit-code/JSON contract."""
 
 import json
 import pathlib
@@ -13,14 +13,15 @@ import textwrap
 
 import pytest
 
+from repro.analysis.__main__ import analyze as analyze_perf_paths
+from repro.analysis.__main__ import main
 from repro.analysis.flow.callgraph import load_registry
-from repro.analysis.perf import analyze_perf_paths, run_perf
 from repro.analysis.perf.hotzone import (
     HEAT_CAP,
     infer_hot_zone,
     load_profile,
 )
-from repro.analysis.zones import ZONES, suppress_mark_for
+from repro.analysis.rules import RULES, ZONES
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
@@ -61,7 +62,7 @@ def test_directive_marks_root(tmp_path):
         def cold(x):
             return x + 1
 
-        def hot(events):  # dynperf: hot
+        def hot(events):  # dyn: hot
             return len(events)
     """)
     kinds = {hf.info.qualname: hf.kind for hf in zone.functions.values()}
@@ -76,7 +77,7 @@ def test_heat_propagates_with_loop_depth(tmp_path):
         def shallow(x):
             return helper(x)
 
-        def hot(events):  # dynperf: hot
+        def hot(events):  # dyn: hot
             total = 0
             for ev in events:
                 for part in ev:
@@ -93,7 +94,7 @@ def test_heat_propagates_with_loop_depth(tmp_path):
 
 def test_heat_caps_and_recursion_terminates(tmp_path):
     _reg, zone = zone_of(tmp_path, """
-        def spin(xs):  # dynperf: hot
+        def spin(xs):  # dyn: hot
             for a in xs:
                 for b in a:
                     for c in b:
@@ -109,7 +110,7 @@ def test_heat_caps_and_recursion_terminates(tmp_path):
 def test_self_method_calls_propagate(tmp_path):
     _reg, zone = zone_of(tmp_path, """
         class Engine:
-            def step(self, events):  # dynperf: hot
+            def step(self, events):  # dyn: hot
                 for ev in events:
                     self.apply(ev)
 
@@ -217,9 +218,9 @@ def test_real_tree_clean():
 
 def test_suppress_same_line(tmp_path):
     findings = analyze_source(tmp_path, """
-        def hot(events):  # dynperf: hot
+        def hot(events):  # dyn: hot
             for ev in events:
-                staged = list(ev.payload)  # dynperf: ok
+                staged = list(ev.payload)  # dyn: ok(DYN1001)
                 print(staged)
     """)
     assert "DYN1001" not in codes(findings)
@@ -227,41 +228,36 @@ def test_suppress_same_line(tmp_path):
 
 def test_suppress_line_above(tmp_path):
     findings = analyze_source(tmp_path, """
-        def hot(events):  # dynperf: hot
+        def hot(events):  # dyn: hot
             for ev in events:
-                # snapshot is semantic here  # dynperf: ok
+                # snapshot is semantic here  # dyn: ok(DYN1001)
                 staged = list(ev.payload)
                 print(staged)
     """)
     assert "DYN1001" not in codes(findings)
 
 
-def test_baseline_roundtrip(tmp_path):
+def test_baseline_roundtrip(tmp_path, capsys):
+    bad = str(FIXTURES / "bad_alloc.py")
     baseline = tmp_path / "perf-baseline.json"
-    rc = run_perf(
-        [FIXTURES / "bad_alloc.py"],
-        write_baseline=str(baseline), quiet=True,
-    )
+    rc = main(["check", "--quiet", "--write-baseline", str(baseline), bad])
     assert rc == 1
-    data = json.loads(baseline.read_text())
-    assert data["tool"] == "dynperf"
-    import io
-
-    out = io.StringIO()
-    rc = run_perf(
-        [FIXTURES / "bad_alloc.py"],
-        baseline=str(baseline), stream=out,
-    )
+    assert len(json.loads(baseline.read_text())["findings"]) == 3
+    capsys.readouterr()
+    rc = main(["check", "--baseline", str(baseline), bad])
     assert rc == 0
-    assert "baselined" in out.getvalue()
+    assert "3 baselined" in capsys.readouterr().out
 
 
-def test_zone_registry_routes_suppress_marks():
-    assert suppress_mark_for("DYN1003") == "dynperf: ok"
-    assert suppress_mark_for("DYN101") == "dynsan: ok"   # not a 10xx code
-    assert suppress_mark_for("DYN704") == "dynrace: ok"
-    assert suppress_mark_for("DYN901") == "dynkern: ok"
-    assert ZONES["perf"].owner == "dynperf"
+def test_program_zone_excludes_the_harness_but_not_its_fixtures():
+    program = ZONES[RULES["DYN1003"].zone]
+    assert RULES["DYN704"].zone == RULES["DYN501"].zone == program.name
+    inside = ["src/repro/mpi/comm.py", "examples/failover.py", "prog.py",
+              "tests/fixtures/perf/bad_alloc.py"]
+    outside = ["tests/test_perf.py", "benchmarks/bench_micro.py",
+               "benchmarks/e2e/probes.py"]
+    assert all(program.contains(pathlib.Path(p)) for p in inside)
+    assert not any(program.contains(pathlib.Path(p)) for p in outside)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +284,7 @@ def test_load_profile_shares(tmp_path):
 def test_profile_attaches_shares_and_reranks(tmp_path):
     comm_hot = tmp_path / "comm.py"
     comm_hot.write_text(textwrap.dedent("""
-        def net_drain(events):  # dynperf: hot
+        def net_drain(events):  # dyn: hot
             for ev in events:
                 staged = list(ev.payload)
                 print(staged)
@@ -305,22 +301,21 @@ def test_profile_attaches_shares_and_reranks(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_cli_clean_exit_zero():
-    r = _cli("perf", "src/repro", "examples")
+    r = _cli("check", "src/repro", "examples")
     assert r.returncode == 0, r.stdout + r.stderr
-    assert "dynperf: clean" in r.stdout
+    assert "check: clean" in r.stdout
 
 
 def test_cli_findings_exit_one_and_json():
-    r = _cli("perf", "--json", "tests/fixtures/perf")
+    r = _cli("check", "--json", "tests/fixtures/perf")
     assert r.returncode == 1
     payload = json.loads(r.stdout)
-    assert payload["tool"] == "dynperf"
     assert payload["count"] == len(payload["findings"]) > 0
     assert payload["hot_functions"] > 0
     keys = [(f["path"], f["line"], f["code"]) for f in payload["findings"]]
     assert keys == sorted(keys)
     # byte determinism: a second run produces identical output
-    r2 = _cli("perf", "--json", "tests/fixtures/perf")
+    r2 = _cli("check", "--json", "tests/fixtures/perf")
     strip = lambda s: "\n".join(
         l for l in s.splitlines() if "elapsed" not in l
     )
@@ -328,20 +323,20 @@ def test_cli_findings_exit_one_and_json():
 
 
 def test_cli_bad_profile_exit_two(tmp_path):
-    r = _cli("perf", "--profile", "/nonexistent/trace.json", "src/repro")
+    r = _cli("check", "--profile", "/nonexistent/trace.json", "src/repro")
     assert r.returncode == 2
     assert "cannot load profile" in r.stderr
 
 
 def test_cli_profile_reports_shares(tmp_path):
     trace = _write_trace(tmp_path)
-    r = _cli("perf", "--json", "--profile", str(trace), "src/repro")
+    r = _cli("check", "--json", "--profile", str(trace), "src/repro")
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     assert payload["profile"] == {"comm": 0.25, "compute": 0.75}
 
 
 def test_cli_max_seconds_budget():
-    r = _cli("perf", "--max-seconds", "0.000001", "tests/fixtures/perf")
+    r = _cli("check", "--max-seconds", "0.000001", "tests/fixtures/perf")
     assert r.returncode == 2
     assert "over the" in r.stderr

@@ -5,7 +5,6 @@ the CLI exit-code/JSON contract, and the perturbation harness —
 schedule invariance of the canonical removal run, and the DYN701
 fixture's race reproduced as a byte-level trace diff."""
 
-import io
 import json
 import pathlib
 import subprocess
@@ -14,10 +13,10 @@ import textwrap
 
 import pytest
 
+from repro.analysis.__main__ import analyze, main
 from repro.analysis.flow.callgraph import load_registry
 from repro.analysis.flow.collectives import CollectiveAnalyzer
 from repro.analysis.flow.domain import CommEvent
-from repro.analysis.race import analyze_race_paths, run_race
 from repro.analysis.race.hb import RaceEvent, collect_events, may_match
 from repro.analysis.race.perturb import run_perturbed
 from repro.simcluster.kernel import Perturb, perturb_from_env
@@ -26,6 +25,10 @@ ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "race"
 ENV = {"PYTHONPATH": str(SRC)}
+
+
+def analyze_race_paths(paths):
+    return analyze(paths)[0]
 
 
 def analyze_source(tmp_path, code, name="prog.py"):
@@ -151,25 +154,23 @@ def test_line_suppression_marker(tmp_path):
         import numpy as np
 
         def seeded_program(ep):
-            rng = np.random.default_rng(7)  # dynrace: ok
+            rng = np.random.default_rng(7)  # dyn: ok(DYN704)
             yield from ep.send(0, tag=0, payload=rng.random(4))
     """)
     assert findings == []
 
 
-def test_baseline_roundtrip(tmp_path):
-    bad = FIXTURES / "bad_dyn704_rng.py"
+def test_baseline_roundtrip(tmp_path, capsys):
+    bad = str(FIXTURES / "bad_dyn704_rng.py")
     baseline = tmp_path / "race-baseline.json"
-    out = io.StringIO()
-    rc = run_race([bad], write_baseline=str(baseline), stream=out)
+    rc = main(["check", "--write-baseline", str(baseline), bad])
     assert rc == 1  # findings still reported on the writing run
     data = json.loads(baseline.read_text())
-    assert data["tool"] == "dynrace"
     assert len(data["findings"]) == 3
-    out = io.StringIO()
-    rc = run_race([bad], baseline=str(baseline), stream=out)
+    capsys.readouterr()
+    rc = main(["check", "--baseline", str(baseline), bad])
     assert rc == 0
-    assert "3 baselined" in out.getvalue()
+    assert "3 baselined" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -189,22 +190,21 @@ def test_cli_race_clean_exits_zero(tmp_path):
         def fine_program(ep):
             yield from ep.send(0, tag=0, payload=1.0)
     """))
-    proc = _cli("race", str(clean))
+    proc = _cli("check", str(clean))
     assert proc.returncode == 0
     assert "clean" in proc.stdout
 
 
 def test_cli_race_findings_exit_one_and_json():
-    proc = _cli("race", "--json", str(FIXTURES / "bad_dyn703_set_order.py"))
+    proc = _cli("check", "--json", str(FIXTURES / "bad_dyn703_set_order.py"))
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
-    assert payload["tool"] == "dynrace"
     assert [f["code"] for f in payload["findings"]] == ["DYN703"]
     assert all("fingerprint" in f for f in payload["findings"])
 
 
 def test_cli_race_usage_error_exits_two():
-    proc = _cli("race")  # missing paths
+    proc = _cli("check")  # missing paths
     assert proc.returncode == 2
 
 
@@ -215,9 +215,9 @@ def test_cli_lint_baseline_roundtrip(tmp_path):
             ep.send(0, tag=0, payload=1.0)
     """))
     baseline = tmp_path / "lint-baseline.json"
-    proc = _cli("lint", "--write-baseline", str(baseline), str(bad))
+    proc = _cli("check", "--write-baseline", str(baseline), str(bad))
     assert proc.returncode == 1  # DYN001 reported while writing
-    proc = _cli("lint", "--baseline", str(baseline), str(bad))
+    proc = _cli("check", "--baseline", str(baseline), str(bad))
     assert proc.returncode == 0
     assert "1 baselined" in proc.stdout
 
