@@ -34,7 +34,7 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from ..errors import MPIError, RankFailedError
-from ..simcluster import Cluster, Compute, ProcState, Signal, Wait
+from ..simcluster import Cluster, Compute, Poll, ProcState, Signal, Wait
 from .datatypes import payload_nbytes
 from .group import COLL_TAG_BASE
 from .status import ANY_SOURCE, ANY_TAG, Status
@@ -145,6 +145,10 @@ class SimComm:
         self.size = len(rank_to_node)
         self._mailboxes: list[list[_Envelope]] = [[] for _ in range(self.size)]
         self._pending: list[list[_PendingRecv]] = [[] for _ in range(self.size)]
+        #: per rank, the ``(source, tag, signal)`` of its busy-polling
+        #: receive (``recv_mode="polling"``), else None: delivery fires
+        #: the signal, which ends the rank's Poll at its next step end
+        self._pollers: list[Optional[tuple]] = [None] * self.size
         self._endpoints = [Endpoint(self, r) for r in range(self.size)]
         self._seq = itertools.count()
         #: ranks whose process died (resilience fail-fast poisoning)
@@ -236,6 +240,7 @@ class SimComm:
             win._on_rank_dead(rank)
         # the dead rank's own posted receives can never be resumed
         self._pending[rank].clear()
+        self._pollers[rank] = None
         # senders parked in a rendezvous with the dead receiver unblock
         # with a poisoned completion
         for env in self._mailboxes[rank]:
@@ -256,6 +261,11 @@ class SimComm:
                 else:
                     keep.append(pr)
             self._pending[dst][:] = keep
+            # a poller on the dead rank stops spinning and finds it dead
+            poller = self._pollers[dst]
+            if poller is not None and poller[0] == rank:
+                self._pollers[dst] = None
+                poller[2].fire()
 
     # ------------------------------------------------------------------
     # delivery plumbing (runs inside network callbacks)
@@ -277,6 +287,10 @@ class SimComm:
                 req.signal.fire(env)
                 return
         self._mailboxes[env.dst].append(env)
+        poller = self._pollers[env.dst]
+        if poller is not None and env.matches(poller[0], poller[1]):
+            self._pollers[env.dst] = None
+            poller[2].fire()
 
     def _try_match(self, rank: int, source: int, tag: int) -> Optional[_Envelope]:
         box = self._mailboxes[rank]
@@ -411,10 +425,11 @@ class Endpoint:
         """Blocking receive; returns ``(payload, Status)``.
 
         In ``recv_mode="polling"`` the receiver busy-waits: it burns
-        CPU in poll chunks and only notices the message when it next
-        holds the CPU — so on a loaded node an arrived message can sit
-        unnoticed for several competing quanta, exactly the ch_p4
-        behavior behind the paper's node-removal results.
+        CPU in poll steps (one :class:`Poll` job on the node's CPU) and
+        only notices the message at the end of a step — so on a loaded
+        node an arrived message can sit unnoticed for several competing
+        quanta, exactly the ch_p4 behavior behind the paper's
+        node-removal results.
         """
         obs = self.comm.obs
         if obs is None:
@@ -444,17 +459,16 @@ class Endpoint:
                 chunk = node.spec.quantum * 0.01 * node.spec.speed
                 if san is not None:
                     san.on_block(self.rank, "recv-poll", source, tag)
-                while True:
-                    yield Compute(chunk)
-                    if source != ANY_SOURCE and source in comm._dead:
-                        if san is not None:
-                            san.on_unblock(self.rank)
-                        raise RankFailedError(source, "receive from")
-                    env = comm._try_match(self.rank, source, tag)
-                    if env is not None:
-                        break
+                # spin until a matching envelope is queued or the
+                # source dies, then look at the end of that poll step
+                sig = comm.sim.signal("recv-poll")
+                comm._pollers[self.rank] = (source, tag, sig)
+                yield Poll(chunk, sig)
                 if san is not None:
                     san.on_unblock(self.rank)
+                if source != ANY_SOURCE and source in comm._dead:
+                    raise RankFailedError(source, "receive from")
+                env = comm._try_match(self.rank, source, tag)
             else:
                 sig = comm.sim.signal("recv")
                 pr = _PendingRecv(source, tag, sig)

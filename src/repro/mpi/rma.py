@@ -192,8 +192,6 @@ class RmaHandle:
         charged CPU for both packets, the target for neither."""
         win = self.win
         comm = win.comm
-        if not (0 <= target < comm.size):
-            raise MPIError(f"RMA op on invalid rank {target}")
         if target in comm._dead:
             raise RankFailedError(target, "RMA op on")
         yield Compute(win.net.cpu_cost(req_bytes))
@@ -216,6 +214,10 @@ class RmaHandle:
             at_target) -> Generator:
         win = self.win
         comm = win.comm
+        # before the sanitizer: a bad rank is a usage error, not an
+        # access outside an epoch (nobody can hold a lock on it)
+        if not (0 <= target < comm.size):
+            raise MPIError(f"RMA op on invalid rank {target}")
         if comm.san is not None:
             comm.san.on_rma_op(self.rank, win.wid, win.name, target, name)
         obs = comm.obs

@@ -14,7 +14,7 @@ from .network import Network
 from .node import Node
 from .rng import StreamRegistry
 from .stats import Recorder
-from .syscalls import Compute, Fork, Sleep, Wait, WaitAny
+from .syscalls import Compute, Fork, Poll, Sleep, Wait, WaitAny
 from .trace import Message, Slice, Tracer
 from .workload import CycleTrigger, LoadScript, TimeTrigger, single_competitor
 
@@ -33,6 +33,7 @@ __all__ = [
     "ProcessorSharingCPU",
     "BackgroundJob",
     "Compute",
+    "Poll",
     "Sleep",
     "Wait",
     "WaitAny",

@@ -20,6 +20,15 @@ Fast path: when a round-robin queue holds a single job, the slice runs
 to the job's completion in one event; the arrival of another job
 preempts the long slice and falls back to quantized slicing.  This
 keeps dedicated-node simulations cheap without changing semantics.
+
+Spin jobs: a busy-polling receive (the :class:`~.syscalls.Poll`
+syscall) is *one* job that burns CPU in fixed steps until
+``stop_spin`` is called, then finishes the step it is in.  It is
+scheduled exactly like the chain of one-step compute requests it
+stands for — alone on the CPU it needs no timer at all, contended it
+takes turns of one quantum — and its accounting (CPU time, fair-share
+EMA, quantum credit) is the closed form of that chain's, so a wait
+costs O(1) events however long it lasts.
 """
 
 from __future__ import annotations
@@ -60,14 +69,19 @@ class Job:
 
     ``allowed`` is the quantum budget left for a *continuation* job — a
     request submitted by the process that was running at this very
-    instant with quantum to spare.  ``used_before`` carries the quantum
-    already consumed in that unexpired slice, and ``slice_count``
-    tracks whether the job ever got requeued (which breaks the
-    continuation chain).
+    instant with quantum to spare.  ``turn_used`` is the quantum
+    consumed so far in the job's current turn: it starts at what that
+    unexpired slice had already used and is zeroed whenever the job is
+    requeued (which breaks the continuation chain).
+
+    A *spin job* has ``step`` set (CPU seconds per poll step) and
+    infinite ``remaining`` until ``stop_spin`` cuts it down to the rest
+    of its current step; ``phase`` is the CPU time it had consumed
+    inside that step at the last accounting.
     """
 
     __slots__ = ("proc", "remaining", "callback", "cb_arg", "cancelled",
-                 "allowed", "used_before", "slice_count", "boost_time")
+                 "allowed", "turn_used", "boost_time", "step", "phase")
 
     def __init__(self, proc, remaining: float,
                  callback: Optional[Callable[..., None]], cb_arg=None):
@@ -77,9 +91,10 @@ class Job:
         self.cb_arg = cb_arg  # posted with the callback when not None
         self.cancelled = False
         self.allowed: Optional[float] = None
-        self.used_before = 0.0
-        self.slice_count = 0
+        self.turn_used = 0.0
         self.boost_time: Optional[float] = None  # instant this job was boosted
+        self.step: Optional[float] = None
+        self.phase = 0.0
 
 
 class _CPUBase:
@@ -111,8 +126,37 @@ class _CPUBase:
         return len(self._bg_jobs)
 
     # -- interface --------------------------------------------------------
-    def submit(self, proc, work: float, callback, cb_arg=None) -> Job:  # pragma: no cover
+    def submit(self, proc, work: float, callback, cb_arg=None,
+               spin: bool = False) -> Job:  # pragma: no cover
+        """Queue ``work`` units for ``proc``; with ``spin`` the job
+        repeats steps of ``work`` until :meth:`stop_spin`."""
         raise NotImplementedError
+
+    def stop_spin(self, job: Job, _value=None) -> None:  # pragma: no cover
+        """End a spin job at the end of the poll step it is in (a
+        signal waiter: ``_value`` is the fired value, unused)."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _spin_split(job: Job, elapsed: float) -> tuple[int, float]:
+        """Where a spin job stands ``elapsed`` CPU seconds past
+        ``job.phase``: (step ends crossed, CPU time since the last)."""
+        total = job.phase + elapsed
+        n = int((total + _EPS) / job.step)
+        return n, max(0.0, total - n * job.step)
+
+    @classmethod
+    def _spin_rest(cls, job: Job, elapsed: float) -> float:
+        """CPU seconds from now to the step end a spin job stopped now
+        notices at, having run ``elapsed`` CPU seconds past
+        ``job.phase``.  Tie rule: a step end reached at this very
+        instant counts (the poll that ends now sees the message); one
+        reached earlier does not — that poll already ran, so a whole
+        step follows."""
+        _, tail = cls._spin_split(job, elapsed)
+        if elapsed > _EPS and tail <= _EPS:
+            return 0.0
+        return job.step - tail
 
     def cancel(self, job: Job) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -161,8 +205,12 @@ class RoundRobinCPU(_CPUBase):
         self.n_wake_boosts = 0
 
     # -- public -----------------------------------------------------------
-    def submit(self, proc, work: float, callback, cb_arg=None) -> Job:
+    def submit(self, proc, work: float, callback, cb_arg=None,
+               spin: bool = False) -> Job:
         job = Job(proc, work, callback, cb_arg)
+        if spin:
+            job.step = work / self.speed
+            job.remaining = math.inf
         proc.state = ProcState.READY
         cont = self._cont
         now = self.sim.now
@@ -174,7 +222,7 @@ class RoundRobinCPU(_CPUBase):
         ):
             # continuation within the unexpired quantum: head of queue
             job.allowed = self.quantum - cont[2]
-            job.used_before = cont[2]
+            job.turn_used = cont[2]
             self._queue.insert(0, job)
             self._cont = None  # consumed
             if self._current is None:
@@ -214,7 +262,7 @@ class RoundRobinCPU(_CPUBase):
                 if self._rng is not None:
                     slice_budget *= 0.5 + float(self._rng.random())
                 job.allowed = slice_budget
-                job.used_before = max(0.0, self.quantum - slice_budget)
+                job.turn_used = max(0.0, self.quantum - slice_budget)
             self.n_wake_boosts += 1
             job.boost_time = now
             # FIFO among jobs boosted at this same instant — otherwise
@@ -260,6 +308,26 @@ class RoundRobinCPU(_CPUBase):
             except ValueError:
                 pass  # already finished
 
+    def stop_spin(self, job: Job, _value=None) -> None:  # dyn: hot
+        if job.cancelled or job.remaining != math.inf:
+            return  # killed mid-poll, or stopped already
+        if job is not self._current:
+            # queued: it runs the rest of its step when next dispatched
+            job.remaining = self._spin_rest(job, 0.0) * self.speed
+            return
+        # the slice is not split here — ``remaining`` counts from its
+        # start — so its accounting stays one closed form
+        elapsed = self.sim.now - self._slice_start
+        rest = self._spin_rest(job, elapsed)
+        job.remaining = (elapsed + rest) * self.speed
+        # re-arm the slice: to the end of the step, or to the end of
+        # the turn if that comes first
+        if self._slice_timer is not None:
+            self._slice_timer.cancel()
+        if not self._slice_long:
+            rest = min(max(0.0, job.allowed - elapsed), rest)
+        self._slice_timer = self.sim.schedule(rest, self._on_slice_end)
+
     def runnable_jobs(self) -> list[Job]:
         jobs = list(self._queue)
         if self._current is not None:
@@ -272,24 +340,36 @@ class RoundRobinCPU(_CPUBase):
             self._current = None
             return
         job = self._queue.pop(0)
-        job.slice_count += 1
         self._current = job
         self._slice_start = self.sim.now
         job.proc.state = ProcState.RUNNING
-        if not self._queue and math.isfinite(job.remaining):
+        spinning = job.step is not None and job.remaining == math.inf
+        if not self._queue and (spinning or math.isfinite(job.remaining)):
             # fast path: run to completion unless preempted
             self._slice_long = True
+            if spinning:
+                # nothing to time: a newcomer preempts the slice and
+                # stop_spin arms the timer for the last step
+                return
             duration = job.remaining / self.speed
         else:
             self._slice_long = False
             budget = self.quantum if job.allowed is None else job.allowed
+            jitter = 1.0
             if self._rng is not None and job.allowed is None:
                 # real schedulers do not slice with zero variance; the
                 # jitter decorrelates quantum boundaries from iteration
                 # boundaries so the grace period's min-filter sees an
                 # occasionally-unpreempted run of every iteration
-                budget *= 1.0 + 0.1 * (float(self._rng.random()) - 0.5)
-            duration = min(budget, job.remaining / self.speed)
+                jitter += 0.1 * (float(self._rng.random()) - 0.5)
+            if spinning:
+                # a turn of one-step requests chains through the
+                # quantum continuation and so lasts the exact quantum:
+                # the jitter only ever stretched a budget its first
+                # step never reached (the draw keeps the stream aligned)
+                job.allowed = duration = budget
+            else:
+                duration = min(budget * jitter, job.remaining / self.speed)
         self._slice_timer = self.sim.schedule(duration, self._on_slice_end)
 
     # EMA window for the fair-share governor (seconds); several quanta
@@ -338,12 +418,53 @@ class RoundRobinCPU(_CPUBase):
             done = elapsed * self.speed
             job.remaining = max(0.0, job.remaining - done)
             job.proc.cpu_time += elapsed
-            self._ema_add(job.proc, elapsed)
             self.busy_time += elapsed
+            if job.step is None:
+                self._ema_add(job.proc, elapsed)
+                job.turn_used += elapsed
+            else:
+                self._account_spin(job, elapsed)
             if job.allowed is not None:
                 job.allowed = max(0.0, job.allowed - elapsed)
         self._slice_start = now
         return elapsed
+
+    def _account_spin(self, job: Job, elapsed: float) -> None:  # dyn: hot
+        """Credit ``elapsed`` seconds of a spin job as the chain of
+        one-step requests would have: one EMA add per step end (the
+        closed-form sum of their decayed contributions) and, on an
+        untimed slice, the quantum credit restarting at every step end
+        that found the quantum used up."""
+        step = job.step
+        head = step - job.phase  # what this slice ran of its first step
+        n, tail = self._spin_split(job, elapsed)
+        job.phase = tail
+        if n == 0:
+            self._ema_add(job.proc, elapsed)
+            job.turn_used += elapsed
+            return
+        # step ends lie tail, tail + step, ... before now
+        tau = self._EMA_TAU
+        credit = head * math.exp(-(tail + (n - 1) * step) / tau)
+        if n > 1:
+            credit += (step * math.exp(-tail / tau)
+                       * math.expm1(-(n - 1) * step / tau)
+                       / math.expm1(-step / tau))
+        self._ema_add(job.proc, credit + tail)
+        if self._slice_long:
+            # untimed slice: the credit restarts at the first step end
+            # with the quantum used up, then every ``per`` steps; a step
+            # end reached at this very instant has not restarted it yet
+            full = self.quantum - _EPS
+            ends = n if tail > _EPS else n - 1
+            used = job.turn_used + head  # at the first step end
+            first = 1 if used >= full else 1 + math.ceil((full - used) / step)
+            if first <= ends:
+                per = math.ceil(full / step)
+                last = first + (ends - first) // per * per
+                job.turn_used = tail + (n - last) * step
+                return
+        job.turn_used += elapsed
 
     def _preempt_current(self, insert_pos: int = 0) -> None:
         job = self._current
@@ -352,14 +473,15 @@ class RoundRobinCPU(_CPUBase):
         if self._slice_timer is not None:
             self._slice_timer.cancel()
             self._slice_timer = None
-        elapsed = self._account_current()
+        self._account_current()
         self.n_context_switches += 1
         self._current = None
         if job.remaining <= _EPS * self.speed:
-            self._complete(job, elapsed)
+            self._complete(job)
         else:
             job.proc.state = ProcState.READY
             job.allowed = None  # fresh quantum on its next dispatch
+            job.turn_used = 0.0
             # preempted job keeps its turn (or yields to a waking one)
             self._queue.insert(min(insert_pos, len(self._queue)), job)
         self._start_next()
@@ -369,21 +491,30 @@ class RoundRobinCPU(_CPUBase):
         if job is None:
             return
         self._slice_timer = None
-        elapsed = self._account_current()
+        if job.step is not None and job.remaining == math.inf and not self._queue:
+            # a spinning job whose competitors left mid-turn carries on
+            # untimed, as its one-step requests each would have
+            self._slice_long = True
+            return
+        self._account_current()
         self._current = None
         if job.cancelled:
             self._start_next()
             return
         if job.remaining <= _EPS * self.speed:
-            self._complete(job, elapsed)
+            self._complete(job)
             # Defer the next dispatch one event so the completing
             # process can resubmit at this instant and claim its
             # quantum continuation before anyone else is dispatched.
-            self.sim.call_soon(self._deferred_start)
+            # With nobody queued there is nothing to defer: a later
+            # submit finds the CPU idle and starts at once.
+            if self._queue:
+                self.sim.call_soon(self._deferred_start)
             return
         self.n_context_switches += 1
         job.proc.state = ProcState.READY
         job.allowed = None  # fresh quantum on its next dispatch
+        job.turn_used = 0.0
         self._queue.append(job)
         self._start_next()
 
@@ -391,12 +522,10 @@ class RoundRobinCPU(_CPUBase):
         if self._current is None:
             self._start_next()
 
-    def _complete(self, job: Job, last_slice_elapsed: float) -> None:
+    def _complete(self, job: Job) -> None:
         job.proc.state = ProcState.BLOCKED
         self._last_done = (job.proc, self.sim.now)
-        used = last_slice_elapsed
-        if job.slice_count == 1:
-            used += job.used_before
+        used = job.turn_used
         if used < self.quantum - _EPS:
             self._cont = (job.proc, self.sim.now, used)
         else:
@@ -418,9 +547,13 @@ class ProcessorSharingCPU(_CPUBase):
         self._timer: Optional[Timer] = None
         self._last = 0.0
 
-    def submit(self, proc, work: float, callback, cb_arg=None) -> Job:
+    def submit(self, proc, work: float, callback, cb_arg=None,
+               spin: bool = False) -> Job:
         self._advance()
         job = Job(proc, work, callback, cb_arg)
+        if spin:
+            job.step = work / self.speed
+            job.remaining = math.inf
         proc.state = ProcState.RUNNING
         self._jobs.append(job)
         self._reschedule()
@@ -431,6 +564,15 @@ class ProcessorSharingCPU(_CPUBase):
         job.cancelled = True
         if job in self._jobs:
             self._jobs.remove(job)
+        self._reschedule()
+
+    def stop_spin(self, job: Job, _value=None) -> None:  # dyn: hot
+        if job.cancelled or job.remaining != math.inf:
+            return  # killed mid-poll, or stopped already
+        share = (self.sim.now - self._last) / len(self._jobs)
+        rest = self._spin_rest(job, share)
+        self._advance()
+        job.remaining = rest * self.speed
         self._reschedule()
 
     def runnable_jobs(self) -> list[Job]:
@@ -448,6 +590,8 @@ class ProcessorSharingCPU(_CPUBase):
         for job in self._jobs:
             job.remaining = max(0.0, job.remaining - rate * elapsed)
             job.proc.cpu_time += share
+            if job.step is not None:
+                job.phase = self._spin_split(job, share)[1]
         self.busy_time += elapsed
 
     def _reschedule(self) -> None:

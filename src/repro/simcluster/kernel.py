@@ -55,7 +55,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .syscalls import Compute, Fork, Sleep, Syscall, Wait, WaitAny
+from .syscalls import Compute, Fork, Poll, Sleep, Syscall, Wait, WaitAny
 
 __all__ = [
     "Perturb", "ProcState", "Signal", "SimProcess", "Simulator", "Timer",
@@ -231,7 +231,7 @@ class SimProcess:
         self.sim: Optional[Simulator] = None
         self.daemon = daemon
         self._wait_cbs: list[tuple[Signal, Callable]] = []
-        self.cpu_job = None  # in-flight CPU Job while a Compute is outstanding
+        self.cpu_job = None  # in-flight CPU Job while a Compute/Poll is outstanding
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimProcess {self.name} {self.state}>"
@@ -398,10 +398,10 @@ class Simulator:
         self._dispatch(proc, request)
 
     def _abandon_cpu_job(self, proc: SimProcess) -> None:
-        """Cancel ``proc``'s outstanding compute, if any.
+        """Cancel ``proc``'s outstanding compute or poll, if any.
 
-        A process killed (or thrown into) mid-``Compute`` leaves a live
-        job on its node's CPU; without cancellation that job completes
+        A process killed (or thrown into) mid-``Compute``/``Poll`` leaves
+        a live job on its node's CPU; without cancellation that job completes
         later, clobbers the terminal state back to BLOCKED and resumes a
         closed generator — firing ``done_signal`` a second time.
         """
@@ -477,6 +477,17 @@ class Simulator:
         elif isinstance(request, Sleep):
             proc.state = ProcState.BLOCKED
             self._post_at(request.duration, self._wake, proc, None)
+        elif isinstance(request, Poll):
+            if proc.node is None:
+                raise SimulationError(
+                    f"process {proc.name} is not attached to a node but asked to poll"
+                )
+            cpu = proc.node.cpu
+            proc.state = ProcState.READY
+            proc.cpu_job = job = cpu.submit(
+                proc, request.chunk, self._resume_done, proc, spin=True
+            )
+            request.signal._add_waiter2(cpu.stop_spin, job)
         elif isinstance(request, WaitAny):
             proc.state = ProcState.BLOCKED
             self._wait_any(proc, list(request.signals))
@@ -516,7 +527,7 @@ class Simulator:
         self._resume(proc, value)
 
     def _resume_done(self, proc: SimProcess) -> None:
-        """Compute-completion callback (pre-bound, no per-submit closure)."""
+        """Compute/Poll-completion callback (pre-bound, no per-submit closure)."""
         proc.cpu_job = None
         self._resume(proc, None)
 

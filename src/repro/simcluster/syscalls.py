@@ -4,12 +4,15 @@ A simulated process is a Python generator.  It interacts with the
 kernel by yielding one of the request objects below; the kernel
 performs the request and resumes the generator with the result (if
 any).  Higher layers (the MPI library, the Dyn-MPI runtime) are built
-from these five primitives:
+from these six primitives:
 
 * :class:`Compute` — consume CPU work units on the owning node.  The
   time this takes depends on the node's speed *and* on competing
   processes sharing the CPU — this is the essence of the non dedicated
   cluster model.
+* :class:`Poll` — busy-wait on the CPU, in fixed-size steps, until a
+  signal fires: the whole wait is one scheduler job, not one
+  :class:`Compute` per step.
 * :class:`Sleep` — advance simulated time without using CPU.
 * :class:`Wait` — block until a :class:`~repro.simcluster.kernel.Signal`
   fires; resumes with the fired value.
@@ -26,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Signal, SimProcess
 
-__all__ = ["Compute", "Sleep", "Wait", "WaitAny", "Fork", "Syscall"]
+__all__ = ["Compute", "Poll", "Sleep", "Wait", "WaitAny", "Fork", "Syscall"]
 
 
 class Syscall:
@@ -44,6 +47,28 @@ class Compute(Syscall):
     def __post_init__(self) -> None:
         if self.work < 0:
             raise ValueError(f"negative work: {self.work}")
+
+
+@dataclass(frozen=True)
+class Poll(Syscall):
+    """Spin on the CPU in steps of ``chunk`` work units until ``signal``
+    fires; resume (with None) at the end of the step it fired in.
+
+    Semantically a chain of one-step :class:`Compute` requests that
+    ends with the first step to finish after the firing — same CPU
+    contention, same notice time (the first step end, in CPU time
+    consumed by the caller, at or after the firing; at least one step)
+    — but the node's CPU runs it as a single *spin job*
+    (:meth:`~repro.simcluster.cpu.RoundRobinCPU.stop_spin`), so the
+    wait costs O(1) events however long it lasts.
+    """
+
+    chunk: float
+    signal: "Signal"
+
+    def __post_init__(self) -> None:
+        if not self.chunk > 0:
+            raise ValueError(f"poll chunk must be positive: {self.chunk}")
 
 
 @dataclass(frozen=True)

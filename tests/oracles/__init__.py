@@ -1,0 +1,2 @@
+"""Reference implementations kept only as test oracles (never imported
+by ``src/``)."""

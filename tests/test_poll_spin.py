@@ -1,0 +1,348 @@
+"""The busy-polling receive as one CPU spin job (the ``Poll`` syscall).
+
+Equivalence: the spin job must be indistinguishable from the chain of
+one-step ``Compute`` requests it replaced (kept verbatim in
+``tests/oracles/poll_loop.py``) in everything but event count — notice
+time, CPU accounting, fair-share EMA, quantum credit, jitter stream.
+Lifecycle: a poll with no sender deadlocks instead of spinning, and a
+process killed or interrupted mid-poll leaves nothing behind.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.config import ClusterSpec, NetworkSpec, NodeSpec
+from repro.errors import DeadlockError, RankFailedError, SimulationError
+from repro.mpi import make_comm, run_spmd
+from repro.mpi.comm import SimComm
+from repro.obs.scenario import RemovalScenario, run_removal
+from repro.simcluster import Cluster, Compute, Poll, ProcState, Sleep, Tracer
+
+from tests.oracles.poll_loop import chunk_loop_recv
+
+QUANTUM = 0.010
+STEP = QUANTUM * 0.01  # one poll step, CPU seconds
+SPEED = 1e8
+
+
+def make_cluster(discipline="rr", seed=0, n=2):
+    return Cluster(ClusterSpec(
+        n_nodes=n, seed=seed,
+        node=NodeSpec(speed=SPEED, quantum=QUANTUM, discipline=discipline),
+        network=NetworkSpec(latency=1e-5, bandwidth=1e8, cpu_per_byte=0.0,
+                            cpu_per_msg=2000.0, recv_mode="polling"),
+    ))
+
+
+def rank_proc(sim, rank):
+    return next(p for p in sim.processes if p.name == f"rank{rank}")
+
+
+# ---------------------------------------------------------------------------
+# spin job vs chunk loop
+# ---------------------------------------------------------------------------
+
+def run_case(discipline, seed, n_cp, warm, shadow, send_at, oracle, churn_at=None):
+    """Rank 1 receives (polling) what rank 0 sends at ``send_at``;
+    returns what an observer of rank 1's node could measure.  At
+    ``churn_at`` a competitor leaves rank 1's node (or, if there is
+    none, arrives)."""
+    cluster = make_cluster(discipline, seed)
+    sim = cluster.sim
+    node = cluster.nodes[1]
+    for _ in range(n_cp):
+        node.start_competing()
+    if churn_at is not None:
+        sim.schedule(churn_at, node.stop_all_competing if n_cp == 1
+                     else node.start_competing)
+    out = {"step_ends": [], "arrivals": []}
+
+    if oracle:
+        # every mailbox look of the loop is a step end; an arrival
+        # landing on one is a tie the two forms may resolve differently
+        try_match = SimComm._try_match
+        deliver = SimComm._deliver
+
+        def spy_match(comm, rank, source, tag):
+            if rank == 1:
+                out["step_ends"].append(sim.now)
+            return try_match(comm, rank, source, tag)
+
+        def spy_deliver(comm, env):
+            if env.dst == 1:
+                out["arrivals"].append(sim.now)
+            return deliver(comm, env)
+
+    def program(ep):
+        if ep.rank == 0:
+            yield Sleep(send_at)
+            yield from ep.send(1, tag=0, payload="x")
+            if shadow:
+                yield from ep.recv(1, tag=1)
+            return None
+        proc = rank_proc(sim, 1)
+        if warm in ("compute", "compute+sleep"):
+            yield Compute(0.03 * SPEED)   # well above any fair share
+        if warm in ("sleep", "compute+sleep"):
+            yield Sleep(0.0007)           # the poll starts as a wakeup
+        if shadow:
+            ep.isend(0, tag=1, payload="y")  # its CPU charge queues beside the poll
+        yield from ep.recv(0, tag=0)
+        out["noticed"] = sim.now
+        out["cpu_time"] = proc.cpu_time
+        out["busy_time"] = node.cpu.busy_time
+        if discipline == "rr":
+            out["ema"] = node.cpu._ema_share(proc)
+            cont = node.cpu._cont
+            out["credit"] = cont[2] if cont is not None and cont[1] == sim.now else None
+        yield Compute(0.004 * SPEED)      # runs on what credit the poll left
+        out["follow_up"] = sim.now
+        return None
+
+    if oracle:
+        with chunk_loop_recv():
+            SimComm._try_match, SimComm._deliver = spy_match, spy_deliver
+            try:
+                run_spmd(cluster, program)
+            finally:
+                SimComm._try_match, SimComm._deliver = try_match, deliver
+    else:
+        run_spmd(cluster, program)
+    out["events"] = sim.n_events
+    return out
+
+
+@given(
+    discipline=st.sampled_from(["rr", "ps"]),
+    seed=st.integers(0, 20),
+    n_cp=st.integers(0, 3),
+    warm=st.sampled_from(["none", "compute", "sleep", "compute+sleep"]),
+    shadow=st.booleans(),
+    send_at=st.floats(0.0002, 0.09),
+    churn_at=st.none() | st.floats(0.0001, 0.1),
+)
+@settings(max_examples=120, deadline=None)
+def test_spin_job_matches_chunk_loop(discipline, seed, n_cp, warm, shadow,
+                                     send_at, churn_at):
+    case = (discipline, seed, n_cp, warm, shadow, send_at)
+    loop = run_case(*case, oracle=True, churn_at=churn_at)
+    # off-boundary only: an arrival (or a competitor's) landing exactly
+    # on a step end was decided by rounding noise in the loop
+    ties = [loop["arrivals"][0]] + ([] if churn_at is None else [churn_at])
+    assume(all(abs(t - tie) > 1e-8 for t in loop["step_ends"] for tie in ties))
+    spin = run_case(*case, oracle=False, churn_at=churn_at)
+    for key in ("noticed", "cpu_time", "busy_time", "follow_up"):
+        assert spin[key] == pytest.approx(loop[key], abs=1e-9), key
+    if discipline == "rr":
+        assert spin["ema"] == pytest.approx(loop["ema"], abs=1e-9)
+        if loop["credit"] is None:
+            assert spin["credit"] is None
+        else:
+            assert spin["credit"] == pytest.approx(loop["credit"], abs=1e-9)
+    # a poll noticed at its first step costs the stop event extra
+    assert spin["events"] <= loop["events"] + 1
+
+
+def test_long_wait_costs_constant_events():
+    """Waiting 100x longer must not cost more events (the loop pays
+    two per poll step on an idle node, three on a loaded one)."""
+    events = {}
+    for send_at in (0.001, 0.1):
+        events[send_at] = run_case("rr", 0, 0, "none", False, send_at,
+                                   oracle=False)["events"]
+    assert events[0.1] == events[0.001]
+    with_loop = run_case("rr", 0, 0, "none", False, 0.1, oracle=True)["events"]
+    assert with_loop > 2 * 0.1 / STEP > 100 * events[0.1]
+
+
+def test_arrival_on_a_step_boundary_is_noticed_at_that_boundary():
+    """The tie rule, pinned.  Alone on its CPU from t=0, the poller's
+    step ends fall on multiples of STEP; a signal fired exactly on one
+    ends the poll right there, one fired any later costs the next step.
+    (The loop resolved an exact float tie the same way — the arrival
+    event was always queued ahead of the poller's resume — but its
+    step ends were sums of a hundred roundings, so "exact" was luck.)"""
+    for fire_at, noticed_at in ((50 * STEP, 50 * STEP),
+                                (50 * STEP + 1e-9, 51 * STEP),
+                                (0.0, STEP)):   # at least one step
+        cluster = make_cluster()
+        sim = cluster.sim
+        sig = sim.signal("msg")
+        seen = {}
+
+        def poller():
+            yield Poll(STEP * SPEED, sig)
+            seen["t"] = sim.now
+
+        sim.spawn(poller(), name="poller", node=cluster.nodes[0])
+        sim.schedule(fire_at, sig.fire)
+        sim.run()
+        assert seen["t"] == pytest.approx(noticed_at, abs=1e-12)
+
+
+def test_poll_rejects_bad_chunk_and_detached_process():
+    cluster = make_cluster()
+    with pytest.raises(ValueError):
+        Poll(0.0, cluster.sim.signal())
+
+    def detached():
+        yield Poll(1.0, cluster.sim.signal())
+
+    cluster.sim.spawn(detached(), name="d")
+    with pytest.raises(SimulationError, match="not attached"):
+        cluster.sim.run()
+
+
+@pytest.mark.parametrize("ranks", [8, 16])
+def test_removal_simulated_time_matches_chunk_loop(ranks):
+    """Whole-stack equivalence on the benchmark's recipe: the small
+    removal runs see no on-boundary arrival, so simulated time and
+    every decision match the loop's; only the event count drops."""
+    scenario = RemovalScenario(n_nodes=ranks, n=4 * ranks, iters=16,
+                               load_cycle=2, n_cp=2)
+    spin, spin_cluster = run_removal(scenario, observe=False)
+    with chunk_loop_recv():
+        loop, loop_cluster = run_removal(scenario, observe=False)
+    assert spin.wall_time == pytest.approx(loop.wall_time, abs=1e-12)
+    assert spin.bounds == loop.bounds
+    assert ([(e.kind, e.cycle) for e in spin.events]
+            == [(e.kind, e.cycle) for e in loop.events]
+            == [("redistribute", 7), ("drop", 12)])
+    assert spin_cluster.network.n_messages == loop_cluster.network.n_messages
+    assert 3 * spin_cluster.sim.n_events < loop_cluster.sim.n_events
+
+
+# ---------------------------------------------------------------------------
+# lifecycle
+# ---------------------------------------------------------------------------
+
+def test_polling_recv_without_sender_deadlocks_when_queue_drains():
+    cluster = make_cluster()
+
+    def program(ep):
+        if ep.rank == 1:
+            yield from ep.recv(0, tag=0)
+
+    with pytest.raises(DeadlockError) as err:
+        run_spmd(cluster, program)
+    assert "rank1" in str(err.value)
+    assert cluster.sim.n_events < 20   # was: spin to the 200M max_events guard
+
+
+def _poll_victim(discipline, n_cp):
+    """A rank mid-``Poll`` (nobody ever sends), plus the bits the
+    lifecycle tests look at."""
+    cluster = make_cluster(discipline)
+    for _ in range(n_cp):
+        cluster.nodes[1].start_competing()
+    comm = make_comm(cluster)
+    caught = []
+
+    def victim(ep):
+        try:
+            yield from ep.recv(0, tag=0)
+        except RuntimeError as exc:
+            caught.append(exc)
+            yield Compute(1e5)   # keeps running after the interrupt
+        return "survived"
+
+    proc = cluster.sim.spawn(victim(comm.endpoint(1)), name="victim",
+                             node=cluster.nodes[1])
+    fired = []
+    proc.done_signal.add_waiter(fired.append)
+    # a lone spin job holds no timer, so something else must keep the
+    # queue from draining (and the run from ending in DeadlockError)
+    cluster.sim.schedule(1.0, lambda: None)
+    return cluster, comm, proc, fired, caught
+
+
+@pytest.mark.parametrize("discipline", ["rr", "ps"])
+@pytest.mark.parametrize("n_cp", [0, 2])
+def test_kill_mid_poll_cancels_the_spin_job(discipline, n_cp):
+    cluster, comm, proc, fired, _ = _poll_victim(discipline, n_cp)
+    sim, cpu = cluster.sim, cluster.nodes[1].cpu
+    sim.run(until=0.0123)
+    job = proc.cpu_job
+    assert job is not None and job.step is not None and not job.cancelled
+    sim.kill(proc)
+    sim.run(until=0.02)
+    assert proc.state == ProcState.FAILED and proc.cpu_job is None
+    assert job.cancelled and job not in cpu.runnable_jobs()
+    assert cpu.runnable_count() == n_cp
+    assert proc.cpu_time == pytest.approx(0.0123 / (n_cp + 1), abs=QUANTUM)
+    if n_cp == 0:
+        # no live timer: only the keep-alive is left to run
+        assert not sim._ready
+        assert sum(not e[2].cancelled for e in sim._heap) == 1
+    # a message for the dead poller, and its source dying, are no-ops
+    comm.endpoint(0).isend(1, tag=0, payload="late")
+    comm.mark_rank_dead(0)
+    sim.run(until=0.05)
+    assert fired == [None]  # done_signal fired exactly once
+
+
+@pytest.mark.parametrize("discipline", ["rr", "ps"])
+def test_inject_mid_poll_cancels_the_spin_job_and_the_process_goes_on(discipline):
+    cluster, comm, proc, fired, caught = _poll_victim(discipline, n_cp=1)
+    sim = cluster.sim
+    sim.run(until=0.0123)
+    job = proc.cpu_job
+    sim.inject(proc, RuntimeError("interrupt"))
+    sim.run(until=0.1)
+    assert job.cancelled and len(caught) == 1
+    assert proc.state == ProcState.DONE and proc.result == "survived"
+    assert fired == ["survived"]
+    # the abandoned poll's slot fires harmlessly when its message shows up
+    comm.endpoint(0).isend(1, tag=0, payload="late")
+    sim.run(until=0.2)
+    assert comm._pollers[1] is None and fired == ["survived"]
+
+
+def test_poller_on_a_dead_source_stops_spinning():
+    cluster = make_cluster()
+    comm = make_comm(cluster)
+    seen = {}
+
+    def receiver(ep):
+        try:
+            yield from ep.recv(0, tag=0)
+        except RankFailedError as exc:
+            seen["t"], seen["rank"] = cluster.sim.now, exc.rank
+
+    proc = cluster.sim.spawn(receiver(comm.endpoint(1)), name="r1",
+                             node=cluster.nodes[1])
+    cluster.sim.schedule(0.00325, lambda: comm.mark_rank_dead(0))
+    cluster.sim.run()
+    assert seen["rank"] == 0
+    assert seen["t"] == pytest.approx(33 * STEP, abs=1e-12)  # next step end
+    assert proc.cpu_time == pytest.approx(33 * STEP, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_cp", [0, 2])
+def test_tracer_slices_tile_the_pollers_cpu_time(n_cp):
+    cluster = make_cluster()
+    for _ in range(n_cp):
+        cluster.nodes[1].start_competing()
+
+    def program(ep):
+        if ep.rank == 0:
+            yield Sleep(0.0456)
+            yield from ep.send(1, tag=0, payload="x")
+        else:
+            yield from ep.recv(0, tag=0)
+
+    with Tracer(cluster) as tracer:
+        run_spmd(cluster, program)
+    proc = rank_proc(cluster.sim, 1)
+    mine = sorted((s for s in tracer.slices if s.node == 1 and s.proc == "rank1"),
+                  key=lambda s: s.start)
+    assert math.fsum(s.duration for s in mine) == pytest.approx(proc.cpu_time, abs=1e-12)
+    assert all(a.end <= b.start + 1e-12 for a, b in zip(mine, mine[1:]))
+    everyone = [s for s in tracer.slices if s.node == 1]
+    assert (math.fsum(s.duration for s in everyone)
+            == pytest.approx(cluster.nodes[1].cpu.busy_time, abs=1e-9))
+    # O(turns), not O(steps): the loop cut a slice per 100 us step
+    assert len(mine) < 0.0456 / STEP / 10

@@ -147,6 +147,22 @@ def test_slot_bounds_and_bad_ranks():
     run_ranks(cluster, [idle, origin])
 
 
+def test_bad_rank_is_a_usage_error_under_the_sanitizer():
+    """An op on a rank that does not exist is MPIError even with the
+    epoch checker armed — it must not be reported as DYN1112 (access
+    outside an epoch): nobody can hold a lock on rank 5 of 2."""
+    cluster = make_cluster(2, sanitize=True)
+
+    def origin(ep, h):
+        yield from h.lock(0)
+        for op in (h.get(5, 0), h.put(5, 0, 1.0), h.fetch_and_op(5, 0, 1)):
+            with pytest.raises(MPIError, match="invalid rank"):
+                yield from op
+        yield from h.unlock(0)
+
+    run_ranks(cluster, [None, origin])
+
+
 # ----------------------------------------------------------------------
 # lock epochs
 # ----------------------------------------------------------------------
