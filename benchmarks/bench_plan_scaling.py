@@ -2,7 +2,7 @@
 
 Times one full redistribution *plan derivation* (needed map + the
 pairwise send rule) and one whole-block *pack* for the old per-row
-implementation (:mod:`repro.core.reference`, kept verbatim) against the
+implementation (``tests/oracles/row_sets.py``, kept verbatim) against the
 interval plane (:mod:`repro.core.redistribute` + slab-backed
 :class:`~repro.dmem.ProjectedArray`) over the grid
 
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.plancheck import accesses_to_phases
-from repro.core import reference
 from repro.core.drsd import DRSD, AccessMode
 from repro.core.intervals import IntervalSet
 from repro.core.redistribute import needed_map, plan_sends
 from repro.dmem import ProjectedArray
+from tests.oracles import row_sets as reference
 
 GRID_N = (2048, 8192, 16384)
 GRID_RANKS = (4, 16, 64)

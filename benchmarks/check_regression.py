@@ -11,13 +11,10 @@ share; a smoke cell may not fall below ``baseline / tolerance``::
 Exit 0 all cells hold, 1 a cell regressed or a claim is violated, 2
 nothing to gate (no smoke file, missing baseline, no shared cell).
 
-Why these values: ``plan_scaling`` and ``kernel_events`` gate a
-*ratio* of two code paths timed on the same host (interval plane vs
-set oracle; calendar vs reference engine), which keeps the check
-machine-independent — a slow runner scales numerator and denominator
-alike — at a loose 2x.  ``kernel_events`` gates only the workloads
-whose cell parameters are identical in smoke and full runs (``storm``
-shrinks its exchange count in smoke mode).  ``farm_throughput`` gates
+Why these values: ``plan_scaling`` gates a *ratio* of two code paths
+timed on the same host (interval plane vs set oracle), which keeps the
+check machine-independent — a slow runner scales numerator and
+denominator alike — at a loose 2x.  ``farm_throughput`` gates
 *simulated* jobs/sec, a pure function of the code, so its floor is a
 tight 1/1.25; its row also re-asserts the headline claim on the
 baseline itself: RMA self-scheduling beats master-dispatch
@@ -31,16 +28,6 @@ import pathlib
 import sys
 
 RESULTS = pathlib.Path(__file__).parent / "results"
-
-
-def _kernel_cells(rows: list) -> dict:
-    rate: dict = {}
-    for c in rows:
-        if c["workload"] in ("churn", "removal"):
-            key = (c["workload"], c["n_nodes"])
-            rate.setdefault(key, {})[c["engine"]] = c["events_per_sec"]
-    return {key: eng["calendar"] / eng["reference"] for key, eng in
-            rate.items() if "calendar" in eng and "reference" in eng}
 
 
 def _rma_beats_self(baseline: dict) -> tuple:
@@ -58,7 +45,6 @@ GATES = {
     "plan_scaling": (
         lambda rows: {(c["n"], c["ranks"]): c["speedup"] for c in rows},
         2.0, None),
-    "kernel_events": (_kernel_cells, 2.0, None),
     "farm_throughput": (
         lambda rows: {(c["policy"], c["ranks"], c["n_jobs"], c["churn"]):
                       c["jobs_per_sec"] for c in rows},

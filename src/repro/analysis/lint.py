@@ -164,7 +164,7 @@ class _Linter(_AstRules):
         if module.split(".")[0] == "heapq":
             self._emit(node, "DYN901",
                        f"`{module}` manipulates an event queue outside the "
-                       f"kernel (simcluster/kernel*.py), which owns the "
+                       f"kernel (simcluster/kernel.py), which owns the "
                        f"(time, seq) order and tombstone accounting; "
                        f"schedule through the Simulator API instead")
 
@@ -233,8 +233,8 @@ class _Linter(_AstRules):
             self._emit(node, "DYN901",
                        f"`{base or '<expr>'}.{_KERNEL_HEAP_ATTR}` reaches "
                        f"into the kernel's event queue from outside "
-                       f"simcluster/kernel*.py; out-of-band pushes/pops "
-                       f"corrupt the two-lane invariants — use schedule/"
+                       f"simcluster/kernel.py; out-of-band pushes/pops "
+                       f"corrupt the tombstone accounting — use schedule/"
                        f"call_soon/Timer.cancel")
         self.generic_visit(node)
 

@@ -2,12 +2,12 @@
 
 The *hot zone* is the set of functions that run per simulated event or
 per runtime cycle — the code whose constant factors the
-``BENCH_kernel_events.json`` gate measures.  It is inferred, not
+end-to-end benchmark (``benchmarks/e2e``) measures.  It is inferred, not
 declared: reachability over dynflow's call graph
 (:class:`repro.analysis.flow.callgraph.Registry`), rooted at
 
 * the DES kernel event loop — every function in
-  ``simcluster/kernel*.py`` (the engine *is* the per-event path);
+  ``simcluster/kernel.py`` (the engine *is* the per-event path);
 * message matching — ``SimComm._try_match`` / ``SimComm._deliver``
   (``mpi/comm.py``), the per-receive mailbox scan;
 * per-NIC serialization — every function in ``simcluster/network.py``;
@@ -84,7 +84,7 @@ class RootSpec:
 
 
 ROOT_SPECS: tuple = (
-    RootSpec("kernel", "simcluster", "kernel"),
+    RootSpec("kernel", "simcluster", "kernel.py"),
     RootSpec("nic", "simcluster", "network.py"),
     RootSpec("match", "mpi", "comm.py",
              ("SimComm._try_match", "SimComm._deliver")),

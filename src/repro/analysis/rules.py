@@ -18,9 +18,9 @@ is declarative:
 * ``forbid_parts`` — the path must contain none of these …
 * ``unless_parts`` — … unless it also contains one of these;
 * ``exempt_files`` — file names excluded from the zone;
-* ``home_dir``/``home_prefix`` — the sanctioned home: files named
-  ``{home_prefix}*`` under a ``{home_dir}`` component are *outside*
-  the zone (they are the module the rule protects).
+* ``homes`` — the sanctioned homes, ``(dir, prefix)`` pairs: files
+  named ``{prefix}*`` under a ``{dir}`` component are *outside* the
+  zone (they are the modules the rule protects).
 
 One suppression syntax waives a finding of any rule, and it names the
 code it silences: ``# dyn: ok(DYN801) reason`` (see
@@ -42,15 +42,12 @@ class Zone:
     forbid_parts: tuple = ()
     unless_parts: tuple = ()
     exempt_files: tuple = ()
-    home_dir: str = ""
-    home_prefix: str = ""
+    homes: tuple = ()
 
     def is_home(self, path: pathlib.Path) -> bool:
-        """Whether ``path`` is the zone's sanctioned home module."""
-        if not self.home_dir:
-            return False
-        return (self.home_dir in path.parts
-                and path.name.startswith(self.home_prefix))
+        """Whether ``path`` is one of the zone's sanctioned home modules."""
+        return any(d in path.parts and path.name.startswith(prefix)
+                   for d, prefix in self.homes)
 
     def contains(self, path: pathlib.Path) -> bool:
         parts = path.parts
@@ -82,10 +79,9 @@ _ZONES = (
     # DYN301: library code must route faults through the FailureBoard;
     # the resilience package is the sanctioned home
     Zone("fault", require_parts=("repro",), forbid_parts=("resilience",)),
-    # DYN401: per-row membership loops on the data-plane hot paths;
-    # the set-based oracle keeps the original code as ground truth
-    Zone("row_membership", require_parts=("core", "resilience"),
-         exempt_files=("reference.py",)),
+    # DYN401: per-row membership loops on the data-plane hot paths
+    # (the set-based oracle, tests/oracles/row_sets.py, is outside it)
+    Zone("row_membership", require_parts=("core", "resilience")),
     # DYN601: ad-hoc instrumentation outside the sanctioned homes
     # (sysmon/obs); CLI entry points and report formatters exist to
     # print, and the analysis driver's --max-seconds budget is
@@ -95,18 +91,19 @@ _ZONES = (
          exempt_files=("__main__.py", "report.py")),
     # DYN801: process-level parallelism belongs to the campaign layer
     Zone("process", require_parts=("repro",), forbid_parts=("campaign",)),
-    # DYN901: the event queue's invariants belong to the kernel
-    # modules (kernel*.py covers the reference engine too)
+    # DYN901: the event queue's invariants belong to the kernel and
+    # to the reference loop the equivalence suite checks it against
     Zone("kernel", require_parts=("repro",),
-         home_dir="simcluster", home_prefix="kernel"),
+         homes=(("simcluster", "kernel.py"),
+                ("oracles", "kernel_reference.py"))),
     # DYN704: the one sanctioned RNG construction site.  Used through
     # ``is_home`` — the *home* is what the rule needs to recognize.
     Zone("rng", require_parts=("repro",),
-         home_dir="simcluster", home_prefix="rng.py"),
+         homes=(("simcluster", "rng.py"),)),
     # DYN1101: the farm wire protocol (reserved tag band 210-219) and
     # one-sided Window construction belong to repro.farm / repro.mpi.rma
     Zone("farm", require_parts=("repro",), forbid_parts=("farm",),
-         home_dir="mpi", home_prefix="rma"),
+         homes=(("mpi", "rma"),)),
 )
 
 ZONES: dict[str, Zone] = {z.name: z for z in _ZONES}
@@ -144,7 +141,7 @@ _RULES = (
     Rule("DYN801", "lint", "process",
          "process-level parallelism outside repro.campaign"),
     Rule("DYN901", "lint", "kernel",
-         "event-queue manipulation outside simcluster/kernel*.py"),
+         "event-queue manipulation outside simcluster/kernel.py"),
     Rule("DYN1101", "lint", "farm",
          "farm wire-protocol access outside repro.farm / repro.mpi.rma"),
     # -- flow: whole-program communication flow (repro.analysis.flow) ----

@@ -132,21 +132,10 @@ class ClusterSpec:
     #: ``DYNMPI_PERTURB`` environment variable.  A schedule-clean run
     #: exports byte-identical traces under every seed.
     perturb: int | None = None
-    #: DES engine (``repro.simcluster.kernel``): ``"calendar"`` (the
-    #: two-lane scheduler) or ``"reference"`` (the original single-heap
-    #: loop, kept as the equivalence oracle); None (the default) defers
-    #: to the ``DYNMPI_KERNEL`` environment variable and falls back to
-    #: calendar.  Both engines execute the identical event order —
-    #: reference exists for cross-checking, not for results.
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigError(f"need at least one node, got {self.n_nodes}")
-        if self.kernel not in (None, "calendar", "reference"):
-            raise ConfigError(
-                f"kernel must be 'calendar', 'reference' or None, got {self.kernel!r}"
-            )
         if self.sanitize not in (None, True, False):
             raise ConfigError(f"sanitize must be True/False/None, got {self.sanitize!r}")
         if self.observe not in (None, True, False):
@@ -224,8 +213,6 @@ class RuntimeSpec:
     balance_tol: float = 1e-3
     #: maximum successive-balancing rounds
     balance_max_rounds: int = 50
-    #: "block" or "cyclic" default distribution
-    distribution: str = "block"
     #: whether node removal is considered at all
     allow_removal: bool = True
     #: "physical" (paper default) or "logical" dropping
@@ -255,8 +242,6 @@ class RuntimeSpec:
             raise ConfigError("post_redist_period must be >= 1")
         if self.daemon_interval <= 0:
             raise ConfigError("daemon_interval must be positive")
-        if self.distribution not in ("block", "cyclic"):
-            raise ConfigError(f"unknown distribution {self.distribution!r}")
         if self.drop_mode not in ("physical", "logical"):
             raise ConfigError(f"unknown drop_mode {self.drop_mode!r}")
         if self.drop_margin <= 0:

@@ -69,7 +69,7 @@ def needed_map(
     Each unit-stride access contributes one span, so building the map
     is O(ranks · arrays · accesses) — independent of the row count.
     The result compares equal to the per-row reference
-    (:func:`repro.core.reference.needed_map_sets`) row for row.
+    (``needed_map_sets`` in ``tests/oracles/row_sets.py``) row for row.
     """
     n = len(bounds)
     spans: list[dict[str, list]] = [
@@ -119,7 +119,7 @@ def plan_sends(
     *missing* spans are bisected into a sorted index of old-ownership
     spans, so only the senders that actually overlap are ever touched —
     O(ranks · arrays · (log ranks + transfers)).  Row-for-row equal to
-    :func:`repro.core.reference.plan_sends_sets`.
+    ``plan_sends_sets`` in ``tests/oracles/row_sets.py``.
 
     Old ownership must partition the rows (disjoint across ranks),
     which the runtime guarantees: crash recovery hands a dead rank's

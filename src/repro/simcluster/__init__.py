@@ -9,7 +9,7 @@ substitution argument.
 
 from .cluster import Cluster
 from .cpu import BackgroundJob, ProcessorSharingCPU, RoundRobinCPU
-from .kernel import ProcState, Signal, Simulator, SimProcess, make_simulator
+from .kernel import ProcState, Signal, Simulator, SimProcess
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
@@ -23,7 +23,6 @@ __all__ = [
     "Node",
     "Network",
     "Simulator",
-    "make_simulator",
     "SimProcess",
     "Signal",
     "ProcState",

@@ -13,7 +13,7 @@ from ..analysis.sanitizer import CommSanitizer, sanitizer_enabled
 from ..config import ClusterSpec
 from ..obs.recorder import ObsRecorder, obs_enabled
 from ..resilience.board import FailureBoard
-from .kernel import SimProcess, Simulator, make_simulator
+from .kernel import SimProcess, Simulator
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
@@ -26,7 +26,7 @@ __all__ = ["Cluster"]
 class Cluster:
     def __init__(self, spec: ClusterSpec):
         self.spec = spec
-        self.sim = make_simulator(spec.kernel, perturb=spec.perturb)
+        self.sim = Simulator(perturb=spec.perturb)
         self.rng = StreamRegistry(spec.seed)
         self.nodes = [
             Node(self.sim, i, spec.node, rng=self.rng.stream(f"cpu{i}"))

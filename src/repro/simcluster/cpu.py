@@ -80,15 +80,15 @@ class Job:
     inside that step at the last accounting.
     """
 
-    __slots__ = ("proc", "remaining", "callback", "cb_arg", "cancelled",
+    __slots__ = ("proc", "remaining", "callback", "cb_args", "cancelled",
                  "allowed", "turn_used", "boost_time", "step", "phase")
 
     def __init__(self, proc, remaining: float,
-                 callback: Optional[Callable[..., None]], cb_arg=None):
+                 callback: Optional[Callable[..., None]], cb_args: tuple = ()):
         self.proc = proc
         self.remaining = remaining
         self.callback = callback
-        self.cb_arg = cb_arg  # posted with the callback when not None
+        self.cb_args = cb_args
         self.cancelled = False
         self.allowed: Optional[float] = None
         self.turn_used = 0.0
@@ -126,7 +126,7 @@ class _CPUBase:
         return len(self._bg_jobs)
 
     # -- interface --------------------------------------------------------
-    def submit(self, proc, work: float, callback, cb_arg=None,
+    def submit(self, proc, work: float, callback, *cb_args,
                spin: bool = False) -> Job:  # pragma: no cover
         """Queue ``work`` units for ``proc``; with ``spin`` the job
         repeats steps of ``work`` until :meth:`stop_spin`."""
@@ -205,9 +205,9 @@ class RoundRobinCPU(_CPUBase):
         self.n_wake_boosts = 0
 
     # -- public -----------------------------------------------------------
-    def submit(self, proc, work: float, callback, cb_arg=None,
+    def submit(self, proc, work: float, callback, *cb_args,
                spin: bool = False) -> Job:
-        job = Job(proc, work, callback, cb_arg)
+        job = Job(proc, work, callback, cb_args)
         if spin:
             job.step = work / self.speed
             job.remaining = math.inf
@@ -532,10 +532,7 @@ class RoundRobinCPU(_CPUBase):
             self._cont = None
         if job.callback is not None:
             # Defer so completion ordering matches event ordering.
-            if job.cb_arg is None:
-                self.sim.call_soon(job.callback)
-            else:
-                self.sim._post1(job.callback, job.cb_arg)
+            self.sim.call_soon(job.callback, *job.cb_args)
 
 
 class ProcessorSharingCPU(_CPUBase):
@@ -547,10 +544,10 @@ class ProcessorSharingCPU(_CPUBase):
         self._timer: Optional[Timer] = None
         self._last = 0.0
 
-    def submit(self, proc, work: float, callback, cb_arg=None,
+    def submit(self, proc, work: float, callback, *cb_args,
                spin: bool = False) -> Job:
         self._advance()
-        job = Job(proc, work, callback, cb_arg)
+        job = Job(proc, work, callback, cb_args)
         if spin:
             job.step = work / self.speed
             job.remaining = math.inf
@@ -614,10 +611,7 @@ class ProcessorSharingCPU(_CPUBase):
             self._jobs.remove(job)
             job.proc.state = ProcState.BLOCKED
             if job.callback is not None:
-                if job.cb_arg is None:
-                    self.sim.call_soon(job.callback)
-                else:
-                    self.sim._post1(job.callback, job.cb_arg)
+                self.sim.call_soon(job.callback, *job.cb_args)
         self._reschedule()
 
 

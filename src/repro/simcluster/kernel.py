@@ -12,30 +12,23 @@ Design notes
 * Events are ``(time, seq)``-ordered callbacks; ``seq`` is a global
   monotone counter so simultaneous events run in schedule order and the
   simulation is fully deterministic.
-* **Two-lane scheduling** (dynkern): most events are zero-delay resumes
-  — deferred completions, signal wakeups, spawn kicks — so the default
-  :class:`Simulator` keeps two structures: an O(1) FIFO *ready lane*
-  (a deque) for events scheduled at the current instant, and a heap for
-  timed events.  The lanes merge by exact ``(time, seq)`` comparison,
-  so the execution order is identical to a single global heap (the
-  original single-heap engine is preserved verbatim as
-  :class:`~repro.simcluster.kernel_reference.ReferenceSimulator` and
-  the equivalence is property-tested byte-for-byte on exported traces).
-  Internal hot paths post pre-bound callbacks (:meth:`Simulator._post1`
-  /``_post2``) instead of allocating a closure per event.
+* One structure: a single ``heapq`` of ``(time, seq, Timer)`` triples.
+  ``call_soon(fn, *args)`` is a push at ``self.now``, so zero-delay
+  resumes — deferred completions, signal wakeups, spawn kicks — take
+  the same path as timed events.  Scheduling follows the asyncio
+  calling convention (``schedule(delay, fn, *args)``,
+  ``call_soon(fn, *args)``, ``Signal.add_waiter(cb, *args)``): the
+  arguments ride on the :class:`Timer`, so no hot path allocates a
+  closure per event.
 * Cancellation is done with tombstones (:class:`Timer` handles), the
   standard heapq idiom, so cancelling is O(1).  The simulator counts
   tombstones still sitting in the heap and **compacts** — filters and
   re-heapifies in place — when more than half the heap is cancelled
   (and it is past a small size floor), so heartbeat-style
-  schedule/cancel churn can no longer grow the heap without bound.
+  schedule/cancel churn cannot grow the heap without bound.
 * Deadlock detection: if the queue drains while registered processes
   are still blocked, :class:`~repro.errors.DeadlockError` is raised
   listing them — the simulated analogue of a hung MPI job.
-* Engine selection: :func:`make_simulator` picks the engine from an
-  explicit argument, else ``DYNMPI_KERNEL`` (``calendar`` |
-  ``reference``), defaulting to ``calendar``; clusters thread
-  :attr:`repro.config.ClusterSpec.kernel` through it.
 * Schedule perturbation (:class:`Perturb`, ``DYNMPI_PERTURB=<seed>``)
   flips tie-breaks that real MPI leaves *undefined* — today the choice
   among queued wildcard-receive candidates from distinct sources
@@ -51,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import os
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
@@ -59,12 +51,8 @@ from .syscalls import Compute, Fork, Poll, Sleep, Syscall, Wait, WaitAny
 
 __all__ = [
     "Perturb", "ProcState", "Signal", "SimProcess", "Simulator", "Timer",
-    "make_simulator", "perturb_from_env",
+    "perturb_from_env",
 ]
-
-#: sentinel for "no bound argument" on a Timer (cheaper than None,
-#: which is a legitimate argument value)
-_NO_ARG = object()
 
 #: tombstone compaction floor: no compaction below this many cancelled
 #: heap entries, so tiny simulations never pay a heapify
@@ -126,22 +114,19 @@ class ProcState:
 class Timer:
     """Handle to a scheduled callback; ``cancel()`` tombstones it.
 
-    ``a``/``b`` are optional pre-bound call arguments (the internal
-    no-closure posting fast path); ``seq`` is the event's global order
-    stamp (stored on the Timer only for ready-lane events — timed
-    events carry it in their heap triple), and a non-None ``sim``
-    marks a timer currently sitting in that simulator's heap, so a
+    ``args`` are the call arguments bound at scheduling time; a non-None
+    ``sim`` marks a timer still sitting in that simulator's heap, so a
     cancel feeds its tombstone accounting.
     """
 
-    __slots__ = ("fn", "a", "b", "seq", "cancelled", "sim")
+    __slots__ = ("fn", "args", "cancelled", "sim")
 
-    def __init__(self, fn: Callable[..., None]):
+    def __init__(self, fn: Callable[..., None], args: tuple,
+                 sim: Optional["Simulator"]):
         self.fn = fn
-        self.a = _NO_ARG
-        self.b = _NO_ARG
+        self.args = args
         self.cancelled = False
-        self.sim: Optional["Simulator"] = None
+        self.sim = sim
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -166,7 +151,7 @@ class Signal:
         self.name = name
         self.fired = False
         self.value: Any = None
-        self._waiters: list[Callable[[Any], None]] = []
+        self._waiters: list[tuple[Callable[..., None], tuple]] = []
 
     def fire(self, value: Any = None) -> None:
         if self.fired:
@@ -174,33 +159,26 @@ class Signal:
         self.fired = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        sim = self.sim
-        for fn, a in waiters:
-            if a is _NO_ARG:
-                sim._post1(fn, value)
-            else:
-                sim._post2(fn, a, value)
+        call_soon = self.sim.call_soon
+        for cb, args in waiters:
+            call_soon(cb, *args, value)
 
     def reset(self) -> None:
         self.fired = False
         self.value = None
 
-    def add_waiter(self, cb: Callable[[Any], None]) -> None:
+    def add_waiter(self, cb: Callable[..., None], *args: Any) -> None:
+        """Call ``cb(*args, value)`` once the signal fires (at once, as
+        a zero-delay event, if it already has)."""
         if self.fired:
-            self.sim._post1(cb, self.value)
+            self.sim.call_soon(cb, *args, self.value)
         else:
-            self._waiters.append((cb, _NO_ARG))
-
-    def _add_waiter2(self, fn: Callable[[Any, Any], None], a: Any) -> None:
-        """``add_waiter(lambda v: fn(a, v))`` without the closure."""
-        if self.fired:
-            self.sim._post2(fn, a, self.value)
-        else:
-            self._waiters.append((fn, a))
+            self._waiters.append((cb, args))
 
     def discard_waiter(self, cb: Callable[[Any], None]) -> None:
-        for i, (fn, a) in enumerate(self._waiters):
-            if fn == cb and a is _NO_ARG:
+        """Drop the first argument-less registration of ``cb``."""
+        for i, (fn, args) in enumerate(self._waiters):
+            if fn == cb and not args:
                 del self._waiters[i]
                 return
 
@@ -216,7 +194,7 @@ class SimProcess:
 
     __slots__ = (
         "name", "gen", "node", "state", "cpu_time", "result", "error",
-        "done_signal", "sim", "daemon", "_wait_cbs", "cpu_job",
+        "done_signal", "sim", "daemon", "cpu_job",
     )
 
     def __init__(self, name: str, gen: Generator[Syscall, Any, Any], *, daemon: bool = False):
@@ -230,7 +208,6 @@ class SimProcess:
         self.done_signal: Optional[Signal] = None
         self.sim: Optional[Simulator] = None
         self.daemon = daemon
-        self._wait_cbs: list[tuple[Signal, Callable]] = []
         self.cpu_job = None  # in-flight CPU Job while a Compute/Poll is outstanding
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -238,7 +215,7 @@ class SimProcess:
 
 
 class Simulator:
-    """The event loop (two-lane calendar engine; see module docstring).
+    """The event loop (one ``(time, seq)`` heap; see module docstring).
 
     Typical use::
 
@@ -247,14 +224,10 @@ class Simulator:
         sim.run()
     """
 
-    engine = "calendar"
-
     def __init__(self, *, perturb: Optional[int] = None) -> None:
         self.now = 0.0
-        #: timed events: (time, seq, Timer) triples, heap-ordered
+        #: pending events: (time, seq, Timer) triples, heap-ordered
         self._heap: list[tuple[float, int, Timer]] = []
-        #: zero-delay events at the current instant, FIFO (seq order)
-        self._ready: deque[Timer] = deque()
         #: cancelled entries still sitting in ``_heap`` (tombstones);
         #: drives compaction
         self._heap_cancels = 0
@@ -288,67 +261,25 @@ class Simulator:
     # ------------------------------------------------------------------
     # event scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[[], None]) -> Timer:
-        """Run ``fn`` at ``now + delay``; returns a cancellable handle."""
-        if delay < 0:
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Timer:
+        """Run ``fn(*args)`` at ``now + delay``; returns a cancellable handle."""
+        if not delay >= 0.0:  # also rejects NaN, which ``delay < 0`` lets through
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        t = Timer(fn)
+        t = Timer(fn, args, self)
         self._seq = seq = self._seq + 1
-        if delay == 0.0:
-            t.seq = seq
-            self._ready.append(t)
-        else:
-            t.sim = self
-            heapq.heappush(self._heap, (self.now + delay, seq, t))
+        heapq.heappush(self._heap, (self.now + delay, seq, t))
         return t
 
-    def call_soon(self, fn: Callable[[], None]) -> Timer:
-        """O(1) same-instant scheduling: the ready-lane fast path."""
-        t = Timer(fn)
+    def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
+        """Run ``fn(*args)`` at the current instant, after every event
+        already scheduled for it."""
+        t = Timer(fn, args, self)
         self._seq = seq = self._seq + 1
-        t.seq = seq
-        self._ready.append(t)
-        return t
-
-    # -- internal no-closure posting (the per-event hot path) ----------
-    def _post1(self, fn: Callable[[Any], None], a: Any) -> Timer:
-        """``call_soon(lambda: fn(a))`` without the closure."""
-        t = Timer(fn)
-        t.a = a
-        self._seq = seq = self._seq + 1
-        t.seq = seq
-        self._ready.append(t)
-        return t
-
-    def _post2(self, fn: Callable[[Any, Any], None], a: Any, b: Any) -> Timer:
-        """``call_soon(lambda: fn(a, b))`` without the closure."""
-        t = Timer(fn)
-        t.a = a
-        t.b = b
-        self._seq = seq = self._seq + 1
-        t.seq = seq
-        self._ready.append(t)
-        return t
-
-    def _post_at(self, delay: float, fn: Callable[[Any, Any], None],
-                 a: Any, b: Any) -> Timer:
-        """``schedule(delay, lambda: fn(a, b))`` without the closure."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        t = Timer(fn)
-        t.a = a
-        t.b = b
-        self._seq = seq = self._seq + 1
-        if delay == 0.0:
-            t.seq = seq
-            self._ready.append(t)
-        else:
-            t.sim = self
-            heapq.heappush(self._heap, (self.now + delay, seq, t))
+        heapq.heappush(self._heap, (self.now, seq, t))
         return t
 
     def _note_heap_cancel(self) -> None:
-        """A timed event was tombstoned; compact the heap in place when
+        """A pending event was tombstoned; compact the heap in place when
         more than half of it is dead (and it is past the size floor)."""
         self._heap_cancels = c = self._heap_cancels + 1
         heap = self._heap
@@ -380,7 +311,7 @@ class Simulator:
             node.attach(proc)
         self.processes.append(proc)
         proc.state = ProcState.READY
-        self._post2(self._resume, proc, None)
+        self.call_soon(self._resume, proc, None)
         return proc
 
     def _resume(self, proc: SimProcess, value: Any) -> None:
@@ -436,16 +367,17 @@ class Simulator:
         pending compute, a message wait) receives the exception
         immediately; the abandoned syscall's completion is ignored.
         """
-        self._post2(self._throw, proc, exc)
+        self.call_soon(self._throw, proc, exc)
 
     def kill(self, proc: SimProcess) -> None:
         """Terminate ``proc`` immediately (uncatchable)."""
-        def do_kill() -> None:
-            if proc.state in (ProcState.DONE, ProcState.FAILED):
-                return
-            proc.gen.close()
-            self._finish(proc, None, SimulationError(f"{proc.name} killed"))
-        self.call_soon(do_kill)
+        self.call_soon(self._kill, proc)
+
+    def _kill(self, proc: SimProcess) -> None:
+        if proc.state in (ProcState.DONE, ProcState.FAILED):
+            return
+        proc.gen.close()
+        self._finish(proc, None, SimulationError(f"{proc.name} killed"))
 
     def _finish(self, proc: SimProcess, result: Any, error: Optional[BaseException]) -> None:
         self._abandon_cpu_job(proc)
@@ -471,12 +403,12 @@ class Simulator:
             )
         elif isinstance(request, Wait):
             proc.state = ProcState.BLOCKED
-            request.signal._add_waiter2(self._wake, proc)
+            request.signal.add_waiter(self._wake, proc)
             if self._watchdogs:
                 self._notify_block(proc, request)
         elif isinstance(request, Sleep):
             proc.state = ProcState.BLOCKED
-            self._post_at(request.duration, self._wake, proc, None)
+            self.schedule(request.duration, self._wake, proc, None)
         elif isinstance(request, Poll):
             if proc.node is None:
                 raise SimulationError(
@@ -487,10 +419,12 @@ class Simulator:
             proc.cpu_job = job = cpu.submit(
                 proc, request.chunk, self._resume_done, proc, spin=True
             )
-            request.signal._add_waiter2(cpu.stop_spin, job)
+            request.signal.add_waiter(cpu.stop_spin, job)
         elif isinstance(request, WaitAny):
             proc.state = ProcState.BLOCKED
-            self._wait_any(proc, list(request.signals))
+            hit: list[int] = []  # shared by the waiters: first one in wins
+            for idx, sig in enumerate(request.signals):
+                sig.add_waiter(self._wake_any, proc, hit, idx)
             if self._watchdogs:
                 self._notify_block(proc, request)
         elif isinstance(request, Fork):
@@ -499,26 +433,17 @@ class Simulator:
             child.done_signal = self.signal(f"done:{child.name}")
             self.processes.append(child)
             child.state = ProcState.READY
-            self._post2(self._resume, child, None)
-            self._post2(self._resume, proc, child)
+            self.call_soon(self._resume, child, None)
+            self.call_soon(self._resume, proc, child)
         else:
             raise SimulationError(
                 f"process {proc.name} yielded a non-syscall: {request!r}"
             )
 
-    def _wait_any(self, proc: SimProcess, signals: list[Signal]) -> None:
-        done = {"hit": False}
-
-        def make_cb(idx: int):
-            def cb(value: Any) -> None:
-                if done["hit"]:
-                    return
-                done["hit"] = True
-                self._wake(proc, (idx, value))
-            return cb
-
-        for idx, sig in enumerate(signals):
-            sig.add_waiter(make_cb(idx))
+    def _wake_any(self, proc: SimProcess, hit: list, idx: int, value: Any) -> None:
+        if not hit:
+            hit.append(idx)
+            self._wake(proc, (idx, value))
 
     def _wake(self, proc: SimProcess, value: Any) -> None:
         if proc.state in (ProcState.DONE, ProcState.FAILED):
@@ -527,7 +452,7 @@ class Simulator:
         self._resume(proc, value)
 
     def _resume_done(self, proc: SimProcess) -> None:
-        """Compute/Poll-completion callback (pre-bound, no per-submit closure)."""
+        """Compute/Poll-completion callback."""
         proc.cpu_job = None
         self._resume(proc, None)
 
@@ -546,59 +471,23 @@ class Simulator:
         :meth:`run_all` or :meth:`stop` to bound such runs.
         """
         self._stopped = False
-        ready = self._ready
         heap = self._heap      # mutated only in place (see compaction)
         heappop = heapq.heappop
-        no_arg = _NO_ARG
-        while not self._stopped:
-            # merge the two lanes by exact (time, seq) order: ready
-            # events run at self.now, so a heap event goes first only
-            # when it lands at this very instant with an earlier seq
-            timer = None
-            if ready:
-                if heap:
-                    t, s, ht = heap[0]
-                    if t == self.now and s < ready[0].seq:
-                        heappop(heap)
-                        ht.sim = None
-                        if ht.cancelled:
-                            self._heap_cancels -= 1
-                            continue
-                        timer = ht
-                if timer is None:
-                    if self.now > until:
-                        self.now = until
-                        return self.now
-                    timer = ready.popleft()
-                    if timer.cancelled:
-                        continue
-            elif heap:
-                t = heap[0][0]
-                if t > until:
-                    self.now = until
-                    return self.now
-                ht = heappop(heap)[2]
-                ht.sim = None
-                if ht.cancelled:
-                    self._heap_cancels -= 1
-                    continue
-                if t < self.now - 1e-12:
-                    raise SimulationError("time went backwards")
-                self.now = t
-                timer = ht
-            else:
-                break
+        while heap and not self._stopped:
+            t = heap[0][0]
+            if t > until:
+                self.now = until
+                return until
+            timer = heappop(heap)[2]
+            timer.sim = None
+            if timer.cancelled:
+                self._heap_cancels -= 1
+                continue
+            self.now = t
             self.n_events += 1
             if self.n_events > max_events:
                 raise SimulationError(f"exceeded {max_events} events; runaway simulation?")
-            fn = timer.fn
-            a = timer.a
-            if a is no_arg:
-                fn()
-            elif timer.b is no_arg:
-                fn(a)
-            else:
-                fn(a, timer.b)
+            timer.fn(*timer.args)
         if not self._stopped:
             self._check_deadlock()
         return self.now
@@ -631,16 +520,14 @@ class Simulator:
         procs = list(procs)
         pending = {id(p) for p in procs if p.state not in (ProcState.DONE, ProcState.FAILED)}
 
-        def make_cb(proc: SimProcess):
-            def cb(_value) -> None:
-                pending.discard(id(proc))
-                if not pending:
-                    self.stop()
-            return cb
+        def on_done(proc: SimProcess, _value) -> None:
+            pending.discard(id(proc))
+            if not pending:
+                self.stop()
 
         for p in procs:
             if id(p) in pending:
-                p.done_signal.add_waiter(make_cb(p))
+                p.done_signal.add_waiter(on_done, p)
         if pending:
             self.run(until=until)
         for p in procs:
@@ -650,26 +537,3 @@ class Simulator:
                 raise p.error
             if p.state != ProcState.DONE:
                 raise SimulationError(f"process {p.name} did not finish (state={p.state})")
-
-
-def make_simulator(engine: Optional[str] = None, *,
-                   perturb: Optional[int] = None) -> Simulator:
-    """Build a simulator with the requested engine.
-
-    ``engine`` may be ``"calendar"`` (the two-lane scheduler above),
-    ``"reference"`` (the original single-heap loop, kept verbatim as
-    the equivalence oracle) or None, which defers to the
-    ``DYNMPI_KERNEL`` environment variable and defaults to calendar —
-    the same explicit-beats-environment convention as the sanitizer
-    and observability switches.
-    """
-    if engine is None:
-        engine = os.environ.get("DYNMPI_KERNEL", "").strip() or "calendar"
-    if engine == "calendar":
-        return Simulator(perturb=perturb)
-    if engine == "reference":
-        from .kernel_reference import ReferenceSimulator
-        return ReferenceSimulator(perturb=perturb)
-    raise SimulationError(
-        f"unknown kernel engine {engine!r} (expected 'calendar' or 'reference')"
-    )

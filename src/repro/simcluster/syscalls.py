@@ -78,7 +78,7 @@ class Sleep(Syscall):
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
+        if not self.duration >= 0:  # also rejects NaN
             raise ValueError(f"negative sleep: {self.duration}")
 
 

@@ -10,9 +10,10 @@ stand-in) verbatim, as ground truth:
 * ``benchmarks/bench_plan_scaling.py`` times them against the interval
   plane to measure the speedup.
 
-Nothing in the runtime imports this module on the hot path.  It is
-deliberately per-row — the DYN401 lint rule that forbids row-membership
-loops in ``core``/``resilience`` exempts this file by name.
+Nothing under ``src/`` imports this module (it lived there as
+``repro.core.reference`` until the oracles moved out of the package).
+It is deliberately per-row — the DYN401 lint rule that forbids
+row-membership loops applies to ``core``/``resilience``, not here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..errors import RedistributionError
+from repro.errors import RedistributionError
 
 __all__ = [
     "needed_map_sets",

@@ -44,13 +44,20 @@ def test_cluster_spec_needs_a_node():
     {"grace_period": 0},
     {"post_redist_period": 0},
     {"daemon_interval": 0},
-    {"distribution": "diagonal"},
+    {"daemon_interval": -1.0},
     {"drop_mode": "virtual"},
     {"drop_margin": 0},
 ])
 def test_runtime_spec_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         RuntimeSpec(**kwargs)
+
+
+def test_runtime_spec_has_no_distribution_option():
+    # the field was validated against ("block", "cyclic") and then read
+    # by nothing: distribution="cyclic" silently ran the block layout
+    with pytest.raises(TypeError):
+        RuntimeSpec(distribution="cyclic")
 
 
 def test_runtime_spec_paper_defaults():

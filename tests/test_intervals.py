@@ -8,7 +8,7 @@ Three layers, each checked row-for-row against a naive set reference:
   randomized bounds and offsets, including ``step > 1``;
 * redistribution planning: interval ``needed_map`` and the interval
   send rule vs the retained set-based oracle
-  (:mod:`repro.core.reference`) on randomized multi-rank transitions
+  (``tests/oracles/row_sets.py``) on randomized multi-rank transitions
   (including removed ranks and crash-recovery row-set bounds).
 """
 
@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import reference
 from repro.core.drsd import DRSD, AccessMode
 from repro.core.intervals import IntervalSet
 from repro.core.redistribute import needed_map, owned_intervals, plan_sends
 from repro.analysis.plancheck import accesses_to_phases
+from tests.oracles import row_sets as reference
 
 row_sets = st.sets(st.integers(min_value=0, max_value=80), max_size=40)
 

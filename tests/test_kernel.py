@@ -242,36 +242,29 @@ def test_determinism_same_seed_same_trace():
     assert build() == build()
 
 
-# -- dynkern: calendar engine ------------------------------------------------
+# -- one heap: order, cancellation, compaction, vs the reference loop --------
 
-from repro.simcluster.kernel import make_simulator
-from repro.simcluster.kernel_reference import ReferenceSimulator
+import itertools
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-def test_make_simulator_selects_engine():
-    assert make_simulator().engine == "calendar"
-    assert make_simulator("calendar").engine == "calendar"
-    assert isinstance(make_simulator("reference"), ReferenceSimulator)
-    assert make_simulator("reference").engine == "reference"
-    with pytest.raises(SimulationError):
-        make_simulator("fibonacci")
+from repro.simcluster import kernel
+from tests.oracles.kernel_reference import ReferenceSimulator
 
-
-def test_make_simulator_env_default(monkeypatch):
-    monkeypatch.setenv("DYNMPI_KERNEL", "reference")
-    assert make_simulator().engine == "reference"
-    monkeypatch.setenv("DYNMPI_KERNEL", "calendar")
-    assert make_simulator().engine == "calendar"
-    # an explicit argument beats the environment
-    monkeypatch.setenv("DYNMPI_KERNEL", "reference")
-    assert make_simulator("calendar").engine == "calendar"
+#: the kernel and its oracle; the ids date from when src/ held two engines
+ENGINES = pytest.mark.parametrize("engine", [
+    pytest.param(Simulator, id="calendar"),
+    pytest.param(ReferenceSimulator, id="reference"),
+])
 
 
-@pytest.mark.parametrize("engine", ["calendar", "reference"])
+@ENGINES
 def test_zero_delay_fifo_interleaves_with_timed(engine):
     # a timed event landing at the same instant as queued call_soon
-    # events must honour the global seq order on both engines
-    sim = make_simulator(engine)
+    # events must honour the global seq order
+    sim = engine()
     order = []
     sim.schedule(1.0, lambda: order.append("timed"))
 
@@ -325,50 +318,155 @@ def test_tombstone_compaction_bounds_heap():
 
 
 def test_reference_engine_keeps_tombstones():
-    # documents the leak the calendar engine fixes (and pins the
-    # reference engine to the original behaviour)
-    sim = make_simulator("reference")
+    # documents the leak compaction fixes (and pins the oracle to the
+    # original behaviour)
+    sim = ReferenceSimulator()
     for _ in range(1000):
         sim.schedule(1e6, lambda: None).cancel()
     sim.run(until=1.0)
     assert len(sim._heap) == 1000
 
 
-@pytest.mark.parametrize("engine", ["calendar", "reference"])
+@ENGINES
 def test_engines_agree_on_event_order(engine):
     # a mixed workload of timed events, zero-delay cascades and cancels
-    # must produce the identical execution order on both engines
-    sim = make_simulator(engine)
+    # must produce the identical execution order on the oracle
+    sim = engine()
     order = []
 
     def cascade(tag, depth):
         order.append((tag, depth, sim.now))
         if depth:
-            sim.call_soon(lambda: cascade(tag, depth - 1))
+            sim.call_soon(cascade, tag, depth - 1)
 
     handles = []
     for i in range(20):
         delay = (i * 7919) % 13 * 0.1
-        handles.append(sim.schedule(delay, lambda i=i: cascade(i, i % 4)))
+        handles.append(sim.schedule(delay, cascade, i, i % 4))
     for i in (3, 7, 11):
         handles[i].cancel()
     sim.run()
-    if engine == "calendar":
+    if engine is Simulator:
         test_engines_agree_on_event_order.got = order
     else:
         assert order == test_engines_agree_on_event_order.got
 
 
-def test_cluster_spec_kernel_selects_engine():
-    from repro.config import ClusterSpec, ConfigError as _CE
-    from repro.simcluster import Cluster
+# a scheduling program: nested lists of ("schedule", delay, body) /
+# ("soon", body) / ("cancel", k) steps, where body runs inside the
+# event's callback; ("run", dt) resumes the loop from the top level
+_DELAYS = (st.sampled_from([0.0, 0.0, 0.5, 0.5, 1.0])
+           | st.floats(0.0, 2.0, allow_nan=False))
+_CANCEL = st.tuples(st.just("cancel"), st.integers(0, 63))
 
-    ref = Cluster(ClusterSpec(n_nodes=2, kernel="reference"))
-    assert ref.sim.engine == "reference"
-    cal = Cluster(ClusterSpec(n_nodes=2))
-    assert cal.sim.engine == "calendar"
-    with pytest.raises(_CE):
-        ClusterSpec(n_nodes=2, kernel="quantum")
+
+def _steps(bodies, *extra):
+    return st.lists(st.one_of(
+        st.tuples(st.just("schedule"), _DELAYS, bodies),
+        st.tuples(st.just("soon"), bodies),
+        _CANCEL, *extra), max_size=6)
+
+
+_PROGRAMS = _steps(st.recursive(st.just([]), _steps, max_leaves=10),
+                   st.tuples(st.just("run"), st.floats(0.0, 1.5)))
+
+
+def _play(engine, program):
+    sim = engine()
+    order, handles, labels = [], [], itertools.count()
+    # run(until) advances to `until` only while something is queued
+    # past it, and whether a queue of nothing but tombstones counts is
+    # the one thing compaction changes; a live far-future event (out
+    # of the random cancels' reach) takes that out of the comparison
+    keep_alive = sim.schedule(1e9, lambda: None)
+
+    def execute(steps):
+        for step in steps:
+            if step[0] == "schedule":
+                handles.append(sim.schedule(step[1], fire, next(labels), step[2]))
+            elif step[0] == "soon":
+                handles.append(sim.call_soon(fire, next(labels), step[1]))
+            elif step[0] == "cancel" and handles:
+                handles[step[1] % len(handles)].cancel()  # fired or pending
+            elif step[0] == "run":
+                sim.run(until=sim.now + step[1])
+            if engine is Simulator:
+                assert sim._heap_cancels == sum(e[2].cancelled for e in sim._heap)
+
+    def fire(label, body):
+        order.append((label, sim.now))
+        execute(body)
+
+    execute(program)
+    keep_alive.cancel()
+    sim.run()
+    assert not sim._heap
+    return order, sim.now, sim.n_events
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROGRAMS)
+def test_random_programs_match_the_reference_loop(program):
+    # a 2-tombstone floor makes compaction fire inside these small
+    # programs, including from a callback while run() holds the heap
+    with mock.patch.object(kernel, "_COMPACT_MIN_CANCELLED", 2):
+        got = _play(Simulator, program)
+    assert got == _play(ReferenceSimulator, program)
+
+
+def test_args_reach_the_callback():
+    sim = Simulator()
+    got = []
+    sim.schedule(1.0, lambda *a: got.append(("timed", a)), 1, None)
+    sim.call_soon(lambda *a: got.append(("soon", a)), "x")
+    sig = sim.signal("s")
+    sig.add_waiter(lambda *a: got.append(("waiter", a)), "bound", 2)
+    sig.add_waiter(lambda *a: got.append(("bare", a)))
+    sim.schedule(2.0, sig.fire, "value")
+    sim.run()
+    sig.add_waiter(lambda *a: got.append(("late", a)), "bound")  # already fired
+    sim.run()
+    assert got == [("soon", ("x",)), ("timed", (1, None)),
+                   ("waiter", ("bound", 2, "value")), ("bare", ("value",)),
+                   ("late", ("bound", "value"))]
+
+
+def test_discard_waiter_removes_only_the_bare_registration():
+    sim = Simulator()
+    got = []
+
+    def cb(*a):
+        got.append(a)
+
+    sig = sim.signal("s")
+    sig.add_waiter(cb, "bound")
+    sig.add_waiter(cb)
+    sig.add_waiter(cb)
+    sig.discard_waiter(cb)
+    sig.fire("v")
+    sim.run()
+    assert got == [("bound", "v"), ("v",)]
+
+
+def test_schedule_rejects_nan_delay():
+    # NaN slipped past `delay < 0`, ran before everything and left
+    # sim.now = nan
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    assert not sim._heap
+
+
+def test_sleep_rejects_nan_duration():
+    with pytest.raises(ValueError):
+        Sleep(float("nan"))
+
+
+def test_cluster_spec_has_no_engine_switch():
+    from repro.config import ClusterSpec
+
+    with pytest.raises(TypeError):
+        ClusterSpec(n_nodes=2, kernel="reference")
 
 
 def test_kill_mid_compute_cancels_cpu_job():

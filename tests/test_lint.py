@@ -276,13 +276,14 @@ def test_dyn401_zone_and_reference_exemption(tmp_path):
     res = tmp_path / "resilience"
     res.mkdir()
     (res / "mod.py").write_text(code)
-    outside = tmp_path / "bench"
+    outside = tmp_path / "oracles"
     outside.mkdir()
-    (outside / "mod.py").write_text(code)
+    (outside / "row_sets.py").write_text(code)
     assert codes(lint_file(zone / "mod.py")) == ["DYN401"]
-    assert lint_file(zone / "reference.py") == []   # the set oracle
+    # no file is exempt by name: the set oracle left the zone instead
+    assert codes(lint_file(zone / "reference.py")) == ["DYN401"]
     assert codes(lint_file(res / "mod.py")) == ["DYN401"]
-    assert lint_file(outside / "mod.py") == []
+    assert lint_file(outside / "row_sets.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +437,7 @@ def test_dyn801_zone_boundaries(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# DYN901: event-queue manipulation outside simcluster/kernel*.py
+# DYN901: event-queue manipulation outside simcluster/kernel.py
 # ----------------------------------------------------------------------
 
 def test_dyn901_fixture_findings():
@@ -460,15 +461,24 @@ def test_dyn901_zone_boundaries(tmp_path):
     home = tmp_path / "repro" / "simcluster"
     home.mkdir()
     (home / "kernel.py").write_text(code)
-    (home / "kernel_reference.py").write_text(code)
+    (home / "kernel_fast.py").write_text(code)
     (home / "network.py").write_text(code)
+    oracles = tmp_path / "repro" / "tests" / "oracles"
+    oracles.mkdir(parents=True)
+    (oracles / "kernel_reference.py").write_text(code)
+    (oracles / "poll_loop.py").write_text(code)
     outside = tmp_path / "tests"
     outside.mkdir()
     (outside / "test_kernel.py").write_text(code)
     assert codes(lint_file(lib / "daemon.py")) == ["DYN901"]
     assert lint_file(home / "kernel.py") == []            # the home
-    assert lint_file(home / "kernel_reference.py") == []  # also home
+    # under simcluster/ only kernel.py itself is home ...
+    assert codes(lint_file(home / "kernel_fast.py")) == ["DYN901"]
     assert codes(lint_file(home / "network.py")) == ["DYN901"]
+    # ... and the reference loop's is tests/oracles, which matters in
+    # a checkout whose own directory is called repro
+    assert lint_file(oracles / "kernel_reference.py") == []
+    assert codes(lint_file(oracles / "poll_loop.py")) == ["DYN901"]
     assert lint_file(outside / "test_kernel.py") == []    # tests are free
 
 

@@ -274,8 +274,7 @@ def test_kill_mid_poll_cancels_the_spin_job(discipline, n_cp):
     assert cpu.runnable_count() == n_cp
     assert proc.cpu_time == pytest.approx(0.0123 / (n_cp + 1), abs=QUANTUM)
     if n_cp == 0:
-        # no live timer: only the keep-alive is left to run
-        assert not sim._ready
+        # no live timer: no uncancelled event besides the keep-alive
         assert sum(not e[2].cancelled for e in sim._heap) == 1
     # a message for the dead poller, and its source dying, are no-ops
     comm.endpoint(0).isend(1, tag=0, payload="late")

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import IntervalSet
-from repro.core.reference import RowDictStore
 from repro.dmem import ContiguousArray, MemCostModel, ProjectedArray, SparseMatrix
+from tests.oracles.row_sets import RowDictStore
 
 row_sets = st.sets(st.integers(min_value=0, max_value=39), min_size=1, max_size=40)
 
