@@ -75,7 +75,7 @@ def test_allgather_dissemination_latency(benchmark):
 
 
 def test_redistribution_throughput(benchmark):
-    """Rows moved per real second through pack/alltoallv/unpack."""
+    """Rows moved per real second through pack/neighbor_alltoallv/unpack."""
     from repro.core import DynMPIJob, NearestNeighbor, AccessMode
 
     def run():

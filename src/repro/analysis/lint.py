@@ -46,7 +46,8 @@ GENERATOR_METHODS = frozenset({
 #: module-level generator functions (collectives, redistribution)
 GENERATOR_FUNCS = frozenset({
     "barrier", "bcast", "reduce", "allreduce", "gather", "scatter",
-    "allgather", "allgather_dissemination", "alltoallv", "redistribute",
+    "allgather", "allgather_dissemination", "neighbor_alltoallv",
+    "redistribute",
 })
 
 #: Simulator methods that constitute fault injection (DYN301; the

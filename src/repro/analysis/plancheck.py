@@ -19,10 +19,11 @@ checks the Section 4.4 invariants *before* any message moves:
 * **removal semantics** — a participant with no new bounds gets
   send-out but no send-in.
 
-:func:`build_plan` reproduces exactly the send rule
-:func:`repro.core.redistribute.redistribute` executes (via the same
+:func:`build_plan` calls the send rule
+:func:`repro.core.redistribute.redistribute` executes
+(:func:`~repro.core.redistribute.plan_sends` over the same
 :func:`~repro.core.redistribute.needed_map`), so verifying a built
-plan checks the runtime's own derivation; :func:`verify_plan` also
+plan checks the plan that moves rows; :func:`verify_plan` also
 accepts an externally supplied (possibly corrupt) plan, which is how
 the tests seed dropped/duplicated/phantom rows.
 

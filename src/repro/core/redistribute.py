@@ -11,10 +11,14 @@ technique).
 Because every rank derives the same plan from the same inputs (old
 distribution, new distribution, DRSDs), no negotiation round is
 needed: rank ``src`` sends to rank ``dst`` exactly the rows ``src``
-owned before that ``dst`` needs now and did not own before.  The data
-moves in one pairwise ``alltoallv`` — one packed message per
-communicating pair, the "entire extended rows with a single message"
-property of the projection layout.
+owned before that ``dst`` needs now and did not own before.  That rule
+is :func:`plan_sends`; :func:`redistribute` executes its output and
+nothing else — one packed message per edge of the plan (the "entire
+extended rows with a single message" property of the projection
+layout) through one sparse ``neighbor_alltoallv``, and no message
+between ranks the plan does not connect.  A block redistribution
+touches a handful of neighbouring owners per rank, so its cost follows
+the data that moves, not the size of the group.
 
 Memory-management cost (allocations, frees, copies, pointer rewrites,
 and paging if the footprint is large) is charged to the CPU through
@@ -31,7 +35,7 @@ from typing import Generator, Mapping, Optional, Sequence
 from ..dmem import MemCostModel
 from ..errors import RedistributionError
 from ..mpi import Endpoint, Group
-from ..mpi.collectives import alltoallv
+from ..mpi.collectives import neighbor_alltoallv
 from ..simcluster import Compute
 from .intervals import IntervalSet
 from .phase import Phase
@@ -40,6 +44,7 @@ __all__ = [
     "RedistReport",
     "needed_map",
     "owned_intervals",
+    "plan_edges",
     "plan_sends",
     "redistribute",
 ]
@@ -155,6 +160,24 @@ def plan_sends(
     return sends
 
 
+def plan_edges(
+    old_bounds: Bounds,
+    needed: Sequence[Mapping[str, IntervalSet]],
+    array_names: Sequence[str],
+) -> tuple[dict, dict]:
+    """:func:`plan_sends` indexed for the ranks that execute it:
+    ``(outgoing, incoming)`` with ``outgoing[src] = {dst: {array:
+    rows}}`` and ``incoming[dst] = [src, ...]``.  A rank with no edges
+    on a side has no key there."""
+    outgoing: dict[int, dict] = {}
+    incoming: dict[int, list[int]] = {}
+    for (src, dst), entry in plan_sends(old_bounds, needed,
+                                        array_names).items():
+        outgoing.setdefault(src, {})[dst] = entry
+        incoming.setdefault(dst, []).append(src)
+    return outgoing, incoming
+
+
 def redistribute(
     ep: Endpoint,
     group: Group,
@@ -164,45 +187,41 @@ def redistribute(
     needed: Sequence[Mapping[str, IntervalSet]],
     mem_model: MemCostModel,
     memory_bytes: int = 0,
+    plan: Optional[tuple[dict, dict]] = None,
 ) -> Generator:
     """Move array rows from ``old_bounds`` ownership to satisfy
     ``needed`` (derived from ``new_bounds``); a generator to drive with
     ``yield from``.  Returns a :class:`RedistReport`.
+
+    ``plan`` is ``plan_edges(old_bounds, needed, list(arrays))``; every
+    rank derives the same one, so a caller that runs many ranks passes
+    a shared copy instead of deriving it once per rank.
     """
     me = group.rel(ep.rank)
     n = group.size
     if len(old_bounds) != n or len(new_bounds) != n or len(needed) != n:
         raise RedistributionError("bounds/needed must cover the whole group")
+    if plan is None:
+        plan = plan_edges(old_bounds, needed, list(arrays))
+    outgoing, incoming = plan
 
     report = RedistReport()
-    my_old = owned_intervals(old_bounds, me)
     obs = ep.comm.obs
     t0 = obs.now() if obs is not None else 0.0
 
-    # -- build one packed block per destination -------------------------
-    # interval algebra: each send set is two merge passes over a
-    # handful of spans, never a per-row set operation
-    blocks: list = [None] * n
-    nbytes: list[int] = [64] * n
-    for dst in range(n):
-        if dst == me:
-            continue
-        dst_old = owned_intervals(old_bounds, dst)
+    # -- one packed block per outgoing edge of the plan -----------------
+    sends: dict[int, tuple[dict, int]] = {}
+    for dst, edge in outgoing.get(me, {}).items():
         entry = {}
         total = 64
-        for name, arr in arrays.items():
-            rows = (needed[dst][name] - dst_old) & my_old
-            if not rows:
-                continue
-            payload, nb = arr.pack(rows)
+        for name, rows in edge.items():
+            payload, nb = arrays[name].pack(rows)
             entry[name] = (rows, payload)
             total += nb
             report.rows_sent += len(rows)
             report.per_array_sent[name] = report.per_array_sent.get(name, 0) + len(rows)
-        if entry:
-            blocks[dst] = entry
-            nbytes[dst] = total
-            report.bytes_sent += total
+        sends[dst] = (entry, total)
+        report.bytes_sent += total
 
     snapshots = {name: arr.stats.snapshot() for name, arr in arrays.items()}
 
@@ -215,24 +234,24 @@ def redistribute(
             rows=report.rows_sent, nbytes=report.bytes_sent,
         )
         reg = obs.rank_registry(ep.rank)
-        for dst in range(n):
-            if blocks[dst] is not None:
-                reg.count("redist.edge_bytes", nbytes[dst],
-                          src=ep.rank, dst=group.world(dst))
+        for dst, (_entry, total) in sends.items():
+            reg.count("redist.edge_bytes", total,
+                      src=ep.rank, dst=group.world(dst))
         reg.count("redist.rows_sent", report.rows_sent)
         reg.count("redist.bytes_sent", report.bytes_sent)
 
-    # -- the single exchange --------------------------------------------
-    incoming = yield from alltoallv(ep, group, blocks, nbytes=nbytes)
+    # -- the single exchange: this rank's edges, nobody else ------------
+    received = yield from neighbor_alltoallv(
+        ep, group, sends, incoming.get(me, ())
+    )
     t1 = obs.now() if obs is not None else 0.0
 
     # -- drop stale rows, install received rows, allocate the rest ------
     for name, arr in arrays.items():
         arr.retarget(needed[me][name])
-    for src in range(n):
-        entry = incoming[src]
-        if src == me or not entry:
-            continue
+    for src in sorted(received):
+        entry, nb = received[src]
+        report.bytes_received += nb
         for name, (rows, payload) in entry.items():
             arrays[name].unpack(rows, payload)
             report.rows_received += len(rows)

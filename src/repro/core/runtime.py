@@ -39,6 +39,7 @@ same property the real Dyn-MPI relies on.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -66,7 +67,7 @@ from .drsd import DRSD
 from .loadmon import FailureDetector, LoadMonitor
 from .phase import Phase
 from .intervals import IntervalSet
-from .redistribute import needed_map, redistribute
+from .redistribute import needed_map, plan_edges, redistribute
 from .removal import evaluate_drop
 from .timing import GraceSamples, estimate_unloaded_times
 
@@ -125,6 +126,9 @@ class DynMPIJob:
         #: Section 4.4 no-negotiation property — so the group computes
         #: it once instead of n times (O(n^2) at 1024 ranks otherwise)
         self._needed_cache: dict = {}
+        #: the same for the send plan of a transition (see
+        #: DynMPI._move_rows), keyed by (old ownership, needed key)
+        self._plan_cache: dict = {}
         self._launched = False
         #: heartbeat crash detector (repro.resilience); None unless a
         #: ResilienceSpec is attached to the runtime spec
@@ -187,8 +191,19 @@ class DynMPI:
     MODE_GRACE = "grace"
     MODE_POST = "post"
 
+    @property
+    def job(self) -> DynMPIJob:
+        """The owning job, held weakly: ``job.contexts`` is the strong
+        direction, so dropping a finished job frees every rank's arrays
+        by reference counting.  Held strongly, job and contexts form a
+        cycle and a finished run's arrays stay allocated until the next
+        full garbage collection — a program that runs many jobs in a
+        row then peaks at two live data sets or one depending on where
+        that collection happens to fall."""
+        return self._job()
+
     def __init__(self, job: DynMPIJob, ep: Endpoint):
-        self.job = job
+        self._job = weakref.ref(job)
         self.ep = ep
         self.spec = job.spec
         self.world_rank = ep.rank
@@ -656,12 +671,7 @@ class DynMPI:
         shares = np.ones(len(new_world)) / len(new_world)
         nd = shares_to_blocks(self.loop_size, shares, self.row_weights)
         group = self.job.group_for(new_world)
-        needed = self._needed(nd.bounds)
-        yield from redistribute(
-            self.ep, group, tuple(old_bounds), nd.bounds,
-            self.arrays, needed, self.job.mem_model,
-            memory_bytes=self.job.cluster.spec.node.memory_bytes,
-        )
+        yield from self._move_rows(group, old_bounds, nd.bounds)
         self.active_group = group
         self.bounds = tuple(nd.bounds)
         self.loads = np.ones(group.size, dtype=int)
@@ -765,12 +775,7 @@ class DynMPI:
         """(all active ranks) Re-admit ``rejoining`` world ranks."""
         new_world, old_bounds, new_bounds = self._rejoin_plan(rejoining)
         group = self.job.group_for(new_world)
-        needed = self._needed(new_bounds)
-        yield from redistribute(
-            self.ep, group, old_bounds, new_bounds,
-            self.arrays, needed, self.job.mem_model,
-            memory_bytes=self.job.cluster.spec.node.memory_bytes,
-        )
+        yield from self._move_rows(group, old_bounds, new_bounds)
         was_rel0 = self.rel_rank() == 0
         self.active_group = group
         self.bounds = tuple(new_bounds)
@@ -790,12 +795,7 @@ class DynMPI:
     def _apply_rejoin(self, new_world, old_bounds, new_bounds) -> Generator:
         """(rejoining rank) Participate in the re-admission exchange."""
         group = self.job.group_for(tuple(new_world))
-        needed = self._needed(tuple(new_bounds))
-        yield from redistribute(
-            self.ep, group, tuple(old_bounds), tuple(new_bounds),
-            self.arrays, needed, self.job.mem_model,
-            memory_bytes=self.job.cluster.spec.node.memory_bytes,
-        )
+        yield from self._move_rows(group, old_bounds, new_bounds)
         self.active = True
         self.active_group = group
         self.bounds = tuple(new_bounds)
@@ -931,26 +931,55 @@ class DynMPI:
     # ------------------------------------------------------------------
     # adaptation internals
     # ------------------------------------------------------------------
-    def _needed(self, bounds) -> list[dict[str, IntervalSet]]:
-        array_rows = {name: arr.n_rows for name, arr in self.arrays.items()}
-        # memoized on the job: all ranks of a collective epoch pass
-        # identical inputs (DRSDs are frozen dataclasses, so the key
-        # is by value — ranks with divergent registrations would miss,
-        # not collide).  The value is shared, which is safe because
-        # IntervalSet is immutable and callers only read the map.
-        key = (
+    def _needed_key(self, bounds) -> tuple:
+        # by value: DRSDs are frozen dataclasses, so ranks with
+        # divergent registrations would miss, not collide
+        return (
             tuple(bounds),
             tuple((pid, tuple(ph.accesses))
                   for pid, ph in sorted(self.phases.items())),
-            tuple(sorted(array_rows.items())),
+            tuple(sorted((name, arr.n_rows)
+                         for name, arr in self.arrays.items())),
         )
-        cache = self.job._needed_cache
+
+    @staticmethod
+    def _memo(cache: dict, key: tuple, derive: Callable[[], Any]):
+        """Job-level memo: all ranks of a collective epoch pass
+        identical inputs, so the group derives once instead of n
+        times.  The value is shared, which is safe because
+        IntervalSet is immutable and callers only read it."""
         hit = cache.get(key)
         if hit is None:
             if len(cache) >= 8:
                 cache.clear()
-            hit = cache[key] = needed_map(self.phases, bounds, array_rows)
+            hit = cache[key] = derive()
         return hit
+
+    def _needed(self, bounds) -> list[dict[str, IntervalSet]]:
+        array_rows = {name: arr.n_rows for name, arr in self.arrays.items()}
+        return self._memo(
+            self.job._needed_cache, self._needed_key(bounds),
+            lambda: needed_map(self.phases, bounds, array_rows),
+        )
+
+    def _move_rows(self, group: Group, old_bounds, new_bounds) -> Generator:
+        """Redistribute ``self.arrays`` over ``group`` from
+        ``old_bounds`` ownership to what ``new_bounds`` needs, along
+        the edges of the (job-shared) send plan."""
+        old_bounds, new_bounds = tuple(old_bounds), tuple(new_bounds)
+        needed = self._needed(new_bounds)
+        plan = self._memo(
+            self.job._plan_cache,
+            (old_bounds,) + self._needed_key(new_bounds),
+            lambda: plan_edges(old_bounds, needed, list(self.arrays)),
+        )
+        report = yield from redistribute(
+            self.ep, group, old_bounds, new_bounds,
+            self.arrays, needed, self.job.mem_model,
+            memory_bytes=self.job.cluster.spec.node.memory_bytes,
+            plan=plan,
+        )
+        return report
 
     def _patterns(self) -> list[PhasePattern]:
         return [p.pattern for p in self.phases.values()]
@@ -1034,20 +1063,18 @@ class DynMPI:
             array_rows = {name: arr.n_rows for name, arr in self.arrays.items()}
             verify_transition(self.bounds, tuple(new_bounds), self.phases,
                               array_rows)
-        needed = self._needed(new_bounds)
         if self.obs is not None:
             # plan derivation is pure computation (no simulated time):
             # a zero-duration marker carrying the plan's span count
+            needed = self._needed(new_bounds)
             self.obs.complete(
                 "redist.plan", t0, t1=t0, cat="redist",
                 pid=self.node_id, tid=self.world_rank, cycle=self.cycle,
                 spans=sum(len(iv.spans) for per in needed
                           for iv in per.values()),
             )
-        report = yield from redistribute(
-            self.ep, self.active_group, self.bounds, new_bounds,
-            self.arrays, needed, self.job.mem_model,
-            memory_bytes=self.job.cluster.spec.node.memory_bytes,
+        report = yield from self._move_rows(
+            self.active_group, self.bounds, new_bounds
         )
         self.bounds = tuple(new_bounds)
         self._ckpt_due = True  # stored replicas must match the new bounds

@@ -9,7 +9,8 @@ must be called by *every* member of the group, in the same order
 * ``allreduce`` — reduce-to-0 + bcast (correct for non-powers-of-two);
 * ``gather(v)`` / ``scatter(v)`` — linear with the root;
 * ``allgather(v)`` — ring;
-* ``alltoallv`` — pairwise exchange.
+* ``neighbor_alltoallv`` — sparse exchange over a caller-supplied
+  edge set, in pairwise-exchange order.
 
 Message costs (CPU + wire) fall out of the point-to-point layer, so a
 collective's simulated cost scales the way a real implementation's
@@ -19,7 +20,7 @@ does (e.g. bcast is O(log n) rounds).
 from __future__ import annotations
 
 import functools
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, Mapping, Optional, Sequence
 
 from ..errors import MPIError
 from .comm import Endpoint
@@ -35,7 +36,7 @@ __all__ = [
     "gather",
     "allgather",
     "scatter",
-    "alltoallv",
+    "neighbor_alltoallv",
 ]
 
 
@@ -257,14 +258,16 @@ def allgather_dissemination(ep: Endpoint, group: Group, value: Any) -> Generator
     n = group.size
     tag = group.next_tag(me)
     _san_enter(ep, group, tag, "allgather_dissemination")
-    have: dict[int, Any] = {me: value}
-    # wire size of dict(have), tracked incrementally: sizing the whole
-    # dict with payload_nbytes every round costs O(n log n) recursive
-    # calls across the group and dominated large-scale profiles.  A
-    # dict item with an int key contributes exactly
+    # have[origin] = (value, item_nbytes): each contribution is sized
+    # once, by its owner, and the size travels with it — sizing the
+    # dict (or each merged value) with payload_nbytes every round costs
+    # O(n log n) recursive calls per member and dominated large-scale
+    # profiles.  A dict item with an int key contributes exactly
     # payload_nbytes(v) + 24 - HEADER_BYTES (see datatypes.py), so the
-    # running total stays byte-exact with the full recomputation.
-    size = payload_nbytes(value) + 24
+    # running total is byte-exact with sizing {origin: value} whole.
+    item = payload_nbytes(value) + 24 - HEADER_BYTES
+    have: dict[int, tuple[Any, int]] = {me: (value, item)}
+    size = HEADER_BYTES + item
     k = 1
     while k < n:
         dst = group.world((me + k) % n)
@@ -275,47 +278,62 @@ def allgather_dissemination(ep: Endpoint, group: Group, value: Any) -> Generator
             # not waste  # dyn: ok(DYN1001)
             dst, tag, dict(have), src, tag, nbytes=size
         )
-        for key, v in incoming.items():
+        for key, pair in incoming.items():
             # overlaps happen for non-power-of-two n; a replayed key
             # carries the same origin value, so skipping keeps the
             # size total exact
             if key not in have:
-                have[key] = v
-                size += payload_nbytes(v) + 24 - HEADER_BYTES
+                have[key] = pair
+                size += pair[1]
         k *= 2
     if len(have) != n:
         raise MPIError(f"dissemination allgather incomplete: {len(have)}/{n}")
-    return [have[i] for i in range(n)]
+    return [have[i][0] for i in range(n)]
 
 
 @_traced
-def alltoallv(
+def neighbor_alltoallv(
     ep: Endpoint,
     group: Group,
-    blocks: Sequence[Any],
-    nbytes: Optional[Sequence[int]] = None,
+    sends: Mapping[int, tuple[Any, Optional[int]]],
+    recv_from: Sequence[int],
 ) -> Generator:
-    """Pairwise all-to-all: member ``i`` sends ``blocks[j]`` to member
-    ``j`` and returns the blocks addressed to it, in relative-rank
-    order.  ``blocks`` may contain ``None`` (nothing for that member —
-    a tiny control message is still exchanged to keep the schedule
-    symmetric, as real pairwise implementations do)."""
+    """Sparse all-to-all over a caller-supplied edge set (the
+    ``MPI_Neighbor_alltoallv`` shape): this member sends
+    ``sends[dst] = (payload, nbytes)`` to each relative rank ``dst``
+    and receives one message from each relative rank in ``recv_from``.
+    Returns ``{src: (payload, nbytes)}``.
+
+    An absent edge costs nothing — no control message — so the wire
+    traffic is one message per edge.  The caller must make the edge
+    sets agree across the group (``dst in sends`` on ``src`` iff
+    ``src in recv_from`` on ``dst``); every member calls, *including
+    members with no edges*, which keeps the group's collective tags
+    aligned.
+
+    Sends are posted in order of ``(dst - me) % n`` and receives taken
+    in order of ``(me - src) % n`` — the pairwise-exchange order
+    restricted to the edges — so at any step of a shift pattern each
+    NIC carries one outgoing and one incoming transfer.
+    """
     me = _check_member(ep, group)
     n = group.size
-    if len(blocks) != n:
-        raise MPIError(f"alltoallv needs exactly {n} blocks, got {len(blocks)}")
+    for rel in (*sends, *recv_from):
+        if not 0 <= rel < n or rel == me:
+            raise MPIError(
+                f"neighbor_alltoallv: bad peer {rel} for relative rank "
+                f"{me} of {n}"
+            )
     tag = group.next_tag(me)
-    _san_enter(ep, group, tag, "alltoallv")
-    out: list[Any] = [None] * n
-    out[me] = blocks[me]
-    for step in range(1, n):
-        dst_rel = (me + step) % n
-        src_rel = (me - step) % n
-        dst = group.world(dst_rel)
-        src = group.world(src_rel)
-        size = None if nbytes is None else nbytes[dst_rel]
-        payload, _ = yield from ep.sendrecv(
-            dst, tag, blocks[dst_rel], src, tag, nbytes=size
-        )
-        out[src_rel] = payload
+    _san_enter(ep, group, tag, "neighbor_alltoallv")
+    sreqs = []
+    for dst in sorted(sends, key=lambda d: (d - me) % n):
+        payload, nbytes = sends[dst]
+        sreqs.append(ep.isend(group.world(dst), tag, payload, nbytes=nbytes))
+    out: dict[int, tuple[Any, int]] = {}
+    for src in sorted(recv_from, key=lambda s: (me - s) % n):
+        payload, status = yield from ep.recv(group.world(src), tag)
+        out[src] = (payload, status.nbytes)
+    for sreq in sreqs:
+        yield from sreq.wait()
     return out

@@ -1,11 +1,11 @@
 """Cost attribution: where did the simulated seconds go?
 
 Every rank's track is a properly nested stack of spans (cycle >
-collective > send, redistribution > alltoallv > send, ...).  Charging
-each span's full duration to its own category would double-count the
-nesting, so the attribution walks each track with a stack and charges
-every span's *exclusive* time (its duration minus its children's) to a
-phase bucket:
+collective > send, redistribution > neighbor_alltoallv > send, ...).
+Charging each span's full duration to its own category would
+double-count the nesting, so the attribution walks each track with a
+stack and charges every span's *exclusive* time (its duration minus
+its children's) to a phase bucket:
 
 ========  =====================================================
 bucket    meaning
@@ -24,8 +24,8 @@ other     everything else on the track: cycle bookkeeping,
 ========  =====================================================
 
 ``redist``/``ckpt``/``recovery`` are *sticky*: spans nested under them
-(e.g. the alltoallv inside a redistribution) charge to the enclosing
-bucket, so "comm" is application communication only and the full price
+(e.g. the neighbor_alltoallv inside a redistribution) charge to the
+enclosing bucket, so "comm" is application communication only and the full price
 of a redistribution is visible in one number — the attribution
 ReSHAPE-style tooling needs.
 

@@ -10,10 +10,10 @@ from repro.mpi import MAX, MIN, PROD, SUM, Group, run_spmd
 from repro.mpi.collectives import (
     allgather,
     allreduce,
-    alltoallv,
     barrier,
     bcast,
     gather,
+    neighbor_alltoallv,
     reduce,
     scatter,
 )
@@ -161,30 +161,64 @@ def test_allgather_variable_sizes(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_alltoallv_permutation(n):
+    """Full edge set through the sparse collective: the dense
+    all-to-all is the special case where every pair is an edge."""
     cluster = make_cluster(n)
     group = Group(list(range(n)))
 
     def program(ep):
         me = group.rel(ep.rank)
-        blocks = [f"{me}->{j}" for j in range(n)]
-        out = yield from alltoallv(ep, group, blocks)
-        assert out == [f"{j}->{me}" for j in range(n)]
+        peers = [j for j in range(n) if j != me]
+        out = yield from neighbor_alltoallv(
+            ep, group, {j: (f"{me}->{j}", None) for j in peers}, peers)
+        assert {j: v for j, (v, _nb) in out.items()} == \
+            {j: f"{j}->{me}" for j in peers}
 
     run_spmd(cluster, program)
+    assert cluster.network.n_messages == n * (n - 1)
 
 
 def test_alltoallv_with_none_blocks():
-    n = 4
+    """An absent edge is *no* message (the dense exchange shipped a
+    control message there), and a member with no edges at all still
+    consumes the collective's tag."""
+    n = 5
     cluster = make_cluster(n)
     group = Group(list(range(n)))
+    # rank 4 has no edges; 0..3 talk to same-parity peers only
+    edges = [(i, j) for i in range(4) for j in range(4)
+             if i != j and (i + j) % 2 == 0]
 
     def program(ep):
         me = group.rel(ep.rank)
-        blocks = [me if (me + j) % 2 == 0 else None for j in range(n)]
-        out = yield from alltoallv(ep, group, blocks)
-        for j in range(n):
-            expected = j if (j + me) % 2 == 0 else None
-            assert out[j] == expected
+        out = yield from neighbor_alltoallv(
+            ep, group,
+            {j: (i * 10 + j, 256) for i, j in edges if i == me},
+            [i for i, j in edges if j == me])
+        assert out == {i: (i * 10 + j, 256) for i, j in edges if j == me}
+        yield Sleep(0.5)
+        # every member advanced its tag counter: the next collective on
+        # the group matches, the edgeless rank included
+        got = yield from allgather(ep, group, me)
+        assert got == list(range(n))
+
+    # counted after every edge has landed and before the allgather
+    counted = []
+    cluster.sim.schedule(
+        0.25, lambda: counted.append(cluster.network.n_messages))
+    run_spmd(cluster, program)
+    assert counted == [len(edges)] == [4]
+
+
+def test_neighbor_alltoallv_rejects_bad_peers():
+    cluster = make_cluster(2)
+    group = Group([0, 1])
+
+    def program(ep):
+        me = group.rel(ep.rank)
+        for sends, recv_from in (({me: (0, None)}, []), ({}, [2]), ({-1: (0, None)}, [])):
+            with pytest.raises(MPIError):
+                yield from neighbor_alltoallv(ep, group, sends, recv_from)
 
     run_spmd(cluster, program)
 

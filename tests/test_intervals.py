@@ -170,8 +170,8 @@ def test_plan_matches_set_oracle(data):
         assert owned_intervals(old_bounds, rel) == \
             reference.owned_rows_set(old_bounds, rel)
 
-    # the send rule, both forms: the per-pair expression redistribute()
-    # evaluates, and the span-indexed whole-group derivation
+    # the send rule, both forms: its per-pair definition, and the
+    # span-indexed whole-group derivation redistribute() executes
     oracle_sends = reference.plan_sends_sets(old_bounds, oracle_needed,
                                              list(array_rows))
     sends = plan_sends(old_bounds, needed, list(array_rows))

@@ -1,6 +1,9 @@
 """Tests for the DynMPIJob surface: launch semantics, the measured
 comm model path, shared groups, and event bookkeeping."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,25 @@ def trivial_program(ctx):
 def test_launch_returns_per_rank_results():
     job = DynMPIJob(make_cluster(3))
     assert job.launch(trivial_program) == [0, 1, 2]
+
+
+def test_dropped_job_frees_its_arrays_without_a_gc_pass():
+    """``ctx.job`` is a weak back-reference, so job -> contexts ->
+    arrays is acyclic: dropping a finished job releases every rank's
+    arrays by reference counting (held strongly both ways they waited
+    for the next full collection, and a program running many jobs in
+    a row peaked at two live data sets or one by luck)."""
+    gc.collect()
+    gc.disable()
+    try:
+        job = DynMPIJob(make_cluster(2))
+        job.launch(trivial_program)
+        arrays = [weakref.ref(ctx.arrays["A"]) for ctx in job.contexts]
+        assert all(ctx.job is job for ctx in job.contexts)
+        del job
+        assert [ref() for ref in arrays] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_double_launch_rejected():
