@@ -377,16 +377,21 @@ class CommSanitizer:
     # ------------------------------------------------------------------
     # finalize
     # ------------------------------------------------------------------
-    def finalize(self, *, raise_on_error: bool = True) -> SanitizerReport:
+    def finalize(self, *, raise_on_error: bool = True,
+                 advisory_tags: tuple = ()) -> SanitizerReport:
         """Report leftover state after a run.  With ``raise_on_error``
         (the default), unmatched sends/recvs raise
-        :class:`SanitizerError`; warnings never raise."""
+        :class:`SanitizerError`; warnings never raise.  Unread sends
+        under ``advisory_tags`` (latest-value-wins reports the receiver
+        only polls for) are warnings."""
         report = SanitizerReport(warnings=list(self.warnings))
         for m in self._msgs.values():
             if m.src in self._dead or m.dst in self._dead:
                 report.warnings.append(
                     f"send abandoned by rank failure: {m.describe()}"
                 )
+            elif m.tag in advisory_tags:
+                report.warnings.append(f"advisory send unread: {m.describe()}")
             else:
                 report.errors.append(f"unmatched send: {m.describe()}")
         for r in self._recvs.values():

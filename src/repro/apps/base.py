@@ -134,32 +134,8 @@ def exchange_halo(ctx: DynMPI, arr, *, materialized: bool) -> Generator:
     """Nearest-neighbor ghost-row exchange for a block distribution:
     my first owned row goes to the left neighbor, my last to the right,
     and I install their counterparts as rows ``s-1`` / ``e+1``."""
-    s, e = ctx.my_bounds()
-    if e < s:
-        return
-    left, right = ctx.nn_neighbors()
-    nbytes = arr.row_nbytes
-    reqs = []
-    if left is not None:
-        payload = arr.row(s).copy() if materialized else None
-        reqs.append(ctx.ep.isend(ctx.active_group.world(left), HALO_UP_TAG,
-                                 payload, nbytes=nbytes))
-    if right is not None:
-        payload = arr.row(e).copy() if materialized else None
-        reqs.append(ctx.ep.isend(ctx.active_group.world(right), HALO_DOWN_TAG,
-                                 payload, nbytes=nbytes))
-    if left is not None:
-        data, _ = yield from ctx.recv_rel(left, HALO_DOWN_TAG)
-        arr.hold([s - 1])
-        if materialized:
-            arr.set_row(s - 1, data)
-    if right is not None:
-        data, _ = yield from ctx.recv_rel(right, HALO_UP_TAG)
-        arr.hold([e + 1])
-        if materialized:
-            arr.set_row(e + 1, data)
-    for req in reqs:
-        yield from req.wait()
+    reqs = halo_start(ctx, arr, materialized=materialized)
+    yield from halo_finish(ctx, arr, reqs, materialized=materialized)
 
 
 def collect_rows(ctx: DynMPI, arr) -> Generator:

@@ -88,22 +88,24 @@ class BlockDistribution:
         return owners
 
     @staticmethod
+    def from_counts(counts: Sequence[int]) -> "BlockDistribution":
+        """Consecutive blocks of ``counts[r]`` rows (none for a 0)."""
+        bounds, lo = [], 0
+        for cnt in counts:
+            bounds.append((lo, lo + cnt - 1) if cnt else None)
+            lo += cnt
+        return BlockDistribution(lo, tuple(bounds))
+
+    @staticmethod
     def even(n_rows: int, n_parts: int) -> "BlockDistribution":
         """The standard near-equal block distribution (the starting
         point of every run)."""
         if n_parts <= 0:
             raise DistributionError("need at least one participant")
         base, extra = divmod(n_rows, n_parts)
-        bounds = []
-        lo = 0
-        for r in range(n_parts):
-            cnt = base + (1 if r < extra else 0)
-            if cnt == 0:
-                bounds.append(None)
-            else:
-                bounds.append((lo, lo + cnt - 1))
-                lo += cnt
-        return BlockDistribution(n_rows, tuple(bounds))
+        return BlockDistribution.from_counts(
+            [base + (r < extra) for r in range(n_parts)]
+        )
 
     def __str__(self) -> str:  # pragma: no cover
         return f"Block({self.bounds})"

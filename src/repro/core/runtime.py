@@ -29,12 +29,16 @@ iteration unloaded times via /PROC or min-filtered gethrtime)
 --> redistribute (successive balancing -> variable block -> DRSD-driven
 row movement) --> POST (10 cycles: measure average cycle time)
 --> drop decision (predicted unloaded-only config vs measured) -->
-NORMAL.
+NORMAL; a rejoin or a crash recovery returns to NORMAL from any mode.
 
-All adaptation decisions are pure functions of data every active rank
-possesses identically (allgathered loads, iteration times, cycle
-times), so ranks stay in lockstep without extra coordination — the
-same property the real Dyn-MPI relies on.
+One replicated view, one ``_apply``.  All adaptation decisions are
+pure functions of data every active rank possesses identically
+(allgathered loads, iteration times, cycle times), so ranks stay in
+lockstep without extra coordination — the same property the real
+Dyn-MPI relies on.  The planners of :mod:`.transition` turn that
+replicated ``View`` into a ``Transition``; :meth:`DynMPI._apply` is the
+only code that moves rows and, through :meth:`DynMPI._install`, the
+only code that writes the view after ``commit()``.
 """
 
 from __future__ import annotations
@@ -46,23 +50,18 @@ import numpy as np
 
 from ..config import RuntimeSpec
 from ..dmem import MemCostModel, ProjectedArray, SparseMatrix
-from ..errors import CheckpointLostError, RegistrationError, SimulationError
+from ..errors import (CheckpointLostError, RegistrationError, SanitizerError,
+                      SimulationError)
 from ..mpi import Endpoint, Group, make_comm
 from ..mpi import collectives as coll
 from ..mpi.datatypes import SUM, ReduceOp
 from ..obs.recorder import JOB_PID, ObsRecorder, RuntimeEvent
-from ..resilience.checkpoint import (
-    CheckpointStore,
-    checkpoint_exchange,
-    holder_for,
-    snapshot,
-)
+from ..resilience.checkpoint import CheckpointStore, checkpoint_exchange, snapshot
 from ..resilience.failures import terminate_rank
 from ..simcluster import Cluster, Compute, ProcState
 from ..sysmon import DmpiPs, HrTimer, ProcClock
-from .balance import successive_balance
 from .commcost import CommCostModel, PhasePattern, measure_comm_model
-from .distribution import BlockDistribution, shares_to_blocks
+from .distribution import BlockDistribution
 from .drsd import DRSD
 from .loadmon import FailureDetector, LoadMonitor
 from .phase import Phase
@@ -70,6 +69,8 @@ from .intervals import IntervalSet
 from .redistribute import needed_map, plan_edges, redistribute
 from .removal import evaluate_drop
 from .timing import GraceSamples, estimate_unloaded_times
+from .transition import MODE_GRACE, MODE_NORMAL, MODE_POST, Transition, View
+from .transition import plan_drop, plan_rebalance, plan_recovery, plan_rejoin
 
 __all__ = ["DynMPIJob", "DynMPI", "RuntimeEvent"]
 
@@ -129,6 +130,9 @@ class DynMPIJob:
         #: the same for the send plan of a transition (see
         #: DynMPI._move_rows), keyed by (old ownership, needed key)
         self._plan_cache: dict = {}
+        #: the same side channel for DynMPI._check_lockstep: cycle ->
+        #: (world rank, view fingerprint) of the first rank to enter it
+        self._lockstep: dict = {}
         self._launched = False
         #: heartbeat crash detector (repro.resilience); None unless a
         #: ResilienceSpec is attached to the runtime spec
@@ -180,16 +184,18 @@ class DynMPIJob:
 
         self.cluster.sim.run_all(procs, until=until, tolerate=expected_death)
         if self.cluster.sanitizer is not None:
-            self.cluster.sanitizer.finalize()
+            # a rank still parked at the end leaves its last load report
+            # unread whenever it ran behind the root's final poll
+            self.cluster.sanitizer.finalize(advisory_tags=(_LOAD_TAG,))
         return [p.result for p in procs]
 
 
 class DynMPI:
     """One rank's Dyn-MPI context."""
 
-    MODE_NORMAL = "normal"
-    MODE_GRACE = "grace"
-    MODE_POST = "post"
+    MODE_NORMAL = MODE_NORMAL
+    MODE_GRACE = MODE_GRACE
+    MODE_POST = MODE_POST
 
     @property
     def job(self) -> DynMPIJob:
@@ -228,7 +234,6 @@ class DynMPI:
         self._committed = False
         self._grace: dict[int, GraceSamples] = {}
         self._grace_count = 0
-        self._grace_cycle_open: dict[int, tuple] = {}
         self._post_count = 0
         self._post_times: list[float] = []
         self._cycle_t0 = 0.0
@@ -460,67 +465,72 @@ class DynMPI:
         self._cycle_t0 = self.job.hr.read()
         if not self.job.adaptive:
             return
-        if self.spec.resilience is not None:
-            yield from self._resilient_control()
-            return
-        local = int(self.job.ps.load(self.node_id))
-        if self.spec.allow_rejoin:
-            candidates = self._poll_rejoin_candidates()
-            gathered = yield from coll.allgather_dissemination(
-                self.ep, self.active_group, (local, candidates)
-            )
-            loads = [g[0] for g in gathered]
-            rejoining = gathered[0][1]  # rel 0's view is authoritative
-            yield from self._send_tokens(rejoining)
-            if rejoining:
-                yield from self._perform_rejoin(rejoining)
-                return  # next cycle starts fresh over the new group
-        else:
-            loads = yield from coll.allgather_dissemination(
-                self.ep, self.active_group, local
-            )
-        self.loads = np.asarray(loads, dtype=int)
-        changed = self.monitor.observe(loads, self.cycle)
-        if changed:
-            self._enter_grace()  # (re)start with fresh measurements
-
-    # ------------------------------------------------------------------
-    # resilient control path (repro.resilience; docs/RESILIENCE.md)
-    # ------------------------------------------------------------------
-    def _resilient_control(self) -> Generator:
-        """The per-cycle control exchange when a ResilienceSpec is on.
-
-        Checkpoints are exchanged *first*, so the snapshot a buddy may
-        replay this cycle is exactly the state at this cycle boundary.
-        The decision allgather then carries ``(load, rejoin_candidates,
-        suspected_dead)``; rel-0's entry is authoritative (the same
-        rule the rejoin protocol uses), so every active rank — the
-        crash victim included, since a crashed node fail-stops at the
-        boundary — acts on one consistent verdict.
-        """
-        yield from self._maybe_checkpoint()
-        local = int(self.job.ps.load(self.node_id))
-        candidates = (
-            self._poll_rejoin_candidates() if self.spec.allow_rejoin else ()
-        )
-        suspected = self._suspect_failures()
-        gathered = yield from coll.allgather_dissemination(
-            self.ep, self.active_group, (local, candidates, suspected)
-        )
-        loads = [g[0] for g in gathered]
-        rejoining = gathered[0][1]
-        dead = gathered[0][2]  # rel 0's view is authoritative
+        loads, rejoining, dead = yield from self._control()
         if dead:
-            yield from self._handle_crash(dead)
+            yield from self._recover(dead)
             return  # next cycle starts fresh over the survivor group
         if self.spec.allow_rejoin:
-            yield from self._send_tokens(rejoining)
-            if rejoining:
-                yield from self._perform_rejoin(rejoining)
-                return
+            rejoin = (plan_rejoin(self._view(), self.loop_size, rejoining)
+                      if rejoining else None)
+            self._send_tokens(rejoin)
+            if rejoin is not None:
+                yield from self._apply(rejoin)
+                return  # next cycle starts fresh over the new group
         self.loads = np.asarray(loads, dtype=int)
         if self.monitor.observe(loads, self.cycle):
-            self._enter_grace()
+            self._enter_grace()  # (re)start with fresh measurements
+
+    def _control(self) -> Generator:
+        """The per-cycle control exchange, returning ``(loads,
+        rejoining, dead)``.  The allgathered record is ``load``,
+        ``(load, rejoin_candidates)`` with ``allow_rejoin``, or ``(load,
+        rejoin_candidates, suspected_dead)`` with a ResilienceSpec.
+        Rel-0's candidates and suspicions are authoritative, so every
+        active rank — a crash victim included, since a crashed node
+        fail-stops at the boundary — acts on one consistent verdict.
+        Checkpoints are exchanged *first*, so the snapshot a buddy may
+        replay this cycle is exactly the state at this cycle boundary."""
+        if self.job.cluster.sanitizer is not None:
+            self._check_lockstep()
+        resilient = self.spec.resilience is not None
+        if resilient:
+            yield from self._maybe_checkpoint()
+        record = int(self.job.ps.load(self.node_id))
+        if resilient or self.spec.allow_rejoin:
+            record = (record, self._poll_rejoin_candidates())
+            if resilient:
+                record += (self._suspect_failures(),)
+        gathered = yield from coll.allgather_dissemination(
+            self.ep, self.active_group, record
+        )
+        if isinstance(record, int):
+            return gathered, (), ()
+        head = gathered[0]
+        return [g[0] for g in gathered], head[1], head[2] if resilient else ()
+
+    def _view(self) -> View:
+        """This rank's copy of the replicated adaptation state."""
+        return View(
+            tuple(self.active_group.ranks), self.bounds, self.loads,
+            self.row_weights, self.n_redistributions, self.mode,
+            tuple(sorted(self.dead_world)),
+        )
+
+    def _check_lockstep(self) -> None:
+        """(sanitizer) A replica that diverged from the first rank's to
+        reach this cycle fails here, not as corrupted rows later.  The
+        control allgather keeps active ranks within a cycle of each
+        other, so two cycles of fingerprints are kept."""
+        seen = self.job._lockstep
+        mine = self._view().fingerprint()
+        first = seen.setdefault(self.cycle, (self.world_rank, mine))
+        seen.pop(self.cycle - 2, None)
+        for name, a, b in zip(View._fields, first[1], mine):
+            if a != b:
+                raise SanitizerError(
+                    f"ranks {first[0]} and {self.world_rank} disagree on "
+                    f"replicated {name!r} entering cycle {self.cycle}"
+                )
 
     def _maybe_checkpoint(self) -> Generator:
         """Ring-exchange checkpoints every ``checkpoint_interval``
@@ -568,129 +578,25 @@ class DynMPI:
                 dead.append(w)
         return tuple(sorted(dead))
 
-    def _handle_crash(self, dead: tuple) -> Generator:
+    def _recover(self, dead: tuple) -> Generator:
         """Every active rank runs this with the same ``dead`` set.  The
         victims self-terminate; the survivors excise them like an
         involuntary Section 4.4 removal, with the checkpoint holders
         standing in for the dead ranks' send-out."""
         t0 = self.job.hr.read()
-        dead = tuple(sorted(dead))
         if self.world_rank in dead:
             yield from terminate_rank(self)  # never returns
-        old_group = self.active_group
-        active_dead = [w for w in dead if w in old_group]
-        survivors = [w for w in old_group.ranks if w not in dead]
-        parked_dead = [w for w in dead if w not in old_group]
-        parked_alive = [
-            w for w in self._removed_world_ranks() if w not in dead
-        ]
-        self.dead_world.update(dead)
-        for w in dead:
-            self._removed_loads.pop(w, None)
-        # this cycle's tokens to parked ranks (normal _send_tokens was
-        # skipped): victims get their death sentence, the rest learn
-        # the new root and the updated death record
-        new_root = survivors[0]
-        if self.world_rank == new_root and self.spec.allow_rejoin:
-            for w in parked_dead:
-                self.ep.isend(w, _TOKEN_TAG, ("dead", new_root, None))
-            noop_token = ("noop", new_root, tuple(sorted(self.dead_world)))
-            for w in parked_alive:
-                self.ep.isend(w, _TOKEN_TAG, noop_token)
-        detail: dict = {
-            "dead_world": list(dead),
-            "parked_dead": parked_dead,
-        }
-        if active_dead:
-            yield from self._recover_rows(old_group, active_dead, detail)
+        plan = plan_recovery(self._view(), self.loop_size, dead,
+                             self.spec.resilience.replication, self._array_rows())
+        if self.spec.allow_rejoin:
+            self._send_tokens(plan)
+        yield from self._apply(plan, t0)
         if self.obs is not None:
             self.obs.complete(
                 "recover.crash", t0, cat="recover",
                 pid=self.node_id, tid=self.world_rank,
                 cycle=self.cycle, n_dead=len(dead),
             )
-        if self.rel_rank() == 0:
-            self.job.obs.adaptation(
-                "crash_recovery",
-                cycle=self.cycle,
-                time=self.job.cluster.sim.now,
-                duration=self.job.hr.read() - t0,
-                detail=detail,
-            )
-
-    def _recover_rows(self, old_group: Group, active_dead: list,
-                      detail: dict) -> Generator:
-        """Survivor-side data recovery: the holder replays each dead
-        rank's checkpoint into its own arrays, then a redistribution
-        over the survivor group rebalances — the holder's old
-        ownership is a row :class:`IntervalSet` (its own rows plus the
-        adopted, possibly non-contiguous, rows of the dead rank)."""
-        res = self.spec.resilience
-        n = old_group.size
-        dead_rels = [old_group.rel(w) for w in active_dead]
-        alive_rels = set(range(n)) - set(dead_rels)
-        holders = {
-            dr: holder_for(dr, n, res.replication, alive_rels)
-            for dr in dead_rels
-        }
-        me_old = old_group.rel(self.world_rank)
-
-        # every rank derives every holder's adopted row set from the
-        # (shared) bounds; the holder additionally replays the payload.
-        # ``replayed`` counts row-installs the same way on every rank
-        # (the checkpoint-freshness invariant makes the replica's shape
-        # derivable from the shared bounds), so the recorded event does
-        # not depend on which rank appends it.
-        adopted_by_world: dict[int, IntervalSet] = {}
-        replayed = 0
-        for dr, hrel in holders.items():
-            rows = IntervalSet.from_bounds(self.bounds[dr])
-            hw = old_group.world(hrel)
-            adopted_by_world[hw] = \
-                adopted_by_world.get(hw, IntervalSet.empty()) | rows
-            replayed += sum(
-                len(rows.clip(0, arr.n_rows - 1))
-                for arr in self.arrays.values()
-            )
-            if hrel == me_old:
-                ckpt = self._ckpt_store.get(old_group.world(dr))
-                if ckpt is None:
-                    raise CheckpointLostError(
-                        f"rank {self.world_rank} elected holder for dead "
-                        f"rank {old_group.world(dr)} but holds no replica"
-                    )
-                ckpt.restore(self.arrays)
-
-        new_world = tuple(w for w in old_group.ranks if w not in active_dead)
-        old_bounds = []
-        for w in new_world:
-            own = IntervalSet.from_bounds(self.bounds[old_group.rel(w)])
-            own = own | adopted_by_world.get(w, IntervalSet.empty())
-            old_bounds.append(own if own else None)
-
-        shares = np.ones(len(new_world)) / len(new_world)
-        nd = shares_to_blocks(self.loop_size, shares, self.row_weights)
-        group = self.job.group_for(new_world)
-        yield from self._move_rows(group, old_bounds, nd.bounds)
-        self.active_group = group
-        self.bounds = tuple(nd.bounds)
-        self.loads = np.ones(group.size, dtype=int)
-        self.monitor.rebase([1] * group.size)
-        self.mode = self.MODE_NORMAL
-        self._grace = {}
-        self._grace_count = 0
-        self._post_times = []
-        self._ckpt_due = True  # re-cover the new group immediately
-        for w in active_dead:
-            self._ckpt_store.discard(w)
-        detail.update({
-            "holders": {
-                int(old_group.world(dr)): int(old_group.world(hrel))
-                for dr, hrel in holders.items()
-            },
-            "adopted_rows": sum(len(r) for r in adopted_by_world.values()),
-            "replayed_installs": replayed,
-        })
 
     # ------------------------------------------------------------------
     # node rejoin (paper Section 2.2 "potentially later add back" /
@@ -706,8 +612,9 @@ class DynMPI:
         kind, root, payload = token
         self._token_root = root
         if kind == "rejoin":
-            new_world, old_bounds, new_bounds = payload
-            yield from self._apply_rejoin(new_world, old_bounds, new_bounds)
+            # the same Transition the active ranks apply this cycle
+            yield from self._apply(payload)
+            self._cycle_t0 = self.job.hr.read()
         elif kind == "dead":
             # this parked rank's node crashed: the root's token is its
             # death sentence (the one message it still consumes)
@@ -720,7 +627,7 @@ class DynMPI:
     def _poll_rejoin_candidates(self) -> tuple:
         """(active rel 0 only) Drain pending load updates from removed
         ranks; return the world ranks whose load has cleared."""
-        if self.rel_rank() != 0:
+        if self.rel_rank() != 0 or not self.spec.allow_rejoin:
             return ()
         updates = {}
         while self.ep.iprobe(tag=_LOAD_TAG) is not None:
@@ -736,73 +643,25 @@ class DynMPI:
             if w in removed and load <= 1
         ))
 
-    def _send_tokens(self, rejoining: tuple) -> Generator:
-        """(active rel 0 only) One token per removed rank per cycle."""
-        if self.rel_rank() != 0:
+    def _send_tokens(self, plan: Optional[Transition]) -> None:
+        """(the root only: the lowest active rank that survives this
+        cycle's ``plan``) One token per parked rank per cycle — its
+        death sentence if the plan declares it dead, the plan itself if
+        that re-admits it, the death record otherwise."""
+        dead = (tuple(sorted(self.dead_world)) if plan is None
+                else plan.after.dead_world)
+        root = next(w for w in self.active_group.ranks if w not in dead)
+        if self.world_rank != root:
             return
-        removed = self._removed_world_ranks()
-        if not removed:
-            return
-        payload = None
-        if rejoining:
-            new_world, old_bounds, new_bounds = self._rejoin_plan(rejoining)
-            payload = (new_world, old_bounds, new_bounds)
-        dead = tuple(sorted(self.dead_world)) or None
-        for w in removed:
-            if rejoining and w in rejoining:
-                self.ep.isend(w, _TOKEN_TAG, ("rejoin", self.world_rank, payload))
+        noop = ("noop", root, dead or None)
+        admitted = () if plan is None else plan.after.world
+        for w in self._removed_world_ranks():
+            if w in dead:
+                self.ep.isend(w, _TOKEN_TAG, ("dead", root, None))
+            elif w in admitted:
+                self.ep.isend(w, _TOKEN_TAG, ("rejoin", root, plan))
             else:
-                self.ep.isend(w, _TOKEN_TAG, ("noop", self.world_rank, dead))
-        return
-        yield  # pragma: no cover - keeps this a generator
-
-    def _rejoin_plan(self, rejoining: tuple):
-        """Deterministic rejoin plan every participant derives or
-        receives identically: the new world rank list, the current
-        ownership expressed in the new group's rel space, and the new
-        even-by-weight distribution."""
-        new_world = tuple(sorted(set(self.active_group.ranks) | set(rejoining)))
-        old_bounds = tuple(
-            self.bounds[self.active_group.rel(w)] if w in self.active_group else None
-            for w in new_world
-        )
-        weights = self.row_weights
-        shares = np.ones(len(new_world)) / len(new_world)
-        nd = shares_to_blocks(self.loop_size, shares, weights)
-        return new_world, old_bounds, nd.bounds
-
-    def _perform_rejoin(self, rejoining: tuple) -> Generator:
-        """(all active ranks) Re-admit ``rejoining`` world ranks."""
-        new_world, old_bounds, new_bounds = self._rejoin_plan(rejoining)
-        group = self.job.group_for(new_world)
-        yield from self._move_rows(group, old_bounds, new_bounds)
-        was_rel0 = self.rel_rank() == 0
-        self.active_group = group
-        self.bounds = tuple(new_bounds)
-        self.monitor.rebase([1] * group.size)
-        self.mode = self.MODE_NORMAL
-        self._ckpt_due = True  # cover the rejoined member right away
-        for w in rejoining:
-            self._removed_loads.pop(w, None)
-        if was_rel0:
-            self.job.obs.adaptation(
-                "rejoin",
-                cycle=self.cycle,
-                time=self.job.cluster.sim.now,
-                detail={"rejoined_world": list(rejoining)},
-            )
-
-    def _apply_rejoin(self, new_world, old_bounds, new_bounds) -> Generator:
-        """(rejoining rank) Participate in the re-admission exchange."""
-        group = self.job.group_for(tuple(new_world))
-        yield from self._move_rows(group, old_bounds, new_bounds)
-        self.active = True
-        self.active_group = group
-        self.bounds = tuple(new_bounds)
-        self.monitor.rebase([1] * group.size)
-        self.mode = self.MODE_NORMAL
-        self._ckpt_due = True  # rejoined rank holds no current replicas
-        self._cycle_t0 = self.job.hr.read()
+                self.ep.isend(w, _TOKEN_TAG, noop)
 
     def _enter_grace(self) -> None:
         if (
@@ -938,8 +797,7 @@ class DynMPI:
             tuple(bounds),
             tuple((pid, tuple(ph.accesses))
                   for pid, ph in sorted(self.phases.items())),
-            tuple(sorted((name, arr.n_rows)
-                         for name, arr in self.arrays.items())),
+            tuple(sorted(self._array_rows().items())),
         )
 
     @staticmethod
@@ -956,10 +814,9 @@ class DynMPI:
         return hit
 
     def _needed(self, bounds) -> list[dict[str, IntervalSet]]:
-        array_rows = {name: arr.n_rows for name, arr in self.arrays.items()}
         return self._memo(
             self.job._needed_cache, self._needed_key(bounds),
-            lambda: needed_map(self.phases, bounds, array_rows),
+            lambda: needed_map(self.phases, bounds, self._array_rows()),
         )
 
     def _move_rows(self, group: Group, old_bounds, new_bounds) -> Generator:
@@ -1004,90 +861,22 @@ class DynMPI:
         self.last_estimate_source = source
         return rows, total
 
+    def _array_rows(self) -> dict[str, int]:
+        return {name: arr.n_rows for name, arr in self.arrays.items()}
+
     def _redistribute(self) -> Generator:
         t0 = self.job.hr.read()
         rows, est = self._estimate_my_rows()
         gathered = yield from coll.allgather_dissemination(
             self.ep, self.active_group, (rows, est)
         )
-        weights = np.zeros(self.loop_size)
-        for rws, ests in gathered:
-            if len(rws):
-                weights[np.asarray(rws, dtype=int)] = ests
-        # guard against zero measurements (a row that never got timed
-        # cannot be weightless or the block split degenerates); no
-        # upper clipping — genuinely heavy rows are exactly what the
-        # unbalanced-computation support must preserve (Section 5.4)
-        positive = weights[weights > 0]
-        if positive.size:
-            weights = np.maximum(weights, float(positive.min()) * 1e-3)
-        else:
-            weights = np.maximum(weights, 1.0)
-        self.row_weights = weights
-
-        total_work = float(weights.sum()) * self.job.ref_speed
-        avails = (self.job.ref_speed / np.maximum(self.loads, 1)).astype(float)
-        result = successive_balance(
-            total_work, avails, self.loads, self._patterns(),
-            self.job.comm_model, self.loop_size,
-            tol=self.spec.balance_tol, max_rounds=self.spec.balance_max_rounds,
+        plan = plan_rebalance(
+            self._view(), self.loop_size, gathered,
+            ref_speed=self.job.ref_speed, patterns=self._patterns(),
+            comm_model=self.job.comm_model, spec=self.spec,
+            source=self.last_estimate_source,
         )
-        new_dist = shares_to_blocks(self.loop_size, result.shares, weights)
-        yield from self._apply_bounds(new_dist.bounds)
-
-        self.mode = self.MODE_POST
-        self._post_count = 0
-        self._post_times = []
-        self._grace = {}
-        self.n_redistributions += 1
-        if self.rel_rank() == 0:
-            self.job.obs.adaptation(
-                "redistribute",
-                cycle=self.cycle,
-                time=self.job.cluster.sim.now,
-                duration=self.job.hr.read() - t0,
-                detail={
-                    "shares": result.shares.tolist(),
-                    "loads": self.loads.tolist(),
-                    "source": self.last_estimate_source,
-                    "rounds": result.rounds,
-                },
-            )
-
-    def _apply_bounds(self, new_bounds) -> Generator:
-        t0 = self.obs.now() if self.obs is not None else 0.0
-        if self.job.cluster.sanitizer is not None:
-            # dynsan self-check: verify the Section 4.4 invariants of
-            # the derived plan before any row moves (raises PlanCheckError)
-            from ..analysis.plancheck import verify_transition
-            array_rows = {name: arr.n_rows for name, arr in self.arrays.items()}
-            verify_transition(self.bounds, tuple(new_bounds), self.phases,
-                              array_rows)
-        if self.obs is not None:
-            # plan derivation is pure computation (no simulated time):
-            # a zero-duration marker carrying the plan's span count
-            needed = self._needed(new_bounds)
-            self.obs.complete(
-                "redist.plan", t0, t1=t0, cat="redist",
-                pid=self.node_id, tid=self.world_rank, cycle=self.cycle,
-                spans=sum(len(iv.spans) for per in needed
-                          for iv in per.values()),
-            )
-        report = yield from self._move_rows(
-            self.active_group, self.bounds, new_bounds
-        )
-        self.bounds = tuple(new_bounds)
-        self._ckpt_due = True  # stored replicas must match the new bounds
-        if self.obs is not None:
-            self.obs.complete(
-                "redist.apply", t0, cat="redist",
-                pid=self.node_id, tid=self.world_rank,
-                cycle=self.cycle,
-                rows_sent=report.rows_sent,
-                rows_received=report.rows_received,
-                bytes_sent=report.bytes_sent,
-            )
-        return report
+        yield from self._apply(plan, t0)
 
     def _consider_drop(self) -> Generator:
         avg = float(np.mean(self._post_times)) if self._post_times else 0.0
@@ -1110,92 +899,89 @@ class DynMPI:
                 measured=decision.measured_time,
                 drop=decision.drop,
             )
-        if not decision.drop:
-            return
-        if self.spec.drop_mode == "physical":
-            yield from self._physical_drop(decision)
-        else:
-            yield from self._logical_drop(decision)
+        if decision.drop:
+            plan = plan_drop(self._view(), self.loop_size, decision, self.spec)
+            yield from self._apply(plan)
 
-    def _physical_drop(self, decision) -> Generator:
-        group = self.active_group
-        n = group.size
-        removed = set(decision.removed)
-        kept = [r for r in range(n) if r not in removed]
-        shares_full = np.zeros(n)
-        shares_full[kept] = decision.keep_shares
-        nd = shares_to_blocks(self.loop_size, shares_full, self.row_weights)
-        yield from self._apply_bounds(nd.bounds)
-
-        new_world = tuple(group.world(r) for r in kept)
-        was_rel0 = self.rel_rank() == 0
-        if self.world_rank not in new_world:
-            self.active = False
-            self._token_root = new_world[0]
-        self.active_group = self.job.group_for(new_world)
-        self.bounds = tuple(nd.bounds[r] for r in kept)
-        self.loads = self.loads[kept]
-        self.monitor.rebase(self.loads)
-        if was_rel0:
+    def _apply(self, plan: Transition, t0: Optional[float] = None) -> Generator:
+        """Execute one planned change of the replicated view: move the
+        rows over the exchange group, install ``plan.after``, record the
+        event.  Every member runs it identically, a rejoining rank
+        included.  ``t0``: when the adaptation began, if it is timed."""
+        if plan.exchange_world is not None:
+            obs = self.obs
+            ts = obs.now() if obs is not None else 0.0
+            if self.job.cluster.sanitizer is not None:
+                # dynsan self-check: verify the Section 4.4 invariants of
+                # the derived plan before any row moves (raises PlanCheckError)
+                from ..analysis.plancheck import verify_transition
+                verify_transition(plan.old_ownership, plan.new_bounds,
+                                  self.phases, self._array_rows())
+            if obs is not None:
+                # plan derivation is pure computation (no simulated time):
+                # a zero-duration marker carrying the plan's span count
+                obs.complete(
+                    "redist.plan", ts, t1=ts, cat="redist",
+                    pid=self.node_id, tid=self.world_rank, cycle=self.cycle,
+                    spans=sum(len(iv.spans)
+                              for per in self._needed(plan.new_bounds)
+                              for iv in per.values()),
+                )
+            for dead, holder in plan.replays:
+                if holder == self.world_rank:
+                    # stand in for the dead rank's send-out: replay its
+                    # rows from the replica into this rank's own arrays
+                    ckpt = self._ckpt_store.get(dead)
+                    if ckpt is None:
+                        raise CheckpointLostError(
+                            f"rank {holder} elected holder for dead rank "
+                            f"{dead} but holds no replica"
+                        )
+                    ckpt.restore(self.arrays)
+            report = yield from self._move_rows(
+                self.job.group_for(plan.exchange_world),
+                plan.old_ownership, plan.new_bounds,
+            )
+            if obs is not None:
+                obs.complete(
+                    "redist.apply", ts, cat="redist",
+                    pid=self.node_id, tid=self.world_rank,
+                    cycle=self.cycle,
+                    rows_sent=report.rows_sent,
+                    rows_received=report.rows_received,
+                    bytes_sent=report.bytes_sent,
+                )
+            # ownership moved: measurements taken under the old bounds
+            # are void, and stored replicas must match the new ones
+            self._grace = {}
+            self._grace_count = 0
+            self._post_count = 0
+            self._post_times = []
+            self._ckpt_due = True
+            for dead, _holder in plan.replays:
+                self._ckpt_store.discard(dead)
+        self._install(plan.after)
+        if self.world_rank == plan.recorder:
             self.job.obs.adaptation(
-                "drop",
+                plan.kind,
                 cycle=self.cycle,
                 time=self.job.cluster.sim.now,
-                detail={
-                    "removed_world": [group.world(r) for r in sorted(removed)],
-                    "predicted": decision.predicted_time,
-                    "measured": decision.measured_time,
-                },
+                duration=0.0 if t0 is None else self.job.hr.read() - t0,
+                detail=plan.detail,
             )
 
-    def _logical_drop(self, decision) -> Generator:
-        """Assign removed-candidate nodes a minimal number of rows so
-        ranks stay static (the paper's logical-dropping alternative)."""
-        group = self.active_group
-        n = group.size
-        removed = sorted(decision.removed)
-        removed_set = frozenset(removed)
-        kept = [r for r in range(n) if r not in removed_set]
-        min_rows = self.spec.logical_min_rows
-        weights = self.row_weights
-        # build bounds directly: removed nodes get min_rows rows at their
-        # rank position; the rest is split by the kept shares
-        counts = np.zeros(n, dtype=int)
-        for r in removed:
-            counts[r] = min_rows
-        free_rows = self.loop_size - counts.sum()
-        if free_rows <= 0:
-            raise SimulationError("logical drop leaves no rows for active nodes")
-        keep_shares = np.asarray(decision.keep_shares, dtype=float)
-        kept_counts = np.maximum(np.rint(keep_shares * free_rows).astype(int), 0)
-        # fix rounding to hit the total exactly
-        diff = free_rows - kept_counts.sum()
-        order = np.argsort(-keep_shares)
-        i = 0
-        while diff != 0 and len(kept) > 0:
-            j = order[i % len(kept)]
-            step = 1 if diff > 0 else -1
-            if kept_counts[j] + step >= 0:
-                kept_counts[j] += step
-                diff -= step
-            i += 1
-        for idx, r in enumerate(kept):
-            counts[r] = kept_counts[idx]
-        bounds = []
-        lo = 0
-        for r in range(n):
-            if counts[r] == 0:
-                bounds.append(None)
-            else:
-                bounds.append((lo, lo + counts[r] - 1))
-                lo += counts[r]
-        yield from self._apply_bounds(tuple(bounds))
-        if self.rel_rank() == 0:
-            self.job.obs.adaptation(
-                "logical_drop",
-                cycle=self.cycle,
-                time=self.job.cluster.sim.now,
-                detail={"removed_rel": removed,
-                        "predicted": decision.predicted_time,
-                        "measured": decision.measured_time},
-            )
+    def _install(self, view: View) -> None:
+        """Commit ``view``: the only writer of the replicated view once
+        ``commit()`` has set the initial one."""
+        self.active = self.world_rank in view.world
+        self._token_root = view.world[0]  # whom a parked rank reports to
+        self.active_group = self.job.group_for(view.world)
+        self.bounds = view.bounds
+        self.loads = view.loads
+        self.monitor.rebase(view.loads)
+        self.row_weights = view.row_weights
+        self.n_redistributions = view.n_redistributions
+        self.mode = view.mode
+        self.dead_world = set(view.dead_world)
+        for w in view.world + view.dead_world:
+            self._removed_loads.pop(w, None)  # no longer parked

@@ -29,9 +29,9 @@ class DeadlockError(SimulationError):
 
 
 class SanitizerError(ReproError):
-    """The communication sanitizer (``repro.analysis``) found a
-    correctness violation: an unmatched send/recv, a mismatched
-    collective, or an inconsistent redistribution plan."""
+    """The sanitizer (``repro.analysis``) found a correctness violation:
+    an unmatched send/recv, a mismatched collective, an inconsistent
+    redistribution plan, or a diverged replica of the adaptation state."""
 
 
 class CommDeadlockError(DeadlockError):

@@ -15,9 +15,9 @@ diskless-checkpointing trade-off.
 
 On a crash, the surviving buddy *replays* the dead rank's rows from
 its stored snapshot: it unpacks them into its own arrays and stands in
-as the old owner during the recovery redistribution (see
-``DynMPI._recover_from_crash``), replacing the send-out phase the dead
-rank can no longer perform.
+as the old owner during the recovery redistribution (planned by
+``core.transition.plan_recovery``, executed by ``DynMPI._apply``),
+replacing the send-out phase the dead rank can no longer perform.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.analysis.plancheck import (
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec, RuntimeSpec
 from repro.core import AccessMode, DynMPIJob, NearestNeighbor
 from repro.core.drsd import DRSD
-from repro.errors import PlanCheckError
+from repro.errors import PlanCheckError, SanitizerError
 from repro.simcluster import Cluster, CycleTrigger, LoadScript
 
 N = 12
@@ -195,14 +195,16 @@ def test_cli_supplied_corrupt_plan_fails(tmp_path, capsys):
 
 # ----------------------------------------------------------------------
 # runtime self-check integration: a real adaptive run redistributes
-# through verify_transition (wired into DynMPI._apply_bounds) cleanly
+# through verify_transition (wired into DynMPI._apply, so every kind of
+# transition is checked) cleanly, and a replica that diverges between
+# transitions is caught by the lockstep check at the next cycle
 # ----------------------------------------------------------------------
 
 SPEED = 1e8
 N_ROWS = 64
 
 
-def adaptive_program(ctx, n_cycles):
+def adaptive_program(ctx, n_cycles, corrupt_at=None):
     A = ctx.register_dense("A", (N_ROWS, 8))
     ctx.register_dense("B", (N_ROWS, 8))
     ctx.init_phase(1, N_ROWS, NearestNeighbor(row_nbytes=64))
@@ -215,7 +217,9 @@ def adaptive_program(ctx, n_cycles):
     def work_of(s, e):
         return np.full(e - s + 1, row_work)
 
-    for _t in range(n_cycles):
+    for t in range(n_cycles):
+        if t == corrupt_at and ctx.world_rank == 1:
+            ctx.row_weights = ctx.row_weights * 2.0  # one replica diverges
         yield from ctx.begin_cycle()
         if ctx.participating():
             yield from ctx.compute(1, work_of)
@@ -223,7 +227,7 @@ def adaptive_program(ctx, n_cycles):
     return ctx.my_bounds()
 
 
-def test_sanitized_adaptive_run_passes_self_check():
+def sanitized_adaptive_job():
     cluster = Cluster(ClusterSpec(
         n_nodes=4,
         node=NodeSpec(speed=SPEED),
@@ -234,13 +238,31 @@ def test_sanitized_adaptive_run_passes_self_check():
     cluster.install_load_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]
     ))
-    job = DynMPIJob(cluster, RuntimeSpec(
+    return cluster, DynMPIJob(cluster, RuntimeSpec(
         grace_period=3, post_redist_period=5,
         allow_removal=False, daemon_interval=0.05,
     ))
+
+
+def test_sanitized_adaptive_run_passes_self_check():
+    cluster, job = sanitized_adaptive_job()
     results = job.launch(adaptive_program, args=(40,))
     # the loaded node's share shrank: a redistribution really happened,
     # and its plan passed verify_transition without a PlanCheckError
     s0, e0 = results[0]
     assert (e0 - s0 + 1) < N_ROWS // 4
     assert cluster.sanitizer.finalize(raise_on_error=False).errors == []
+
+
+def test_lockstep_check_names_the_diverged_field_and_ranks():
+    """Rank 1's row weights drift after the redistribution.  Without
+    the check nothing fails until the next transition plans different
+    bounds on rank 1 (corrupted rows, possibly a rejoin later); with it
+    the very next control exchange raises a typed error."""
+    _cluster, job = sanitized_adaptive_job()
+    with pytest.raises(SanitizerError, match=(
+            r"ranks (1 and \d|\d and 1) disagree on replicated "
+            r"'row_weights' entering cycle 20")):
+        job.launch(adaptive_program, args=(40, 20))
+    assert [ev.kind for ev in job.events] == ["redistribute"]
+    assert job.events[0].cycle < 20

@@ -54,31 +54,40 @@ def program(ctx, row_work):
 
 @st.composite
 def load_scripts(draw):
-    n_events = draw(st.integers(0, 4))
+    # events in cycle order, so ``live`` is what runs on the node when
+    # the trigger fires and a stop can clear a node that was dropped
+    cycles = sorted(draw(st.lists(st.integers(1, N_CYCLES - 5), max_size=4)))
     triggers = []
     live = {}  # node -> count running
-    for _ in range(n_events):
-        node = draw(st.integers(0, 3))
-        cycle = draw(st.integers(1, N_CYCLES - 5))
-        if live.get(node, 0) > 0 and draw(st.booleans()):
+    for cycle in cycles:
+        loaded = sorted(node for node, count in live.items() if count > 0)
+        if loaded and draw(st.booleans()):
+            node = draw(st.sampled_from(loaded))
+            # one competitor leaves, or all of them (the node clears)
+            count = draw(st.sampled_from(sorted({1, live[node]})))
             triggers.append(CycleTrigger(cycle=cycle, node=node,
-                                         action="stop", count=1))
-            live[node] -= 1
+                                         action="stop", count=count))
+            live[node] -= count
         else:
-            count = draw(st.integers(1, 3))
+            node = draw(st.integers(0, 3))
+            # up to 8 competitors: heavy enough that drops, and with
+            # allow_rejoin rejoins, actually occur
+            count = draw(st.integers(1, 8))
             triggers.append(CycleTrigger(cycle=cycle, node=node,
                                          action="start", count=count))
             live[node] = live.get(node, 0) + count
-    return LoadScript(cycle_triggers=sorted(triggers, key=lambda t: t.cycle))
+    return LoadScript(cycle_triggers=triggers)
 
 
 @given(
     script=load_scripts(),
     n_nodes=st.integers(2, 4),
     removal=st.booleans(),
+    rejoin=st.booleans(),
 )
-@settings(max_examples=25, deadline=None)
-def test_runtime_invariants_under_arbitrary_load(script, n_nodes, removal):
+@settings(max_examples=50, deadline=None)
+def test_runtime_invariants_under_arbitrary_load(script, n_nodes, removal,
+                                                 rejoin):
     cluster = make_cluster(n_nodes)
     # clamp trigger nodes into this cluster (the strategy draws 0..3)
     script = LoadScript(cycle_triggers=[
@@ -89,7 +98,7 @@ def test_runtime_invariants_under_arbitrary_load(script, n_nodes, removal):
     cluster.install_load_script(script)
     job = DynMPIJob(cluster, RuntimeSpec(
         grace_period=2, post_redist_period=3,
-        allow_removal=removal, daemon_interval=0.002,
+        allow_removal=removal, allow_rejoin=rejoin, daemon_interval=0.002,
     ))
     results = job.launch(program, args=(SPEED * 1e-3 / N_ROWS * n_nodes,))
 

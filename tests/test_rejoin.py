@@ -156,3 +156,68 @@ def test_rejoined_node_participates_in_collectives():
     later = [ev for ev in job.events[rejoin_i + 1:] if ev.kind == "redistribute"]
     assert later, f"no post-rejoin redistribution in {kinds}"
     assert len(later[-1].detail["shares"]) == 4
+
+
+def run_staggered_drops(monkeypatch, last_trigger, **spec_kw):
+    """Two nodes are loaded, dropped and unloaded at staggered cycles,
+    so the first rank to rejoin was parked through a redistribution it
+    took no part in: redistribute@17, drop[2]@20, redistribute@42,
+    drop[3]@45, rejoin[2]@79, then ``last_trigger`` at cycle 110."""
+    monkeypatch.setitem(globals(), "N_ROWS", 96)  # read by program()
+    cluster = make_cluster(6)
+    cluster.install_load_script(LoadScript(cycle_triggers=[
+        CycleTrigger(cycle=4, node=2, action="start", count=8),
+        CycleTrigger(cycle=30, node=3, action="start", count=8),
+        CycleTrigger(cycle=70, node=2, action="stop", count=8),
+        last_trigger,
+    ]))
+    job = DynMPIJob(cluster, RuntimeSpec(
+        grace_period=2, post_redist_period=3, allow_removal=True,
+        drop_mode="physical", allow_rejoin=True, daemon_interval=0.01,
+        **spec_kw,
+    ))
+    results = job.launch(program, args=(200, SPEED * 0.2e-3 / 96 * 4, True))
+    return job, results
+
+
+def assert_one_replicated_view(job, results):
+    # each rank reports the bounds of its *own* view: they must tile
+    # the rows exactly once (check_data already proved every owned row
+    # kept its stamp)
+    owned = sorted(b for b in results if b[1] >= b[0])
+    assert owned[0][0] == 0 and owned[-1][1] == 95
+    for (_s1, e1), (s2, _e2) in zip(owned, owned[1:]):
+        assert s2 == e1 + 1
+    first = job.contexts[0]
+    for ctx in job.contexts[1:]:
+        assert ctx.n_redistributions == first.n_redistributions
+        assert np.array_equal(ctx.row_weights, first.row_weights)
+
+
+def test_rejoined_rank_adopts_the_whole_replicated_view(monkeypatch):
+    """A rejoining rank used to rebuild only group and bounds from its
+    token, kept the row weights of the redistribution before its drop,
+    and planned the *next* rejoin differently from everyone else (rows
+    46-47 owned twice, 29-31 by nobody)."""
+    job, results = run_staggered_drops(
+        monkeypatch, CycleTrigger(cycle=110, node=3, action="stop", count=8))
+    assert [(ev.kind, ev.detail["rejoined_world"]) for ev in job.events
+            if ev.kind == "rejoin"] == [("rejoin", [2]), ("rejoin", [3])]
+    assert all(b[1] >= b[0] for b in results)
+    assert_one_replicated_view(job, results)
+
+
+def test_rejoined_rank_shares_the_redistribution_budget(monkeypatch):
+    """With the budget spent while it was parked, the rejoined rank's
+    stale ``n_redistributions`` let it enter grace alone on the next
+    load change and allgather a different record shape than its peers
+    (a bare ValueError out of ``np.asarray(loads)``)."""
+    job, results = run_staggered_drops(
+        monkeypatch, CycleTrigger(cycle=110, node=4, action="start", count=1),
+        max_redistributions=2)
+    assert [ev.kind for ev in job.events] == [
+        "redistribute", "drop", "redistribute", "drop", "rejoin"]
+    # still loaded, still parked at the end: under the sanitizer its last
+    # load report, sent behind the root's final poll, is only a warning
+    assert results[3] == (0, -1)
+    assert_one_replicated_view(job, results)

@@ -173,6 +173,12 @@ def test_unmatched_eager_send_reported_at_finalize():
         run_spmd(cluster, program)
     report = cluster.sanitizer.finalize(raise_on_error=False)
     assert any("0->1 tag=5" in e for e in report.errors)
+    # under a tag declared advisory (a latest-value-wins report the
+    # receiver only polls for) the same leftover is a warning
+    report = cluster.sanitizer.finalize(advisory_tags=(5,))
+    assert report.errors == []
+    assert any("advisory send unread" in w and "0->1 tag=5" in w
+               for w in report.warnings)
 
 
 def test_incomplete_collective_warned_at_finalize():
