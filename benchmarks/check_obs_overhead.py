@@ -20,7 +20,7 @@ The host-time ratio between the two runs is printed for information
 (it is the "obs-disabled overhead" in human terms) but not gated:
 wall-clock on a shared CI runner is noise.
 
-Usage (what the CI obs-smoke job runs)::
+Usage (what the CI perf-smoke job runs)::
 
     python benchmarks/check_obs_overhead.py
     python benchmarks/check_obs_overhead.py --write-baseline  # refresh

@@ -2,7 +2,9 @@
 
 Propagates ownership symbolically through the array accesses of an
 application program: which global rows may ``arr.row(...)`` /
-``arr.set_row(...)`` / ``arr.hold([...])`` touch, versus the
+``arr.set_row(...)`` / ``arr.hold([...])`` and their slab forms
+``arr.block(lo, hi)`` / ``arr.set_block(lo, data)`` /
+``arr.hold(range(a, b))`` touch, versus the
 owned+halo region the program *declared* with
 ``ctx.add_array_access(phase, name, mode, lo_off=..., hi_off=...)``.
 
@@ -17,7 +19,10 @@ evaluates* each program against an interior witness partition::
     s, e = ctx.my_bounds()   ->  (407, 613)   on a 1000-row array
 
 chosen away from the array edges so that boundary guards like
-``if g > 0`` are decidable and row arithmetic stays exact.  Witness
+``if g > 0`` and grid-edge clips like ``max(lo - 1, 0)`` /
+``min(hi + 1, n - 1)`` are decidable (the variable a registration's
+shape names as its row count is bound to the witness array's 1000) and
+row arithmetic stays exact.  Witness
 soundness: every access polynomial the apps use is monotone in
 ``s``/``e``/loop bounds, so a violation at the witness is a real
 violation and an in-bounds witness access generalizes to any interior
@@ -49,7 +54,6 @@ WITNESS_E = 613
 WITNESS_ROWS = 1000
 
 _MAX_DEPTH = 8
-_ACCESS_METHODS = {"row", "set_row", "hold", "rows", "get_row"}
 
 TOP = object()  # unknown value
 
@@ -306,6 +310,11 @@ class _Evaluator:
             self._eval(fi, node.test, env)
             a = self._eval(fi, node.body, env)
             b = self._eval(fi, node.orelse, env)
+            # an optional callback (``exec_rows if cfg.materialized
+            # else None``): the path that runs it is the one to check
+            for fn, other in ((a, b), (b, a)):
+                if isinstance(fn, FuncVal) and other is None:
+                    return fn
             return a if a == b else TOP
         if isinstance(node, ast.BinOp):
             return self._binop(fi, node, env)
@@ -538,6 +547,13 @@ class _Evaluator:
         if method == "participating":
             return True  # ownership is checked on the active path
         if method == "register_dense":
+            # the witness array has WITNESS_ROWS rows, so the variable
+            # that sizes it does too: ``min(hi + 1, n - 1)`` is decidable
+            shape = node.args[1] if len(node.args) > 1 else None
+            if isinstance(shape, ast.Tuple) and shape.elts:
+                rows = shape.elts[0]
+                if isinstance(rows, ast.Name) and env.get(rows.id, TOP) is TOP:
+                    env[rows.id] = IV.point(WITNESS_ROWS)
             name = (
                 node.args[0].value
                 if node.args and isinstance(node.args[0], ast.Constant)
@@ -573,10 +589,22 @@ class _Evaluator:
         if method in ("row", "get_row", "set_row") and args:
             self._check(fi, node, arr, args[0])
             return TOP
+        if method == "block" and len(args) >= 2:
+            lo, hi = args[:2]
+            if isinstance(lo, IV) and isinstance(hi, IV):
+                self._check(fi, node, arr, IV(lo.lo, hi.hi))
+            return TOP
+        if method == "set_block" and args:
+            # the extent is the data's, which the abstraction does not
+            # carry; the first row written is known
+            self._check(fi, node, arr, args[0])
+            return None
         if method == "hold" and args:
             rows = args[0]
             items = rows if isinstance(rows, tuple) else (rows,)
             for item in items:
+                if isinstance(item, RangeVal) and item.stop.hi > item.start.lo:
+                    item = IV(item.start.lo, item.stop.hi - 1)
                 self._check(fi, node, arr, item)
             return None
         if method == "held_rows":

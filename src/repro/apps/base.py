@@ -144,7 +144,7 @@ def collect_rows(ctx: DynMPI, arr) -> Generator:
     s, e = ctx.my_bounds()
     if e >= s:
         rows = list(range(s, e + 1))
-        block = np.stack([arr.row(g) for g in rows])
+        block = arr.block(s, e)
     else:
         rows, block = [], np.zeros((0, arr.row_elems))
     gathered = yield from ctx.allgather_active((rows, block))

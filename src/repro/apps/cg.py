@@ -83,9 +83,14 @@ def cg_program(ctx, cfg: CGConfig) -> Generator:
             csr_cache.update(key=key, indptr=indptr, cols=cols, vals=vals)
         return csr_cache["indptr"], csr_cache["cols"], csr_cache["vals"]
 
+    work_cache: dict = {"key": None}
+
     def work_of(s: int, e: int) -> np.ndarray:
-        nnz = np.array([A.row_nnz(g) for g in range(s, e + 1)], dtype=float)
-        return nnz * CG_WORK_PER_NNZ + CG_WORK_PER_ROW
+        key = (A.csr_version, s, e)
+        if work_cache["key"] != key:
+            nnz = np.array([A.row_nnz(g) for g in range(s, e + 1)], dtype=float)
+            work_cache.update(key=key, work=nnz * CG_WORK_PER_NNZ + CG_WORK_PER_ROW)
+        return work_cache["work"]
 
     full_p: Optional[np.ndarray] = None
 
@@ -98,7 +103,7 @@ def cg_program(ctx, cfg: CGConfig) -> Generator:
             # 1. allgather p
             if e >= s:
                 block = (
-                    np.array([p.row(g)[0] for g in range(s, e + 1)])
+                    p.block(s, e).ravel()
                     if cfg.exact_math else np.zeros(e - s + 1)
                 )
             else:
@@ -117,11 +122,12 @@ def cg_program(ctx, cfg: CGConfig) -> Generator:
                         return
                     indptr, cols, vals = get_csr(*ctx.my_bounds())
                     base = ctx.my_bounds()[0]
-                    for g in range(lo, hi + 1):
-                        i = g - base
-                        seg = slice(int(indptr[i]), int(indptr[i + 1]))
-                        q.hold([g])
-                        q.row(g)[0] = float(vals[seg] @ full_p[cols[seg]])
+                    ptr = indptr[lo - base: hi - base + 2].tolist()
+                    q.hold(range(lo, hi + 1))
+                    # one dot product per row: its summation order is
+                    # the result, so the rows are not fused
+                    q.set_block(lo, [vals[a:b] @ full_p[cols[a:b]]
+                                     for a, b in zip(ptr, ptr[1:])])
 
                 yield from ctx.compute(1, work_of, exec_rows)
 
@@ -130,25 +136,29 @@ def cg_program(ctx, cfg: CGConfig) -> Generator:
         # contributes nothing but still *receives* the send-out values
         # (4.4), keeping its alpha/beta/rho recurrence consistent for
         # when it rejoins.
-        if participating and cfg.exact_math and e >= s:
-            pq_local = float(sum(p.row(g)[0] * q.row(g)[0] for g in range(s, e + 1)))
+        # The vector updates run on blocks; the local sums stay Python
+        # ``sum`` over the elements, left to right, because that order
+        # (and the scalar ``** 2``) is the result.
+        local = participating and cfg.exact_math and e >= s
+        if local:
+            pv, qv = p.block(s, e).ravel(), q.block(s, e).ravel()
+            pq_local = float(sum(pv * qv))
         else:
             pq_local = 0.0
         pq = yield from ctx.global_reduce(pq_local)
         alpha = rho / pq if (cfg.exact_math and pq != 0.0) else 0.0
-        if participating and cfg.exact_math and e >= s:
-            for g in range(s, e + 1):
-                x.row(g)[0] += alpha * p.row(g)[0]
-                r.row(g)[0] -= alpha * q.row(g)[0]
-            rr_local = float(sum(r.row(g)[0] ** 2 for g in range(s, e + 1)))
+        if local:
+            x.set_block(s, x.block(s, e).ravel() + alpha * pv)
+            rv = r.block(s, e).ravel() - alpha * qv
+            r.set_block(s, rv)
+            rr_local = float(sum(v ** 2 for v in rv))
         else:
             rr_local = 0.0
         rr = yield from ctx.global_reduce(rr_local)
         if cfg.exact_math:
             beta = rr / rho if rho > 0 else 0.0
-            if participating and e >= s:
-                for g in range(s, e + 1):
-                    p.row(g)[0] = r.row(g)[0] + beta * p.row(g)[0]
+            if local:
+                p.set_block(s, rv + beta * pv)
             rho = rr
             residual = float(np.sqrt(rr))
         yield from ctx.end_cycle()

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core import AccessMode, NearestNeighbor
 from .base import exchange_halo
-from .kernels import JACOBI_WORK_PER_CELL, jacobi_row_update
+from .kernels import JACOBI_WORK_PER_CELL, jacobi_block_update
 
 __all__ = ["JacobiConfig", "jacobi_program", "initial_grid"]
 
@@ -35,11 +35,6 @@ def initial_grid(cfg: JacobiConfig) -> np.ndarray:
     # the initial condition is content-addressed, not a draw
     rng = np.random.default_rng(cfg.seed)  # dyn: ok(DYN704)
     return rng.random((cfg.n, cfg.n))
-
-
-def initial_row(cfg: JacobiConfig, g: int) -> np.ndarray:
-    # row-addressable variant of initial_grid (same values)
-    return initial_grid(cfg)[g]
 
 
 def jacobi_program(ctx, cfg: JacobiConfig) -> Generator:
@@ -68,11 +63,10 @@ def jacobi_program(ctx, cfg: JacobiConfig) -> Generator:
                 yield from exchange_halo(ctx, src, materialized=cfg.materialized)
 
                 def exec_rows(lo: int, hi: int, src=src, dst=dst) -> None:
-                    for g in range(lo, hi + 1):
-                        up = src.row(g - 1) if g > 0 else None
-                        down = src.row(g + 1) if g < n - 1 else None
-                        dst.hold([g])
-                        dst.row(g)[:] = jacobi_row_update(src.row(g), up, down)
+                    halo = src.block(max(lo - 1, 0), min(hi + 1, n - 1))
+                    dst.hold(range(lo, hi + 1))
+                    dst.set_block(lo, jacobi_block_update(
+                        halo, top=lo == 0, bottom=hi == n - 1))
 
                 yield from ctx.compute(
                     1, work_of, exec_rows if cfg.materialized else None

@@ -16,12 +16,21 @@ near the paper's 37.5 s; the other apps use consistent per-flop costs.
   37.5 s).
 * Particle: per-cell base cost plus per-particle move/collide cost.
 
-The real-math kernels operate row-wise through accessor callables so
-they work directly on :class:`~repro.dmem.dense.ProjectedArray` rows
-(including ghost rows fetched by redistribution or halo exchange).
+The distributed programs run the real math a slab at a time:
+:func:`jacobi_block_update` and :func:`sor_block_halfsweep` take the
+``ProjectedArray.block(lo - 1, hi + 1)`` gather of a whole ``compute()``
+range (owned rows plus the ghost rows fetched by redistribution or halo
+exchange) and return the updated rows for one ``set_block``.  Their
+row-at-a-time forms, :func:`jacobi_row_update` and
+:func:`sor_row_halfsweep`, are the sequential oracle's kernels
+(``apps/reference.py``); the block kernels do the same elementwise IEEE
+operations in the same order, so the two agree bit for bit
+(``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +42,9 @@ __all__ = [
     "PARTICLE_WORK_PER_CELL",
     "PARTICLE_WORK_PER_PARTICLE",
     "jacobi_row_update",
+    "jacobi_block_update",
     "sor_row_halfsweep",
+    "sor_block_halfsweep",
     "make_cg_rows",
     "particle_row_flows",
 ]
@@ -94,6 +105,80 @@ def sor_row_halfsweep(row, r_up, r_down, g: int, color: int, omega: float = 1.5)
     row[mask] = (1 - omega) * row[mask] + omega * gs[mask]
 
 
+def _own_rows(halo: np.ndarray, top: bool, bottom: bool) -> np.ndarray:
+    """Rows ``lo..hi`` of a ``lo-1..hi+1`` gather clipped to the grid."""
+    return halo[0 if top else 1: halo.shape[0] - (0 if bottom else 1)]
+
+
+def _add_neighbors(acc: np.ndarray, cur: np.ndarray, halo: np.ndarray,
+                   top: bool) -> None:
+    """``acc += left, right, up, down`` — the row kernels' order — for
+    every cell of the block ``cur`` that has that neighbour.  ``halo``
+    is ``cur`` with one extra row above unless ``top`` and one below
+    unless it ends at the grid's last row."""
+    acc[:, 1:] += cur[:, :-1]
+    acc[:, :-1] += cur[:, 1:]
+    k = cur.shape[0]
+    if top:
+        acc[1:] += cur[:-1]
+    else:
+        acc += halo[:k]
+    down = halo[(1 if top else 2):]
+    acc[:down.shape[0]] += down
+
+
+def _neighbor_counts(k: int, n: int, top: bool, bottom: bool) -> np.ndarray:
+    """Number of in-grid 4-neighbours of each cell of a k x n block.
+    The count is a row vector (horizontal) minus a column vector (the
+    missing vertical neighbours), so a block that touches neither grid
+    edge — most blocks — gets just the row vector to broadcast."""
+    cnt = np.full(n, 4.0)
+    cnt[0] -= 1
+    cnt[-1] -= 1
+    if top or bottom:
+        missing = np.zeros((k, 1))
+        if top:
+            missing[0] += 1
+        if bottom:
+            missing[-1] += 1
+        cnt = cnt - missing
+    return cnt
+
+
+def jacobi_block_update(halo: np.ndarray, top: bool, bottom: bool) -> np.ndarray:
+    """:func:`jacobi_row_update` for a whole block of rows ``lo..hi``.
+
+    ``halo`` holds rows ``lo-1..hi+1`` clipped to the grid: ``top``
+    says ``lo`` is the grid's first row (no row above it in ``halo``),
+    ``bottom`` that ``hi`` is its last.  Returns the updated rows
+    ``lo..hi``, bitwise equal to the row kernel's.
+    """
+    cur = _own_rows(halo, top, bottom)
+    acc = cur.copy()
+    _add_neighbors(acc, cur, halo, top)
+    acc /= 1.0 + _neighbor_counts(*cur.shape, top, bottom)
+    return acc
+
+
+def sor_block_halfsweep(halo: np.ndarray, lo: int, color: int, omega: float,
+                        top: bool, bottom: bool) -> np.ndarray:
+    """:func:`sor_row_halfsweep` for a whole block of rows starting at
+    global row ``lo`` (``halo`` / ``top`` / ``bottom`` as in
+    :func:`jacobi_block_update`).  ``halo`` doubles as the snapshot
+    that keeps in-rank sweep order from leaking updated same-color
+    values.  Returns the rows with the cells of ``color`` relaxed,
+    bitwise equal to the row kernel's.
+    """
+    cur = _own_rows(halo, top, bottom)
+    k, n = cur.shape
+    neigh = np.zeros((k, n))
+    _add_neighbors(neigh, cur, halo, top)
+    cnt = _neighbor_counts(k, n, top, bottom)
+    gs = np.where(cnt > 0, neigh / np.maximum(cnt, 1), cur)
+    mask = (np.arange(n) + np.arange(lo, lo + k)[:, None]) % 2 == color
+    return np.where(mask, (1 - omega) * cur + omega * gs, cur)
+
+
 #: band width of the CG matrix's off-diagonal couplings
 _CG_SPAN = 16
 
@@ -129,13 +214,14 @@ def make_cg_rows(n: int, row: int, *, nnz_target: int = 12, seed: int = 1234):
     return np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float)
 
 
-def _cg_offsets(row: int, count: int, seed: int) -> set[int]:
+@lru_cache(maxsize=4 * _CG_SPAN)  # a row also asks for its _CG_SPAN predecessors'
+def _cg_offsets(row: int, count: int, seed: int) -> frozenset[int]:
     """Hashed upward edge offsets of ``row`` within the band."""
-    out = set()
-    for t in range(count):
-        h = (row * 2_654_435_761 + t * 40_503 + seed * 97) & 0xFFFFFFFF
-        out.add(1 + (h % _CG_SPAN))
-    return out
+    return frozenset(
+        1 + (((row * 2_654_435_761 + t * 40_503 + seed * 97) & 0xFFFFFFFF)
+             % _CG_SPAN)
+        for t in range(count)
+    )
 
 
 def _pair_val(i: int, j: int, seed: int) -> float:

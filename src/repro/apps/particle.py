@@ -79,9 +79,7 @@ def particle_program(ctx, cfg: ParticleConfig) -> Generator:
         grid.row(g)[:] = init[g]
 
     def work_of(s: int, e: int) -> np.ndarray:
-        particles = np.array(
-            [grid.row(g).sum() for g in range(s, e + 1)], dtype=float
-        )
+        particles = grid.block(s, e).sum(axis=1)
         return C * PARTICLE_WORK_PER_CELL + particles * PARTICLE_WORK_PER_PARTICLE
 
     for step in range(cfg.steps):
@@ -89,32 +87,29 @@ def particle_program(ctx, cfg: ParticleConfig) -> Generator:
         if ctx.participating():
             s, e = ctx.my_bounds()
             if e >= s:
-                new_rows = {g: None for g in range(s, e + 1)}
+                new = np.zeros((e - s + 1, C))  # row g accumulates in new[g - s]
                 edge_up = np.zeros(C)    # flow leaving row s upward
                 edge_down = np.zeros(C)  # flow leaving row e downward
 
                 def exec_rows(lo: int, hi: int) -> None:
                     nonlocal edge_up, edge_down
+                    cur = grid.block(lo, hi)
                     for g in range(lo, hi + 1):
                         stay, up, down = particle_row_flows(
-                            grid.row(g), g, step, cfg.seed
+                            cur[g - lo], g, step, cfg.seed
                         )
-                        new_rows[g] = (
-                            stay if new_rows[g] is None else new_rows[g] + stay
-                        )
+                        new[g - s] += stay
                         # reflecting grid boundaries
                         if g == 0:
-                            new_rows[g] += up
+                            new[g - s] += up
                         elif g - 1 >= s:
-                            prev = new_rows[g - 1]
-                            new_rows[g - 1] = up if prev is None else prev + up
+                            new[g - 1 - s] += up
                         else:
                             edge_up = edge_up + up
                         if g == R - 1:
-                            new_rows[g] += down
+                            new[g - s] += down
                         elif g + 1 <= e:
-                            nxt = new_rows[g + 1]
-                            new_rows[g + 1] = down if nxt is None else nxt + down
+                            new[g + 1 - s] += down
                         else:
                             edge_down = edge_down + down
 
@@ -133,15 +128,14 @@ def particle_program(ctx, cfg: ParticleConfig) -> Generator:
                     ))
                 if left is not None:
                     inflow, _ = yield from ctx.recv_rel(left, _FLOW_DOWN_TAG)
-                    new_rows[s] = new_rows[s] + inflow
+                    new[0] += inflow
                 if right is not None:
                     inflow, _ = yield from ctx.recv_rel(right, _FLOW_UP_TAG)
-                    new_rows[e] = new_rows[e] + inflow
+                    new[-1] += inflow
                 for req in reqs:
                     yield from req.wait()
 
-                for g in range(s, e + 1):
-                    grid.row(g)[:] = new_rows[g]
+                grid.set_block(s, new)
         yield from ctx.end_cycle()
 
     result = {"bounds": ctx.my_bounds(), "cycles": len(ctx.cycle_times)}

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core import AccessMode, NearestNeighbor
 from .base import halo_finish, halo_start
-from .kernels import SOR_WORK_PER_CELL_PER_PHASE, sor_row_halfsweep
+from .kernels import SOR_WORK_PER_CELL_PER_PHASE, sor_block_halfsweep
 
 __all__ = ["SORConfig", "sor_program", "initial_grid"]
 
@@ -64,16 +64,12 @@ def sor_program(ctx, cfg: SORConfig) -> Generator:
                     continue
 
                 def exec_rows(lo: int, hi: int, color=color) -> None:
-                    # snapshot neighbor rows so in-rank sweep order
-                    # cannot leak updated same-color values
-                    snap = {
-                        g: G.row(g).copy()
-                        for g in range(max(0, lo - 1), min(n - 1, hi + 1) + 1)
-                    }
-                    for g in range(lo, hi + 1):
-                        up = snap[g - 1] if g > 0 else None
-                        down = snap[g + 1] if g < n - 1 else None
-                        sor_row_halfsweep(G.row(g), up, down, g, color, cfg.omega)
+                    # the gather is also the snapshot: in-rank sweep
+                    # order cannot leak updated same-color values
+                    halo = G.block(max(lo - 1, 0), min(hi + 1, n - 1))
+                    G.set_block(lo, sor_block_halfsweep(
+                        halo, lo, color, cfg.omega,
+                        top=lo == 0, bottom=hi == n - 1))
 
                 exec_fn = exec_rows if cfg.materialized else None
                 # overlap: interior rows need no ghosts, so they run

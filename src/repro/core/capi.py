@@ -144,6 +144,8 @@ class DMPI:
 
     def DMPI_compute(self, phase_id: int, work_of_rows,
                      exec_rows=None, rows=None) -> Generator:
+        """:meth:`DynMPI.compute`: ``exec_rows(s, e)`` runs once per
+        call, with the call's whole range."""
         yield from self.ctx.compute(phase_id, work_of_rows, exec_rows, rows)
 
     # -- communication on relative ranks ------------------------------------

@@ -719,7 +719,10 @@ class DynMPI:
         ``work_of_rows(s, e)`` returns per-row work units for rows
         ``s..e`` inclusive (the application's cost surrogate — on a
         real system this is simply the rows' execution).  ``exec_rows``
-        optionally performs the real numpy computation for those rows.
+        optionally performs the real numpy computation: it is called
+        exactly once per ``compute()`` call, as ``exec_rows(s, e)``
+        with the call's whole range, after the simulated charge (real
+        math takes no simulated time), so it can work a slab at a time.
 
         ``rows`` restricts the call to a sub-range of the owned rows —
         applications that overlap communication with computation run
@@ -727,9 +730,9 @@ class DynMPI:
         arrive.  A phase's sub-range calls may be split arbitrarily as
         long as each cycle covers every owned row exactly once.
 
-        During the grace period the rows run one at a time with timer
-        reads around each, exactly how Dyn-MPI measures unloaded
-        iteration times; otherwise the whole block runs as one compute.
+        During the grace period the rows are charged one at a time with
+        timer reads around each, exactly how Dyn-MPI measures unloaded
+        iteration times; otherwise the whole block is one charge.
         """
         if phase_id not in self.phases:
             raise RegistrationError(f"unknown phase {phase_id}")
@@ -754,32 +757,28 @@ class DynMPI:
                 f"work_of_rows returned shape {works.shape}, expected {(e - s + 1,)}"
             )
         obs = self.obs
-        n_rows = e - s + 1  # the grace branch rebinds ``rows`` below
+        n_rows = e - s + 1
         t0 = obs.now() if obs is not None else 0.0
         if self.mode == self.MODE_GRACE and self.job.adaptive:
-            key = (phase_id, s, e)
-            rows = list(range(s, e + 1))
+            key = (phase_id, s, e)  # the key is the sample's row range
             samples = self._grace.get(key)
-            if samples is None or samples.rows != rows:
-                samples = GraceSamples(rows)
-                self._grace[key] = samples
-            hr_row = np.empty(len(rows))
-            proc_row = np.empty(len(rows))
+            if samples is None:
+                samples = self._grace[key] = GraceSamples(range(s, e + 1))
+            hr_row = np.empty(n_rows)
+            proc_row = np.empty(n_rows)
             hr = self.job.hr
             pc = self.proc_clock
-            for i, g in enumerate(rows):
+            for i in range(n_rows):
                 t0h, t0p = hr.read(), pc.read()
                 yield Compute(float(works[i]))
-                if exec_rows is not None:
-                    exec_rows(g, g)
                 t1h, t1p = hr.read(), pc.read()
                 hr_row[i] = hr.interval(t0h, t1h)
                 proc_row[i] = t1p - t0p
             samples.add_cycle(hr_row, proc_row)
         else:
             yield Compute(float(works.sum()))
-            if exec_rows is not None:
-                exec_rows(s, e)
+        if exec_rows is not None:
+            exec_rows(s, e)
         if obs is not None:
             obs.complete(
                 "compute", t0, cat="compute",

@@ -179,6 +179,7 @@ class ContiguousArray:
                 pos += n
             self.stats.record_copy(len(ivl) * self.row_nbytes)
             return
+        rows = list(rows)  # may be a one-shot iterator
         for g in rows:
             if not self.holds(g):
                 raise AllocationError(

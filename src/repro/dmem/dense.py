@@ -306,8 +306,9 @@ class ProjectedArray:
         Row ``i`` of the payload is global row ``i`` of ``rows`` in
         iteration order (ascending for an :class:`IntervalSet`)."""
         interval_input = isinstance(rows, (IntervalSet, range))
+        if not interval_input:
+            rows = list(rows)  # may be a one-shot iterator
         ivl = IntervalSet.coerce(rows)
-        k = len(ivl) if interval_input else len(list(rows))
         self.hold(ivl)
         if not self.materialized:
             return
@@ -328,7 +329,6 @@ class ProjectedArray:
                 pos += n
             self.stats.record_copy(len(ivl) * self.row_nbytes)
             return
-        rows = list(rows)
         if payload.shape != (len(rows), self.row_elems):
             raise AllocationError(
                 f"{self.name}: bad unpack shape {payload.shape}, "

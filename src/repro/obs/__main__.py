@@ -13,7 +13,7 @@ summarize  per-phase cost-attribution report of a trace file
 diff       compare two trace files, report per-phase deltas —
            the tool that makes a BENCH regression explainable
 validate   run the Chrome-trace schema validator on a file; exit 1
-           on any violation (the CI obs-smoke gate)
+           on any violation
 =========  ========================================================
 """
 

@@ -11,7 +11,7 @@ predicted-vs-measured inputs, and (optionally) replayed CPU slices.
 
 The run is fully deterministic, so its exported traces are
 byte-identical across invocations — the property the CLI's ``export``
-and the CI obs-smoke job lean on.
+and ``tests/test_obs_cli.py`` lean on.
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 LIB = "repro/apps/x.py"
 
-#: code -> (path the case is analyzed at, its source).  The path picks
-#: the zone; the whole-program families reuse their seeded fixtures.
-CASES = {
+#: code -> [(path the case is analyzed at, its source), ...].  The path
+#: picks the zone; the whole-program families reuse their seeded
+#: fixtures (a code may have several).
+CASES = {code: [case] for code, case in {
     "DYN000": ("x.py", "def f(:\n"),
     "DYN001": ("x.py", "def program(ep):\n"
                        "    ep.send(1, tag=0, payload='lost')\n"
@@ -37,10 +38,11 @@ CASES = {
     "DYN801": (LIB, "import subprocess\n"),
     "DYN901": (LIB, "import heapq\n"),
     "DYN1101": (LIB, "def f(ep):\n    yield from ep.send(0, 211, None)\n"),
-}
+}.items()}
 for _family, _names in {
     "flow": {"DYN501": "bad_dyn501_branch", "DYN502": "bad_dyn502_loop",
-             "DYN503": "bad_dyn503_removed", "DYN504": "bad_dyn504_ownership",
+             "DYN503": "bad_dyn503_removed",
+             "DYN504": "bad_dyn504_ownership bad_dyn504_block",
              "DYN505": "bad_dyn505_signature"},
     "race": {"DYN701": "bad_dyn701_any_source",
              "DYN702": "bad_dyn702_sched_branch",
@@ -51,9 +53,10 @@ for _family, _names in {
              "DYN1005": "bad_except", "DYN1006": "bad_dead"},
 }.items():
     for _code, _name in _names.items():
-        CASES[_code] = (
-            f"{_name}.py", (FIXTURES / _family / f"{_name}.py").read_text()
-        )
+        CASES[_code] = [
+            (f"{_n}.py", (FIXTURES / _family / f"{_n}.py").read_text())
+            for _n in _name.split()
+        ]
 
 
 def test_every_rule_has_a_seeded_case():
@@ -70,9 +73,13 @@ def _hits(tmp_path, rel, source, code):
 @pytest.mark.parametrize("code", sorted(RULES))
 def test_code_fires_and_only_its_own_waiver_silences_it(tmp_path, code):
     assert RULES[code].summary
-    rel, source = CASES[code]
+    for rel, source in CASES[code]:
+        _fires_and_only_its_own_waiver_silences_it(tmp_path, code, rel, source)
+
+
+def _fires_and_only_its_own_waiver_silences_it(tmp_path, code, rel, source):
     hits = _hits(tmp_path, rel, source, code)
-    assert hits, f"the seeded case for {code} is clean"
+    assert hits, f"the seeded case {rel} for {code} is clean"
     at = hits[0]
     lines = source.splitlines()
     other = next(c for c in sorted(RULES) if c != code)

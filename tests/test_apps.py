@@ -228,3 +228,32 @@ def test_particle_unbalanced_rows_get_fewer_per_node():
     lower = sum(e - s + 1 for s, e in res.bounds[2:] if e >= s)
     assert upper + lower == cfg.rows
     assert upper < lower
+
+
+# ----------------------------------------------------------------------
+# host cost: the materialized data path is slab-at-a-time
+# ----------------------------------------------------------------------
+def test_jacobi_interval_algebra_does_not_scale_with_rows(monkeypatch):
+    """A per-row ``hold([g])`` / ``row(g)`` in an app kernel shows up
+    as interval-set constructions proportional to rows x cycles (4x the
+    rows gave 3.8x the constructions when Jacobi walked its rows one at
+    a time); one ``block`` / ``hold(range)`` / ``set_block`` per
+    ``compute()`` call does not grow with the grid at all."""
+    from repro._intervals import IntervalSet
+    from repro.config import pentium_cluster
+
+    built = []
+    init = IntervalSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[-1] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntervalSet, "__init__", counting_init)
+    for n in (32, 128):
+        built.append(0)
+        cfg = JacobiConfig(n=n, iters=20, materialized=True)
+        run_program(Cluster(pentium_cluster(2)), jacobi_program, cfg)
+    small, large = built
+    assert small > 0
+    assert large / small < 1.5, built

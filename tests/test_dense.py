@@ -4,6 +4,7 @@ ContiguousArray baseline."""
 import numpy as np
 import pytest
 
+from repro.core.intervals import IntervalSet
 from repro.dmem import ContiguousArray, MemCostModel, ProjectedArray
 from repro.errors import AllocationError
 
@@ -77,6 +78,51 @@ def test_block_roundtrip():
     assert np.array_equal(a.block(2, 4), data)
     with pytest.raises(AllocationError):
         a.block(4, 2)
+
+
+def test_block_roundtrip_across_fragmented_slabs():
+    """An owned slab plus ghost rows held later sit in separate slabs;
+    ``block`` / ``set_block`` gather and scatter across them."""
+    a = ProjectedArray("a", (12, 3))
+    a.hold(range(4, 8))   # the owned rows
+    a.hold([3])           # ghosts arrive one at a time, after
+    a.hold([8])
+    assert a.n_slabs == 3
+    data = np.arange(18.0).reshape(6, 3)
+    a.set_block(3, data)
+    assert np.array_equal(a.block(3, 8), data)
+    assert np.array_equal(a.block(5, 8), data[2:])
+    for g in range(3, 9):  # every row landed in its own slab
+        assert np.array_equal(a.row(g), data[g - 3])
+    a.block(3, 8)[:] = -1.0  # a gather is a copy, not a view
+    assert np.array_equal(a.block(3, 8), data)
+    with pytest.raises(AllocationError):
+        a.block(2, 8)  # row 2 is not held
+    with pytest.raises(AllocationError):
+        a.set_block(7, np.zeros((3, 3)))  # nor is row 9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProjectedArray("a", (6, 4)),
+    lambda: _resized(ContiguousArray("c", (6, 4)), 0, 5),
+], ids=["projected", "contiguous"])
+def test_unpack_reads_its_rows_argument_once(make):
+    """A one-shot iterator, a list and an IntervalSet of the same rows
+    install the same data."""
+    payload = np.arange(8.0).reshape(2, 4)
+    installed = []
+    for rows in ((g for g in [2, 3]), [2, 3], IntervalSet.span(2, 3)):
+        arr = make()
+        arr.unpack(rows, payload)
+        assert arr.holds(2) and arr.holds(3)
+        installed.append(np.stack([arr.row(2), arr.row(3)]))
+    for got in installed:
+        assert np.array_equal(got, payload)
+
+
+def _resized(arr, lo, hi):
+    arr.resize(lo, hi)
+    return arr
 
 
 def test_pack_unpack_preserves_data():

@@ -299,6 +299,67 @@ def test_fixture_dyn504_ownership_violation():
     assert f.detail["accessed"] == [[405, 405]]
 
 
+def test_fixture_dyn504_block_gather_violation():
+    findings = analyze_paths([FIXTURES / "bad_dyn504_block.py"])
+    assert codes(findings) == ["DYN504"]
+    f = findings[0]
+    assert f.detail["array"] == "grid"
+    assert "grid.block(" in f.message
+    # block(max(lo - 2, 0), min(hi + 1, n - 1)) is [405, 614] at the
+    # witness: the clips are inactive, row 405 is outside the halo
+    assert f.detail["accessed"] == [[405, 405]]
+
+
+@pytest.mark.parametrize("access, accessed", [
+    ("a.block(lo - 1, hi + 1)", None),
+    ("a.block(max(lo - 1, 0), min(hi + 1, n - 1))", None),
+    ("a.block(lo, hi + 3)", [[615, 616]]),
+    ("a.set_block(lo, data)", None),
+    ("a.set_block(lo - 2, data)", [[405, 405]]),
+    ("a.hold(range(lo, hi + 1))", None),
+    ("a.hold(range(lo - 1, hi + 2))", None),
+    ("a.hold(range(lo - 3, hi + 1))", [[404, 405]]),
+])
+def test_dyn504_evaluates_the_slab_accessors(tmp_path, access, accessed):
+    findings = analyze_source(tmp_path, f"""
+        def slab_program(ctx, cfg):
+            n = cfg.n
+            a = ctx.register_dense("a", (n, n))
+            ctx.add_array_access(1, "a", "rw", lo_off=-1, hi_off=1)
+            ctx.commit()
+
+            def exec_rows(lo, hi, data=None):
+                {access}
+
+            yield from ctx.begin_cycle()
+            yield from ctx.compute(1, None, exec_rows)
+            yield from ctx.end_cycle()
+    """)
+    assert [f.detail["accessed"] for f in findings] == (
+        [accessed] if accessed else [])
+
+
+@pytest.mark.parametrize("app, good, bad", [
+    ("jacobi", "src.block(max(lo - 1, 0)", "src.block(max(lo - 2, 0)"),
+    ("sor", "G.set_block(lo, ", "G.set_block(lo - 2, "),
+])
+def test_dyn504_looks_inside_the_real_exec_rows(tmp_path, app, good, bad):
+    """"Clean" on the apps means evaluated and in bounds, not skipped:
+    the same source with its slab access widened is reported (the
+    callback reaches ``ctx.compute`` as ``exec_rows if cfg.materialized
+    else None``)."""
+    source = (SRC / "repro" / "apps" / f"{app}.py").read_text()
+    assert good in source
+    f = tmp_path / f"{app}.py"
+    f.write_text(source)
+    assert analyze_paths([f]) == []
+    f.write_text(source.replace(good, bad))
+    findings = analyze_paths([f])
+    assert codes(findings) == ["DYN504"]
+    assert findings[0].function == f"{app}_program.exec_rows"
+    assert findings[0].detail["accessed"] == [[405, 405]]
+
+
 def test_fixture_dyn505_signature_mismatch():
     findings = analyze_paths([FIXTURES / "bad_dyn505_signature.py"])
     assert codes(findings) == ["DYN505"]

@@ -3,11 +3,15 @@ references (repro.apps.kernels / repro.apps.reference)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.kernels import (
+    jacobi_block_update,
     jacobi_row_update,
     make_cg_rows,
     particle_row_flows,
+    sor_block_halfsweep,
     sor_row_halfsweep,
 )
 from repro.apps.reference import (
@@ -78,6 +82,74 @@ def test_sor_converges_toward_harmonic_interior():
     out = sor_reference(grid, 200)
     # after many sweeps, the field is very smooth
     assert np.ptp(out) < np.ptp(grid) * 0.2
+
+
+# ----------------------------------------------------------------------
+# block kernels == the row kernels, bit for bit
+# ----------------------------------------------------------------------
+@st.composite
+def grid_and_range(draw):
+    """A random grid and a row range ``lo <= m <= hi`` inside it; small
+    sizes so top, bottom, both and interior ranges all come up."""
+    n_rows = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 6))
+    lo = draw(st.integers(0, n_rows - 1))
+    hi = draw(st.integers(lo, n_rows - 1))
+    m = draw(st.integers(lo, hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n_rows, n)) * 10.0, lo, m, hi
+
+
+def _neighbors(grid, g):
+    return (grid[g - 1] if g > 0 else None,
+            grid[g + 1] if g < grid.shape[0] - 1 else None)
+
+
+def _halo(grid, lo, hi):
+    return grid[max(lo - 1, 0): min(hi + 1, grid.shape[0] - 1) + 1]
+
+
+def _jacobi_block(grid, lo, hi):
+    return jacobi_block_update(_halo(grid, lo, hi), top=lo == 0,
+                               bottom=hi == grid.shape[0] - 1)
+
+
+def _sor_block_sweep(grid, lo, hi, color):
+    """What ``sor_program.exec_rows`` does to its array."""
+    grid[lo: hi + 1] = sor_block_halfsweep(
+        _halo(grid, lo, hi), lo, color, 1.5,
+        top=lo == 0, bottom=hi == grid.shape[0] - 1)
+
+
+@given(grid_and_range())
+@settings(max_examples=200, deadline=None)
+def test_jacobi_block_equals_stacked_row_updates(case):
+    grid, lo, m, hi = case
+    rows = np.stack([jacobi_row_update(grid[g], *_neighbors(grid, g))
+                     for g in range(lo, hi + 1)])
+    assert np.array_equal(_jacobi_block(grid, lo, hi), rows)
+    if m < hi:  # any split of the range gives the same rows
+        split = np.vstack([_jacobi_block(grid, lo, m),
+                           _jacobi_block(grid, m + 1, hi)])
+        assert np.array_equal(split, rows)
+
+
+@given(grid_and_range(), st.sampled_from([0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_sor_block_equals_row_halfsweeps(case, color):
+    grid, lo, m, hi = case
+    by_row = grid.copy()
+    for g in range(lo, hi + 1):
+        sor_row_halfsweep(by_row[g], *_neighbors(grid, g), g, color)
+    whole = grid.copy()
+    _sor_block_sweep(whole, lo, hi, color)
+    assert np.array_equal(whole, by_row)
+    # the second part gathers rows the first part already relaxed
+    split = grid.copy()
+    _sor_block_sweep(split, lo, m, color)
+    if m < hi:
+        _sor_block_sweep(split, m + 1, hi, color)
+    assert np.array_equal(split, by_row)
 
 
 # ----------------------------------------------------------------------

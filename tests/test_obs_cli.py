@@ -20,6 +20,14 @@ def chrome_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def chrome_cpu_path(tmp_path_factory):
+    """The same export with the per-node CPU-scheduler lanes on."""
+    path = tmp_path_factory.mktemp("obs") / "trace_cpu.json"
+    assert main(["export", *ARGS, "--cpu", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
 def jsonl_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("obs") / "trace.jsonl"
     assert main(["export", *ARGS, "--format", "jsonl",
@@ -27,10 +35,14 @@ def jsonl_path(tmp_path_factory):
     return path
 
 
-def test_export_is_byte_deterministic(chrome_path, tmp_path):
-    again = tmp_path / "again.json"
-    assert main(["export", *ARGS, "--out", str(again)]) == 0
-    assert again.read_bytes() == chrome_path.read_bytes()
+def test_export_is_byte_deterministic(chrome_path, chrome_cpu_path, tmp_path):
+    # both lanes in one test (not parametrized): its id is pinned
+    for lane, first in (([], chrome_path), (["--cpu"], chrome_cpu_path)):
+        again = tmp_path / "again.json"
+        assert main(["export", *ARGS, *lane, "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes(), lane
+    # the CPU lanes are really there
+    assert chrome_cpu_path.read_bytes() != chrome_path.read_bytes()
 
 
 def test_export_to_stdout(capsys):
@@ -41,9 +53,10 @@ def test_export_to_stdout(capsys):
     assert trace["traceEvents"]
 
 
-def test_validate_accepts_the_export(chrome_path, capsys):
-    assert main(["validate", str(chrome_path)]) == 0
-    assert "valid Chrome trace" in capsys.readouterr().out
+def test_validate_accepts_the_export(chrome_path, chrome_cpu_path, capsys):
+    for path in (chrome_path, chrome_cpu_path):
+        assert main(["validate", str(path)]) == 0
+        assert "valid Chrome trace" in capsys.readouterr().out
 
 
 def test_validate_rejects_bad_trace(tmp_path, capsys):

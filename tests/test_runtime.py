@@ -1,11 +1,14 @@
 """Integration tests for the Dyn-MPI runtime: registration, the phase
 cycle state machine, redistribution on load change, and node removal."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec, RuntimeSpec
 from repro.core import AccessMode, DynMPIJob, NearestNeighbor
+from repro.core.timing import GraceSamples
 from repro.errors import RegistrationError
 from repro.simcluster import Cluster, CycleTrigger, LoadScript
 
@@ -25,9 +28,11 @@ N_ROWS = 64
 ROW_WORK = SPEED * 2e-3 / N_ROWS * 4  # ~2 ms per cycle per node on 4 nodes
 
 
-def synthetic_program(ctx, n_cycles, row_work=None, check_data=False):
+def synthetic_program(ctx, n_cycles, row_work=None, check_data=False,
+                      compute=None):
     """A minimal Dyn-MPI program: one nearest-neighbor phase over a
-    materialized array A (and read-halo array B)."""
+    materialized array A (and read-halo array B).  ``compute(ctx,
+    work_of)`` replaces the cycle's one ``ctx.compute`` call."""
     work = row_work if row_work is not None else ROW_WORK
     A = ctx.register_dense("A", (N_ROWS, 8))
     ctx.register_dense("B", (N_ROWS, 8))
@@ -47,7 +52,10 @@ def synthetic_program(ctx, n_cycles, row_work=None, check_data=False):
     for _t in range(n_cycles):
         yield from ctx.begin_cycle()
         if ctx.participating():
-            yield from ctx.compute(1, work_of)
+            if compute is None:
+                yield from ctx.compute(1, work_of)
+            else:
+                yield from compute(ctx, work_of)
             left, right = ctx.nn_neighbors()
             me = ctx.rel_rank()
             s, e = ctx.my_bounds()
@@ -158,6 +166,61 @@ def test_load_change_triggers_grace_then_redistribution():
     # ownership reflects the shares: node 0 has fewer rows
     (s0, e0) = results[0]
     assert (e0 - s0 + 1) < N_ROWS // 4
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "sub-ranges"])
+def test_exec_rows_runs_once_per_compute_call(split, monkeypatch):
+    """The slab contract: every ``compute()`` call — normal, grace or
+    post-redistribution, whole range or ``rows=`` sub-range — calls
+    ``exec_rows`` exactly once, with that call's whole range.  Moving
+    the real math out of the grace loop must not move the model: the
+    grace samples are the values measured before the change."""
+    log = []      # (mode, expected range, exec_rows calls) per compute()
+    samples = []  # every grace cycle's per-row measurements, in order
+    add_cycle = GraceSamples.add_cycle
+
+    def recording_add_cycle(self, hr, proc):
+        samples.append(np.concatenate([hr, proc]))
+        add_cycle(self, hr, proc)
+
+    monkeypatch.setattr(GraceSamples, "add_cycle", recording_add_cycle)
+
+    def compute(ctx, work_of):
+        s, e = ctx.my_bounds()
+        if split and e - s + 1 > 2:  # interior first, like SOR's overlap
+            ranges = [(s + 1, e - 1), (s, s), (e, e)]
+        else:
+            ranges = [None]
+        for rows in ranges:
+            calls = []
+            mode = ctx.mode
+            yield from ctx.compute(
+                1, work_of, lambda lo, hi: calls.append((lo, hi)), rows=rows)
+            log.append((mode, rows or (s, e), calls))
+
+    cluster = make_cluster(4)
+    cluster.install_load_script(LoadScript(
+        cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]
+    ))
+    job = DynMPIJob(cluster, RuntimeSpec(grace_period=3, post_redist_period=5,
+                                         allow_removal=False,
+                                         daemon_interval=0.05))
+    job.launch(synthetic_program, args=(40, None, False, compute))
+    assert any(ev.kind == "redistribute" for ev in job.events)
+    assert {mode for mode, _, _ in log} == {"normal", "grace", "post"}
+    for mode, expected, calls in log:
+        assert calls == [expected], (mode, expected, calls)
+    # pinned from the tree that still called exec_rows(g, g) per row
+    digest = hashlib.sha256(np.concatenate(samples).tobytes()).hexdigest()
+    assert (len(samples), digest) == GRACE_SAMPLES_AT_PARENT[split]
+
+
+#: (grace cycles measured, sha256 of their hr + /PROC samples) of the
+#: run above, whole-range and split
+GRACE_SAMPLES_AT_PARENT = {
+    False: (12, "f59c328d6c30877a0413503d32fed15b5aa417bdfc19ca318d203faef381acdb"),
+    True: (36, "2b43bd4fda66bda421436be56ee8a402fbbc3d0aefd24f757fec389c0a8afcb2"),
+}
 
 
 def test_redistribution_preserves_array_contents():
