@@ -20,7 +20,7 @@ noisy timing.
 
 ``DYNMPI_FARM_SMOKE=1`` restricts the grid to the small shared cells
 and writes ``results/BENCH_farm_throughput_smoke.json``, which
-``check_regression.py`` gates against the baseline (CI farm-smoke
+``check_regression.py`` gates against the baseline (CI perf-smoke
 job).
 """
 

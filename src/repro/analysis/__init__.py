@@ -1,6 +1,6 @@
 """dynsan — the Dyn-MPI correctness-analysis subsystem.
 
-Three layers (see ``docs/ANALYSIS.md``):
+Four layers (see ``docs/ANALYSIS.md``):
 
 * :mod:`repro.analysis.plancheck` — static verification of a
   redistribution plan *before* it executes (Section 4.4 invariants:
@@ -15,13 +15,16 @@ Three layers (see ``docs/ANALYSIS.md``):
   over one rule registry (:mod:`repro.analysis.rules`), one finding
   type and one ``# dyn: ok(CODE)`` suppression
   (:mod:`repro.analysis.findings`).  It parses the tree once and runs
-  four passes over it: :mod:`repro.analysis.lint` (per-file AST rules
-  for the failure modes generic linters cannot see),
+  two passes over it: :mod:`repro.analysis.lint` (per-file AST rules
+  for the failure modes generic linters cannot see) and
   :mod:`repro.analysis.flow` (whole-program collective matching and
-  static ownership, DYN5xx), :mod:`repro.analysis.race`
-  (happens-before message races and determinism, DYN7xx — with the
-  ``perturb`` command as its dynamic cross-check) and
-  :mod:`repro.analysis.perf` (hot-path cost rules, DYN10xx).
+  static ownership, DYN5xx).
+* :mod:`repro.analysis.perturb` — the schedule-perturbation harness
+  (``DYNMPI_PERTURB``): a seeded run must export the same bytes under
+  every flip of the tie-breaks MPI leaves undefined.  Determinism and
+  hot-path cost are watched by running the program (this harness, the
+  e2e ledger's ``sim_digest`` and per-layer rows), not by a static
+  pass.
 
 Command line: ``python -m repro.analysis check src examples``,
 ``python -m repro.analysis plan spec.json`` and
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from .sanitizer import CommSanitizer, SanitizerReport, sanitizer_enabled
 
-_LAZY = ("plancheck", "lint", "flow", "race", "perf")
+_LAZY = ("plancheck", "lint", "flow", "perturb")
 
 __all__ = [
     "CommSanitizer",

@@ -3,31 +3,27 @@
 Usage::
 
     python -m repro.analysis check src examples [--json] [--quiet]
-        [--baseline F] [--write-baseline F] [--max-seconds N]
-        [--profile trace.json]
+        [--max-seconds N]
     python -m repro.analysis plan spec.json [--quiet]
     python -m repro.analysis perturb --seeds 1,2,3 [--target removal]
 
 ``check`` is the one static-analysis driver — the CI correctness
-gate.  It parses the given files/trees once and runs the four passes
-over them: the per-file AST rules (:mod:`repro.analysis.lint`), the
+gate.  It parses the given files/trees once and runs the two passes
+over them: the per-file AST rules (:mod:`repro.analysis.lint`) and the
 whole-program communication-flow analysis (collective matching,
-rank-divergence, static ownership — :mod:`repro.analysis.flow`), the
-message-race and determinism analysis (:mod:`repro.analysis.race`)
-and the hot-path cost rules (:mod:`repro.analysis.perf`).  Which
-files a rule looks at is its zone in the rule registry
-(:mod:`repro.analysis.rules`); ``# dyn: ok(CODE)`` comments and
-``--baseline`` fingerprints are filtered here, after all passes.  It
-prints one block per finding (``path:line:col: CODE [function]
-message`` plus traces and a hint where the pass has them).
-``--profile trace.json`` re-ranks the report by measured per-phase
-exclusive time from a dynscope trace export.
+rank-divergence, static ownership — :mod:`repro.analysis.flow`).
+Which files a rule looks at is its zone in the rule registry
+(:mod:`repro.analysis.rules`); ``# dyn: ok(CODE)`` comments are
+filtered here, after both passes.  It prints one block per finding
+(``path:line:col: CODE [function] message`` plus traces and a hint
+where the pass has them).
 
-``perturb`` is the race pass's dynamic cross-check: it re-runs a
-traced scenario under ``DYNMPI_PERTURB`` seeds and byte-compares the
-exports; by default it *expects* schedule invariance (exit 0 when
-every seed reproduces the unperturbed trace), and with
-``--expect-diff`` it expects a race to show up as a trace diff.
+``perturb`` is the schedule-determinism check, and it runs the
+program: it re-runs a traced scenario under ``DYNMPI_PERTURB`` seeds
+and byte-compares the exports; by default it *expects* schedule
+invariance (exit 0 when every seed reproduces the unperturbed trace),
+and with ``--expect-diff`` it expects a race to show up as a trace
+diff.
 
 Every command follows one exit-code contract:
 
@@ -36,9 +32,8 @@ exit   meaning
 =====  =============================================================
 0      clean — no findings (for ``perturb``: expectation met)
 1      findings remain / violations found / expectation not met
-2      usage error (unknown command, unreadable input, malformed
-       spec or ``--baseline``, unreadable ``--profile`` trace) or a
-       blown ``--max-seconds`` budget
+2      usage error (unknown command or option, unreadable input,
+       malformed spec) or a blown ``--max-seconds`` budget
 =====  =============================================================
 
 ``plan`` statically verifies a redistribution plan from a JSON spec::
@@ -67,7 +62,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Optional
+from typing import Any
 
 
 def _bounds(raw: list) -> tuple:
@@ -145,14 +140,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def analyze(paths, profile: Optional[dict] = None) -> tuple:
-    """The analysis pipeline: parse ``paths`` once, run every pass,
-    drop ``# dyn: ok(...)`` waivers.  Returns ``(findings, hot_zone)``
-    with the findings sorted by (path, line, code) — and, when
-    ``profile`` phase shares are given, stably re-ranked
-    hottest-measured-phase first.  Raises ``OSError`` for an
-    unreadable path."""
-    from . import flow, perf, race
+def analyze(paths) -> list:
+    """The analysis pipeline: parse ``paths`` once, run both passes,
+    drop ``# dyn: ok(...)`` waivers.  Returns the findings sorted by
+    (path, line, code).  Raises ``OSError`` for an unreadable path."""
+    from . import flow
     from .findings import is_suppressed
     from .lint import lint_tree, syntax_finding
     from .rules import ZONES
@@ -166,83 +158,45 @@ def analyze(paths, profile: Optional[dict] = None) -> tuple:
     for mod in registry.files:
         findings.extend(lint_tree(mod.tree, mod.path))
     findings.extend(flow.analyze(registry))
-    findings.extend(race.analyze(registry))
-    perf_findings, zone = perf.analyze(registry, profile)
-    findings.extend(perf_findings)
 
     findings = [f for f in findings if not is_suppressed(f, lines[f.path])]
     findings.sort(key=lambda f: (f.path, f.line, f.code))
-    if profile:
-        findings.sort(  # stable: static order breaks ties
-            key=lambda f: -f.detail.get("profile_share", 0.0)
-        )
-    return findings, zone
+    return findings
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from ..errors import ConfigError
-    from .baseline import load_baseline, save_baseline
-    from .perf import load_profile
-
     t0 = time.monotonic()
-    shares = None
-    if args.profile:
-        try:
-            shares = load_profile(args.profile)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"check: cannot load profile {args.profile}: {exc}",
-                  file=sys.stderr)
-            return 2
     try:
-        known = load_baseline(args.baseline) if args.baseline else set()
-        findings, zone = analyze(args.paths, profile=shares)
-    except ConfigError as exc:
-        print(f"check: {exc}", file=sys.stderr)
-        return 2
+        findings = analyze(args.paths)
     except OSError as exc:
         print(f"check: cannot read {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
     elapsed = time.monotonic() - t0
 
-    if args.write_baseline:
-        save_baseline(args.write_baseline, findings)
-    kept = [f for f in findings if f.fingerprint not in known]
-    baselined = len(findings) - len(kept)
-    carried = f", {baselined} baselined" if baselined else ""
-
     if args.json:
-        payload = {
+        print(json.dumps({
             "tool": "repro.analysis check",
-            "count": len(kept),
-            "suppressed": baselined,
+            "count": len(findings),
             "elapsed_seconds": round(elapsed, 3),
-            "hot_functions": len(zone),
-            "findings": [f.to_json() for f in kept],
-        }
-        if shares is not None:
-            payload["profile"] = {
-                k: round(v, 4) for k, v in sorted(shares.items())
-            }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif kept:
-        print("\n".join(f.render() for f in kept))
+            "findings": [f.to_json() for f in findings],
+        }, indent=2, sort_keys=True))
+    elif findings:
+        print("\n".join(f.render() for f in findings))
         if not args.quiet:
-            print(f"check: {len(kept)} finding(s) "
-                  f"({len(zone)} hot functions{carried})")
+            print(f"check: {len(findings)} finding(s)")
     elif not args.quiet:
-        print(f"check: clean ({len(zone)} hot functions{carried}) "
-              f"[{elapsed:.2f}s]")
+        print(f"check: clean [{elapsed:.2f}s]")
 
     if args.max_seconds is not None and elapsed > args.max_seconds:
         print(f"check: analysis took {elapsed:.1f}s, over the "
               f"--max-seconds {args.max_seconds:g} budget", file=sys.stderr)
         return 2
-    return 1 if kept else 0
+    return 1 if findings else 0
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    from .race import run_perturbed
+    from .perturb import run_perturbed
 
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -274,21 +228,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(
-        "check", help="all static passes: AST rules, flow, race, perf"
+        "check", help="both static passes: AST rules and flow"
     )
     p_check.add_argument("paths", nargs="+", help="files or directories")
     p_check.add_argument("--quiet", action="store_true")
     p_check.add_argument("--json", action="store_true",
                          help="machine-readable findings on stdout")
-    p_check.add_argument("--baseline", metavar="FILE", default=None,
-                         help="carry findings whose fingerprint is in FILE")
-    p_check.add_argument("--write-baseline", metavar="FILE", default=None,
-                         help="write current findings to FILE and continue")
     p_check.add_argument("--max-seconds", type=float, default=None,
                          help="fail (exit 2) if analysis exceeds this budget")
-    p_check.add_argument("--profile", metavar="TRACE", default=None,
-                         help="dynscope trace export: re-rank findings by "
-                              "measured per-phase exclusive time")
     p_check.set_defaults(fn=_cmd_check)
 
     p_plan = sub.add_parser("plan", help="verify a redistribution plan")

@@ -12,16 +12,13 @@ reconstructing it.  The codes themselves are declared in
 Suppression: ``# dyn: ok(DYN503) reason`` on the line the finding
 anchors to — or on a comment-only line directly above it, for
 multi-line expressions with no room for a trailing comment — waives
-that code there (list several as ``ok(DYN1001,DYN1004)``).  Naming the
+that code there (list several as ``ok(DYN501,DYN503)``).  Naming the
 code keeps a waiver from silently swallowing a different finding that
-later lands on the same line.  The alternative is checking the
-finding's fingerprint into a baseline file
-(:mod:`repro.analysis.baseline`).
+later lands on the same line.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -69,18 +66,10 @@ class Finding:
     code: str
     message: str
     function: str = ""   # qualified name of the analyzed function
-    anchor: str = ""     # line-independent fingerprint material
+    anchor: str = ""     # line-independent identity (flow de-duplicates on it)
     side_by_side: Optional[SideBySide] = None
     hint: str = ""
     detail: dict = field(default_factory=dict, compare=False, hash=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable id for baselines: no line numbers, so the entry
-        survives edits elsewhere in the file."""
-        raw = (f"{self.code}|{self.path}|{self.function}|"
-               f"{self.anchor or self.message}")
-        return hashlib.sha1(raw.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         where = f"[{self.function}] " if self.function else ""
@@ -105,7 +94,6 @@ class Finding:
             "col": self.col,
             "function": self.function,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
         if self.side_by_side is not None:
             d["traces"] = {

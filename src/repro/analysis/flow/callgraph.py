@@ -227,32 +227,6 @@ class Registry:
                     return self._find_export(imp[1], attr)
         return None
 
-    def resolve_method_call(self, call: ast.Call,
-                            caller: FuncInfo) -> Optional[FuncInfo]:
-        """Resolve ``self.attr(...)`` to a method of the caller's own
-        class (same module).  dynflow deliberately does not follow
-        these edges — runtime internals are plancheck/sanitizer
-        territory — but dynperf's hot-zone reachability must: the
-        per-cycle path is method-to-method (``end_cycle`` ->
-        ``self._redistribute`` -> ...)."""
-        func = call.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-        ):
-            return None
-        mod = self.modules.get(caller.module)
-        if mod is None:
-            return None
-        # strip trailing function components until a class prefix hits
-        parts = caller.qualname.split(".")
-        for i in range(len(parts) - 1, 0, -1):
-            cand = mod.functions.get(".".join(parts[:i] + [func.attr]))
-            if cand is not None and cand.is_method:
-                return cand
-        return None
-
     # -- entry points ---------------------------------------------------
     def roots(self) -> list:
         """Analysis roots in deterministic order: program entry points

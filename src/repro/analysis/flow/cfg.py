@@ -30,7 +30,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["Edge", "Block", "CFG", "build_cfg", "loop_depth_map"]
+__all__ = ["Edge", "Block", "CFG", "build_cfg"]
 
 
 @dataclass(frozen=True)
@@ -324,44 +324,3 @@ def build_cfg(fn) -> CFG:
     ``ast.AsyncFunctionDef`` (or any object with ``.body``)."""
     name = getattr(fn, "name", "<stmts>")
     return _Builder(name).build(fn)
-
-
-def loop_depth_map(fn) -> dict:
-    """Loop-nesting depth annotation for dynperf's heat model.
-
-    Maps ``id(node)`` -> the number of loop bodies enclosing ``node``
-    within ``fn``'s own body.  Nested function/lambda scopes are
-    excluded (their statements execute when *they* are called, not at
-    this function's loop depth).  Comprehension elements and non-first
-    generators count as one level deeper than the comprehension itself
-    — they run once per produced element.
-    """
-    depths: dict = {}
-    comp_types = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-    def visit_fields(node, depth: int, deeper) -> None:
-        """Visit ``node``'s children, sending the fields named in
-        ``deeper`` (or flagged by it) one loop level down."""
-        for fld, value in ast.iter_fields(node):
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.AST):
-                    visit(child, depth + 1 if deeper(fld, child) else depth)
-
-    def visit(node, depth: int) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            return
-        depths[id(node)] = depth
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            visit_fields(node, depth, lambda fld, _c: fld == "body")
-        elif isinstance(node, comp_types):
-            first_iter = node.generators[0].iter if node.generators else None
-            visit_fields(node, depth, lambda _f, c: c is not first_iter)
-        else:
-            for child in ast.iter_child_nodes(node):
-                visit(child, depth)
-
-    for stmt in getattr(fn, "body", []):
-        visit(stmt, 0)
-    return depths

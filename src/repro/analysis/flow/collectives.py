@@ -28,7 +28,7 @@ actually passes rank-derived data into it.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .callgraph import FuncInfo, Registry
@@ -298,9 +298,6 @@ class _TraceWalker:
         return ChoiceNode(
             arms=(arm_true, arm_false), cond=cond, tainted=tainted,
             participation=info is not None, line=node.lineno,
-            pin=env.rank_pin(node.test),
-            sched=env.expr_sched_tainted(node.test),
-            path=self.fi.path, func=self.fi.qualname,
         )
 
     def _check_arms(self, node, cond, arm_a, arm_b, *, scopes,
@@ -427,9 +424,7 @@ class _TraceWalker:
             return
         event = classify_call(node)
         if event is not None:
-            out.append(replace(
-                event, path=self.fi.path, func=self.fi.qualname
-            ))
+            out.append(event)
             if part == "removed" and (
                 event.scope == "active" or event.kind == "send"
             ):

@@ -65,14 +65,6 @@ RANK_SOURCES = frozenset({
     "recv_rel", "sendrecv_rel", "recv", "irecv", "sendrecv",
 })
 
-#: attribute/name spellings that denote the *executing* rank — the
-#: only expressions a ``== const`` comparison may pin an arm with
-#: (``status.source == 1`` compares a received rank, not the executor)
-_RANK_NAMES = frozenset({
-    "rank", "rel", "rel_rank", "world_rank", "relative_rank", "me",
-    "my_rank",
-})
-
 #: calls whose *result* is identical on every rank (allgather & co.)
 #: — they consume rank-dependent inputs and return uniform outputs
 UNIFORM_RESULTS = frozenset({
@@ -113,28 +105,17 @@ class CommEvent:
     name: str    # API name: allgather_active, global_reduce, isend...
     root: str = ""   # rendered root/op argument when present
     line: int = 0
-    #: p2p endpoint: rendered dest (sends) / source (recvs) expression,
-    #: ``"*"`` for ANY_SOURCE, ``""`` when unmodeled (dynrace input)
+    #: p2p endpoint, for the diagnostics only: rendered dest (sends) /
+    #: source (recvs) expression, ``"*"`` for ANY_SOURCE, ``""`` when
+    #: unmodeled
     peer: str = ""
     #: p2p tag expression, ``"*"`` for ANY_TAG
     tag: str = ""
-    #: defining location, stamped by the trace walker so findings on
-    #: spliced callee events can point into the callee's file
-    path: str = ""
-    func: str = ""
 
     @property
     def sig(self) -> tuple:
         """Matching identity — everything but the source position."""
         return (self.kind, self.scope, self.name, self.root)
-
-    @property
-    def wildcard(self) -> bool:
-        """A receive whose *source* MPI matches by wildcard (dynrace
-        DYN701).  A tag-only wildcard with an exact source is not a
-        race point: per-pair non-overtaking still defines the winner
-        (the earliest message from that source)."""
-        return self.kind in ("recv", "sendrecv") and self.peer == "*"
 
     def render(self) -> str:
         root = f" root={self.root}" if self.root else ""
@@ -162,15 +143,6 @@ class ChoiceNode:
     tainted: bool
     participation: bool = False  # condition is ctx.participating()
     line: int = 0
-    #: the integer rank constant when the condition pins the true arm
-    #: to one rank (``ep.rank == 0``); None otherwise.  dynrace uses
-    #: this to count how many ranks can execute a send site.
-    pin: Optional[int] = None
-    #: condition derives from a wildcard-receive result — the arms are
-    #: chosen by the message schedule (dynrace DYN702 when they differ)
-    sched: bool = False
-    path: str = ""
-    func: str = ""
 
 
 TraceNode = Union[CommEvent, LoopNode, ChoiceNode]
@@ -234,7 +206,7 @@ def _peer_tag(name: str, call: ast.Call) -> tuple:
     """Extract the (peer, tag) texts of a p2p call from its known
     signature; receives default to wildcards, sends to tag 0.
     ``sendrecv``'s two sides do not fit one (peer, tag) slot — it is
-    left unmodeled (empty) and dynrace treats it conservatively."""
+    left unmodeled (empty)."""
     if name in ("send", "isend", "send_rel"):
         dest = _arg(call, 0, "peer" if name == "send_rel" else "dest")
         tag = _arg(call, 1, "tag")
@@ -386,23 +358,16 @@ class TaintEnv:
     #: *return value* is rank-tainted (filled by the call-graph layer;
     #: shared by reference across copies)
     call_returns: dict = field(default_factory=dict)
-    #: vars derived from a *wildcard* receive's result — values the
-    #: message schedule, not the program, decides (dynrace DYN702).
-    #: Collective results do NOT launder this taint: an allreduce of a
-    #: schedule-dependent value is rank-uniform but still varies run
-    #: to run with the matching order.
-    sched: set = field(default_factory=set)
 
     def copy(self) -> "TaintEnv":
         return TaintEnv(set(self.tainted), set(self.part_vars),
-                        self.call_returns, set(self.sched))
+                        self.call_returns)
 
     def join(self, other: "TaintEnv") -> "TaintEnv":
         return TaintEnv(
             self.tainted | other.tainted,
             self.part_vars & other.part_vars,
             self.call_returns,
-            self.sched | other.sched,
         )
 
     def __eq__(self, other) -> bool:
@@ -410,7 +375,6 @@ class TaintEnv:
             isinstance(other, TaintEnv)
             and self.tainted == other.tainted
             and self.part_vars == other.part_vars
-            and self.sched == other.sched
         )
 
     # -- expression taint ----------------------------------------------
@@ -448,47 +412,6 @@ class TaintEnv:
         return any(
             self._tainted_walk(child) for child in ast.iter_child_nodes(node)
         )
-
-    # -- schedule taint (dynrace) --------------------------------------
-    def expr_sched_tainted(self, node) -> bool:
-        """Does any value flowing out of this expression derive from a
-        wildcard receive — i.e. from a matching the schedule decides?"""
-        if node is None:
-            return False
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and n.id in self.sched:
-                return True
-            if isinstance(n, ast.Call):
-                event = classify_call(n)
-                if event is not None and event.wildcard:
-                    return True
-        return False
-
-    # -- rank pins (dynrace) -------------------------------------------
-    def rank_pin(self, test) -> Optional[int]:
-        """The integer constant when ``test`` pins the true arm to one
-        rank (``ep.rank == 0``, ``rel == n - 1`` is not constant so
-        None).  Only rank-denoting names count — ``status.source == 1``
-        compares a *received* rank, which says nothing about who is
-        executing the arm."""
-        if not (
-            isinstance(test, ast.Compare)
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Eq)
-        ):
-            return None
-        left, right = test.left, test.comparators[0]
-        for expr, const in ((left, right), (right, left)):
-            if not (
-                isinstance(const, ast.Constant)
-                and isinstance(const.value, int)
-                and not isinstance(const.value, bool)
-            ):
-                continue
-            dotted = _dotted(expr)
-            if dotted is not None and dotted.split(".")[-1] in _RANK_NAMES:
-                return const.value
-        return None
 
     # -- participation conditions --------------------------------------
     def participation_info(self, test) -> Optional[tuple]:
@@ -537,7 +460,6 @@ class TaintEnv:
     # -- assignment transfer -------------------------------------------
     def assign(self, targets, value) -> None:
         taint = self.expr_tainted(value) if value is not None else False
-        sched = self.expr_sched_tainted(value) if value is not None else False
         is_part = (
             isinstance(value, ast.Call)
             and isinstance(value.func, ast.Attribute)
@@ -550,10 +472,6 @@ class TaintEnv:
                         self.tainted.add(name_node.id)
                     else:
                         self.tainted.discard(name_node.id)
-                    if sched:
-                        self.sched.add(name_node.id)
-                    else:
-                        self.sched.discard(name_node.id)
                     if is_part:
                         self.part_vars.add(name_node.id)
                     else:

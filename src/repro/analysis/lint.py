@@ -1,5 +1,4 @@
-"""The per-file AST rules (the ``lint`` pass, plus the AST half of the
-``race`` pass).
+"""The per-file AST rules (the ``lint`` pass).
 
 Generic linters cannot know that this codebase's endpoint operations
 are *generators*: ``ep.send(...)`` as a bare statement builds a
@@ -7,16 +6,14 @@ generator object, drops it, and silently sends nothing.  Nor can they
 know that :mod:`repro.simcluster` and :mod:`repro.core` must stay
 bit-for-bit deterministic (wallclock or unseeded randomness there
 breaks reproducibility and the redistribution lockstep).  These checks
-are encoded here as two visitors over one parsed tree:
-
-* :class:`_Linter` — DYN001/002 (undriven generator calls), DYN101,
-  DYN201, DYN301, DYN401, DYN601, DYN801, DYN901, DYN1101;
-* :class:`_RaceLinter` — the determinism rules DYN703/704/705.
+are encoded here as one visitor over the parsed tree, :class:`_Linter`:
+DYN001/002 (undriven generator calls), DYN101, DYN201, DYN301, DYN401,
+DYN601, DYN801, DYN901, DYN1101.
 
 What each code means, and the zone it applies in, is one row of the
 rule registry (:mod:`repro.analysis.rules`; long-form rationale in
-``docs/ANALYSIS.md``).  A visitor emits unconditionally and
-:meth:`_AstRules._emit` drops what the file's path puts out of zone,
+``docs/ANALYSIS.md``).  The visitor emits unconditionally and
+:meth:`_Linter._emit` drops what the file's path puts out of zone,
 so the zone of every rule is derived from the path and nothing else.
 """
 
@@ -27,13 +24,9 @@ import pathlib
 from typing import Optional
 
 from .findings import Finding, is_suppressed
-from .rules import RULES, ZONES
+from .rules import RULES
 
-__all__ = [
-    "lint_tree", "lint_source", "lint_file",
-    "race_lint_tree", "race_lint_source",
-    "syntax_finding",
-]
+__all__ = ["lint_tree", "lint_source", "lint_file", "syntax_finding"]
 
 #: endpoint/runtime methods that return generators and must be driven
 GENERATOR_METHODS = frozenset({
@@ -108,10 +101,7 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-class _AstRules(ast.NodeVisitor):
-    """What the two rule sets share: import-alias tracking and
-    zone-gated emission."""
-
+class _Linter(ast.NodeVisitor):
     def __init__(self, path: str):
         self.path = path
         p = pathlib.Path(path)
@@ -124,6 +114,9 @@ class _AstRules(ast.NodeVisitor):
         self.aliases: dict[str, str] = {}
         #: names imported *from* banned modules (from random import choice)
         self.from_random: set[str] = set()
+        #: local name -> dotted origin for ``from time import ...``
+        #: (so DYN601 sees through ``from time import time as wallclock``)
+        self.from_time: dict[str, str] = {}
 
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
         if code in self.active:
@@ -143,14 +136,6 @@ class _AstRules(ast.NodeVisitor):
         head, _, rest = dotted.partition(".")
         real = self.aliases.get(head, head)
         return f"{real}.{rest}" if rest else real
-
-
-class _Linter(_AstRules):
-    def __init__(self, path: str):
-        super().__init__(path)
-        #: local name -> dotted origin for ``from time import ...``
-        #: (so DYN601 sees through ``from time import time as wallclock``)
-        self.from_time: dict[str, str] = {}
 
     # -- helpers --------------------------------------------------------
     def _check_process_import(self, node: ast.AST, module: str) -> None:
@@ -410,226 +395,29 @@ class _Linter(_AstRules):
         return None
 
 
-# ---------------------------------------------------------------------------
-# dynrace determinism rules (DYN703/704/705)
-# ---------------------------------------------------------------------------
-
-#: calls whose *relative order* is observable in the exported trace:
-#: message emission (endpoint/collective generators plus the nonblocking
-#: pair) and dynscope event recording
-_ORDER_SINKS = GENERATOR_METHODS | GENERATOR_FUNCS | {
-    "isend", "irecv", "instant", "complete", "count", "observe",
-}
-
-
-class _RaceLinter(_AstRules):
-    """AST determinism rules for dynrace.
-
-    Set-typedness is inferred syntactically — literals,
-    comprehensions, ``set()`` / ``frozenset()`` calls, set-operator
-    expressions over those, and local names assigned from them.
-    ``sorted(...)`` launders: iterating a sorted set is deterministic.
-    Dict iteration is *not* flagged — Python dicts preserve insertion
-    order, which the program controls.
-    """
-
-    def __init__(self, path: str):
-        super().__init__(path)
-        #: the one sanctioned RNG construction site (the seeded
-        #: StreamRegistry), where building generators is the whole point
-        self.rng_home = ZONES["rng"].is_home(pathlib.Path(path))
-        #: stack of per-scope {name: is-set-typed} maps
-        self._set_vars: list[dict[str, bool]] = [{}]
-
-    # -- scopes ---------------------------------------------------------
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._set_vars.append({})
-        self.generic_visit(node)
-        self._set_vars.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    # -- set-typedness inference ----------------------------------------
-    def _is_setty(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in ("set", "frozenset"):
-                    return True
-                if func.id == "sorted":
-                    return False
-            if isinstance(func, ast.Attribute):
-                # s.union(t), s.difference(t), ... keep set-typedness
-                if func.attr in ("union", "intersection", "difference",
-                                 "symmetric_difference", "copy"):
-                    return self._is_setty(func.value)
-            return False
-        if isinstance(node, ast.Name):
-            for scope in reversed(self._set_vars):
-                if node.id in scope:
-                    return scope[node.id]
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
-        ):
-            return self._is_setty(node.left) or self._is_setty(node.right)
-        return False
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        setty = self._is_setty(node.value)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                self._set_vars[-1][target.id] = setty
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None and isinstance(node.target, ast.Name):
-            self._set_vars[-1][node.target.id] = self._is_setty(node.value)
-        self.generic_visit(node)
-
-    # -- imports (alias tracking + DYN704 on the import itself) ---------
-    def visit_Import(self, node: ast.Import) -> None:
-        self._track_aliases(node)
-        for alias in node.names:
-            if alias.name.split(".")[0] == "random":
-                self._emit(node, "DYN704",
-                           "the `random` module is process-global mutable "
-                           "state; draw from the cluster's seeded "
-                           "StreamRegistry (simcluster/rng.py) instead")
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module and node.module.split(".")[0] == "random":
-            self._emit(node, "DYN704",
-                       "importing from `random` pulls in process-global "
-                       "RNG state; use the seeded StreamRegistry "
-                       "(simcluster/rng.py) instead")
-            self.from_random.update(a.asname or a.name for a in node.names)
-        self.generic_visit(node)
-
-    # -- DYN703 / DYN705: set-ordered loops -----------------------------
-    def visit_For(self, node: ast.For) -> None:
-        if self._is_setty(node.iter):
-            self._classify_set_loop(node)
-        self.generic_visit(node)
-
-    def _classify_set_loop(self, node: ast.For) -> None:
-        emits: Optional[ast.AST] = None
-        accumulates: Optional[ast.AugAssign] = None
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if emits is None and isinstance(sub, ast.Call):
-                    func = sub.func
-                    name = (func.attr if isinstance(func, ast.Attribute)
-                            else func.id if isinstance(func, ast.Name)
-                            else None)
-                    if name in _ORDER_SINKS:
-                        emits = sub
-                if accumulates is None and isinstance(sub, ast.AugAssign):
-                    if isinstance(sub.op, (ast.Add, ast.Sub, ast.Mult)):
-                        accumulates = sub
-        if emits is not None:
-            self._emit(node, "DYN703",
-                       "loop over an unordered set emits messages/trace "
-                       "events — emission order then depends on hash "
-                       "seeding, not the program; iterate "
-                       "`sorted(...)` instead")
-        if accumulates is not None:
-            self._emit(accumulates, "DYN705",
-                       "accumulation inside a loop over an unordered set: "
-                       "float addition does not commute with reordering, "
-                       "so the total depends on hash seeding; iterate "
-                       "`sorted(...)` or use math.fsum over a sorted view")
-
-    # -- calls: DYN704 + sum() over a set (DYN705) ----------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = self._resolve(_dotted_name(node.func))
-        if dotted is not None and dotted.startswith("random."):
-            self._emit(node, "DYN704",
-                       f"`{dotted}()` draws from the process-global random "
-                       f"state; use the seeded StreamRegistry "
-                       f"(simcluster/rng.py)")
-        elif dotted is not None and dotted.startswith("numpy.random."):
-            attr = dotted.split(".", 2)[2]
-            if attr not in _NP_RANDOM_ALLOWED:
-                self._emit(node, "DYN704",
-                           f"`{dotted}()` draws from numpy's global random "
-                           f"state; take a stream from the seeded "
-                           f"StreamRegistry (simcluster/rng.py)")
-            elif attr == "default_rng" and not node.args and not node.keywords:
-                self._emit(node, "DYN704",
-                           "`default_rng()` without a seed is entropy-"
-                           "seeded — irreproducible by construction; take "
-                           "a stream from the seeded StreamRegistry")
-            elif not self.rng_home:
-                self._emit(node, "DYN704",
-                           f"`{dotted}(...)` constructs an ad-hoc generator "
-                           f"outside the sanctioned home "
-                           f"(simcluster/rng.py); even seeded, it "
-                           f"fragments the run's single seed tree — take "
-                           f"a stream from the StreamRegistry")
-        if isinstance(node.func, ast.Name):
-            if node.func.id in self.from_random:
-                self._emit(node, "DYN704",
-                           f"`{node.func.id}()` (from random) draws from "
-                           f"the process-global random state; use the "
-                           f"seeded StreamRegistry")
-            elif node.func.id in ("sum", "fsum") and node.args:
-                arg = node.args[0]
-                if self._is_setty(arg) or (
-                    isinstance(arg, (ast.GeneratorExp, ast.ListComp))
-                    and any(self._is_setty(g.iter) for g in arg.generators)
-                ):
-                    self._emit(node, "DYN705",
-                               "summation over an unordered set: float "
-                               "addition does not commute with reordering, "
-                               "so the result depends on hash seeding; "
-                               "sum over `sorted(...)`")
-        self.generic_visit(node)
-
-
 def syntax_finding(path: str, exc: SyntaxError) -> Finding:
     return Finding(path, exc.lineno or 0, exc.offset or 0, "DYN000",
                    f"syntax error: {exc.msg}")
 
 
-def _run(rules: type, tree: ast.AST, path: str) -> list[Finding]:
-    visitor = rules(path)
+def lint_tree(tree: ast.AST, path: str) -> list[Finding]:
+    """The ``lint`` pass over one parsed file; every zone is derived
+    from ``path``.  Raw findings — suppression is the driver's job."""
+    visitor = _Linter(path)
     visitor.visit(tree)
     return sorted(visitor.findings, key=lambda f: (f.path, f.line, f.col))
 
 
-def lint_tree(tree: ast.AST, path: str) -> list[Finding]:
-    """The ``lint`` pass over one parsed file; every zone is derived
-    from ``path``.  Raw findings — suppression is the driver's job."""
-    return _run(_Linter, tree, path)
-
-
-def race_lint_tree(tree: ast.AST, path: str) -> list[Finding]:
-    """The determinism rules (DYN703/704/705) over one parsed file."""
-    return _run(_RaceLinter, tree, path)
-
-
-def _check_source(rules: type, source: str, path: str) -> list[Finding]:
-    """One rule set over a bare source string, as ``check`` would
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """The ``lint`` pass over a bare source string, as ``check`` would
     report it for a file at ``path``: parse (DYN000 on failure), run,
     drop ``# dyn: ok(...)`` waivers."""
     try:
-        findings = _run(rules, ast.parse(source, filename=path), path)
+        findings = lint_tree(ast.parse(source, filename=path), path)
     except SyntaxError as exc:
         findings = [syntax_finding(path, exc)]
     lines = source.splitlines()
     return [f for f in findings if not is_suppressed(f, lines)]
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    return _check_source(_Linter, source, path)
-
-
-def race_lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    return _check_source(_RaceLinter, source, path)
 
 
 def lint_file(path: pathlib.Path) -> list[Finding]:

@@ -1,21 +1,25 @@
-"""The schedule-perturbation harness — dynrace's dynamic cross-check.
+"""The schedule-perturbation harness.
 
-The static checker's claim is falsifiable: a schedule-clean program
-exports a byte-identical trace under *every* perturbation seed, and a
-DYN701 true positive shows up as a real byte-level diff.  This module
-runs a traced target once unperturbed and once per seed
-(``DYNMPI_PERTURB=<seed>`` flips the kernel's wildcard-match
-tie-breaks, see :class:`repro.simcluster.kernel.Perturb`), then
-compares the JSONL trace exports byte for byte.
+The repo's headline guarantee — two identical seeded runs export
+byte-identical traces — holds only when nothing the MPI standard
+leaves undefined leaks into the result.  That claim is checked by
+running, not by proof: a schedule-clean program exports a
+byte-identical trace under *every* perturbation seed, and a wildcard
+receive that several concurrent senders can supply shows up as a real
+byte-level diff.  This module runs a traced target once unperturbed
+and once per seed (``DYNMPI_PERTURB=<seed>`` flips the kernel's
+wildcard-match tie-breaks, see
+:class:`repro.simcluster.kernel.Perturb`), then compares the JSONL
+trace exports byte for byte.
 
 Targets:
 
 * ``"removal"`` — the canonical seeded removal scenario
-  (:func:`repro.obs.scenario.run_removal`), the PR-5 byte-determinism
+  (:func:`repro.obs.scenario.run_removal`), the byte-determinism
   reference run;
 * a path to a Python file exposing ``run_traced() -> str`` returning a
-  trace export (the seeded-bad fixtures under ``tests/fixtures/race``
-  use this to demonstrate their races dynamically).
+  trace export (``tests/fixtures/perturb/any_source_race.py`` is a
+  seeded ANY_SOURCE race demonstrated this way).
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ def _perturb_env(seed: Optional[int]) -> Iterator[None]:
 def capture_trace(target: str = "removal") -> str:
     """Run ``target`` once with tracing on; returns the JSONL export."""
     if target == "removal":
-        from ...obs.export import jsonl_text
-        from ...obs.scenario import run_removal
+        from ..obs.export import jsonl_text
+        from ..obs.scenario import run_removal
         _result, cluster = run_removal(observe=True)
         return jsonl_text(cluster.obs)
     return _load_target(target).run_traced()
@@ -108,7 +112,7 @@ def capture_trace(target: str = "removal") -> str:
 def _load_target(path: str):
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("_dynrace_target", path)
+    spec = importlib.util.spec_from_file_location("_perturb_target", path)
     if spec is None or spec.loader is None:
         raise ValueError(f"cannot load perturbation target {path!r}")
     mod = importlib.util.module_from_spec(spec)

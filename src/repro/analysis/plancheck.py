@@ -217,7 +217,7 @@ def verify_plan(
         for name, n_rows in array_rows.items():
             must_arrive = needed[dst][name] - dst_old
             # the transfer list differs per (dst, array), nothing to
-            # hoist; verification runs per redistribution  # dyn: ok(DYN1001)
+            # hoist; verification runs per redistribution
             incoming = [
                 (src, IntervalSet.from_rows(rows))
                 for src, rows in plan.incoming(dst, name)
@@ -243,7 +243,7 @@ def verify_plan(
                 violations.append(PlanViolation(
                     "duplicate-row", name,
                     # violation message: only built for duplicated
-                    # rows, which a correct plan never has  # dyn: ok(DYN1005)
+                    # rows, which a correct plan never has
                     f"row {r} arrives at rank {dst} from multiple senders "
                     f"{senders}",
                 ))

@@ -3,10 +3,18 @@ rows refer to.
 
 Every static finding the suite can report is declared here exactly
 once — its code, the pass (*family*) that emits it, the zone it
-applies in, and its one-line summary (``docs/ANALYSIS.md`` carries the
-long-form rationale; a test keeps the two tables in step).  The
-driver (``python -m repro.analysis check``) and the passes consult
-this table; nothing else in the package knows which codes exist.
+applies in, its one-line summary and what it has *earned* its place
+with (``docs/ANALYSIS.md`` carries the long-form rationale; a test
+keeps the two tables in step).  The driver (``python -m repro.analysis
+check``) and the passes consult this table; nothing else in the
+package knows which codes exist.
+
+``earned_by`` is the audit ledger: ``defect: …`` names the real bug
+the rule caught, ``fence: …`` names the home module or invariant it
+guards and why no test fails when it is violated.  A rule with
+neither — one whose invariant something that *runs* already enforces
+(the perturbation harness, the e2e ledger) — is retired, as the
+static race and hot-path cost families were.
 
 A rule applies only inside its *zone* — a set of files picked out by
 path components — and several zones exempt a sanctioned *home* (the
@@ -67,11 +75,10 @@ class Zone:
 _ZONES = (
     # rules about the code's own shape apply to every analyzed file
     Zone("everywhere"),
-    # the whole-program families (DYN5xx/7xx/10xx) analyze programs —
-    # library code, examples, loose scripts — not the harness around
-    # them: tests and benchmarks draw RNG, poke internals and build
-    # throwaway lists freely.  The seeded-bad fixtures are programs
-    # that happen to live under tests/.
+    # the whole-program family (DYN5xx) analyzes programs — library
+    # code, examples, loose scripts — not the harness around them.
+    # The seeded-bad fixtures are programs that happen to live under
+    # tests/.
     Zone("program", forbid_parts=("tests", "benchmarks"),
          unless_parts=("fixtures",)),
     # DYN101: wallclock/randomness is banned where bit-exactness lives
@@ -96,10 +103,6 @@ _ZONES = (
     Zone("kernel", require_parts=("repro",),
          homes=(("simcluster", "kernel.py"),
                 ("oracles", "kernel_reference.py"))),
-    # DYN704: the one sanctioned RNG construction site.  Used through
-    # ``is_home`` — the *home* is what the rule needs to recognize.
-    Zone("rng", require_parts=("repro",),
-         homes=(("simcluster", "rng.py"),)),
     # DYN1101: the farm wire protocol (reserved tag band 210-219) and
     # one-sided Window construction belong to repro.farm / repro.mpi.rma
     Zone("farm", require_parts=("repro",), forbid_parts=("farm",),
@@ -112,9 +115,10 @@ ZONES: dict[str, Zone] = {z.name: z for z in _ZONES}
 @dataclass(frozen=True)
 class Rule:
     code: str
-    family: str    # the pass that emits it: lint | flow | race | perf
+    family: str    # the pass that emits it: lint | flow
     zone: str      # key into ZONES
     summary: str
+    earned_by: str  # "defect: ..." or "fence: ..." (module docstring)
 
     def applies_to(self, path: pathlib.Path) -> bool:
         return ZONES[self.zone].contains(path)
@@ -123,62 +127,83 @@ class Rule:
 _RULES = (
     # -- lint: per-file AST rules (repro.analysis.lint) ------------------
     Rule("DYN000", "lint", "everywhere",
-         "syntax error — the file could not be parsed"),
+         "syntax error — the file could not be parsed",
+         "fence: the gate itself — a file that does not parse would be "
+         "skipped and the tree would read clean"),
     Rule("DYN001", "lint", "everywhere",
-         "generator endpoint/collective call dropped as a bare statement"),
+         "generator endpoint/collective call dropped as a bare statement",
+         "fence: the generator endpoint API — a dropped `ep.send(...)` "
+         "raises nothing and sends nothing; a test notices only if a "
+         "peer blocks on that message"),
     Rule("DYN002", "lint", "everywhere",
-         "`yield gen_call(...)` where `yield from` is required"),
+         "`yield gen_call(...)` where `yield from` is required",
+         "fence: the generator endpoint API — the kernel rejects the "
+         "bogus syscall only on a path that executes it; the rule reads "
+         "the paths no test drives"),
     Rule("DYN101", "lint", "deterministic",
-         "wallclock/randomness in a deterministic zone (simcluster/core)"),
+         "wallclock/randomness in a deterministic zone (simcluster/core)",
+         "fence: bit-exactness of simcluster/ and core/ — a wallclock "
+         "read passes every single-run test and only moves digests "
+         "between runs, on whichever workload reaches it"),
     Rule("DYN201", "lint", "everywhere",
-         "mutable default on a dataclass field"),
+         "mutable default on a dataclass field",
+         "fence: the spec dataclasses — a shared default leaks state "
+         "between instances, i.e. between tests in one process, not "
+         "inside any one of them"),
     Rule("DYN301", "lint", "fault",
-         "bare Simulator.kill/inject outside repro.resilience"),
+         "bare Simulator.kill/inject outside repro.resilience",
+         "fence: FailureBoard crash accounting (repro.resilience) — a "
+         "bare kill works in the simulator; the runtime just never "
+         "learns the rank died"),
     Rule("DYN401", "lint", "row_membership",
-         "per-row row-membership construction on a data-plane hot path"),
+         "per-row row-membership construction on a data-plane hot path",
+         "fence: the IntervalSet data plane (core/, resilience/) — a "
+         "per-row set gives the same answer in O(rows), so every "
+         "equality test passes; the tier-1 scaling guards count two "
+         "call sites, the rule covers the rest"),
     Rule("DYN601", "lint", "instrumentation",
-         "ad-hoc instrumentation (wallclock read or print) in library code"),
+         "ad-hoc instrumentation (wallclock read or print) in library code",
+         "fence: repro.obs / repro.sysmon as the only instrumentation "
+         "homes — a stray print or timer changes no result"),
     Rule("DYN801", "lint", "process",
-         "process-level parallelism outside repro.campaign"),
+         "process-level parallelism outside repro.campaign",
+         "fence: the single-process simulator — a pool in library code "
+         "computes the same values until it meets the campaign's own "
+         "spawn workers"),
     Rule("DYN901", "lint", "kernel",
-         "event-queue manipulation outside simcluster/kernel.py"),
+         "event-queue manipulation outside simcluster/kernel.py",
+         "fence: the kernel heap's (time, seq) order and tombstone "
+         "count — an out-of-band push corrupts the count silently and "
+         "compaction misfires only past its 64-entry floor"),
     Rule("DYN1101", "lint", "farm",
-         "farm wire-protocol access outside repro.farm / repro.mpi.rma"),
+         "farm wire-protocol access outside repro.farm / repro.mpi.rma",
+         "fence: the farm tag band [210, 220) and RMA window registry — "
+         "a colliding raw tag misroutes only when a farm shares the "
+         "communicator, which no app test sets up"),
     # -- flow: whole-program communication flow (repro.analysis.flow) ----
     Rule("DYN501", "flow", "program",
-         "collective sequence diverges on a rank-dependent branch"),
+         "collective sequence diverges on a rank-dependent branch",
+         "fence: collective lockstep — a divergent arm deadlocks only "
+         "under the partitions that take it, and tests run a handful"),
     Rule("DYN502", "flow", "program",
-         "rank-dependent loop bound around a collective"),
+         "rank-dependent loop bound around a collective",
+         "fence: collective lockstep — unequal trip counts hang only "
+         "when the ranks' bounds differ, which an even test split hides"),
     Rule("DYN503", "flow", "program",
-         "send-in reachable on a removed (non-participating) path"),
+         "send-in reachable on a removed (non-participating) path",
+         "defect: apps/cg.py had both global_reduce calls under "
+         "`if ctx.participating()`; removed ranks never consumed the "
+         "send-out (PR 4)"),
     Rule("DYN504", "flow", "program",
-         "array access outside the owned+halo region"),
+         "array access outside the owned+halo region",
+         "fence: the declared add_array_access halo — an undeclared "
+         "read returns a stale or zero-filled ghost row that differs "
+         "only after a redistribution has moved it"),
     Rule("DYN505", "flow", "program",
-         "collective signature mismatch across a rank-dependent branch"),
-    # -- race: happens-before + determinism (repro.analysis.race) --------
-    Rule("DYN701", "race", "program",
-         "wildcard receive matchable by concurrent sends from several "
-         "sources"),
-    Rule("DYN702", "race", "program",
-         "schedule-dependent branch changes subsequent communication"),
-    Rule("DYN703", "race", "program",
-         "unordered set iteration feeds message/event ordering"),
-    Rule("DYN704", "race", "program",
-         "RNG outside the seeded StreamRegistry home"),
-    Rule("DYN705", "race", "program",
-         "float accumulation order depends on set iteration"),
-    # -- perf: hot-path cost rules (repro.analysis.perf); the hot zone
-    # itself is function-level (call-graph reachability), not a path --
-    Rule("DYN1001", "perf", "program", "allocation inside a hot loop"),
-    Rule("DYN1002", "perf", "program", "linear scan on the per-event path"),
-    Rule("DYN1003", "perf", "program",
-         "nested rank iteration (quadratic in world size)"),
-    Rule("DYN1004", "perf", "program",
-         "loop-invariant work repeated inside a hot loop"),
-    Rule("DYN1005", "perf", "program",
-         "exception control flow or eager formatting per event"),
-    Rule("DYN1006", "perf", "program",
-         "expensive call result discarded in the hot zone"),
+         "collective signature mismatch across a rank-dependent branch",
+         "fence: collective lockstep — matched in count, so nothing "
+         "hangs; the sanitizer raises only on the executed path and "
+         "only when it is on"),
 )
 
 RULES: dict[str, Rule] = {r.code: r for r in _RULES}

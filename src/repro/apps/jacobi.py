@@ -33,7 +33,7 @@ def initial_grid(cfg: JacobiConfig) -> np.ndarray:
     """Deterministic initial condition (any rank can build any row)."""
     # seeded straight from the config, identical on every rank —
     # the initial condition is content-addressed, not a draw
-    rng = np.random.default_rng(cfg.seed)  # dyn: ok(DYN704)
+    rng = np.random.default_rng(cfg.seed)
     return rng.random((cfg.n, cfg.n))
 
 

@@ -242,7 +242,7 @@ def particle_row_flows(counts: np.ndarray, g: int, step: int, seed: int):
     counts = np.asarray(counts)
     # content-addressed stream, fully determined by (g, step, seed)
     # and identical on every rank
-    rng = np.random.default_rng(  # dyn: ok(DYN704)
+    rng = np.random.default_rng(
         ((step * 1_000_003 + g) ^ seed) & 0x7FFFFFFF)
     n = counts.shape[0]
     frac_up = rng.uniform(0.05, 0.15, size=n)

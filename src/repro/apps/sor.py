@@ -34,7 +34,7 @@ class SORConfig:
 def initial_grid(cfg: SORConfig) -> np.ndarray:
     # seeded straight from the config, identical on every rank —
     # the initial condition is content-addressed, not a draw
-    rng = np.random.default_rng(cfg.seed)  # dyn: ok(DYN704)
+    rng = np.random.default_rng(cfg.seed)
     return rng.random((cfg.n, cfg.n))
 
 

@@ -4,8 +4,7 @@ three independent invariant checkers.
 Each fuzz iteration derives a scenario from ``(campaign_seed, index)``
 through a self-contained SplitMix64 generator — no ``random`` module,
 no numpy Generator, so the draw sequence is bit-stable across Python
-and numpy versions and the dynrace DYN704 rule stays clean.  The
-scenario is then executed up to three times:
+and numpy versions.  The scenario is then executed up to three times:
 
 1. **oracle** (PR 3): the distributed run must compute exactly what
    its sequential reference computes, redistribution or not;

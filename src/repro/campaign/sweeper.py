@@ -23,7 +23,11 @@ journal yields, per combo:
 
 Everything else is pending.  ``journal.jsonl`` is append-only and
 flushed per line, so a campaign killed at any instant loses at most
-the in-flight combos' attempts — never completed work.
+the in-flight combos' attempts — never completed work.  A kill inside
+a write leaves a last line with no newline: replay drops such a torn
+tail and cuts it off the file before anything is appended.  A line
+that does not parse anywhere else is damage, not a kill, and a
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -135,34 +139,61 @@ class ParamSweeper:
             max_tries=int(spec.get("max_tries", DEFAULT_MAX_TRIES)),
         )
 
-    def _replay(self) -> None:
-        if not self._journal_path.exists():
-            return
-        open_claims: dict[str, int] = {}
-        with open(self._journal_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+    def _journal_records(self) -> list[tuple]:
+        """The journal's ``(slug, event, record)`` entries in order,
+        after repairing a last line the previous process died inside."""
+        try:
+            data = self._journal_path.read_bytes()
+        except FileNotFoundError:
+            return []
+        *lines, tail = data.split(b"\n")
+        if tail:
+            # no trailing newline.  A fragment is dropped and cut off
+            # the file (the next record would be glued onto it); a
+            # whole record that only lost its newline gets it back.
+            try:
+                json.loads(tail)
+            except ValueError:
+                with open(self._journal_path, "r+b") as fh:
+                    fh.truncate(len(data) - len(tail))
+            else:
+                lines.append(tail)
+                with open(self._journal_path, "ab") as fh:
+                    fh.write(b"\n")
+        records = []
+        for n, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
                 rec = json.loads(line)
-                slug, event = rec["slug"], rec["event"]
-                if slug not in self._by_slug:
-                    raise ConfigError(
-                        f"journal mentions unknown combo {slug!r} — the "
-                        f"campaign directory does not match this space")
-                if event == "claim":
-                    open_claims[slug] = open_claims.get(slug, 0) + 1
-                elif event == "done":
-                    open_claims.pop(slug, None)
-                    self.done.add(slug)
-                elif event == "error":
-                    open_claims.pop(slug, None)
-                    self.tries[slug] = self.tries.get(slug, 0) + 1
-                    self.errors[slug] = rec.get("error", "")
-                elif event == "skip":
-                    self.skipped.add(slug)
-                else:
-                    raise ConfigError(f"journal has unknown event {event!r}")
+                records.append((rec["slug"], rec["event"], rec))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(
+                    f"{self._journal_path} line {n} is not a journal "
+                    f"record ({exc!r}); only the last line may be torn"
+                ) from None
+        return records
+
+    def _replay(self) -> None:
+        open_claims: dict[str, int] = {}
+        for slug, event, rec in self._journal_records():
+            if slug not in self._by_slug:
+                raise ConfigError(
+                    f"journal mentions unknown combo {slug!r} — the "
+                    f"campaign directory does not match this space")
+            if event == "claim":
+                open_claims[slug] = open_claims.get(slug, 0) + 1
+            elif event == "done":
+                open_claims.pop(slug, None)
+                self.done.add(slug)
+            elif event == "error":
+                open_claims.pop(slug, None)
+                self.tries[slug] = self.tries.get(slug, 0) + 1
+                self.errors[slug] = rec.get("error", "")
+            elif event == "skip":
+                self.skipped.add(slug)
+            else:
+                raise ConfigError(f"journal has unknown event {event!r}")
         # stale claims: the previous process died mid-combo
         for slug, n in open_claims.items():
             if slug not in self.done:

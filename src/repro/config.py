@@ -126,7 +126,7 @@ class ClusterSpec:
     #: simulated cost, but the Python-side bookkeeping is real — keep
     #: it off for wall-clock benchmarks.
     observe: bool | None = None
-    #: schedule perturbation (``repro.analysis.race``): an integer seed
+    #: schedule perturbation (``repro.analysis.perturb``): an integer seed
     #: arms the kernel's :class:`~repro.simcluster.kernel.Perturb`
     #: tie-break flipping; None (the default) defers to the
     #: ``DYNMPI_PERTURB`` environment variable.  A schedule-clean run

@@ -84,11 +84,11 @@ def evaluate_drop(
         # once per adaptation decision, never per event.
         all_ranks = np.arange(n)
         for r in range(1, loaded.size):
-            for keep_loaded in combinations(loaded, r):  # dyn: ok(DYN1003)
+            for keep_loaded in combinations(loaded, r):
                 removed_arr = np.setdiff1d(loaded, keep_loaded)
                 kept = np.setdiff1d(all_ranks, removed_arr)
                 avails = speeds[kept] / np.maximum(loads[kept], 1)
-                candidates.append((tuple(int(x)  # dyn: ok(DYN1001) — per candidate
+                candidates.append((tuple(int(x)
                                          for x in removed_arr), avails))
 
     best: Optional[tuple[float, tuple, np.ndarray]] = None

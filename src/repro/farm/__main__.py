@@ -3,8 +3,10 @@
 Runs one farm scenario end to end and prints a one-line summary, or —
 with ``--trace FILE`` — a dynscope trace of the run (Chrome Trace
 Event JSON by default, ``--format jsonl`` for the flat log).
-Deterministic: identical invocations produce byte-identical traces,
-which is what the CI farm-smoke job's double-export ``cmp`` checks.
+Deterministic: identical invocations produce byte-identical traces
+(``tests/test_farm_cli.py`` exports twice and compares).  Exit 0 when
+every job completed with the reference digest, 1 on a mismatch, 2 on
+bad input (one ``farm: ...`` line on stderr).
 
 Examples::
 
@@ -20,17 +22,22 @@ import sys
 
 
 def _parse_crash(text: str):
-    """``<node>@<cycle>`` -> a kill CycleFault."""
+    """``<node>@<cycle>`` -> a kill CycleFault (the ``--crash`` type)."""
     from ..resilience import CycleFault
 
     node, _, cycle = text.partition("@")
-    return CycleFault(cycle=int(cycle), node=int(node), action="kill")
+    try:
+        return CycleFault(cycle=int(cycle), node=int(node), action="kill")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected NODE@CYCLE (two integers), got {text!r}") from None
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.farm",
         description="run one elastic task-farm scenario on the simulator",
+        exit_on_error=False,
     )
     parser.add_argument("--policy", default="self",
                         help="loop-scheduling policy (default: self)")
@@ -46,7 +53,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="farm + cluster seed (default: 0)")
     parser.add_argument("--crash", action="append", default=[],
-                        metavar="NODE@CYCLE",
+                        type=_parse_crash, metavar="NODE@CYCLE",
                         help="kill the worker on NODE at CYCLE (repeatable)")
     parser.add_argument("--perturb", type=int, default=0,
                         help="schedule-perturbation seed (0 = off)")
@@ -56,32 +63,43 @@ def main(argv=None) -> int:
                         help="record a dynscope trace and write it to FILE")
     parser.add_argument("--format", choices=("chrome", "jsonl"),
                         default="chrome", help="trace format (default: chrome)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"farm: {exc}", file=sys.stderr)
+        return 2
+    for fault in args.crash:
+        if not 0 <= fault.node < args.nodes:
+            print(f"farm: --crash names node {fault.node}, the cluster has "
+                  f"nodes 0..{args.nodes - 1}", file=sys.stderr)
+            return 2
 
     from ..config import ClusterSpec
+    from ..errors import ConfigError
     from ..resilience import FailureScript
     from ..simcluster import Cluster
     from .jobs import farm_digest, reference_results
     from .runtime import FarmSpec, run_farm
 
-    spec = FarmSpec(
-        n_jobs=args.jobs, policy=args.policy, chunk=args.chunk,
-        skew=args.skew, seed=args.seed,
-    )
-    cluster = Cluster(ClusterSpec(
-        n_nodes=args.nodes,
-        seed=args.seed,
-        name=f"farm-{args.policy}",
-        sanitize=True if args.sanitize else None,
-        observe=True if args.trace else None,
-        perturb=args.perturb or None,
-    ))
-    failure = None
-    if args.crash:
-        failure = FailureScript(
-            cycle_faults=[_parse_crash(c) for c in args.crash]
+    try:
+        spec = FarmSpec(
+            n_jobs=args.jobs, policy=args.policy, chunk=args.chunk,
+            skew=args.skew, seed=args.seed,
         )
-    result = run_farm(cluster, spec, failure_script=failure)
+        cluster = Cluster(ClusterSpec(
+            n_nodes=args.nodes,
+            seed=args.seed,
+            name=f"farm-{args.policy}",
+            sanitize=True if args.sanitize else None,
+            observe=True if args.trace else None,
+            perturb=args.perturb or None,
+        ))
+        failure = (FailureScript(cycle_faults=args.crash)
+                   if args.crash else None)
+        result = run_farm(cluster, spec, failure_script=failure)
+    except ConfigError as exc:
+        print(f"farm: {exc}", file=sys.stderr)
+        return 2
 
     expected = farm_digest(reference_results(args.jobs, args.seed))
     ok = result.digest == expected and result.jobs_done == args.jobs

@@ -247,7 +247,7 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
             # path — the consumer keys everything by status.source and
             # dedups by the completed set, so the pick cannot change
             # the result (test_perturb_invariance_across_seeds)
-            payload, status = yield from ep.recv()  # dyn: ok(DYN701)
+            payload, status = yield from ep.recv()
             src, tag = status.source, status.tag
             progressed = True
             if tag == TAG_READY:

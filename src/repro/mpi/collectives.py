@@ -275,7 +275,7 @@ def allgather_dissemination(ep: Endpoint, group: Group, value: Any) -> Generator
         incoming, _ = yield from ep.sendrecv(
             # wire snapshot: the receiver must not observe keys merged
             # into `have` after this yield, so the copy is semantic,
-            # not waste  # dyn: ok(DYN1001)
+            # not waste
             dst, tag, dict(have), src, tag, nbytes=size
         )
         for key, pair in incoming.items():

@@ -162,7 +162,7 @@ class SimComm:
         self.obs = getattr(cluster, "obs", None)
         #: wildcard receives that found queued candidates from ≥2
         #: distinct sources — each one is a matching the MPI standard
-        #: leaves undefined (the dynrace DYN701 condition, observed)
+        #: leaves undefined (a message race, observed)
         self.match_ties = 0
         #: recycled eager envelopes (slab reuse): blocking receives
         #: return consumed plain envelopes here and the send paths
@@ -309,7 +309,7 @@ class SimComm:
             # counter here, a per-rank metric in the trace) and, when
             # the kernel's perturbation is armed, resolve it by seed
             # instead of arrival order — that flip is exactly what turns
-            # a DYN701 race into a byte-level trace diff.  An exact
+            # a message race into a byte-level trace diff.  An exact
             # source (even with ANY_TAG) has a defined winner: the
             # earliest match from that source; nothing to perturb.
             candidates = []

@@ -43,7 +43,6 @@ __all__ = [
     "diff_reports",
     "format_diff",
     "format_report",
-    "phase_shares",
     "span_bucket",
     "summarize",
 ]
@@ -139,22 +138,6 @@ def attribute(events: Iterable[dict]) -> dict:
         "total": total,
         "counts": dict(sorted(counts.items())),
         "adaptations": dict(sorted(adaptations.items())),
-    }
-
-
-def phase_shares(report: dict) -> dict:
-    """Each phase's fraction of total attributed time, from an
-    :func:`attribute` report.  This is the join surface dynperf's
-    ``--profile`` uses to re-rank static heat by measured exclusive
-    time; all zeros (empty trace) yields an empty dict so callers can
-    tell "no signal" from "signal says zero"."""
-    total = report.get("total", {}).get("total", 0.0)
-    if total <= 0.0:
-        return {}
-    return {
-        phase: report["total"][phase] / total
-        for phase in PHASES
-        if report["total"].get(phase, 0.0) > 0.0
     }
 
 

@@ -308,7 +308,7 @@ class RoundRobinCPU(_CPUBase):
             except ValueError:
                 pass  # already finished
 
-    def stop_spin(self, job: Job, _value=None) -> None:  # dyn: hot
+    def stop_spin(self, job: Job, _value=None) -> None:
         if job.cancelled or job.remaining != math.inf:
             return  # killed mid-poll, or stopped already
         if job is not self._current:
@@ -429,7 +429,7 @@ class RoundRobinCPU(_CPUBase):
         self._slice_start = now
         return elapsed
 
-    def _account_spin(self, job: Job, elapsed: float) -> None:  # dyn: hot
+    def _account_spin(self, job: Job, elapsed: float) -> None:
         """Credit ``elapsed`` seconds of a spin job as the chain of
         one-step requests would have: one EMA add per step end (the
         closed-form sum of their decayed contributions) and, on an
@@ -563,7 +563,7 @@ class ProcessorSharingCPU(_CPUBase):
             self._jobs.remove(job)
         self._reschedule()
 
-    def stop_spin(self, job: Job, _value=None) -> None:  # dyn: hot
+    def stop_spin(self, job: Job, _value=None) -> None:
         if job.cancelled or job.remaining != math.inf:
             return  # killed mid-poll, or stopped already
         share = (self.sim.now - self._last) / len(self._jobs)

@@ -60,8 +60,8 @@ _COMPACT_MIN_CANCELLED = 64
 
 
 class Perturb:
-    """Deterministic schedule-perturbation state (dynrace's dynamic
-    cross-check, ``docs/ANALYSIS.md`` §5).
+    """Deterministic schedule-perturbation state (the ``perturb``
+    harness, :mod:`repro.analysis.perturb`; ``docs/ANALYSIS.md`` §5).
 
     ``choose(n, key)`` is a pure function of ``(seed, key)`` — an
     FNV-1a hash, the same stable-hash idiom as

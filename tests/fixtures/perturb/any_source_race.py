@@ -1,13 +1,12 @@
-"""Seeded-bad dynrace fixture: master/worker ANY_SOURCE race.
+"""Seeded message race: master/worker ANY_SOURCE.
 
 Both workers send to rank 0 while the master sleeps, so both envelopes
 sit in the mailbox when the wildcard receive finally looks — which
 source wins the match is the kernel's tie-break, not the program.
-dynrace must flag the receive with DYN701 and show the racing send
-sites, and the perturbation harness (``DYNMPI_PERTURB``) must
-reproduce the race dynamically: the ``mpi.recv`` trace span records
-the matched source, so flipping the tie-break is a byte-level diff of
-the export.  ``run_traced()`` is the perturbation target.
+The perturbation harness (``DYNMPI_PERTURB``) must reproduce the race
+dynamically: the ``mpi.recv`` trace span records the matched source,
+so flipping the tie-break is a byte-level diff of the export.
+``run_traced()`` is the perturbation target.
 """
 
 

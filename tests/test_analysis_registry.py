@@ -1,7 +1,9 @@
 """One test over every row of the rule registry: the code has a
 summary, a seeded case fires it, ``# dyn: ok(<that code>)`` on the
 finding's line or on the line above silences it, and a waiver naming
-another code does not.  Plus the docs table staying in step."""
+another code does not.  Plus the docs table staying in step, and the
+audit ledger: every rule says what it earned its place with, and no
+waiver in the tree names a rule that is gone."""
 
 import pathlib
 import re
@@ -9,7 +11,8 @@ import re
 import pytest
 
 from repro.analysis.__main__ import analyze
-from repro.analysis.rules import RULES
+from repro.analysis.findings import _OK
+from repro.analysis.rules import RULES, ZONES
 
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -39,24 +42,16 @@ CASES = {code: [case] for code, case in {
     "DYN901": (LIB, "import heapq\n"),
     "DYN1101": (LIB, "def f(ep):\n    yield from ep.send(0, 211, None)\n"),
 }.items()}
-for _family, _names in {
-    "flow": {"DYN501": "bad_dyn501_branch", "DYN502": "bad_dyn502_loop",
-             "DYN503": "bad_dyn503_removed",
-             "DYN504": "bad_dyn504_ownership bad_dyn504_block",
-             "DYN505": "bad_dyn505_signature"},
-    "race": {"DYN701": "bad_dyn701_any_source",
-             "DYN702": "bad_dyn702_sched_branch",
-             "DYN703": "bad_dyn703_set_order", "DYN704": "bad_dyn704_rng",
-             "DYN705": "bad_dyn705_float_order"},
-    "perf": {"DYN1001": "bad_alloc", "DYN1002": "bad_scan",
-             "DYN1003": "bad_nest", "DYN1004": "bad_invariant",
-             "DYN1005": "bad_except", "DYN1006": "bad_dead"},
+for _code, _name in {
+    "DYN501": "bad_dyn501_branch", "DYN502": "bad_dyn502_loop",
+    "DYN503": "bad_dyn503_removed",
+    "DYN504": "bad_dyn504_ownership bad_dyn504_block",
+    "DYN505": "bad_dyn505_signature",
 }.items():
-    for _code, _name in _names.items():
-        CASES[_code] = [
-            (f"{_n}.py", (FIXTURES / _family / f"{_n}.py").read_text())
-            for _n in _name.split()
-        ]
+    CASES[_code] = [
+        (f"{_n}.py", (FIXTURES / "flow" / f"{_n}.py").read_text())
+        for _n in _name.split()
+    ]
 
 
 def test_every_rule_has_a_seeded_case():
@@ -67,7 +62,7 @@ def _hits(tmp_path, rel, source, code):
     f = tmp_path / rel
     f.parent.mkdir(parents=True, exist_ok=True)
     f.write_text(source)
-    return [x.line for x in analyze([f])[0] if x.code == code]
+    return [x.line for x in analyze([f]) if x.code == code]
 
 
 @pytest.mark.parametrize("code", sorted(RULES))
@@ -104,8 +99,39 @@ def test_waiver_on_a_code_line_does_not_reach_the_next_line(tmp_path):
     assert _hits(tmp_path, LIB, source, "DYN901") == [2]
 
 
+def test_program_zone_excludes_the_harness_but_not_its_fixtures():
+    program = ZONES[RULES["DYN501"].zone]
+    inside = ["src/repro/mpi/comm.py", "examples/failover.py", "prog.py",
+              "tests/fixtures/flow/bad_dyn501_branch.py"]
+    outside = ["tests/test_flow.py", "benchmarks/bench_micro.py",
+               "benchmarks/e2e/probes.py"]
+    assert all(program.contains(pathlib.Path(p)) for p in inside)
+    assert not any(program.contains(pathlib.Path(p)) for p in outside)
+
+
 def test_docs_table_lists_exactly_the_registry():
     text = (ROOT / "docs" / "ANALYSIS.md").read_text()
     section = text.split("## Finding codes", 1)[1].split("\n## ", 1)[0]
-    documented = re.findall(r"^\| (DYN\d+) \|", section, flags=re.M)
-    assert sorted(documented) == sorted(RULES)
+    rows = re.findall(r"^\| (DYN\d+) \|.*\| ([^|]+) \|$", section, flags=re.M)
+    assert sorted(code for code, _ in rows) == sorted(RULES)
+    # the last column is the registry's audit ledger, verbatim
+    assert dict(rows) == {r.code: r.earned_by for r in RULES.values()}
+
+
+def test_every_rule_says_what_it_earned_its_place_with():
+    for rule in RULES.values():
+        kind, _, what = rule.earned_by.partition(": ")
+        assert kind in ("defect", "fence") and what.strip(), rule.code
+
+
+def test_no_waiver_names_a_retired_rule():
+    dead = [
+        f"{path}:{n}: {code}"
+        for top in ("src", "examples", "benchmarks")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for m in _OK.finditer(line)   # the driver's own waiver pattern
+        for code in re.findall(r"DYN\d+", m.group(1))
+        if code not in RULES
+    ]
+    assert dead == []

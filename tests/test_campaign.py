@@ -227,6 +227,63 @@ def test_sweeper_rejects_mismatched_directory(tmp_path):
         ParamSweeper.open_dir(tmp_path / "nope")
 
 
+def test_torn_journal_tail_is_dropped_and_the_combo_requeued(tmp_path,
+                                                             capsys):
+    from repro.campaign.__main__ import main
+
+    space = tiny_space()
+    with ParamSweeper.create(tmp_path / "a", space) as sw:
+        ref = Engine(sw, workers=1)
+        assert ref.run().complete
+        ref.aggregate(write_to=tmp_path / "a")
+    with ParamSweeper.create(tmp_path / "b", space) as sw:
+        assert Engine(sw, workers=1).run().complete
+        all_done = set(sw.done)
+
+    # a kill between the write and the newline: the last record (the
+    # last combo's `done`) is cut in half
+    journal = tmp_path / "b" / "journal.jsonl"
+    data = journal.read_bytes()
+    last = data.rstrip(b"\n").rsplit(b"\n", 1)[1]
+    victim = json.loads(last)["slug"]
+    journal.write_bytes(data[:-(len(last) // 2 + 1)])
+
+    # status and resume go through the CLI: no traceback, exit 0
+    assert main(["status", "--dir", str(tmp_path / "b")]) == 0
+    assert f"{len(all_done) - 1}/{len(all_done)} done" in capsys.readouterr().out
+    # the fragment was cut off the file, so nothing gets glued onto it
+    assert journal.read_bytes() == data[:-(len(last) + 1)]
+    with ParamSweeper.open_dir(tmp_path / "b") as sw2:
+        assert sw2.done == all_done - {victim}
+        assert [c.slug for c in sw2.pending()] == [victim]
+        assert "stale claim" in sw2.errors[victim]
+    assert main(["resume", "--dir", str(tmp_path / "b"),
+                 "--workers", "1", "--quiet"]) == 0
+    assert (tmp_path / "b" / "BENCH_campaign.json").read_bytes() == \
+        (tmp_path / "a" / "BENCH_campaign.json").read_bytes()
+    for line in journal.read_text().splitlines():
+        json.loads(line)
+
+
+@pytest.mark.parametrize("damage", [
+    b'{"event": "done", "sl\n',          # unparseable, but not the tail
+    b'{"event": "done"}\n',               # a record without a slug
+    b'[1, 2]\n',                          # JSON, not a record
+])
+def test_corrupt_journal_line_is_a_config_error(tmp_path, damage):
+    space = tiny_space()
+    with ParamSweeper.create(tmp_path / "c", space) as sw:
+        first, second = sw.pending()[:2]
+        sw.claim(first)
+    journal = tmp_path / "c" / "journal.jsonl"
+    with open(journal, "ab") as fh:
+        fh.write(damage)
+        fh.write(json.dumps({"slug": second.slug, "event": "claim"}).encode()
+                 + b"\n")
+    with pytest.raises(ConfigError, match=r"journal\.jsonl line 2 "):
+        ParamSweeper.open_dir(tmp_path / "c")
+
+
 # ----------------------------------------------------------------------
 # engine: the acceptance properties
 # ----------------------------------------------------------------------

@@ -381,7 +381,7 @@ def test_syntax_error_reported_as_dyn000():
 # ----------------------------------------------------------------------
 
 def test_src_tree_is_clean():
-    findings, _zone = analyze([SRC_ROOT])
+    findings = analyze([SRC_ROOT])
     assert findings == [], "\n".join(str(f) for f in findings)
 
 

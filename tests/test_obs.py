@@ -201,7 +201,7 @@ def test_roundtrip_both_formats(removal, tmp_path):
         write_trace(cluster.obs, tmp_path / "t.x", "xml")
 
 
-def test_obs_off_is_pure_and_keeps_events_view():
+def test_obs_off_is_pure_and_keeps_events_view(monkeypatch):
     on, _ = run_removal(SCENARIO, observe=True)
     off, cluster_off = run_removal(SCENARIO, observe=False)
     assert cluster_off.obs is None
@@ -210,6 +210,16 @@ def test_obs_off_is_pure_and_keeps_events_view():
     assert off.cycle_times == on.cycle_times
     assert [(e.kind, e.cycle) for e in off.events] == \
            [(e.kind, e.cycle) for e in on.events]
+
+    # the same through the environment switch, on the Figure 4 Jacobi
+    # cell (dedicated / no-adapt / Dyn-MPI runs with a redistribution)
+    from repro.experiments import run_figure4
+
+    rows = {}
+    for flag in ("1", "0"):
+        monkeypatch.setenv("DYNMPI_OBS", flag)
+        rows[flag] = run_figure4(apps=("jacobi",), nodes=(2,), scale=0.35)
+    assert rows["1"] == rows["0"]
 
 
 # ----------------------------------------------------------------------
