@@ -14,17 +14,16 @@ Four layers (see ``docs/ANALYSIS.md``):
 * ``python -m repro.analysis check`` — one static-analysis driver
   over one rule registry (:mod:`repro.analysis.rules`), one finding
   type and one ``# dyn: ok(CODE)`` suppression
-  (:mod:`repro.analysis.findings`).  It parses the tree once and runs
-  two passes over it: :mod:`repro.analysis.lint` (per-file AST rules
-  for the failure modes generic linters cannot see) and
-  :mod:`repro.analysis.flow` (whole-program collective matching and
-  static ownership, DYN5xx).
+  (:mod:`repro.analysis.findings`).  It parses each file once and runs
+  :mod:`repro.analysis.lint` over it (per-file AST rules for the
+  failure modes generic linters cannot see).
 * :mod:`repro.analysis.perturb` — the schedule-perturbation harness
   (``DYNMPI_PERTURB``): a seeded run must export the same bytes under
-  every flip of the tie-breaks MPI leaves undefined.  Determinism and
-  hot-path cost are watched by running the program (this harness, the
-  e2e ledger's ``sim_digest`` and per-layer rows), not by a static
-  pass.
+  every flip of the tie-breaks MPI leaves undefined.  Determinism,
+  hot-path cost, collective lockstep and ownership are watched by
+  running the program (this harness, the e2e ledger's ``sim_digest``
+  and per-layer rows, the sanitizer, ``AllocationError``), not by a
+  static pass.
 
 Command line: ``python -m repro.analysis check src examples``,
 ``python -m repro.analysis plan spec.json`` and
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 from .sanitizer import CommSanitizer, SanitizerReport, sanitizer_enabled
 
-_LAZY = ("plancheck", "lint", "flow", "perturb")
+_LAZY = ("plancheck", "lint", "perturb")
 
 __all__ = [
     "CommSanitizer",

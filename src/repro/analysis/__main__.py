@@ -8,15 +8,12 @@ Usage::
     python -m repro.analysis perturb --seeds 1,2,3 [--target removal]
 
 ``check`` is the one static-analysis driver — the CI correctness
-gate.  It parses the given files/trees once and runs the two passes
-over them: the per-file AST rules (:mod:`repro.analysis.lint`) and the
-whole-program communication-flow analysis (collective matching,
-rank-divergence, static ownership — :mod:`repro.analysis.flow`).
-Which files a rule looks at is its zone in the rule registry
+gate.  It walks the given files/trees, parses each file once and runs
+the per-file AST rules (:mod:`repro.analysis.lint`) over it.  Which
+files a rule looks at is its zone in the rule registry
 (:mod:`repro.analysis.rules`); ``# dyn: ok(CODE)`` comments are
-filtered here, after both passes.  It prints one block per finding
-(``path:line:col: CODE [function] message`` plus traces and a hint
-where the pass has them).
+filtered here.  It prints one line per finding
+(``path:line:col: CODE message``).
 
 ``perturb`` is the schedule-determinism check, and it runs the
 program: it re-runs a traced scenario under ``DYNMPI_PERTURB`` seeds
@@ -60,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 import time
 from typing import Any
@@ -140,26 +138,25 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _iter_files(paths) -> list:
+    files: list[pathlib.Path] = []
+    for raw in paths:
+        p = pathlib.Path(raw)
+        if p.is_dir():
+            files.extend(sorted(p.rglob("*.py")))
+        else:
+            files.append(p)
+    return files
+
+
 def analyze(paths) -> list:
-    """The analysis pipeline: parse ``paths`` once, run both passes,
-    drop ``# dyn: ok(...)`` waivers.  Returns the findings sorted by
-    (path, line, code).  Raises ``OSError`` for an unreadable path."""
-    from . import flow
-    from .findings import is_suppressed
-    from .lint import lint_tree, syntax_finding
-    from .rules import ZONES
+    """The analysis pipeline: read and parse every file under ``paths``
+    once, run the per-file rules, drop ``# dyn: ok(...)`` waivers.
+    Returns the findings sorted by (path, line, code).  Raises
+    ``OSError`` for an unreadable path."""
+    from .lint import lint_file
 
-    registry = flow.load_registry(paths, indexed=ZONES["program"].contains)
-    lines = {mod.path: mod.lines for mod in registry.files}
-    findings = []
-    for path, source, exc in registry.broken:
-        lines[path] = source.splitlines()
-        findings.append(syntax_finding(path, exc))
-    for mod in registry.files:
-        findings.extend(lint_tree(mod.tree, mod.path))
-    findings.extend(flow.analyze(registry))
-
-    findings = [f for f in findings if not is_suppressed(f, lines[f.path])]
+    findings = [x for f in _iter_files(paths) for x in lint_file(f)]
     findings.sort(key=lambda f: (f.path, f.line, f.code))
     return findings
 
@@ -228,7 +225,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(
-        "check", help="both static passes: AST rules and flow"
+        "check", help="the per-file AST rules"
     )
     p_check.add_argument("paths", nargs="+", help="files or directories")
     p_check.add_argument("--quiet", action="store_true")

@@ -26,7 +26,7 @@ from typing import Optional
 from .findings import Finding, is_suppressed
 from .rules import RULES
 
-__all__ = ["lint_tree", "lint_source", "lint_file", "syntax_finding"]
+__all__ = ["lint_source", "lint_file"]
 
 #: endpoint/runtime methods that return generators and must be driven
 GENERATOR_METHODS = frozenset({
@@ -395,27 +395,17 @@ class _Linter(ast.NodeVisitor):
         return None
 
 
-def syntax_finding(path: str, exc: SyntaxError) -> Finding:
-    return Finding(path, exc.lineno or 0, exc.offset or 0, "DYN000",
-                   f"syntax error: {exc.msg}")
-
-
-def lint_tree(tree: ast.AST, path: str) -> list[Finding]:
-    """The ``lint`` pass over one parsed file; every zone is derived
-    from ``path``.  Raw findings — suppression is the driver's job."""
-    visitor = _Linter(path)
-    visitor.visit(tree)
-    return sorted(visitor.findings, key=lambda f: (f.path, f.line, f.col))
-
-
 def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """The ``lint`` pass over a bare source string, as ``check`` would
-    report it for a file at ``path``: parse (DYN000 on failure), run,
-    drop ``# dyn: ok(...)`` waivers."""
+    """The rules over a bare source string, as ``check`` reports it
+    for a file at ``path`` (every zone is derived from ``path``):
+    parse (DYN000 on failure), visit, drop ``# dyn: ok(...)`` waivers."""
     try:
-        findings = lint_tree(ast.parse(source, filename=path), path)
+        visitor = _Linter(path)
+        visitor.visit(ast.parse(source, filename=path))
+        findings = sorted(visitor.findings, key=lambda f: (f.line, f.col))
     except SyntaxError as exc:
-        findings = [syntax_finding(path, exc)]
+        findings = [Finding(path, exc.lineno or 0, exc.offset or 0, "DYN000",
+                            f"syntax error: {exc.msg}")]
     lines = source.splitlines()
     return [f for f in findings if not is_suppressed(f, lines)]
 

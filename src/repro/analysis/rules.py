@@ -2,19 +2,20 @@
 rows refer to.
 
 Every static finding the suite can report is declared here exactly
-once — its code, the pass (*family*) that emits it, the zone it
-applies in, its one-line summary and what it has *earned* its place
-with (``docs/ANALYSIS.md`` carries the long-form rationale; a test
-keeps the two tables in step).  The driver (``python -m repro.analysis
-check``) and the passes consult this table; nothing else in the
+once — its code, the zone it applies in, its one-line summary and what
+it has *earned* its place with (``docs/ANALYSIS.md`` carries the
+long-form rationale; a test keeps the two tables in step).  The driver
+(``python -m repro.analysis check``) and the per-file pass
+(:mod:`repro.analysis.lint`) consult this table; nothing else in the
 package knows which codes exist.
 
 ``earned_by`` is the audit ledger: ``defect: …`` names the real bug
 the rule caught, ``fence: …`` names the home module or invariant it
 guards and why no test fails when it is violated.  A rule with
 neither — one whose invariant something that *runs* already enforces
-(the perturbation harness, the e2e ledger) — is retired, as the
-static race and hot-path cost families were.
+(the perturbation harness, the e2e ledger, the runtime sanitizer) — is
+retired, as the static race, hot-path cost and whole-program flow
+families were.
 
 A rule applies only inside its *zone* — a set of files picked out by
 path components — and several zones exempt a sanctioned *home* (the
@@ -23,8 +24,7 @@ is declarative:
 
 * ``require_parts`` — the path must contain at least one of these
   components (empty = no requirement);
-* ``forbid_parts`` — the path must contain none of these …
-* ``unless_parts`` — … unless it also contains one of these;
+* ``forbid_parts`` — the path must contain none of these;
 * ``exempt_files`` — file names excluded from the zone;
 * ``homes`` — the sanctioned homes, ``(dir, prefix)`` pairs: files
   named ``{prefix}*`` under a ``{dir}`` component are *outside* the
@@ -48,7 +48,6 @@ class Zone:
     name: str
     require_parts: tuple = ()
     forbid_parts: tuple = ()
-    unless_parts: tuple = ()
     exempt_files: tuple = ()
     homes: tuple = ()
 
@@ -63,9 +62,7 @@ class Zone:
             p in parts for p in self.require_parts
         ):
             return False
-        if any(p in parts for p in self.forbid_parts) and not any(
-            p in parts for p in self.unless_parts
-        ):
+        if any(p in parts for p in self.forbid_parts):
             return False
         if path.name in self.exempt_files:
             return False
@@ -75,12 +72,6 @@ class Zone:
 _ZONES = (
     # rules about the code's own shape apply to every analyzed file
     Zone("everywhere"),
-    # the whole-program family (DYN5xx) analyzes programs — library
-    # code, examples, loose scripts — not the harness around them.
-    # The seeded-bad fixtures are programs that happen to live under
-    # tests/.
-    Zone("program", forbid_parts=("tests", "benchmarks"),
-         unless_parts=("fixtures",)),
     # DYN101: wallclock/randomness is banned where bit-exactness lives
     Zone("deterministic", require_parts=("simcluster", "core")),
     # DYN301: library code must route faults through the FailureBoard;
@@ -115,7 +106,6 @@ ZONES: dict[str, Zone] = {z.name: z for z in _ZONES}
 @dataclass(frozen=True)
 class Rule:
     code: str
-    family: str    # the pass that emits it: lint | flow
     zone: str      # key into ZONES
     summary: str
     earned_by: str  # "defect: ..." or "fence: ..." (module docstring)
@@ -125,85 +115,60 @@ class Rule:
 
 
 _RULES = (
-    # -- lint: per-file AST rules (repro.analysis.lint) ------------------
-    Rule("DYN000", "lint", "everywhere",
+    Rule("DYN000", "everywhere",
          "syntax error — the file could not be parsed",
          "fence: the gate itself — a file that does not parse would be "
          "skipped and the tree would read clean"),
-    Rule("DYN001", "lint", "everywhere",
+    Rule("DYN001", "everywhere",
          "generator endpoint/collective call dropped as a bare statement",
          "fence: the generator endpoint API — a dropped `ep.send(...)` "
          "raises nothing and sends nothing; a test notices only if a "
          "peer blocks on that message"),
-    Rule("DYN002", "lint", "everywhere",
+    Rule("DYN002", "everywhere",
          "`yield gen_call(...)` where `yield from` is required",
          "fence: the generator endpoint API — the kernel rejects the "
          "bogus syscall only on a path that executes it; the rule reads "
          "the paths no test drives"),
-    Rule("DYN101", "lint", "deterministic",
+    Rule("DYN101", "deterministic",
          "wallclock/randomness in a deterministic zone (simcluster/core)",
          "fence: bit-exactness of simcluster/ and core/ — a wallclock "
          "read passes every single-run test and only moves digests "
          "between runs, on whichever workload reaches it"),
-    Rule("DYN201", "lint", "everywhere",
+    Rule("DYN201", "everywhere",
          "mutable default on a dataclass field",
          "fence: the spec dataclasses — a shared default leaks state "
          "between instances, i.e. between tests in one process, not "
          "inside any one of them"),
-    Rule("DYN301", "lint", "fault",
+    Rule("DYN301", "fault",
          "bare Simulator.kill/inject outside repro.resilience",
          "fence: FailureBoard crash accounting (repro.resilience) — a "
          "bare kill works in the simulator; the runtime just never "
          "learns the rank died"),
-    Rule("DYN401", "lint", "row_membership",
+    Rule("DYN401", "row_membership",
          "per-row row-membership construction on a data-plane hot path",
          "fence: the IntervalSet data plane (core/, resilience/) — a "
          "per-row set gives the same answer in O(rows), so every "
          "equality test passes; the tier-1 scaling guards count two "
          "call sites, the rule covers the rest"),
-    Rule("DYN601", "lint", "instrumentation",
+    Rule("DYN601", "instrumentation",
          "ad-hoc instrumentation (wallclock read or print) in library code",
          "fence: repro.obs / repro.sysmon as the only instrumentation "
          "homes — a stray print or timer changes no result"),
-    Rule("DYN801", "lint", "process",
+    Rule("DYN801", "process",
          "process-level parallelism outside repro.campaign",
          "fence: the single-process simulator — a pool in library code "
          "computes the same values until it meets the campaign's own "
          "spawn workers"),
-    Rule("DYN901", "lint", "kernel",
+    Rule("DYN901", "kernel",
          "event-queue manipulation outside simcluster/kernel.py",
          "fence: the kernel heap's (time, seq) order and tombstone "
          "count — an out-of-band push corrupts the count silently and "
          "compaction misfires only past its 64-entry floor"),
-    Rule("DYN1101", "lint", "farm",
+    Rule("DYN1101", "farm",
          "farm wire-protocol access outside repro.farm / repro.mpi.rma",
          "fence: the farm tag band [210, 220) and RMA window registry — "
          "a colliding raw tag misroutes only when a farm shares the "
          "communicator, which no app test sets up"),
-    # -- flow: whole-program communication flow (repro.analysis.flow) ----
-    Rule("DYN501", "flow", "program",
-         "collective sequence diverges on a rank-dependent branch",
-         "fence: collective lockstep — a divergent arm deadlocks only "
-         "under the partitions that take it, and tests run a handful"),
-    Rule("DYN502", "flow", "program",
-         "rank-dependent loop bound around a collective",
-         "fence: collective lockstep — unequal trip counts hang only "
-         "when the ranks' bounds differ, which an even test split hides"),
-    Rule("DYN503", "flow", "program",
-         "send-in reachable on a removed (non-participating) path",
-         "defect: apps/cg.py had both global_reduce calls under "
-         "`if ctx.participating()`; removed ranks never consumed the "
-         "send-out (PR 4)"),
-    Rule("DYN504", "flow", "program",
-         "array access outside the owned+halo region",
-         "fence: the declared add_array_access halo — an undeclared "
-         "read returns a stale or zero-filled ghost row that differs "
-         "only after a redistribution has moved it"),
-    Rule("DYN505", "flow", "program",
-         "collective signature mismatch across a rank-dependent branch",
-         "fence: collective lockstep — matched in count, so nothing "
-         "hangs; the sanitizer raises only on the executed path and "
-         "only when it is on"),
 )
 
 RULES: dict[str, Rule] = {r.code: r for r in _RULES}

@@ -52,15 +52,12 @@ class NodeSpec:
     speed: float = 1.0e8
     quantum: float = 0.010
     memory_bytes: int = 512 * 1024 * 1024
-    discipline: str = "rr"  # "rr" (round robin) or "ps" (processor sharing)
 
     def __post_init__(self) -> None:
         if self.speed <= 0:
             raise ConfigError(f"node speed must be positive, got {self.speed}")
         if self.quantum <= 0:
             raise ConfigError(f"quantum must be positive, got {self.quantum}")
-        if self.discipline not in ("rr", "ps"):
-            raise ConfigError(f"unknown CPU discipline {self.discipline!r}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ Public surface:
 * :class:`DynMPIJob` / :class:`DynMPI` — the runtime and per-rank API.
 * :class:`DRSD` / :class:`AccessMode` — deferred regular section
   descriptors for array accesses.
-* :class:`BlockDistribution` / :class:`CyclicDistribution` /
-  :func:`shares_to_blocks` — data distributions.
+* :class:`BlockDistribution` / :func:`shares_to_blocks` — data
+  distributions.
 * :func:`successive_balance` / :func:`closed_form_shares` /
   :func:`naive_shares` — distribution computation.
 * :class:`CommCostModel` + phase patterns — micro-benchmark-fitted
@@ -29,7 +29,7 @@ from .commcost import (
     ScalarAllreduce,
     measure_comm_model,
 )
-from .distribution import BlockDistribution, CyclicDistribution, shares_to_blocks
+from .distribution import BlockDistribution, shares_to_blocks
 from .drsd import DRSD, AccessMode
 from .intervals import IntervalSet
 from .loadmon import LoadMonitor
@@ -51,7 +51,6 @@ __all__ = [
     "IntervalSet",
     "Phase",
     "BlockDistribution",
-    "CyclicDistribution",
     "shares_to_blocks",
     "BalanceResult",
     "successive_balance",

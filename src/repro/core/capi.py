@@ -72,8 +72,7 @@ class DMPI:
             raise RegistrationError(f"unknown distribution {distribution!r}")
         if distribution == DMPI_CYCLIC:
             raise RegistrationError(
-                "the runtime currently redistributes block distributions "
-                "only (cyclic is supported at the distribution layer)"
+                "the runtime redistributes block distributions only"
             )
         self._distribution = distribution
         self._declared = (num_phases, num_arrays)

@@ -142,42 +142,22 @@ def measure_comm_model(
 class PhasePattern:
     """Per-cycle communication volume of a phase, per node.
 
-    Subclasses answer: for relative rank ``rel`` of ``n`` participants,
+    Subclasses answer: for each relative rank of ``n`` participants,
     how many CPU work units and wire seconds does one phase cycle of
     communication cost?  ``row_counts[rel]`` are owned-row counts under
     the candidate distribution.
     """
-
-    def comm_cost(
-        self,
-        rel: int,
-        row_counts: Sequence[int],
-        model: CommCostModel,
-    ) -> tuple[float, float]:  # pragma: no cover - interface
-        raise NotImplementedError
 
     def comm_cost_all(
         self,
         n: int,
         row_counts: Sequence[int],
         model: CommCostModel,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`comm_cost` over all ``n`` relative ranks.
-
-        The built-in patterns override this to compute the active set
-        once instead of per rank (the per-rank loop is O(n^2) and
-        dominated balancing profiles at large n); every override
-        assigns the *same scalar expressions* ``comm_cost`` would, so
-        results are bit-for-bit identical.  The default drives the
-        per-rank method, keeping external subclasses correct.
-        """
-        cpu = np.zeros(n)
-        wire = np.zeros(n)
-        for rel in range(n):
-            c, x = self.comm_cost(rel, row_counts, model)
-            cpu[rel] = c
-            wire[rel] = x
-        return cpu, wire
+    ) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover - interface
+        """``(cpu, wire)`` arrays over all ``n`` relative ranks, the
+        active set computed once (a per-rank method made balancing
+        O(n^2) at large n)."""
+        raise NotImplementedError
 
     def name(self) -> str:
         return type(self).__name__
@@ -191,29 +171,17 @@ class NearestNeighbor(PhasePattern):
     row_nbytes: int
     halo_rows: int = 1
 
-    def comm_cost(self, rel, row_counts, model):
-        # nodes holding no rows do not participate in the exchange
-        active = [i for i, c in enumerate(row_counts) if c > 0]
-        if rel not in active or len(active) < 2:
-            return 0.0, 0.0
-        pos = active.index(rel)
-        neighbors = 1 if pos in (0, len(active) - 1) else 2
-        nbytes = self.halo_rows * self.row_nbytes
-        # send + receive on each boundary
-        cpu = model.cpu_work(nbytes, 1) * 2 * neighbors
-        wire = model.wire_time(nbytes, 1)  # exchanges overlap; one hop exposed
-        return cpu, wire
-
     def comm_cost_all(self, n, row_counts, model):
         cpu = np.zeros(n)
         wire = np.zeros(n)
+        # nodes holding no rows do not participate in the exchange
         active = [i for i, c in enumerate(row_counts) if c > 0]
         if len(active) < 2:
             return cpu, wire
         nbytes = self.halo_rows * self.row_nbytes
-        # same factored expressions as comm_cost: (work * 2) * neighbors
+        # send + receive on each boundary: (work * 2) * neighbors
         one_side = model.cpu_work(nbytes, 1) * 2
-        wire_one = model.wire_time(nbytes, 1)
+        wire_one = model.wire_time(nbytes, 1)  # exchanges overlap; one hop exposed
         last = len(active) - 1
         for pos, rel in enumerate(active):
             cpu[rel] = one_side * 1 if pos in (0, last) else one_side * 2
@@ -228,17 +196,6 @@ class RingAllgather(PhasePattern):
 
     total_nbytes: int
 
-    def comm_cost(self, rel, row_counts, model):
-        active = [i for i, c in enumerate(row_counts) if c > 0]
-        if rel not in active or len(active) < 2:
-            return 0.0, 0.0
-        n = len(active)
-        other_bytes = self.total_nbytes * (n - 1) / n
-        # each node sends and receives (n-1) blocks totalling ~other_bytes
-        cpu = 2 * model.cpu_work(other_bytes, n - 1)
-        wire = model.wire_time(other_bytes, n - 1)
-        return cpu, wire
-
     def comm_cost_all(self, n, row_counts, model):
         cpu = np.zeros(n)
         wire = np.zeros(n)
@@ -247,6 +204,7 @@ class RingAllgather(PhasePattern):
         if na < 2:
             return cpu, wire
         other_bytes = self.total_nbytes * (na - 1) / na
+        # each node sends and receives (na-1) blocks totalling ~other_bytes
         cpu_v = 2 * model.cpu_work(other_bytes, na - 1)
         wire_v = model.wire_time(other_bytes, na - 1)
         for rel in active:
@@ -261,16 +219,6 @@ class ScalarAllreduce(PhasePattern):
 
     count: int = 1
     nbytes: int = 72
-
-    def comm_cost(self, rel, row_counts, model):
-        active = [i for i, c in enumerate(row_counts) if c > 0]
-        if rel not in active or len(active) < 2:
-            return 0.0, 0.0
-        n = len(active)
-        rounds = 2 * int(np.ceil(np.log2(n)))
-        cpu = self.count * rounds * model.cpu_work(self.nbytes, 1)
-        wire = self.count * rounds * model.wire_time(self.nbytes, 1)
-        return cpu, wire
 
     def comm_cost_all(self, n, row_counts, model):
         cpu = np.zeros(n)
@@ -290,8 +238,5 @@ class ScalarAllreduce(PhasePattern):
 
 @dataclass(frozen=True)
 class NoComm(PhasePattern):
-    def comm_cost(self, rel, row_counts, model):
-        return 0.0, 0.0
-
     def comm_cost_all(self, n, row_counts, model):
         return np.zeros(n), np.zeros(n)

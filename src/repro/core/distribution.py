@@ -1,14 +1,11 @@
 """Data distributions over the first array dimension (paper Section 2.1).
 
-Two families, matching the paper's model:
-
-* :class:`BlockDistribution` — *variable block*: a contiguous (possibly
-  empty, possibly unequal) row range per participant.  This is what
-  the balancer produces; ranges are derived from target work shares
-  and per-row weights (so unbalanced computations like the particle
-  simulation split by work, not by row count).
-* :class:`CyclicDistribution` — rows dealt modulo the participant
-  count.
+:class:`BlockDistribution` is the paper's *variable block*: a
+contiguous (possibly empty, possibly unequal) row range per
+participant.  This is what the balancer produces; ranges are derived
+from target work shares and per-row weights (so unbalanced
+computations like the particle simulation split by work, not by row
+count).
 
 Distributions are expressed in **relative rank** space (positions in
 the active group), because Dyn-MPI reassigns ranks when nodes are
@@ -24,7 +21,7 @@ import numpy as np
 
 from ..errors import DistributionError
 
-__all__ = ["BlockDistribution", "CyclicDistribution", "shares_to_blocks"]
+__all__ = ["BlockDistribution", "shares_to_blocks"]
 
 
 @dataclass(frozen=True)
@@ -109,34 +106,6 @@ class BlockDistribution:
 
     def __str__(self) -> str:  # pragma: no cover
         return f"Block({self.bounds})"
-
-
-@dataclass(frozen=True)
-class CyclicDistribution:
-    """Rows dealt modulo the participant count."""
-
-    n_rows: int
-    n_parts: int
-
-    def __post_init__(self) -> None:
-        if self.n_rows <= 0 or self.n_parts <= 0:
-            raise DistributionError("n_rows and n_parts must be positive")
-
-    def rows_of(self, rel: int) -> range:
-        if not (0 <= rel < self.n_parts):
-            raise DistributionError(f"bad relative rank {rel}")
-        return range(rel, self.n_rows, self.n_parts)
-
-    def count_of(self, rel: int) -> int:
-        return len(self.rows_of(rel))
-
-    def owner_of(self, row: int) -> int:
-        if not (0 <= row < self.n_rows):
-            raise DistributionError(f"row {row} out of range")
-        return row % self.n_parts
-
-    def owner_array(self) -> np.ndarray:
-        return (np.arange(self.n_rows) % self.n_parts).astype(np.int32)
 
 
 def shares_to_blocks(

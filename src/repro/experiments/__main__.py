@@ -7,6 +7,7 @@ Usage::
     python -m repro.experiments all --scale 0.25
 
 Prints the same tables the benches write to ``benchmarks/results/``.
+Exit 0, or 2 on bad input (one ``experiments: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -32,13 +33,31 @@ from . import (
     run_monitor_ablation,
 )
 from .figure4 import APP_NAMES
+from .harness import bench_scale, parse_scale
+
+
+def _scale(text: str) -> float:
+    """The ``--scale`` type: the variable's own validation."""
+    try:
+        return parse_scale(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _apps(text: str) -> tuple:
+    """The ``--apps`` type: a comma-separated subset of the apps."""
+    apps = tuple(text.split(","))
+    for app in apps:
+        if app not in APP_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown app {app!r} (choose from {', '.join(APP_NAMES)})")
+    return apps
 
 
 def _fig4(args) -> None:
-    apps = tuple(args.apps.split(",")) if args.apps else APP_NAMES
-    print(format_figure4(run_figure4(apps=apps, scale=args.scale,
+    print(format_figure4(run_figure4(apps=args.apps, scale=args.scale,
                                      seed=args.seed)))
-    if "cg" in apps and args.narrative:
+    if "cg" in args.apps and args.narrative:
         n = cg_4node_narrative(scale=args.scale, seed=args.seed)
         print(f"\n4-node CG narrative: dedicated={n.t_dedicated:.1f}s "
               f"no-adapt={n.t_noadapt:.1f}s dyn-mpi={n.t_dynmpi:.1f}s "
@@ -83,21 +102,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the Dyn-MPI paper's figures.",
+        exit_on_error=False,
     )
     parser.add_argument("figure", choices=list(FIGURES) + ["all"])
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_scale, default=None,
                         help="linear problem scale in (0,1]; default: "
                              "DYNMPI_BENCH_SCALE or 1.0")
     parser.add_argument("--seed", type=int, default=0,
                         help="cluster RNG seed for the figure runs "
                              "(fig3/ablations are seed-free; default 0)")
-    parser.add_argument("--apps", default="",
+    parser.add_argument("--apps", type=_apps, default=APP_NAMES,
                         help="fig4 only: comma-separated app subset")
     parser.add_argument("--iters", type=int, default=120,
                         help="fig6 only: SOR iterations per run")
     parser.add_argument("--narrative", action="store_true",
                         help="fig4 only: also print the 4-node CG walkthrough")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.scale is None:
+            args.scale = bench_scale()
+    except (argparse.ArgumentError, ValueError) as exc:
+        print(f"experiments: {exc}", file=sys.stderr)
+        return 2
 
     if args.figure == "all":
         for name, fn in FIGURES.items():

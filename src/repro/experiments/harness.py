@@ -20,6 +20,7 @@ from ..config import ClusterSpec, RuntimeSpec
 from ..simcluster import Cluster, LoadScript
 
 __all__ = [
+    "parse_scale",
     "bench_scale",
     "scaled",
     "scaled_spec",
@@ -29,15 +30,22 @@ __all__ = [
 ]
 
 
+def parse_scale(raw: str, source: str = "DYNMPI_BENCH_SCALE") -> float:
+    """A scale given as text — the environment variable or the
+    ``--scale`` flag, named by ``source`` — or ``ValueError``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")  # fails the range check below
+    if not (0.0 < value <= 1.0):
+        raise ValueError(f"{source} must be a number in (0, 1], got {raw!r}")
+    return value
+
+
 def bench_scale(default: float = 1.0) -> float:
     """The global bench scale from ``DYNMPI_BENCH_SCALE``."""
     raw = os.environ.get("DYNMPI_BENCH_SCALE", "")
-    if not raw:
-        return default
-    value = float(raw)
-    if not (0.0 < value <= 1.0):
-        raise ValueError(f"DYNMPI_BENCH_SCALE must be in (0, 1], got {value}")
-    return value
+    return parse_scale(raw) if raw else default
 
 
 def scaled(value: int, scale: float, minimum: int = 4) -> int:

@@ -1,14 +1,13 @@
 """Simulated non dedicated cluster substrate.
 
 This package replaces the paper's physical testbeds (Section 5) with a
-deterministic discrete-event simulation: nodes with round-robin or
-processor-sharing CPUs, competing background processes, and a
-switched-Ethernet network.  See DESIGN.md Section 2 for the
+deterministic discrete-event simulation: nodes with round-robin CPUs,
+competing background processes, and a switched-Ethernet network.  See DESIGN.md Section 2 for the
 substitution argument.
 """
 
 from .cluster import Cluster
-from .cpu import BackgroundJob, ProcessorSharingCPU, RoundRobinCPU
+from .cpu import BackgroundJob, RoundRobinCPU
 from .kernel import ProcState, Signal, Simulator, SimProcess
 from .network import Network
 from .node import Node
@@ -29,7 +28,6 @@ __all__ = [
     "Recorder",
     "StreamRegistry",
     "RoundRobinCPU",
-    "ProcessorSharingCPU",
     "BackgroundJob",
     "Compute",
     "Poll",

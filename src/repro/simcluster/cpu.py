@@ -1,22 +1,15 @@
-"""CPU scheduling disciplines for simulated nodes.
+"""The CPU scheduler of a simulated node.
 
-Two disciplines are provided:
+:class:`RoundRobinCPU` is quantized time slicing (quantum = 10 ms by
+default).  This is the faithful model: it produces the wallclock-timer
+artifacts the paper's Section 4.2 is about (an iteration shorter than
+a quantum either completes unpreempted, giving its true time, or
+spans a context switch and absorbs a competing process's slice).
 
-* :class:`RoundRobinCPU` — quantized time slicing (default, quantum =
-  10 ms).  This is the faithful model: it produces the wallclock-timer
-  artifacts the paper's Section 4.2 is about (an iteration shorter than
-  a quantum either completes unpreempted, giving its true time, or
-  spans a context switch and absorbs a competing process's slice).
-* :class:`ProcessorSharingCPU` — an idealized fluid model in which all
-  runnable jobs progress simultaneously at ``speed / n``.  It generates
-  far fewer events and no timing noise; the Dyn-MPI *predictor* uses
-  the same fluid arithmetic, and tests use it when noise-free times are
-  wanted.
+It supports *background jobs* — the competing processes of a non
+dedicated cluster — which are CPU-bound forever until removed.
 
-Both disciplines support *background jobs* — the competing processes of
-a non dedicated cluster — which are CPU-bound forever until removed.
-
-Fast path: when a round-robin queue holds a single job, the slice runs
+Fast path: when the queue holds a single job, the slice runs
 to the job's completion in one event; the arrival of another job
 preempts the long slice and falls back to quantized slicing.  This
 keeps dedicated-node simulations cheap without changing semantics.
@@ -39,7 +32,7 @@ from typing import Callable, Optional
 from ..errors import SimulationError
 from .kernel import ProcState, Simulator, Timer
 
-__all__ = ["Job", "BackgroundJob", "RoundRobinCPU", "ProcessorSharingCPU", "make_cpu"]
+__all__ = ["Job", "BackgroundJob", "RoundRobinCPU"]
 
 _EPS = 1e-12
 
@@ -97,15 +90,47 @@ class Job:
         self.phase = 0.0
 
 
-class _CPUBase:
-    def __init__(self, sim: Simulator, speed: float, quantum: float):
+class RoundRobinCPU:
+    """Quantized round-robin scheduling (see module docstring).
+
+    Quantum continuation: when a job completes mid-quantum and its
+    process immediately (at the same simulated instant) submits another
+    compute request — the common pattern of an application timing
+    individual iterations — the new request continues in the unexpired
+    quantum at the head of the queue instead of going to the tail.
+    Without this, a loaded node would charge every sub-quantum
+    iteration a full competing time slice, which no real OS does, and
+    the paper's min-over-cycles filter (Figure 7) could never recover
+    true iteration times.
+    """
+
+    def __init__(self, sim: Simulator, speed: float, quantum: float = 0.010,
+                 rng=None):
         if speed <= 0:
             raise SimulationError("CPU speed must be positive")
+        if quantum <= 0:
+            raise SimulationError("quantum must be positive")
         self.sim = sim
         self.speed = speed
         self.quantum = quantum
         self.busy_time = 0.0  # total CPU-seconds delivered to any job
         self._bg_jobs: dict[BackgroundJob, Job] = {}
+        self._queue: list[Job] = []
+        self._current: Optional[Job] = None
+        self._slice_timer: Optional[Timer] = None
+        self._slice_start = 0.0
+        self._slice_long = False  # True when running the single-job fast path
+        # (proc, time, quantum_used) of the most recent mid-quantum completion
+        self._cont: Optional[tuple] = None
+        # (proc, time) of the most recent completion of any kind: a
+        # process resubmitting at that instant is CPU-bound, not waking
+        self._last_done: Optional[tuple] = None
+        # per-process EMA of CPU usage (id(proc) -> [t_last, score]);
+        # share over the recent window is score / _EMA_TAU
+        self._ema: dict[int, list] = {}
+        self._rng = rng
+        self.n_context_switches = 0
+        self.n_wake_boosts = 0
 
     # -- background (competing) processes --------------------------------
     def add_background(self, bg: BackgroundJob) -> None:
@@ -125,88 +150,11 @@ class _CPUBase:
     def n_background(self) -> int:
         return len(self._bg_jobs)
 
-    # -- interface --------------------------------------------------------
-    def submit(self, proc, work: float, callback, *cb_args,
-               spin: bool = False) -> Job:  # pragma: no cover
-        """Queue ``work`` units for ``proc``; with ``spin`` the job
-        repeats steps of ``work`` until :meth:`stop_spin`."""
-        raise NotImplementedError
-
-    def stop_spin(self, job: Job, _value=None) -> None:  # pragma: no cover
-        """End a spin job at the end of the poll step it is in (a
-        signal waiter: ``_value`` is the fired value, unused)."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _spin_split(job: Job, elapsed: float) -> tuple[int, float]:
-        """Where a spin job stands ``elapsed`` CPU seconds past
-        ``job.phase``: (step ends crossed, CPU time since the last)."""
-        total = job.phase + elapsed
-        n = int((total + _EPS) / job.step)
-        return n, max(0.0, total - n * job.step)
-
-    @classmethod
-    def _spin_rest(cls, job: Job, elapsed: float) -> float:
-        """CPU seconds from now to the step end a spin job stopped now
-        notices at, having run ``elapsed`` CPU seconds past
-        ``job.phase``.  Tie rule: a step end reached at this very
-        instant counts (the poll that ends now sees the message); one
-        reached earlier does not — that poll already ran, so a whole
-        step follows."""
-        _, tail = cls._spin_split(job, elapsed)
-        if elapsed > _EPS and tail <= _EPS:
-            return 0.0
-        return job.step - tail
-
-    def cancel(self, job: Job) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def runnable_jobs(self) -> list[Job]:  # pragma: no cover
-        raise NotImplementedError
-
-    def runnable_count(self) -> int:
-        return len(self.runnable_jobs())
-
-
-class RoundRobinCPU(_CPUBase):
-    """Quantized round-robin scheduling (see module docstring).
-
-    Quantum continuation: when a job completes mid-quantum and its
-    process immediately (at the same simulated instant) submits another
-    compute request — the common pattern of an application timing
-    individual iterations — the new request continues in the unexpired
-    quantum at the head of the queue instead of going to the tail.
-    Without this, a loaded node would charge every sub-quantum
-    iteration a full competing time slice, which no real OS does, and
-    the paper's min-over-cycles filter (Figure 7) could never recover
-    true iteration times.
-    """
-
-    def __init__(self, sim: Simulator, speed: float, quantum: float = 0.010,
-                 rng=None):
-        super().__init__(sim, speed, quantum)
-        if quantum <= 0:
-            raise SimulationError("quantum must be positive")
-        self._queue: list[Job] = []
-        self._current: Optional[Job] = None
-        self._slice_timer: Optional[Timer] = None
-        self._slice_start = 0.0
-        self._slice_long = False  # True when running the single-job fast path
-        # (proc, time, quantum_used) of the most recent mid-quantum completion
-        self._cont: Optional[tuple] = None
-        # (proc, time) of the most recent completion of any kind: a
-        # process resubmitting at that instant is CPU-bound, not waking
-        self._last_done: Optional[tuple] = None
-        # per-process EMA of CPU usage (id(proc) -> [t_last, score]);
-        # share over the recent window is score / _EMA_TAU
-        self._ema: dict[int, list] = {}
-        self._rng = rng
-        self.n_context_switches = 0
-        self.n_wake_boosts = 0
-
     # -- public -----------------------------------------------------------
     def submit(self, proc, work: float, callback, *cb_args,
                spin: bool = False) -> Job:
+        """Queue ``work`` units for ``proc``; with ``spin`` the job
+        repeats steps of ``work`` until :meth:`stop_spin`."""
         job = Job(proc, work, callback, cb_args)
         if spin:
             job.step = work / self.speed
@@ -309,6 +257,8 @@ class RoundRobinCPU(_CPUBase):
                 pass  # already finished
 
     def stop_spin(self, job: Job, _value=None) -> None:
+        """End a spin job at the end of the poll step it is in (a
+        signal waiter: ``_value`` is the fired value, unused)."""
         if job.cancelled or job.remaining != math.inf:
             return  # killed mid-poll, or stopped already
         if job is not self._current:
@@ -333,6 +283,9 @@ class RoundRobinCPU(_CPUBase):
         if self._current is not None:
             jobs.append(self._current)
         return jobs
+
+    def runnable_count(self) -> int:
+        return len(self.runnable_jobs())
 
     # -- internals ----------------------------------------------------------
     def _start_next(self) -> None:
@@ -428,6 +381,27 @@ class RoundRobinCPU(_CPUBase):
                 job.allowed = max(0.0, job.allowed - elapsed)
         self._slice_start = now
         return elapsed
+
+    @staticmethod
+    def _spin_split(job: Job, elapsed: float) -> tuple[int, float]:
+        """Where a spin job stands ``elapsed`` CPU seconds past
+        ``job.phase``: (step ends crossed, CPU time since the last)."""
+        total = job.phase + elapsed
+        n = int((total + _EPS) / job.step)
+        return n, max(0.0, total - n * job.step)
+
+    @classmethod
+    def _spin_rest(cls, job: Job, elapsed: float) -> float:
+        """CPU seconds from now to the step end a spin job stopped now
+        notices at, having run ``elapsed`` CPU seconds past
+        ``job.phase``.  Tie rule: a step end reached at this very
+        instant counts (the poll that ends now sees the message); one
+        reached earlier does not — that poll already ran, so a whole
+        step follows."""
+        _, tail = cls._spin_split(job, elapsed)
+        if elapsed > _EPS and tail <= _EPS:
+            return 0.0
+        return job.step - tail
 
     def _account_spin(self, job: Job, elapsed: float) -> None:
         """Credit ``elapsed`` seconds of a spin job as the chain of
@@ -533,92 +507,3 @@ class RoundRobinCPU(_CPUBase):
         if job.callback is not None:
             # Defer so completion ordering matches event ordering.
             self.sim.call_soon(job.callback, *job.cb_args)
-
-
-class ProcessorSharingCPU(_CPUBase):
-    """Idealized fluid sharing: n runnable jobs each progress at speed/n."""
-
-    def __init__(self, sim: Simulator, speed: float, quantum: float = 0.010):
-        super().__init__(sim, speed, quantum)
-        self._jobs: list[Job] = []
-        self._timer: Optional[Timer] = None
-        self._last = 0.0
-
-    def submit(self, proc, work: float, callback, *cb_args,
-               spin: bool = False) -> Job:
-        self._advance()
-        job = Job(proc, work, callback, cb_args)
-        if spin:
-            job.step = work / self.speed
-            job.remaining = math.inf
-        proc.state = ProcState.RUNNING
-        self._jobs.append(job)
-        self._reschedule()
-        return job
-
-    def cancel(self, job: Job) -> None:
-        self._advance()
-        job.cancelled = True
-        if job in self._jobs:
-            self._jobs.remove(job)
-        self._reschedule()
-
-    def stop_spin(self, job: Job, _value=None) -> None:
-        if job.cancelled or job.remaining != math.inf:
-            return  # killed mid-poll, or stopped already
-        share = (self.sim.now - self._last) / len(self._jobs)
-        rest = self._spin_rest(job, share)
-        self._advance()
-        job.remaining = rest * self.speed
-        self._reschedule()
-
-    def runnable_jobs(self) -> list[Job]:
-        return list(self._jobs)
-
-    def _advance(self) -> None:
-        now = self.sim.now
-        elapsed = now - self._last
-        self._last = now
-        n = len(self._jobs)
-        if elapsed <= 0 or n == 0:
-            return
-        rate = self.speed / n
-        share = elapsed / n
-        for job in self._jobs:
-            job.remaining = max(0.0, job.remaining - rate * elapsed)
-            job.proc.cpu_time += share
-            if job.step is not None:
-                job.phase = self._spin_split(job, share)[1]
-        self.busy_time += elapsed
-
-    def _reschedule(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        finite = [j for j in self._jobs if math.isfinite(j.remaining)]
-        if not finite:
-            return
-        n = len(self._jobs)
-        rate = self.speed / n
-        nxt = min(finite, key=lambda j: j.remaining)
-        self._timer = self.sim.schedule(nxt.remaining / rate, self._on_completion)
-
-    def _on_completion(self) -> None:
-        self._timer = None
-        self._advance()
-        done = [j for j in self._jobs if j.remaining <= _EPS * self.speed]
-        for job in done:
-            self._jobs.remove(job)
-            job.proc.state = ProcState.BLOCKED
-            if job.callback is not None:
-                self.sim.call_soon(job.callback, *job.cb_args)
-        self._reschedule()
-
-
-def make_cpu(sim: Simulator, discipline: str, speed: float, quantum: float, rng=None):
-    """Factory used by :class:`~repro.simcluster.node.Node`."""
-    if discipline == "rr":
-        return RoundRobinCPU(sim, speed, quantum, rng=rng)
-    if discipline == "ps":
-        return ProcessorSharingCPU(sim, speed, quantum)
-    raise SimulationError(f"unknown CPU discipline {discipline!r}")

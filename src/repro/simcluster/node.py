@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..config import NodeSpec
 from ..errors import SimulationError
-from .cpu import BackgroundJob, make_cpu
+from .cpu import BackgroundJob, RoundRobinCPU
 from .kernel import ProcState, Simulator, SimProcess
 
 __all__ = ["Node"]
@@ -26,7 +26,7 @@ class Node:
         self.sim = sim
         self.node_id = node_id
         self.spec = spec
-        self.cpu = make_cpu(sim, spec.discipline, spec.speed, spec.quantum, rng=rng)
+        self.cpu = RoundRobinCPU(sim, spec.speed, spec.quantum, rng=rng)
         self.procs: list[SimProcess] = []
         self.background: dict[str, BackgroundJob] = {}
 

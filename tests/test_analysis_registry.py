@@ -12,17 +12,15 @@ import pytest
 
 from repro.analysis.__main__ import analyze
 from repro.analysis.findings import _OK
-from repro.analysis.rules import RULES, ZONES
+from repro.analysis.rules import RULES
 
 ROOT = pathlib.Path(__file__).parent.parent
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 LIB = "repro/apps/x.py"
 
-#: code -> [(path the case is analyzed at, its source), ...].  The path
-#: picks the zone; the whole-program families reuse their seeded
-#: fixtures (a code may have several).
-CASES = {code: [case] for code, case in {
+#: code -> (path the case is analyzed at, its source).  The path picks
+#: the zone.
+CASES = {
     "DYN000": ("x.py", "def f(:\n"),
     "DYN001": ("x.py", "def program(ep):\n"
                        "    ep.send(1, tag=0, payload='lost')\n"
@@ -41,17 +39,7 @@ CASES = {code: [case] for code, case in {
     "DYN801": (LIB, "import subprocess\n"),
     "DYN901": (LIB, "import heapq\n"),
     "DYN1101": (LIB, "def f(ep):\n    yield from ep.send(0, 211, None)\n"),
-}.items()}
-for _code, _name in {
-    "DYN501": "bad_dyn501_branch", "DYN502": "bad_dyn502_loop",
-    "DYN503": "bad_dyn503_removed",
-    "DYN504": "bad_dyn504_ownership bad_dyn504_block",
-    "DYN505": "bad_dyn505_signature",
-}.items():
-    CASES[_code] = [
-        (f"{_n}.py", (FIXTURES / "flow" / f"{_n}.py").read_text())
-        for _n in _name.split()
-    ]
+}
 
 
 def test_every_rule_has_a_seeded_case():
@@ -68,11 +56,7 @@ def _hits(tmp_path, rel, source, code):
 @pytest.mark.parametrize("code", sorted(RULES))
 def test_code_fires_and_only_its_own_waiver_silences_it(tmp_path, code):
     assert RULES[code].summary
-    for rel, source in CASES[code]:
-        _fires_and_only_its_own_waiver_silences_it(tmp_path, code, rel, source)
-
-
-def _fires_and_only_its_own_waiver_silences_it(tmp_path, code, rel, source):
+    rel, source = CASES[code]
     hits = _hits(tmp_path, rel, source, code)
     assert hits, f"the seeded case {rel} for {code} is clean"
     at = hits[0]
@@ -97,16 +81,6 @@ def _fires_and_only_its_own_waiver_silences_it(tmp_path, code, rel, source):
 def test_waiver_on_a_code_line_does_not_reach_the_next_line(tmp_path):
     source = "import heapq  # dyn: ok(DYN901)\nimport heapq as hq\n"
     assert _hits(tmp_path, LIB, source, "DYN901") == [2]
-
-
-def test_program_zone_excludes_the_harness_but_not_its_fixtures():
-    program = ZONES[RULES["DYN501"].zone]
-    inside = ["src/repro/mpi/comm.py", "examples/failover.py", "prog.py",
-              "tests/fixtures/flow/bad_dyn501_branch.py"]
-    outside = ["tests/test_flow.py", "benchmarks/bench_micro.py",
-               "benchmarks/e2e/probes.py"]
-    assert all(program.contains(pathlib.Path(p)) for p in inside)
-    assert not any(program.contains(pathlib.Path(p)) for p in outside)
 
 
 def test_docs_table_lists_exactly_the_registry():

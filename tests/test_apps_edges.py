@@ -18,18 +18,25 @@ from repro.apps import (
 )
 from repro.apps import sor as sor_mod
 from repro.apps import jacobi as jacobi_mod
-from repro.apps.reference import jacobi_reference, particle_reference, sor_reference
+from repro.apps.reference import (
+    cg_matrix_dense,
+    cg_reference,
+    jacobi_reference,
+    particle_reference,
+    sor_reference,
+)
 from repro.apps import initial_counts
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec, RuntimeSpec
 from repro.simcluster import Cluster, CycleTrigger, LoadScript
 
 
-def make_cluster(n):
+def make_cluster(n, cpu_per_byte=0.01, cpu_per_msg=50.0, **spec):
     return Cluster(ClusterSpec(
         n_nodes=n,
         node=NodeSpec(speed=1e8),
         network=NetworkSpec(latency=75e-6, bandwidth=12.5e6,
-                            cpu_per_byte=0.01, cpu_per_msg=50.0),
+                            cpu_per_byte=cpu_per_byte, cpu_per_msg=cpu_per_msg),
+        **spec,
     ))
 
 
@@ -104,23 +111,88 @@ def test_particle_hot_rows_initialization():
     assert np.all(counts[3:] == 2.0)
 
 
-def test_apps_run_under_removal_policy():
-    """An app surviving an actual drop mid-run still computes the
-    exact reference result (active ranks take over the rows)."""
+def _same_grid(expected, atol=0.0):
+    def check(res):
+        for out in res.per_rank:
+            if "grid" in out:
+                assert np.allclose(out["grid"], expected, rtol=0, atol=atol)
+    return check
+
+
+def _jacobi_case():
+    cfg = JacobiConfig(n=24, iters=30, materialized=True, collect=True)
+    expected = jacobi_reference(jacobi_mod.initial_grid(cfg), cfg.iters)
+    return jacobi_program, cfg, _same_grid(expected, atol=1e-12)
+
+
+def _sor_case():
+    cfg = SORConfig(n=24, iters=30, materialized=True, collect=True)
+    expected = sor_reference(sor_mod.initial_grid(cfg), cfg.iters, cfg.omega)
+    return sor_program, cfg, _same_grid(expected, atol=1e-12)
+
+
+def _cg_case():
+    cfg = CGConfig(n=48, iters=25, exact_math=True)
+    A = cg_matrix_dense(cfg.n, nnz_target=cfg.nnz_target, seed=cfg.seed)
+    x_ref, _ = cg_reference(A, np.ones(cfg.n), cfg.iters)
+
+    def check(res):
+        x = np.zeros(cfg.n)
+        for out in res.per_rank:
+            for g, v in out["x_local"].items():
+                x[g] = v
+        assert np.allclose(x, x_ref, atol=1e-8)
+    return cg_program, cfg, check
+
+
+def _particle_case():
     cfg = ParticleConfig(rows=24, cols=6, steps=30, collect=True)
-    cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
-        CycleTrigger(cycle=3, node=1, action="start", count=8)
-    ]))
-    res = run_program(
-        cluster, particle_program, cfg,
-        spec=RuntimeSpec(grace_period=2, post_redist_period=3,
-                         allow_removal=True, drop_margin=1e-9,
-                         daemon_interval=0.002),
-        adaptive=True,
-    )
-    assert any(ev.kind == "drop" for ev in res.events)
     expected = particle_reference(initial_counts(cfg), cfg.steps, cfg.seed)
-    for out in res.per_rank:
-        if "grid" in out:
-            assert np.array_equal(out["grid"], expected)
+    return particle_program, cfg, _same_grid(expected)
+
+
+REMOVAL_SPEC = RuntimeSpec(grace_period=2, post_redist_period=3,
+                           allow_removal=True, drop_margin=1e-9,
+                           daemon_interval=0.002)
+
+
+def swamp_node_1():
+    """8 competitors land on node 1 at cycle 3: with ``REMOVAL_SPEC``
+    the runtime drops it."""
+    return LoadScript(cycle_triggers=[
+        CycleTrigger(cycle=3, node=1, action="start", count=8)
+    ])
+
+
+@pytest.mark.parametrize("case", [_jacobi_case, _sor_case, _cg_case,
+                                  _particle_case],
+                         ids=["jacobi", "sor", "cg", "particle"])
+def test_apps_run_under_removal_policy(case):
+    """An app surviving an actual drop mid-run still computes the
+    exact reference result (active ranks take over the rows), and the
+    removed rank keeps every world collective matched: ``launch`` runs
+    the sanitizer's ``finalize()``, which raises on a send-out nobody
+    consumed (paper Section 4.4) — in the plain lane too."""
+    program, cfg, check = case()
+    res = run_program(make_cluster(4, sanitize=True), program, cfg,
+                      spec=REMOVAL_SPEC, adaptive=True,
+                      load_script=swamp_node_1())
+    assert any(ev.kind == "drop" for ev in res.events)
+    check(res)
+
+
+def test_cg_global_reduce_reaches_removed_ranks():
+    """The one defect the retired static flow pass caught (PR 4): CG's
+    ``global_reduce`` calls sat under ``if participating``, so every
+    post-removal iteration left two unmatched send-outs per removed
+    rank and the sanitizer threw at finalize."""
+    res = run_program(
+        make_cluster(4, cpu_per_byte=0.4, cpu_per_msg=3000.0, sanitize=True),
+        cg_program, CGConfig(n=48, iters=25),
+        spec=REMOVAL_SPEC, adaptive=True, load_script=swamp_node_1(),
+    )
+    assert res.n_redistributions >= 1
+    assert res.per_rank[0]["residual"] == pytest.approx(0.0, abs=1e-6)
+    # every rank — including the removed one — tracked the recurrence
+    residuals = {r["residual"] for r in res.per_rank}
+    assert len(residuals) == 1

@@ -85,30 +85,31 @@ def test_nearest_neighbor_edges_cheaper():
     m = model()
     pat = NearestNeighbor(row_nbytes=16384)
     counts = [10, 10, 10, 10]
-    cpu_edge, _ = pat.comm_cost(0, counts, m)
-    cpu_mid, _ = pat.comm_cost(1, counts, m)
+    cpu, _ = pat.comm_cost_all(4, counts, m)
+    cpu_edge, cpu_mid = cpu[0], cpu[1]
     assert cpu_mid == pytest.approx(2 * cpu_edge)
 
 
 def test_nearest_neighbor_single_node_free():
     m = model()
     pat = NearestNeighbor(row_nbytes=16384)
-    assert pat.comm_cost(0, [10], m) == (0.0, 0.0)
+    cpu, wire = pat.comm_cost_all(1, [10], m)
+    assert (cpu[0], wire[0]) == (0.0, 0.0)
 
 
 def test_ring_allgather_scales_with_n():
     m = model()
     pat = RingAllgather(total_nbytes=1 << 20)
-    cpu4, _ = pat.comm_cost(0, [1] * 4, m)
-    cpu8, _ = pat.comm_cost(0, [1] * 8, m)
+    cpu4 = pat.comm_cost_all(4, [1] * 4, m)[0][0]
+    cpu8 = pat.comm_cost_all(8, [1] * 8, m)[0][0]
     assert cpu8 > cpu4  # more foreign data to ingest
 
 
 def test_scalar_allreduce_log_rounds():
     m = model()
     pat = ScalarAllreduce(count=2)
-    cpu2, _ = pat.comm_cost(0, [1, 1], m)
-    cpu16, _ = pat.comm_cost(0, [1] * 16, m)
+    cpu2 = pat.comm_cost_all(2, [1, 1], m)[0][0]
+    cpu16 = pat.comm_cost_all(16, [1] * 16, m)[0][0]
     assert cpu16 == pytest.approx(4 * cpu2)  # log2 16 / log2 2 = 4
 
 

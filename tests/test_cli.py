@@ -27,9 +27,28 @@ def test_cli_ablations(capsys):
     assert "vmstat" in out
 
 
-def test_cli_rejects_unknown_figure():
-    with pytest.raises(SystemExit):
-        main(["fig99"])
+def test_cli_rejects_unknown_figure(capsys):
+    assert main(["fig99"]) == 2
+    assert capsys.readouterr().err.startswith("experiments: ")
+
+
+@pytest.mark.parametrize("argv, env, names", [
+    (["fig4", "--apps", "bogus"], None, "unknown app 'bogus'"),
+    (["fig4", "--scale", "7"], None, "(0, 1], got '7'"),
+    (["fig4", "--scale", "0"], None, "(0, 1], got '0'"),
+    (["fig4", "--scale", "-1"], None, "(0, 1], got '-1'"),
+    (["fig4"], "abc", "DYNMPI_BENCH_SCALE must be a number in (0, 1], "
+                      "got 'abc'"),
+], ids=["apps-bogus", "scale-7", "scale-0", "scale-negative", "env-abc"])
+def test_cli_bad_input_is_one_line_and_exit_two(monkeypatch, capsys,
+                                                argv, env, names):
+    if env is not None:
+        monkeypatch.setenv("DYNMPI_BENCH_SCALE", env)
+    assert main(argv) == 2   # before anything runs
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("experiments: ") and err.count("\n") == 1
+    assert names in err
 
 
 def test_cli_seed_flag_threads_into_figures(capsys):

@@ -11,10 +11,10 @@ from repro.simcluster import Cluster, Compute, Sleep
 
 
 def make_cluster(n=2, *, eager=1 << 20, cpu_per_byte=0.0, cpu_per_msg=0.0,
-                 latency=1e-4, bandwidth=1e8, speed=1e6, discipline="rr"):
+                 latency=1e-4, bandwidth=1e8, speed=1e6):
     spec = ClusterSpec(
         n_nodes=n,
-        node=NodeSpec(speed=speed, discipline=discipline),
+        node=NodeSpec(speed=speed),
         network=NetworkSpec(
             latency=latency, bandwidth=bandwidth,
             cpu_per_byte=cpu_per_byte, cpu_per_msg=cpu_per_msg,

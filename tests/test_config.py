@@ -18,14 +18,12 @@ def test_node_spec_defaults_valid():
     spec = NodeSpec()
     assert spec.speed > 0
     assert spec.quantum == 0.010
-    assert spec.discipline == "rr"
 
 
 @pytest.mark.parametrize("kwargs", [
     {"speed": 0},
     {"speed": -1e8},
     {"quantum": 0},
-    {"discipline": "lottery"},
 ])
 def test_node_spec_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

@@ -1,5 +1,5 @@
-"""Tests for CPU scheduling disciplines (round-robin and processor
-sharing) — the core of the non dedicated node model."""
+"""Tests for the round-robin CPU scheduler — the core of the non
+dedicated node model."""
 
 import math
 
@@ -8,21 +8,20 @@ import pytest
 from repro.config import NodeSpec
 from repro.errors import SimulationError
 from repro.simcluster import Compute, ProcState, Simulator, Sleep
-from repro.simcluster.cpu import ProcessorSharingCPU, RoundRobinCPU, make_cpu
 from repro.simcluster.node import Node
 
 
-def make_node(sim, speed=100.0, quantum=0.010, discipline="rr", node_id=0):
-    return Node(sim, node_id, NodeSpec(speed=speed, quantum=quantum, discipline=discipline))
+def make_node(sim, speed=100.0, quantum=0.010, node_id=0):
+    return Node(sim, node_id, NodeSpec(speed=speed, quantum=quantum))
 
 
 def compute_prog(work):
     yield Compute(work)
 
 
-def run_compute(discipline, work, speed=100.0, n_competing=0, quantum=0.010):
+def run_compute(work, speed=100.0, n_competing=0, quantum=0.010):
     sim = Simulator()
-    node = make_node(sim, speed=speed, quantum=quantum, discipline=discipline)
+    node = make_node(sim, speed=speed, quantum=quantum)
     for _ in range(n_competing):
         node.start_competing()
     p = sim.spawn(compute_prog(work), name="w", node=node)
@@ -30,26 +29,23 @@ def run_compute(discipline, work, speed=100.0, n_competing=0, quantum=0.010):
     return sim.now, p
 
 
-@pytest.mark.parametrize("discipline", ["rr", "ps"])
-def test_dedicated_compute_takes_work_over_speed(discipline):
-    t, p = run_compute(discipline, work=250.0, speed=100.0)
+def test_dedicated_compute_takes_work_over_speed():
+    t, p = run_compute(work=250.0, speed=100.0)
     assert t == pytest.approx(2.5, rel=1e-9)
     assert p.cpu_time == pytest.approx(2.5, rel=1e-9)
 
 
-@pytest.mark.parametrize("discipline", ["rr", "ps"])
-def test_one_competitor_doubles_wallclock(discipline):
+def test_one_competitor_doubles_wallclock():
     # Work that is an exact multiple of the quantum so RR has no
     # final-partial-slice skew.
-    t, p = run_compute(discipline, work=100.0, speed=100.0, n_competing=1)
+    t, p = run_compute(work=100.0, speed=100.0, n_competing=1)
     assert t == pytest.approx(2.0, rel=1e-2)
     # CPU time actually consumed by the app is unchanged.
     assert p.cpu_time == pytest.approx(1.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("discipline", ["rr", "ps"])
-def test_three_competitors_quadruple_wallclock(discipline):
-    t, p = run_compute(discipline, work=100.0, speed=100.0, n_competing=3)
+def test_three_competitors_quadruple_wallclock():
+    t, p = run_compute(work=100.0, speed=100.0, n_competing=3)
     assert t == pytest.approx(4.0, rel=1e-2)
     assert p.cpu_time == pytest.approx(1.0, rel=1e-9)
 
@@ -63,15 +59,6 @@ def test_rr_two_equal_jobs_finish_together_roughly():
     assert sim.now == pytest.approx(2.0, rel=1e-2)
     assert p1.cpu_time == pytest.approx(1.0, rel=1e-9)
     assert p2.cpu_time == pytest.approx(1.0, rel=1e-9)
-
-
-def test_ps_two_equal_jobs_finish_exactly_together():
-    sim = Simulator()
-    node = make_node(sim, discipline="ps", speed=100.0)
-    sim.spawn(compute_prog(100.0), name="a", node=node)
-    sim.spawn(compute_prog(100.0), name="b", node=node)
-    sim.run()
-    assert sim.now == pytest.approx(2.0, rel=1e-9)
 
 
 def test_rr_fast_path_single_event_for_dedicated_job():
@@ -189,23 +176,8 @@ def test_rr_context_switch_counter_increases_under_load():
     assert node.cpu.n_context_switches > 10
 
 
-def test_ps_infinite_background_never_completes():
-    sim = Simulator()
-    node = make_node(sim, discipline="ps", speed=100.0)
-    node.start_competing()
-    p = sim.spawn(compute_prog(10.0), name="w", node=node)
-    sim.run_all([p])
-    assert node.n_competing == 1
-    assert sim.now == pytest.approx(0.2, rel=1e-9)
-
-
-def test_make_cpu_rejects_unknown_discipline():
-    with pytest.raises(SimulationError):
-        make_cpu(Simulator(), "fifo", 1.0, 0.01)
-
-
 def test_zero_work_completes_immediately():
-    t, p = run_compute("rr", work=0.0)
+    t, p = run_compute(work=0.0)
     assert t == pytest.approx(0.0)
     assert p.state == ProcState.DONE
 

@@ -1,4 +1,4 @@
-"""Tests for block/cyclic distributions and share-to-block conversion."""
+"""Tests for block distributions and share-to-block conversion."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.distribution import (
     BlockDistribution,
-    CyclicDistribution,
     shares_to_blocks,
 )
 from repro.errors import DistributionError
@@ -52,20 +51,6 @@ def test_owner_of_out_of_range():
     d = BlockDistribution.even(5, 2)
     with pytest.raises(DistributionError):
         d.owner_of(5)
-
-
-def test_cyclic_distribution():
-    d = CyclicDistribution(10, 3)
-    assert list(d.rows_of(0)) == [0, 3, 6, 9]
-    assert list(d.rows_of(2)) == [2, 5, 8]
-    assert d.count_of(0) == 4 and d.count_of(1) == 3
-    assert d.owner_of(7) == 1
-    owners = d.owner_array()
-    assert all(owners[r] == r % 3 for r in range(10))
-    with pytest.raises(DistributionError):
-        d.rows_of(3)
-    with pytest.raises(DistributionError):
-        d.owner_of(-1)
 
 
 def test_shares_to_blocks_uniform_weights():

@@ -1,15 +1,21 @@
 """AST lint tests: each DYN code, zone scoping (derived from the
-path), the CLI gate, and the acceptance check that the real tree is
-clean.  Suppression is covered once for every code in
-``tests/test_analysis_registry.py``."""
+path), the ``check`` CLI's exit-code/JSON contract, and the acceptance
+check that the real tree is clean.  Suppression is covered once for
+every code in ``tests/test_analysis_registry.py``."""
 
+import json
 import pathlib
+import subprocess
+import sys
 import textwrap
 
-from repro.analysis.__main__ import analyze
+import pytest
+
+from repro.analysis.__main__ import analyze, main
 from repro.analysis.lint import lint_file, lint_source
 
-SRC_ROOT = pathlib.Path(__file__).parent.parent / "src"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC_ROOT = ROOT / "src"
 
 #: a path inside every library zone but the deterministic/row ones
 LIB = "src/repro/apps/x.py"
@@ -377,7 +383,7 @@ def test_syntax_error_reported_as_dyn000():
 
 
 # ----------------------------------------------------------------------
-# the gates: real tree is clean; CLI exit codes
+# the gates: the CI path set is clean; CLI exit codes and --json
 # ----------------------------------------------------------------------
 
 def test_src_tree_is_clean():
@@ -385,23 +391,110 @@ def test_src_tree_is_clean():
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
-def test_cli_clean_and_dirty(tmp_path, capsys):
-    from repro.analysis.__main__ import main
+def test_real_tree_is_clean():
+    # the rest of the CI gate's path set — whole trees, seeded-bad
+    # fixtures included: where they sit, they are outside every zone
+    # their rule applies in
+    findings = analyze([ROOT / d for d in ("examples", "benchmarks", "tests")])
+    assert findings == [], "\n".join(str(f) for f in findings)
 
+
+DIRTY = (
+    "def program(ep):\n"
+    "    ep.send(1, tag=0, payload='lost')\n"
+    "    yield from ep.recv(1, tag=1)\n"
+)
+
+
+def test_cli_clean_and_dirty(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
     assert main(["check", str(clean)]) == 0
     assert "check: clean" in capsys.readouterr().out
 
     dirty = tmp_path / "dirty.py"
-    dirty.write_text(
-        "def program(ep):\n"
-        "    ep.send(1, tag=0, payload='lost')\n"
-        "    yield from ep.recv(1, tag=1)\n"
-    )
+    dirty.write_text(DIRTY)
     assert main(["check", str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "DYN001" in out and "dirty.py:2" in out
+
+
+def test_cli_missing_path_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nope.py"
+    assert main(["check", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"check: cannot read {missing}: No such file or directory\n"
+    )
+
+
+def _cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.analysis", *args],
+        capture_output=True, text=True, env={"PYTHONPATH": str(SRC_ROOT)},
+        cwd=ROOT,
+    )
+
+
+def test_cli_clean_exits_zero(tmp_path):
+    clean = tmp_path / "fine.py"
+    clean.write_text("def fine_program(ctx, cfg):\n"
+                     "    yield from ctx.begin_cycle()\n"
+                     "    yield from ctx.end_cycle()\n")
+    proc = _cli("check", str(clean))
+    assert proc.returncode == 0
+    assert "clean" in proc.stdout
+
+
+def test_cli_findings_exit_one_and_json(tmp_path):
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text(DIRTY)
+    proc = _cli("check", "--json", str(dirty))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["count"] == 1
+    (finding,) = payload["findings"]
+    assert set(finding) == {"code", "summary", "path", "line", "col",
+                            "message"}
+    assert (finding["code"], finding["line"]) == ("DYN001", 2)
+
+
+def test_cli_usage_error_exits_two():
+    proc = _cli("check")  # missing paths
+    assert proc.returncode == 2
+    # the retired options are unknown arguments, not silently accepted
+    for flag in ("--profile", "--baseline", "--write-baseline", "--no-flow"):
+        proc = _cli("check", flag, "x", "src")
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag}" in proc.stderr
+
+
+@pytest.mark.parametrize("old", ["lint", "flow", "race", "perf"])
+def test_cli_old_subcommands_are_gone(old):
+    proc = _cli(old, "src")
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+
+
+def test_cli_budget_overrun_exits_two(tmp_path):
+    clean = tmp_path / "fine.py"
+    clean.write_text("def fine_program(ctx, cfg):\n    yield\n")
+    proc = _cli("check", "--max-seconds", "0", str(clean))
+    assert proc.returncode == 2
+    assert "budget" in proc.stderr
+
+
+def test_cli_lint_json():
+    # seeded-bad for a library path, but out of every zone where it
+    # sits: exit 0 with a JSON report
+    args = ("check", "--json", "tests/fixtures/lint")
+    proc = _cli(*args)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert set(payload) == {"tool", "count", "elapsed_seconds", "findings"}
+    assert payload["count"] == 0 and payload["findings"] == []
+    # byte determinism: a second run differs in the elapsed line only
+    strip = lambda text: [ln for ln in text.splitlines() if "elapsed" not in ln]
+    assert strip(proc.stdout) == strip(_cli(*args).stdout)
 
 
 # ----------------------------------------------------------------------

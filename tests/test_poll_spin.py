@@ -28,10 +28,10 @@ STEP = QUANTUM * 0.01  # one poll step, CPU seconds
 SPEED = 1e8
 
 
-def make_cluster(discipline="rr", seed=0, n=2):
+def make_cluster(seed=0, n=2):
     return Cluster(ClusterSpec(
         n_nodes=n, seed=seed,
-        node=NodeSpec(speed=SPEED, quantum=QUANTUM, discipline=discipline),
+        node=NodeSpec(speed=SPEED, quantum=QUANTUM),
         network=NetworkSpec(latency=1e-5, bandwidth=1e8, cpu_per_byte=0.0,
                             cpu_per_msg=2000.0, recv_mode="polling"),
     ))
@@ -45,12 +45,12 @@ def rank_proc(sim, rank):
 # spin job vs chunk loop
 # ---------------------------------------------------------------------------
 
-def run_case(discipline, seed, n_cp, warm, shadow, send_at, oracle, churn_at=None):
+def run_case(seed, n_cp, warm, shadow, send_at, oracle, churn_at=None):
     """Rank 1 receives (polling) what rank 0 sends at ``send_at``;
     returns what an observer of rank 1's node could measure.  At
     ``churn_at`` a competitor leaves rank 1's node (or, if there is
     none, arrives)."""
-    cluster = make_cluster(discipline, seed)
+    cluster = make_cluster(seed)
     sim = cluster.sim
     node = cluster.nodes[1]
     for _ in range(n_cp):
@@ -94,10 +94,9 @@ def run_case(discipline, seed, n_cp, warm, shadow, send_at, oracle, churn_at=Non
         out["noticed"] = sim.now
         out["cpu_time"] = proc.cpu_time
         out["busy_time"] = node.cpu.busy_time
-        if discipline == "rr":
-            out["ema"] = node.cpu._ema_share(proc)
-            cont = node.cpu._cont
-            out["credit"] = cont[2] if cont is not None and cont[1] == sim.now else None
+        out["ema"] = node.cpu._ema_share(proc)
+        cont = node.cpu._cont
+        out["credit"] = cont[2] if cont is not None and cont[1] == sim.now else None
         yield Compute(0.004 * SPEED)      # runs on what credit the poll left
         out["follow_up"] = sim.now
         return None
@@ -116,7 +115,6 @@ def run_case(discipline, seed, n_cp, warm, shadow, send_at, oracle, churn_at=Non
 
 
 @given(
-    discipline=st.sampled_from(["rr", "ps"]),
     seed=st.integers(0, 20),
     n_cp=st.integers(0, 3),
     warm=st.sampled_from(["none", "compute", "sleep", "compute+sleep"]),
@@ -125,9 +123,9 @@ def run_case(discipline, seed, n_cp, warm, shadow, send_at, oracle, churn_at=Non
     churn_at=st.none() | st.floats(0.0001, 0.1),
 )
 @settings(max_examples=120, deadline=None)
-def test_spin_job_matches_chunk_loop(discipline, seed, n_cp, warm, shadow,
-                                     send_at, churn_at):
-    case = (discipline, seed, n_cp, warm, shadow, send_at)
+def test_spin_job_matches_chunk_loop(seed, n_cp, warm, shadow, send_at,
+                                     churn_at):
+    case = (seed, n_cp, warm, shadow, send_at)
     loop = run_case(*case, oracle=True, churn_at=churn_at)
     # off-boundary only: an arrival (or a competitor's) landing exactly
     # on a step end was decided by rounding noise in the loop
@@ -136,12 +134,11 @@ def test_spin_job_matches_chunk_loop(discipline, seed, n_cp, warm, shadow,
     spin = run_case(*case, oracle=False, churn_at=churn_at)
     for key in ("noticed", "cpu_time", "busy_time", "follow_up"):
         assert spin[key] == pytest.approx(loop[key], abs=1e-9), key
-    if discipline == "rr":
-        assert spin["ema"] == pytest.approx(loop["ema"], abs=1e-9)
-        if loop["credit"] is None:
-            assert spin["credit"] is None
-        else:
-            assert spin["credit"] == pytest.approx(loop["credit"], abs=1e-9)
+    assert spin["ema"] == pytest.approx(loop["ema"], abs=1e-9)
+    if loop["credit"] is None:
+        assert spin["credit"] is None
+    else:
+        assert spin["credit"] == pytest.approx(loop["credit"], abs=1e-9)
     # a poll noticed at its first step costs the stop event extra
     assert spin["events"] <= loop["events"] + 1
 
@@ -151,10 +148,10 @@ def test_long_wait_costs_constant_events():
     two per poll step on an idle node, three on a loaded one)."""
     events = {}
     for send_at in (0.001, 0.1):
-        events[send_at] = run_case("rr", 0, 0, "none", False, send_at,
+        events[send_at] = run_case(0, 0, "none", False, send_at,
                                    oracle=False)["events"]
     assert events[0.1] == events[0.001]
-    with_loop = run_case("rr", 0, 0, "none", False, 0.1, oracle=True)["events"]
+    with_loop = run_case(0, 0, "none", False, 0.1, oracle=True)["events"]
     assert with_loop > 2 * 0.1 / STEP > 100 * events[0.1]
 
 
@@ -232,10 +229,10 @@ def test_polling_recv_without_sender_deadlocks_when_queue_drains():
     assert cluster.sim.n_events < 20   # was: spin to the 200M max_events guard
 
 
-def _poll_victim(discipline, n_cp):
+def _poll_victim(n_cp):
     """A rank mid-``Poll`` (nobody ever sends), plus the bits the
     lifecycle tests look at."""
-    cluster = make_cluster(discipline)
+    cluster = make_cluster()
     for _ in range(n_cp):
         cluster.nodes[1].start_competing()
     comm = make_comm(cluster)
@@ -259,10 +256,9 @@ def _poll_victim(discipline, n_cp):
     return cluster, comm, proc, fired, caught
 
 
-@pytest.mark.parametrize("discipline", ["rr", "ps"])
 @pytest.mark.parametrize("n_cp", [0, 2])
-def test_kill_mid_poll_cancels_the_spin_job(discipline, n_cp):
-    cluster, comm, proc, fired, _ = _poll_victim(discipline, n_cp)
+def test_kill_mid_poll_cancels_the_spin_job(n_cp):
+    cluster, comm, proc, fired, _ = _poll_victim(n_cp)
     sim, cpu = cluster.sim, cluster.nodes[1].cpu
     sim.run(until=0.0123)
     job = proc.cpu_job
@@ -283,9 +279,8 @@ def test_kill_mid_poll_cancels_the_spin_job(discipline, n_cp):
     assert fired == [None]  # done_signal fired exactly once
 
 
-@pytest.mark.parametrize("discipline", ["rr", "ps"])
-def test_inject_mid_poll_cancels_the_spin_job_and_the_process_goes_on(discipline):
-    cluster, comm, proc, fired, caught = _poll_victim(discipline, n_cp=1)
+def test_inject_mid_poll_cancels_the_spin_job_and_the_process_goes_on():
+    cluster, comm, proc, fired, caught = _poll_victim(n_cp=1)
     sim = cluster.sim
     sim.run(until=0.0123)
     job = proc.cpu_job

@@ -3,7 +3,6 @@ governor, the interactive slice, and quantum continuation — the pieces
 that make the non dedicated node model behave like a real OS (see the
 scheduler row of DESIGN.md's substitution table)."""
 
-import numpy as np
 import pytest
 
 from repro.config import ClusterSpec, NodeSpec
@@ -135,25 +134,3 @@ def test_background_jobs_never_boosted():
     boosts_before = node.cpu.n_wake_boosts
     node.start_competing()  # background submit, not a wakeup boost
     assert node.cpu.n_wake_boosts == boosts_before
-
-
-def test_processor_sharing_has_no_quantum_artifacts():
-    """Under the fluid discipline, per-iteration times are exactly
-    scaled by the sharing factor — no spikes for the min-filter to
-    clean (the discipline the predictor assumes)."""
-    cluster = Cluster(ClusterSpec(
-        n_nodes=1, node=NodeSpec(speed=SPEED, discipline="ps")))
-    node = cluster.nodes[0]
-    node.start_competing()
-    times = []
-
-    def prog():
-        sim = cluster.sim
-        for _ in range(10):
-            t0 = sim.now
-            yield Compute(SPEED * 0.001)
-            times.append(sim.now - t0)
-
-    p = cluster.sim.spawn(prog(), name="app", node=node)
-    cluster.sim.run_all([p])
-    assert np.allclose(times, 0.002, rtol=1e-9)

@@ -10,8 +10,8 @@ from repro.simcluster import Cluster, Compute, Sleep
 from repro.sysmon import DmpiPs, HrTimer, ProcClock, Vmstat, min_filter
 
 
-def make_cluster(n=2, speed=100.0, discipline="rr"):
-    return Cluster(ClusterSpec(n_nodes=n, node=NodeSpec(speed=speed, discipline=discipline)))
+def make_cluster(n=2, speed=100.0):
+    return Cluster(ClusterSpec(n_nodes=n, node=NodeSpec(speed=speed)))
 
 
 def spin(duration_work):
