@@ -22,28 +22,6 @@ from repro.campaign.results import render_bench_json
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def _obs_summary():
-    """Cost-attribution summaries of every live dynscope recorder —
-    attached to BENCH json sidecars so a traced bench run
-    (``DYNMPI_OBS=1``) carries its own per-phase breakdown.  Untraced
-    runs (the default) have no enabled recorders and pay nothing."""
-    from repro.obs import session_recorders
-    from repro.obs.report import attribute
-
-    summaries = []
-    for rec in session_recorders():
-        if not rec.events:
-            continue
-        report = attribute(e.to_dict() for e in rec.sorted_events())
-        summaries.append({
-            "n_events": len(rec.events),
-            "wall": report["wall"],
-            "phases": report["total"],
-            "adaptations": report["adaptations"],
-        })
-    return summaries or None
-
-
 @pytest.fixture(autouse=True, scope="session")
 def _sanitizer_must_be_off():
     """Benchmark numbers must come from unsanitized runs.
@@ -81,6 +59,6 @@ def record_table(results_dir):
         print(f"[written to {path}]")
         if data is not None:
             jpath = results_dir / f"BENCH_{name}.json"
-            jpath.write_text(render_bench_json(name, data, _obs_summary()))
+            jpath.write_text(render_bench_json(name, data))
             print(f"[data written to {jpath}]")
     return _record

@@ -6,7 +6,6 @@ the particle simulation.  Sequential references live in
 
 from .base import AppResult, collect_rows, exchange_halo, run_program
 from .cg import CGConfig, cg_program
-from .farm import FarmConfig, farm_oracle, run_farm_app
 from .jacobi import JacobiConfig, jacobi_program
 from .particle import ParticleConfig, initial_counts, particle_program
 from .sor import SORConfig, sor_program
@@ -25,9 +24,6 @@ __all__ = [
     "cg_program",
     "ParticleConfig",
     "particle_program",
-    "FarmConfig",
-    "run_farm_app",
-    "farm_oracle",
     "initial_counts",
     "kernels",
     "reference",

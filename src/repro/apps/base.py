@@ -40,14 +40,6 @@ class AppResult:
     job: Any
 
     @property
-    def obs(self):
-        """The run's dynscope recorder (``job.obs``) — the enabled
-        cluster recorder when observability was on, otherwise the
-        job's disabled one (whose ``adaptations`` still back
-        :attr:`events`)."""
-        return self.job.obs
-
-    @property
     def n_redistributions(self) -> int:
         return sum(1 for ev in self.events if ev.kind == "redistribute")
 

@@ -52,30 +52,22 @@ def jsonable(obj):
     return str(obj)
 
 
-def bench_payload(name: str, data, obs=None) -> dict:
-    """The canonical BENCH payload: ``name`` + converted ``data``,
-    plus the optional dynscope summary block."""
-    payload = {"name": name, "data": jsonable(data)}
-    if obs is not None:
-        payload["obs"] = obs
-    return payload
+def bench_payload(name: str, data) -> dict:
+    """The canonical BENCH payload: ``name`` + converted ``data``."""
+    return {"name": name, "data": jsonable(data)}
 
 
-def render_bench_json(name: str, data, obs=None) -> str:
+def render_bench_json(name: str, data) -> str:
     """The exact bytes of a ``BENCH_<name>.json`` file."""
-    return json.dumps(
-        bench_payload(name, data, obs), indent=2, sort_keys=True
-    ) + "\n"
+    return json.dumps(bench_payload(name, data), indent=2, sort_keys=True) + "\n"
 
 
-def write_bench_json(
-    directory: pathlib.Path, name: str, data, obs=None
-) -> pathlib.Path:
+def write_bench_json(directory: pathlib.Path, name: str, data) -> pathlib.Path:
     """Write ``BENCH_<name>.json`` under ``directory``; returns the path."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
-    path.write_text(render_bench_json(name, data, obs))
+    path.write_text(render_bench_json(name, data))
     return path
 
 

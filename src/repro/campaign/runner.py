@@ -40,7 +40,7 @@ def run_combo(params: dict) -> dict:
     slug = combo_slug(params)
     full = resolve_params(params)
     built = build_scenario(full)
-    if built.farm_cfg is not None:
+    if built.farm_spec is not None:
         return _run_farm_combo(slug, params, built)
     cluster = Cluster(built.cluster_spec)
     if built.failure_script is not None:
@@ -76,12 +76,12 @@ def run_combo(params: dict) -> dict:
 def _run_farm_combo(slug: str, params: dict, built) -> dict:
     """Farm combos run through the elastic farm launcher; the oracle is
     the completed-result digest against the computed reference."""
-    from ..apps.farm import run_farm_app  # deferred, like run_program
+    from ..farm import run_farm  # deferred, like run_program
 
     cluster = Cluster(built.cluster_spec)
-    result = run_farm_app(
+    result = run_farm(
         cluster,
-        built.farm_cfg,
+        built.farm_spec,
         load_script=built.load_script,
         failure_script=built.failure_script,
     )

@@ -75,8 +75,7 @@ from ..apps import (
 )
 from ..apps import jacobi as jacobi_mod
 from ..apps import sor as sor_mod
-from ..apps.farm import SKEWS, FarmConfig, farm_oracle
-from ..farm import POLICIES
+from ..farm import FarmSpec, farm_oracle
 from ..apps.reference import (
     cg_matrix_dense,
     cg_reference,
@@ -216,16 +215,6 @@ def resolve_params(params: dict) -> dict:
         raise ConfigError("n_nodes must be >= 1")
     if full["size"] < 8 or full["cycles"] < 1:
         raise ConfigError("size must be >= 8 and cycles >= 1")
-    if full["policy"] not in POLICIES:
-        raise ConfigError(
-            f"unknown farm policy {full['policy']!r} (one of {POLICIES})"
-        )
-    if full["skew"] not in SKEWS:
-        raise ConfigError(
-            f"unknown skew profile {full['skew']!r} (one of {SKEWS})"
-        )
-    if full["n_jobs"] < 1 or full["chunk"] < 1:
-        raise ConfigError("n_jobs and chunk must be >= 1")
     if full["app"] == "farm":
         if full["n_nodes"] < 2:
             raise ConfigError("the farm needs n_nodes >= 2 (master + worker)")
@@ -262,9 +251,9 @@ class BuiltScenario:
     #: sequential-reference check: (per_rank results) -> error string or ""
     oracle: Optional[Callable]
     #: set for ``app=farm``: the combo runs through
-    #: :func:`repro.apps.farm.run_farm_app` instead of ``run_program``
+    #: :func:`repro.farm.run_farm` instead of ``run_program``
     #: (and ``oracle`` then takes the :class:`~repro.farm.FarmResult`)
-    farm_cfg: Optional[FarmConfig] = None
+    farm_spec: Optional[FarmSpec] = None
 
 
 def _app_setup(full: dict, check: bool):
@@ -344,10 +333,12 @@ def _farm_scenario(full: dict, check: bool) -> BuiltScenario:
     resilience recipe — churn flows through the farm's own requeue
     machinery, so a ``crash`` fault is lowered to a fail-stop ``kill``
     of the node's worker."""
-    cfg = FarmConfig(
+    farm = FarmSpec(
         n_jobs=full["n_jobs"], policy=full["policy"], chunk=full["chunk"],
         skew=full["skew"], seed=full["seed"], cycles=full["cycles"],
+        name=f"farm-{full['policy']}",
     )
+    farm.validate()
     failure = parse_failure(full["failure"])
     if failure is not None:
         failure = FailureScript(cycle_faults=[
@@ -368,12 +359,12 @@ def _farm_scenario(full: dict, check: bool) -> BuiltScenario:
     return BuiltScenario(
         cluster_spec=cluster_spec,
         program=None,
-        cfg=cfg,
+        cfg=None,
         spec=RuntimeSpec(),
         load_script=parse_load(full["load"]),
         failure_script=failure,
-        oracle=farm_oracle(cfg) if check else None,
-        farm_cfg=cfg,
+        oracle=farm_oracle(farm) if check else None,
+        farm_spec=farm,
     )
 
 

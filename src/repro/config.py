@@ -133,6 +133,8 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigError(f"need at least one node, got {self.n_nodes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.sanitize not in (None, True, False):
             raise ConfigError(f"sanitize must be True/False/None, got {self.sanitize!r}")
         if self.observe not in (None, True, False):
@@ -206,10 +208,6 @@ class RuntimeSpec:
     #: iteration-time threshold below which gethrtime is used instead
     #: of /PROC (paper: 10 ms)
     hrtimer_threshold: float = 0.010
-    #: successive-balancing convergence tolerance on unloaded shares
-    balance_tol: float = 1e-3
-    #: maximum successive-balancing rounds
-    balance_max_rounds: int = 50
     #: whether node removal is considered at all
     allow_removal: bool = True
     #: "physical" (paper default) or "logical" dropping

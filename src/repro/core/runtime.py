@@ -44,6 +44,7 @@ only code that writes the view after ``commit()``.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -55,12 +56,12 @@ from ..errors import (CheckpointLostError, RegistrationError, SanitizerError,
 from ..mpi import Endpoint, Group, make_comm
 from ..mpi import collectives as coll
 from ..mpi.datatypes import SUM, ReduceOp
-from ..obs.recorder import JOB_PID, ObsRecorder, RuntimeEvent
+from ..obs.recorder import JOB_PID
 from ..resilience.checkpoint import CheckpointStore, checkpoint_exchange, snapshot
 from ..resilience.failures import terminate_rank
 from ..simcluster import Cluster, Compute, ProcState
 from ..sysmon import DmpiPs, HrTimer, ProcClock
-from .commcost import CommCostModel, PhasePattern, measure_comm_model
+from .commcost import CommCostModel, PhasePattern
 from .distribution import BlockDistribution
 from .drsd import DRSD
 from .loadmon import FailureDetector, LoadMonitor
@@ -78,9 +79,16 @@ _CTRL_TAG = (1 << 29) + 7   # control messages to removed ranks (send-out)
 _TOKEN_TAG = (1 << 29) + 8  # per-cycle token: active root -> removed ranks
 _LOAD_TAG = (1 << 29) + 9   # load updates: removed ranks -> active root
 
-# RuntimeEvent now lives in repro.obs.recorder (the adaptation events
-# are one view of the dynscope recording); re-exported here unchanged
-# for backward compatibility.
+
+@dataclass
+class RuntimeEvent:
+    """One adaptation event, for experiment reporting."""
+
+    kind: str  # "redistribute" | "drop" | "logical_drop" | "rejoin" | "crash_recovery"
+    cycle: int
+    time: float
+    duration: float = 0.0
+    detail: dict = field(default_factory=dict)
 
 
 class DynMPIJob:
@@ -92,7 +100,6 @@ class DynMPIJob:
         spec: Optional[RuntimeSpec] = None,
         *,
         adaptive: bool = True,
-        measure_model: bool = False,
         mem_model: Optional[MemCostModel] = None,
     ):
         self.cluster = cluster
@@ -102,24 +109,13 @@ class DynMPIJob:
         self.ps = DmpiPs(cluster, self.spec.daemon_interval)
         self.hr = HrTimer(cluster.sim)
         self.mem_model = mem_model or MemCostModel()
-        if measure_model:
-            self.comm_model = measure_comm_model(cluster.spec)
-        else:
-            self.comm_model = CommCostModel.from_spec(
-                cluster.spec.network, cluster.spec.node.speed
-            )
-        self.ref_speed = cluster.spec.node.speed
-        #: dynscope sink.  The cluster's enabled recorder when
-        #: observability is on; otherwise a disabled recorder whose
-        #: span/instant methods return immediately but whose
-        #: ``adaptations`` list is still populated — so ``job.events``
-        #: (a view of that list) behaves identically either way.
-        cobs = getattr(cluster, "obs", None)
-        self.obs: ObsRecorder = (
-            cobs if cobs is not None else ObsRecorder(enabled=False)
+        self.comm_model = CommCostModel.from_spec(
+            cluster.spec.network, cluster.spec.node.speed
         )
-        self.obs.bind_clock(lambda: cluster.sim.now)
-        self.events: list[RuntimeEvent] = self.obs.adaptations
+        self.ref_speed = cluster.spec.node.speed
+        #: the adaptations applied so far, in order — the same list
+        #: whether or not the run is observed
+        self.events: list[RuntimeEvent] = []
         self.contexts: list["DynMPI"] = []
         self._groups: dict[tuple, Group] = {}
         #: shared needed-map memo (see RankRuntime._needed).  Every
@@ -228,7 +224,7 @@ class DynMPI:
         self.last_estimate_source = "none"
         #: dynscope recorder, or None when observability is off (the
         #: hot-path guard — one None test per instrumented site)
-        self.obs = getattr(job.cluster, "obs", None)
+        self.obs = job.cluster.obs
         self.proc = None
         self.proc_clock: Optional[ProcClock] = None
         self._committed = False
@@ -688,7 +684,7 @@ class DynMPI:
         self.cycle_stamps.append((self._cycle_t0, now))
         if self.obs is not None:
             self.obs.complete(
-                "cycle", self._cycle_t0, t1=now, cat="cycle",
+                "cycle", self._cycle_t0, dur=max(0.0, cycle_time), cat="cycle",
                 pid=self.node_id, tid=self.world_rank,
                 cycle=self.cycle, mode=self.mode,
             )
@@ -872,7 +868,7 @@ class DynMPI:
         plan = plan_rebalance(
             self._view(), self.loop_size, gathered,
             ref_speed=self.job.ref_speed, patterns=self._patterns(),
-            comm_model=self.job.comm_model, spec=self.spec,
+            comm_model=self.job.comm_model,
             source=self.last_estimate_source,
         )
         yield from self._apply(plan, t0)
@@ -907,8 +903,8 @@ class DynMPI:
         rows over the exchange group, install ``plan.after``, record the
         event.  Every member runs it identically, a rejoining rank
         included.  ``t0``: when the adaptation began, if it is timed."""
+        obs = self.obs
         if plan.exchange_world is not None:
-            obs = self.obs
             ts = obs.now() if obs is not None else 0.0
             if self.job.cluster.sanitizer is not None:
                 # dynsan self-check: verify the Section 4.4 invariants of
@@ -920,7 +916,7 @@ class DynMPI:
                 # plan derivation is pure computation (no simulated time):
                 # a zero-duration marker carrying the plan's span count
                 obs.complete(
-                    "redist.plan", ts, t1=ts, cat="redist",
+                    "redist.plan", ts, dur=0.0, cat="redist",
                     pid=self.node_id, tid=self.world_rank, cycle=self.cycle,
                     spans=sum(len(iv.spans)
                               for per in self._needed(plan.new_bounds)
@@ -961,13 +957,16 @@ class DynMPI:
                 self._ckpt_store.discard(dead)
         self._install(plan.after)
         if self.world_rank == plan.recorder:
-            self.job.obs.adaptation(
-                plan.kind,
-                cycle=self.cycle,
-                time=self.job.cluster.sim.now,
-                duration=0.0 if t0 is None else self.job.hr.read() - t0,
-                detail=plan.detail,
-            )
+            now = self.job.cluster.sim.now
+            duration = 0.0 if t0 is None else self.job.hr.read() - t0
+            self.job.events.append(RuntimeEvent(
+                plan.kind, self.cycle, now, duration, plan.detail))
+            if obs is not None:
+                obs.complete(
+                    f"adapt.{plan.kind}", now - duration, dur=duration,
+                    cat="adapt", pid=JOB_PID, tid=0,
+                    cycle=self.cycle, **plan.detail,
+                )
 
     def _install(self, view: View) -> None:
         """Commit ``view``: the only writer of the replicated view once

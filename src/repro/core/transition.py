@@ -71,8 +71,7 @@ def even_by_weight(loop_size: int, n: int, row_weights) -> tuple:
 
 def plan_rebalance(view: View, loop_size: int, gathered: Sequence[tuple], *,
                    ref_speed: float, patterns: Sequence[PhasePattern],
-                   comm_model: CommCostModel, spec: RuntimeSpec,
-                   source: str) -> Transition:
+                   comm_model: CommCostModel, source: str) -> Transition:
     """Section 4.3 balancing over the allgathered grace-period
     estimates: ``gathered[rel] = (rows, unloaded seconds per row)``."""
     weights = np.zeros(loop_size)
@@ -91,7 +90,6 @@ def plan_rebalance(view: View, loop_size: int, gathered: Sequence[tuple], *,
         float(weights.sum()) * ref_speed,
         (ref_speed / np.maximum(view.loads, 1)).astype(float), view.loads,
         patterns, comm_model, loop_size,
-        tol=spec.balance_tol, max_rounds=spec.balance_max_rounds,
     )
     new_bounds = shares_to_blocks(loop_size, result.shares, weights).bounds
     after = view._replace(

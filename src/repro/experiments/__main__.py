@@ -32,6 +32,7 @@ from . import (
     run_memalloc,
     run_monitor_ablation,
 )
+from ..errors import ConfigError
 from .figure4 import APP_NAMES
 from .harness import bench_scale, parse_scale
 
@@ -125,12 +126,16 @@ def main(argv=None) -> int:
         print(f"experiments: {exc}", file=sys.stderr)
         return 2
 
-    if args.figure == "all":
-        for name, fn in FIGURES.items():
-            print(f"\n=== {name} ===")
-            fn(args)
-    else:
-        FIGURES[args.figure](args)
+    try:
+        if args.figure == "all":
+            for name, fn in FIGURES.items():
+                print(f"\n=== {name} ===")
+                fn(args)
+        else:
+            FIGURES[args.figure](args)
+    except ConfigError as exc:  # e.g. a negative --seed
+        print(f"experiments: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -17,7 +17,8 @@ The completed-result set is bitwise-identical regardless of policy,
 perturbation seed, or mid-run churn — see docs/FARM.md.
 """
 
-from .jobs import JobQueue, farm_digest, job_cost, job_result, reference_results
+from .jobs import (JobQueue, farm_digest, farm_oracle, job_cost, job_result,
+                   reference_results)
 from .policies import POLICIES, make_policy
 from .protocol import (
     FARM_TAG_BASE,
@@ -39,6 +40,7 @@ __all__ = [
     "job_result",
     "reference_results",
     "farm_digest",
+    "farm_oracle",
     "POLICIES",
     "make_policy",
     "FARM_TAG_BASE",

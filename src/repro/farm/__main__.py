@@ -18,6 +18,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 
@@ -76,6 +77,7 @@ def main(argv=None) -> int:
 
     from ..config import ClusterSpec
     from ..errors import ConfigError
+    from ..obs.export import write_trace
     from ..resilience import FailureScript
     from ..simcluster import Cluster
     from .jobs import farm_digest, reference_results
@@ -96,8 +98,13 @@ def main(argv=None) -> int:
         ))
         failure = (FailureScript(cycle_faults=args.crash)
                    if args.crash else None)
-        result = run_farm(cluster, spec, failure_script=failure)
-    except ConfigError as exc:
+        # opened before the run: an unwritable path costs no simulation
+        with (open(args.trace, "w", encoding="utf-8") if args.trace
+              else contextlib.nullcontext()) as trace_out:
+            result = run_farm(cluster, spec, failure_script=failure)
+            if trace_out is not None:
+                n_events = write_trace(cluster.obs, trace_out, args.format)
+    except (ConfigError, OSError) as exc:
         print(f"farm: {exc}", file=sys.stderr)
         return 2
 
@@ -111,13 +118,7 @@ def main(argv=None) -> int:
         f"digest={'ok' if ok else 'MISMATCH'}"
     )
     if args.trace:
-        from ..obs.export import chrome_json, jsonl_text
-
-        text = (chrome_json(cluster.obs) if args.format == "chrome"
-                else jsonl_text(cluster.obs))
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(cluster.obs.events)} events to {args.trace}")
+        print(f"wrote {n_events} events to {args.trace}")
     return 0 if ok else 1
 
 

@@ -20,7 +20,8 @@ import hashlib
 import numpy as np
 
 __all__ = [
-    "job_cost", "job_result", "reference_results", "farm_digest", "JobQueue",
+    "job_cost", "job_result", "reference_results", "farm_digest",
+    "farm_oracle", "JobQueue",
 ]
 
 _MASK = (1 << 64) - 1
@@ -83,6 +84,26 @@ def farm_digest(completed: dict[int, int]) -> str:
     packed[0::2] = jobs[order]
     packed[1::2] = vals[order]
     return hashlib.sha1(packed.tobytes()).hexdigest()
+
+
+def farm_oracle(spec):
+    """Bitwise-identity check for a run of ``spec`` (a ``FarmSpec``):
+    the completed set must digest to exactly what
+    :func:`reference_results` predicts — regardless of policy,
+    perturbation seed, or churn.  Returns ``check(result) -> str``,
+    '' when the result is right."""
+    expected = farm_digest(reference_results(spec.n_jobs, spec.seed))
+
+    def check(result) -> str:
+        if result.jobs_done != spec.n_jobs:
+            return (f"farm completed {result.jobs_done} of "
+                    f"{spec.n_jobs} jobs")
+        if result.digest != expected:
+            return (f"completed-result digest {result.digest} deviates "
+                    f"from reference {expected}")
+        return ""
+
+    return check
 
 
 class JobQueue:

@@ -14,8 +14,6 @@ counter phase uses ``FarmSpec.chunk`` directly at the workers.
 
 from __future__ import annotations
 
-from ..errors import ConfigError
-
 __all__ = ["POLICIES", "make_policy", "ChunkPolicy"]
 
 #: every shipped policy, in bench/campaign axis order
@@ -101,11 +99,6 @@ _POLICY_CLASSES = {
 
 def make_policy(name: str, n_jobs: int, n_workers: int,
                 chunk: int) -> ChunkPolicy:
-    try:
-        cls = _POLICY_CLASSES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown farm policy {name!r}; shipped policies: "
-            f"{', '.join(POLICIES)}"
-        ) from None
-    return cls(n_jobs, n_workers, chunk)
+    """The policy object for ``name`` (one of :data:`POLICIES`, which
+    ``FarmSpec.validate`` has checked)."""
+    return _POLICY_CLASSES[name](n_jobs, n_workers, chunk)

@@ -39,7 +39,7 @@ from ..mpi import ANY_TAG, make_comm
 from ..mpi.rma import Window
 from ..simcluster import Compute, Sleep
 from .jobs import JobQueue, farm_digest, job_cost, job_result
-from .policies import make_policy
+from .policies import POLICIES, make_policy
 from .protocol import (
     TAG_DONE,
     TAG_EXIT,
@@ -51,6 +51,9 @@ from .protocol import (
 )
 
 __all__ = ["FarmSpec", "FarmResult", "run_farm"]
+
+#: the cost-skew profiles :func:`repro.farm.jobs.job_cost` understands
+SKEWS = ("uniform", "linear", "hot")
 
 #: window layout for the rma policy: slot 0 is the shared loop counter
 _COUNTER_SLOT = 0
@@ -79,8 +82,12 @@ class FarmSpec:
             raise ConfigError(f"farm chunk must be positive ({self.chunk})")
         if self.cycles <= 0:
             raise ConfigError(f"farm cycles must be positive ({self.cycles})")
-        if self.skew not in ("uniform", "linear", "hot"):
-            raise ConfigError(f"unknown skew profile {self.skew!r}")
+        if self.policy not in POLICIES:
+            raise ConfigError(
+                f"unknown farm policy {self.policy!r} (one of {POLICIES})")
+        if self.skew not in SKEWS:
+            raise ConfigError(
+                f"unknown skew profile {self.skew!r} (one of {SKEWS})")
 
 
 @dataclass

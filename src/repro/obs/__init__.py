@@ -1,14 +1,15 @@
 """dynscope — unified observability for the Dyn-MPI reproduction.
 
 One recording, many views: every layer (runtime adaptation, the
-redistribution data plane, the MPI layer, resilience, the simulator's
-tracer) emits spans/instants/metrics into an :class:`ObsRecorder`;
+redistribution data plane, the MPI layer, resilience, load and failure
+scripts, the simulator's CPU scheduler and NIC model) emits
+spans/instants/metrics into an :class:`ObsRecorder`;
 exporters turn the recording into a Perfetto-loadable Chrome trace, a
 flat JSONL log, or a per-phase cost-attribution report.  See
 docs/OBSERVABILITY.md.
 
 Enablement mirrors the dynsan sanitizer: ``ClusterSpec(observe=True)``
-or ``DYNMPI_OBS=1`` attaches an enabled recorder as ``cluster.obs``;
+or ``DYNMPI_OBS=1`` attaches a recorder as ``cluster.obs``;
 otherwise ``cluster.obs`` is ``None`` and every instrumentation hook is
 one ``is not None`` test (zero recording overhead, and — because the
 hooks never add simulated cost — identical simulation results either
@@ -27,14 +28,12 @@ from .recorder import (
     NET_PID,
     ObsEvent,
     ObsRecorder,
-    RuntimeEvent,
     obs_enabled,
-    session_recorders,
 )
 from .registry import Histogram, MetricsRegistry
-from .export import chrome_json, chrome_trace, jsonl_text, load_trace, write_trace
+from .export import (chrome_json, chrome_trace, jsonl_text, load_trace,
+                     trace_events, write_trace)
 from .schema import validate_chrome, validate_chrome_file
-from .simadapter import replay_tracer
 
 __all__ = [
     "CPU_TID",
@@ -44,14 +43,12 @@ __all__ = [
     "MetricsRegistry",
     "ObsEvent",
     "ObsRecorder",
-    "RuntimeEvent",
     "chrome_json",
     "chrome_trace",
     "jsonl_text",
     "load_trace",
     "obs_enabled",
-    "replay_tracer",
-    "session_recorders",
+    "trace_events",
     "validate_chrome",
     "validate_chrome_file",
     "write_trace",

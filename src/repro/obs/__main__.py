@@ -20,41 +20,56 @@ validate   run the Chrome-trace schema validator on a file; exit 1
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 
+def _fail(exc) -> int:
+    print(f"obs: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_export(args) -> int:
-    from .export import chrome_json, jsonl_text
+    from ..errors import ReproError
+    from .export import write_trace
     from .scenario import RemovalScenario, run_removal
 
-    scenario = RemovalScenario(
-        n_nodes=args.nodes, n=args.grid, iters=args.iters, seed=args.seed,
-    )
-    _result, cluster = run_removal(
-        scenario, observe=True, trace_cpu=args.cpu
-    )
-    text = (chrome_json(cluster.obs) if args.format == "chrome"
-            else jsonl_text(cluster.obs))
+    try:
+        scenario = RemovalScenario(
+            n_nodes=args.nodes, n=args.grid, iters=args.iters, seed=args.seed,
+        )
+        # opened before the run: an unwritable path costs no simulation
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            _result, cluster = run_removal(scenario, observe=True)
+            n_events = write_trace(cluster.obs, out, args.format)
+    except (ReproError, OSError) as exc:
+        return _fail(exc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(cluster.obs.events)} events to {args.out}")
-    else:
-        sys.stdout.write(text)
+        print(f"wrote {n_events} events to {args.out}")
     return 0
 
 
-def _cmd_summarize(args) -> int:
+def _load(*paths):
+    """``load_trace`` of each path, or None after one ``obs: ...`` line
+    when any of them is unreadable or not a trace."""
     from .export import load_trace
-    from .report import format_report, summarize
 
     try:
-        meta, events = load_trace(args.trace)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return [load_trace(path) for path in paths]
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        _fail(exc)
+        return None
+
+
+def _cmd_summarize(args) -> int:
+    from .report import format_report, summarize
+
+    loaded = _load(args.trace)
+    if loaded is None:
         return 2
-    report = summarize(meta, events)
+    report = summarize(*loaded[0])
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -63,15 +78,12 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from .export import load_trace
     from .report import attribute, diff_reports, format_diff
 
-    try:
-        _, events_a = load_trace(args.a)
-        _, events_b = load_trace(args.b)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _load(args.a, args.b)
+    if loaded is None:
         return 2
+    (_, events_a), (_, events_b) = loaded
     diff = diff_reports(attribute(events_a), attribute(events_b))
     if args.json:
         print(json.dumps(diff, indent=2, sort_keys=True))
@@ -105,8 +117,6 @@ def main(argv=None) -> int:
                                       "and export its trace")
     p.add_argument("--format", choices=("chrome", "jsonl"), default="chrome")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--cpu", action="store_true",
-                   help="also replay Tracer CPU slices / wire messages")
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--grid", type=int, default=160)
     p.add_argument("--iters", type=int, default=36)

@@ -12,7 +12,16 @@ Chrome format (one dict per event in ``traceEvents``):
 * ``ph="i"`` instants carry ``s="t"`` (thread scope);
 * ``ph="M"`` metadata names the tracks: ``pid`` is a node (reserved
   ``-1`` = job, ``-2`` = network), ``tid`` is a world rank (reserved
-  ``-1`` = replayed CPU slices).
+  ``-1`` = the node's CPU track).
+
+The scheduler's CPU slices and the NIC model's wire flights are plain
+tuples on the recorder; :func:`trace_events` turns them into track
+events.  CPU slices of one node never overlap (the scheduler
+serializes them), but in-flight messages do — so flights are laid out
+on the network process in *lanes*: each takes the lowest-numbered
+thread that is free for its whole flight.  Tracks stay disjoint, which
+keeps the Chrome schema validator satisfied, and the lane assignment
+is a pure function of the (deterministic) flight list.
 
 Load the file straight into https://ui.perfetto.dev or
 ``chrome://tracing``.
@@ -29,13 +38,14 @@ import json
 import pathlib
 from typing import Union
 
-from .recorder import CPU_TID, JOB_PID, NET_PID, ObsRecorder
+from .recorder import CPU_TID, JOB_PID, NET_PID, ObsEvent, ObsRecorder
 
 __all__ = [
     "chrome_trace",
     "chrome_json",
     "jsonl_text",
     "load_trace",
+    "trace_events",
     "write_trace",
 ]
 
@@ -62,10 +72,42 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def trace_events(recorder: ObsRecorder) -> list[ObsEvent]:
+    """Everything the recording holds, in export order: its events plus
+    one ``cpu.<proc>`` span per CPU slice (the node's :data:`CPU_TID`
+    track) and one ``net.msg`` span per wire flight (a lane of the
+    :data:`NET_PID` process), sorted by timestamp — stably, so events
+    of one instant keep emission order with the simulator tracks last."""
+    events = list(recorder.events)
+    for node, proc, start, end in recorder.slices:
+        events.append(ObsEvent(f"cpu.{proc}", "sim", "X", start,
+                               max(0.0, end - start), node, CPU_TID,
+                               {"proc": proc}))
+    lanes: list[float] = []  # lane index -> end of its last flight
+    for src, dst, nbytes, sent, delivered in sorted(
+            recorder.flights, key=lambda f: (f[3], f[4], f[0], f[1])):
+        for lane, busy_until in enumerate(lanes):
+            if busy_until <= sent:
+                break
+        else:
+            lane = len(lanes)
+            lanes.append(0.0)
+        lanes[lane] = delivered
+        events.append(ObsEvent("net.msg", "sim", "X", sent,
+                               max(0.0, delivered - sent), NET_PID, lane,
+                               {"src": src, "dst": dst, "nbytes": nbytes}))
+    events.sort(key=lambda e: e.ts)
+    return events
+
+
 def chrome_trace(recorder: ObsRecorder) -> dict:
     """The recording as a Chrome Trace Event dict (JSON-ready)."""
+    recorded = trace_events(recorder)
+    tracks: dict[int, set[int]] = {}
+    for ev in recorded:
+        tracks.setdefault(ev.pid, set()).add(ev.tid)
     events: list[dict] = []
-    for pid, tids in recorder.tracks().items():
+    for pid, tids in sorted(tracks.items()):
         events.append({
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
             "ts": 0, "args": {"name": _pid_name(pid)},
@@ -74,12 +116,12 @@ def chrome_trace(recorder: ObsRecorder) -> dict:
             "name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
             "ts": 0, "args": {"sort_index": pid},
         })
-        for tid in tids:
+        for tid in sorted(tids):
             events.append({
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                 "ts": 0, "args": {"name": _tid_name(tid)},
             })
-    for ev in recorder.sorted_events():
+    for ev in recorded:
         d = {
             "name": ev.name, "cat": ev.cat, "ph": ev.ph,
             "ts": ev.ts * _US, "pid": ev.pid, "tid": ev.tid,
@@ -101,29 +143,32 @@ def chrome_json(recorder: ObsRecorder) -> str:
 def jsonl_text(recorder: ObsRecorder) -> str:
     """The recording as JSONL: a ``trace-meta`` line (metrics snapshot
     included) followed by one event per line, times in seconds."""
+    recorded = trace_events(recorder)
     lines = [_dump({
         "kind": "trace-meta",
         "version": JSONL_VERSION,
         "metrics": recorder.merged_registry().snapshot(),
-        "n_events": len(recorder.events),
+        "n_events": len(recorded),
     })]
-    for ev in recorder.sorted_events():
-        lines.append(_dump(ev.to_dict()))
+    lines.extend(_dump(ev.to_dict()) for ev in recorded)
     return "\n".join(lines) + "\n"
 
 
-def write_trace(recorder: ObsRecorder, path: Union[str, pathlib.Path],
-                fmt: str = "chrome") -> pathlib.Path:
-    """Write the recording to ``path`` in ``fmt`` ("chrome" or "jsonl")."""
-    path = pathlib.Path(path)
+def write_trace(recorder: ObsRecorder, out, fmt: str = "chrome") -> int:
+    """Write the recording in ``fmt`` ("chrome" or "jsonl") to ``out``
+    — a path, or a text file already open for writing; returns the
+    number of events written."""
     if fmt == "chrome":
         text = chrome_json(recorder)
     elif fmt == "jsonl":
         text = jsonl_text(recorder)
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
-    path.write_text(text, encoding="utf-8")
-    return path
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        pathlib.Path(out).write_text(text, encoding="utf-8")
+    return len(recorder.events) + len(recorder.slices) + len(recorder.flights)
 
 
 def load_trace(path: Union[str, pathlib.Path]) -> tuple[dict, list[dict]]:
@@ -137,9 +182,11 @@ def load_trace(path: Union[str, pathlib.Path]) -> tuple[dict, list[dict]]:
         raise ValueError(f"{path}: empty trace file")
     first = json.loads(stripped.splitlines()[0])
     if isinstance(first, dict) and "traceEvents" in first:
-        trace = json.loads(text)
+        raw = json.loads(text)["traceEvents"]
+        if not (isinstance(raw, list) and all(isinstance(d, dict) for d in raw)):
+            raise ValueError(f"{path}: 'traceEvents' must be a list of objects")
         events = []
-        for d in trace["traceEvents"]:
+        for d in raw:
             if d.get("ph") == "M":
                 continue
             ev = dict(d)
@@ -157,6 +204,8 @@ def load_trace(path: Union[str, pathlib.Path]) -> tuple[dict, list[dict]]:
         if not line.strip():
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: not a trace (expected one object per line)")
         if obj.get("kind") == "trace-meta":
             meta = obj
         else:

@@ -2,31 +2,28 @@
 
 An :class:`ObsRecorder` is the single sink every layer emits into —
 the runtime's adaptation decisions, the redistribution data plane, the
-MPI layer's message latencies, the resilience layer's checkpoint tax.
-Events carry the *simulated* clock (``sim.now``), so a trace of a
-seeded run is bitwise reproducible and loads into Perfetto with the
-same timeline every time.
+MPI layer's message latencies, the resilience layer's checkpoint tax,
+the load and failure scripts' marks, and the simulator's own CPU
+slices and wire flights.  Events carry the *simulated* clock
+(``sim.now``), so a trace of a seeded run is bitwise reproducible and
+loads into Perfetto with the same timeline every time.
 
 Tracks follow the Chrome trace convention: ``pid`` is the node (with
 two reserved virtual processes, :data:`JOB_PID` for job-level
 adaptation events and :data:`NET_PID` for wire activity), ``tid`` is
-the world rank (with :data:`CPU_TID` reserved for replayed CPU
-slices — see :mod:`repro.obs.simadapter`).
+the world rank (with :data:`CPU_TID` reserved for the node's CPU track:
+scheduler slices and the load / fault marks).
 
-Zero overhead when disabled: layers hold ``cluster.obs`` which is
-``None`` unless observability was opted into, so hot paths pay one
-``is not None`` test.  The runtime additionally keeps a *disabled*
-recorder for its adaptation-event list (the ``job.events``
-back-compatibility view), whose span/instant methods return
-immediately.
+One off-state: ``cluster.obs`` is ``None`` unless observability was
+opted into, and every instrumented site — hot paths included — pays
+one ``is not None`` test.  Nothing records while off.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from ..errors import SimulationError
 from .registry import MetricsRegistry
 
 __all__ = [
@@ -35,7 +32,6 @@ __all__ = [
     "NET_PID",
     "ObsEvent",
     "ObsRecorder",
-    "RuntimeEvent",
     "obs_enabled",
 ]
 
@@ -43,12 +39,8 @@ __all__ = [
 JOB_PID = -1
 #: virtual Chrome-trace process for network wire activity
 NET_PID = -2
-#: virtual thread for per-node CPU slices replayed from a Tracer
+#: virtual thread for a node's CPU track (scheduler slices, load marks)
 CPU_TID = -1
-
-#: enabled recorders created this interpreter session (weakly held);
-#: the bench emitter summarizes them into every ``BENCH_*.json``
-_SESSION_RECORDERS: "weakref.WeakSet[ObsRecorder]" = weakref.WeakSet()
 
 
 def obs_enabled(spec: Any) -> bool:
@@ -62,24 +54,6 @@ def obs_enabled(spec: Any) -> bool:
     return os.environ.get("DYNMPI_OBS", "0") not in ("", "0")
 
 
-@dataclass
-class RuntimeEvent:
-    """One adaptation event, for experiment reporting.
-
-    Historically defined in :mod:`repro.core.runtime`; it lives here
-    now because the obs event API is the primary emission path and the
-    job's ``events`` list is a view over the recorder's
-    :attr:`~ObsRecorder.adaptations`.  ``repro.core.runtime`` re-exports
-    it unchanged.
-    """
-
-    kind: str  # "redistribute" | "drop" | "logical_drop" | "rejoin" | "crash_recovery"
-    cycle: int
-    time: float
-    duration: float = 0.0
-    detail: dict = field(default_factory=dict)
-
-
 class ObsEvent:
     """One trace event (Chrome Trace Event semantics).
 
@@ -88,10 +62,10 @@ class ObsEvent:
     seconds; the exporters convert to microseconds.
     """
 
-    __slots__ = ("name", "cat", "ph", "ts", "dur", "pid", "tid", "args", "seq")
+    __slots__ = ("name", "cat", "ph", "ts", "dur", "pid", "tid", "args")
 
     def __init__(self, name: str, cat: str, ph: str, ts: float, dur: float,
-                 pid: int, tid: int, args: Optional[dict], seq: int):
+                 pid: int, tid: int, args: Optional[dict]):
         self.name = name
         self.cat = cat
         self.ph = ph
@@ -100,7 +74,6 @@ class ObsEvent:
         self.pid = pid
         self.tid = tid
         self.args = args
-        self.seq = seq
 
     def to_dict(self) -> dict:
         d = {
@@ -136,68 +109,25 @@ def _scalar(value: Any) -> Any:
     return str(value)
 
 
-class _Span:
-    """Context manager recording one complete ("X") event on exit."""
-
-    __slots__ = ("_rec", "_name", "_cat", "_pid", "_tid", "_args", "_t0")
-
-    def __init__(self, rec: "ObsRecorder", name: str, cat: str,
-                 pid: int, tid: int, args: Optional[dict]):
-        self._rec = rec
-        self._name = name
-        self._cat = cat
-        self._pid = pid
-        self._tid = tid
-        self._args = args
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._t0 = self._rec.now()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._rec.complete(self._name, self._t0, cat=self._cat,
-                           pid=self._pid, tid=self._tid,
-                           **(self._args or {}))
-
-
-class _NullSpan:
-    """Shared no-op span for disabled recorders."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class ObsRecorder:
-    """The event sink.  Bind a clock (``bind_clock``), emit spans and
-    instants, read back :attr:`events`; per-rank metric registries
-    merge into one view for reporting."""
+    """The event sink: emit spans and instants, read back
+    :attr:`events`; per-rank metric registries merge into one view for
+    reporting.  The simulator's scheduler and NIC model append to
+    :attr:`slices` and :attr:`flights` as plain tuples (one per CPU
+    slice / wire flight is too many for an :class:`ObsEvent` each); the
+    exporters turn them into the ``cpu.<proc>`` / ``net.msg`` tracks."""
 
-    def __init__(self, *, enabled: bool = True,
-                 clock: Optional[Callable[[], float]] = None):
-        self.enabled = enabled
+    def __init__(self, *, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self.events: list[ObsEvent] = []
-        #: adaptation events (RuntimeEvent view) — recorded even when
-        #: disabled, preserving the historical ``job.events`` contract
-        self.adaptations: list[RuntimeEvent] = []
+        #: ``(node, proc, start, end)`` per CPU slice, in completion
+        #: order (``RoundRobinCPU._account_current``)
+        self.slices: list[tuple[int, str, float, float]] = []
+        #: ``(src, dst, nbytes, sent, delivered)`` per message put on
+        #: the wire (``Network._inject``; one held across a partition
+        #: appears when ``heal()`` sends it)
+        self.flights: list[tuple[int, int, int, float, float]] = []
         self._registries: dict[int, MetricsRegistry] = {}
-        self._seq = 0
-        if enabled:
-            _SESSION_RECORDERS.add(self)
-
-    # -- wiring ---------------------------------------------------------
-    def bind_clock(self, clock: Callable[[], float]) -> "ObsRecorder":
-        self._clock = clock
-        return self
 
     def now(self) -> float:
         return self._clock()
@@ -205,54 +135,21 @@ class ObsRecorder:
     # -- emission -------------------------------------------------------
     def _push(self, name: str, cat: str, ph: str, ts: float, dur: float,
               pid: int, tid: int, args: dict) -> None:
-        self._seq += 1
         clean = {k: _scalar(v) for k, v in args.items()} if args else None
-        self.events.append(
-            ObsEvent(name, cat, ph, ts, dur, pid, tid, clean, self._seq)
-        )
-
-    def span(self, name: str, *, cat: str = "app", pid: int = JOB_PID,
-             tid: int = 0, **args):
-        """``with obs.span("redistribute.pack", pid=n, tid=r, nbytes=b):``
-        — records a complete event covering the with-block (simulated
-        time elapses only across the yields inside it)."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return _Span(self, name, cat, pid, tid, args or None)
+        self.events.append(ObsEvent(name, cat, ph, ts, dur, pid, tid, clean))
 
     def complete(self, name: str, t0: float, *, cat: str = "app",
                  pid: int = JOB_PID, tid: int = 0,
-                 t1: Optional[float] = None, **args) -> None:
-        """Record a complete ("X") event from an explicit start time —
-        the try/finally-friendly form for generator code where a
-        ``with`` block cannot straddle early returns."""
-        if not self.enabled:
-            return
-        end = self.now() if t1 is None else t1
-        self._push(name, cat, "X", t0, max(0.0, end - t0), pid, tid, args)
+                 dur: Optional[float] = None, **args) -> None:
+        """Record a complete ("X") event that began at ``t0`` and ends
+        now (or lasted ``dur``) — call it after the yields it covers."""
+        if dur is None:
+            dur = max(0.0, self.now() - t0)
+        self._push(name, cat, "X", t0, dur, pid, tid, args)
 
     def instant(self, name: str, *, cat: str = "app", pid: int = JOB_PID,
-                tid: int = 0, ts: Optional[float] = None, **args) -> None:
-        if not self.enabled:
-            return
-        self._push(name, cat, "i", self.now() if ts is None else ts,
-                   0.0, pid, tid, args)
-
-    def adaptation(self, kind: str, *, cycle: int, time: float,
-                   duration: float = 0.0,
-                   detail: Optional[dict] = None) -> RuntimeEvent:
-        """Record one runtime adaptation event.  Always appends to the
-        :attr:`adaptations` view (the ``job.events`` contract); when
-        enabled, additionally emits a span on the job track covering
-        ``[time - duration, time]``."""
-        ev = RuntimeEvent(kind=kind, cycle=cycle, time=time,
-                          duration=duration, detail=detail or {})
-        self.adaptations.append(ev)
-        if self.enabled:
-            self._push(f"adapt.{kind}", "adapt", "X", time - duration,
-                       duration, JOB_PID, 0,
-                       {"cycle": cycle, **(detail or {})})
-        return ev
+                tid: int = 0, **args) -> None:
+        self._push(name, cat, "i", self.now(), 0.0, pid, tid, args)
 
     # -- metrics --------------------------------------------------------
     def rank_registry(self, rank: int) -> MetricsRegistry:
@@ -271,18 +168,34 @@ class ObsRecorder:
 
     # -- reading --------------------------------------------------------
     def sorted_events(self) -> list[ObsEvent]:
-        """Events in (timestamp, emission) order — the exporter order."""
-        return sorted(self.events, key=lambda e: (e.ts, e.seq))
+        """Events in (timestamp, emission) order: the sort is stable and
+        :attr:`events` is append-only."""
+        return sorted(self.events, key=lambda e: e.ts)
 
-    def tracks(self) -> dict[int, list[int]]:
-        """pid -> sorted tids present in the recording."""
-        seen: dict[int, set[int]] = {}
-        for ev in self.events:
-            seen.setdefault(ev.pid, set()).add(ev.tid)
-        return {pid: sorted(tids) for pid, tids in sorted(seen.items())}
+    def busy_time(self, node: int, proc_prefix: str = "") -> float:
+        """Total CPU seconds on ``node`` for processes whose name
+        starts with ``proc_prefix`` ('' = everything)."""
+        return sum(end - start for n, proc, start, end in self.slices
+                   if n == node and proc.startswith(proc_prefix))
 
+    def timeline(self, node: int, t0: float = 0.0,
+                 t1: Optional[float] = None, width: int = 72) -> str:
+        """Render node ``node``'s CPU occupancy in ``[t0, t1]`` as one
+        text line, one character per time bucket (first letter of the
+        running process, '.' for idle)::
 
-def session_recorders() -> list[ObsRecorder]:
-    """Enabled recorders still alive in this interpreter session (the
-    bench emitter's source for BENCH_*.json obs summaries)."""
-    return sorted(_SESSION_RECORDERS, key=id)
+            n0 |rrrrrrrrccccrrrrcccc....|
+        """
+        if t1 is None:
+            t1 = self.now()
+        if t1 <= t0:
+            raise SimulationError("empty timeline window")
+        step = (t1 - t0) / width
+        chars = ["."] * width
+        for n, proc, start, end in self.slices:
+            if n != node or end <= t0 or start >= t1:
+                continue
+            a = max(0, int((start - t0) / step))
+            b = min(width - 1, int((end - t0) / step))
+            chars[a:b + 1] = (proc[:1] or "?") * (b + 1 - a)
+        return f"n{node} |" + "".join(chars) + "|"

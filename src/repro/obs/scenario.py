@@ -7,7 +7,8 @@ and — under a forcing ``drop_margin`` — physically removes the loaded
 node after the post-redistribution window.  One short run therefore
 exercises every instrumented code path: cycles, grace-mode compute,
 halo traffic, collectives, redistribution, the drop decision with its
-predicted-vs-measured inputs, and (optionally) replayed CPU slices.
+predicted-vs-measured inputs, the load mark that caused it all, and the
+scheduler's CPU slices and the NIC's wire flights underneath.
 
 The run is fully deterministic, so its exported traces are
 byte-identical across invocations — the property the CLI's ``export``
@@ -22,9 +23,8 @@ from typing import Optional
 from ..apps.base import AppResult, run_program
 from ..apps.jacobi import JacobiConfig, jacobi_program
 from ..config import ResilienceSpec, RuntimeSpec, ultrasparc_cluster
+from ..errors import ConfigError
 from ..simcluster import Cluster, single_competitor
-from ..simcluster.trace import Tracer
-from .simadapter import replay_tracer
 
 __all__ = ["RemovalScenario", "run_removal"]
 
@@ -46,26 +46,26 @@ class RemovalScenario:
     #: cadence would be nothing but daemon traffic.
     daemon_interval: float = 0.002
 
+    def __post_init__(self) -> None:
+        for knob, least in (("n_nodes", 1), ("n", 1), ("iters", 1), ("seed", 0)):
+            if getattr(self, knob) < least:
+                raise ConfigError(
+                    f"{knob} must be >= {least}, got {getattr(self, knob)}")
+
 
 def run_removal(
     scenario: RemovalScenario = RemovalScenario(),
     *,
     observe: Optional[bool] = True,
-    trace_cpu: bool = False,
 ) -> tuple[AppResult, Cluster]:
     """Run the canonical removal scenario; returns ``(result, cluster)``
-    with ``cluster.obs`` holding the recording when ``observe`` is on.
-
-    ``observe=None`` defers to ``DYNMPI_OBS`` (like every cluster);
-    ``trace_cpu`` additionally attaches a :class:`Tracer` and replays
-    its CPU slices and wire messages into the recording.
-    """
+    with ``cluster.obs`` holding the recording when ``observe`` is on
+    (``observe=None`` defers to ``DYNMPI_OBS``, like every cluster)."""
     cspec = replace(
         ultrasparc_cluster(scenario.n_nodes, seed=scenario.seed),
         observe=observe,
     )
     cluster = Cluster(cspec)
-    tracer = Tracer(cluster).attach() if trace_cpu else None
     # the Figure 6 forcing recipe: evaluate the drop branch as soon as
     # the shortened post-redistribution window closes.  The daemon
     # samples far below the paper's 1 Hz because a smoke-sized run's
@@ -77,21 +77,15 @@ def run_removal(
         # the trace without drowning the run in resilience traffic
         resilience=ResilienceSpec(checkpoint_interval=6),
     )
-    try:
-        result = run_program(
-            cluster,
-            jacobi_program,
-            JacobiConfig(n=scenario.n, iters=scenario.iters,
-                         materialized=False),
-            spec=spec,
-            adaptive=True,
-            load_script=single_competitor(
-                0, start_cycle=scenario.load_cycle, count=scenario.n_cp
-            ),
-        )
-    finally:
-        if tracer is not None:
-            tracer.detach()
-    if tracer is not None and cluster.obs is not None:
-        replay_tracer(tracer, cluster.obs)
+    result = run_program(
+        cluster,
+        jacobi_program,
+        JacobiConfig(n=scenario.n, iters=scenario.iters,
+                     materialized=False),
+        spec=spec,
+        adaptive=True,
+        load_script=single_competitor(
+            0, start_cycle=scenario.load_cycle, count=scenario.n_cp
+        ),
+    )
     return result, cluster

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Iterable, Optional
 
 from ..errors import ConfigError, ReproError, SimulationError
+from ..obs.recorder import CPU_TID
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcluster.cluster import Cluster
@@ -157,9 +158,9 @@ class FailureScript:
             raise ConfigError("FailureScript not installed on a cluster")
         apply = getattr(self, f"_apply_{fault.action}")
         apply(cluster, fault)
-        cluster.recorder.mark(
-            cluster.sim.now, f"fault:{fault.action}@n{fault.node}"
-        )
+        if cluster.obs is not None:
+            cluster.obs.instant(f"fault.{fault.action}", cat="fault",
+                                pid=fault.node, tid=CPU_TID)
 
     def _apply_crash(self, cluster: "Cluster", fault) -> None:
         cluster.failure_board.mark_crashed(fault.node, cluster.sim.now)

@@ -12,9 +12,7 @@ from .kernel import ProcState, Signal, Simulator, SimProcess
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
-from .stats import Recorder
 from .syscalls import Compute, Fork, Poll, Sleep, Wait, WaitAny
-from .trace import Message, Slice, Tracer
 from .workload import CycleTrigger, LoadScript, TimeTrigger, single_competitor
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "SimProcess",
     "Signal",
     "ProcState",
-    "Recorder",
     "StreamRegistry",
     "RoundRobinCPU",
     "BackgroundJob",
@@ -39,7 +36,4 @@ __all__ = [
     "TimeTrigger",
     "CycleTrigger",
     "single_competitor",
-    "Tracer",
-    "Slice",
-    "Message",
 ]

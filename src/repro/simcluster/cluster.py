@@ -17,7 +17,6 @@ from .kernel import SimProcess, Simulator
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
-from .stats import Recorder
 from .workload import LoadScript
 
 __all__ = ["Cluster"]
@@ -28,12 +27,20 @@ class Cluster:
         self.spec = spec
         self.sim = Simulator(perturb=spec.perturb)
         self.rng = StreamRegistry(spec.seed)
+        #: dynscope recorder (``repro.obs``) — the one place every layer
+        #: reports to — or None when off: each instrumented site, the
+        #: CPU scheduler and the NIC model included, guards its hook
+        #: with one None test
+        self.obs: Optional[ObsRecorder] = None
+        if obs_enabled(spec):
+            self.obs = ObsRecorder(clock=lambda: self.sim.now)
         self.nodes = [
-            Node(self.sim, i, spec.node, rng=self.rng.stream(f"cpu{i}"))
+            Node(self.sim, i, spec.node, rng=self.rng.stream(f"cpu{i}"),
+                 obs=self.obs)
             for i in range(spec.n_nodes)
         ]
-        self.network = Network(self.sim, spec.network, spec.n_nodes)
-        self.recorder = Recorder()
+        self.network = Network(self.sim, spec.network, spec.n_nodes,
+                               obs=self.obs)
         self.load_script: Optional[LoadScript] = None
         #: ground-truth node-failure state; always present (and empty)
         #: so readers need no None checks
@@ -46,11 +53,6 @@ class Cluster:
         if sanitizer_enabled(spec):
             self.sanitizer = CommSanitizer()
             self.sim.add_watchdog(self.sanitizer.kernel_block_hook)
-        #: dynscope trace recorder (``repro.obs``), or None when off —
-        #: instrumented layers guard every hook with one None test
-        self.obs: Optional[ObsRecorder] = None
-        if obs_enabled(spec):
-            self.obs = ObsRecorder(clock=lambda: self.sim.now)
 
     @property
     def n_nodes(self) -> int:

@@ -105,7 +105,7 @@ class RoundRobinCPU:
     """
 
     def __init__(self, sim: Simulator, speed: float, quantum: float = 0.010,
-                 rng=None):
+                 rng=None, *, node_id: int = 0, obs=None):
         if speed <= 0:
             raise SimulationError("CPU speed must be positive")
         if quantum <= 0:
@@ -131,6 +131,10 @@ class RoundRobinCPU:
         self._rng = rng
         self.n_context_switches = 0
         self.n_wake_boosts = 0
+        #: the cluster's dynscope recorder (None = off): every accounted
+        #: slice is appended to its ``slices`` as ``node_id``'s
+        self.node_id = node_id
+        self.obs = obs
 
     # -- background (competing) processes --------------------------------
     def add_background(self, bg: BackgroundJob) -> None:
@@ -379,6 +383,10 @@ class RoundRobinCPU:
                 self._account_spin(job, elapsed)
             if job.allowed is not None:
                 job.allowed = max(0.0, job.allowed - elapsed)
+            if self.obs is not None:
+                start = self._slice_start
+                self.obs.slices.append(
+                    (self.node_id, job.proc.name, start, start + elapsed))
         self._slice_start = now
         return elapsed
 

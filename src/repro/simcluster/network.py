@@ -20,21 +20,11 @@ Accounting contract: ``n_messages``/``n_bytes`` count each *logical*
 message exactly once, at first submission — a message held across a
 partition is already counted and is **not** recounted when
 :meth:`Network.heal` reinjects it.
-
-Fan-out batches go through :meth:`Network.transmit_many`, which
-vectorizes the per-message transmission-time division with numpy and
-then applies the per-NIC serialization chain sequentially.  The chain
-itself (max/add per NIC) is order-dependent and stays scalar — that is
-what makes ``transmit_many`` bit-for-bit equal to a loop of
-:meth:`Network.transmit` calls (``float64`` elementwise division is
-IEEE-exact either way; a vectorized prefix reduction would not be).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from ..config import NetworkSpec
 from ..errors import SimulationError
@@ -46,9 +36,6 @@ __all__ = ["Network"]
 _LOCAL_SPEEDUP = 20.0
 _LOCAL_LATENCY = 1e-6
 
-#: batch size below which transmit_many skips the numpy round-trip
-_BULK_MIN = 8
-
 #: one queued message: (src, dst, nbytes, on_delivered)
 _Message = tuple[int, int, int, Callable[[], None]]
 
@@ -56,7 +43,8 @@ _Message = tuple[int, int, int, Callable[[], None]]
 class Network:
     """Star topology through a single non-blocking switch."""
 
-    def __init__(self, sim: Simulator, spec: NetworkSpec, n_nodes: int):
+    def __init__(self, sim: Simulator, spec: NetworkSpec, n_nodes: int,
+                 obs=None):
         if n_nodes < 1:
             raise SimulationError("network needs at least one node")
         self.sim = sim
@@ -71,6 +59,9 @@ class Network:
         #: dropped, and retransmitted on heal
         self._island: frozenset[int] = frozenset()
         self._held: list[_Message] = []
+        #: the cluster's dynscope recorder (None = off): every message
+        #: put on the wire is appended to its ``flights``
+        self.obs = obs
 
     def cpu_cost(self, nbytes: int) -> float:
         """CPU work units one endpoint spends handling a message."""
@@ -107,67 +98,25 @@ class Network:
             # loses it, so the layers above need no retransmission
             self._held.append((src, dst, nbytes, on_delivered))
             return float("inf")
-        return self._inject(src, dst, nbytes, nbytes / self.spec.bandwidth,
-                            on_delivered)
+        return self._inject(src, dst, nbytes, on_delivered)
 
-    def transmit_many(self, messages: Sequence[_Message]) -> list[float]:
-        """Bulk :meth:`transmit`: same counting, same delivery times,
-        same callback order as the equivalent loop — one call per
-        fan-out keeps the per-message Python overhead off the hot path
-        and lets the tx-time division vectorize."""
-        flowing: list[_Message] = []
-        for src, dst, nbytes, cb in messages:
-            self._check(src, dst, nbytes)
-            self.n_messages += 1
-            self.n_bytes += nbytes
-            if self._crosses_cut(src, dst):
-                self._held.append((src, dst, nbytes, cb))
-            else:
-                flowing.append((src, dst, nbytes, cb))
-        delivered = self._inject_many(flowing)
-        if len(flowing) == len(messages):
-            return delivered
-        # splice inf placeholders back in for the held messages
-        out: list[float] = []
-        it = iter(delivered)
-        for src, dst, nbytes, cb in messages:
-            out.append(float("inf") if self._crosses_cut(src, dst) else next(it))
-        return out
-
-    def _inject(self, src: int, dst: int, nbytes: int, tx: float,
+    def _inject(self, src: int, dst: int, nbytes: int,
                 on_delivered: Callable[[], None]) -> float:
         """Serialize one counted, non-held message onto the NICs."""
         now = self.sim.now
         if src == dst:
             deliver = now + _LOCAL_LATENCY + nbytes / (self.spec.bandwidth * _LOCAL_SPEEDUP)
-            self.sim.schedule(deliver - now, on_delivered)
-            return deliver
-
-        send_start = max(now, self._out_free[src])
-        send_end = send_start + tx
-        self._out_free[src] = send_end
-        arrive_start = send_start + self.spec.latency
-        recv_start = max(arrive_start, self._in_free[dst])
-        deliver = recv_start + tx
-        self._in_free[dst] = deliver
-        self.sim.schedule(deliver - now, on_delivered)
-        return deliver
-
-    def _inject_many(self, messages: Sequence[_Message]) -> list[float]:
-        bw = self.spec.bandwidth
-        n = len(messages)
-        if n >= _BULK_MIN:
-            sizes = np.fromiter((m[2] for m in messages), dtype=np.float64,
-                                count=n)
-            # .tolist() hands back plain Python floats with the same
-            # bits, so no np.float64 ever leaks into simulated time
-            txs = (sizes / bw).tolist()
         else:
-            txs = [m[2] / bw for m in messages]
-        return [
-            self._inject(src, dst, nbytes, txs[i], cb)
-            for i, (src, dst, nbytes, cb) in enumerate(messages)
-        ]
+            tx = nbytes / self.spec.bandwidth
+            send_start = max(now, self._out_free[src])
+            self._out_free[src] = send_start + tx
+            arrive_start = send_start + self.spec.latency
+            deliver = max(arrive_start, self._in_free[dst]) + tx
+            self._in_free[dst] = deliver
+        self.sim.schedule(deliver - now, on_delivered)
+        if self.obs is not None:
+            self.obs.flights.append((src, dst, nbytes, now, deliver))
+        return deliver
 
     # -- partitions ----------------------------------------------------
     def partition(self, island: set[int]) -> None:
@@ -189,7 +138,8 @@ class Network:
         the injection layer."""
         self._island = frozenset()
         held, self._held = self._held, []
-        self._inject_many(held)
+        for message in held:
+            self._inject(*message)
 
     @property
     def partitioned(self) -> bool:
@@ -201,9 +151,3 @@ class Network:
 
     def _crosses_cut(self, src: int, dst: int) -> bool:
         return bool(self._island) and (src in self._island) != (dst in self._island)
-
-    def sender_free_time(self, src: int, nbytes: int) -> float:
-        """Time at which ``src``'s NIC would finish injecting a message
-        sent now (used for eager-send completion semantics)."""
-        tx = nbytes / self.spec.bandwidth
-        return max(self.sim.now, self._out_free[src]) + tx

@@ -22,11 +22,13 @@ __all__ = ["Node"]
 class Node:
     """One node of the simulated cluster."""
 
-    def __init__(self, sim: Simulator, node_id: int, spec: NodeSpec, rng=None):
+    def __init__(self, sim: Simulator, node_id: int, spec: NodeSpec, rng=None,
+                 obs=None):
         self.sim = sim
         self.node_id = node_id
         self.spec = spec
-        self.cpu = RoundRobinCPU(sim, spec.speed, spec.quantum, rng=rng)
+        self.cpu = RoundRobinCPU(sim, spec.speed, spec.quantum, rng=rng,
+                                 node_id=node_id, obs=obs)
         self.procs: list[SimProcess] = []
         self.background: dict[str, BackgroundJob] = {}
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..errors import ConfigError
+from ..obs.recorder import CPU_TID
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
@@ -111,10 +112,10 @@ class LoadScript:
         else:
             for _ in range(min(trig.count, len(handles))):
                 node.stop_competing(handles.pop())
-        self._cluster.recorder.mark(
-            self._cluster.sim.now,
-            f"{trig.action}:{trig.count}cp@n{trig.node}",
-        )
+        obs = self._cluster.obs
+        if obs is not None:
+            obs.instant(f"load.{trig.action}", cat="load", pid=trig.node,
+                        tid=CPU_TID, count=trig.count)
 
 
 def single_competitor(

@@ -1,8 +1,8 @@
 """One test over every row of the rule registry: the code has a
 summary, a seeded case fires it, ``# dyn: ok(<that code>)`` on the
 finding's line or on the line above silences it, and a waiver naming
-another code does not.  Plus the docs table staying in step, and the
-audit ledger: every rule says what it earned its place with, and no
+another code does not.  Plus the docs table and DESIGN.md's module map
+staying in step, and the audit ledger: every rule says what it earned its place with, and no
 waiver in the tree names a rule that is gone."""
 
 import pathlib
@@ -90,6 +90,26 @@ def test_docs_table_lists_exactly_the_registry():
     assert sorted(code for code, _ in rows) == sorted(RULES)
     # the last column is the registry's audit ledger, verbatim
     assert dict(rows) == {r.code: r.earned_by for r in RULES.values()}
+
+
+def test_design_module_map_names_only_files_that_exist():
+    text = (ROOT / "DESIGN.md").read_text()
+    tree = text.split("## 3. Package inventory", 1)[1].split("```")[1]
+    named, package = [], ROOT / "src" / "repro"
+    for line in tree.splitlines():
+        indent = len(line) - len(line.lstrip())
+        words = line.split()
+        if indent == 2 and words[0].endswith("/"):
+            package = ROOT / "src" / "repro" / words[0]
+        elif indent == 2:
+            package = ROOT / "src" / "repro"
+        if indent in (2, 4):  # deeper lines are continued descriptions
+            for word in words:
+                if not word.endswith(".py"):
+                    break
+                named.append(package / word)
+    assert len(named) > 80
+    assert [str(p) for p in named if not p.is_file()] == []
 
 
 def test_every_rule_says_what_it_earned_its_place_with():

@@ -39,7 +39,9 @@ def test_cli_rejects_unknown_figure(capsys):
     (["fig4", "--scale", "-1"], None, "(0, 1], got '-1'"),
     (["fig4"], "abc", "DYNMPI_BENCH_SCALE must be a number in (0, 1], "
                       "got 'abc'"),
-], ids=["apps-bogus", "scale-7", "scale-0", "scale-negative", "env-abc"])
+    (["fig4", "--seed", "-1"], None, "seed must be non-negative, got -1"),
+], ids=["apps-bogus", "scale-7", "scale-0", "scale-negative", "env-abc",
+        "seed-negative"])
 def test_cli_bad_input_is_one_line_and_exit_two(monkeypatch, capsys,
                                                 argv, env, names):
     if env is not None:

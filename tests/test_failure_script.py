@@ -16,8 +16,9 @@ from repro.resilience import (
 from repro.simcluster import Cluster, ProcState, Sleep
 
 
-def make_cluster(n=3):
-    return Cluster(ClusterSpec(n_nodes=n, node=NodeSpec(speed=1e8)))
+def make_cluster(n=3, observe=None):
+    return Cluster(ClusterSpec(n_nodes=n, node=NodeSpec(speed=1e8),
+                               observe=observe))
 
 
 def spin(duration=1000.0):
@@ -80,7 +81,7 @@ def test_cycle_fault_fires_once():
 # ---------------------------------------------------------------------------
 
 def test_crash_marks_board_and_stops_competing():
-    cluster = make_cluster()
+    cluster = make_cluster(observe=True)
     cluster.nodes[2].start_competing()
     cluster.install_failure_script(node_crash(2, at_cycle=5))
     cluster.notify_cycle(5)
@@ -91,8 +92,9 @@ def test_crash_marks_board_and_stops_competing():
     assert board.crash_time(2) == cluster.sim.now
     # a dead node runs nothing
     assert len(cluster.nodes[2].background) == 0
-    assert any(label == "fault:crash@n2"
-               for _t, label in cluster.recorder.events)
+    (mark,) = cluster.obs.events
+    assert (mark.name, mark.ph, mark.pid, mark.ts) == (
+        "fault.crash", "i", 2, cluster.sim.now)
 
 
 def test_time_triggered_crash():

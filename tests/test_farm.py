@@ -11,7 +11,6 @@ instead of hanging.
 
 import pytest
 
-from repro.apps.farm import FarmConfig, farm_oracle, run_farm_app
 from repro.campaign import run_combo
 from repro.config import ClusterSpec
 from repro.errors import ConfigError, FarmError
@@ -20,6 +19,7 @@ from repro.farm import (
     FarmSpec,
     JobQueue,
     farm_digest,
+    farm_oracle,
     reference_results,
     run_farm,
 )
@@ -164,13 +164,13 @@ def test_farm_spec_validation():
 
 
 def test_farm_config_validation_and_oracle():
+    with pytest.raises(ConfigError, match="unknown farm policy 'round-robin'"):
+        FarmSpec(policy="round-robin").validate()
     with pytest.raises(ConfigError):
-        FarmConfig(policy="round-robin")
-    with pytest.raises(ConfigError):
-        FarmConfig(n_jobs=-5)
-    cfg = FarmConfig(n_jobs=120, policy="rma", chunk=4)
-    result = run_farm_app(small_cluster(4), cfg)
-    check = farm_oracle(cfg)
+        FarmSpec(n_jobs=-5).validate()
+    spec = FarmSpec(n_jobs=120, policy="rma", chunk=4)
+    result = run_farm(small_cluster(4), spec)
+    check = farm_oracle(spec)
     assert check(result) == ""
     # a tampered digest is caught
     result.digest = "0" * 40

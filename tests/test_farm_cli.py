@@ -43,8 +43,12 @@ def test_trace_export_is_byte_deterministic(fmt, tmp_path, capsys):
     (["--crash", "x@y"], "argument --crash: expected NODE@CYCLE"),
     (["--nodes", "4", "--crash", "9@2"], "--crash names node 9"),
     (["--nodes", "0"], "at least one node"),
+    (["--seed", "-1"], "seed must be non-negative"),
+    (["--nodes", "4", "--jobs", "10", "--trace", "/nonexistent/x.json"],
+     "No such file or directory: '/nonexistent/x.json'"),
 ], ids=["policy", "crash-without-cycle", "crash-not-integers",
-        "crash-no-such-node", "no-nodes"])
+        "crash-no-such-node", "no-nodes", "seed-negative",
+        "trace-unwritable"])
 def test_bad_input_is_exit_two_and_one_line(argv, complaint, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()

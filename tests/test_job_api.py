@@ -71,17 +71,6 @@ def test_non_generator_program_rejected():
         job.launch(lambda ctx: 42)
 
 
-def test_measured_comm_model_close_to_spec_model():
-    """measure_model=True fits the model from simulated ping-pongs; it
-    must land near the oracle from_spec model."""
-    cluster = make_cluster(2)
-    job_fit = DynMPIJob(cluster, measure_model=True)
-    job_ref = DynMPIJob(make_cluster(2), measure_model=False)
-    fit, ref = job_fit.comm_model, job_ref.comm_model
-    assert fit.cpu_byte_s == pytest.approx(ref.cpu_byte_s, rel=0.15)
-    assert fit.wire_byte_s == pytest.approx(ref.wire_byte_s, rel=0.2)
-
-
 def test_group_for_is_shared_and_cached():
     job = DynMPIJob(make_cluster(3))
     g1 = job.group_for((0, 2))

@@ -102,15 +102,7 @@ def test_spec_validation():
         NetworkSpec(recv_mode="psychic")
 
 
-def test_sender_free_time_reflects_backlog():
-    sim, net = make_net()
-    net.transmit(0, 1, 10_000, lambda: None)  # occupies out-link 10 ms
-    t_free = net.sender_free_time(0, 10_000)
-    assert t_free == pytest.approx(0.02)
-    sim.run()
-
-
-# -- dynkern: partitions, heal, and bulk transmit ---------------------------
+# -- dynkern: partitions and heal ---------------------------
 
 
 def test_partition_holds_and_heal_reinjects():
@@ -151,40 +143,3 @@ def test_partition_inside_island_still_flows():
     sim.run()
     assert sorted(got) == ["island", "mainland"]
     assert net.n_held == 0
-
-
-def test_transmit_many_equals_sequential_transmits():
-    # bit-for-bit: the bulk path must produce the same delivery times
-    # and counters as the equivalent loop of transmit() calls
-    msgs = [(src, dst, 1000 + 137 * i, lambda: None)
-            for i, (src, dst) in enumerate(
-                (s, d) for s in range(4) for d in range(4))]
-
-    sim_a, net_a = make_net()
-    times_a = [net_a.transmit(s, d, nb, cb) for s, d, nb, cb in msgs]
-
-    sim_b, net_b = make_net()
-    times_b = net_b.transmit_many(msgs)
-
-    assert times_a == times_b  # exact float equality, no approx
-    assert net_a.n_messages == net_b.n_messages
-    assert net_a.n_bytes == net_b.n_bytes
-    assert net_a._out_free == net_b._out_free
-    assert net_a._in_free == net_b._in_free
-    sim_a.run()
-    sim_b.run()
-
-
-def test_transmit_many_holds_across_partition():
-    sim, net = make_net()
-    net.partition({3})
-    msgs = [(0, 1, 100, lambda: None), (0, 3, 100, lambda: None),
-            (2, 3, 100, lambda: None), (1, 2, 100, lambda: None)]
-    times = net.transmit_many(msgs)
-    assert times[1] == float("inf") and times[2] == float("inf")
-    assert times[0] != float("inf") and times[3] != float("inf")
-    assert net.n_held == 2
-    assert net.n_messages == 4  # counted at submission, held or not
-    net.heal()
-    assert net.n_messages == 4
-    sim.run()

@@ -1,13 +1,12 @@
 """dynscope (repro.obs) tests: registry semantics, recorder behavior,
 deterministic exports, Chrome schema validation, cost attribution, the
-Tracer replay adapter, and the obs-off purity guarantee."""
+simulator tracks' lane layout, and the obs-off purity guarantee."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.core.runtime import RuntimeEvent  # back-compat re-export
 from repro.obs import (
     CPU_TID,
     JOB_PID,
@@ -18,13 +17,13 @@ from repro.obs import (
     chrome_trace,
     jsonl_text,
     load_trace,
+    trace_events,
     validate_chrome,
     write_trace,
 )
 from repro.obs.registry import Histogram
 from repro.obs.report import attribute, diff_reports, span_bucket
 from repro.obs.scenario import RemovalScenario, run_removal
-from repro.obs.simadapter import replay_tracer
 
 
 # ----------------------------------------------------------------------
@@ -92,28 +91,6 @@ def test_snapshot_renders_sorted_labelled_keys():
 # recorder
 # ----------------------------------------------------------------------
 
-def test_disabled_recorder_records_adaptations_only():
-    rec = ObsRecorder(enabled=False)
-    with rec.span("x", pid=0, tid=0):
-        pass
-    rec.complete("y", 0.0, pid=0, tid=0)
-    rec.instant("z")
-    ev = rec.adaptation("drop", cycle=3, time=1.0, detail={"node": 2})
-    assert rec.events == []
-    assert rec.adaptations == [ev]
-    assert isinstance(ev, RuntimeEvent)
-    assert ev.kind == "drop" and ev.detail == {"node": 2}
-
-
-def test_enabled_adaptation_spans_job_track():
-    rec = ObsRecorder(clock=lambda: 5.0)
-    rec.adaptation("redistribute", cycle=2, time=5.0, duration=1.5)
-    (ev,) = rec.events
-    assert ev.name == "adapt.redistribute" and ev.ph == "X"
-    assert ev.pid == JOB_PID
-    assert ev.ts == pytest.approx(3.5) and ev.dur == pytest.approx(1.5)
-
-
 def test_args_sanitized_for_json():
     rec = ObsRecorder(clock=lambda: 1.0)
     rec.complete("s", 0.0, pid=0, tid=0,
@@ -124,13 +101,16 @@ def test_args_sanitized_for_json():
 
 
 def test_sorted_events_and_tracks():
-    t = iter([1.0, 3.0, 2.0])
+    t = iter([1.0, 3.0, 2.0, 2.0])
     rec = ObsRecorder(clock=lambda: next(t))
     rec.instant("a", pid=0, tid=1)
     rec.instant("b", pid=1, tid=0)
     rec.instant("c", pid=0, tid=CPU_TID)
-    assert [e.name for e in rec.sorted_events()] == ["a", "c", "b"]
-    assert rec.tracks() == {0: [CPU_TID, 1], 1: [0]}
+    rec.instant("d", pid=0, tid=1)  # same instant as c: emission order
+    assert [e.name for e in rec.sorted_events()] == ["a", "c", "d", "b"]
+    named = {(e["pid"], e["tid"]) for e in chrome_trace(rec)["traceEvents"]
+             if e["name"] == "thread_name"}
+    assert named == {(0, CPU_TID), (0, 1), (1, 0)}
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +122,18 @@ SCENARIO = RemovalScenario()
 
 @pytest.fixture(scope="module")
 def removal():
-    return run_removal(SCENARIO, observe=True, trace_cpu=True)
+    return run_removal(SCENARIO, observe=True)
 
 
 def test_removal_run_exercises_every_layer(removal):
     result, cluster = removal
     obs = cluster.obs
-    cats = {e.cat for e in obs.events}
+    cats = {e.cat for e in trace_events(obs)}
     assert {"cycle", "compute", "mpi", "coll", "redist",
-            "ckpt", "adapt", "sim"} <= cats
+            "ckpt", "adapt", "load", "sim"} <= cats
+    # the simulator's tracks live beside the events, not among them
+    assert "sim" not in {e.cat for e in obs.events}
+    assert len(obs.flights) == cluster.network.n_messages
     kinds = {ev.kind for ev in result.events}
     assert "redistribute" in kinds
     assert kinds & {"drop", "logical_drop"}
@@ -162,6 +145,15 @@ def test_removal_run_exercises_every_layer(removal):
     # the scenario's sends are all nonblocking, so the latency
     # histogram comes from the receive side
     assert merged.histogram("mpi.recv_seconds").count > 0
+
+
+def test_enabled_adaptation_spans_job_track(removal):
+    result, cluster = removal
+    spans = [e for e in cluster.obs.events
+             if e.ph == "X" and e.name.startswith("adapt.")]
+    assert [(e.name, e.pid, e.ts, e.dur, e.args["cycle"]) for e in spans] == [
+        (f"adapt.{ev.kind}", JOB_PID, ev.time - ev.duration, ev.duration,
+         ev.cycle) for ev in result.events]
 
 
 def test_chrome_export_passes_schema(removal):
@@ -178,18 +170,18 @@ def test_chrome_export_passes_schema(removal):
 
 def test_exports_byte_identical_across_runs(removal):
     _, cluster = removal
-    _, cluster2 = run_removal(SCENARIO, observe=True, trace_cpu=True)
+    _, cluster2 = run_removal(SCENARIO, observe=True)
     assert chrome_json(cluster.obs) == chrome_json(cluster2.obs)
     assert jsonl_text(cluster.obs) == jsonl_text(cluster2.obs)
 
 
 def test_roundtrip_both_formats(removal, tmp_path):
     _, cluster = removal
-    p_chrome = write_trace(cluster.obs, tmp_path / "t.json", "chrome")
-    p_jsonl = write_trace(cluster.obs, tmp_path / "t.jsonl", "jsonl")
-    meta_c, ev_c = load_trace(p_chrome)
-    meta_j, ev_j = load_trace(p_jsonl)
-    assert len(ev_c) == len(ev_j) == len(cluster.obs.events)
+    n_written = write_trace(cluster.obs, tmp_path / "t.json", "chrome")
+    assert write_trace(cluster.obs, tmp_path / "t.jsonl", "jsonl") == n_written
+    meta_c, ev_c = load_trace(tmp_path / "t.json")
+    meta_j, ev_j = load_trace(tmp_path / "t.jsonl")
+    assert len(ev_c) == len(ev_j) == len(trace_events(cluster.obs)) == n_written
     # the jsonl meta line carries the merged metrics snapshot
     assert meta_j["metrics"] == cluster.obs.merged_registry().snapshot()
     assert meta_j["kind"] == "trace-meta"
@@ -202,14 +194,17 @@ def test_roundtrip_both_formats(removal, tmp_path):
 
 
 def test_obs_off_is_pure_and_keeps_events_view(monkeypatch):
-    on, _ = run_removal(SCENARIO, observe=True)
+    on, cluster_on = run_removal(SCENARIO, observe=True)
     off, cluster_off = run_removal(SCENARIO, observe=False)
-    assert cluster_off.obs is None
-    assert off.obs is not None and not off.obs.enabled  # the job's view
-    assert off.wall_time == on.wall_time
-    assert off.cycle_times == on.cycle_times
-    assert [(e.kind, e.cycle) for e in off.events] == \
-           [(e.kind, e.cycle) for e in on.events]
+    monkeypatch.setenv("DYNMPI_OBS", "1")
+    env, cluster_env = run_removal(SCENARIO, observe=None)
+    assert cluster_off.obs is None  # the one off-state: nothing records
+    assert cluster_on.obs is not None and cluster_env.obs is not None
+    assert off.wall_time == on.wall_time == env.wall_time
+    assert off.cycle_times == on.cycle_times == env.cycle_times
+    # job.events is the job's own list, the same whoever is watching
+    assert off.events and off.events == on.events == env.events
+    assert off.job.events == off.events
 
     # the same through the environment switch, on the Figure 4 Jacobi
     # cell (dedicated / no-adapt / Dyn-MPI runs with a redistribution)
@@ -330,48 +325,24 @@ def test_diff_reports_deltas():
 
 
 # ----------------------------------------------------------------------
-# tracer replay adapter
+# simulator tracks: CPU slices and wire flights
 # ----------------------------------------------------------------------
 
-class _Slice:
-    def __init__(self, node, proc, start, end):
-        self.node, self.proc, self.start, self.end = node, proc, start, end
-
-
-class _Msg:
-    def __init__(self, src, dst, sent, delivered, nbytes):
-        self.src, self.dst = src, dst
-        self.sent, self.delivered, self.nbytes = sent, delivered, nbytes
-
-
-class _FakeTracer:
-    def __init__(self, slices, messages):
-        self.slices = slices
-        self.messages = messages
-
-
 def test_replay_lays_overlapping_messages_into_lanes():
-    tracer = _FakeTracer(
-        slices=[_Slice(0, "rank0", 0.0, 1.0)],
-        messages=[
-            _Msg(0, 1, 0.0, 2.0, 64),
-            _Msg(1, 0, 1.0, 3.0, 64),   # overlaps the first -> lane 1
-            _Msg(0, 1, 2.5, 4.0, 64),   # lane 0 free again
-        ],
-    )
     rec = ObsRecorder(clock=lambda: 0.0)
-    assert replay_tracer(tracer, rec) == 4
-    net = [e for e in rec.events if e.pid == NET_PID]
-    assert [e.tid for e in net] == [0, 1, 0]
-    (cpu,) = [e for e in rec.events if e.pid == 0]
+    rec.slices.append((0, "rank0", 0.0, 1.0))
+    rec.flights += [
+        (0, 1, 64, 2.5, 4.0),   # lane 0 free again (listed out of order)
+        (0, 1, 64, 0.0, 2.0),
+        (1, 0, 64, 1.0, 3.0),   # overlaps the first -> lane 1
+    ]
+    assert rec.events == []
+    events = trace_events(rec)
+    net = [e for e in events if e.pid == NET_PID]
+    assert [(e.ts, e.tid) for e in net] == [(0.0, 0), (1.0, 1), (2.5, 0)]
+    assert net[0].args == {"src": 0, "dst": 1, "nbytes": 64}
+    (cpu,) = [e for e in events if e.pid == 0]
     assert cpu.tid == CPU_TID and cpu.name == "cpu.rank0"
     assert cpu.dur == pytest.approx(1.0)
     # lanes never partially overlap: the chrome schema stays valid
     assert validate_chrome(chrome_trace(rec)) == []
-
-
-def test_replay_into_disabled_recorder_is_a_noop():
-    rec = ObsRecorder(enabled=False)
-    tracer = _FakeTracer([_Slice(0, "p", 0.0, 1.0)], [])
-    assert replay_tracer(tracer, rec) == 0
-    assert rec.events == []

@@ -19,7 +19,7 @@ from repro.errors import DeadlockError, RankFailedError, SimulationError
 from repro.mpi import make_comm, run_spmd
 from repro.mpi.comm import SimComm
 from repro.obs.scenario import RemovalScenario, run_removal
-from repro.simcluster import Cluster, Compute, Poll, ProcState, Sleep, Tracer
+from repro.simcluster import Cluster, Compute, Poll, ProcState, Sleep
 
 from tests.oracles.poll_loop import chunk_loop_recv
 
@@ -28,9 +28,9 @@ STEP = QUANTUM * 0.01  # one poll step, CPU seconds
 SPEED = 1e8
 
 
-def make_cluster(seed=0, n=2):
+def make_cluster(seed=0, n=2, observe=None):
     return Cluster(ClusterSpec(
-        n_nodes=n, seed=seed,
+        n_nodes=n, seed=seed, observe=observe,
         node=NodeSpec(speed=SPEED, quantum=QUANTUM),
         network=NetworkSpec(latency=1e-5, bandwidth=1e8, cpu_per_byte=0.0,
                             cpu_per_msg=2000.0, recv_mode="polling"),
@@ -317,7 +317,7 @@ def test_poller_on_a_dead_source_stops_spinning():
 
 @pytest.mark.parametrize("n_cp", [0, 2])
 def test_tracer_slices_tile_the_pollers_cpu_time(n_cp):
-    cluster = make_cluster()
+    cluster = make_cluster(observe=True)
     for _ in range(n_cp):
         cluster.nodes[1].start_competing()
 
@@ -328,15 +328,15 @@ def test_tracer_slices_tile_the_pollers_cpu_time(n_cp):
         else:
             yield from ep.recv(0, tag=0)
 
-    with Tracer(cluster) as tracer:
-        run_spmd(cluster, program)
+    run_spmd(cluster, program)
     proc = rank_proc(cluster.sim, 1)
-    mine = sorted((s for s in tracer.slices if s.node == 1 and s.proc == "rank1"),
-                  key=lambda s: s.start)
-    assert math.fsum(s.duration for s in mine) == pytest.approx(proc.cpu_time, abs=1e-12)
-    assert all(a.end <= b.start + 1e-12 for a, b in zip(mine, mine[1:]))
-    everyone = [s for s in tracer.slices if s.node == 1]
-    assert (math.fsum(s.duration for s in everyone)
+    everyone = [(start, end, name) for node, name, start, end
+                in cluster.obs.slices if node == 1]
+    mine = sorted(s for s in everyone if s[2] == "rank1")
+    assert math.fsum(end - start for start, end, _ in mine) == pytest.approx(
+        proc.cpu_time, abs=1e-12)
+    assert all(a[1] <= b[0] + 1e-12 for a, b in zip(mine, mine[1:]))
+    assert (math.fsum(end - start for start, end, _ in everyone)
             == pytest.approx(cluster.nodes[1].cpu.busy_time, abs=1e-9))
     # O(turns), not O(steps): the loop cut a slice per 100 us step
     assert len(mine) < 0.0456 / STEP / 10

@@ -21,7 +21,8 @@ from repro.resilience import (
     ring_buddies,
     snapshot,
 )
-from repro.simcluster import Cluster, CycleTrigger, LoadScript
+from repro.obs import CPU_TID
+from repro.simcluster import Cluster, CycleTrigger, LoadScript, single_competitor
 
 SPEED = 1e8
 N_ROWS = 64
@@ -32,9 +33,9 @@ ROW_WORK = SPEED * 0.04 / (N_ROWS // 4)
 HEARTBEAT_TIMEOUT = 0.055
 
 
-def make_cluster(n=4):
+def make_cluster(n=4, observe=None):
     return Cluster(ClusterSpec(
-        n_nodes=n,
+        n_nodes=n, observe=observe,
         node=NodeSpec(speed=SPEED),
         network=NetworkSpec(latency=75e-6, bandwidth=12.5e6,
                             cpu_per_byte=0.4, cpu_per_msg=3000.0),
@@ -76,8 +77,8 @@ def resilient_spec(**kw):
     return RuntimeSpec(**base)
 
 
-def run_crash_scenario(script, *, spec=None, n_cycles=30):
-    cluster = make_cluster(4)
+def run_crash_scenario(script, *, spec=None, n_cycles=30, observe=None):
+    cluster = make_cluster(4, observe)
     cluster.install_failure_script(script)
     job = DynMPIJob(cluster, spec or resilient_spec())
     results = job.launch(program, args=(n_cycles, ROW_WORK, True))
@@ -247,9 +248,9 @@ def test_crash_recovery_restores_rows():
 
 
 def test_crash_detection_latency_is_bounded():
-    job, _results = run_crash_scenario(node_crash(1, at_cycle=8))
-    crash_t = next(t for t, label in job.cluster.recorder.events
-                   if label == "fault:crash@n1")
+    job, _results = run_crash_scenario(node_crash(1, at_cycle=8), observe=True)
+    crash_t = next(e.ts for e in job.cluster.obs.events
+                   if (e.name, e.pid) == ("fault.crash", 1))
     latency = job.detector.detection_latency(1, crash_t)
     # stale-heartbeat detection: within the timeout plus a few cycles
     assert latency is not None
@@ -338,18 +339,20 @@ def test_checkpoint_interval_spacing():
         assert all(c.cycle % 4 == 0 for c in stored)
 
 
-def _run_jacobi(crash_cycle=None):
+def _run_jacobi(crash_cycle=None, *, observe=None, load_script=None, **spec_kw):
     from repro.apps import JacobiConfig, jacobi_program, run_program
 
-    cluster = make_cluster(4)
+    cluster = make_cluster(4, observe)
     if crash_cycle is not None:
         cluster.install_failure_script(node_crash(1, at_cycle=crash_cycle))
     spec = resilient_spec(
         daemon_interval=0.001,
         resilience=ResilienceSpec(heartbeat_timeout=0.004),
+        **spec_kw,
     )
     cfg = JacobiConfig(n=64, iters=60, materialized=True, collect=True, seed=3)
-    return run_program(cluster, jacobi_program, cfg, spec=spec)
+    return run_program(cluster, jacobi_program, cfg, spec=spec,
+                       load_script=load_script)
 
 
 def test_jacobi_bitwise_equal_after_crash():
@@ -371,6 +374,33 @@ def test_jacobi_bitwise_equal_after_crash():
     total_clean = sum(r["checksum"] for r in clean.per_rank if r)
     total_crash = sum(r["checksum"] for r in crashed.per_rank if r)
     assert total_crash == pytest.approx(total_clean, rel=1e-12)
+
+
+def test_load_and_fault_marks_precede_the_adaptations_they_cause():
+    """Why the runtime entered grace is in the trace: the competing
+    process's start and stop and the injected crash are instants on the
+    affected node's CPU track, stamped when the script fired."""
+    res = _run_jacobi(
+        crash_cycle=40, observe=True, allow_removal=False,
+        load_script=single_competitor(0, start_cycle=5, stop_cycle=20))
+    job = res.job
+    trace = job.cluster.obs.sorted_events()
+    marks = [e for e in trace if e.cat in ("load", "fault")]
+    assert [(e.name, e.pid) for e in marks] == [
+        ("load.start", 0), ("load.stop", 0), ("fault.crash", 1)]
+    assert all((e.ph, e.tid) == ("i", CPU_TID) for e in marks)
+    # rank 0 fires the cycle triggers as it enters the cycle
+    stamps = job.contexts[0].cycle_stamps
+    assert [e.ts for e in marks] == [stamps[5][0], stamps[20][0], stamps[40][0]]
+    assert marks[2].ts == job.cluster.failure_board.crash_time(1)
+    # each load change is followed by the grace period it caused, the
+    # crash by its recovery
+    names = [e.name for e in trace]
+    start, stop, crash = (trace.index(m) for m in marks)
+    assert "adapt.grace_enter" in names[start:stop]
+    assert "adapt.grace_enter" in names[stop:crash]
+    assert "adapt.crash_recovery" in names[crash:]
+    assert "adapt.grace_enter" not in names[:start]
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_rebalance_tiles_and_counts_the_redistribution(drawn):
     ]
     plan = tr.plan_rebalance(
         view, loop_size, gathered, ref_speed=SPEED, patterns=PATTERNS,
-        comm_model=MODEL, spec=RuntimeSpec(), source="hrtimer",
+        comm_model=MODEL, source="hrtimer",
     )
     assert_sound(plan, loop_size)
     assert plan.kind == "redistribute"

@@ -1,24 +1,24 @@
-"""Tests for load scripts, the metric recorder, and named RNG streams."""
+"""Tests for load scripts and named RNG streams."""
 
 import numpy as np
 import pytest
 
 from repro.config import ClusterSpec, NodeSpec
 from repro.errors import ConfigError
+from repro.obs import CPU_TID
 from repro.simcluster import (
     Cluster,
     CycleTrigger,
     LoadScript,
-    Recorder,
-    Sleep,
     TimeTrigger,
     single_competitor,
 )
 from repro.simcluster.rng import StreamRegistry
 
 
-def make_cluster(n=2):
-    return Cluster(ClusterSpec(n_nodes=n, node=NodeSpec(speed=1e8)))
+def make_cluster(n=2, observe=None):
+    return Cluster(ClusterSpec(n_nodes=n, node=NodeSpec(speed=1e8),
+                               observe=observe))
 
 
 # ----------------------------------------------------------------------
@@ -82,37 +82,17 @@ def test_uninstalled_script_rejects_cycles():
 
 
 def test_recorder_marks_events():
-    cluster = make_cluster()
+    cluster = make_cluster(observe=True)
     cluster.install_load_script(single_competitor(0, start_cycle=2))
     cluster.notify_cycle(2)
-    assert any("start:1cp@n0" in label for _, label in cluster.recorder.events)
-
-
-# ----------------------------------------------------------------------
-# recorder
-# ----------------------------------------------------------------------
-def test_recorder_counters_and_series():
-    r = Recorder()
-    r.count("msgs")
-    r.count("msgs", 2)
-    r.sample("q", 0.0, 1.0)
-    r.sample("q", 1.0, 3.0)
-    assert r.total("msgs") == 3
-    assert r.mean("q") == 2.0
-    assert list(r.times("q")) == [0.0, 1.0]
-    assert np.isnan(r.mean("missing"))
-
-
-def test_recorder_merge():
-    a, b = Recorder(), Recorder()
-    a.count("x", 1)
-    b.count("x", 2)
-    b.sample("s", 0.0, 5.0)
-    b.mark(1.0, "evt")
-    a.merge([b])
-    assert a.total("x") == 3
-    assert a.mean("s") == 5.0
-    assert a.events == [(1.0, "evt")]
+    (mark,) = cluster.obs.events
+    assert (mark.name, mark.ph, mark.pid, mark.tid) == ("load.start", "i", 0, CPU_TID)
+    assert mark.ts == cluster.sim.now and mark.args == {"count": 1}
+    # an unobserved cluster runs the same script and records nowhere
+    quiet = make_cluster(observe=False)
+    quiet.install_load_script(single_competitor(0, start_cycle=2))
+    quiet.notify_cycle(2)
+    assert quiet.obs is None and quiet.nodes[0].n_competing == 1
 
 
 # ----------------------------------------------------------------------
