@@ -20,12 +20,24 @@ import numpy as np
 from ..config import RuntimeSpec
 from ..core import DynMPIJob
 from ..core.runtime import DynMPI
+from ..errors import ConfigError
 from ..simcluster import Cluster, LoadScript
 
-__all__ = ["AppResult", "run_program", "exchange_halo", "halo_start", "halo_finish", "collect_rows"]
+__all__ = ["AppResult", "run_program", "require_at_least", "exchange_halo",
+           "halo_start", "halo_finish", "collect_rows"]
 
 HALO_UP_TAG = 101    # carries my first row to the left neighbor
 HALO_DOWN_TAG = 102  # carries my last row to the right neighbor
+
+
+def require_at_least(cfg, minimum, *fields: str) -> None:
+    """The app configs' ``__post_init__`` check: every named field of
+    ``cfg`` is ``>= minimum``, else :class:`ConfigError` naming it."""
+    for name in fields:
+        value = getattr(cfg, name)
+        if value < minimum:
+            raise ConfigError(
+                f"{type(cfg).__name__}.{name} must be >= {minimum}, got {value}")
 
 
 @dataclass

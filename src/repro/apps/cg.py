@@ -25,9 +25,15 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..core import AccessMode, RingAllgather, ScalarAllreduce
-from .kernels import CG_WORK_PER_NNZ, CG_WORK_PER_ROW, make_cg_rows
+from .base import require_at_least
+from .kernels import CG_WORK_PER_NNZ, CG_WORK_PER_ROW, cg_block_csr
 
 __all__ = ["CGConfig", "cg_program"]
+
+#: rows generated and installed per step of the matrix build: bounds
+#: the build's temporaries (band mask, CSR arrays, their Python lists)
+#: to tens of KiB however many rows a rank holds
+_BUILD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,10 @@ class CGConfig:
     materialized: bool = True  # the sparse format always stores data
     exact_math: bool = True    # do the real vector math (small n tests)
     seed: int = 1234
+
+    def __post_init__(self) -> None:
+        require_at_least(self, 1, "n", "nnz_target")
+        require_at_least(self, 0, "iters")
 
 
 def cg_program(ctx, cfg: CGConfig) -> Generator:
@@ -58,12 +68,11 @@ def cg_program(ctx, cfg: CGConfig) -> Generator:
 
     # build the owned matrix rows (deterministic, so any rank can
     # generate any row without communication)
-    def fill_rows(rows) -> None:
-        for g in rows:
-            cols, vals = make_cg_rows(n, g, nnz_target=cfg.nnz_target, seed=cfg.seed)
-            A.set_row_items(g, cols, vals)
-
-    fill_rows(A.held_rows())
+    for lo, hi in A.held_intervals().spans:
+        for a in range(lo, hi + 1, _BUILD_ROWS):
+            b = min(a + _BUILD_ROWS - 1, hi)
+            A.set_rows_csr(range(a, b + 1), *cg_block_csr(
+                n, a, b, nnz_target=cfg.nnz_target, seed=cfg.seed))
 
     # b = 1: x0 = 0, r0 = b, p0 = r0
     if cfg.exact_math:

@@ -14,7 +14,7 @@ from typing import Generator
 import numpy as np
 
 from ..core import AccessMode, NearestNeighbor
-from .base import exchange_halo
+from .base import exchange_halo, require_at_least
 from .kernels import JACOBI_WORK_PER_CELL, jacobi_block_update
 
 __all__ = ["JacobiConfig", "jacobi_program", "initial_grid"]
@@ -27,6 +27,10 @@ class JacobiConfig:
     materialized: bool = False
     collect: bool = False  # return the assembled final grid (tests)
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        require_at_least(self, 1, "n")
+        require_at_least(self, 0, "iters")
 
 
 def initial_grid(cfg: JacobiConfig) -> np.ndarray:

@@ -20,11 +20,15 @@ The distributed programs run the real math a slab at a time:
 :func:`jacobi_block_update` and :func:`sor_block_halfsweep` take the
 ``ProjectedArray.block(lo - 1, hi + 1)`` gather of a whole ``compute()``
 range (owned rows plus the ghost rows fetched by redistribution or halo
-exchange) and return the updated rows for one ``set_block``.  Their
-row-at-a-time forms, :func:`jacobi_row_update` and
-:func:`sor_row_halfsweep`, are the sequential oracle's kernels
-(``apps/reference.py``); the block kernels do the same elementwise IEEE
-operations in the same order, so the two agree bit for bit
+exchange) and return the updated rows for one ``set_block``;
+:func:`particle_block_flows` takes ``block(lo, hi)`` and returns the
+three flow slabs; :func:`cg_block_csr` generates a whole row span of the
+CG matrix as one CSR block.  Their row-at-a-time forms,
+:func:`jacobi_row_update`, :func:`sor_row_halfsweep`,
+:func:`particle_row_flows` and :func:`make_cg_rows`, are the sequential
+oracle's kernels (``apps/reference.py``); the block kernels do the same
+elementwise IEEE operations in the same order (and draw the same
+per-row random streams), so the two agree bit for bit
 (``tests/test_kernels.py``).
 """
 
@@ -46,7 +50,9 @@ __all__ = [
     "sor_row_halfsweep",
     "sor_block_halfsweep",
     "make_cg_rows",
+    "cg_block_csr",
     "particle_row_flows",
+    "particle_block_flows",
 ]
 
 JACOBI_WORK_PER_CELL = 9.0
@@ -230,6 +236,50 @@ def _pair_val(i: int, j: int, seed: int) -> float:
     return -0.5 * (h / 0xFFFFFFFF)  # negative off-diagonals, SPD-friendly
 
 
+def cg_block_csr(n: int, lo: int, hi: int, *, nnz_target: int = 12, seed: int = 1234):
+    """:func:`make_cg_rows` for the whole row span ``lo..hi`` as one CSR
+    block ``(indptr, cols, vals)``: row ``g`` is
+    ``cols/vals[indptr[g - lo]:indptr[g - lo + 1]]``, bitwise equal to
+    the row generator's.
+
+    The hashes run in int64 and only their low 32 bits are kept, which
+    two's-complement wrap-around cannot change, so they agree with the
+    row generator's unbounded Python integers for any ``n`` and ``seed``.
+    """
+    half = max(1, (nnz_target - 1) // 2)
+    k = hi - lo + 1
+    # has[i - first, d - 1]: row i hashes the upward offset d; rows up
+    # to _CG_SPAN above the span reach down into it
+    first = max(lo - _CG_SPAN, 0)
+    src = np.arange(first, hi + 1, dtype=np.int64)
+    h = (src[:, None] * 2_654_435_761 + np.arange(half) * 40_503
+         + ((seed * 97) & 0xFFFFFFFF)) & 0xFFFFFFFF
+    has = np.zeros((src.size, _CG_SPAN), dtype=bool)
+    has[np.arange(src.size)[:, None], h % _CG_SPAN] = True
+    i, d = np.nonzero(has)
+    i += first
+    d += 1
+    j = i + d
+    # band[g - lo, _CG_SPAN + c - g]: row g stores column c
+    band = np.zeros((k, 2 * _CG_SPAN + 1), dtype=bool)
+    band[:, _CG_SPAN] = True
+    up = (i >= lo) & (j < n)
+    band[i[up] - lo, _CG_SPAN + d[up]] = True
+    down = (j >= lo) & (j <= hi)
+    band[j[down] - lo, _CG_SPAN - d[down]] = True
+    r, off = np.nonzero(band)  # row-major: columns ascend within a row
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(band.sum(axis=1), out=indptr[1:])
+    rows = r + lo
+    cols = rows + off - _CG_SPAN
+    pair = ((np.minimum(rows, cols) * 73_856_093)
+            ^ (np.maximum(rows, cols) * 19_349_663)
+            ^ (seed & 0xFFFFFFFF)) & 0xFFFFFFFF
+    vals = -0.5 * (pair / 0xFFFFFFFF)
+    vals[off == _CG_SPAN] = float(nnz_target + 4.0)
+    return indptr, cols, vals
+
+
 def particle_row_flows(counts: np.ndarray, g: int, step: int, seed: int):
     """One time step of the count-based particle transport for row ``g``.
 
@@ -253,4 +303,41 @@ def particle_row_flows(counts: np.ndarray, g: int, step: int, seed: int):
     # intra-row drift: circular shift of a third of the remainder
     drift = np.floor(stay / 3.0)
     stay = stay - drift + np.roll(drift, 1)
+    return stay, up, down
+
+
+def _particle_fractions(k: int, n: int, lo: int, step: int, seed: int) -> np.ndarray:
+    """The shed fractions of rows ``lo..lo+k-1`` as a ``(k, 2n)`` array:
+    ``[:, :n]`` is each row's ``frac_up``, ``[:, n:]`` its ``frac_down``.
+
+    Row ``g`` still draws from its own ``(g, step, seed)`` stream — that
+    is what makes the physics independent of ownership — but takes its
+    ``2n`` doubles in one ``random`` call: ``uniform(low, high)`` is
+    ``low + (high - low) * next_double``.
+    """
+    frac = np.empty((k, 2 * n))
+    base = step * 1_000_003 + lo
+    for i in range(k):
+        np.random.default_rng(((base + i) ^ seed) & 0x7FFFFFFF).random(out=frac[i])
+    frac *= 0.15 - 0.05
+    frac += 0.05
+    return frac
+
+
+def particle_block_flows(counts: np.ndarray, lo: int, step: int, seed: int):
+    """:func:`particle_row_flows` for the whole block of rows starting
+    at global row ``lo`` (``counts`` is the ``block(lo, hi)`` gather).
+    Returns the ``(stay, up, down)`` slabs, bitwise equal to the row
+    kernel's.
+    """
+    k, n = counts.shape
+    frac = _particle_fractions(k, n, lo, step, seed)
+    up = np.floor(counts * frac[:, :n])
+    down = np.floor(counts * frac[:, n:])
+    stay = counts - up - down
+    # intra-row drift: circular shift of a third of the remainder
+    drift = np.floor(stay / 3.0)
+    stay -= drift
+    stay[:, 1:] += drift[:, :-1]
+    stay[:, 0] += drift[:, -1]
     return stay, up, down

@@ -4,7 +4,7 @@ Sections 5.1, 5.4).
 A rows x cols cell grid carries particle *counts*; each time step,
 every cell deterministically sheds a fraction of its particles to the
 rows above/below and drifts a fraction within the row (see
-:func:`~repro.apps.kernels.particle_row_flows`).  Cross-row flows at a
+:func:`~repro.apps.kernels.particle_block_flows`).  Cross-row flows at a
 partition boundary travel by explicit messages.  Per-row cost is
 ``cells * c1 + particles * c2``, so the computation is *unbalanced*
 and evolves over time — the property the paper uses to exercise
@@ -24,10 +24,11 @@ from typing import Generator
 import numpy as np
 
 from ..core import AccessMode, NearestNeighbor
+from .base import require_at_least
 from .kernels import (
     PARTICLE_WORK_PER_CELL,
     PARTICLE_WORK_PER_PARTICLE,
-    particle_row_flows,
+    particle_block_flows,
 )
 
 __all__ = ["ParticleConfig", "particle_program", "initial_counts"]
@@ -54,6 +55,12 @@ class ParticleConfig:
     n_nodes_hint: int = 8  # used to size the Figure 7 hot region
     collect: bool = False
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        require_at_least(self, 1, "rows", "cols", "n_nodes_hint")
+        require_at_least(self, 0, "steps", "base_density", "hot_factor", "hot_rows")
+        if self.part_top is not None:
+            require_at_least(self, 0, "part_top")
 
 
 def initial_counts(cfg: ParticleConfig) -> np.ndarray:
@@ -92,26 +99,29 @@ def particle_program(ctx, cfg: ParticleConfig) -> Generator:
                 edge_down = np.zeros(C)  # flow leaving row e downward
 
                 def exec_rows(lo: int, hi: int) -> None:
-                    nonlocal edge_up, edge_down
-                    cur = grid.block(lo, hi)
-                    for g in range(lo, hi + 1):
-                        stay, up, down = particle_row_flows(
-                            cur[g - lo], g, step, cfg.seed
-                        )
-                        new[g - s] += stay
-                        # reflecting grid boundaries
-                        if g == 0:
-                            new[g - s] += up
-                        elif g - 1 >= s:
-                            new[g - 1 - s] += up
-                        else:
-                            edge_up = edge_up + up
-                        if g == R - 1:
-                            new[g - s] += down
-                        elif g + 1 <= e:
-                            new[g + 1 - s] += down
-                        else:
-                            edge_down = edge_down + down
+                    stay, up, down = particle_block_flows(
+                        grid.block(lo, hi), lo, step, cfg.seed
+                    )
+                    a, b = lo - s, hi - s + 1
+                    # each row takes its neighbours' flows in row
+                    # order: down from above, its own, up from below
+                    new[a + 1:b] += down[:-1]
+                    new[a:b] += stay
+                    # the block's two edge rows (reflecting grid
+                    # boundaries)
+                    if lo == 0:
+                        new[a] += up[0]
+                    elif lo > s:
+                        new[a - 1] += up[0]
+                    else:
+                        edge_up[:] += up[0]
+                    if hi == R - 1:
+                        new[b - 1] += down[-1]
+                    elif hi < e:
+                        new[b] += down[-1]
+                    else:
+                        edge_down[:] += down[-1]
+                    new[a:b - 1] += up[1:]
 
                 yield from ctx.compute(1, work_of, exec_rows)
 

@@ -15,7 +15,7 @@ from typing import Generator
 import numpy as np
 
 from ..core import AccessMode, NearestNeighbor
-from .base import halo_finish, halo_start
+from .base import halo_finish, halo_start, require_at_least
 from .kernels import SOR_WORK_PER_CELL_PER_PHASE, sor_block_halfsweep
 
 __all__ = ["SORConfig", "sor_program", "initial_grid"]
@@ -29,6 +29,10 @@ class SORConfig:
     materialized: bool = False
     collect: bool = False
     seed: int = 11
+
+    def __post_init__(self) -> None:
+        require_at_least(self, 1, "n")
+        require_at_least(self, 0, "iters")
 
 
 def initial_grid(cfg: SORConfig) -> np.ndarray:

@@ -27,6 +27,7 @@ from ..errors import ConfigError
 from .engine import Engine, default_workers
 from .fuzz import run_fuzz, run_replay
 from .report import render_status, render_summary
+from .scenarios import build_scenario
 from .space import load_space
 from .sweeper import DEFAULT_MAX_TRIES, ParamSweeper
 
@@ -62,6 +63,9 @@ def _sweep(sweeper: ParamSweeper, args) -> int:
 
 def cmd_run(args) -> int:
     space = load_space(args.space)
+    # a bad value in the part every combo shares is a spec error, not
+    # one poisoned combo to quarantine
+    build_scenario(space.fixed)
     sweeper = ParamSweeper.create(args.dir, space, max_tries=args.max_tries)
     return _sweep(sweeper, args)
 

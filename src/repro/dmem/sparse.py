@@ -148,6 +148,15 @@ class SparseMatrix:
             raise AllocationError(f"{self.name}: row {g} is not held locally")
         return self._rows.setdefault(g, [])
 
+    def _check_held(self, rows) -> None:
+        """:meth:`_peek`'s checks for a whole batch of rows at once."""
+        missing = IntervalSet.coerce(rows) - self._held
+        if missing:
+            self._check_row(missing.min_row)
+            self._check_row(missing.max_row)
+            raise AllocationError(
+                f"{self.name}: row {missing.min_row} is not held locally")
+
     # ------------------------------------------------------------------
     # element access
     # ------------------------------------------------------------------
@@ -190,6 +199,47 @@ class SparseMatrix:
         self.stats.record_alloc(len(row) * ELEM_STORE_BYTES)
         self._csr_version += 1
 
+    def set_rows_csr(self, rows: Sequence[int], indptr, cols, vals) -> None:
+        """Replace every row of ``rows`` wholesale from one CSR block:
+        ``rows[i]`` becomes ``cols/vals[indptr[i]:indptr[i + 1]]``.
+
+        The bulk form of :meth:`set_row_items` — one range check, one
+        array-to-list conversion and one accounting step for the whole
+        block, with the same :class:`AllocStats` traffic (one free and
+        one allocation per row installed).  An empty incoming row only
+        clears what the row held; it gets no element list.  Everything
+        is checked before anything changes.
+        """
+        self._check_held(rows)
+        rows = list(rows)
+        ptr = np.asarray(indptr)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if (ptr.shape != (len(rows) + 1,) or ptr[0] != 0 or ptr[-1] != len(cols)
+                or (ptr[1:] < ptr[:-1]).any()):
+            raise AllocationError(f"{self.name}: indptr does not match rows/cols")
+        if len(cols) != len(vals):
+            raise AllocationError("cols/vals length mismatch")
+        if len(cols):
+            self._check_col(int(cols.min()))
+            self._check_col(int(cols.max()))
+        ptr = ptr.tolist()
+        items = [[c, v] for c, v in zip(cols.tolist(), vals.tolist())]
+        n_installed = n_cleared = freed = 0
+        for g, a, b in zip(rows, ptr, ptr[1:]):
+            old = self._rows.get(g)
+            if old:
+                freed += len(old)
+            if a < b:
+                self._rows[g] = items[a:b]
+                n_installed += 1
+            elif old is not None:
+                del self._rows[g]
+                n_cleared += bool(old)
+        self.stats.record_frees(n_installed + n_cleared, freed * ELEM_STORE_BYTES)
+        self.stats.record_allocs(n_installed, len(items) * ELEM_STORE_BYTES)
+        self._csr_version += 1
+
     def row_items(self, g: int) -> list[tuple[int, float]]:
         return [(c, v) for c, v in self._peek(g)]
 
@@ -208,22 +258,18 @@ class SparseMatrix:
         arrays: ``row_ptr`` (len k+1), ``cols``, ``vals`` — the
         list-to-vector conversion of paper Section 4.4.
         """
+        self._check_held(rows)
         rows = list(rows)
         k = len(rows)
+        get = self._rows.get
+        lists = [get(g, _EMPTY_ROW) for g in rows]
         row_ptr = np.zeros(k + 1, dtype=np.int64)
-        lists = [self._peek(g) for g in rows]
-        total = 0
-        for i, row in enumerate(lists):
-            total += len(row)
-            row_ptr[i + 1] = total
-        cols = np.empty(total, dtype=np.int32)
-        vals = np.empty(total, dtype=self.dtype)
-        pos = 0
-        for row in lists:
-            for c, v in row:
-                cols[pos] = c
-                vals[pos] = v
-                pos += 1
+        np.cumsum([len(row) for row in lists], out=row_ptr[1:])
+        total = int(row_ptr[-1])
+        cols = np.fromiter((c for row in lists for c, _ in row),
+                           dtype=np.int32, count=total)
+        vals = np.fromiter((v for row in lists for _, v in row),
+                           dtype=self.dtype, count=total)
         nbytes = k * ROW_WIRE_BYTES + total * ELEM_WIRE_BYTES
         self.stats.record_copy(total * ELEM_WIRE_BYTES)
         return {"row_ptr": row_ptr, "cols": cols, "vals": vals}, nbytes
@@ -235,21 +281,10 @@ class SparseMatrix:
         row_ptr = payload["row_ptr"]
         cols = payload["cols"]
         vals = payload["vals"]
-        rows = list(rows)
         if len(row_ptr) != len(rows) + 1:
             raise AllocationError(f"{self.name}: row_ptr/rows mismatch")
         self.hold(rows)
-        for i, g in enumerate(rows):
-            lo, hi = int(row_ptr[i]), int(row_ptr[i + 1])
-            if lo == hi:
-                # incoming row is empty: clear any stale content but do
-                # not materialize an element list for it
-                stale = self._rows.pop(g, None)
-                if stale:
-                    self.stats.record_free(len(stale) * ELEM_STORE_BYTES)
-                continue
-            self.set_row_items(g, cols[lo:hi], vals[lo:hi])
-        self._csr_version += 1
+        self.set_rows_csr(rows, row_ptr, cols, vals)
 
     def retarget(self, keep: Iterable[int]) -> None:
         """Drop rows outside ``keep``; pointer-vector rewrite, matching

@@ -257,3 +257,38 @@ def test_jacobi_interval_algebra_does_not_scale_with_rows(monkeypatch):
     small, large = built
     assert small > 0
     assert large / small < 1.5, built
+
+
+def test_particle_and_cg_do_not_walk_their_rows(monkeypatch):
+    """The particle step and the CG matrix build are one kernel entry
+    per ``compute()`` call / per build chunk, whatever the problem
+    size: 4x the rows enters the block kernels exactly as often, and
+    the app build never installs a sparse row by itself."""
+    from repro.apps import cg as cg_mod
+    from repro.apps import particle as particle_mod
+    from repro.config import pentium_cluster
+    from repro.dmem import SparseMatrix
+
+    entries = {}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            entries[fn.__name__] = entries.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(particle_mod, "particle_block_flows",
+                        counted(particle_mod.particle_block_flows))
+    monkeypatch.setattr(cg_mod, "cg_block_csr", counted(cg_mod.cg_block_csr))
+    monkeypatch.setattr(SparseMatrix, "set_row_items",
+                        counted(SparseMatrix.set_row_items))
+    seen = []
+    for scale in (1, 4):
+        entries.clear()
+        run_program(Cluster(pentium_cluster(2)), particle_program,
+                    ParticleConfig(rows=32 * scale, cols=8, steps=10))
+        run_program(Cluster(pentium_cluster(2)), cg_program,
+                    CGConfig(n=64 * scale, iters=5))
+        seen.append(dict(entries))
+    small, large = seen
+    assert small == large == {"particle_block_flows": 2 * 10, "cg_block_csr": 2}

@@ -81,6 +81,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixed, message", [
+    ({"cycles": -1}, "cycles >= 1"),
+    ({"size": 0}, "size must be >= 8"),
+    ({"n_nodes": 0}, "n_nodes must be >= 1"),
+    ({"load": "n1@oops"}, "bad trigger"),
+])
+def test_bad_shared_value_is_a_spec_error_not_a_quarantine(
+        tmp_path, capsys, fixed, message):
+    """What every combo shares cannot be one poisoned combo: exit 2
+    with one line, before a campaign directory exists."""
+    spec = dict(SPEC, fixed={**SPEC["fixed"], **fixed})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--dir", str(tmp_path / "c"),
+                 "--workers", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_fuzz_subcommand_clean_and_index_form(tmp_path, capsys):
     assert main(["fuzz", "--seed", "1", "--iterations", "2",
                  "--workers", "1", "--out", str(tmp_path)]) == 0

@@ -3,6 +3,7 @@ presets."""
 
 import pytest
 
+from repro.apps import CGConfig, JacobiConfig, ParticleConfig, SORConfig
 from repro.config import (
     ClusterSpec,
     NetworkSpec,
@@ -49,6 +50,36 @@ def test_cluster_spec_needs_a_node():
 def test_runtime_spec_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         RuntimeSpec(**kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (JacobiConfig, {"n": 0}),
+    (JacobiConfig, {"iters": -1}),
+    (SORConfig, {"n": -4}),
+    (SORConfig, {"iters": -1}),
+    (CGConfig, {"n": 0}),
+    (CGConfig, {"iters": -1}),
+    (CGConfig, {"nnz_target": 0}),
+    (ParticleConfig, {"rows": 0}),
+    (ParticleConfig, {"cols": 0}),
+    (ParticleConfig, {"steps": -1}),
+    (ParticleConfig, {"base_density": -1.5}),
+    (ParticleConfig, {"hot_factor": -2.0}),
+    (ParticleConfig, {"hot_rows": -1}),
+    (ParticleConfig, {"part_top": -0.5}),
+    (ParticleConfig, {"n_nodes_hint": 0}),
+])
+def test_app_configs_reject_meaningless_values(cls, kwargs):
+    (field, value), = kwargs.items()
+    with pytest.raises(ConfigError, match=rf"{cls.__name__}\.{field} .* got {value}"):
+        cls(**kwargs)
+
+
+def test_app_configs_accept_zero_cycles_and_empty_hot_region():
+    assert JacobiConfig(n=1, iters=0).iters == 0
+    assert ParticleConfig(rows=1, cols=1, steps=0, base_density=0.0,
+                          hot_rows=0).steps == 0
+    assert CGConfig(n=1, nnz_target=1).nnz_target == 1
 
 
 def test_runtime_spec_has_no_distribution_option():

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.kernels import (
+    _particle_fractions,
+    cg_block_csr,
     jacobi_block_update,
     jacobi_row_update,
     make_cg_rows,
+    particle_block_flows,
     particle_row_flows,
     sor_block_halfsweep,
     sor_row_halfsweep,
@@ -150,6 +153,71 @@ def test_sor_block_equals_row_halfsweeps(case, color):
     if m < hi:
         _sor_block_sweep(split, m + 1, hi, color)
     assert np.array_equal(split, by_row)
+
+
+@st.composite
+def particle_block(draw):
+    """A block of counts and its ``(lo, step, seed)``; half-particle
+    counts as the app holds them, or arbitrary reals."""
+    k = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = (np.floor(rng.random((k, cols)) * 800) / 2.0 if draw(st.booleans())
+              else rng.standard_normal((k, cols)) * 100.0)
+    return (counts, draw(st.integers(0, 500)), draw(st.integers(0, 1000)),
+            draw(st.integers(-3, 2**40)))
+
+
+@given(particle_block())
+@settings(max_examples=200, deadline=None)
+def test_particle_block_equals_stacked_row_flows(case):
+    counts, lo, step, seed = case
+    by_row = [particle_row_flows(counts[i], lo + i, step, seed)
+              for i in range(counts.shape[0])]
+    block = particle_block_flows(counts, lo, step, seed)
+    for slab, rows in zip(block, zip(*by_row)):  # stay, up, down
+        assert np.array_equal(slab, np.stack(rows))
+
+
+@given(st.integers(1, 40), st.integers(0, 500), st.integers(0, 1000),
+       st.integers(-3, 2**40))
+@settings(max_examples=200, deadline=None)
+def test_particle_fractions_are_the_two_uniform_draws(n, g, step, seed):
+    """One ``random(out=...)`` of ``2n`` doubles scaled by hand is what
+    ``uniform(0.05, 0.15, n)`` twice returns — numpy's ``low + (high -
+    low) * next_double``.  If a numpy release changes that, it fails
+    here, not in a digest."""
+    rng = np.random.default_rng(((step * 1_000_003 + g) ^ seed) & 0x7FFFFFFF)
+    frac_up = rng.uniform(0.05, 0.15, size=n)
+    frac_down = rng.uniform(0.05, 0.15, size=n)
+    frac = _particle_fractions(1, n, g, step, seed)
+    assert np.array_equal(frac[0, :n], frac_up)
+    assert np.array_equal(frac[0, n:], frac_down)
+
+
+@st.composite
+def cg_span(draw):
+    """``(n, lo, hi)`` with ``n`` below, around and far above the band
+    width (the last also wraps the int64 hash products) and spans that
+    touch row 0, row ``n - 1``, both or neither."""
+    n = draw(st.one_of(st.integers(1, 15), st.integers(16, 80),
+                       st.integers(2**33, 2**41)))
+    lo = draw(st.sampled_from([0, max(n - 40, 0)]) | st.integers(0, n - 1))
+    hi = draw(st.just(n - 1) | st.integers(lo, lo + 40))
+    return n, lo, min(hi, n - 1, lo + 60)
+
+
+@given(cg_span(), st.integers(1, 40), st.integers(-3, 2**40))
+@settings(max_examples=200, deadline=None)
+def test_cg_block_csr_equals_concatenated_rows(span, nnz_target, seed):
+    n, lo, hi = span
+    rows = [make_cg_rows(n, g, nnz_target=nnz_target, seed=seed)
+            for g in range(lo, hi + 1)]
+    indptr, cols, vals = cg_block_csr(n, lo, hi, nnz_target=nnz_target, seed=seed)
+    assert indptr.tolist() == [0, *np.cumsum([len(c) for c, _ in rows])]
+    assert np.array_equal(cols, np.concatenate([c for c, _ in rows]))
+    assert np.array_equal(vals, np.concatenate([v for _, v in rows]))
+    assert cols.dtype == rows[0][0].dtype and vals.dtype == rows[0][1].dtype
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Tests for the vector-of-lists SparseMatrix and its iterator API."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dmem import SparseMatrix
 from repro.dmem.sparse import ELEM_STORE_BYTES, ELEM_WIRE_BYTES, ROW_WIRE_BYTES
@@ -100,6 +104,111 @@ def test_unpack_validation():
     payload, _ = build().pack([0, 1])
     with pytest.raises(AllocationError):
         s.unpack([0], payload)  # row_ptr length mismatch
+
+
+# ----------------------------------------------------------------------
+# bulk CSR install == the per-row path it replaced
+# ----------------------------------------------------------------------
+def _install_by_row(m, rows, indptr, cols, vals):
+    """What ``unpack`` did one row at a time before ``set_rows_csr``."""
+    for i, g in enumerate(rows):
+        a, b = indptr[i], indptr[i + 1]
+        if a == b:
+            stale = m._rows.pop(g, None)
+            if stale:
+                m.stats.record_free(len(stale) * ELEM_STORE_BYTES)
+            continue
+        m.set_row_items(g, cols[a:b], vals[a:b])
+
+
+def _state(m):
+    return ([m.row_items(g) for g in m.held_rows()], dataclasses.asdict(m.stats))
+
+
+@st.composite
+def csr_installs(draw):
+    """A few successive CSR blocks over rows of a 12 x 9 matrix: rows in
+    any order, some empty, later blocks overwriting earlier ones."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.integers(0, 11), min_size=1, max_size=8,
+                             unique=True))
+        lens = [draw(st.integers(0, 4)) for _ in rows]
+        total = sum(lens)
+        cols = draw(st.lists(st.integers(0, 8), min_size=total, max_size=total))
+        vals = draw(st.lists(st.floats(-9, 9).filter(bool),
+                             min_size=total, max_size=total))
+        blocks.append((rows, np.cumsum([0, *lens]), np.array(cols, dtype=np.int32),
+                       np.array(vals)))
+    return blocks
+
+
+@given(csr_installs())
+@settings(max_examples=200, deadline=None)
+def test_bulk_install_equals_per_row_install(blocks):
+    bulk, by_row = build(12, 9), build(12, 9)
+    for rows, indptr, cols, vals in blocks:
+        before = bulk.csr_version
+        bulk.set_rows_csr(rows, indptr, cols, vals)
+        assert bulk.csr_version > before
+        _install_by_row(by_row, rows, indptr, cols, vals)
+        assert _state(bulk) == _state(by_row)
+        for a, b in zip(bulk.csr_rows(range(12)), by_row.csr_rows(range(12))):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+    assert all(type(c) is int and type(v) is float
+               for g in bulk.held_rows() for c, v in bulk.row_items(g))
+
+
+@pytest.mark.parametrize("rows, indptr, cols, vals", [
+    ([1, 2], [0, 1, 2], [3, 8], [1.0, 2.0]),     # column 8 of 8
+    ([1, 2], [0, 1, 2], [-1, 3], [1.0, 2.0]),    # negative column
+    ([1, 2], [0, 2], [3, 4], [1.0, 2.0]),        # one indptr entry short
+    ([1, 2], [0, 1, 3], [3, 4], [1.0, 2.0]),     # indptr runs past cols
+    ([1, 2], [1, 1, 2], [3, 4], [1.0, 2.0]),     # indptr does not start at 0
+    ([1, 2, 3], [0, 2, 1, 2], [3, 4], [1.0, 2.0]),  # indptr goes backwards
+    ([1, 2], [0, 1, 2], [3, 4], [1.0]),          # cols/vals mismatch
+    ([1, 5], [0, 1, 2], [3, 4], [1.0, 2.0]),     # row 5 not held
+    ([1, 6], [0, 1, 2], [3, 4], [1.0, 2.0]),     # row 6 of 6
+])
+def test_bulk_install_rejects_bad_blocks_before_mutating(rows, indptr, cols, vals):
+    s = SparseMatrix("s", (6, 8))
+    s.hold(range(5))
+    s.set_row_items(1, [0, 7], [5.0, 6.0])
+    before = _state(s), s.csr_version
+    with pytest.raises(AllocationError):
+        s.set_rows_csr(rows, indptr, cols, vals)
+    assert (_state(s), s.csr_version) == before
+
+
+def test_pack_unpack_roundtrip_with_empty_rows_in_the_span():
+    src = build(8, 8)
+    src.set_row_items(2, [0, 4], [1.5, 4.5])
+    src.set_row_items(5, [7], [-2.0])
+    src.set(6, 1, 3.0)
+    src.set(6, 1, 0.0)  # materialized, then emptied again
+    span = list(range(1, 8))
+    payload, nbytes = src.pack(span)
+    assert payload["row_ptr"].tolist() == [0, 0, 2, 2, 2, 3, 3, 3]
+    assert nbytes == 7 * ROW_WIRE_BYTES + 3 * ELEM_WIRE_BYTES
+
+    dst = SparseMatrix("d", (8, 8))
+    dst.hold([3, 5])
+    dst.set_row_items(3, [2, 3], [9.0, 9.0])  # stale: row 3 arrives empty
+    dst.set_row_items(5, [1], [9.0])          # stale: row 5 is replaced
+    s0 = dst.stats.snapshot()
+    dst.unpack(span, payload)
+    assert dst.held_rows() == span
+    assert [dst.row_items(g) for g in span] == [src.row_items(g) for g in span]
+    assert dst.held_nbytes == 3 * ELEM_STORE_BYTES  # empty rows carry nothing
+    delta = dst.stats.delta(s0)
+    # five rows newly held; rows 2 and 5 installed; rows 3 and 5 freed
+    assert (delta.n_allocs, delta.n_frees) == (5 + 2, 3)
+    assert delta.bytes_allocated == 3 * ELEM_STORE_BYTES
+    assert delta.bytes_freed == 3 * ELEM_STORE_BYTES
+    again, _ = dst.pack(span)
+    for key in payload:
+        assert np.array_equal(again[key], payload[key])
+        assert again[key].dtype == payload[key].dtype
 
 
 def test_retarget_drops_and_counts_pointer_moves():
