@@ -17,7 +17,7 @@ from ..core import AccessMode, NearestNeighbor
 from .base import exchange_halo, require_at_least
 from .kernels import JACOBI_WORK_PER_CELL, jacobi_block_update
 
-__all__ = ["JacobiConfig", "jacobi_program", "initial_grid"]
+__all__ = ["JacobiConfig", "jacobi_program", "initial_grid", "initial_rows"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,15 @@ def initial_grid(cfg: JacobiConfig) -> np.ndarray:
     return rng.random((cfg.n, cfg.n))
 
 
+def initial_rows(cfg: JacobiConfig, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo..hi`` (inclusive) of :func:`initial_grid`, bitwise,
+    without building the rest: each double is one step of the stream,
+    so the generator skips the ``lo * n`` that come before."""
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.advance(lo * cfg.n)
+    return rng.random((hi - lo + 1, cfg.n))
+
+
 def jacobi_program(ctx, cfg: JacobiConfig) -> Generator:
     n = cfg.n
     A = ctx.register_dense("A", (n, n), materialized=cfg.materialized)
@@ -51,9 +60,8 @@ def jacobi_program(ctx, cfg: JacobiConfig) -> Generator:
     ctx.commit()
 
     if cfg.materialized:
-        init = initial_grid(cfg)
-        for g in B.held_rows():
-            B.row(g)[:] = init[g]
+        for lo, hi in B.held_intervals().spans:
+            B.set_block(lo, initial_rows(cfg, lo, hi))
 
     def work_of(s: int, e: int) -> np.ndarray:
         return np.full(e - s + 1, n * JACOBI_WORK_PER_CELL)

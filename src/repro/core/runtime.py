@@ -69,7 +69,7 @@ from .phase import Phase
 from .intervals import IntervalSet
 from .redistribute import needed_map, plan_edges, redistribute
 from .removal import evaluate_drop
-from .timing import GraceSamples, estimate_unloaded_times
+from .timing import GraceSamples, estimate_unloaded_times, timed_rows
 from .transition import MODE_GRACE, MODE_NORMAL, MODE_POST, Transition, View
 from .transition import plan_drop, plan_rebalance, plan_recovery, plan_rejoin
 
@@ -728,7 +728,8 @@ class DynMPI:
 
         During the grace period the rows are charged one at a time with
         timer reads around each, exactly how Dyn-MPI measures unloaded
-        iteration times; otherwise the whole block is one charge.
+        iteration times (:func:`~.timing.timed_rows`: one CPU job for
+        the whole range); otherwise the whole block is one charge.
         """
         if phase_id not in self.phases:
             raise RegistrationError(f"unknown phase {phase_id}")
@@ -760,16 +761,8 @@ class DynMPI:
             samples = self._grace.get(key)
             if samples is None:
                 samples = self._grace[key] = GraceSamples(range(s, e + 1))
-            hr_row = np.empty(n_rows)
-            proc_row = np.empty(n_rows)
-            hr = self.job.hr
-            pc = self.proc_clock
-            for i in range(n_rows):
-                t0h, t0p = hr.read(), pc.read()
-                yield Compute(float(works[i]))
-                t1h, t1p = hr.read(), pc.read()
-                hr_row[i] = hr.interval(t0h, t1h)
-                proc_row[i] = t1p - t0p
+            hr_row, proc_row = yield from timed_rows(
+                self.job.hr, self.proc_clock, works)
             samples.add_cycle(hr_row, proc_row)
         else:
             yield Compute(float(works.sum()))

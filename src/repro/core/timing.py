@@ -18,13 +18,25 @@ otherwise the min-filtered wallclock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator
 
 import numpy as np
 
 from ..errors import SimulationError
+from ..simcluster import ComputeRows
+from ..sysmon import HrTimer, ProcClock
 from ..sysmon.hrtimer import min_filter
 
-__all__ = ["GraceSamples", "estimate_unloaded_times"]
+__all__ = ["GraceSamples", "estimate_unloaded_times", "timed_rows"]
+
+
+def timed_rows(hr: HrTimer, clock: ProcClock, works: np.ndarray) -> Generator:
+    """Charge ``works`` one row at a time, reading ``gethrtime`` and
+    /PROC around every row; returns ``(hr intervals, /PROC deltas)``,
+    one of each per row.  The rows are one ``ComputeRows`` request: a
+    single CPU job however many rows there are."""
+    stamps, clocks = yield ComputeRows(works)
+    return hr.intervals(stamps), clock.deltas(clocks)
 
 
 @dataclass

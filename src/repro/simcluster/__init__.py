@@ -12,7 +12,7 @@ from .kernel import ProcState, Signal, Simulator, SimProcess
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
-from .syscalls import Compute, Fork, Poll, Sleep, Wait, WaitAny
+from .syscalls import Compute, ComputeRows, Fork, Poll, Sleep, Wait, WaitAny
 from .workload import CycleTrigger, LoadScript, TimeTrigger, single_competitor
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "RoundRobinCPU",
     "BackgroundJob",
     "Compute",
+    "ComputeRows",
     "Poll",
     "Sleep",
     "Wait",

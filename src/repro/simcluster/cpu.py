@@ -22,6 +22,20 @@ stands for — alone on the CPU it needs no timer at all, contended it
 takes turns of one quantum — and its accounting (CPU time, fair-share
 EMA, quantum credit) is the closed form of that chain's, so a wait
 costs O(1) events however long it lasts.
+
+Row chains: the grace period's per-row timing (the
+:class:`~.syscalls.ComputeRows` syscall) is *one* job that runs a
+sequence of rows back to back and records the wallclock and the
+process's CPU time at every row boundary.  Contended, each row boundary
+does inline what a row's completion and its successor's submit would
+do through two deferred events (same continuation credit, same jitter
+draws, one event per row at most).  Alone on the CPU, the rest of the
+chain is one untimed slice ending at the last row's end — the row ends
+are the per-row fast path's sequential float sums — and whatever ends
+the slice early (a newcomer, a cancel) first credits every boundary
+already crossed, one by one, exactly as the rows' own slice ends would
+have (unlike a spin job's closed form, which is not bit-identical to
+its chain and need not be).
 """
 
 from __future__ import annotations
@@ -29,10 +43,12 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..errors import SimulationError
 from .kernel import ProcState, Simulator, Timer
 
-__all__ = ["Job", "BackgroundJob", "RoundRobinCPU"]
+__all__ = ["Job", "RowChain", "BackgroundJob", "RoundRobinCPU"]
 
 _EPS = 1e-12
 
@@ -71,10 +87,13 @@ class Job:
     infinite ``remaining`` until ``stop_spin`` cuts it down to the rest
     of its current step; ``phase`` is the CPU time it had consumed
     inside that step at the last accounting.
+
+    A *row chain* has ``rows`` set; ``remaining`` is then what is left
+    of its current row.
     """
 
     __slots__ = ("proc", "remaining", "callback", "cb_args", "cancelled",
-                 "allowed", "turn_used", "boost_time", "step", "phase")
+                 "allowed", "turn_used", "boost_time", "step", "phase", "rows")
 
     def __init__(self, proc, remaining: float,
                  callback: Optional[Callable[..., None]], cb_args: tuple = ()):
@@ -88,6 +107,26 @@ class Job:
         self.boost_time: Optional[float] = None  # instant this job was boosted
         self.step: Optional[float] = None
         self.phase = 0.0
+        self.rows: Optional[RowChain] = None
+
+
+class RowChain:
+    """The rows of a :class:`~.syscalls.ComputeRows` job and what has
+    been measured of them: ``stamps[k]`` / ``clocks[k]`` are the time
+    and the process's ``cpu_time`` at the start of row ``k`` (at
+    ``k = len(works)``, the end of the last row), filled in as the rows
+    are crossed.  While the chain runs an untimed slice, ``ends[j]`` is
+    when row ``row + j`` ends in it."""
+
+    __slots__ = ("works", "row", "stamps", "clocks", "ends")
+
+    def __init__(self, works: np.ndarray, now: float, cpu_time: float):
+        self.works = works
+        self.row = 0
+        self.stamps = np.empty(len(works) + 1)
+        self.clocks = np.empty(len(works) + 1)
+        self.stamps[0], self.clocks[0] = now, cpu_time
+        self.ends: Optional[np.ndarray] = None
 
 
 class RoundRobinCPU:
@@ -163,6 +202,22 @@ class RoundRobinCPU:
         if spin:
             job.step = work / self.speed
             job.remaining = math.inf
+        return self._enqueue(job)
+
+    def submit_rows(self, proc, works, callback, *cb_args) -> Job:
+        """Queue the rows ``works`` (work units each) for ``proc`` as one
+        chain job; on completion ``callback(*cb_args, chain)`` gets its
+        :class:`RowChain`, whose ``stamps`` / ``clocks`` hold every row
+        boundary but the last, which the callback reads itself."""
+        works = np.asarray(works, dtype=float)
+        rows = RowChain(works, self.sim.now, proc.cpu_time)
+        job = Job(proc, float(works[0]), callback, (*cb_args, rows))
+        job.rows = rows
+        return self._enqueue(job)
+
+    def _enqueue(self, job: Job) -> Job:
+        """Queue a new request (see the class docstring for where)."""
+        proc = job.proc
         proc.state = ProcState.READY
         cont = self._cont
         now = self.sim.now
@@ -308,6 +363,10 @@ class RoundRobinCPU:
                 # nothing to time: a newcomer preempts the slice and
                 # stop_spin arms the timer for the last step
                 return
+            if job.rows is not None:
+                self._slice_timer = self.sim.schedule_at(
+                    self._plan_rows(job), self._on_slice_end)
+                return
             duration = job.remaining / self.speed
         else:
             self._slice_long = False
@@ -370,6 +429,8 @@ class RoundRobinCPU:
         if job is None:
             return 0.0
         now = self.sim.now
+        if job.rows is not None and job.rows.ends is not None:
+            self._cross_rows(job, now)
         elapsed = now - self._slice_start
         if elapsed > 0:
             done = elapsed * self.speed
@@ -389,6 +450,115 @@ class RoundRobinCPU:
                     (self.node_id, job.proc.name, start, start + elapsed))
         self._slice_start = now
         return elapsed
+
+    def _plan_rows(self, job: Job) -> float:
+        """Lay out a chain's untimed slice from now: its rows' ends as
+        the per-row fast path would reach them (each the previous end
+        plus the row's work over speed, in float, in order) — each row
+        done at its end, as it is while the clock's rounding stays under
+        ``_EPS`` of work (hours of simulated time; past that the per-row
+        path never finishes such a row: its leftover is below half a
+        clock ulp).  A chain boosted at this very instant runs only its
+        current row untimed: a peer boosted at the same instant queues
+        behind it *without* preempting, and the next row's own dispatch
+        would then find the queue busy.  Returns when the slice ends."""
+        rows = job.rows
+        now = self.sim.now
+        rest = rows.works[rows.row + 1:] if job.boost_time != now else rows.works[:0]
+        work = np.concatenate(([job.remaining], rest))
+        rows.ends = np.cumsum(np.concatenate(([now], work / self.speed)))[1:]
+        return float(rows.ends[-1])
+
+    def _cross_rows(self, job: Job, now: float) -> None:
+        """End a chain's untimed slice at ``now``: credit every row
+        boundary it crossed before its last, in order, as that row's own
+        slice end and its successor's submit would have — for each, the
+        credit of :meth:`_account_current` then :meth:`_next_row`.  CPU
+        time, busy time, stamps and slices are sequential float sums,
+        done as array sums (``cumsum`` adds in order); the fair-share EMA
+        (:meth:`_ema_add` at each boundary's time, ``math.exp``) and the
+        quantum credit are a loop over locals — all an idle node's grace
+        period costs per row.  The rest of the slice is the caller's
+        plain credit."""
+        rows = job.rows
+        ends, rows.ends = rows.ends, None
+        crossed = min(int(np.searchsorted(ends, now, side="right")), len(ends) - 1)
+        if not crossed:
+            return
+        proc = job.proc
+        start = self._slice_start
+        times = ends[:crossed]
+        elapsed = np.diff(times, prepend=start)
+        clocks = np.cumsum(np.concatenate(([proc.cpu_time], elapsed)))[1:]
+        first = rows.row + 1
+        rows.stamps[first:first + crossed] = times
+        rows.clocks[first:first + crossed] = clocks
+        if self.obs is not None:
+            starts = np.concatenate(([start], times[:-1])).tolist()
+            self.obs.slices.extend(
+                (self.node_id, proc.name, s, s + e)
+                for s, e in zip(starts, elapsed.tolist()) if e > 0)
+        proc.cpu_time = float(clocks[-1])
+        self.busy_time = float(np.cumsum(np.concatenate(([self.busy_time], elapsed)))[-1])
+        quantum, full, tau = self.quantum, self.quantum - _EPS, self._EMA_TAU
+        used, allowed = job.turn_used, job.allowed
+        rec = self._ema.get(id(proc))
+        for t, e in zip(times.tolist(), elapsed.tolist()):
+            if e > 0:
+                if rec is None:
+                    rec = self._ema[id(proc)] = [t, 0.0]
+                dt = t - rec[0]
+                if dt > 0:
+                    rec[1] *= math.exp(-dt / tau)
+                rec[0] = t
+                rec[1] += e
+                used += e
+            if used < full:
+                allowed = quantum - used
+            else:
+                allowed, used = None, 0.0
+        rows.row += crossed
+        job.remaining = float(rows.works[rows.row])
+        job.turn_used, job.allowed, job.boost_time = used, allowed, None
+        self._slice_start = float(times[-1])
+        self._last_done, self._cont = (proc, self._slice_start), None
+
+    def _next_row(self, job: Job, now: float) -> bool:
+        """Move a chain past the row boundary at ``now``: the state the
+        row's completion leaves (the process done at ``now``, its
+        continuation credit consumed at once) and the state its
+        successor's submit gives the job.  True when the successor
+        continues in the unexpired quantum (head of the queue), False
+        when it starts a fresh one (tail)."""
+        rows = job.rows
+        proc = job.proc
+        self._last_done = (proc, now)
+        self._cont = None
+        rows.row += 1
+        rows.stamps[rows.row] = now
+        rows.clocks[rows.row] = proc.cpu_time
+        job.remaining = float(rows.works[rows.row])
+        job.boost_time = None
+        if job.turn_used < self.quantum - _EPS:
+            job.allowed = self.quantum - job.turn_used
+            return True
+        job.allowed = None
+        job.turn_used = 0.0
+        return False
+
+    def _requeue_row(self, job: Job) -> bool:
+        """A chain's row is done now: queue the chain for its next row
+        where that row's own submit would have queued it; False (and
+        nothing queued) when it was the last row."""
+        rows = job.rows
+        if rows.row + 1 == len(rows.works):
+            return False
+        job.proc.state = ProcState.READY
+        if self._next_row(job, self.sim.now):
+            self._queue.insert(0, job)
+        else:
+            self._queue.append(job)
+        return True
 
     @staticmethod
     def _spin_split(job: Job, elapsed: float) -> tuple[int, float]:
@@ -459,7 +629,8 @@ class RoundRobinCPU:
         self.n_context_switches += 1
         self._current = None
         if job.remaining <= _EPS * self.speed:
-            self._complete(job)
+            if job.rows is None or not self._requeue_row(job):
+                self._complete(job)
         else:
             job.proc.state = ProcState.READY
             job.allowed = None  # fresh quantum on its next dispatch
@@ -484,6 +655,11 @@ class RoundRobinCPU:
             self._start_next()
             return
         if job.remaining <= _EPS * self.speed:
+            if job.rows is not None and self._requeue_row(job):
+                # nobody to wait for: the chain's next row is queued
+                # where its own submit would have put it
+                self._start_next()
+                return
             self._complete(job)
             # Defer the next dispatch one event so the completing
             # process can resubmit at this instant and claim its

@@ -47,7 +47,7 @@ import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .syscalls import Compute, Fork, Poll, Sleep, Syscall, Wait, WaitAny
+from .syscalls import Compute, ComputeRows, Fork, Poll, Sleep, Syscall, Wait, WaitAny
 
 __all__ = [
     "Perturb", "ProcState", "Signal", "SimProcess", "Simulator", "Timer",
@@ -270,6 +270,17 @@ class Simulator:
         heapq.heappush(self._heap, (self.now + delay, seq, t))
         return t
 
+    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Timer:
+        """Run ``fn(*args)`` at the absolute time ``when`` (for a deadline
+        that is a sum of steps, which ``now + (when - now)`` can miss by
+        a rounding)."""
+        if not when >= self.now:
+            raise SimulationError(f"cannot schedule in the past (at {when}, now {self.now})")
+        t = Timer(fn, args, self)
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (when, seq, t))
+        return t
+
     def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
         """Run ``fn(*args)`` at the current instant, after every event
         already scheduled for it."""
@@ -331,7 +342,7 @@ class Simulator:
     def _abandon_cpu_job(self, proc: SimProcess) -> None:
         """Cancel ``proc``'s outstanding compute or poll, if any.
 
-        A process killed (or thrown into) mid-``Compute``/``Poll`` leaves
+        A process killed (or thrown into) mid-``Compute``/``ComputeRows``/``Poll`` leaves
         a live job on its node's CPU; without cancellation that job completes
         later, clobbers the terminal state back to BLOCKED and resumes a
         closed generator — firing ``done_signal`` a second time.
@@ -409,6 +420,15 @@ class Simulator:
         elif isinstance(request, Sleep):
             proc.state = ProcState.BLOCKED
             self.schedule(request.duration, self._wake, proc, None)
+        elif isinstance(request, ComputeRows):
+            if proc.node is None:
+                raise SimulationError(
+                    f"process {proc.name} is not attached to a node but asked to compute"
+                )
+            proc.state = ProcState.READY
+            proc.cpu_job = proc.node.cpu.submit_rows(
+                proc, request.works, self._resume_rows, proc
+            )
         elif isinstance(request, Poll):
             if proc.node is None:
                 raise SimulationError(
@@ -456,6 +476,15 @@ class Simulator:
         proc.cpu_job = None
         self._resume(proc, None)
 
+    def _resume_rows(self, proc: SimProcess, rows) -> None:
+        """ComputeRows-completion callback: resume with the row
+        boundaries, the last one read now, as a process reading its
+        clocks after its last row would read it."""
+        proc.cpu_job = None
+        rows.stamps[-1] = self.now
+        rows.clocks[-1] = proc.cpu_time
+        self._resume(proc, (rows.stamps, rows.clocks))
+
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -474,15 +503,21 @@ class Simulator:
         heap = self._heap      # mutated only in place (see compaction)
         heappop = heapq.heappop
         while heap and not self._stopped:
-            t = heap[0][0]
+            t, _, timer = heap[0]
+            if timer.cancelled:
+                # a tombstone is discarded before the ``until`` test, so
+                # a queue of nothing but tombstones past ``until`` ends
+                # the run like an empty one whether or not compaction
+                # has already dropped them
+                heappop(heap)
+                timer.sim = None
+                self._heap_cancels -= 1
+                continue
             if t > until:
                 self.now = until
                 return until
-            timer = heappop(heap)[2]
+            heappop(heap)
             timer.sim = None
-            if timer.cancelled:
-                self._heap_cancels -= 1
-                continue
             self.now = t
             self.n_events += 1
             if self.n_events > max_events:

@@ -4,12 +4,15 @@ A simulated process is a Python generator.  It interacts with the
 kernel by yielding one of the request objects below; the kernel
 performs the request and resumes the generator with the result (if
 any).  Higher layers (the MPI library, the Dyn-MPI runtime) are built
-from these six primitives:
+from these seven primitives:
 
 * :class:`Compute` — consume CPU work units on the owning node.  The
   time this takes depends on the node's speed *and* on competing
   processes sharing the CPU — this is the essence of the non dedicated
   cluster model.
+* :class:`ComputeRows` — consume a sequence of per-row work amounts
+  back to back, timing every row: the whole chain is one scheduler
+  job, not one :class:`Compute` per row.
 * :class:`Poll` — busy-wait on the CPU, in fixed-size steps, until a
   signal fires: the whole wait is one scheduler job, not one
   :class:`Compute` per step.
@@ -26,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Signal, SimProcess
 
-__all__ = ["Compute", "Poll", "Sleep", "Wait", "WaitAny", "Fork", "Syscall"]
+__all__ = ["Compute", "ComputeRows", "Poll", "Sleep", "Wait", "WaitAny", "Fork", "Syscall"]
 
 
 class Syscall:
@@ -47,6 +52,32 @@ class Compute(Syscall):
     def __post_init__(self) -> None:
         if self.work < 0:
             raise ValueError(f"negative work: {self.work}")
+
+
+@dataclass(frozen=True)
+class ComputeRows(Syscall):
+    """Consume ``works[0]``, ``works[1]``, ... work units one row after
+    another; resume with ``(stamps, clocks)``: the simulated time and
+    the caller's ``cpu_time`` at each of the ``len(works) + 1`` row
+    boundaries (the first read at the yield, the last at the resume).
+
+    Semantically a chain of one-row :class:`Compute` requests issued
+    back to back, reading the wallclock and the caller's CPU clock at
+    every boundary — same CPU contention, same quantum continuation,
+    same boundary times and CPU accounting — but the node's CPU runs
+    it as a single job (:meth:`~repro.simcluster.cpu.RoundRobinCPU.
+    submit_rows`), so alone on its CPU the chain costs O(1) events
+    however many rows it has.
+    """
+
+    works: Sequence[float]
+
+    def __post_init__(self) -> None:
+        works = np.asarray(self.works, dtype=float)
+        if works.ndim != 1 or works.size == 0:
+            raise ValueError("compute rows needs a non-empty 1-d sequence of work")
+        if (works < 0).any():
+            raise ValueError(f"negative work: {works.min()}")
 
 
 @dataclass(frozen=True)

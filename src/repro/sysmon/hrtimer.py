@@ -31,16 +31,22 @@ CALL_OVERHEAD = 2e-7
 class HrTimer:
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.n_reads = 0
 
     def read(self) -> float:
-        self.n_reads += 1
         return self.sim.now
 
     def interval(self, t0: float, t1: float) -> float:
         if t1 < t0:
             raise SimulationError("hrtimer interval ran backwards")
         return (t1 - t0) + CALL_OVERHEAD
+
+    def intervals(self, stamps: Sequence[float]) -> np.ndarray:
+        """:meth:`interval` between each pair of consecutive reads
+        ``stamps`` (elementwise the same floats)."""
+        gaps = np.diff(np.asarray(stamps, dtype=float))
+        if (gaps < 0).any():
+            raise SimulationError("hrtimer interval ran backwards")
+        return gaps + CALL_OVERHEAD
 
 
 def min_filter(samples: Sequence[Sequence[float]]) -> np.ndarray:

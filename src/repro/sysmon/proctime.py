@@ -14,6 +14,9 @@ both the virtue and the flaw.
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 from ..errors import SimulationError
 from ..simcluster.kernel import SimProcess
@@ -32,6 +35,13 @@ class ProcClock:
         """CPU seconds consumed, rounded down to the granularity."""
         ticks = math.floor(self.proc.cpu_time / self.granularity + 1e-12)
         return ticks * self.granularity
+
+    def deltas(self, cpu_times: Sequence[float]) -> np.ndarray:
+        """What consecutive :meth:`read` calls would have returned apart,
+        had the process's ``cpu_time`` been ``cpu_times`` at them
+        (elementwise the same floats)."""
+        ticks = np.floor(np.asarray(cpu_times, dtype=float) / self.granularity + 1e-12)
+        return np.diff(ticks * self.granularity)
 
     def read_exact(self) -> float:
         """The unquantized counter (not available on a real system;

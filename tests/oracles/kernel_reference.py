@@ -42,6 +42,15 @@ class ReferenceSimulator(Simulator):
     def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
         return self.schedule(0.0, fn, *args)
 
+    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Timer:
+        # the absolute-time twin of schedule (added with the API, same shape)
+        if when < self.now:
+            raise SimulationError(f"cannot schedule in the past (at {when})")
+        t = Timer((lambda: fn(*args)) if args else fn, (), None)
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, t))
+        return t
+
     def run(self, until: float = float("inf"), max_events: int = 200_000_000) -> float:
         """Run until the heap drains or ``until`` is reached."""
         self._stopped = False

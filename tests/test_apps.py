@@ -68,6 +68,19 @@ def test_jacobi_matches_reference(n_nodes):
         assert np.allclose(out["grid"], expected, atol=1e-12)
 
 
+def test_jacobi_initial_rows_are_the_initial_grids_rows():
+    """Each rank builds only its own rows of the initial condition: any
+    span of them is bitwise the same span of the whole grid."""
+    rng = np.random.default_rng(0)
+    for n, seed in ((1, 0), (7, 3), (64, 7), (129, 11)):
+        cfg = JacobiConfig(n=n, seed=seed)
+        grid = jacobi_mod.initial_grid(cfg)
+        for _ in range(20):
+            lo, hi = sorted(int(r) for r in rng.integers(0, n, size=2))
+            rows = jacobi_mod.initial_rows(cfg, lo, hi)
+            assert rows.tobytes() == grid[lo:hi + 1].tobytes(), (n, lo, hi)
+
+
 def test_jacobi_correct_across_redistribution():
     cfg = JacobiConfig(n=32, iters=30, materialized=True, collect=True)
     res = run_program(
@@ -292,3 +305,48 @@ def test_particle_and_cg_do_not_walk_their_rows(monkeypatch):
         seen.append(dict(entries))
     small, large = seen
     assert small == large == {"particle_block_flows": 2 * 10, "cg_block_csr": 2}
+
+
+def test_grace_rows_do_not_cost_events_per_row(monkeypatch):
+    """A grace-period ``compute()`` times its rows one by one as a
+    single CPU job: on an idle node it costs O(1) kernel events however
+    many rows it has (4x the rows gave 4x the events when every row was
+    its own ``Compute``, two per row), on a loaded node at most about
+    one per row (three, before)."""
+    from repro.config import pentium_cluster
+    from repro.core.runtime import DynMPI
+    from repro.simcluster import single_competitor
+
+    calls = []  # (node loaded?, rows, events) per grace-period compute()
+    compute = DynMPI.compute
+
+    def own_events(ctx):
+        # every kernel event but the load daemon's samples (one each)
+        return ctx.job.cluster.sim.n_events - len(ctx.job.ps.history(ctx.node_id))
+
+    def counted(self, phase_id, work_of_rows, *args, **kwargs):
+        node = self.job.cluster.nodes[self.node_id]
+        mode, loaded, before = self.mode, node.n_competing > 0, own_events(self)
+        s, e = self.my_bounds()
+        yield from compute(self, phase_id, work_of_rows, *args, **kwargs)
+        if mode == "grace":
+            calls.append((loaded, e - s + 1, own_events(self) - before))
+
+    monkeypatch.setattr(DynMPI, "compute", counted)
+    spec = RuntimeSpec(grace_period=3, post_redist_period=3,
+                       allow_removal=False, daemon_interval=0.01)
+    idle = {}
+    for n in (64, 256):
+        calls.clear()
+        # one node, so every other event during a call is the call's
+        # own; the competitor leaving at cycle 10 restarts the grace
+        # period on a node that is idle again
+        run_program(Cluster(pentium_cluster(1)), jacobi_program,
+                    JacobiConfig(n=n, iters=40), spec=spec, adaptive=True,
+                    load_script=single_competitor(0, start_cycle=3, stop_cycle=10))
+        assert {loaded for loaded, _, _ in calls} == {True, False}
+        for loaded, rows, events in calls:
+            if loaded:
+                assert events < 1.1 * rows, calls
+        idle[n] = max(events for loaded, _, events in calls if not loaded)
+    assert idle[256] < 1.5 * idle[64], idle

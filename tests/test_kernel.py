@@ -230,6 +230,32 @@ def test_run_until_stops_early():
     assert fired == []
 
 
+@pytest.mark.parametrize("n_dead", [64, 65])
+def test_run_until_ignores_tombstones_whether_or_not_compacted(n_dead):
+    """One live event at t=1 and ``n_dead`` cancelled timers at t=10:
+    past the compaction floor (65) the tombstones are gone before the
+    run, below it (64) they are still queued — ``run(until=5)`` must not
+    tell the two apart.  It used to return 5.0 for 64 and 1.0 for 65."""
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    for _ in range(n_dead):
+        sim.schedule(10.0, lambda: None).cancel()
+    assert len(sim._heap) == (1 + n_dead if n_dead == 64 else 1)
+    assert sim.run(until=5.0) == 1.0
+    assert sim.now == 1.0 and not sim._heap and sim._heap_cancels == 0
+
+
+def test_schedule_at_fires_at_the_exact_instant():
+    sim = Simulator()
+    when = 0.1 + 0.2
+    seen = []
+    sim.schedule(0.1, lambda: sim.schedule_at(when, lambda: seen.append(sim.now)))
+    sim.run()
+    assert seen == [when]
+    with pytest.raises(SimulationError):
+        sim.schedule_at(when - 1e-3, lambda: None)
+
+
 def test_determinism_same_seed_same_trace():
     def build():
         sim = Simulator()

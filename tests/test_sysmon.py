@@ -155,6 +155,32 @@ def test_hrtimer_interval_backwards_raises():
         timer.interval(2.0, 1.0)
 
 
+def test_vectorised_reads_equal_the_scalar_ones_bit_for_bit():
+    """``HrTimer.intervals`` / ``ProcClock.deltas`` over a row chain's
+    boundaries are what ``interval`` / ``read`` gave around each row."""
+    cluster = make_cluster(1)
+    rng = np.random.default_rng(5)
+
+    class Proc:
+        cpu_time = 0.0
+
+    timer, proc = HrTimer(cluster.sim), Proc()
+    clock = ProcClock(proc, granularity=0.010)
+    for scale in (1e-5, 1e-3, 0.5):
+        stamps = np.cumsum(rng.random(500) * scale) + rng.random() * 100
+        cpus = np.cumsum(rng.random(500) * scale)
+        reads = []
+        for c in cpus:
+            proc.cpu_time = float(c)
+            reads.append(clock.read())
+        hr = [timer.interval(float(a), float(b)) for a, b in zip(stamps, stamps[1:])]
+        pr = [b - a for a, b in zip(reads, reads[1:])]
+        assert timer.intervals(list(stamps)).tobytes() == np.array(hr).tobytes()
+        assert clock.deltas(list(cpus)).tobytes() == np.array(pr).tobytes()
+    with pytest.raises(SimulationError):
+        timer.intervals([2.0, 1.0])
+
+
 def test_min_filter_removes_spikes():
     samples = [
         [1.0, 1.1, 5.0],   # cycle 0: iteration 2 hit a context switch
