@@ -30,7 +30,8 @@ exit   meaning
 0      clean — no findings (for ``perturb``: expectation met)
 1      findings remain / violations found / expectation not met
 2      usage error (unknown command or option, unreadable input,
-       malformed spec) or a blown ``--max-seconds`` budget
+       malformed spec) or a blown ``--max-seconds`` budget: one
+       ``analysis: ...`` line on stderr (:mod:`repro.cli`)
 =====  =============================================================
 
 ``plan`` statically verifies a redistribution plan from a JSON spec::
@@ -61,6 +62,9 @@ import pathlib
 import sys
 import time
 from typing import Any
+
+from ..cli import ArgumentParser, cli_entry
+from ..errors import ConfigError, PlanCheckError, ReproError
 
 
 def _bounds(raw: list) -> tuple:
@@ -95,23 +99,14 @@ def _load_plan_spec(spec: dict[str, Any]):
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from ..errors import PlanCheckError
     from .plancheck import build_plan, verify_plan
 
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        print(f"plan: cannot read {args.spec}: {exc.strerror}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"plan: {args.spec} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        old_bounds, new_bounds, phases, arrays, plan = _load_plan_spec(spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"plan: malformed spec {args.spec}: {exc!r}", file=sys.stderr)
-        return 2
+    with open(args.spec, encoding="utf-8") as fh:
+        try:  # JSONDecodeError is a ValueError
+            old_bounds, new_bounds, phases, arrays, plan = \
+                _load_plan_spec(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed spec {args.spec}: {exc!r}") from None
     derived = plan is None
     try:
         if plan is None:
@@ -163,12 +158,7 @@ def analyze(paths) -> list:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    try:
-        findings = analyze(args.paths)
-    except OSError as exc:
-        print(f"check: cannot read {exc.filename}: {exc.strerror}",
-              file=sys.stderr)
-        return 2
+    findings = analyze(args.paths)
     elapsed = time.monotonic() - t0
 
     if args.json:
@@ -186,29 +176,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"check: clean [{elapsed:.2f}s]")
 
     if args.max_seconds is not None and elapsed > args.max_seconds:
-        print(f"check: analysis took {elapsed:.1f}s, over the "
-              f"--max-seconds {args.max_seconds:g} budget", file=sys.stderr)
-        return 2
+        raise ReproError(f"check took {elapsed:.1f}s, over the "
+                         f"--max-seconds {args.max_seconds:g} budget")
     return 1 if findings else 0
+
+
+def _seeds(text: str) -> list:
+    """The ``--seeds`` type: one or more comma-separated integers."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
+    return seeds
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
     from .perturb import run_perturbed
 
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError:
-        print(f"perturb: --seeds must be comma-separated integers, "
-              f"got {args.seeds!r}", file=sys.stderr)
-        return 2
-    if not seeds:
-        print("perturb: --seeds is empty", file=sys.stderr)
-        return 2
-    try:
-        report = run_perturbed(args.target, seeds)
-    except Exception as exc:
-        print(f"perturb: internal error: {exc!r}", file=sys.stderr)
-        return 2
+    report = run_perturbed(args.target, args.seeds)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -217,8 +205,9 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     return 0 if met else 1
 
 
+@cli_entry("analysis")
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro.analysis",
         description="dynsan: Dyn-MPI correctness analysis",
     )
@@ -246,7 +235,7 @@ def main(argv=None) -> int:
     p_pert.add_argument("--target", default="removal",
                         help="'removal' (canonical scenario) or a path to a "
                              "Python file defining run_traced() -> str")
-    p_pert.add_argument("--seeds", default="1,2,3",
+    p_pert.add_argument("--seeds", type=_seeds, default="1,2,3",
                         help="comma-separated DYNMPI_PERTURB seeds")
     p_pert.add_argument("--expect-diff", action="store_true",
                         help="invert the expectation: exit 0 only if some "

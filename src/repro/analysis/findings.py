@@ -8,7 +8,7 @@ message.  The codes themselves are declared in
 Suppression: ``# dyn: ok(DYN801) reason`` on the line the finding
 anchors to — or on a comment-only line directly above it, for
 multi-line expressions with no room for a trailing comment — waives
-that code there (list several as ``ok(DYN301,DYN801)``).  Naming the
+that code there (list several as ``ok(DYN401,DYN801)``).  Naming the
 code keeps a waiver from silently swallowing a different finding that
 later lands on the same line.
 """

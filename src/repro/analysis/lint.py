@@ -7,8 +7,8 @@ know that :mod:`repro.simcluster` and :mod:`repro.core` must stay
 bit-for-bit deterministic (wallclock or unseeded randomness there
 breaks reproducibility and the redistribution lockstep).  These checks
 are encoded here as one visitor over the parsed tree, :class:`_Linter`:
-DYN001/002 (undriven generator calls), DYN101, DYN201, DYN301, DYN401,
-DYN601, DYN801, DYN901, DYN1101.
+DYN001/002 (undriven generator calls), DYN101, DYN401, DYN601, DYN801,
+DYN901, DYN1101.
 
 What each code means, and the zone it applies in, is one row of the
 rule registry (:mod:`repro.analysis.rules`; long-form rationale in
@@ -42,10 +42,6 @@ GENERATOR_FUNCS = frozenset({
     "allgather", "allgather_dissemination", "neighbor_alltoallv",
     "redistribute",
 })
-
-#: Simulator methods that constitute fault injection (DYN301; the
-#: resilience package is the zone's sanctioned home)
-_FAULT_METHODS = frozenset({"kill", "inject"})
 
 #: top-level modules whose import constitutes process-level parallelism
 #: (``concurrent`` covers ``concurrent.futures``) — DYN801; the
@@ -83,10 +79,6 @@ _BANNED_CALLS = frozenset({
 #: numpy.random attributes that are fine with an explicit seed argument
 _NP_RANDOM_ALLOWED = frozenset({"default_rng", "SeedSequence", "Generator",
                                 "PCG64", "Philox", "BitGenerator"})
-
-_MUTABLE_CTORS = frozenset({"list", "dict", "set", "bytearray"})
-_NP_ARRAY_CTORS = frozenset({"zeros", "ones", "empty", "full", "array",
-                             "arange", "eye"})
 
 
 def _dotted_name(node: ast.AST) -> Optional[str]:
@@ -258,7 +250,7 @@ class _Linter(ast.NodeVisitor):
         self._check_row_comprehension(node)
         self.generic_visit(node)
 
-    # -- DYN101 / DYN301 / DYN401 / DYN601: calls -----------------------
+    # -- DYN101 / DYN401 / DYN601: calls --------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         if "DYN601" in self.active:
             if isinstance(node.func, ast.Name) and node.func.id == "print":
@@ -288,14 +280,6 @@ class _Linter(ast.NodeVisitor):
                        f"path; use IntervalSet.span "
                        f"(repro.core.intervals) — O(1), not O(rows)")
         self._check_farm_call(node)
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _FAULT_METHODS:
-            base = _dotted_name(func.value)
-            self._emit(node, "DYN301",
-                       f"bare `{base or '<expr>'}.{func.attr}(...)` "
-                       f"injects a fault behind the FailureBoard's back; "
-                       f"use a FailureScript (repro.resilience) so the "
-                       f"runtime's crash accounting sees it")
         if "DYN101" in self.active:
             dotted = self._resolve(_dotted_name(node.func))
             if dotted is not None:
@@ -353,46 +337,6 @@ class _Linter(ast.NodeVisitor):
                            f"conversation — use repro.farm (TAG_* "
                            f"constants) or a tag outside the band")
                 return
-
-    # -- DYN201: mutable dataclass defaults -----------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._is_dataclass(node):
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    reason = self._mutable_default(stmt.value)
-                    if reason is not None:
-                        self._emit(stmt, "DYN201",
-                                   f"dataclass field default is a mutable "
-                                   f"{reason} shared by every instance; use "
-                                   f"`field(default_factory=...)`")
-        self.generic_visit(node)
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            dotted = _dotted_name(target)
-            if dotted in ("dataclass", "dataclasses.dataclass"):
-                return True
-        return False
-
-    @staticmethod
-    def _mutable_default(value: ast.AST) -> Optional[str]:
-        if isinstance(value, (ast.List, ast.Set)):
-            return "literal list/set"
-        if isinstance(value, ast.Dict):
-            return "literal dict"
-        if isinstance(value, ast.Call):
-            dotted = _dotted_name(value.func)
-            if dotted in _MUTABLE_CTORS:
-                return f"{dotted}()"
-            if dotted is not None and "." in dotted:
-                head, _, attr = dotted.rpartition(".")
-                if attr in _NP_ARRAY_CTORS and head.split(".")[-1] in (
-                    "np", "numpy"
-                ):
-                    return f"{dotted}() array"
-        return None
 
 
 def lint_source(source: str, path: str = "<string>") -> list[Finding]:

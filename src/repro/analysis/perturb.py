@@ -29,6 +29,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from ..errors import ConfigError
+
 __all__ = ["PerturbReport", "SeedRun", "capture_trace", "run_perturbed"]
 
 
@@ -114,11 +116,11 @@ def _load_target(path: str):
 
     spec = importlib.util.spec_from_file_location("_perturb_target", path)
     if spec is None or spec.loader is None:
-        raise ValueError(f"cannot load perturbation target {path!r}")
+        raise ConfigError(f"cannot load perturbation target {path!r}")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     if not callable(getattr(mod, "run_traced", None)):
-        raise ValueError(
+        raise ConfigError(
             f"perturbation target {path!r} must define run_traced() -> str"
         )
     return mod

@@ -15,7 +15,8 @@ guards and why no test fails when it is violated.  A rule with
 neither — one whose invariant something that *runs* already enforces
 (the perturbation harness, the e2e ledger, the runtime sanitizer) — is
 retired, as the static race, hot-path cost and whole-program flow
-families were.
+families and the DYN201 / DYN301 fences were (``docs/ANALYSIS.md``
+section 4 has the trials).
 
 A rule applies only inside its *zone* — a set of files picked out by
 path components — and several zones exempt a sanctioned *home* (the
@@ -74,19 +75,16 @@ _ZONES = (
     Zone("everywhere"),
     # DYN101: wallclock/randomness is banned where bit-exactness lives
     Zone("deterministic", require_parts=("simcluster", "core")),
-    # DYN301: library code must route faults through the FailureBoard;
-    # the resilience package is the sanctioned home
-    Zone("fault", require_parts=("repro",), forbid_parts=("resilience",)),
     # DYN401: per-row membership loops on the data-plane hot paths
     # (the set-based oracle, tests/oracles/row_sets.py, is outside it)
     Zone("row_membership", require_parts=("core", "resilience")),
     # DYN601: ad-hoc instrumentation outside the sanctioned homes
-    # (sysmon/obs); CLI entry points and report formatters exist to
-    # print, and the analysis driver's --max-seconds budget is
-    # wall-clock by definition
+    # (sysmon/obs); CLI entry points, their shared contract (cli.py)
+    # and report formatters exist to print, and the analysis driver's
+    # --max-seconds budget is wall-clock by definition
     Zone("instrumentation", require_parts=("repro",),
          forbid_parts=("sysmon", "obs"),
-         exempt_files=("__main__.py", "report.py")),
+         exempt_files=("__main__.py", "cli.py", "report.py")),
     # DYN801: process-level parallelism belongs to the campaign layer
     Zone("process", require_parts=("repro",), forbid_parts=("campaign",)),
     # DYN901: the event queue's invariants belong to the kernel and
@@ -134,41 +132,40 @@ _RULES = (
          "fence: bit-exactness of simcluster/ and core/ — a wallclock "
          "read passes every single-run test and only moves digests "
          "between runs, on whichever workload reaches it"),
-    Rule("DYN201", "everywhere",
-         "mutable default on a dataclass field",
-         "fence: the spec dataclasses — a shared default leaks state "
-         "between instances, i.e. between tests in one process, not "
-         "inside any one of them"),
-    Rule("DYN301", "fault",
-         "bare Simulator.kill/inject outside repro.resilience",
-         "fence: FailureBoard crash accounting (repro.resilience) — a "
-         "bare kill works in the simulator; the runtime just never "
-         "learns the rank died"),
     Rule("DYN401", "row_membership",
          "per-row row-membership construction on a data-plane hot path",
          "fence: the IntervalSet data plane (core/, resilience/) — a "
          "per-row set gives the same answer in O(rows), so every "
          "equality test passes; the tier-1 scaling guards count two "
-         "call sites, the rule covers the rest"),
+         "call sites, the rule covers the rest (on trial: a filtered "
+         "row comprehension in the checkpoint snapshot passes tier-1, "
+         "plain and sanitized)"),
     Rule("DYN601", "instrumentation",
          "ad-hoc instrumentation (wallclock read or print) in library code",
          "fence: repro.obs / repro.sysmon as the only instrumentation "
-         "homes — a stray print or timer changes no result"),
+         "homes — a stray print or timer changes no result (on trial: "
+         "a print in DynMPI._apply and a perf_counter read in Jacobi's "
+         "exec_rows each pass tier-1, plain and sanitized)"),
     Rule("DYN801", "process",
          "process-level parallelism outside repro.campaign",
          "fence: the single-process simulator — a pool in library code "
          "computes the same values until it meets the campaign's own "
-         "spawn workers"),
+         "spawn workers (on trial: run_perturbed on a multiprocessing "
+         "pool passes tier-1, plain and sanitized)"),
     Rule("DYN901", "kernel",
          "event-queue manipulation outside simcluster/kernel.py",
          "fence: the kernel heap's (time, seq) order and tombstone "
          "count — an out-of-band push corrupts the count silently and "
-         "compaction misfires only past its 64-entry floor"),
+         "compaction misfires only past its 64-entry floor (on trial: "
+         "Network._inject pushing its delivery onto sim._heap by hand "
+         "passes tier-1, plain and sanitized)"),
     Rule("DYN1101", "farm",
          "farm wire-protocol access outside repro.farm / repro.mpi.rma",
          "fence: the farm tag band [210, 220) and RMA window registry — "
          "a colliding raw tag misroutes only when a farm shares the "
-         "communicator, which no app test sets up"),
+         "communicator, which no app test sets up (on trial: the "
+         "particle flow exchange on raw tags 211/212 passes tier-1, "
+         "plain and sanitized)"),
 )
 
 RULES: dict[str, Rule] = {r.code: r for r in _RULES}

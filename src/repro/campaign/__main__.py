@@ -13,17 +13,16 @@ Commands
             scenarios
 
 Exit codes: 0 = success / all invariants clean; 1 = findings
-(quarantined combos, fuzz failures); 2 = usage or campaign-spec error.
+(quarantined combos, fuzz failures); 2 = usage or campaign-spec error,
+reported as one ``campaign: ...`` line on stderr (:mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
-import argparse
 import pathlib
-import sys
 from typing import Optional
 
-from ..errors import ConfigError
+from ..cli import ArgumentParser, cli_entry
 from .engine import Engine, default_workers
 from .fuzz import run_fuzz, run_replay
 from .report import render_status, render_summary
@@ -96,17 +95,9 @@ def cmd_report(args) -> int:
 
 def cmd_fuzz(args) -> int:
     if args.replay is not None:
-        try:
-            report = run_replay(
-                args.replay, workers=args.workers or default_workers()
-            )
-        except OSError as exc:
-            print(f"error: cannot read corpus {args.replay}: "
-                  f"{exc.strerror}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: malformed corpus: {exc}", file=sys.stderr)
-            return 2
+        report = run_replay(
+            args.replay, workers=args.workers or default_workers()
+        )
         drifted = sum(1 for r in report.rows if r.get("drifted"))
         print(f"replay: {args.replay} ({report.n_scenarios} row(s)"
               + (f", {drifted} drifted" if drifted else "") + ")")
@@ -123,7 +114,7 @@ def cmd_fuzz(args) -> int:
     return 0 if report.clean else 1
 
 
-def _add_exec_args(p: argparse.ArgumentParser) -> None:
+def _add_exec_args(p: ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None,
                    help="pool size (default: one per host CPU, capped)")
     p.add_argument("--max-combos", type=int, default=None,
@@ -137,8 +128,8 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
                    help="suppress per-pass progress lines")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="python -m repro.campaign",
         description="dyncamp: parallel, resumable scenario campaigns",
     )
@@ -189,13 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cli_entry("campaign")
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.fn(args)
 
 
 if __name__ == "__main__":

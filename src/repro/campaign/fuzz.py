@@ -39,6 +39,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..errors import ConfigError
 from .runner import run_combo
 from .scenarios import build_scenario, resolve_params
 from .space import combo_slug
@@ -251,22 +252,26 @@ def replay_one(row: dict) -> dict:
 
 
 def load_corpus(path) -> list:
-    """Parse a ``failures.jsonl`` corpus.  Raises ValueError for rows
-    missing the replay keys (the CLI maps that to exit 2)."""
+    """Parse a ``failures.jsonl`` corpus.  Raises ConfigError for a
+    line that is not JSON or lacks the replay keys, and for an empty
+    corpus."""
     rows = []
     text = pathlib.Path(path).read_text(encoding="utf-8")
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        row = json.loads(line)
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{n}: {exc}") from None
         missing = {"seed", "index", "params"} - set(row)
         if missing:
-            raise ValueError(
+            raise ConfigError(
                 f"{path}:{n}: corpus row missing {sorted(missing)}"
             )
         rows.append(row)
     if not rows:
-        raise ValueError(f"{path}: empty corpus")
+        raise ConfigError(f"{path}: empty corpus")
     return rows
 
 

@@ -7,7 +7,8 @@ Usage::
     python -m repro.experiments all --scale 0.25
 
 Prints the same tables the benches write to ``benchmarks/results/``.
-Exit 0, or 2 on bad input (one ``experiments: ...`` line on stderr).
+Exit 0, or 2 on bad input: one ``experiments: ...`` line on stderr
+(:mod:`repro.cli`).
 """
 
 from __future__ import annotations
@@ -32,17 +33,15 @@ from . import (
     run_memalloc,
     run_monitor_ablation,
 )
-from ..errors import ConfigError
+from ..cli import ArgumentParser, cli_entry
 from .figure4 import APP_NAMES
 from .harness import bench_scale, parse_scale
 
 
 def _scale(text: str) -> float:
-    """The ``--scale`` type: the variable's own validation."""
-    try:
-        return parse_scale(text, "value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """The ``--scale`` type: the variable's own validation, whose
+    ConfigError argparse passes through."""
+    return parse_scale(text, "--scale")
 
 
 def _apps(text: str) -> tuple:
@@ -99,11 +98,11 @@ FIGURES = {
 }
 
 
+@cli_entry("experiments")
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the Dyn-MPI paper's figures.",
-        exit_on_error=False,
     )
     parser.add_argument("figure", choices=list(FIGURES) + ["all"])
     parser.add_argument("--scale", type=_scale, default=None,
@@ -118,24 +117,15 @@ def main(argv=None) -> int:
                         help="fig6 only: SOR iterations per run")
     parser.add_argument("--narrative", action="store_true",
                         help="fig4 only: also print the 4-node CG walkthrough")
-    try:
-        args = parser.parse_args(argv)
-        if args.scale is None:
-            args.scale = bench_scale()
-    except (argparse.ArgumentError, ValueError) as exc:
-        print(f"experiments: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.figure == "all":
-            for name, fn in FIGURES.items():
-                print(f"\n=== {name} ===")
-                fn(args)
-        else:
-            FIGURES[args.figure](args)
-    except ConfigError as exc:  # e.g. a negative --seed
-        print(f"experiments: {exc}", file=sys.stderr)
-        return 2
+    args = parser.parse_args(argv)
+    if args.scale is None:
+        args.scale = bench_scale()
+    if args.figure == "all":
+        for name, fn in FIGURES.items():
+            print(f"\n=== {name} ===")
+            fn(args)
+    else:
+        FIGURES[args.figure](args)
     return 0
 
 

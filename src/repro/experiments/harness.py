@@ -17,6 +17,7 @@ import numpy as np
 
 from ..apps import AppResult, run_program
 from ..config import ClusterSpec, RuntimeSpec
+from ..errors import ConfigError
 from ..simcluster import Cluster, LoadScript
 
 __all__ = [
@@ -32,13 +33,13 @@ __all__ = [
 
 def parse_scale(raw: str, source: str = "DYNMPI_BENCH_SCALE") -> float:
     """A scale given as text — the environment variable or the
-    ``--scale`` flag, named by ``source`` — or ``ValueError``."""
+    ``--scale`` flag, named by ``source`` — or ``ConfigError``."""
     try:
         value = float(raw)
     except ValueError:
         value = float("nan")  # fails the range check below
     if not (0.0 < value <= 1.0):
-        raise ValueError(f"{source} must be a number in (0, 1], got {raw!r}")
+        raise ConfigError(f"{source} must be a number in (0, 1], got {raw!r}")
     return value
 
 

@@ -6,7 +6,7 @@ Event JSON by default, ``--format jsonl`` for the flat log).
 Deterministic: identical invocations produce byte-identical traces
 (``tests/test_farm_cli.py`` exports twice and compares).  Exit 0 when
 every job completed with the reference digest, 1 on a mismatch, 2 on
-bad input (one ``farm: ...`` line on stderr).
+bad input: one ``farm: ...`` line on stderr (:mod:`repro.cli`).
 
 Examples::
 
@@ -21,6 +21,9 @@ import argparse
 import contextlib
 import sys
 
+from ..cli import ArgumentParser, cli_entry
+from ..errors import ConfigError
+
 
 def _parse_crash(text: str):
     """``<node>@<cycle>`` -> a kill CycleFault (the ``--crash`` type)."""
@@ -34,11 +37,11 @@ def _parse_crash(text: str):
             f"expected NODE@CYCLE (two integers), got {text!r}") from None
 
 
+@cli_entry("farm")
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro.farm",
         description="run one elastic task-farm scenario on the simulator",
-        exit_on_error=False,
     )
     parser.add_argument("--policy", default="self",
                         help="loop-scheduling policy (default: self)")
@@ -64,49 +67,38 @@ def main(argv=None) -> int:
                         help="record a dynscope trace and write it to FILE")
     parser.add_argument("--format", choices=("chrome", "jsonl"),
                         default="chrome", help="trace format (default: chrome)")
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
-        print(f"farm: {exc}", file=sys.stderr)
-        return 2
+    args = parser.parse_args(argv)
     for fault in args.crash:
         if not 0 <= fault.node < args.nodes:
-            print(f"farm: --crash names node {fault.node}, the cluster has "
-                  f"nodes 0..{args.nodes - 1}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"--crash names node {fault.node}, the cluster "
+                              f"has nodes 0..{args.nodes - 1}")
 
     from ..config import ClusterSpec
-    from ..errors import ConfigError
     from ..obs.export import write_trace
     from ..resilience import FailureScript
     from ..simcluster import Cluster
     from .jobs import farm_digest, reference_results
     from .runtime import FarmSpec, run_farm
 
-    try:
-        spec = FarmSpec(
-            n_jobs=args.jobs, policy=args.policy, chunk=args.chunk,
-            skew=args.skew, seed=args.seed,
-        )
-        cluster = Cluster(ClusterSpec(
-            n_nodes=args.nodes,
-            seed=args.seed,
-            name=f"farm-{args.policy}",
-            sanitize=True if args.sanitize else None,
-            observe=True if args.trace else None,
-            perturb=args.perturb or None,
-        ))
-        failure = (FailureScript(cycle_faults=args.crash)
-                   if args.crash else None)
-        # opened before the run: an unwritable path costs no simulation
-        with (open(args.trace, "w", encoding="utf-8") if args.trace
-              else contextlib.nullcontext()) as trace_out:
-            result = run_farm(cluster, spec, failure_script=failure)
-            if trace_out is not None:
-                n_events = write_trace(cluster.obs, trace_out, args.format)
-    except (ConfigError, OSError) as exc:
-        print(f"farm: {exc}", file=sys.stderr)
-        return 2
+    spec = FarmSpec(
+        n_jobs=args.jobs, policy=args.policy, chunk=args.chunk,
+        skew=args.skew, seed=args.seed,
+    )
+    cluster = Cluster(ClusterSpec(
+        n_nodes=args.nodes,
+        seed=args.seed,
+        name=f"farm-{args.policy}",
+        sanitize=True if args.sanitize else None,
+        observe=True if args.trace else None,
+        perturb=args.perturb or None,
+    ))
+    failure = FailureScript(cycle_faults=args.crash) if args.crash else None
+    # opened before the run: an unwritable path costs no simulation
+    with (open(args.trace, "w", encoding="utf-8") if args.trace
+          else contextlib.nullcontext()) as trace_out:
+        result = run_farm(cluster, spec, failure_script=failure)
+        if trace_out is not None:
+            n_events = write_trace(cluster.obs, trace_out, args.format)
 
     expected = farm_digest(reference_results(args.jobs, args.seed))
     ok = result.digest == expected and result.jobs_done == args.jobs

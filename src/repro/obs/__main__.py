@@ -15,61 +15,43 @@ diff       compare two trace files, report per-phase deltas —
 validate   run the Chrome-trace schema validator on a file; exit 1
            on any violation
 =========  ========================================================
+
+Bad input (a bad flag value, an unwritable ``--out``, a file that is
+not a trace) exits 2 with one ``obs: ...`` line on stderr
+(:mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import sys
 
-
-def _fail(exc) -> int:
-    print(f"obs: {exc}", file=sys.stderr)
-    return 2
+from ..cli import ArgumentParser, cli_entry
 
 
 def _cmd_export(args) -> int:
-    from ..errors import ReproError
     from .export import write_trace
     from .scenario import RemovalScenario, run_removal
 
-    try:
-        scenario = RemovalScenario(
-            n_nodes=args.nodes, n=args.grid, iters=args.iters, seed=args.seed,
-        )
-        # opened before the run: an unwritable path costs no simulation
-        with (open(args.out, "w", encoding="utf-8") if args.out
-              else contextlib.nullcontext(sys.stdout)) as out:
-            _result, cluster = run_removal(scenario, observe=True)
-            n_events = write_trace(cluster.obs, out, args.format)
-    except (ReproError, OSError) as exc:
-        return _fail(exc)
+    scenario = RemovalScenario(
+        n_nodes=args.nodes, n=args.grid, iters=args.iters, seed=args.seed,
+    )
+    # opened before the run: an unwritable path costs no simulation
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        _result, cluster = run_removal(scenario, observe=True)
+        n_events = write_trace(cluster.obs, out, args.format)
     if args.out:
         print(f"wrote {n_events} events to {args.out}")
     return 0
 
 
-def _load(*paths):
-    """``load_trace`` of each path, or None after one ``obs: ...`` line
-    when any of them is unreadable or not a trace."""
-    from .export import load_trace
-
-    try:
-        return [load_trace(path) for path in paths]
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        _fail(exc)
-        return None
-
-
 def _cmd_summarize(args) -> int:
+    from .export import load_trace
     from .report import format_report, summarize
 
-    loaded = _load(args.trace)
-    if loaded is None:
-        return 2
-    report = summarize(*loaded[0])
+    report = summarize(*load_trace(args.trace))
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -78,12 +60,10 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from .export import load_trace
     from .report import attribute, diff_reports, format_diff
 
-    loaded = _load(args.a, args.b)
-    if loaded is None:
-        return 2
-    (_, events_a), (_, events_b) = loaded
+    (_, events_a), (_, events_b) = load_trace(args.a), load_trace(args.b)
     diff = diff_reports(attribute(events_a), attribute(events_b))
     if args.json:
         print(json.dumps(diff, indent=2, sort_keys=True))
@@ -106,8 +86,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@cli_entry("obs")
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro.obs",
         description="dynscope: trace export, cost attribution, trace diff",
     )

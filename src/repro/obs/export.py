@@ -38,6 +38,7 @@ import json
 import pathlib
 from typing import Union
 
+from ..errors import ConfigError
 from .recorder import CPU_TID, JOB_PID, NET_PID, ObsEvent, ObsRecorder
 
 __all__ = [
@@ -175,16 +176,24 @@ def load_trace(path: Union[str, pathlib.Path]) -> tuple[dict, list[dict]]:
     """Read a trace file back as ``(meta, events)`` with event times in
     simulated seconds.  Accepts both export formats: a Chrome trace
     (one JSON object with ``traceEvents``, metadata events dropped,
-    microseconds converted back) or the JSONL event log."""
+    microseconds converted back) or the JSONL event log.  A file that
+    is not a trace raises ConfigError."""
     text = pathlib.Path(path).read_text(encoding="utf-8")
+    try:
+        return _parse_trace(text)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _parse_trace(text: str) -> tuple[dict, list[dict]]:
     stripped = text.lstrip()
     if not stripped:
-        raise ValueError(f"{path}: empty trace file")
+        raise ValueError("empty trace file")
     first = json.loads(stripped.splitlines()[0])
     if isinstance(first, dict) and "traceEvents" in first:
         raw = json.loads(text)["traceEvents"]
         if not (isinstance(raw, list) and all(isinstance(d, dict) for d in raw)):
-            raise ValueError(f"{path}: 'traceEvents' must be a list of objects")
+            raise ValueError("'traceEvents' must be a list of objects")
         events = []
         for d in raw:
             if d.get("ph") == "M":
@@ -205,7 +214,7 @@ def load_trace(path: Union[str, pathlib.Path]) -> tuple[dict, list[dict]]:
             continue
         obj = json.loads(line)
         if not isinstance(obj, dict):
-            raise ValueError(f"{path}: not a trace (expected one object per line)")
+            raise ValueError("not a trace (expected one object per line)")
         if obj.get("kind") == "trace-meta":
             meta = obj
         else:

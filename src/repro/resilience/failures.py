@@ -33,9 +33,9 @@ faults applied to a cluster.  Five fault kinds are supported:
     above need no retransmission logic).
 
 All direct ``Simulator.kill``/``inject`` use in the library lives in
-this package — elsewhere in ``src/`` the dynsan lint rule DYN301 flags
-bare calls, because ad-hoc fault injection bypasses the board and the
-runtime's crash accounting.
+this package: a kill that bypasses the board and ``terminate_rank``
+leaves the runtime's crash accounting behind, which the crash-recovery
+tests catch (``tests/test_resilience.py``).
 """
 
 from __future__ import annotations

@@ -28,11 +28,6 @@ CASES = {
     "DYN002": ("x.py", "def program(ep):\n"
                        "    data = yield ep.recv(0, tag=1)\n"),
     "DYN101": ("repro/core/x.py", "import time\nt = time.time()\n"),
-    "DYN201": ("x.py", "from dataclasses import dataclass\n"
-                       "@dataclass\n"
-                       "class Bad:\n"
-                       "    xs: list = []\n"),
-    "DYN301": (LIB, "def f(sim, p):\n    sim.kill(p)\n"),
     "DYN401": ("core/x.py", "def owned(b):\n"
                             "    return set(range(b[0], b[1] + 1))\n"),
     "DYN601": (LIB, "print('chatty library')\n"),

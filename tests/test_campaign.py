@@ -450,10 +450,13 @@ def test_replay_falls_back_on_generator_drift():
 def test_replay_corpus_validation(tmp_path):
     bad = tmp_path / "failures.jsonl"
     bad.write_text(json.dumps({"seed": 1}) + "\n")
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ConfigError, match="missing"):
         load_corpus(bad)
     bad.write_text("")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ConfigError, match="empty"):
+        load_corpus(bad)
+    bad.write_text("{not json\n")
+    with pytest.raises(ConfigError, match="failures.jsonl:1"):
         load_corpus(bad)
 
 

@@ -78,7 +78,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["run", str(bad), "--dir", str(tmp_path / "c")]) == 2
     assert main(["status", "--dir", str(tmp_path / "nope")]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(ln.startswith("campaign: ") for ln in err)
 
 
 @pytest.mark.parametrize("fixed, message", [
@@ -97,7 +98,7 @@ def test_bad_shared_value_is_a_spec_error_not_a_quarantine(
     assert main(["run", str(path), "--dir", str(tmp_path / "c"),
                  "--workers", "1", "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("campaign: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "c").exists()
 

@@ -28,6 +28,7 @@ from repro.experiments import (
     steady_state_cycle_time,
 )
 from repro.config import RuntimeSpec
+from repro.errors import ConfigError
 
 
 def test_bench_scale_env(monkeypatch):
@@ -38,7 +39,7 @@ def test_bench_scale_env(monkeypatch):
     assert bench_scale() == 0.25
     assert bench_scale(0.5) == 0.25
     monkeypatch.setenv("DYNMPI_BENCH_SCALE", "2.0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         bench_scale()
 
 

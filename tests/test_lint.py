@@ -152,82 +152,6 @@ def test_zone_detected_from_path(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# DYN201: mutable dataclass defaults
-# ----------------------------------------------------------------------
-
-def test_mutable_dataclass_defaults_flagged():
-    findings = lint("""
-        from dataclasses import dataclass, field
-        import numpy as np
-
-        @dataclass
-        class Bad:
-            xs: list = []
-            table: dict = {}
-            buf = np.zeros(4)  # un-annotated: not a field, ignored
-            arr: object = np.zeros(4)
-
-        @dataclass
-        class Good:
-            xs: list = field(default_factory=list)
-            n: int = 3
-    """)
-    assert codes(findings) == ["DYN201", "DYN201", "DYN201"]
-
-
-def test_non_dataclass_defaults_ignored():
-    findings = lint("""
-        class Plain:
-            xs: list = []
-    """)
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# DYN301: ad-hoc fault injection in library code
-# ----------------------------------------------------------------------
-
-FAULTY = """
-    def excise(sim, proc):
-        sim.inject(proc, RuntimeError("zap"))
-        sim.kill(proc)
-"""
-
-
-def test_bare_kill_and_inject_flagged_in_library_zone():
-    findings = lint_source(textwrap.dedent(FAULTY), LIB)
-    assert codes(findings) == ["DYN301", "DYN301"]
-    assert "sim.inject(...)" in findings[0].message
-    assert "FailureScript" in findings[0].message
-    # outside the zone (tests, examples, benchmarks) it is fine
-    assert lint_source(textwrap.dedent(FAULTY)) == []
-
-
-def test_dyn301_suppressible():
-    findings = lint_source(textwrap.dedent("""
-        def hard_stop(sim, proc):
-            sim.kill(proc)  # dyn: ok(DYN301)
-    """), LIB)
-    assert findings == []
-
-
-def test_dyn301_zone_detected_from_path(tmp_path):
-    lib = tmp_path / "repro" / "core"
-    lib.mkdir(parents=True)
-    exempt = tmp_path / "repro" / "resilience"
-    exempt.mkdir()
-    outside = tmp_path / "tests"
-    outside.mkdir()
-    code = "def f(sim, p):\n    sim.kill(p)\n"
-    (lib / "mod.py").write_text(code)
-    (exempt / "mod.py").write_text(code)
-    (outside / "mod.py").write_text(code)
-    assert codes(lint_file(lib / "mod.py")) == ["DYN301"]
-    assert lint_file(exempt / "mod.py") == []
-    assert lint_file(outside / "mod.py") == []
-
-
-# ----------------------------------------------------------------------
 # DYN401: per-row set arithmetic on data-plane hot paths
 # ----------------------------------------------------------------------
 
@@ -353,6 +277,7 @@ def test_dyn601_zone_detected_from_path(tmp_path):
         "repro/sysmon/timers.py": False,      # instrumentation home
         "repro/analysis/__main__.py": False,  # the check budget is wallclock
         "repro/obs/__main__.py": False,       # CLI entry point
+        "repro/cli.py": False,                # the CLI contract
         "repro/experiments/report.py": False,  # report formatter
         "benchmarks/bench_fig4.py": False,    # not under repro
     }
@@ -423,7 +348,7 @@ def test_cli_missing_path_exits_two(tmp_path, capsys):
     missing = tmp_path / "nope.py"
     assert main(["check", str(missing)]) == 2
     assert capsys.readouterr().err == (
-        f"check: cannot read {missing}: No such file or directory\n"
+        f"analysis: [Errno 2] No such file or directory: '{missing}'\n"
     )
 
 
