@@ -148,11 +148,12 @@ def shares_to_blocks(
     total_w = cum[-1]
     targets = np.cumsum(shares) * total_w
 
+    # per participant, the last row index whose cumulative weight stays
+    # within its target
+    his = np.searchsorted(cum[1:], targets + 1e-9, side="right") - 1
     bounds: list = []
     lo = 0
-    for r in range(shares.size):
-        # last row index whose cumulative weight stays within the target
-        hi = int(np.searchsorted(cum[1:], targets[r] + 1e-9, side="right")) - 1
+    for hi in his.tolist():
         hi = min(max(hi, lo - 1), n_rows - 1)
         if hi < lo:
             bounds.append(None)

@@ -33,7 +33,7 @@ class LoadMonitor:
     def observe(self, loads: Sequence[int], cycle: int) -> bool:
         """Record ``loads``; True if they differ from the last
         observation (the redistribution trigger)."""
-        loads = tuple(int(v) for v in loads)
+        loads = tuple(map(int, loads))
         changed = self._last is not None and loads != self._last
         if self._last is None:
             self._last = loads
@@ -47,7 +47,7 @@ class LoadMonitor:
     def rebase(self, loads: Sequence[int]) -> None:
         """Reset the baseline (after a group change, the vector length
         changes)."""
-        self._last = tuple(int(v) for v in loads)
+        self._last = tuple(map(int, loads))
 
 
 class FailureDetector:

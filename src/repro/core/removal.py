@@ -105,5 +105,7 @@ def evaluate_drop(
 
     pred, removed, shares = best
     if pred * spec.drop_margin < measured_max:
+        # the decision is shared by every rank that acts on it
+        shares.setflags(write=False)
         return DropDecision(True, removed, pred, measured_max, keep_shares=shares)
     return DropDecision(False, removed, pred, measured_max)

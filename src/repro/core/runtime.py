@@ -36,15 +36,17 @@ pure functions of data every active rank possesses identically
 (allgathered loads, iteration times, cycle times), so ranks stay in
 lockstep without extra coordination — the same property the real
 Dyn-MPI relies on.  The planners of :mod:`.transition` turn that
-replicated ``View`` into a ``Transition``; :meth:`DynMPI._apply` is the
-only code that moves rows and, through :meth:`DynMPI._install`, the
-only code that writes the view after ``commit()``.
+replicated ``View`` into a ``Transition``, once per adaptation per job
+(:meth:`DynMPI._decide`); :meth:`DynMPI._apply` is the only code that
+moves rows and, through :meth:`DynMPI._install`, the only code that
+writes the view after ``commit()``.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -126,6 +128,10 @@ class DynMPIJob:
         #: the same for the send plan of a transition (see
         #: DynMPI._move_rows), keyed by (old ownership, needed key)
         self._plan_cache: dict = {}
+        #: the same for the adaptation decisions themselves (see
+        #: DynMPI._decide): one Transition per adaptation, which every
+        #: member installs, keyed by everything its planner reads
+        self._decisions: dict = {}
         #: the same side channel for DynMPI._check_lockstep: cycle ->
         #: (world rank, view fingerprint) of the first rank to enter it
         self._lockstep: dict = {}
@@ -216,6 +222,7 @@ class DynMPI:
         self.phases: dict[int, Phase] = {}
         self.loop_size: Optional[int] = None
         self.bounds: Optional[tuple] = None  # per active rel rank
+        self._nn: tuple = (None, None)  # nn_neighbors(), set with bounds
         self.mode = self.MODE_NORMAL
         self.cycle = -1
         self.monitor = LoadMonitor()
@@ -335,8 +342,12 @@ class DynMPI:
                         f"array {acc.array!r} has {arr.n_rows} rows but the "
                         f"partitioned loop needs {self.loop_size}"
                     )
-        dist = BlockDistribution.even(self.loop_size, self.active_group.size)
-        self.bounds = dist.bounds
+        n = self.active_group.size
+        self.bounds = self._memo(
+            self.job._decisions, ("initial", self.loop_size, n),
+            lambda: BlockDistribution.even(self.loop_size, n).bounds,
+        )
+        self._nn = self._owned_neighbors()
         needed = self._needed(self.bounds)
         me = self.active_group.rel(self.world_rank)
         for name, arr in self.arrays.items():
@@ -373,16 +384,21 @@ class DynMPI:
     def nn_neighbors(self) -> tuple[Optional[int], Optional[int]]:
         """(left, right) relative ranks among ranks that own rows —
         the neighbor set for nearest-neighbor exchanges."""
+        return self._nn if self.active else (None, None)
+
+    def _owned_neighbors(self) -> tuple[Optional[int], Optional[int]]:
+        """The pair :meth:`nn_neighbors` returns, derived whenever
+        ``bounds`` is written (by ``commit()`` and :meth:`_install`)."""
         if not self.active:
             return (None, None)
-        nonempty = [r for r in range(self.active_group.size)
-                    if self.bounds[r] is not None]
+        bounds = self.bounds
         me = self.rel_rank()
-        if me not in nonempty:
+        if bounds[me] is None:
             return (None, None)
-        pos = nonempty.index(me)
-        left = nonempty[pos - 1] if pos > 0 else None
-        right = nonempty[pos + 1] if pos + 1 < len(nonempty) else None
+        left = next((r for r in range(me - 1, -1, -1)
+                     if bounds[r] is not None), None)
+        right = next((r for r in range(me + 1, len(bounds))
+                      if bounds[r] is not None), None)
         return (left, right)
 
     def array(self, name: str):
@@ -466,8 +482,10 @@ class DynMPI:
             yield from self._recover(dead)
             return  # next cycle starts fresh over the survivor group
         if self.spec.allow_rejoin:
-            rejoin = (plan_rejoin(self._view(), self.loop_size, rejoining)
-                      if rejoining else None)
+            rejoin = (self._decide(
+                ("rejoin", self.loop_size, rejoining),
+                lambda view: plan_rejoin(view, self.loop_size, rejoining),
+            ) if rejoining else None)
             self._send_tokens(rejoin)
             if rejoin is not None:
                 yield from self._apply(rejoin)
@@ -582,8 +600,14 @@ class DynMPI:
         t0 = self.job.hr.read()
         if self.world_rank in dead:
             yield from terminate_rank(self)  # never returns
-        plan = plan_recovery(self._view(), self.loop_size, dead,
-                             self.spec.resilience.replication, self._array_rows())
+        replication = self.spec.resilience.replication
+        array_rows = self._array_rows()
+        plan = self._decide(
+            ("recovery", self.loop_size, dead, replication,
+             tuple(sorted(array_rows.items()))),
+            lambda view: plan_recovery(view, self.loop_size, dead,
+                                       replication, array_rows),
+        )
         if self.spec.allow_rejoin:
             self._send_tokens(plan)
         yield from self._apply(plan, t0)
@@ -793,13 +817,27 @@ class DynMPI:
         """Job-level memo: all ranks of a collective epoch pass
         identical inputs, so the group derives once instead of n
         times.  The value is shared, which is safe because
-        IntervalSet is immutable and callers only read it."""
+        IntervalSet is immutable, a Transition's arrays are read-only
+        and callers only read it."""
         hit = cache.get(key)
         if hit is None:
             if len(cache) >= 8:
                 cache.clear()
             hit = cache[key] = derive()
         return hit
+
+    def _decide(self, inputs: tuple, plan: Callable[[View], Any]):
+        """One decision per adaptation per job.  Every active rank
+        reaches it with the same replicated view and the same gathered
+        data (Section 4.4), so the first to arrive runs ``plan(view)``
+        and the others install its result — the same Transition object a
+        rejoining rank receives in its token.  ``inputs`` names the
+        planner and everything it reads besides the view, by value: a
+        replica whose view or gathered data diverged misses and plans
+        its own, and the sanitizer's lockstep check still names it."""
+        view = self._view()
+        return self._memo(self.job._decisions, (view.fingerprint(),) + inputs,
+                          lambda: plan(view))
 
     def _needed(self, bounds) -> list[dict[str, IntervalSet]]:
         return self._memo(
@@ -858,12 +896,27 @@ class DynMPI:
         gathered = yield from coll.allgather_dissemination(
             self.ep, self.active_group, (rows, est)
         )
-        plan = plan_rebalance(
-            self._view(), self.loop_size, gathered,
-            ref_speed=self.job.ref_speed, patterns=self._patterns(),
-            comm_model=self.job.comm_model,
-            source=self.last_estimate_source,
+        patterns = self._patterns()
+        source = self.last_estimate_source
+        # the gathered estimates by value: every row index, then every
+        # estimate, in gather order (the order the planner writes them)
+        all_rows = np.fromiter(chain.from_iterable(r for r, _ in gathered),
+                               dtype=np.int64)
+        all_ests = np.concatenate([e for _, e in gathered])
+        plan = self._decide(
+            ("rebalance", self.loop_size, tuple(patterns),
+             all_rows.tobytes(), all_ests.tobytes()),
+            lambda view: plan_rebalance(
+                view, self.loop_size, gathered,
+                ref_speed=self.job.ref_speed, patterns=patterns,
+                comm_model=self.job.comm_model, source=source,
+            ),
         )
+        if self.world_rank == plan.recorder and plan.detail["source"] != source:
+            # the timer a rank measured with is its own note on the
+            # event, not an input of the decision (a rank that owns no
+            # rows has "none"): the recorder records its own
+            plan = plan._replace(detail={**plan.detail, "source": source})
         yield from self._apply(plan, t0)
 
     def _consider_drop(self) -> Generator:
@@ -871,14 +924,25 @@ class DynMPI:
         avgs = yield from coll.allgather_dissemination(
             self.ep, self.active_group, avg
         )
-        measured_max = max(avgs)
-        total_work = float(self.row_weights.sum()) * self.job.ref_speed
-        decision = evaluate_drop(
-            self.loads, [self.job.ref_speed] * self.active_group.size,
-            total_work, self._patterns(), self.job.comm_model,
-            self.loop_size, measured_max, self.spec,
-        )
         self.mode = self.MODE_NORMAL
+        patterns = self._patterns()
+
+        def derive(view: View) -> tuple:
+            decision = evaluate_drop(
+                view.loads, [self.job.ref_speed] * len(view.world),
+                float(view.row_weights.sum()) * self.job.ref_speed,
+                patterns, self.job.comm_model, self.loop_size, max(avgs),
+                self.spec,
+            )
+            plan = (plan_drop(view, self.loop_size, decision, self.spec)
+                    if decision.drop else None)
+            return decision, plan
+
+        decision, plan = self._decide(
+            ("drop", self.loop_size, tuple(patterns),
+             np.asarray(avgs, dtype=float).tobytes()),
+            derive,
+        )
         if self.obs is not None and self.rel_rank() == 0:
             self.obs.instant(
                 "adapt.drop_decision", cat="adapt", pid=JOB_PID, tid=0,
@@ -887,8 +951,7 @@ class DynMPI:
                 measured=decision.measured_time,
                 drop=decision.drop,
             )
-        if decision.drop:
-            plan = plan_drop(self._view(), self.loop_size, decision, self.spec)
+        if plan is not None:
             yield from self._apply(plan)
 
     def _apply(self, plan: Transition, t0: Optional[float] = None) -> Generator:
@@ -968,6 +1031,7 @@ class DynMPI:
         self._token_root = view.world[0]  # whom a parked rank reports to
         self.active_group = self.job.group_for(view.world)
         self.bounds = view.bounds
+        self._nn = self._owned_neighbors()
         self.loads = view.loads
         self.monitor.rebase(view.loads)
         self.row_weights = view.row_weights

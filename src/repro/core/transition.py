@@ -5,9 +5,10 @@ rank derives the same decision from the same replicated state (paper
 Section 4.4).  That state is a :class:`View`; every change to it is one
 frozen :class:`Transition`, produced here by functions with no
 simulator, no communication and no runtime object, and executed by the
-one mechanism :meth:`repro.core.runtime.DynMPI._apply`.  A rejoining
-rank receives the ``Transition`` itself in its token, so it installs
-exactly the view the active ranks install.
+one mechanism :meth:`repro.core.runtime.DynMPI._apply`.  The runtime
+plans each adaptation once per job and every member installs that one
+``Transition`` — a rejoining rank receives it in its token — so its
+arrays are read-only (:meth:`View.sealed`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ class View(NamedTuple):
         """Field for field as plain comparable values (arrays as bytes)."""
         return tuple(x.tobytes() if isinstance(x, np.ndarray) else x
                      for x in self)
+
+    def sealed(self) -> "View":
+        """This view with its arrays made read-only, in place.  A
+        Transition is shared by every rank that installs it, so an
+        in-place write by one of them must raise, not reach its peers."""
+        for a in (self.loads, self.row_weights):
+            if a is not None:
+                a.setflags(write=False)
+        return self
 
 
 class Transition(NamedTuple):
@@ -95,7 +105,7 @@ def plan_rebalance(view: View, loop_size: int, gathered: Sequence[tuple], *,
     after = view._replace(
         bounds=new_bounds, row_weights=weights,
         n_redistributions=view.n_redistributions + 1, mode=MODE_POST,
-    )
+    ).sealed()
     return Transition(
         "redistribute", view.world, view.bounds, new_bounds, after,
         view.world[0],
@@ -127,7 +137,7 @@ def plan_drop(view: View, loop_size: int, decision: DropDecision,
             loads=view.loads[kept],
         )
         return Transition(
-            "drop", world, view.bounds, new_bounds, after, world[0],
+            "drop", world, view.bounds, new_bounds, after.sealed(), world[0],
             {"removed_world": [world[r] for r in removed], **times},
         )
     counts = np.zeros(n, dtype=int)
@@ -152,7 +162,7 @@ def plan_drop(view: View, loop_size: int, decision: DropDecision,
     new_bounds = BlockDistribution.from_counts(counts.tolist()).bounds
     return Transition(
         "logical_drop", world, view.bounds, new_bounds,
-        after._replace(bounds=new_bounds), world[0],
+        after._replace(bounds=new_bounds).sealed(), world[0],
         {"removed_rel": removed, **times},
     )
 
@@ -166,7 +176,7 @@ def plan_rejoin(view: View, loop_size: int, rejoining: Sequence[int]) -> Transit
     after = view._replace(
         world=world, bounds=new_bounds,
         loads=np.ones(len(world), dtype=int), mode=MODE_NORMAL,
-    )
+    ).sealed()
     return Transition(
         "rejoin", world, tuple(owned.get(w) for w in world), new_bounds,
         after, view.world[0], {"rejoined_world": list(rejoining)},
@@ -192,7 +202,7 @@ def plan_recovery(view: View, loop_size: int, dead: Sequence[int],
     )
     if len(survivors) == len(world):
         return Transition("crash_recovery", None, view.bounds, view.bounds,
-                          after, survivors[0], detail)
+                          after.sealed(), survivors[0], detail)
     n = len(world)
     dead_rels = [r for r in range(n) if world[r] in dead]
     alive_rels = set(range(n)) - set(dead_rels)
@@ -214,7 +224,7 @@ def plan_recovery(view: View, loop_size: int, dead: Sequence[int],
     after = after._replace(
         world=survivors, bounds=new_bounds,
         loads=np.ones(len(survivors), dtype=int), mode=MODE_NORMAL,
-    )
+    ).sealed()
     detail.update({
         "holders": dict(replays),
         "adopted_rows": adopted,

@@ -566,8 +566,11 @@ class Endpoint:
         # blocking the caller, approximating kernel/DMA offload under
         # load.
         node = comm.cluster.nodes[self.node_id]
+        shadow = _ShadowProc(f"isend:{self.rank}->{dest}")
 
         def after_cpu() -> None:
+            # the shadow is done: a later one at its address starts fresh
+            node.cpu.forget(shadow)
             if nbytes <= comm.net.spec.eager_threshold:
                 comm.net.transmit(
                     self.node_id, comm.node_of(dest), nbytes,
@@ -590,7 +593,6 @@ class Endpoint:
                     lambda: comm._deliver(env),
                 )
 
-        shadow = _ShadowProc(f"isend:{self.rank}->{dest}")
         node.cpu.submit(shadow, comm.net.cpu_cost(nbytes), after_cpu)
         return req
 

@@ -337,6 +337,12 @@ class RoundRobinCPU:
             rest = min(max(0.0, job.allowed - elapsed), rest)
         self._slice_timer = self.sim.schedule(rest, self._on_slice_end)
 
+    def forget(self, proc) -> None:
+        """Drop the fair-share record of ``proc``, a one-shot process
+        whose only job has completed.  Records are keyed by ``id()``, so
+        a later process at the same address would inherit it."""
+        self._ema.pop(id(proc), None)
+
     def runnable_jobs(self) -> list[Job]:
         jobs = list(self._queue)
         if self._current is not None:

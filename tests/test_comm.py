@@ -8,6 +8,7 @@ from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.errors import DeadlockError, MPIError
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_spmd
 from repro.simcluster import Cluster, Compute, Sleep
+from repro.simcluster.cpu import RoundRobinCPU
 
 
 def make_cluster(n=2, *, eager=1 << 20, cpu_per_byte=0.0, cpu_per_msg=0.0,
@@ -237,6 +238,34 @@ def test_isend_irecv_completion():
             assert vals == list(range(5))
 
     run_spmd(cluster, program)
+
+
+def test_finished_isend_shadow_leaves_no_fair_share_record(monkeypatch):
+    """The scheduler keys its fair-share records by ``id()``: a record
+    kept for a finished isend shadow would be inherited by the next
+    shadow allocated at the same address."""
+    cluster = make_cluster(cpu_per_msg=50.0)
+    shadows = []
+    real_submit = RoundRobinCPU.submit
+
+    def spy(cpu, proc, work, callback, *args, **kwargs):
+        if proc.name.startswith("isend:"):
+            shadows.append((cpu, proc))  # held: no address is reused
+        return real_submit(cpu, proc, work, callback, *args, **kwargs)
+
+    monkeypatch.setattr(RoundRobinCPU, "submit", spy)
+
+    def program(ep):
+        reqs = [ep.isend(1 - ep.rank, tag=i, payload=i) for i in range(5)]
+        for i in range(5):
+            yield from ep.recv(1 - ep.rank, tag=i)
+        for r in reqs:
+            yield from r.wait()
+
+    run_spmd(cluster, program)
+    assert len(shadows) == 10
+    assert all(shadow.cpu_time > 0 for _cpu, shadow in shadows)
+    assert not [s for cpu, s in shadows if id(s) in cpu._ema]
 
 
 def test_irecv_posted_before_send_matches():

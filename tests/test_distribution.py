@@ -10,6 +10,7 @@ from repro.core.distribution import (
     shares_to_blocks,
 )
 from repro.errors import DistributionError
+from tests.oracles.shares_blocks import shares_to_bounds_loop
 
 
 def test_even_block_distribution():
@@ -115,6 +116,31 @@ def test_shares_to_blocks_always_tiles(n_rows, shares):
     owners = d.owner_array()
     # owners non-decreasing (blocks in rank order)
     assert np.all(np.diff(owners) >= 0)
+
+
+@st.composite
+def shares_and_weights(draw):
+    n_rows = draw(st.integers(1, 150))
+    shares = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=12))
+    if sum(shares) <= 0:
+        shares[draw(st.integers(0, len(shares) - 1))] = 1.0
+    weights = draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+        min_size=n_rows, max_size=n_rows)))
+    return n_rows, shares, weights
+
+
+@given(shares_and_weights())
+@settings(max_examples=300, deadline=None)
+def test_shares_to_blocks_matches_per_participant_loop(case):
+    """The one vectorised search gives the bounds of the old scalar
+    search per participant, int for int (zero shares, zero-weight rows
+    and all-zero weights included)."""
+    n_rows, shares, weights = case
+    got = shares_to_blocks(n_rows, shares, weights).bounds
+    assert got == shares_to_bounds_loop(n_rows, shares, weights)
+    assert all(type(v) is int for b in got if b is not None for v in b)
 
 
 @given(
