@@ -18,15 +18,19 @@ cells are machine-independent and byte-stable: the checked-in
 ``results/BENCH_farm_throughput.json`` is an exact baseline, not a
 noisy timing.
 
-``DYNMPI_FARM_SMOKE=1`` restricts the grid to the small shared cells
-and writes ``results/BENCH_farm_throughput_smoke.json``, which
-``check_regression.py`` gates against the baseline (CI perf-smoke
+``DYNMPI_FARM_SMOKE=1`` restricts the grid to the small shared cells,
+asserts every row equals its checked-in baseline row exactly (a
+simulated rate is a pure function of the code, so any drift is a model
+change) and writes ``results/BENCH_farm_throughput_smoke.json``, which
+``check_regression.py`` also gates against the baseline (CI perf-smoke
 job).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import pathlib
 
 from repro.config import ClusterSpec
 from repro.farm import POLICIES, FarmSpec, farm_digest, reference_results, run_farm
@@ -43,6 +47,11 @@ FULL_CELLS = (SMALL_CELL, (64, 100_000))
 CELLS = (SMALL_CELL,) if SMOKE else FULL_CELLS
 CHUNK = 16
 SEED = 0
+BASELINE = pathlib.Path(__file__).parent / "results" / "BENCH_farm_throughput.json"
+
+
+def _row_key(row: dict) -> tuple:
+    return row["policy"], row["ranks"], row["n_jobs"], row["churn"]
 
 
 def _churn_scripts(ranks: int):
@@ -108,6 +117,11 @@ def test_farm_throughput(record_table):
         )
         # the acceptance claim: decentralized beats master dispatch
         assert rates["rma"] > rates["self"], (ranks, rates)
+
+    if SMOKE:
+        baseline = {_row_key(r): r for r in json.loads(BASELINE.read_text())["data"]}
+        for c in cells:
+            assert c == baseline[_row_key(c)], (c, baseline[_row_key(c)])
 
     name = "farm_throughput_smoke" if SMOKE else "farm_throughput"
     record_table(name, "\n".join(lines), data=cells)

@@ -15,10 +15,11 @@ Why these values: ``plan_scaling`` gates a *ratio* of two code paths
 timed on the same host (interval plane vs set oracle), which keeps the
 check machine-independent — a slow runner scales numerator and
 denominator alike — at a loose 2x.  ``farm_throughput`` gates
-*simulated* jobs/sec, a pure function of the code, so its floor is a
-tight 1/1.25; its row also re-asserts the headline claim on the
-baseline itself: RMA self-scheduling beats master-dispatch
-self-scheduling at the largest rank count.
+*simulated* jobs/sec, a pure function of the code: the smoke bench
+itself already asserts each of its rows equals the baseline's exactly,
+so the 1/1.25 floor here only backs that up; its row also re-asserts
+the headline claim on the baseline itself: RMA self-scheduling beats
+master-dispatch self-scheduling at the largest rank count.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ The completed-result set is bitwise-identical regardless of policy,
 perturbation seed, or mid-run churn — see docs/FARM.md.
 """
 
-from .jobs import (JobQueue, farm_digest, farm_oracle, job_cost, job_result,
+from .jobs import (JobQueue, farm_digest, farm_oracle, job_costs, job_results,
                    reference_results)
 from .policies import POLICIES, make_policy
 from .protocol import (
@@ -36,8 +36,8 @@ __all__ = [
     "FarmResult",
     "run_farm",
     "JobQueue",
-    "job_cost",
-    "job_result",
+    "job_costs",
+    "job_results",
     "reference_results",
     "farm_digest",
     "farm_oracle",

@@ -5,12 +5,14 @@ id (and the farm seed) — no state, no RNG.  That single design choice
 is what makes the farm's headline guarantee cheap to state and easy to
 verify: the completed-result set ``{job: result}`` is bitwise-identical
 across scheduling policies, perturbation seeds, and mid-run churn,
-because every execution of job ``j`` computes the same
-``job_result(j, seed)`` no matter where or when it runs.  Schedules
-may differ; the *set* cannot.
+because every execution of job ``j`` returns the same
+``job_results(n_jobs, seed)[j]`` no matter where or when it runs.
+Schedules may differ; the *set* cannot.
 
 Costs are skewed through a stable 64-bit mix (SplitMix64 finalizer) so
-load imbalance is reproducible without touching any RNG stream.
+load imbalance is reproducible without touching any RNG stream.  Both
+tables are built for every job at once, one vectorised pass each, once
+per run: a chunk's cost and results are lookups into them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import hashlib
 import numpy as np
 
 __all__ = [
-    "job_cost", "job_result", "reference_results", "farm_digest",
+    "job_costs", "job_results", "reference_results", "farm_digest",
     "farm_oracle", "JobQueue",
 ]
 
@@ -31,16 +33,21 @@ _COST_SALT = 0x9E3779B97F4A7C15
 _RESULT_SALT = 0xD1B54A32D192ED03
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer: a stable, well-mixed 64-bit hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic):
+    a stable, well-mixed 64-bit hash per element."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
-def job_cost(job: int, n_jobs: int, base: float, skew: str) -> float:
-    """Work units job ``job`` costs under the ``skew`` profile.
+def job_costs(n_jobs: int, base: float, skew: str) -> np.ndarray:
+    """Work units each job ``0..n_jobs-1`` costs under ``skew``
+    (float64, indexed by job id).
 
     * ``uniform`` — every job costs ``base``;
     * ``linear``  — cost ramps from ``0.5*base`` to ``1.5*base`` by id
@@ -51,25 +58,28 @@ def job_cost(job: int, n_jobs: int, base: float, skew: str) -> float:
       dynamic policies exist for).
     """
     if skew == "uniform":
-        return base
+        return np.full(n_jobs, base, dtype=np.float64)
     if skew == "linear":
-        return base * (0.5 + job / max(1, n_jobs - 1))
+        return base * (0.5 + np.arange(n_jobs, dtype=np.float64)
+                       / max(1, n_jobs - 1))
     if skew == "hot":
-        h = _mix64(job ^ _COST_SALT)
-        if h % 16 == 0:
-            return base * 8.0
-        return base * (0.5 + (h % 1024) / 1024.0)
+        h = _mix64(np.arange(n_jobs, dtype=np.uint64) ^ np.uint64(_COST_SALT))
+        costs = base * (0.5 + (h % np.uint64(1024)).astype(np.float64) / 1024.0)
+        costs[h % np.uint64(16) == 0] = base * 8.0
+        return costs
     raise ValueError(f"unknown skew profile {skew!r}")
 
 
-def job_result(job: int, seed: int) -> int:
-    """The (pure, deterministic) result of running job ``job``."""
-    return _mix64((seed << 32) ^ job ^ _RESULT_SALT)
+def job_results(n_jobs: int, seed: int) -> np.ndarray:
+    """The (pure, deterministic) result of each job ``0..n_jobs-1``
+    (uint64, indexed by job id)."""
+    salt = np.uint64(((seed << 32) ^ _RESULT_SALT) & _MASK)
+    return _mix64(np.arange(n_jobs, dtype=np.uint64) ^ salt)
 
 
 def reference_results(n_jobs: int, seed: int) -> dict[int, int]:
     """What a farm run must produce — computed without running one."""
-    return {j: job_result(j, seed) for j in range(n_jobs)}
+    return dict(enumerate(job_results(n_jobs, seed).tolist()))
 
 
 def farm_digest(completed: dict[int, int]) -> str:

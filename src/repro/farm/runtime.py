@@ -34,11 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import ConfigError, FarmError
 from ..mpi import ANY_TAG, make_comm
 from ..mpi.rma import Window
 from ..simcluster import Compute, Sleep
-from .jobs import JobQueue, farm_digest, job_cost, job_result
+from .jobs import JobQueue, farm_digest, job_costs, job_results
 from .policies import POLICIES, make_policy
 from .protocol import (
     TAG_DONE,
@@ -52,7 +54,7 @@ from .protocol import (
 
 __all__ = ["FarmSpec", "FarmResult", "run_farm"]
 
-#: the cost-skew profiles :func:`repro.farm.jobs.job_cost` understands
+#: the cost-skew profiles :func:`repro.farm.jobs.job_costs` understands
 SKEWS = ("uniform", "linear", "hot")
 
 #: window layout for the rma policy: slot 0 is the shared loop counter
@@ -67,9 +69,9 @@ class FarmSpec:
     n_jobs: int = 1000
     policy: str = "self"        # static | self | guided | factoring | rma
     chunk: int = 8              # chunk size for self/rma dispatch
-    skew: str = "hot"           # uniform | linear | hot (see jobs.job_cost)
+    skew: str = "hot"           # uniform | linear | hot (see jobs.job_costs)
     base_cost: float = 1e4      # work units per job before skew
-    seed: int = 0               # result seed (job_result values)
+    seed: int = 0               # result seed (job_results values)
     cycles: int = 8             # notify_cycle boundaries across the run
     poll_dt: float = 2e-4       # master poll interval, simulated seconds
     min_workers: int = 1        # never park below this many active workers
@@ -82,6 +84,16 @@ class FarmSpec:
             raise ConfigError(f"farm chunk must be positive ({self.chunk})")
         if self.cycles <= 0:
             raise ConfigError(f"farm cycles must be positive ({self.cycles})")
+        # `not x > 0` also rejects NaN; a zero poll_dt would have the
+        # master Sleep(0) at one instant forever
+        if not self.poll_dt > 0:
+            raise ConfigError(f"farm poll_dt must be positive ({self.poll_dt})")
+        if not self.base_cost >= 0:
+            raise ConfigError(
+                f"farm base_cost must be non-negative ({self.base_cost})")
+        if self.min_workers < 0:
+            raise ConfigError(
+                f"farm min_workers must be non-negative ({self.min_workers})")
         if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown farm policy {self.policy!r} (one of {POLICIES})")
@@ -130,30 +142,35 @@ class _MasterState:
         self.queue = JobQueue(() if rma else range(spec.n_jobs))
 
 
-def _chunk_work(jobs: list[int], spec: FarmSpec) -> float:
+def _chunk_work(jobs: list[int], costs: np.ndarray) -> float:
+    """The chunk's summed cost, added left to right from ``0.0`` in
+    ``jobs`` order (not ``sum()``, which compensates on Python 3.12, nor
+    ``np.sum``, which pairs)."""
     total = 0.0
-    for j in jobs:
-        total += job_cost(j, spec.n_jobs, spec.base_cost, spec.skew)
+    for c in costs[jobs].tolist():
+        total += c
     return total
 
 
-def _chunk_results(jobs: list[int], spec: FarmSpec) -> list[tuple[int, int]]:
-    return [(j, job_result(j, spec.seed)) for j in jobs]
+def _chunk_results(jobs: list[int], results: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(jobs, results[jobs].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
-def _farm_worker(ep, win, spec: FarmSpec):
+def _farm_worker(ep, win, spec: FarmSpec, costs, results):
     """Worker body: RMA counter phase (policy ``rma``), then the
-    classic dispatch loop until EXIT."""
+    classic dispatch loop until EXIT.  ``costs`` / ``results`` are the
+    run's job tables (:func:`~repro.farm.jobs.job_costs`,
+    :func:`~repro.farm.jobs.job_results`)."""
     obs = ep.comm.obs
     master = 0
     stats = {"jobs": 0, "chunks": 0}
 
     if spec.policy == "rma":
-        yield from _rma_phase(ep, win, spec, stats)
+        yield from _rma_phase(ep, win, spec, costs, results, stats)
         yield from ep.send(master, TAG_READY, None)
     else:
         yield from ep.send(master, TAG_READY, None)
@@ -166,19 +183,19 @@ def _farm_worker(ep, win, spec: FarmSpec):
             continue  # already out of the counter phase: nothing to stop
         jobs = payload
         t0 = obs.now() if obs is not None else 0.0
-        yield Compute(_chunk_work(jobs, spec))
-        results = _chunk_results(jobs, spec)
+        yield Compute(_chunk_work(jobs, costs))
+        done = _chunk_results(jobs, results)
         if obs is not None:
             obs.complete("farm.chunk", t0, cat="farm", pid=ep.node_id,
                          tid=ep.rank, jobs=len(jobs))
-        yield from ep.send(master, TAG_DONE, results,
-                           nbytes=done_nbytes(len(results)))
+        yield from ep.send(master, TAG_DONE, done,
+                           nbytes=done_nbytes(len(done)))
         stats["jobs"] += len(jobs)
         stats["chunks"] += 1
     return stats
 
 
-def _rma_phase(ep, win, spec: FarmSpec, stats: dict):
+def _rma_phase(ep, win, spec: FarmSpec, costs, results, stats: dict):
     """Decentralized self-scheduling: claim fixed chunks off the
     master's loop counter with one-sided fetch_and_op; report each
     chunk with a fire-and-forget DONE.  Leaves on counter exhaustion
@@ -197,14 +214,14 @@ def _rma_phase(ep, win, spec: FarmSpec, stats: dict):
             break
         jobs = list(range(start, min(n, start + spec.chunk)))
         t0 = obs.now() if obs is not None else 0.0
-        yield Compute(_chunk_work(jobs, spec))
-        results = _chunk_results(jobs, spec)
+        yield Compute(_chunk_work(jobs, costs))
+        done = _chunk_results(jobs, results)
         if obs is not None:
             obs.complete("farm.chunk", t0, cat="farm", pid=ep.node_id,
                          tid=ep.rank, jobs=len(jobs))
         # fire-and-forget: the master consumes this without replying,
         # so the worker goes straight back to the counter
-        ep.isend(master, TAG_DONE, results, nbytes=done_nbytes(len(results)))
+        ep.isend(master, TAG_DONE, done, nbytes=done_nbytes(len(done)))
         stats["jobs"] += len(jobs)
         stats["chunks"] += 1
     yield from h.unlock(master)
@@ -401,6 +418,9 @@ def run_farm(cluster, spec: FarmSpec, *, load_script=None,
 
     win = Window(comm, _WIN_SLOTS, name=spec.name)
     state = _MasterState(spec, list(range(1, comm.size)))
+    # every job priced once per run; the workers index these tables
+    costs = job_costs(spec.n_jobs, spec.base_cost, spec.skew)
+    results = job_results(spec.n_jobs, spec.seed)
 
     procs = []
     for rank in range(comm.size):
@@ -408,7 +428,7 @@ def run_farm(cluster, spec: FarmSpec, *, load_script=None,
         if rank == 0:
             gen = _farm_master(ep, win, cluster, spec, state)
         else:
-            gen = _farm_worker(ep, win, spec)
+            gen = _farm_worker(ep, win, spec, costs, results)
         node = cluster.nodes[comm.node_of(rank)]
         proc = cluster.sim.spawn(gen, name=f"farm{rank}", node=node)
         comm.watch_rank(rank, proc)

@@ -163,6 +163,24 @@ def test_farm_spec_validation():
         run_farm(small_cluster(1), FarmSpec())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("poll_dt", 0.0),         # the master would Sleep(0) at one instant forever
+    ("poll_dt", -1e-4),
+    ("poll_dt", float("nan")),
+    ("base_cost", -1.0),
+    ("min_workers", -1),
+])
+def test_bad_farm_spec_is_rejected_before_the_run(field, value):
+    spec = small_spec("self", **{field: value})
+    # validate() first: a spec it lets through may hang run_farm
+    with pytest.raises(ConfigError, match=field):
+        spec.validate()
+    cluster = small_cluster(4)
+    with pytest.raises(ConfigError, match=field):
+        run_farm(cluster, spec)
+    assert cluster.sim.now == 0.0
+
+
 def test_farm_config_validation_and_oracle():
     with pytest.raises(ConfigError, match="unknown farm policy 'round-robin'"):
         FarmSpec(policy="round-robin").validate()
@@ -190,6 +208,70 @@ def test_job_queue_take_requeue_accounting():
     assert q.n_requeued == 3
     q.extend([42])
     assert len(q) == 1 and q.n_requeued == 3
+
+
+# ----------------------------------------------------------------------
+# model pin: exact simulated outputs of a small grid
+# ----------------------------------------------------------------------
+
+#: the reference digest of 2 000 jobs at seed 0
+PIN_DIGEST = "48c47332b2e9378e1308161486ee842517f06ce9"
+
+#: (policy, skew, churn) -> (wall_time.hex(), sim.n_events,
+#: network.n_messages, n_requeued, duplicates, digest) on 8 nodes, 2 000
+#: jobs, chunk 16, seed 0, recorded before the job tables replaced the
+#: per-job hashes.  A change to how a job is priced or reported moves
+#: one of these.  A chunk summed in another order does not (its last-bit
+#: difference is below the simulated clock's resolution at this size):
+#: tests/test_farm_jobs.py holds the summation order.
+MODEL_PIN = {
+    ('static', 'hot', 0):
+        ('0x1.7d557823f573ap-5', 419, 28, 0, 0, PIN_DIGEST),
+    ('self', 'hot', 0):
+        ('0x1.8ede3f3afe58ep-5', 1928, 264, 0, 0, PIN_DIGEST),
+    ('guided', 'hot', 0):
+        ('0x1.7e2a4581720dbp-5', 1448, 190, 0, 0, PIN_DIGEST),
+    ('factoring', 'hot', 0):
+        ('0x1.70c7e4ecba63cp-5', 1097, 136, 0, 0, PIN_DIGEST),
+    ('rma', 'hot', 0):
+        ('0x1.778dc09d69879p-5', 2330, 431, 0, 0, PIN_DIGEST),
+    ('static', 'hot', 1):
+        ('0x1.5a5a381e9938fp-4', 610, 28, 286, 0, PIN_DIGEST),
+    ('self', 'hot', 1):
+        ('0x1.d431858916697p-5', 1987, 266, 32, 16, PIN_DIGEST),
+    ('guided', 'hot', 1):
+        ('0x1.cc0761eb79d78p-5', 1391, 173, 200, 200, PIN_DIGEST),
+    ('factoring', 'hot', 1):
+        ('0x1.a39ad39a35386p-5', 1004, 116, 144, 72, PIN_DIGEST),
+    ('rma', 'hot', 1):
+        ('0x1.db80149e83c97p-5', 2376, 425, 16, 0, PIN_DIGEST),
+    ('self', 'linear', 0):
+        ('0x1.40399679a98f7p-5', 1880, 264, 0, 0, PIN_DIGEST),
+}
+
+
+def _pin_cell(policy, skew, churn):
+    cluster = Cluster(ClusterSpec(n_nodes=8, seed=0))
+    load = failure = None
+    if churn:
+        failure = FailureScript(cycle_faults=[
+            CycleFault(cycle=2, node=2, action="kill")])
+        load = LoadScript(cycle_triggers=[
+            CycleTrigger(cycle=3, node=4, action="start", count=2),
+            CycleTrigger(cycle=5, node=4, action="stop", count=2)])
+    spec = FarmSpec(n_jobs=2000, policy=policy, chunk=16, skew=skew, seed=0)
+    r = run_farm(cluster, spec, load_script=load, failure_script=failure)
+    return (r.wall_time.hex(), cluster.sim.n_events,
+            cluster.network.n_messages, r.n_requeued, r.duplicates, r.digest)
+
+
+@pytest.mark.parametrize("cell", sorted(MODEL_PIN))
+def test_model_pin(cell):
+    assert _pin_cell(*cell) == MODEL_PIN[cell]
+
+
+def test_model_pin_digest_is_the_reference():
+    assert farm_digest(reference_results(2000, 0)) == PIN_DIGEST
 
 
 # ----------------------------------------------------------------------
