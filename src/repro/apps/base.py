@@ -32,10 +32,11 @@ HALO_DOWN_TAG = 102  # carries my last row to the right neighbor
 
 def require_at_least(cfg, minimum, *fields: str) -> None:
     """The app configs' ``__post_init__`` check: every named field of
-    ``cfg`` is ``>= minimum``, else :class:`ConfigError` naming it."""
+    ``cfg`` is ``>= minimum``, else :class:`ConfigError` naming it
+    (NaN included: it fails ``>=``)."""
     for name in fields:
         value = getattr(cfg, name)
-        if value < minimum:
+        if not value >= minimum:
             raise ConfigError(
                 f"{type(cfg).__name__}.{name} must be >= {minimum}, got {value}")
 
@@ -144,7 +145,10 @@ def exchange_halo(ctx: DynMPI, arr, *, materialized: bool) -> Generator:
 
 def collect_rows(ctx: DynMPI, arr) -> Generator:
     """Assemble the full (materialized) array on every active rank —
-    a test/verification helper, not part of the application model."""
+    a test/verification helper, not part of the application model.
+
+    Returns one read-only array shared by the job's active ranks (see
+    :meth:`DynMPI.assemble_shared`): compare it, copy it to change it."""
     s, e = ctx.my_bounds()
     if e >= s:
         rows = list(range(s, e + 1))
@@ -152,8 +156,12 @@ def collect_rows(ctx: DynMPI, arr) -> Generator:
     else:
         rows, block = [], np.zeros((0, arr.row_elems))
     gathered = yield from ctx.allgather_active((rows, block))
-    full = np.zeros((arr.n_rows, arr.row_elems))
-    for rws, blk in gathered:
-        if len(rws):
-            full[np.asarray(rws, dtype=int)] = blk
-    return full
+
+    def assemble(parts: list) -> np.ndarray:
+        full = np.zeros((arr.n_rows, arr.row_elems))
+        for rws, blk in parts:
+            if len(rws):
+                full[np.asarray(rws, dtype=int)] = blk
+        return full
+
+    return ctx.assemble_shared(arr.name, gathered, assemble)

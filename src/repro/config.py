@@ -54,9 +54,12 @@ class NodeSpec:
     memory_bytes: int = 512 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
+        # here and in the specs below every bound is written `not x > 0`
+        # / `not x >= lo`: NaN fails every comparison, so it is rejected
+        # instead of passing through
+        if not self.speed > 0:
             raise ConfigError(f"node speed must be positive, got {self.speed}")
-        if self.quantum <= 0:
+        if not self.quantum > 0:
             raise ConfigError(f"quantum must be positive, got {self.quantum}")
 
 
@@ -91,14 +94,14 @@ class NetworkSpec:
     recv_mode: str = "blocking"
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ConfigError("latency must be non-negative")
-        if self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if self.cpu_per_byte < 0 or self.cpu_per_msg < 0:
-            raise ConfigError("CPU overheads must be non-negative")
-        if self.eager_threshold < 0:
-            raise ConfigError("eager threshold must be non-negative")
+        if not self.latency >= 0:
+            raise ConfigError(f"latency must be non-negative, got {self.latency}")
+        if not self.bandwidth > 0:
+            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        for name in ("cpu_per_byte", "cpu_per_msg", "eager_threshold"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
         if self.recv_mode not in ("blocking", "polling"):
             raise ConfigError(f"unknown recv_mode {self.recv_mode!r}")
 
@@ -182,12 +185,13 @@ class ResilienceSpec:
     heartbeat_timeout: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
+        if not self.checkpoint_interval >= 1:
             raise ConfigError("checkpoint_interval must be >= 1")
-        if self.replication < 1:
+        if not self.replication >= 1:
             raise ConfigError("replication must be >= 1")
-        if self.heartbeat_timeout < 0:
-            raise ConfigError("heartbeat_timeout must be >= 0")
+        if not self.heartbeat_timeout >= 0:
+            raise ConfigError(
+                f"heartbeat_timeout must be >= 0, got {self.heartbeat_timeout}")
 
     def resolve_timeout(self, daemon_interval: float) -> float:
         return self.heartbeat_timeout or 3.0 * daemon_interval
@@ -231,16 +235,17 @@ class RuntimeSpec:
     resilience: Optional[ResilienceSpec] = None
 
     def __post_init__(self) -> None:
-        if self.grace_period < 1:
+        if not self.grace_period >= 1:
             raise ConfigError("grace_period must be >= 1")
-        if self.post_redist_period < 1:
+        if not self.post_redist_period >= 1:
             raise ConfigError("post_redist_period must be >= 1")
-        if self.daemon_interval <= 0:
-            raise ConfigError("daemon_interval must be positive")
+        if not self.daemon_interval > 0:
+            raise ConfigError(
+                f"daemon_interval must be positive, got {self.daemon_interval}")
         if self.drop_mode not in ("physical", "logical"):
             raise ConfigError(f"unknown drop_mode {self.drop_mode!r}")
-        if self.drop_margin <= 0:
-            raise ConfigError("drop_margin must be positive")
+        if not self.drop_margin > 0:
+            raise ConfigError(f"drop_margin must be positive, got {self.drop_margin}")
 
 
 def pentium_cluster(n_nodes: int, *, seed: int = 0) -> ClusterSpec:

@@ -132,6 +132,11 @@ class DynMPIJob:
         #: DynMPI._decide): one Transition per adaptation, which every
         #: member installs, keyed by everything its planner reads
         self._decisions: dict = {}
+        #: the same for collected arrays (see DynMPI.assemble_shared):
+        #: (name, active ranks, cycle) -> [gathered contributions, the
+        #: read-only array assembled from them, members that took it],
+        #: popped by the last active member, so nothing outlives it
+        self._collected: dict = {}
         #: the same side channel for DynMPI._check_lockstep: cycle ->
         #: (world rank, view fingerprint) of the first rank to enter it
         self._lockstep: dict = {}
@@ -429,6 +434,32 @@ class DynMPI:
     def allgather_active(self, value) -> Generator:
         result = yield from coll.allgather(self.ep, self.active_group, value)
         return result
+
+    def assemble_shared(self, name: str, gathered: list,
+                        assemble: Callable[[list], np.ndarray]) -> np.ndarray:
+        """``assemble(gathered)`` once per collect per job, read-only and
+        shared by every active member.  After :meth:`allgather_active`
+        every member holds the same contribution objects in the same
+        order (payloads travel by reference), so the first to arrive
+        assembles and parks the array; a member takes it only if its
+        own gathered list is element for element those same objects.
+        A divergent replica, or a tap that copied payloads, assembles
+        its own instead of sharing a wrong array."""
+        key = (name, tuple(self.active_group.ranks), self.cycle)
+        table = self.job._collected
+        entry = table.get(key)
+        if entry is not None and all(
+                a is b for a, b in zip(entry[0], gathered)):
+            out = entry[1]
+        else:
+            out = assemble(gathered)
+            out.setflags(write=False)
+            if entry is None:
+                entry = table[key] = [gathered, out, 0]
+        entry[2] += 1
+        if entry[2] == len(gathered):  # one contribution per member
+            del table[key]
+        return out
 
     def bcast_active(self, value=None, root: int = 0) -> Generator:
         result = yield from coll.bcast(self.ep, self.active_group, value, root)

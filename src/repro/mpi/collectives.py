@@ -258,37 +258,36 @@ def allgather_dissemination(ep: Endpoint, group: Group, value: Any) -> Generator
     n = group.size
     tag = group.next_tag(me)
     _san_enter(ep, group, tag, "allgather_dissemination")
-    # have[origin] = (value, item_nbytes): each contribution is sized
-    # once, by its owner, and the size travels with it — sizing the
-    # dict (or each merged value) with payload_nbytes every round costs
-    # O(n log n) recursive calls per member and dominated large-scale
-    # profiles.  A dict item with an int key contributes exactly
-    # payload_nbytes(v) + 24 - HEADER_BYTES (see datatypes.py), so the
-    # running total is byte-exact with sizing {origin: value} whole.
-    item = payload_nbytes(value) + 24 - HEADER_BYTES
-    have: dict[int, tuple[Any, int]] = {me: (value, item)}
-    size = HEADER_BYTES + item
+    # Before the round at distance k a member holds the contributions
+    # of origins me-k+1 .. me, oldest first: ``values`` and their
+    # ``sizes`` (each sized once, by its owner).  Its partner me-k
+    # sends its own k, origins me-2k+1 .. me-k — one contiguous run
+    # just older than ours, of which the first 2k-n (if positive) we
+    # already have.  A list that went on the wire is never mutated:
+    # every round builds new ones.  A message is sized as the dict
+    # {origin: value} of what it carries: each item counts
+    # payload_nbytes(v) + 24 - HEADER_BYTES (see datatypes.py).
+    values = [value]
+    sizes = [payload_nbytes(value) + 24 - HEADER_BYTES]
+    size = HEADER_BYTES + sizes[0]
     k = 1
     while k < n:
         dst = group.world((me + k) % n)
         src = group.world((me - k) % n)
-        incoming, _ = yield from ep.sendrecv(
-            # wire snapshot: the receiver must not observe keys merged
-            # into `have` after this yield, so the copy is semantic,
-            # not waste
-            dst, tag, dict(have), src, tag, nbytes=size
+        (in_values, in_sizes), _ = yield from ep.sendrecv(
+            dst, tag, (values, sizes), src, tag, nbytes=size
         )
-        for key, pair in incoming.items():
-            # overlaps happen for non-power-of-two n; a replayed key
-            # carries the same origin value, so skipping keeps the
-            # size total exact
-            if key not in have:
-                have[key] = pair
-                size += pair[1]
+        skip = max(0, 2 * k - n)
+        fresh = in_sizes[skip:]
+        size += sum(fresh)
+        values = in_values[skip:] + values
+        sizes = fresh + sizes
         k *= 2
-    if len(have) != n:
-        raise MPIError(f"dissemination allgather incomplete: {len(have)}/{n}")
-    return [have[i][0] for i in range(n)]
+    if len(values) != n:
+        raise MPIError(f"dissemination allgather incomplete: {len(values)}/{n}")
+    # values[j] came from origin me+1+j (mod n)
+    cut = n - 1 - me
+    return values[cut:] + values[:cut]
 
 
 @_traced

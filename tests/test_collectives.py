@@ -3,12 +3,15 @@ non-powers-of-two) and over subsets of world ranks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.errors import MPIError
 from repro.mpi import MAX, MIN, PROD, SUM, Group, run_spmd
 from repro.mpi.collectives import (
     allgather,
+    allgather_dissemination,
     allreduce,
     barrier,
     bcast,
@@ -18,6 +21,8 @@ from repro.mpi.collectives import (
     scatter,
 )
 from repro.simcluster import Cluster, Sleep
+
+from tests.oracles.dissemination import allgather_dissemination_dict
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 
@@ -307,3 +312,43 @@ def test_sequential_collectives_do_not_cross_talk():
         assert results == expected
 
     run_spmd(cluster, program)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 70),
+)
+@settings(max_examples=30, deadline=None)
+def test_dissemination_allgather_matches_dict_merge(data, n):
+    """The list-slice merge against the dict merge it replaced
+    (``tests/oracles/dissemination.py``): same result on every member
+    and the same wire traffic, flight for flight, for any group size
+    and ragged contributions."""
+    order = data.draw(st.permutations(range(n)), label="group")
+    lengths = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n),
+                        label="lengths")
+
+    def run(gather):
+        cluster = Cluster(ClusterSpec(
+            n_nodes=n, observe=True,
+            node=NodeSpec(speed=1e8),
+            network=NetworkSpec(latency=1e-5, bandwidth=1e8, eager_threshold=256),
+        ))
+        group = Group(list(order))
+        results = {}
+
+        def program(ep):
+            me = group.rel(ep.rank)
+            value = np.arange(lengths[me], dtype=float) + me
+            results[me] = yield from gather(ep, group, value)
+
+        run_spmd(cluster, program)
+        return results, list(cluster.obs.flights)
+
+    got, flights = run(allgather_dissemination)
+    want, oracle_flights = run(allgather_dissemination_dict)
+    assert flights == oracle_flights
+    for me in range(n):
+        assert len(got[me]) == n
+        for a, b in zip(got[me], want[me]):
+            assert np.array_equal(a, b)

@@ -8,6 +8,7 @@ from repro.config import (
     ClusterSpec,
     NetworkSpec,
     NodeSpec,
+    ResilienceSpec,
     RuntimeSpec,
     pentium_cluster,
     ultrasparc_cluster,
@@ -73,6 +74,47 @@ def test_app_configs_reject_meaningless_values(cls, kwargs):
     (field, value), = kwargs.items()
     with pytest.raises(ConfigError, match=rf"{cls.__name__}\.{field} .* got {value}"):
         cls(**kwargs)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cls, field", [
+    (NodeSpec, "speed"),
+    (NodeSpec, "quantum"),
+    (NetworkSpec, "latency"),
+    (NetworkSpec, "bandwidth"),
+    (NetworkSpec, "cpu_per_byte"),
+    (NetworkSpec, "cpu_per_msg"),
+    (NetworkSpec, "eager_threshold"),
+    (RuntimeSpec, "grace_period"),
+    (RuntimeSpec, "post_redist_period"),
+    (RuntimeSpec, "daemon_interval"),
+    (RuntimeSpec, "drop_margin"),
+    (ResilienceSpec, "checkpoint_interval"),
+    (ResilienceSpec, "replication"),
+    (ResilienceSpec, "heartbeat_timeout"),
+    (JacobiConfig, "n"),
+    (JacobiConfig, "iters"),
+    (SORConfig, "n"),
+    (SORConfig, "iters"),
+    (CGConfig, "n"),
+    (CGConfig, "iters"),
+    (CGConfig, "nnz_target"),
+    (ParticleConfig, "rows"),
+    (ParticleConfig, "cols"),
+    (ParticleConfig, "steps"),
+    (ParticleConfig, "base_density"),
+    (ParticleConfig, "hot_factor"),
+    (ParticleConfig, "hot_rows"),
+    (ParticleConfig, "part_top"),
+    (ParticleConfig, "n_nodes_hint"),
+])
+def test_nan_is_rejected_at_construction_naming_the_field(cls, field):
+    """NaN fails every comparison, so a check written ``x <= 0`` lets it
+    through; each bound is written so that NaN fails it instead."""
+    with pytest.raises(ConfigError, match=field):
+        cls(**{field: NAN})
 
 
 def test_app_configs_accept_zero_cycles_and_empty_hot_region():

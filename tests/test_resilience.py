@@ -369,6 +369,10 @@ def test_jacobi_bitwise_equal_after_crash():
     for w in (0, 2, 3):
         got = crashed.per_rank[w]["grid"]
         assert np.array_equal(got, ref), f"rank {w} grid diverged"
+    # the survivors collect once: one read-only grid shared by all three
+    shared = crashed.per_rank[0]["grid"]
+    assert all(crashed.per_rank[w]["grid"] is shared for w in (2, 3))
+    assert not shared.flags.writeable
     # per-rank checksums are partial sums over local bounds (which
     # differ after recovery); their total is layout-independent
     total_clean = sum(r["checksum"] for r in clean.per_rank if r)
