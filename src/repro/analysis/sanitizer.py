@@ -122,7 +122,7 @@ class _BlockRec:
     kind: str            # "recv" | "recv-poll" | "send-rdv" | "recv-data"
     peer: int            # source (recv) or destination (send); may be _ANY
     tag: int
-    env_key: int = 0     # id() of the rendezvous envelope, for send-rdv
+    env_key: int = -1    # seq of the rendezvous envelope, for send-rdv
 
     def describe(self) -> str:
         if self.kind in ("recv", "recv-poll"):
@@ -168,8 +168,8 @@ class CommSanitizer:
     """
 
     def __init__(self) -> None:
-        self._msgs: dict[int, _MsgRec] = {}        # id(envelope) -> record
-        self._recvs: dict[int, _RecvRec] = {}      # id(_PendingRecv) -> record
+        self._msgs: dict[int, _MsgRec] = {}        # envelope seq -> record
+        self._recvs: dict[object, _RecvRec] = {}   # pending receive -> record
         self._blocked: dict[int, _BlockRec] = {}   # rank -> record
         self._colls: dict[tuple, _CollRec] = {}    # (group gid, tag) -> record
         #: (origin, window id, target) -> "waiting" | "held" RMA epochs
@@ -198,12 +198,12 @@ class CommSanitizer:
     # ------------------------------------------------------------------
     def on_send(self, env) -> None:
         self.n_sends += 1
-        self._msgs[id(env)] = _MsgRec(
+        self._msgs[env.seq] = _MsgRec(
             env.src, env.dst, env.tag, env.nbytes, env.rendezvous
         )
 
-    def on_recv_posted(self, key: int, rank: int, source: int, tag: int) -> None:
-        self._recvs[key] = _RecvRec(rank, source, tag)
+    def on_recv_posted(self, pending, rank: int, source: int, tag: int) -> None:
+        self._recvs[pending] = _RecvRec(rank, source, tag)
 
     def on_match(
         self,
@@ -211,13 +211,14 @@ class CommSanitizer:
         rank: int,
         source: int,
         tag: int,
-        post_key: Optional[int] = None,
+        pending=None,
     ) -> None:
-        """A receive consumed ``env`` at ``rank`` (query ``source``/``tag``)."""
+        """A receive consumed ``env`` at ``rank`` (query ``source``/``tag``),
+        through the posted receive ``pending`` if there was one."""
         self.n_matches += 1
-        self._msgs.pop(id(env), None)
-        if post_key is not None:
-            self._recvs.pop(post_key, None)
+        self._msgs.pop(env.seq, None)
+        if pending is not None:
+            self._recvs.pop(pending, None)
         # The match satisfies the rank's recv wait even though the kernel
         # has not resumed it yet; keeping the block record past this point
         # would let the chain walk see a phantom edge (the suppressing
@@ -244,7 +245,7 @@ class CommSanitizer:
     def on_block(
         self, rank: int, kind: str, peer: int, tag: int, env=None
     ) -> None:
-        self._blocked[rank] = _BlockRec(kind, peer, tag, 0 if env is None else id(env))
+        self._blocked[rank] = _BlockRec(kind, peer, tag, -1 if env is None else env.seq)
         self.check_deadlock()
 
     def on_unblock(self, rank: int) -> None:

@@ -39,7 +39,10 @@ Dyn-MPI relies on.  The planners of :mod:`.transition` turn that
 replicated ``View`` into a ``Transition``, once per adaptation per job
 (:meth:`DynMPI._decide`); :meth:`DynMPI._apply` is the only code that
 moves rows and, through :meth:`DynMPI._install`, the only code that
-writes the view after ``commit()``.
+writes the view after ``commit()``.  Whatever the members of a cycle
+derive alike — the decision, each row move's plan (verified there when
+the sanitizer is on), a collected array — the first derives into one
+job-level table, ``DynMPIJob._epochs``, and the rest take it.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .distribution import BlockDistribution
 from .drsd import DRSD
 from .loadmon import FailureDetector, LoadMonitor
 from .phase import Phase
-from .intervals import IntervalSet
 from .redistribute import needed_map, plan_edges, redistribute
 from .removal import evaluate_drop
 from .timing import GraceSamples, estimate_unloaded_times, timed_rows
@@ -120,26 +122,19 @@ class DynMPIJob:
         self.events: list[RuntimeEvent] = []
         self.contexts: list["DynMPI"] = []
         self._groups: dict[tuple, Group] = {}
-        #: shared needed-map memo (see RankRuntime._needed).  Every
-        #: rank derives the identical plan from identical inputs — the
-        #: Section 4.4 no-negotiation property — so the group computes
-        #: it once instead of n times (O(n^2) at 1024 ranks otherwise)
-        self._needed_cache: dict = {}
-        #: the same for the send plan of a transition (see
-        #: DynMPI._move_rows), keyed by (old ownership, needed key)
-        self._plan_cache: dict = {}
-        #: the same for the adaptation decisions themselves (see
-        #: DynMPI._decide): one Transition per adaptation, which every
-        #: member installs, keyed by everything its planner reads
-        self._decisions: dict = {}
-        #: the same for collected arrays (see DynMPI.assemble_shared):
-        #: (name, active ranks, cycle) -> [gathered contributions, the
-        #: read-only array assembled from them, members that took it],
-        #: popped by the last active member, so nothing outlives it
-        self._collected: dict = {}
-        #: the same side channel for DynMPI._check_lockstep: cycle ->
-        #: (world rank, view fingerprint) of the first rank to enter it
-        self._lockstep: dict = {}
+        #: what the members of a cycle derive alike, derived once by
+        #: the first (every member has the same inputs, the Section 4.4
+        #: no-negotiation property; n times would be O(n^2) at 1024
+        #: ranks): cycle -> {key by value: a decision, a row move's
+        #: needed map and send plan, a collected array, the lockstep
+        #: fingerprint}.  One lifetime rule: an active rank beginning
+        #: cycle c drops c - 2, and launch() drops the rest.  Safe
+        #: because the control allgather keeps active ranks within a
+        #: cycle of each other, and a rank dropped in c hands its rows
+        #: to ranks active in c + 1; removed ranks drop nothing (a
+        #: parked rank follows the root's tokens, one that cannot
+        #: rejoin runs ahead)
+        self._epochs: dict[int, dict] = {}
         self._launched = False
         #: heartbeat crash detector (repro.resilience); None unless a
         #: ResilienceSpec is attached to the runtime spec
@@ -189,7 +184,10 @@ class DynMPIJob:
             ctx = self.contexts[rank]
             return ctx.crashed or board.failed(self.comm.node_of(rank))
 
-        self.cluster.sim.run_all(procs, until=until, tolerate=expected_death)
+        try:
+            self.cluster.sim.run_all(procs, until=until, tolerate=expected_death)
+        finally:
+            self._epochs.clear()  # nothing shared outlives the run
         if self.cluster.sanitizer is not None:
             # a rank still parked at the end leaves its last load report
             # unread whenever it ran behind the root's final poll
@@ -240,6 +238,9 @@ class DynMPI:
         self.proc = None
         self.proc_clock: Optional[ProcClock] = None
         self._committed = False
+        #: the registration by value, frozen by commit(): part of every
+        #: row move's key, so a rank registered differently misses
+        self._registration: tuple = ()
         self._grace: dict[int, GraceSamples] = {}
         self._grace_count = 0
         self._post_count = 0
@@ -324,6 +325,8 @@ class DynMPI:
         hi_off: int = 0,
         step: int = 1,
     ) -> None:
+        if self._committed:
+            raise RegistrationError("cannot add array accesses after commit()")
         if phase_id not in self.phases:
             raise RegistrationError(f"unknown phase {phase_id}")
         if array not in self.arrays:
@@ -347,13 +350,19 @@ class DynMPI:
                         f"array {acc.array!r} has {arr.n_rows} rows but the "
                         f"partitioned loop needs {self.loop_size}"
                     )
+        # by value: DRSDs are frozen dataclasses
+        self._registration = (
+            tuple((pid, tuple(ph.accesses))
+                  for pid, ph in sorted(self.phases.items())),
+            tuple(sorted(self._array_rows().items())),
+        )
         n = self.active_group.size
-        self.bounds = self._memo(
-            self.job._decisions, ("initial", self.loop_size, n),
+        self.bounds = self._shared(
+            ("initial", self.loop_size, n),
             lambda: BlockDistribution.even(self.loop_size, n).bounds,
         )
         self._nn = self._owned_neighbors()
-        needed = self._needed(self.bounds)
+        needed, _ = self._move(None, self.bounds)
         me = self.active_group.rel(self.world_rank)
         for name, arr in self.arrays.items():
             arr.hold(needed[me][name])
@@ -444,21 +453,17 @@ class DynMPI:
         assembles and parks the array; a member takes it only if its
         own gathered list is element for element those same objects.
         A divergent replica, or a tap that copied payloads, assembles
-        its own instead of sharing a wrong array."""
-        key = (name, tuple(self.active_group.ranks), self.cycle)
-        table = self.job._collected
-        entry = table.get(key)
-        if entry is not None and all(
-                a is b for a, b in zip(entry[0], gathered)):
-            out = entry[1]
-        else:
-            out = assemble(gathered)
-            out.setflags(write=False)
-            if entry is None:
-                entry = table[key] = [gathered, out, 0]
-        entry[2] += 1
-        if entry[2] == len(gathered):  # one contribution per member
-            del table[key]
+        its own instead of sharing a wrong array; so does the first
+        member of a second collect in the same cycle, whose array the
+        others then share."""
+        epoch = self.job._epochs.setdefault(self.cycle, {})
+        key = ("collect", name, tuple(self.active_group.ranks))
+        hit = epoch.get(key)
+        if hit is not None and all(a is b for a, b in zip(hit[0], gathered)):
+            return hit[1]
+        out = assemble(gathered)
+        out.setflags(write=False)
+        epoch[key] = (gathered, out)
         return out
 
     def bcast_active(self, value=None, root: int = 0) -> Generator:
@@ -505,6 +510,7 @@ class DynMPI:
             if self.spec.allow_rejoin:
                 yield from self._removed_cycle()
             return
+        self.job._epochs.pop(self.cycle - 2, None)  # see DynMPIJob._epochs
         self._cycle_t0 = self.job.hr.read()
         if not self.job.adaptive:
             return
@@ -563,13 +569,9 @@ class DynMPI:
 
     def _check_lockstep(self) -> None:
         """(sanitizer) A replica that diverged from the first rank's to
-        reach this cycle fails here, not as corrupted rows later.  The
-        control allgather keeps active ranks within a cycle of each
-        other, so two cycles of fingerprints are kept."""
-        seen = self.job._lockstep
+        reach this cycle fails here, not as corrupted rows later."""
         mine = self._view().fingerprint()
-        first = seen.setdefault(self.cycle, (self.world_rank, mine))
-        seen.pop(self.cycle - 2, None)
+        first = self._shared(("lockstep",), lambda: (self.world_rank, mine))
         for name, a, b in zip(View._fields, first[1], mine):
             if a != b:
                 raise SanitizerError(
@@ -833,28 +835,16 @@ class DynMPI:
     # ------------------------------------------------------------------
     # adaptation internals
     # ------------------------------------------------------------------
-    def _needed_key(self, bounds) -> tuple:
-        # by value: DRSDs are frozen dataclasses, so ranks with
-        # divergent registrations would miss, not collide
-        return (
-            tuple(bounds),
-            tuple((pid, tuple(ph.accesses))
-                  for pid, ph in sorted(self.phases.items())),
-            tuple(sorted(self._array_rows().items())),
-        )
-
-    @staticmethod
-    def _memo(cache: dict, key: tuple, derive: Callable[[], Any]):
-        """Job-level memo: all ranks of a collective epoch pass
-        identical inputs, so the group derives once instead of n
-        times.  The value is shared, which is safe because
-        IntervalSet is immutable, a Transition's arrays are read-only
-        and callers only read it."""
-        hit = cache.get(key)
+    def _shared(self, key: tuple, derive: Callable[[], Any]):
+        """The value every member of this cycle shares under ``key``
+        (see ``DynMPIJob._epochs``): the first to ask derives it, the
+        others take that object.  Sharing is safe because IntervalSet
+        is immutable, a Transition's arrays are read-only and callers
+        only read the rest."""
+        epoch = self.job._epochs.setdefault(self.cycle, {})
+        hit = epoch.get(key)
         if hit is None:
-            if len(cache) >= 8:
-                cache.clear()
-            hit = cache[key] = derive()
+            hit = epoch[key] = derive()
         return hit
 
     def _decide(self, inputs: tuple, plan: Callable[[View], Any]):
@@ -867,33 +857,30 @@ class DynMPI:
         replica whose view or gathered data diverged misses and plans
         its own, and the sanitizer's lockstep check still names it."""
         view = self._view()
-        return self._memo(self.job._decisions, (view.fingerprint(),) + inputs,
-                          lambda: plan(view))
+        return self._shared((view.fingerprint(),) + inputs, lambda: plan(view))
 
-    def _needed(self, bounds) -> list[dict[str, IntervalSet]]:
-        return self._memo(
-            self.job._needed_cache, self._needed_key(bounds),
-            lambda: needed_map(self.phases, bounds, self._array_rows()),
-        )
+    def _move(self, old_bounds: Optional[tuple], new_bounds: tuple) -> tuple:
+        """``(needed map, send plan)`` for moving ``self.arrays`` from
+        ``old_bounds`` ownership to what ``new_bounds`` needs; the plan
+        is None for the initial placement (``old_bounds`` None).  One
+        per row move per job, keyed with the registration: a divergent
+        replica or registration misses and derives its own.  With the
+        sanitizer on, deriving a move verifies it first."""
+        def derive() -> tuple:
+            array_rows = dict(self._registration[1])
+            needed = needed_map(self.phases, new_bounds, array_rows)
+            if old_bounds is None:
+                return needed, None
+            if self.job.cluster.sanitizer is not None:
+                # dynsan self-check: the Section 4.4 invariants of the
+                # move, before any row moves (raises PlanCheckError)
+                from ..analysis.plancheck import verify_transition
+                verify_transition(old_bounds, new_bounds, self.phases,
+                                  array_rows)
+            return needed, plan_edges(old_bounds, needed, list(self.arrays))
 
-    def _move_rows(self, group: Group, old_bounds, new_bounds) -> Generator:
-        """Redistribute ``self.arrays`` over ``group`` from
-        ``old_bounds`` ownership to what ``new_bounds`` needs, along
-        the edges of the (job-shared) send plan."""
-        old_bounds, new_bounds = tuple(old_bounds), tuple(new_bounds)
-        needed = self._needed(new_bounds)
-        plan = self._memo(
-            self.job._plan_cache,
-            (old_bounds,) + self._needed_key(new_bounds),
-            lambda: plan_edges(old_bounds, needed, list(self.arrays)),
-        )
-        report = yield from redistribute(
-            self.ep, group, old_bounds, new_bounds,
-            self.arrays, needed, self.job.mem_model,
-            memory_bytes=self.job.cluster.spec.node.memory_bytes,
-            plan=plan,
-        )
-        return report
+        return self._shared(("move", old_bounds, new_bounds, self._registration),
+                            derive)
 
     def _patterns(self) -> list[PhasePattern]:
         return [p.pattern for p in self.phases.values()]
@@ -993,12 +980,7 @@ class DynMPI:
         obs = self.obs
         if plan.exchange_world is not None:
             ts = obs.now() if obs is not None else 0.0
-            if self.job.cluster.sanitizer is not None:
-                # dynsan self-check: verify the Section 4.4 invariants of
-                # the derived plan before any row moves (raises PlanCheckError)
-                from ..analysis.plancheck import verify_transition
-                verify_transition(plan.old_ownership, plan.new_bounds,
-                                  self.phases, self._array_rows())
+            needed, sends = self._move(plan.old_ownership, plan.new_bounds)
             if obs is not None:
                 # plan derivation is pure computation (no simulated time):
                 # a zero-duration marker carrying the plan's span count
@@ -1006,8 +988,7 @@ class DynMPI:
                     "redist.plan", ts, dur=0.0, cat="redist",
                     pid=self.node_id, tid=self.world_rank, cycle=self.cycle,
                     spans=sum(len(iv.spans)
-                              for per in self._needed(plan.new_bounds)
-                              for iv in per.values()),
+                              for per in needed for iv in per.values()),
                 )
             for dead, holder in plan.replays:
                 if holder == self.world_rank:
@@ -1020,9 +1001,12 @@ class DynMPI:
                             f"{dead} but holds no replica"
                         )
                     ckpt.restore(self.arrays)
-            report = yield from self._move_rows(
-                self.job.group_for(plan.exchange_world),
-                plan.old_ownership, plan.new_bounds,
+            report = yield from redistribute(
+                self.ep, self.job.group_for(plan.exchange_world),
+                plan.old_ownership, plan.new_bounds, self.arrays, needed,
+                self.job.mem_model,
+                memory_bytes=self.job.cluster.spec.node.memory_bytes,
+                plan=sends,
             )
             if obs is not None:
                 obs.complete(

@@ -283,7 +283,7 @@ class SimComm:
                 del pending[i]
                 if self.san is not None:
                     self.san.on_match(env, env.dst, req.source, req.tag,
-                                      post_key=id(req))
+                                      pending=req)
                 req.signal.fire(env)
                 return
         self._mailboxes[env.dst].append(env)
@@ -474,7 +474,7 @@ class Endpoint:
                 pr = _PendingRecv(source, tag, sig)
                 comm._pending[self.rank].append(pr)
                 if san is not None:
-                    san.on_recv_posted(id(pr), self.rank, source, tag)
+                    san.on_recv_posted(pr, self.rank, source, tag)
                     san.on_block(self.rank, "recv", source, tag)
                 env = yield Wait(sig)
                 if san is not None:
@@ -569,8 +569,6 @@ class Endpoint:
         shadow = _ShadowProc(f"isend:{self.rank}->{dest}")
 
         def after_cpu() -> None:
-            # the shadow is done: a later one at its address starts fresh
-            node.cpu.forget(shadow)
             if nbytes <= comm.net.spec.eager_threshold:
                 comm.net.transmit(
                     self.node_id, comm.node_of(dest), nbytes,
@@ -637,7 +635,7 @@ class Endpoint:
             pr = _PendingRecv(source, tag, sig)
             comm._pending[self.rank].append(pr)
             if comm.san is not None:
-                comm.san.on_recv_posted(id(pr), self.rank, source, tag)
+                comm.san.on_recv_posted(pr, self.rank, source, tag)
             sig.add_waiter(finish)
         return req
 
@@ -661,12 +659,13 @@ class Endpoint:
 class _ShadowProc:
     """Phantom schedulable entity for offloaded (isend) CPU charges."""
 
-    __slots__ = ("name", "state", "cpu_time")
+    __slots__ = ("name", "state", "cpu_time", "fair_share")
 
     def __init__(self, name: str):
         self.name = name
         self.state = "ready"
         self.cpu_time = 0.0
+        self.fair_share = None
 
 
 def _detach(payload: Any) -> Any:

@@ -61,12 +61,13 @@ class BackgroundJob:
     table (and in ``dmpi_ps`` samples).
     """
 
-    __slots__ = ("name", "state", "cpu_time", "node")
+    __slots__ = ("name", "state", "cpu_time", "fair_share", "node")
 
     def __init__(self, name: str):
         self.name = name
         self.state = ProcState.READY
         self.cpu_time = 0.0
+        self.fair_share = None  # see RoundRobinCPU._ema_share
         self.node = None
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -164,9 +165,6 @@ class RoundRobinCPU:
         # (proc, time) of the most recent completion of any kind: a
         # process resubmitting at that instant is CPU-bound, not waking
         self._last_done: Optional[tuple] = None
-        # per-process EMA of CPU usage (id(proc) -> [t_last, score]);
-        # share over the recent window is score / _EMA_TAU
-        self._ema: dict[int, list] = {}
         self._rng = rng
         self.n_context_switches = 0
         self.n_wake_boosts = 0
@@ -337,12 +335,6 @@ class RoundRobinCPU:
             rest = min(max(0.0, job.allowed - elapsed), rest)
         self._slice_timer = self.sim.schedule(rest, self._on_slice_end)
 
-    def forget(self, proc) -> None:
-        """Drop the fair-share record of ``proc``, a one-shot process
-        whose only job has completed.  Records are keyed by ``id()``, so
-        a later process at the same address would inherit it."""
-        self._ema.pop(id(proc), None)
-
     def runnable_jobs(self) -> list[Job]:
         jobs = list(self._queue)
         if self._current is not None:
@@ -405,8 +397,11 @@ class RoundRobinCPU:
     _INTERACTIVE_FRAC = 0.1
 
     def _ema_share(self, proc) -> float:
-        """Recent CPU share of ``proc`` (0..1)."""
-        rec = self._ema.get(id(proc))
+        """Recent CPU share of ``proc`` (0..1).  The EMA of its CPU
+        usage lives on the process itself, as ``proc.fair_share =
+        [t_last, score]`` (None until it first runs); the share over
+        the recent window is ``score / _EMA_TAU``."""
+        rec = proc.fair_share
         if rec is None:
             return 0.0
         dt = self.sim.now - rec[0]
@@ -416,7 +411,9 @@ class RoundRobinCPU:
         return rec[1] / self._EMA_TAU
 
     def _ema_add(self, proc, elapsed: float) -> None:
-        rec = self._ema.setdefault(id(proc), [self.sim.now, 0.0])
+        rec = proc.fair_share
+        if rec is None:
+            rec = proc.fair_share = [self.sim.now, 0.0]
         dt = self.sim.now - rec[0]
         if dt > 0:
             rec[1] *= math.exp(-dt / self._EMA_TAU)
@@ -508,11 +505,11 @@ class RoundRobinCPU:
         self.busy_time = float(np.cumsum(np.concatenate(([self.busy_time], elapsed)))[-1])
         quantum, full, tau = self.quantum, self.quantum - _EPS, self._EMA_TAU
         used, allowed = job.turn_used, job.allowed
-        rec = self._ema.get(id(proc))
+        rec = proc.fair_share
         for t, e in zip(times.tolist(), elapsed.tolist()):
             if e > 0:
                 if rec is None:
-                    rec = self._ema[id(proc)] = [t, 0.0]
+                    rec = proc.fair_share = [t, 0.0]
                 dt = t - rec[0]
                 if dt > 0:
                     rec[1] *= math.exp(-dt / tau)

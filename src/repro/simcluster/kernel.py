@@ -193,7 +193,7 @@ class SimProcess:
     """
 
     __slots__ = (
-        "name", "gen", "node", "state", "cpu_time", "result", "error",
+        "name", "gen", "node", "state", "cpu_time", "fair_share", "result", "error",
         "done_signal", "sim", "daemon", "cpu_job",
     )
 
@@ -203,6 +203,7 @@ class SimProcess:
         self.node = None  # set by Node.attach / launcher
         self.state = ProcState.NEW
         self.cpu_time = 0.0  # CPU seconds consumed (the /PROC counter)
+        self.fair_share = None  # the scheduler's EMA record of that use
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.done_signal: Optional[Signal] = None

@@ -53,7 +53,7 @@ def loop_recv(self: Endpoint, source: int, tag: int) -> Generator:
             pr = _PendingRecv(source, tag, sig)
             comm._pending[self.rank].append(pr)
             if san is not None:
-                san.on_recv_posted(id(pr), self.rank, source, tag)
+                san.on_recv_posted(pr, self.rank, source, tag)
                 san.on_block(self.rank, "recv", source, tag)
             env = yield Wait(sig)
             if san is not None:

@@ -58,7 +58,7 @@ def test_every_rank_gets_one_read_only_grid(app):
     assert all(g is grids[0] for g in grids)
     assert not grids[0].flags.writeable
     assert np.array_equal(grids[0], expected)
-    assert res.job._collected == {}  # nothing outlives the collect
+    assert res.job._epochs == {}  # nothing outlives the collect
 
 
 def _collect_twice(ctx, n):

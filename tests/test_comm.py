@@ -241,9 +241,9 @@ def test_isend_irecv_completion():
 
 
 def test_finished_isend_shadow_leaves_no_fair_share_record(monkeypatch):
-    """The scheduler keys its fair-share records by ``id()``: a record
-    kept for a finished isend shadow would be inherited by the next
-    shadow allocated at the same address."""
+    """The fair-share record lives on the schedulable itself, so a
+    finished isend shadow takes its record with it: the scheduler keeps
+    no per-process table a later shadow could inherit from."""
     cluster = make_cluster(cpu_per_msg=50.0)
     shadows = []
     real_submit = RoundRobinCPU.submit
@@ -265,7 +265,8 @@ def test_finished_isend_shadow_leaves_no_fair_share_record(monkeypatch):
     run_spmd(cluster, program)
     assert len(shadows) == 10
     assert all(shadow.cpu_time > 0 for _cpu, shadow in shadows)
-    assert not [s for cpu, s in shadows if id(s) in cpu._ema]
+    assert all(shadow.fair_share is not None for _cpu, shadow in shadows)
+    assert len({id(shadow.fair_share) for _cpu, shadow in shadows}) == 10
 
 
 def test_irecv_posted_before_send_matches():

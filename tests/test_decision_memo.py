@@ -4,21 +4,26 @@ Every active rank reaches an adaptation with the same replicated view
 and the same gathered data, so the runtime plans it once
 (``DynMPI._decide``) and every member installs that one ``Transition``.
 These tests count the planner calls of a real removal run, check that
-the shared ``Transition`` cannot be written through, and check that a
-replica whose gathered data diverged misses the memo and is still
-caught by the sanitizer's lockstep check.
+the shared ``Transition`` cannot be written through, check that the
+sanitizer verifies each row move once per job (not once per member),
+and check that a replica whose gathered data diverged misses the memo
+and is still caught by the sanitizer's lockstep check.
 """
 
 import numpy as np
 import pytest
 
+import repro.analysis.plancheck as plancheck
 import repro.core.runtime as runtime
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec, RuntimeSpec
 from repro.core import AccessMode, DynMPIJob, NearestNeighbor
 from repro.errors import SanitizerError
 from repro.mpi import collectives
 from repro.obs.scenario import RemovalScenario, run_removal
+from repro.resilience import node_crash
 from repro.simcluster import Cluster, CycleTrigger, LoadScript
+from tests.test_rejoin import run_scenario as rejoin_run
+from tests.test_resilience import run_crash_scenario
 
 PLANNERS = ("plan_rebalance", "evaluate_drop", "plan_drop", "plan_rejoin",
             "plan_recovery")
@@ -97,6 +102,72 @@ def test_shared_transition_arrays_are_read_only(monkeypatch):
     assert decision.drop and not decision.keep_shares.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         decision.keep_shares[0] = 0.0
+
+
+SCENARIOS = {
+    "removal": lambda: removal_16().job,
+    "rejoin": lambda: rejoin_run(allow_rejoin=True)[0],
+    "crash": lambda: run_crash_scenario(node_crash(2, at_cycle=10))[0],
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_each_row_move_is_verified_once_per_job(monkeypatch, scenario):
+    """The sanitizer verifies a row move where the job derives it, so
+    the members of a Transition share one ``verify_transition`` call;
+    and the job's shared table is empty once ``launch()`` returns."""
+    monkeypatch.setenv("DYNMPI_SANITIZE", "1")
+    calls = []
+    real_verify = plancheck.verify_transition
+
+    def verify(*args, **kwargs):
+        calls.append(args[:2])
+        return real_verify(*args, **kwargs)
+
+    monkeypatch.setattr(plancheck, "verify_transition", verify)
+    moves = set()
+    real_apply = runtime.DynMPI._apply
+
+    def spy(self, plan, t0=None):
+        if plan.exchange_world is not None:
+            moves.add((self.cycle, plan.old_ownership, plan.new_bounds))
+        return real_apply(self, plan, t0)
+
+    monkeypatch.setattr(runtime.DynMPI, "_apply", spy)
+    job = SCENARIOS[scenario]()
+    kinds = [ev.kind for ev in job.events]
+    assert {"removal": "drop", "rejoin": "rejoin",
+            "crash": "crash_recovery"}[scenario] in kinds
+    assert len(calls) == len(moves)
+    if scenario == "removal":
+        assert len(calls) == 2  # the redistribution and the drop
+    assert job._epochs == {}
+
+
+def test_no_epoch_is_dropped_while_an_active_rank_is_in_it(monkeypatch):
+    """The one lifetime rule of the shared table: cycle c's entries go
+    only once every active rank has left cycle c.  A rank removed
+    without rejoin runs its remaining cycles at once, so it must not
+    be the one dropping them."""
+    early = []
+    real_init = runtime.DynMPIJob.__init__
+
+    class Epochs(dict):
+        def pop(self, cycle, *default):
+            if cycle in self:
+                early.extend((cycle, ctx.world_rank) for ctx in self.job.contexts
+                             if ctx.active and ctx.cycle <= cycle)
+            return super().pop(cycle, *default)
+
+    def init(job, *args, **kwargs):
+        real_init(job, *args, **kwargs)
+        job._epochs = Epochs()
+        job._epochs.job = job
+
+    monkeypatch.setattr(runtime.DynMPIJob, "__init__", init)
+    job, _results = rejoin_run(allow_rejoin=False)
+    assert [ev.kind for ev in job.events] == ["redistribute", "drop"]
+    assert early == []
 
 
 # ----------------------------------------------------------------------

@@ -48,9 +48,8 @@ def run_case(form, seed, works, n_cp, warm, churn, fate):
                                   node=NodeSpec(speed=SPEED, quantum=QUANTUM)))
     sim, node = cluster.sim, cluster.nodes[0]
     cpu = node.cpu
-    # id -> name, for the EMA table (which is keyed by id: every
-    # process stays referenced here so no id is reused within a run)
-    names, alive = {}, []
+    # process -> name, for reading every fair-share record at the end
+    names = {}
     out, completed = {}, []
     complete = cpu._complete
 
@@ -65,8 +64,7 @@ def run_case(form, seed, works, n_cp, warm, churn, fate):
 
     def start():
         name = node.start_competing(f"cp{next(started)}")
-        alive.append(node.background[name])
-        names[id(alive[-1])] = name
+        names[node.background[name]] = name
 
     for _ in range(n_cp):
         start()
@@ -85,14 +83,14 @@ def run_case(form, seed, works, n_cp, warm, churn, fate):
         out["done"] = sim.now
 
     app_proc = sim.spawn(app(), name="app", node=node)
-    names[id(app_proc)] = "app"
+    names[app_proc] = "app"
     wakers = []
 
     def wake(i):
         def waker():
             yield Compute(0.0015 * SPEED)
         wakers.append(sim.spawn(waker(), name=f"w{i}", node=node))
-        names[id(wakers[-1])] = f"w{i}"
+        names[wakers[-1]] = f"w{i}"
 
     for i, (t, action) in enumerate(churn):
         if action == "start":
@@ -119,7 +117,8 @@ def run_case(form, seed, works, n_cp, warm, churn, fate):
         "state": app_proc.state,
         "cpu_time": app_proc.cpu_time,
         "busy_time": cpu.busy_time,
-        "ema": {names[k]: tuple(v) for k, v in cpu._ema.items()},
+        "ema": {name: tuple(p.fair_share) for p, name in names.items()
+                if p.fair_share is not None},
         "switches": cpu.n_context_switches,
         "boosts": cpu.n_wake_boosts,
         "slices": list(cluster.obs.slices),

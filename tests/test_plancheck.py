@@ -195,8 +195,8 @@ def test_cli_supplied_corrupt_plan_fails(tmp_path, capsys):
 
 # ----------------------------------------------------------------------
 # runtime self-check integration: a real adaptive run redistributes
-# through verify_transition (wired into DynMPI._apply, so every kind of
-# transition is checked) cleanly, and a replica that diverges between
+# through verify_transition (wired into DynMPI._move, which derives the
+# row move of every kind of transition) cleanly, and a replica that diverges between
 # transitions is caught by the lockstep check at the next cycle
 # ----------------------------------------------------------------------
 

@@ -92,6 +92,8 @@ def test_registration_validation():
         ctx.commit()
         with pytest.raises(RegistrationError):
             ctx.register_dense("C", (N_ROWS, 4))
+        with pytest.raises(RegistrationError):  # registration is frozen
+            ctx.add_array_access(1, "A", AccessMode.READ)
         yield from ctx.begin_cycle()
         yield from ctx.end_cycle()
 

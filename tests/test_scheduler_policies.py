@@ -3,6 +3,10 @@ governor, the interactive slice, and quantum continuation — the pieces
 that make the non dedicated node model behave like a real OS (see the
 scheduler row of DESIGN.md's substitution table)."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import ClusterSpec, NodeSpec
@@ -102,6 +106,7 @@ def test_ema_share_decays_over_time():
         name = "x"
         state = "ready"
         cpu_time = 0.0
+        fair_share = None
 
     proc = P()
     cpu._ema_add(proc, 0.02)
@@ -119,6 +124,7 @@ def test_below_fair_share_threshold():
         name = "y"
         state = "ready"
         cpu_time = 0.0
+        fair_share = None
 
     proc = P()
     # untouched process: share 0 -> below fair
@@ -134,3 +140,31 @@ def test_background_jobs_never_boosted():
     boosts_before = node.cpu.n_wake_boosts
     node.start_competing()  # background submit, not a wakeup boost
     assert node.cpu.n_wake_boosts == boosts_before
+
+
+_REMOVAL = """
+from repro.obs.scenario import RemovalScenario, run_removal
+result, _ = run_removal(RemovalScenario(n_nodes=4, n=64, iters=24,
+                                        load_cycle=4, n_cp=2), observe=False)
+print(repr([(e.kind, e.cycle, e.time, e.duration, e.detail)
+            for e in result.events]))
+print(repr([ctx.cycle_times for ctx in result.job.contexts]))
+"""
+
+
+def test_schedule_does_not_depend_on_object_addresses():
+    """Fair-share records live on the processes, not under ``id()``:
+    a removal run under CPython's plain ``malloc`` allocator (other
+    addresses, other reuse) adapts at the same cycles and times as a
+    default run, and every rank measures the same cycle times."""
+    root = pathlib.Path(__file__).parent.parent
+    outs = []
+    for extra in ({}, {"PYTHONMALLOC": "malloc"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REMOVAL], capture_output=True, text=True,
+            env={"PYTHONPATH": str(root / "src"), **extra}, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert "'drop'" in outs[0]
+    assert outs[0] == outs[1]
