@@ -122,7 +122,7 @@ class _BlockRec:
     kind: str            # "recv" | "recv-poll" | "send-rdv" | "recv-data"
     peer: int            # source (recv) or destination (send); may be _ANY
     tag: int
-    env_key: int = -1    # seq of the rendezvous envelope, for send-rdv
+    env_key: Optional[tuple] = None  # (cid, seq) of a send-rdv's envelope
 
     def describe(self) -> str:
         if self.kind in ("recv", "recv-poll"):
@@ -168,7 +168,7 @@ class CommSanitizer:
     """
 
     def __init__(self) -> None:
-        self._msgs: dict[int, _MsgRec] = {}        # envelope seq -> record
+        self._msgs: dict[tuple, _MsgRec] = {}      # (comm cid, seq) -> record
         self._recvs: dict[object, _RecvRec] = {}   # pending receive -> record
         self._blocked: dict[int, _BlockRec] = {}   # rank -> record
         self._colls: dict[tuple, _CollRec] = {}    # (group gid, tag) -> record
@@ -180,6 +180,13 @@ class CommSanitizer:
         self.warnings: list[str] = []
         self.n_sends = 0
         self.n_matches = 0
+        self._n_comms = 0
+
+    def register_comm(self) -> int:
+        """A token for a new communicator on this cluster: each numbers
+        its envelopes from 0, so messages are keyed ``(token, seq)``."""
+        self._n_comms += 1
+        return self._n_comms
 
     # ------------------------------------------------------------------
     # failed ranks (called from SimComm.mark_rank_dead)
@@ -196,9 +203,9 @@ class CommSanitizer:
     # ------------------------------------------------------------------
     # message life cycle (called from repro.mpi.comm)
     # ------------------------------------------------------------------
-    def on_send(self, env) -> None:
+    def on_send(self, env, cid: int) -> None:
         self.n_sends += 1
-        self._msgs[env.seq] = _MsgRec(
+        self._msgs[(cid, env.seq)] = _MsgRec(
             env.src, env.dst, env.tag, env.nbytes, env.rendezvous
         )
 
@@ -208,15 +215,17 @@ class CommSanitizer:
     def on_match(
         self,
         env,
+        cid: int,
         rank: int,
         source: int,
         tag: int,
         pending=None,
     ) -> None:
-        """A receive consumed ``env`` at ``rank`` (query ``source``/``tag``),
-        through the posted receive ``pending`` if there was one."""
+        """A receive consumed ``env`` of communicator ``cid`` at ``rank``
+        (query ``source``/``tag``), through the posted receive
+        ``pending`` if there was one."""
         self.n_matches += 1
-        self._msgs.pop(env.seq, None)
+        self._msgs.pop((cid, env.seq), None)
         if pending is not None:
             self._recvs.pop(pending, None)
         # The match satisfies the rank's recv wait even though the kernel
@@ -243,9 +252,10 @@ class CommSanitizer:
     # blocking state + wait-for-graph deadlock detection
     # ------------------------------------------------------------------
     def on_block(
-        self, rank: int, kind: str, peer: int, tag: int, env=None
+        self, rank: int, kind: str, peer: int, tag: int,
+        env_key: Optional[tuple] = None,
     ) -> None:
-        self._blocked[rank] = _BlockRec(kind, peer, tag, -1 if env is None else env.seq)
+        self._blocked[rank] = _BlockRec(kind, peer, tag, env_key)
         self.check_deadlock()
 
     def on_unblock(self, rank: int) -> None:

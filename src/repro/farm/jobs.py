@@ -18,12 +18,13 @@ per run: a chunk's cost and results are lookups into them.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 
 import numpy as np
 
 __all__ = [
     "job_costs", "job_results", "reference_results", "farm_digest",
-    "farm_oracle", "JobQueue",
+    "mask_digest", "farm_oracle", "chunk_rows", "chunk_ids", "JobQueue",
 ]
 
 _MASK = (1 << 64) - 1
@@ -85,14 +86,23 @@ def reference_results(n_jobs: int, seed: int) -> dict[int, int]:
 def farm_digest(completed: dict[int, int]) -> str:
     """SHA-1 over the sorted ``(job, result)`` pairs: the byte-level
     identity the acceptance tests compare across policies/seeds/churn."""
-    if not completed:
-        return hashlib.sha1(b"").hexdigest()
     jobs = np.fromiter(completed.keys(), dtype=np.uint64, count=len(completed))
-    order = np.argsort(jobs, kind="stable")
     vals = np.fromiter(completed.values(), dtype=np.uint64, count=len(completed))
-    packed = np.empty(2 * len(completed), dtype=np.uint64)
-    packed[0::2] = jobs[order]
-    packed[1::2] = vals[order]
+    order = np.argsort(jobs, kind="stable")
+    return _pairs_digest(jobs[order], vals[order])
+
+
+def mask_digest(done: np.ndarray, values: np.ndarray) -> str:
+    """:func:`farm_digest` of the jobs ``done`` marks, read from the
+    completion mask and the per-job ``values`` table directly."""
+    jobs = np.flatnonzero(done)
+    return _pairs_digest(jobs, values[jobs])
+
+
+def _pairs_digest(jobs: np.ndarray, vals: np.ndarray) -> str:
+    packed = np.empty(2 * len(jobs), dtype=np.uint64)
+    packed[0::2] = jobs
+    packed[1::2] = vals
     return hashlib.sha1(packed.tobytes()).hexdigest()
 
 
@@ -116,47 +126,85 @@ def farm_oracle(spec):
     return check
 
 
-class JobQueue:
-    """The master's pool of unscheduled jobs.
+def chunk_rows(jobs):
+    """Index of chunk ``jobs`` into a per-job table: a slice for a run
+    (so ``table[chunk_rows(run)]`` is a view), the ids themselves
+    otherwise."""
+    return slice(jobs.start, jobs.stop) if type(jobs) is range else jobs
 
-    ``take`` serves from the head; ``requeue`` appends lost chunks to
-    the tail and counts each job's requeue.  O(1) amortized take via a
-    head cursor (the backing list is compacted when the dead prefix
-    outgrows the live remainder).
+
+def chunk_ids(jobs) -> np.ndarray:
+    """Chunk ``jobs`` as an int64 array of job ids, in chunk order."""
+    if type(jobs) is range:
+        return np.arange(jobs.start, jobs.stop, dtype=np.int64)
+    return np.asarray(jobs, dtype=np.int64)
+
+
+def _frozen(ids) -> np.ndarray:
+    """A read-only int64 copy of ``ids``: nothing a caller does to its
+    own list or array later reaches the queue or a dispatched chunk."""
+    arr = np.array(ids, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+class JobQueue:
+    """The master's pool of unscheduled jobs, held as runs of job ids.
+
+    Each run is a ``range`` (never-dispatched jobs: the initial
+    ``0..n_jobs-1``, the unclaimed tail of an ``rma`` counter) or a
+    read-only int64 array (one per requeued batch).  ``take`` serves
+    from the head without building a per-job object: a chunk inside one
+    run is a sub-``range`` or an array view, one spanning runs a new
+    array.  ``requeue`` appends lost jobs to the tail and counts each
+    job's requeue.
     """
 
-    def __init__(self, jobs=()):
-        self._items: list[int] = list(jobs)
-        self._head = 0
+    def __init__(self, jobs=range(0)):
+        self._runs: deque = deque()
+        self._len = 0
         self.requeued: dict[int, int] = {}
+        self.extend(jobs)
 
     def __len__(self) -> int:
-        return len(self._items) - self._head
+        return self._len
 
-    def take(self, k: int) -> list[int]:
-        k = min(k, len(self))
-        if k <= 0:
-            return []
-        out = self._items[self._head:self._head + k]
-        self._head += k
-        if self._head > 4096 and self._head * 2 > len(self._items):
-            del self._items[:self._head]
-            self._head = 0
-        return out
+    def take(self, k: int):
+        """Up to ``k`` jobs off the head: a ``range`` or an int64 array."""
+        k = min(k, self._len)
+        parts = []
+        while k > 0:
+            run = self._runs[0]
+            if len(run) <= k:
+                part = self._runs.popleft()
+            else:
+                part, self._runs[0] = run[:k], run[k:]
+            parts.append(part)
+            k -= len(part)
+            self._len -= len(part)
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return range(0)
+        return _frozen(np.concatenate([chunk_ids(p) for p in parts]))
 
     def extend(self, jobs) -> None:
         """Append never-dispatched jobs (no requeue accounting)."""
-        self._items.extend(jobs)
+        self._append(jobs if type(jobs) is range else _frozen(jobs))
 
     def requeue(self, jobs) -> int:
         """Append lost jobs; returns how many were added."""
-        added = 0
-        for j in jobs:
-            self._items.append(j)
+        run = _frozen(jobs)
+        self._append(run)
+        for j in run.tolist():
             self.requeued[j] = self.requeued.get(j, 0) + 1
-            added += 1
-        return added
+        return len(run)
 
     @property
     def n_requeued(self) -> int:
         return sum(self.requeued.values())
+
+    def _append(self, run) -> None:
+        if len(run):
+            self._runs.append(run)
+            self._len += len(run)

@@ -13,10 +13,13 @@ tag       direction          meaning
 READY     worker -> master   idle and willing to take a chunk; in
                              RMA mode also "my counter phase is
                              over, feed me requeues"
-START     master -> worker   payload: list of job ids to run
-DONE      worker -> master   payload: list of ``(job, result)``
-                             pairs; in master-dispatch policies it
-                             doubles as the next READY
+START     master -> worker   payload: the chunk's job ids, a
+                             ``range`` or an int64 array
+DONE      worker -> master   payload: ``(jobs, results[jobs])``, the
+                             results a uint64 array (a view of the
+                             read-only table for a range); in
+                             master-dispatch policies it doubles as
+                             the next READY
 EXIT      master -> worker   farm drained; terminate
 PARK      master -> worker   node is loaded (or draining): stop
                              claiming counter chunks; a no-op for a

@@ -32,7 +32,10 @@ digest to that.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,7 +43,8 @@ from ..errors import ConfigError, FarmError
 from ..mpi import ANY_TAG, make_comm
 from ..mpi.rma import Window
 from ..simcluster import Compute, Sleep
-from .jobs import JobQueue, farm_digest, job_costs, job_results
+from .jobs import (JobQueue, chunk_ids, chunk_rows, job_costs, job_results,
+                   mask_digest)
 from .policies import POLICIES, make_policy
 from .protocol import (
     TAG_DONE,
@@ -102,13 +106,18 @@ class FarmSpec:
                 f"unknown skew profile {self.skew!r} (one of {SKEWS})")
 
 
-@dataclass
+@dataclass(eq=False)
 class FarmResult:
-    """Everything a run produced, plus the accounting churn leaves."""
+    """Everything a run produced, plus the accounting churn leaves.
+
+    ``done[j]`` says whether job ``j`` completed and ``values[j]`` holds
+    its result; :attr:`completed` is the same as a ``{job: result}``
+    mapping, built on first read."""
 
     spec: FarmSpec
-    completed: dict[int, int]
-    digest: str
+    done: np.ndarray
+    values: np.ndarray
+    jobs_done: int
     wall_time: float
     per_worker: dict[int, int] = field(default_factory=dict)
     duplicates: int = 0
@@ -117,10 +126,17 @@ class FarmResult:
     park_events: int = 0
     readmit_events: int = 0
     dead_workers: list[int] = field(default_factory=list)
+    digest: str = field(init=False)
 
-    @property
-    def jobs_done(self) -> int:
-        return len(self.completed)
+    def __post_init__(self) -> None:
+        self.digest = mask_digest(self.done, self.values)
+
+    @cached_property
+    def completed(self) -> Mapping[int, int]:
+        """Read-only ``{job: result}`` of every completed job."""
+        jobs = np.flatnonzero(self.done)
+        return MappingProxyType(
+            dict(zip(jobs.tolist(), self.values[jobs].tolist())))
 
     @property
     def jobs_per_sec(self) -> float:
@@ -129,31 +145,64 @@ class FarmResult:
 
 
 class _MasterState:
-    """Mutable farm bookkeeping shared between master and driver."""
+    """Mutable farm bookkeeping shared between the master and run_farm.
+
+    Completion is a mask, not a set: ``done[j]`` / ``values[j]`` for
+    every job id, and ``n_done`` of them set."""
 
     def __init__(self, spec: FarmSpec, workers: list[int]):
-        self.completed: dict[int, int] = {}
+        self.done = np.zeros(spec.n_jobs, dtype=bool)
+        self.values = np.zeros(spec.n_jobs, dtype=np.uint64)
+        self.n_done = 0
         self.per_worker: dict[int, int] = {r: 0 for r in workers}
         self.duplicates = 0
         self.park_events = 0
         self.readmit_events = 0
         self.dead: set[int] = set()
-        rma = spec.policy == "rma"
-        self.queue = JobQueue(() if rma else range(spec.n_jobs))
+        # rma workers claim off the counter; the queue serves requeues
+        self.queue = JobQueue(range(0 if spec.policy == "rma" else spec.n_jobs))
+
+    def merge(self, src: int, jobs, vals: np.ndarray) -> None:
+        """Record worker ``src``'s DONE of chunk ``jobs``: a job's first
+        report wins, every later one counts as a duplicate."""
+        rows = chunk_rows(jobs)
+        new = ~self.done[rows]
+        if type(jobs) is not range and len(jobs) > 1:
+            # a job listed twice in one chunk completes once, the first time
+            first = np.zeros(len(jobs), dtype=bool)
+            first[np.unique(jobs, return_index=True)[1]] = True
+            new &= first
+        n_new = int(np.count_nonzero(new))
+        if n_new == len(jobs):
+            self.done[rows] = True
+            self.values[rows] = vals
+        elif n_new:
+            ids = chunk_ids(jobs)[new]
+            self.done[ids] = True
+            self.values[ids] = vals[new]
+        self.n_done += n_new
+        self.duplicates += len(jobs) - n_new
+        if n_new:
+            self.per_worker[src] = self.per_worker.get(src, 0) + n_new
+
+    def unfinished(self, jobs) -> np.ndarray:
+        """The ids of chunk ``jobs`` not completed yet, in chunk order."""
+        ids = chunk_ids(jobs)
+        return ids[~self.done[ids]]
 
 
-def _chunk_work(jobs: list[int], costs: np.ndarray) -> float:
-    """The chunk's summed cost, added left to right from ``0.0`` in
-    ``jobs`` order (not ``sum()``, which compensates on Python 3.12, nor
-    ``np.sum``, which pairs)."""
-    total = 0.0
-    for c in costs[jobs].tolist():
-        total += c
-    return total
+def _price(jobs, costs: np.ndarray, results: np.ndarray) -> tuple:
+    """Chunk ``jobs``' ``Compute`` work and its DONE payload.
 
-
-def _chunk_results(jobs: list[int], results: np.ndarray) -> list[tuple[int, int]]:
-    return list(zip(jobs, results[jobs].tolist()))
+    The work is the chunk's costs added left to right from ``0.0`` in
+    ``jobs`` order: ``np.add.accumulate`` adds sequentially (``np.sum``
+    pairs, ``sum()`` compensates on Python 3.12), and the ``+ 0.0`` is
+    the loop's starting ``0.0`` (it turns a ``-0.0`` total into
+    ``0.0``).  The payload is ``(jobs, results[jobs])``: for a range, a
+    view of the read-only results table."""
+    rows = chunk_rows(jobs)
+    work = float(np.add.accumulate(costs[rows])[-1]) + 0.0
+    return work, (jobs, results[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +231,14 @@ def _farm_worker(ep, win, spec: FarmSpec, costs, results):
         if status.tag == TAG_PARK:
             continue  # already out of the counter phase: nothing to stop
         jobs = payload
+        work, done = _price(jobs, costs, results)
         t0 = obs.now() if obs is not None else 0.0
-        yield Compute(_chunk_work(jobs, costs))
-        done = _chunk_results(jobs, results)
+        yield Compute(work)
         if obs is not None:
             obs.complete("farm.chunk", t0, cat="farm", pid=ep.node_id,
                          tid=ep.rank, jobs=len(jobs))
         yield from ep.send(master, TAG_DONE, done,
-                           nbytes=done_nbytes(len(done)))
+                           nbytes=done_nbytes(len(jobs)))
         stats["jobs"] += len(jobs)
         stats["chunks"] += 1
     return stats
@@ -212,16 +261,16 @@ def _rma_phase(ep, win, spec: FarmSpec, costs, results, stats: dict):
         start = yield from h.fetch_and_op(master, _COUNTER_SLOT, spec.chunk)
         if start >= n:
             break
-        jobs = list(range(start, min(n, start + spec.chunk)))
+        jobs = range(start, min(n, start + spec.chunk))
+        work, done = _price(jobs, costs, results)
         t0 = obs.now() if obs is not None else 0.0
-        yield Compute(_chunk_work(jobs, costs))
-        done = _chunk_results(jobs, results)
+        yield Compute(work)
         if obs is not None:
             obs.complete("farm.chunk", t0, cat="farm", pid=ep.node_id,
                          tid=ep.rank, jobs=len(jobs))
         # fire-and-forget: the master consumes this without replying,
         # so the worker goes straight back to the counter
-        ep.isend(master, TAG_DONE, done, nbytes=done_nbytes(len(done)))
+        ep.isend(master, TAG_DONE, done, nbytes=done_nbytes(len(jobs)))
         stats["jobs"] += len(jobs)
         stats["chunks"] += 1
     yield from h.unlock(master)
@@ -238,28 +287,21 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
     rma_mode = spec.policy == "rma"
     n_jobs = spec.n_jobs
     queue = state.queue
-    completed = state.completed
     policy = make_policy(spec.policy, n_jobs, len(workers), spec.chunk)
 
     ready: set[int] = set()
-    inflight: dict[int, list[int]] = {}
+    inflight: dict[int, object] = {}
     parked: set[int] = set()
     #: rma: workers still claiming off the counter (none in classic)
     counter_live: set[int] = set(workers) if rma_mode else set()
     rma_drained = not rma_mode
+    #: the load version and dead count the parking pass last saw: with
+    #: neither changed, ``desired`` is what it was and the pass is a no-op
+    seen_load = seen_dead = -1
+    live = workers
 
     jobs_per_cycle = max(1, n_jobs // spec.cycles)
     next_cycle = 1
-
-    def merge(src: int, results) -> None:
-        for j, r in results:
-            if j in completed:
-                state.duplicates += 1
-            else:
-                completed[j] = r
-                state.per_worker[src] = state.per_worker.get(src, 0) + 1
-        if obs is not None and results:
-            obs.rank_registry(0).count("farm.jobs_done", len(results))
 
     while True:
         progressed = False
@@ -269,7 +311,7 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
             # wildcard receive: messages from since-dead workers stay
             # consumable, and multi-source ties take the perturbable
             # path — the consumer keys everything by status.source and
-            # dedups by the completed set, so the pick cannot change
+            # dedups by the completion mask, so the pick cannot change
             # the result (test_perturb_invariance_across_seeds)
             payload, status = yield from ep.recv()
             src, tag = status.source, status.tag
@@ -278,7 +320,9 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
                 ready.add(src)
                 counter_live.discard(src)
             elif tag == TAG_DONE:
-                merge(src, payload)
+                state.merge(src, *payload)
+                if obs is not None and len(payload[0]):
+                    obs.rank_registry(0).count("farm.jobs_done", len(payload[0]))
                 inflight.pop(src, None)
                 # counter-phase DONEs are fire-and-forget chunk reports;
                 # a dispatched worker's DONE doubles as its next READY
@@ -293,70 +337,67 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
             ready.discard(r)
             parked.discard(r)
             counter_live.discard(r)
-            lost = [j for j in inflight.pop(r, []) if j not in completed]
-            if lost:
-                queue.requeue(lost)
+            n_lost = queue.requeue(state.unfinished(inflight.pop(r, range(0))))
             if obs is not None:
                 obs.instant("farm.crash_requeue", cat="farm", pid=-1, tid=0,
-                            worker=r, requeued=len(lost))
+                            worker=r, requeued=n_lost)
             progressed = True
-
-        live = [r for r in workers if r not in state.dead]
-        if not live and len(completed) < n_jobs:
-            raise FarmError(
-                f"farm '{spec.name}': every worker died with "
-                f"{n_jobs - len(completed)} job(s) outstanding"
-            )
 
         # -- load-driven parking / re-admission ------------------------
-        counts = cluster.competing_counts()
-        desired = {r for r in live if counts[comm.node_of(r)] > 0}
-        excess = len(live) - len(desired)
-        if excess < spec.min_workers:
-            for r in sorted(desired)[:spec.min_workers - excess]:
-                desired.discard(r)
-        for r in sorted(desired - parked):
-            parked.add(r)
-            state.park_events += 1
-            if r in counter_live and not comm.rank_failed(r):
-                yield from ep.send(r, TAG_PARK, None)
-            lost = [j for j in inflight.pop(r, []) if j not in completed]
-            if lost:
-                queue.requeue(lost)
-            if obs is not None:
-                obs.instant("farm.park", cat="farm", pid=-1, tid=0, worker=r,
-                            requeued=len(lost))
-            progressed = True
-        for r in sorted(parked - desired):
-            parked.discard(r)
-            state.readmit_events += 1
-            if obs is not None:
-                obs.instant("farm.readmit", cat="farm", pid=-1, tid=0, worker=r)
-            progressed = True
+        if cluster.load_version != seen_load or len(state.dead) != seen_dead:
+            seen_load, seen_dead = cluster.load_version, len(state.dead)
+            live = [r for r in workers if r not in state.dead]
+            counts = cluster.competing_counts()
+            desired = {r for r in live if counts[comm.node_of(r)] > 0}
+            excess = len(live) - len(desired)
+            if excess < spec.min_workers:
+                for r in sorted(desired)[:spec.min_workers - excess]:
+                    desired.discard(r)
+            for r in sorted(desired - parked):
+                parked.add(r)
+                state.park_events += 1
+                if r in counter_live and not comm.rank_failed(r):
+                    yield from ep.send(r, TAG_PARK, None)
+                n_lost = queue.requeue(
+                    state.unfinished(inflight.pop(r, range(0))))
+                if obs is not None:
+                    obs.instant("farm.park", cat="farm", pid=-1, tid=0,
+                                worker=r, requeued=n_lost)
+                progressed = True
+            for r in sorted(parked - desired):
+                parked.discard(r)
+                state.readmit_events += 1
+                if obs is not None:
+                    obs.instant("farm.readmit", cat="farm", pid=-1, tid=0,
+                                worker=r)
+                progressed = True
+        if not live and state.n_done < n_jobs:
+            raise FarmError(
+                f"farm '{spec.name}': every worker died with "
+                f"{n_jobs - state.n_done} job(s) outstanding"
+            )
 
         # -- rma phase end: account for jobs lost to dead claimants ----
         if not rma_drained and not counter_live:
             rma_drained = True
             claimed = min(n_jobs, int(win.local(0)[_COUNTER_SLOT]))
-            lost = [j for j in range(claimed) if j not in completed]
-            if lost:
-                queue.requeue(lost)
-            if claimed < n_jobs:
-                queue.extend(range(claimed, n_jobs))
+            n_lost = queue.requeue(state.unfinished(range(claimed)))
+            queue.extend(range(claimed, n_jobs))
             if obs is not None:
                 obs.instant("farm.drain", cat="farm", pid=-1, tid=0,
-                            claimed=claimed, requeued=len(lost))
+                            claimed=claimed, requeued=n_lost)
             progressed = True
 
         # -- cycle boundaries (drive Load/Failure cycle triggers) ------
         while (next_cycle <= spec.cycles
-               and len(completed) >= next_cycle * jobs_per_cycle):
+               and state.n_done >= next_cycle * jobs_per_cycle):
             cluster.notify_cycle(next_cycle)
             next_cycle += 1
 
         # -- dispatch --------------------------------------------------
         if len(queue):
-            active = max(1, len([r for r in live if r not in parked]))
+            # parked workers are live ones (a death unparks)
+            active = max(1, len(live) - len(parked))
             for r in sorted(ready):
                 # the snapshot in state.dead can go stale mid-loop: a
                 # deferred kill may land during a previous dispatch's
@@ -365,7 +406,7 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
                         or comm.rank_failed(r) or not len(queue)):
                     continue
                 jobs = queue.take(policy.next_chunk(len(queue), active))
-                if not jobs:
+                if not len(jobs):
                     break
                 inflight[r] = jobs
                 ready.discard(r)
@@ -376,7 +417,7 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
                 progressed = True
 
         # -- done? -----------------------------------------------------
-        if (len(completed) >= n_jobs and rma_drained
+        if (state.n_done >= n_jobs and rma_drained
                 and all(r in ready for r in live)):
             break
         if not progressed:
@@ -390,7 +431,7 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
     for r in sorted(set(workers) - state.dead):
         if not comm.rank_failed(r):
             yield from ep.send(r, TAG_EXIT, None)
-    return len(completed)
+    return state.n_done
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +459,11 @@ def run_farm(cluster, spec: FarmSpec, *, load_script=None,
 
     win = Window(comm, _WIN_SLOTS, name=spec.name)
     state = _MasterState(spec, list(range(1, comm.size)))
-    # every job priced once per run; the workers index these tables
+    # every job priced once per run; the workers index these tables, and
+    # a DONE payload may be a view of ``results``, so nobody may write it
     costs = job_costs(spec.n_jobs, spec.base_cost, spec.skew)
     results = job_results(spec.n_jobs, spec.seed)
+    results.flags.writeable = False
 
     procs = []
     for rank in range(comm.size):
@@ -448,8 +491,9 @@ def run_farm(cluster, spec: FarmSpec, *, load_script=None,
 
     return FarmResult(
         spec=spec,
-        completed=state.completed,
-        digest=farm_digest(state.completed),
+        done=state.done,
+        values=state.values,
+        jobs_done=state.n_done,
         wall_time=cluster.sim.now - t0,
         per_worker=dict(sorted(state.per_worker.items())),
         duplicates=state.duplicates,

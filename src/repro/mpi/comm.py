@@ -158,6 +158,9 @@ class SimComm:
         self._windows: list = []
         # communication sanitizer (repro.analysis), or None when off
         self.san = getattr(cluster, "sanitizer", None)
+        #: this communicator's token with the sanitizer: envelope seqs
+        #: restart at 0 per communicator, so it keys on ``(cid, seq)``
+        self.cid = self.san.register_comm() if self.san is not None else 0
         # dynscope trace recorder (repro.obs), or None when off
         self.obs = getattr(cluster, "obs", None)
         #: wildcard receives that found queued candidates from ≥2
@@ -282,8 +285,8 @@ class SimComm:
             if env.matches(req.source, req.tag):
                 del pending[i]
                 if self.san is not None:
-                    self.san.on_match(env, env.dst, req.source, req.tag,
-                                      pending=req)
+                    self.san.on_match(env, self.cid, env.dst, req.source,
+                                      req.tag, pending=req)
                 req.signal.fire(env)
                 return
         self._mailboxes[env.dst].append(env)
@@ -328,7 +331,7 @@ class SimComm:
                     pick = candidates[perturb.choose(len(candidates), key)]
         env = box.pop(pick)
         if self.san is not None:
-            self.san.on_match(env, rank, source, tag)
+            self.san.on_match(env, self.cid, rank, source, tag)
         return env
 
 
@@ -389,7 +392,7 @@ class Endpoint:
 
         if nbytes <= comm.net.spec.eager_threshold:
             if san is not None:
-                san.on_send(env)
+                san.on_send(env, comm.cid)
             comm.net.transmit(
                 self.node_id, comm.node_of(dest), nbytes,
                 lambda: comm._deliver(env),
@@ -403,13 +406,14 @@ class Endpoint:
         env.data_signal = comm.sim.signal("rdv-data")
         env.sent_signal = comm.sim.signal("rdv-sent")
         if san is not None:
-            san.on_send(env)
+            san.on_send(env, comm.cid)
         comm.net.transmit(
             self.node_id, comm.node_of(dest), _CTRL_BYTES,
             lambda: comm._deliver(env),
         )
         if san is not None:
-            san.on_block(self.rank, "send-rdv", dest, tag, env=env)
+            san.on_block(self.rank, "send-rdv", dest, tag,
+                         env_key=(comm.cid, env.seq))
         result = yield Wait(env.sent_signal)
         if san is not None:
             san.on_unblock(self.rank)
@@ -555,7 +559,7 @@ class Endpoint:
         env = comm._new_envelope(self.rank, dest, tag, payload, nbytes)
         env.seq = next(comm._seq)
         if comm.san is not None:
-            comm.san.on_send(env)
+            comm.san.on_send(env, comm.cid)
         if comm.obs is not None:
             reg = comm.obs.rank_registry(self.rank)
             reg.count("mpi.messages_sent", 1)

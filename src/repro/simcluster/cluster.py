@@ -34,9 +34,12 @@ class Cluster:
         self.obs: Optional[ObsRecorder] = None
         if obs_enabled(spec):
             self.obs = ObsRecorder(clock=lambda: self.sim.now)
+        #: bumped on every competitor start or stop on any node, so a
+        #: reader of :meth:`competing_counts` can tell nothing changed
+        self.load_version = 0
         self.nodes = [
             Node(self.sim, i, spec.node, rng=self.rng.stream(f"cpu{i}"),
-                 obs=self.obs)
+                 obs=self.obs, on_load_change=self._load_changed)
             for i in range(spec.n_nodes)
         ]
         self.network = Network(self.sim, spec.network, spec.n_nodes,
@@ -76,6 +79,9 @@ class Cluster:
             self.load_script.on_cycle(cycle)
         if self.failure_script is not None:
             self.failure_script.on_cycle(cycle)
+
+    def _load_changed(self) -> None:
+        self.load_version += 1
 
     def competing_counts(self) -> list[int]:
         return [node.n_competing for node in self.nodes]

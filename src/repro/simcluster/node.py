@@ -9,7 +9,7 @@ with a live scheduling state.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..config import NodeSpec
 from ..errors import SimulationError
@@ -23,7 +23,7 @@ class Node:
     """One node of the simulated cluster."""
 
     def __init__(self, sim: Simulator, node_id: int, spec: NodeSpec, rng=None,
-                 obs=None):
+                 obs=None, on_load_change: Optional[Callable[[], None]] = None):
         self.sim = sim
         self.node_id = node_id
         self.spec = spec
@@ -31,6 +31,9 @@ class Node:
                                  node_id=node_id, obs=obs)
         self.procs: list[SimProcess] = []
         self.background: dict[str, BackgroundJob] = {}
+        #: called after every competitor start or stop (the cluster's
+        #: ``load_version`` counter), or None
+        self._on_load_change = on_load_change
 
     # ------------------------------------------------------------------
     # process management
@@ -58,6 +61,8 @@ class Node:
         bg.node = self
         self.background[name] = bg
         self.cpu.add_background(bg)
+        if self._on_load_change is not None:
+            self._on_load_change()
         return name
 
     def stop_competing(self, name: str) -> None:
@@ -65,6 +70,8 @@ class Node:
         if bg is None:
             raise SimulationError(f"no competing process {name!r} on node {self.node_id}")
         self.cpu.remove_background(bg)
+        if self._on_load_change is not None:
+            self._on_load_change()
 
     def stop_all_competing(self) -> None:
         for name in list(self.background):

@@ -1,10 +1,11 @@
 """Per-job scalar reference for ``repro.farm.jobs.job_costs`` /
-``job_results``.
+``job_results`` and for the master's completion mask.
 
 The library prices every job of a run at once, one vectorised
-SplitMix64 pass over all job ids; these are the pure-Python per-job
-functions it replaced, kept so ``tests/test_farm_jobs.py`` can check the
-tables element for element, bit for bit.
+SplitMix64 pass over all job ids, and the master records a DONE with a
+few array operations on a completion mask; these are the pure-Python
+per-job versions they replaced, kept so ``tests/test_farm_jobs.py`` can
+check them element for element, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,3 +56,22 @@ def chunk_work(jobs, n_jobs: int, base: float, skew: str) -> float:
     for j in jobs:
         total += job_cost(j, n_jobs, base, skew)
     return total
+
+
+class DictMerge:
+    """The farm master's completion state as it was kept per job: a
+    ``{job: result}`` dict fed one ``(job, result)`` pair at a time.  The
+    first report of a job wins; every later one is a duplicate."""
+
+    def __init__(self, workers):
+        self.completed: dict[int, int] = {}
+        self.per_worker: dict[int, int] = {r: 0 for r in workers}
+        self.duplicates = 0
+
+    def merge(self, src: int, pairs) -> None:
+        for j, r in pairs:
+            if j in self.completed:
+                self.duplicates += 1
+            else:
+                self.completed[j] = r
+                self.per_worker[src] = self.per_worker.get(src, 0) + 1

@@ -198,11 +198,16 @@ def test_farm_config_validation_and_oracle():
 def test_job_queue_take_requeue_accounting():
     q = JobQueue(range(10))
     assert len(q) == 10
-    assert q.take(4) == [0, 1, 2, 3]
-    assert q.take(0) == []
-    q.requeue([1, 3])
+    # a chunk inside one run is a range, one spanning runs an array
+    assert q.take(4) == range(4)
+    assert len(q.take(0)) == 0
+    lost = [1, 3]
+    q.requeue(lost)
+    lost[0] = 99  # the queue holds a copy, not the caller's list
     q.requeue([1])
-    assert q.take(100) == [4, 5, 6, 7, 8, 9, 1, 3, 1]
+    chunk = q.take(100)
+    assert chunk.tolist() == [4, 5, 6, 7, 8, 9, 1, 3, 1]
+    assert not chunk.flags.writeable
     assert len(q) == 0
     assert q.requeued == {1: 2, 3: 1}
     assert q.n_requeued == 3

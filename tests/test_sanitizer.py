@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import CommSanitizer, sanitizer_enabled
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.errors import CommDeadlockError, DeadlockError, SanitizerError
-from repro.mpi import ANY_SOURCE, ANY_TAG, SUM, Group, run_spmd
+from repro.mpi import ANY_SOURCE, ANY_TAG, SUM, Group, make_comm, run_spmd
 from repro.mpi.collectives import allreduce, bcast
 from repro.simcluster import Cluster, Sleep
 
@@ -179,6 +179,33 @@ def test_unmatched_eager_send_reported_at_finalize():
     assert report.errors == []
     assert any("advisory send unread" in w and "0->1 tag=5" in w
                for w in report.warnings)
+
+
+def test_messages_of_two_communicators_do_not_collide():
+    # every communicator numbers its envelopes from 0: comm B's first
+    # message must not stand in for (and then clear) comm A's
+    cluster = make_cluster()
+    comm_a, comm_b = make_comm(cluster), make_comm(cluster)
+
+    def leaves_a_send(ep):
+        if ep.rank == 0:
+            ep.isend(1, tag=5, payload=None, nbytes=8)
+        yield Sleep(0.01)
+
+    def exchanges_one(ep):
+        if ep.rank == 0:
+            yield from ep.send(1, tag=7, payload=None, nbytes=8)
+        else:
+            yield from ep.recv(0, 7)
+
+    procs = [cluster.sim.spawn(program(comm.endpoint(r)), name=f"{tag}{r}",
+                               node=cluster.nodes[r])
+             for comm, program, tag in ((comm_a, leaves_a_send, "a"),
+                                        (comm_b, exchanges_one, "b"))
+             for r in range(2)]
+    cluster.sim.run_all(procs)
+    report = cluster.sanitizer.finalize(raise_on_error=False)
+    assert report.errors == ["unmatched send: eager send 0->1 tag=5 (8B)"]
 
 
 def test_incomplete_collective_warned_at_finalize():
