@@ -90,10 +90,6 @@ class CheckpointLostError(ReproError):
     failures at the cost of more checkpoint traffic."""
 
 
-class TruncationError(MPIError):
-    """A received message was larger than the posted receive buffer."""
-
-
 class RegistrationError(ReproError):
     """Invalid Dyn-MPI array/phase registration."""
 

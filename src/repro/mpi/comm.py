@@ -58,22 +58,23 @@ _POISON = object()
 
 class _Envelope:
     __slots__ = (
-        "src", "dst", "tag", "payload", "nbytes",
-        "rendezvous", "data_ready", "data_signal", "sent_signal", "seq",
-        "poison",
+        "src", "dst", "tag", "payload", "nbytes", "seq",
+        "rendezvous", "data_signal", "sent_signal", "poison",
     )
 
-    def __init__(self, src: int, dst: int, tag: int, payload: Any, nbytes: int):
+    def __init__(self, src: int, dst: int, tag: int, payload: Any,
+                 nbytes: int, seq: int = 0, rendezvous: bool = False):
         self.src = src
         self.dst = dst
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
-        self.rendezvous = False
-        self.data_ready = True
+        self.seq = seq
+        self.rendezvous = rendezvous
+        #: armed by SimComm._post for a rendezvous: the receiver waits
+        #: on data_signal, the sender on sent_signal
         self.data_signal: Optional[Signal] = None
         self.sent_signal: Optional[Signal] = None
-        self.seq = 0
         #: set on synthetic envelopes delivered to receivers blocked on
         #: a rank that died: the receive raises RankFailedError
         self.poison = False
@@ -92,16 +93,15 @@ class _PendingRecv:
 
 
 class Request:
-    """Handle for a non-blocking operation; drive with ``yield from
-    req.wait()``."""
+    """Handle for a non-blocking operation: ``yield from req.wait()``
+    returns its value (``(payload, Status)`` for a receive, None for a
+    send), or raises RankFailedError if the peer rank died first."""
 
     def __init__(self, ep: "Endpoint"):
         self._ep = ep
         self._done = False
         self._value: Any = None
         self._signal: Optional[Signal] = None
-        #: set when the peer rank died before the op could complete;
-        #: ``wait()`` then raises RankFailedError instead of returning
         self._failed_rank: Optional[int] = None
 
     def _complete(self, value: Any) -> None:
@@ -110,6 +110,10 @@ class Request:
         if self._signal is not None and not self._signal.fired:
             self._signal.fire(value)
 
+    def _fail(self, rank: int) -> None:
+        self._failed_rank = rank
+        self._complete(None)
+
     def test(self) -> bool:
         return self._done
 
@@ -117,16 +121,10 @@ class Request:
         if not self._done:
             if self._signal is None:
                 self._signal = self._ep.comm.sim.signal("req")
-                if self._done:  # completed in between (defensive)
-                    self._signal.fire(self._value)
-            value = yield Wait(self._signal)
-            if self._failed_rank is not None:
-                raise RankFailedError(self._failed_rank)
-            return value
+            yield Wait(self._signal)
         if self._failed_rank is not None:
             raise RankFailedError(self._failed_rank)
         return self._value
-        yield  # pragma: no cover - keeps this a generator
 
 
 class SimComm:
@@ -167,38 +165,6 @@ class SimComm:
         #: distinct sources — each one is a matching the MPI standard
         #: leaves undefined (a message race, observed)
         self.match_ties = 0
-        #: recycled eager envelopes (slab reuse): blocking receives
-        #: return consumed plain envelopes here and the send paths
-        #: reuse them, saving an allocation per message on the hot
-        #: path.  Disabled under the sanitizer, which keys state on
-        #: envelope identity.
-        self._env_pool: list[_Envelope] = []
-
-    def _new_envelope(self, src: int, dst: int, tag: int, payload: Any,
-                      nbytes: int) -> _Envelope:
-        pool = self._env_pool
-        if pool:
-            env = pool.pop()
-            env.src = src
-            env.dst = dst
-            env.tag = tag
-            env.payload = payload
-            env.nbytes = nbytes
-            env.rendezvous = False
-            env.data_ready = True
-            env.data_signal = None
-            env.sent_signal = None
-            env.seq = 0
-            env.poison = False
-            return env
-        return _Envelope(src, dst, tag, payload, nbytes)
-
-    def _release_envelope(self, env: _Envelope) -> None:
-        """Recycle a fully-consumed plain (eager, non-poison) envelope.
-        Callers must have extracted payload and status already."""
-        if len(self._env_pool) < 256:
-            env.payload = None
-            self._env_pool.append(env)
 
     def endpoint(self, rank: int) -> "Endpoint":
         if not (0 <= rank < self.size):
@@ -269,6 +235,47 @@ class SimComm:
             if poller is not None and poller[0] == rank:
                 self._pollers[dst] = None
                 poller[2].fire()
+
+    # ------------------------------------------------------------------
+    # the protocol: one post path, one rendezvous pull
+    # ------------------------------------------------------------------
+    def _post(self, env: _Envelope, on_sent=None) -> None:
+        """Put ``env`` on the wire once its sender's CPU charge is paid:
+        the payload if eager, else the ready-to-send control message
+        (the receiver then pulls the data with :meth:`_pull`).
+        ``on_sent(value)`` runs when the send completes — on delivery
+        if eager, when ``sent_signal`` fires if rendezvous, with
+        ``_POISON`` if the receiver died."""
+        src, dst = self.rank_to_node[env.src], self.rank_to_node[env.dst]
+        if not env.rendezvous:
+            def arrive() -> None:
+                self._deliver(env)
+                if on_sent is not None:
+                    on_sent(None)
+
+            self.net.transmit(src, dst, env.nbytes, arrive)
+            return
+        env.data_signal = self.sim.signal("rdv-data")
+        env.sent_signal = self.sim.signal("rdv-sent")
+        if on_sent is not None:
+            env.sent_signal.add_waiter(on_sent)
+        self.net.transmit(src, dst, _CTRL_BYTES, lambda: self._deliver(env))
+
+    def _pull(self, env: _Envelope, on_data=None) -> None:
+        """Receive side of a rendezvous: clear-to-send back to the
+        sender, which answers with the bulk data; its arrival fires
+        ``data_signal`` and ``sent_signal``, then calls ``on_data()``."""
+        src, dst = self.rank_to_node[env.src], self.rank_to_node[env.dst]
+
+        def arrive() -> None:
+            env.data_signal.fire(None)
+            env.sent_signal.fire(None)
+            if on_data is not None:
+                on_data()
+
+        self.net.transmit(
+            dst, src, _CTRL_BYTES,
+            lambda: self.net.transmit(src, dst, env.nbytes, arrive))
 
     # ------------------------------------------------------------------
     # delivery plumbing (runs inside network callbacks)
@@ -377,40 +384,31 @@ class Endpoint:
             reg.observe("mpi.send_seconds", obs.now() - t0)
         return None
 
+    def _envelope(self, dest: int, tag: int, payload: Any,
+                  nbytes: int) -> _Envelope:
+        """A send's envelope: the one place eager vs rendezvous is
+        decided."""
+        comm = self.comm
+        return _Envelope(self.rank, dest, tag, _detach(payload), nbytes,
+                         next(comm._seq),
+                         nbytes > comm.net.spec.eager_threshold)
+
     def _send(self, dest: int, tag: int, payload: Any, nbytes: int) -> Generator:
         comm = self.comm
         if not (0 <= dest < comm.size):
             raise MPIError(f"send to invalid rank {dest}")
         if dest in comm._dead:
             raise RankFailedError(dest, "send to")
-        payload = _detach(payload)
-
-        env = comm._new_envelope(self.rank, dest, tag, payload, nbytes)
-        env.seq = next(comm._seq)
+        env = self._envelope(dest, tag, payload, nbytes)
         san = comm.san
         yield Compute(comm.net.cpu_cost(nbytes))
-
-        if nbytes <= comm.net.spec.eager_threshold:
-            if san is not None:
-                san.on_send(env, comm.cid)
-            comm.net.transmit(
-                self.node_id, comm.node_of(dest), nbytes,
-                lambda: comm._deliver(env),
-            )
-            return None
-
-        # rendezvous: send RTS, block until the receiver has matched and
-        # the data transfer has completed.
-        env.rendezvous = True
-        env.data_ready = False
-        env.data_signal = comm.sim.signal("rdv-data")
-        env.sent_signal = comm.sim.signal("rdv-sent")
         if san is not None:
             san.on_send(env, comm.cid)
-        comm.net.transmit(
-            self.node_id, comm.node_of(dest), _CTRL_BYTES,
-            lambda: comm._deliver(env),
-        )
+        comm._post(env)
+        if not env.rendezvous:
+            return None
+        # rendezvous: block until the receiver has matched and the data
+        # transfer has completed
         if san is not None:
             san.on_block(self.rank, "send-rdv", dest, tag,
                          env_key=(comm.cid, env.seq))
@@ -485,37 +483,15 @@ class Endpoint:
                     san.on_unblock(self.rank)
         if env.poison:
             raise RankFailedError(env.src, "receive from")
-        if env.rendezvous and not env.data_ready:
-            yield from self._pull_rendezvous(env)
+        if env.rendezvous:
+            comm._pull(env)
+            if san is not None:
+                san.on_block(self.rank, "recv-data", env.src, env.tag)
+            yield Wait(env.data_signal)
+            if san is not None:
+                san.on_unblock(self.rank)
         yield Compute(comm.net.cpu_cost(env.nbytes))
-        payload, status = env.payload, Status(env.src, env.tag, env.nbytes)
-        if san is None and not env.rendezvous:
-            comm._release_envelope(env)
-        return payload, status
-
-    def _pull_rendezvous(self, env: _Envelope) -> Generator:
-        """CTS back to the sender, then wait for the bulk data."""
-        comm = self.comm
-        src_node = comm.node_of(env.src)
-
-        def on_cts() -> None:
-            # sender starts the bulk transfer on CTS arrival
-            comm.net.transmit(
-                src_node, self.node_id, env.nbytes,
-                lambda: _finish_rendezvous(env),
-            )
-
-        def _finish_rendezvous(env: _Envelope) -> None:
-            env.data_ready = True
-            env.data_signal.fire(None)
-            env.sent_signal.fire(None)
-
-        comm.net.transmit(self.node_id, src_node, _CTRL_BYTES, on_cts)
-        if comm.san is not None:
-            comm.san.on_block(self.rank, "recv-data", env.src, env.tag)
-        yield Wait(env.data_signal)
-        if comm.san is not None:
-            comm.san.on_unblock(self.rank)
+        return env.payload, Status(env.src, env.tag, env.nbytes)
 
     def sendrecv(
         self,
@@ -543,21 +519,19 @@ class Endpoint:
         payload: Any = None,
         nbytes: Optional[int] = None,
     ) -> Request:
-        """Non-blocking send.  CPU cost is charged on ``wait()``
-        completion for rendezvous messages and immediately queued for
-        eager ones."""
+        """Non-blocking send.  The send's CPU charge runs as a shadow job
+        on this rank's node; when it ends the message goes on the wire
+        (:meth:`SimComm._post`), and the request completes with the
+        send."""
         comm = self.comm
         if not (0 <= dest < comm.size):
             raise MPIError(f"send to invalid rank {dest}")
         req = Request(self)
         if dest in comm._dead:
-            req._failed_rank = dest
-            req._complete(None)
+            req._fail(dest)
             return req
         nbytes = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        payload = _detach(payload)
-        env = comm._new_envelope(self.rank, dest, tag, payload, nbytes)
-        env.seq = next(comm._seq)
+        env = self._envelope(dest, tag, payload, nbytes)
         if comm.san is not None:
             comm.san.on_send(env, comm.cid)
         if comm.obs is not None:
@@ -565,37 +539,19 @@ class Endpoint:
             reg.count("mpi.messages_sent", 1)
             reg.count("mpi.bytes_sent", nbytes)
 
+        def on_sent(value) -> None:
+            if value is _POISON:
+                req._fail(dest)
+            else:
+                req._complete(None)
+
         # The CPU cost of injecting is charged through a shadow compute
         # job on this rank's node: it contends for the CPU without
         # blocking the caller, approximating kernel/DMA offload under
         # load.
-        node = comm.cluster.nodes[self.node_id]
-        shadow = _ShadowProc(f"isend:{self.rank}->{dest}")
-
-        def after_cpu() -> None:
-            if nbytes <= comm.net.spec.eager_threshold:
-                comm.net.transmit(
-                    self.node_id, comm.node_of(dest), nbytes,
-                    lambda: (comm._deliver(env), req._complete(None)),
-                )
-            else:
-                env.rendezvous = True
-                env.data_ready = False
-                env.data_signal = comm.sim.signal("irdv-data")
-                env.sent_signal = comm.sim.signal("irdv-sent")
-
-                def on_sent(value) -> None:
-                    if value is _POISON:
-                        req._failed_rank = dest
-                    req._complete(None)
-
-                env.sent_signal.add_waiter(on_sent)
-                comm.net.transmit(
-                    self.node_id, comm.node_of(dest), _CTRL_BYTES,
-                    lambda: comm._deliver(env),
-                )
-
-        node.cpu.submit(shadow, comm.net.cpu_cost(nbytes), after_cpu)
+        comm.cluster.nodes[self.node_id].cpu.submit(
+            _ShadowProc(f"isend:{self.rank}->{dest}"),
+            comm.net.cpu_cost(nbytes), comm._post, env, on_sent)
         return req
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
@@ -603,34 +559,22 @@ class Endpoint:
         comm = self.comm
         req = Request(self)
         if source != ANY_SOURCE and source in comm._dead:
-            req._failed_rank = source
-            req._complete(None)
+            req._fail(source)
             return req
         env = comm._try_match(self.rank, source, tag)
 
         def finish(env: _Envelope) -> None:
             if env.poison:
-                req._failed_rank = env.src
-                req._complete(None)
-            elif env.rendezvous and not env.data_ready:
-                # complete the handshake from a callback context
-                src_node = comm.node_of(env.src)
+                req._fail(env.src)
+                return
 
-                def on_cts() -> None:
-                    comm.net.transmit(
-                        src_node, self.node_id, env.nbytes,
-                        lambda: done(env),
-                    )
-
-                def done(env: _Envelope) -> None:
-                    env.data_ready = True
-                    env.data_signal.fire(None)
-                    env.sent_signal.fire(None)
-                    req._complete((env.payload, Status(env.src, env.tag, env.nbytes)))
-
-                comm.net.transmit(self.node_id, src_node, _CTRL_BYTES, on_cts)
-            else:
+            def done() -> None:
                 req._complete((env.payload, Status(env.src, env.tag, env.nbytes)))
+
+            if env.rendezvous:
+                comm._pull(env, done)
+            else:
+                done()
 
         if env is not None:
             finish(env)

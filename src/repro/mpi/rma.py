@@ -35,12 +35,12 @@ delivery callback, and the event kernel runs callbacks one at a time.
 from __future__ import annotations
 
 import itertools
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
 from ..errors import MPIError, RankFailedError
-from ..simcluster import Compute, Signal, Wait
+from ..simcluster import Compute, Wait
 
 __all__ = ["Window", "RmaHandle", "RMA_CTRL_BYTES"]
 
@@ -60,7 +60,7 @@ class _LockState:
     Lives at the *target*: transitions run inside delivery callbacks,
     i.e. at the simulated time the control message reaches the target's
     NIC.  ``holders`` maps origin rank -> "sh"/"ex"; ``queue`` is FIFO
-    of ``(origin, shared, grant_cb)``.
+    of ``(origin, shared, reply)`` (see :meth:`RmaHandle._round_trip`).
     """
 
     __slots__ = ("holders", "queue")
@@ -76,15 +76,15 @@ class _LockState:
             return all(m == "sh" for m in self.holders.values())
         return False
 
-    def request(self, origin: int, shared: bool, grant_cb) -> None:
+    def request(self, origin: int, shared: bool, reply) -> None:
         if not self.queue and self._grantable(shared):
             self.holders[origin] = "sh" if shared else "ex"
-            grant_cb()
+            reply()
         else:
-            self.queue.append((origin, shared, grant_cb))
+            self.queue.append((origin, shared, reply))
 
     def release(self, origin: int) -> list:
-        """Drop ``origin``'s hold; return grant callbacks now runnable."""
+        """Drop ``origin``'s hold; return the replies now granted."""
         self.holders.pop(origin, None)
         return self._drain()
 
@@ -97,12 +97,12 @@ class _LockState:
     def _drain(self) -> list:
         grants = []
         while self.queue:
-            origin, shared, cb = self.queue[0]
+            origin, shared, reply = self.queue[0]
             if not self._grantable(shared):
                 break
             self.queue.pop(0)
             self.holders[origin] = "sh" if shared else "ex"
-            grants.append(cb)
+            grants.append(reply)
             if not shared:
                 break
         return grants
@@ -154,11 +154,16 @@ class Window:
     # resilience (called from SimComm.mark_rank_dead)
     # ------------------------------------------------------------------
     def _on_rank_dead(self, rank: int) -> None:
-        """Release the dead rank's holds and queued lock requests on
-        every target, then hand the lock to the next FIFO waiter."""
+        """Fail the lock requests queued at the dead rank, then release
+        its holds and queued requests on every other target and hand
+        each lock to the next FIFO waiter."""
+        dead = self._locks[rank]
+        for _, _, reply in dead.queue:
+            reply(ok=False)
+        dead.queue = []
         for state in self._locks:
-            for cb in state.drop(rank):
-                cb()
+            for grant in state.drop(rank):
+                grant()
 
     def _check_slot(self, slot: int, count: int = 1) -> None:
         if not (0 <= slot and slot + count <= self.n_slots):
@@ -171,9 +176,10 @@ class Window:
 class RmaHandle:
     """One origin rank's view of a :class:`Window`.
 
-    All operations are generators driven with ``yield from`` and block
-    the origin until the target's response arrives.  The target's
-    process never runs.
+    All operations are generators driven with ``yield from``; each is
+    one request/response round trip that blocks the origin until the
+    target's NIC answers, or raises RankFailedError if the target dies
+    first.  The target's process never runs.
     """
 
     def __init__(self, win: Window, rank: int):
@@ -185,28 +191,37 @@ class RmaHandle:
     # plumbing
     # ------------------------------------------------------------------
     def _round_trip(self, target: int, req_bytes: int, resp_bytes: int,
-                    at_target) -> Generator:
-        """Request to ``target``'s NIC, apply ``at_target`` there, ride
-        the response back.  Returns ``at_target``'s value.  Both legs
-        serialize through the per-NIC network model; the origin is
-        charged CPU for both packets, the target for neither."""
+                    at_target, what: str = "RMA op on") -> Generator:
+        """Request to ``target``'s NIC, run ``at_target(reply)`` there;
+        ``reply(value)`` rides the response back and ``value`` is
+        returned, ``reply(ok=False)`` (the target died) raises
+        RankFailedError.  The origin is charged CPU for both packets,
+        the target for neither."""
         win = self.win
         comm = win.comm
         if target in comm._dead:
-            raise RankFailedError(target, "RMA op on")
+            raise RankFailedError(target, what)
         yield Compute(win.net.cpu_cost(req_bytes))
         sig = comm.sim.signal("rma")
         t_node = comm.node_of(target)
 
+        def reply(value=None, ok: bool = True) -> None:
+            if ok:
+                win.net.transmit(t_node, self.node_id, resp_bytes,
+                                 lambda: sig.fire((True, value)))
+            else:
+                sig.fire((False, None))
+
         def on_request() -> None:
-            value = at_target()
-            win.net.transmit(t_node, self.node_id, resp_bytes,
-                             lambda: sig.fire((True, value)))
+            if target in comm._dead:
+                reply(ok=False)
+            else:
+                at_target(reply)
 
         win.net.transmit(self.node_id, t_node, req_bytes, on_request)
         ok, value = yield Wait(sig)
         if not ok:
-            raise RankFailedError(target, "RMA op on")
+            raise RankFailedError(target, what)
         yield Compute(win.net.cpu_cost(resp_bytes))
         return value
 
@@ -221,13 +236,12 @@ class RmaHandle:
         if comm.san is not None:
             comm.san.on_rma_op(self.rank, win.wid, win.name, target, name)
         obs = comm.obs
-        if obs is None:
-            value = yield from self._round_trip(
-                target, req_bytes, resp_bytes, at_target)
-            return value
-        t0 = obs.now()
+        t0 = obs.now() if obs is not None else 0.0
         value = yield from self._round_trip(
-            target, req_bytes, resp_bytes, at_target)
+            target, req_bytes, resp_bytes,
+            lambda reply: reply(at_target()))
+        if obs is None:
+            return value
         obs.complete(
             f"rma.{name}", t0, cat="rma", pid=self.node_id, tid=self.rank,
             target=target, nbytes=req_bytes + resp_bytes,
@@ -255,20 +269,10 @@ class RmaHandle:
                 self.rank, win.wid, win.name, target, shared)
         obs = comm.obs
         t0 = obs.now() if obs is not None else 0.0
-        yield Compute(win.net.cpu_cost(RMA_CTRL_BYTES))
-        sig = comm.sim.signal("rma-lock")
-        t_node = comm.node_of(target)
-
-        def on_request() -> None:
-            win._locks[target].request(
-                self.rank, shared,
-                lambda: win.net.transmit(t_node, self.node_id,
-                                         RMA_CTRL_BYTES, sig.fire),
-            )
-
-        win.net.transmit(self.node_id, t_node, RMA_CTRL_BYTES, on_request)
-        yield Wait(sig)
-        yield Compute(win.net.cpu_cost(RMA_CTRL_BYTES))
+        yield from self._round_trip(
+            target, RMA_CTRL_BYTES, RMA_CTRL_BYTES,
+            lambda reply: win._locks[target].request(self.rank, shared, reply),
+            "RMA lock on")
         if comm.san is not None:
             comm.san.on_rma_lock_granted(self.rank, win.wid, win.name, target)
         if obs is not None:
@@ -283,26 +287,24 @@ class RmaHandle:
     def unlock(self, target: int) -> Generator:
         """Close the epoch on ``target``.  All of this origin's ops on
         the target already completed (each op blocks), so unlock is a
-        control round trip that releases the lock at the target."""
+        control round trip that releases the lock at the target.  A
+        target that died mid-epoch took its lock state with it: then
+        unlock just returns."""
         win = self.win
         comm = win.comm
         if comm.san is not None:
             comm.san.on_rma_unlock(self.rank, win.wid, win.name, target)
-        if target in comm._dead:
-            # target died mid-epoch: the lock state died with it
+
+        def release(reply) -> None:
+            for grant in win._locks[target].release(self.rank):
+                grant()
+            reply()
+
+        try:
+            yield from self._round_trip(
+                target, RMA_CTRL_BYTES, RMA_CTRL_BYTES, release)
+        except RankFailedError:
             return None
-        yield Compute(win.net.cpu_cost(RMA_CTRL_BYTES))
-        sig = comm.sim.signal("rma-unlock")
-        t_node = comm.node_of(target)
-
-        def on_request() -> None:
-            for cb in win._locks[target].release(self.rank):
-                cb()
-            win.net.transmit(t_node, self.node_id, RMA_CTRL_BYTES, sig.fire)
-
-        win.net.transmit(self.node_id, t_node, RMA_CTRL_BYTES, on_request)
-        yield Wait(sig)
-        yield Compute(win.net.cpu_cost(RMA_CTRL_BYTES))
         if comm.obs is not None:
             comm.obs.instant(
                 "rma.unlock", cat="rma", pid=self.node_id, tid=self.rank,

@@ -140,8 +140,7 @@ class Signal:
     """A one-shot waitable condition carrying a value.
 
     Processes block on a signal with the :class:`~.syscalls.Wait`
-    syscall; :meth:`fire` wakes all waiters at the current time.  A
-    signal may be re-armed with :meth:`reset` (used by mailboxes).
+    syscall; :meth:`fire` wakes all waiters at the current time.
     """
 
     __slots__ = ("sim", "fired", "value", "_waiters", "name")
@@ -162,10 +161,6 @@ class Signal:
         call_soon = self.sim.call_soon
         for cb, args in waiters:
             call_soon(cb, *args, value)
-
-    def reset(self) -> None:
-        self.fired = False
-        self.value = None
 
     def add_waiter(self, cb: Callable[..., None], *args: Any) -> None:
         """Call ``cb(*args, value)`` once the signal fires (at once, as

@@ -60,13 +60,15 @@ def loop_recv(self: Endpoint, source: int, tag: int) -> Generator:
                 san.on_unblock(self.rank)
     if env.poison:
         raise RankFailedError(env.src, "receive from")
-    if env.rendezvous and not env.data_ready:
-        yield from self._pull_rendezvous(env)
+    if env.rendezvous:
+        comm._pull(env)
+        if san is not None:
+            san.on_block(self.rank, "recv-data", env.src, env.tag)
+        yield Wait(env.data_signal)
+        if san is not None:
+            san.on_unblock(self.rank)
     yield Compute(comm.net.cpu_cost(env.nbytes))
-    payload, status = env.payload, Status(env.src, env.tag, env.nbytes)
-    if san is None and not env.rendezvous:
-        comm._release_envelope(env)
-    return payload, status
+    return env.payload, Status(env.src, env.tag, env.nbytes)
 
 
 @contextlib.contextmanager

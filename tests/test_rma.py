@@ -383,6 +383,64 @@ def test_dead_holder_releases_lock_to_fifo_waiter():
     assert int(win.local(0)[0]) == 1
 
 
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "san"])
+def test_lock_queued_at_dying_target_raises(sanitize):
+    cluster = make_cluster(3, sanitize=sanitize)
+    failed = []
+
+    def waiter(ep, h):
+        yield Sleep(1e-3)  # queue strictly behind the holder
+        with pytest.raises(RankFailedError):
+            yield from h.lock(2)
+        failed.append(cluster.sim.now)
+
+    def holder(ep, h):
+        yield from h.lock(2)
+        yield Sleep(0.02)  # the target dies at t=0.01, mid-epoch
+        yield from h.unlock(2)
+
+    def target(ep, h):
+        yield Sleep(10.0)
+
+    _spawn_with_kill(cluster, [waiter, holder, target],
+                     kill_rank=2, kill_at=0.01)
+    assert failed == [pytest.approx(0.01)]
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "san"])
+def test_requests_reaching_dead_target(sanitize):
+    # rank 3 dies at t=1.05e-3 with each request below in flight
+    cluster = make_cluster(4, sanitize=sanitize)
+
+    def lock(ep, h):
+        yield Sleep(1e-3)
+        with pytest.raises(RankFailedError):
+            yield from h.lock(3, shared=True)
+        return "lock"
+
+    def op(ep, h):
+        yield from h.lock(3, shared=True)
+        yield Sleep(1e-3 - cluster.sim.now)
+        with pytest.raises(RankFailedError):
+            yield from h.fetch_and_op(3, 0, 1)
+        yield from h.unlock(3)  # the target is dead: returns at once
+        return "op"
+
+    def unlock(ep, h):
+        yield from h.lock(3, shared=True)
+        yield Sleep(1e-3 - cluster.sim.now)
+        yield from h.unlock(3)  # the lock state died with the target
+        return "unlock"
+
+    def target(ep, h):
+        yield Sleep(10.0)
+
+    results, win = _spawn_with_kill(cluster, [lock, op, unlock, target],
+                                    kill_rank=3, kill_at=1.05e-3)
+    assert results[:3] == ["lock", "op", "unlock"]
+    assert int(win.local(3)[0]) == 0
+
+
 def test_rma_op_on_dead_target_raises():
     cluster = make_cluster(3, sanitize=True)
 

@@ -181,6 +181,21 @@ def test_unmatched_eager_send_reported_at_finalize():
                for w in report.warnings)
 
 
+def test_unmatched_rendezvous_isend_reported_as_rendezvous():
+    # an isend above the eager threshold is a rendezvous from the start:
+    # the sanitizer must not see it as eager before its CPU charge ends
+    cluster = make_cluster(eager=16 * 1024)
+
+    def program(ep):
+        if ep.rank == 0:
+            ep.isend(1, tag=5, nbytes=1 << 20)
+        yield Sleep(0.01)
+
+    with pytest.raises(SanitizerError,
+                       match=r"unmatched send: rendezvous send 0->1 tag=5"):
+        run_spmd(cluster, program)
+
+
 def test_messages_of_two_communicators_do_not_collide():
     # every communicator numbers its envelopes from 0: comm B's first
     # message must not stand in for (and then clear) comm A's
