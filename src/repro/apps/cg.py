@@ -2,8 +2,8 @@
 stand-in, Sections 5.1).
 
 The matrix is a deterministic diagonally dominant symmetric sparse
-matrix stored in Dyn-MPI's vector-of-lists format; the solver follows
-the classic CG recurrence.  Each phase cycle = one CG iteration:
+matrix held as a Dyn-MPI sparse array (charged as the paper's vector
+of lists); the solver follows the classic CG recurrence.  Each phase cycle = one CG iteration:
 
 * ring-allgather of the search direction ``p`` (every rank needs the
   full vector for its SpMV rows),
@@ -31,8 +31,8 @@ from .kernels import CG_WORK_PER_NNZ, CG_WORK_PER_ROW, cg_block_csr
 __all__ = ["CGConfig", "cg_program"]
 
 #: rows generated and installed per step of the matrix build: bounds
-#: the build's temporaries (band mask, CSR arrays, their Python lists)
-#: to tens of KiB however many rows a rank holds
+#: the build's temporaries (band mask, CSR arrays) to tens of KiB
+#: however many rows a rank holds
 _BUILD_ROWS = 256
 
 

@@ -4,8 +4,8 @@
   dense N-d arrays (vector of independently allocated extended rows).
 * :class:`ContiguousArray` — the complete-reallocation baseline it is
   compared against (Figure 3).
-* :class:`SparseMatrix` — vector-of-lists sparse storage with the
-  paper's iterator API and pack/unpack for the wire.
+* :class:`SparseMatrix` — sparse rows in CSR slabs, charged as the
+  paper's vector of lists, with its iterator API and pack/unpack.
 * :class:`AllocStats` / :class:`MemCostModel` — allocation traffic
   accounting and its conversion to CPU work.
 """

@@ -10,9 +10,11 @@ properties redistribution needs:
 * a whole extended row — or a whole interval of rows — travels in a
   single message, packed with a handful of slice copies;
 * rows that stay local are *reused* — dropping neighbors splits a slab
-  into sub-views of the same buffer, so surviving rows are never
-  copied and only the top-level pointer vector is rewritten
-  (``pointer_moves``).
+  into sub-views of the same buffer and only the top-level pointer
+  vector is rewritten (``pointer_moves``); once the views left of a
+  buffer cover at most half of it, they are copied out so the dead
+  rows' memory is freed (host memory only: the model still charges
+  no copy).
 
 Accounting stays per extended row (the paper's Figure 3 charges one
 malloc/free per row) via the bulk :meth:`AllocStats.record_allocs` /
@@ -28,7 +30,7 @@ only timing matters; both modes drive identical runtime code paths).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +40,34 @@ from ..errors import AllocationError
 from .allocator import AllocStats
 
 __all__ = ["ProjectedArray", "VirtualRow"]
+
+
+def row_runs(rows) -> list:
+    """``rows`` (any order) as its maximal runs ``(lo, hi)`` of
+    consecutive ascending rows, in order."""
+    if isinstance(rows, range) and rows.step == 1:
+        rows = IntervalSet.coerce(rows)
+    if isinstance(rows, IntervalSet):
+        return list(rows.spans)
+    r = np.fromiter(rows, dtype=np.int64)
+    if not len(r):
+        return []
+    cut = np.flatnonzero(np.diff(r) != 1) + 1
+    return list(zip(r[np.r_[0, cut]].tolist(), r[np.r_[cut - 1, len(r) - 1]].tolist()))
+
+
+def compact_views(slabs: list) -> list:
+    """The slab layouts' rule for dead rows: where the views left of one
+    buffer (``slab.pinned()`` -> buffer, live bytes, buffer bytes) add
+    up to at most half of it, each is replaced by ``slab.compacted()``,
+    a copy owning just its rows; otherwise they stay views."""
+    pins = [s.pinned() for s in slabs]
+    live: dict[int, int] = {}
+    for pin in pins:
+        if pin is not None:
+            live[id(pin[0])] = live.get(id(pin[0]), 0) + pin[1]
+    return [s.compacted() if pin is not None and 2 * live[id(pin[0])] <= pin[2] else s
+            for s, pin in zip(slabs, pins)]
 
 
 class VirtualRow:
@@ -57,7 +87,8 @@ class _Slab:
 
     ``block`` is a (hi-lo+1, row_elems) numpy buffer for materialized
     arrays, None for virtual ones.  Splitting a slab produces views of
-    the same buffer — never a copy."""
+    the same buffer; :func:`compact_views` decides when they are copied
+    out."""
 
     __slots__ = ("lo", "hi", "block")
 
@@ -66,17 +97,129 @@ class _Slab:
         self.hi = hi
         self.block = block
 
-    def __lt__(self, other) -> bool:  # insort ordering
-        return self.lo < other.lo
-
     def view(self, lo: int, hi: int) -> "_Slab":
         block = None
         if self.block is not None:
             block = self.block[lo - self.lo: hi - self.lo + 1]
         return _Slab(lo, hi, block)
 
+    def pinned(self):
+        block = self.block
+        if block is None:
+            return None
+        base = block if block.base is None else block.base
+        return base, block.nbytes, base.nbytes
 
-class ProjectedArray:
+    def compacted(self) -> "_Slab":
+        return _Slab(self.lo, self.hi, self.block.copy())
+
+
+class SlabRows:
+    """Row membership and slabs, shared by the dense and sparse layouts:
+    held global rows as an :class:`IntervalSet` (so hold/drop/retarget
+    cost O(intervals)) and disjoint slabs — ``lo``, ``hi``, ``view``,
+    ``pinned``, ``compacted`` — sorted by first row, found by bisect.
+    Subclasses define ``hold`` and ``held_nbytes``."""
+
+    def __init__(self, name: str, n_rows: int):
+        self.name = name
+        self.n_rows = n_rows
+        self.stats = AllocStats()
+        self._held = IntervalSet.empty()
+        self._slabs: list = []          # sorted by lo, disjoint
+        self._los: list[int] = []       # parallel bisect index
+        self._version = 0               # bumped by drop; SparseMatrix.csr_version
+
+    def _check_row(self, g: int) -> None:
+        if not (0 <= g < self.n_rows):
+            raise AllocationError(f"{self.name}: row {g} out of range [0,{self.n_rows})")
+
+    def _check_interval(self, ivl: IntervalSet) -> None:
+        if ivl:
+            self._check_row(ivl.min_row)
+            self._check_row(ivl.max_row)
+
+    def _check_held(self, rows) -> None:
+        missing = IntervalSet.coerce(rows) - self._held
+        if missing:
+            self._check_interval(missing)
+            raise AllocationError(
+                f"{self.name}: row {missing.min_row} is not held locally")
+
+    def _overlap(self, lo: int, hi: int) -> slice:  # slabs that may hold lo..hi
+        return slice(max(bisect_right(self._los, lo) - 1, 0), bisect_right(self._los, hi))
+
+    def _slab_at(self, g: int):
+        """The slab holding row ``g``, or None."""
+        i = bisect_right(self._los, g) - 1
+        return self._slabs[i] if i >= 0 and g <= self._slabs[i].hi else None
+
+    def _insert_slab(self, slab) -> None:
+        i = bisect_right(self._los, slab.lo)
+        self._los.insert(i, slab.lo)
+        self._slabs.insert(i, slab)
+
+    def _cut(self, ivl: IntervalSet) -> None:
+        """Take rows ``ivl`` out of the slabs, leaving views of the rest."""
+        if not ivl:
+            return
+        where = self._overlap(ivl.min_row, ivl.max_row)
+        kept, hit = [], False
+        for slab in self._slabs[where]:
+            span = IntervalSet.span(slab.lo, slab.hi)
+            if span.isdisjoint(ivl):
+                kept.append(slab)
+                continue
+            kept += [slab.view(lo, hi) for lo, hi in (span - ivl).spans]
+            hit = True
+        if hit:
+            self._slabs[where] = kept
+            self._slabs = compact_views(self._slabs)
+            self._los = [s.lo for s in self._slabs]
+
+    def drop(self, rows: Iterable[int]) -> int:
+        """Free ``rows``; returns the number dropped.  Surviving rows of
+        a split slab stay views of its buffer unless :func:`compact_views`
+        copies them out (host memory only: no copy is charged)."""
+        gone = IntervalSet.coerce(rows) & self._held
+        if not gone:
+            return 0
+        before = self.held_nbytes
+        self._cut(gone)
+        self._held = self._held - gone
+        self.stats.record_frees(len(gone), before - self.held_nbytes)
+        self._version += 1
+        return len(gone)
+
+    def retarget(self, keep) -> None:
+        """Rewrite the top-level pointer vector for a new local set:
+        drop rows not in ``keep``; surviving rows are reused (pointer
+        copy only, the projection method's selling point)."""
+        keep = IntervalSet.coerce(keep)
+        self._check_interval(keep)
+        self.drop(self._held - keep)
+        # the top-level vector (size = first dimension) is copied
+        self.stats.record_pointer_moves(self.n_rows)
+
+    def held_rows(self) -> list[int]:
+        return self._held.to_rows()
+
+    def held_intervals(self) -> IntervalSet:
+        return self._held
+
+    def holds(self, g: int) -> bool:
+        return g in self._held
+
+    @property
+    def n_held(self) -> int:
+        return len(self._held)
+
+    @property
+    def n_slabs(self) -> int:
+        return len(self._slabs)
+
+
+class ProjectedArray(SlabRows):
     """A distributed dense array in 2-d projection layout."""
 
     def __init__(
@@ -90,44 +233,21 @@ class ProjectedArray:
         shape = tuple(int(s) for s in shape)
         if len(shape) < 1 or any(s <= 0 for s in shape):
             raise AllocationError(f"invalid shape {shape}")
-        self.name = name
+        super().__init__(name, shape[0])
         self.shape = shape
-        self.n_rows = shape[0]
         self.row_elems = int(math.prod(shape[1:])) if len(shape) > 1 else 1
         self.dtype = np.dtype(dtype)
         self.row_nbytes = self.row_elems * self.dtype.itemsize
         self.materialized = materialized
-        self.stats = AllocStats()
-        self._held = IntervalSet.empty()
-        self._slabs: list[_Slab] = []   # sorted by lo, disjoint
-        self._los: list[int] = []       # parallel bisect index
 
     # ------------------------------------------------------------------
     # row lifecycle
     # ------------------------------------------------------------------
-    def _check_row(self, g: int) -> None:
-        if not (0 <= g < self.n_rows):
-            raise AllocationError(f"{self.name}: row {g} out of range [0,{self.n_rows})")
-
-    def _check_interval(self, ivl: IntervalSet) -> None:
-        if ivl:
-            if ivl.min_row < 0:
-                self._check_row(ivl.min_row)
-            if ivl.max_row >= self.n_rows:
-                self._check_row(ivl.max_row)
-
-    def _insert_slab(self, slab: _Slab) -> None:
-        i = bisect_right(self._los, slab.lo)
-        self._los.insert(i, slab.lo)
-        self._slabs.insert(i, slab)
-
     def _slab_of(self, g: int) -> _Slab:
-        i = bisect_right(self._los, g) - 1
-        if i >= 0:
-            slab = self._slabs[i]
-            if g <= slab.hi:
-                return slab
-        raise AllocationError(f"{self.name}: row {g} is not held locally")
+        slab = self._slab_at(g)
+        if slab is None:
+            raise AllocationError(f"{self.name}: row {g} is not held locally")
+        return slab
 
     def hold(self, rows: Iterable[int]) -> int:
         """Allocate slabs for ``rows`` (no-op for rows already held).
@@ -148,45 +268,6 @@ class ProjectedArray:
         self.stats.record_allocs(n, n * self.row_nbytes)
         return n
 
-    def drop(self, rows: Iterable[int]) -> int:
-        """Free ``rows``; returns the number dropped.  Surviving rows
-        of a split slab stay as views of the original buffer (no
-        copies)."""
-        gone = IntervalSet.coerce(rows) & self._held
-        if not gone:
-            return 0
-        new_slabs: list[_Slab] = []
-        for slab in self._slabs:
-            if gone.isdisjoint(IntervalSet.span(slab.lo, slab.hi)):
-                new_slabs.append(slab)
-                continue
-            keep = IntervalSet.span(slab.lo, slab.hi) - gone
-            for lo, hi in keep.spans:
-                new_slabs.append(slab.view(lo, hi))
-        self._slabs = new_slabs
-        self._los = [s.lo for s in new_slabs]
-        self._held = self._held - gone
-        n = len(gone)
-        self.stats.record_frees(n, n * self.row_nbytes)
-        return n
-
-    def held_rows(self) -> list[int]:
-        return self._held.to_rows()
-
-    def held_intervals(self) -> IntervalSet:
-        return self._held
-
-    def holds(self, g: int) -> bool:
-        return g in self._held
-
-    @property
-    def n_held(self) -> int:
-        return len(self._held)
-
-    @property
-    def n_slabs(self) -> int:
-        return len(self._slabs)
-
     @property
     def held_nbytes(self) -> int:
         return len(self._held) * self.row_nbytes
@@ -201,8 +282,9 @@ class ProjectedArray:
         return slab
 
     def row(self, g: int) -> np.ndarray:
-        """The buffer of global row ``g`` (a live view into its slab,
-        writable)."""
+        """The buffer of global row ``g``: a live, writable view into its
+        slab, valid only until the next :meth:`drop` / :meth:`retarget`
+        (which may copy the slab out)."""
         self._check_row(g)
         slab = self._materialized_slab(g)
         return slab.block[g - slab.lo]
@@ -213,16 +295,19 @@ class ProjectedArray:
         buf[:] = data
         self.stats.record_copy(self.row_nbytes)
 
-    def _runs(self, ivl: IntervalSet):
-        """Yield ``(g_lo, g_hi, slab)`` for maximal contiguous runs of
-        ``ivl`` inside single slabs; raises if any row is unheld."""
-        for lo, hi in ivl.spans:
+    def _views(self, runs):
+        """Yield ``(pos, rows)`` along the runs ``(lo, hi)`` in order: the
+        writable slab rows each run crosses, at row offset ``pos`` of the
+        runs; raises if any row is unheld or the array virtual."""
+        pos = 0
+        for lo, hi in runs:
             g = lo
             while g <= hi:
-                slab = self._slab_of(g)
-                run_hi = min(hi, slab.hi)
-                yield g, run_hi, slab
-                g = run_hi + 1
+                slab = self._materialized_slab(g)
+                end = min(hi, slab.hi)
+                yield pos, slab.block[g - slab.lo: end - slab.lo + 1]
+                pos += end - g + 1
+                g = end + 1
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Copy rows ``lo..hi`` inclusive into a contiguous 2-d array
@@ -232,12 +317,8 @@ class ProjectedArray:
         self._check_row(lo)
         self._check_row(hi)
         out = np.empty((hi - lo + 1, self.row_elems), dtype=self.dtype)
-        for g_lo, g_hi, slab in self._runs(IntervalSet.span(lo, hi)):
-            if slab.block is None:
-                raise AllocationError(
-                    f"{self.name} is virtual; row data unavailable")
-            out[g_lo - lo: g_hi - lo + 1] = \
-                slab.block[g_lo - slab.lo: g_hi - slab.lo + 1]
+        for pos, rows in self._views([(lo, hi)]):
+            out[pos: pos + len(rows)] = rows
         return out
 
     def set_block(self, lo: int, data: np.ndarray) -> None:
@@ -248,12 +329,8 @@ class ProjectedArray:
         data = data.reshape(k, self.row_elems)
         self._check_row(lo)
         self._check_row(lo + k - 1)
-        for g_lo, g_hi, slab in self._runs(IntervalSet.span(lo, lo + k - 1)):
-            if slab.block is None:
-                raise AllocationError(
-                    f"{self.name} is virtual; row data unavailable")
-            slab.block[g_lo - slab.lo: g_hi - slab.lo + 1] = \
-                data[g_lo - lo: g_hi - lo + 1]
+        for pos, rows in self._views([(lo, lo + k - 1)]):
+            rows[:] = data[pos: pos + len(rows)]
         self.stats.record_copy(k * self.row_nbytes)
 
     # ------------------------------------------------------------------
@@ -261,93 +338,38 @@ class ProjectedArray:
     # ------------------------------------------------------------------
     def pack(self, rows):
         """Pack ``rows`` for the wire.  Returns ``(payload, nbytes)``:
-        a (k, row_elems) array for materialized arrays, None for
-        virtual ones (sizes still charged).
-
-        With an :class:`IntervalSet` (or any sorted iterable) the
-        payload is built with one slice copy per slab run.  An
-        explicitly ordered sequence keeps its order (payload row ``i``
-        is global row ``rows[i]``)."""
-        if isinstance(rows, IntervalSet) or isinstance(rows, range):
-            ivl = IntervalSet.coerce(rows)
-            k = len(ivl)
-            nbytes = k * self.row_nbytes
-            if not self.materialized:
-                missing = ivl - self._held
-                if missing:
-                    raise AllocationError(
-                        f"{self.name}: packing unheld row {missing.min_row}")
-                return None, nbytes
-            out = np.empty((k, self.row_elems), dtype=self.dtype)
-            pos = 0
-            for g_lo, g_hi, slab in self._runs(ivl):
-                n = g_hi - g_lo + 1
-                out[pos: pos + n] = \
-                    slab.block[g_lo - slab.lo: g_hi - slab.lo + 1]
-                pos += n
-            self.stats.record_copy(nbytes)
-            return out, nbytes
-        # legacy path: arbitrary row order preserved
-        rows = list(rows)
-        nbytes = len(rows) * self.row_nbytes
+        for materialized arrays a (k, row_elems) array whose row ``i`` is
+        the ``i``-th row of ``rows`` (any order; ascending for an
+        :class:`IntervalSet`), one slice copy per slab run; None for
+        virtual ones (sizes still charged)."""
+        runs = row_runs(rows)
+        self._check_held(IntervalSet(runs))
+        k = sum(hi - lo + 1 for lo, hi in runs)
         if not self.materialized:
-            for g in rows:
-                if g not in self._held:
-                    raise AllocationError(f"{self.name}: packing unheld row {g}")
-            return None, nbytes
-        out = np.empty((len(rows), self.row_elems), dtype=self.dtype)
-        for i, g in enumerate(rows):
-            out[i] = self.row(g)
-        self.stats.record_copy(nbytes)
-        return out, nbytes
+            return None, k * self.row_nbytes
+        out = np.empty((k, self.row_elems), dtype=self.dtype)
+        for pos, block in self._views(runs):
+            out[pos: pos + len(block)] = block
+        self.stats.record_copy(k * self.row_nbytes)
+        return out, k * self.row_nbytes
 
     def unpack(self, rows, payload) -> None:
-        """Install received ``payload`` into ``rows`` (allocating them).
-        Row ``i`` of the payload is global row ``i`` of ``rows`` in
-        iteration order (ascending for an :class:`IntervalSet`)."""
-        interval_input = isinstance(rows, (IntervalSet, range))
-        if not interval_input:
-            rows = list(rows)  # may be a one-shot iterator
-        ivl = IntervalSet.coerce(rows)
-        self.hold(ivl)
+        """Install received ``payload`` into ``rows`` (allocating them),
+        row ``i`` of the payload into the ``i``-th row of ``rows``."""
+        runs = row_runs(rows)  # reads a one-shot iterator once
+        self.hold(IntervalSet(runs))
         if not self.materialized:
             return
         if payload is None:
             raise AllocationError(f"{self.name}: materialized array received no data")
         payload = np.asarray(payload, dtype=self.dtype)
-        if interval_input:
-            if payload.shape != (len(ivl), self.row_elems):
-                raise AllocationError(
-                    f"{self.name}: bad unpack shape {payload.shape}, "
-                    f"expected {(len(ivl), self.row_elems)}"
-                )
-            pos = 0
-            for g_lo, g_hi, slab in self._runs(ivl):
-                n = g_hi - g_lo + 1
-                slab.block[g_lo - slab.lo: g_hi - slab.lo + 1] = \
-                    payload[pos: pos + n]
-                pos += n
-            self.stats.record_copy(len(ivl) * self.row_nbytes)
-            return
-        if payload.shape != (len(rows), self.row_elems):
-            raise AllocationError(
-                f"{self.name}: bad unpack shape {payload.shape}, "
-                f"expected {(len(rows), self.row_elems)}"
-            )
-        for i, g in enumerate(rows):
-            slab = self._materialized_slab(g)
-            slab.block[g - slab.lo] = payload[i]
-        self.stats.record_copy(len(rows) * self.row_nbytes)
-
-    def retarget(self, keep) -> None:
-        """Rewrite the top-level pointer vector for a new local set:
-        drop rows not in ``keep``; surviving rows are reused (pointer
-        copy only, the projection method's selling point)."""
-        keep = IntervalSet.coerce(keep)
-        self._check_interval(keep)
-        self.drop(self._held - keep)
-        # the top-level vector (size = first dimension) is copied
-        self.stats.record_pointer_moves(self.n_rows)
+        k = sum(hi - lo + 1 for lo, hi in runs)
+        if payload.shape != (k, self.row_elems):
+            raise AllocationError(f"{self.name}: bad unpack shape {payload.shape}, "
+                                  f"expected {(k, self.row_elems)}")
+        for pos, block in self._views(runs):
+            block[:] = payload[pos: pos + len(block)]
+        self.stats.record_copy(k * self.row_nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "mat" if self.materialized else "virt"

@@ -94,7 +94,8 @@ class Job:
     """
 
     __slots__ = ("proc", "remaining", "callback", "cb_args", "cancelled",
-                 "allowed", "turn_used", "boost_time", "step", "phase", "rows")
+                 "allowed", "turn_used", "boost_time", "step", "phase", "rows",
+                 "done_timer")
 
     def __init__(self, proc, remaining: float,
                  callback: Optional[Callable[..., None]], cb_args: tuple = ()):
@@ -109,6 +110,7 @@ class Job:
         self.step: Optional[float] = None
         self.phase = 0.0
         self.rows: Optional[RowChain] = None
+        self.done_timer = None  # the deferred completion callback, once due
 
 
 class RowChain:
@@ -300,6 +302,10 @@ class RoundRobinCPU:
 
     def cancel(self, job: Job) -> None:
         job.cancelled = True
+        if job.done_timer is not None:
+            # abandoned at its completion instant: the process must not
+            # be resumed by it as well
+            job.done_timer.cancel()
         if job is self._current:
             self._account_current()
             self._current = None
@@ -693,4 +699,4 @@ class RoundRobinCPU:
             self._cont = None
         if job.callback is not None:
             # Defer so completion ordering matches event ordering.
-            self.sim.call_soon(job.callback, *job.cb_args)
+            job.done_timer = self.sim.call_soon(job.callback, *job.cb_args)

@@ -155,16 +155,44 @@ def test_retarget_reuses_surviving_rows():
         a.row(g)[:] = g
     before = a.stats.snapshot()
     buf40 = a.row(40)
-    a.retarget(range(30, 50))  # shrink: keep 20 rows
+    a.retarget(range(20, 50))  # shrink: keep 30 rows
     delta = a.stats.delta(before)
     assert delta.bytes_copied == 0
     assert delta.bytes_allocated == 0
-    assert delta.n_frees == 30
+    assert delta.n_frees == 20
     assert delta.pointer_moves == 100
     # same underlying buffer: the surviving slab is a view, not a copy
+    # (it keeps more than half of the buffer alive)
     assert np.shares_memory(a.row(40), buf40)
     assert np.array_equal(a.row(40), buf40)
     assert np.all(a.row(40) == 40)
+
+
+def test_drop_copies_out_a_mostly_dead_buffer():
+    """Host memory only: survivors that keep at most half of their
+    buffer alive get a buffer of their own; more than half stay a view.
+    Neither charges a copy."""
+    a = ProjectedArray("a", (1000, 4))
+    a.hold(range(1000))
+    a.row(5)[:] = 5.0
+    a.drop(range(100, 1000))
+    assert a.row(0).base.shape == (100, 4)  # owns a 100-row buffer
+    assert np.all(a.row(5) == 5.0)
+    b = ProjectedArray("b", (1000, 4))
+    b.hold(range(1000))
+    b.drop(range(900, 1000))
+    assert b.row(0).base.shape == (1000, 4)  # still a view
+    assert a.stats.bytes_copied == b.stats.bytes_copied == 0
+
+
+def test_drop_counts_every_view_of_a_buffer_together():
+    a = ProjectedArray("a", (1000, 4))
+    a.hold(range(1000))
+    a.drop(range(300, 600))   # two views keep 700 rows: no copy
+    a.drop(range(600, 850))   # 450 rows left of 1000: both copied out
+    assert a.row(0).base.shape == (300, 4)
+    assert a.row(900).base.shape == (150, 4)
+    assert a.n_slabs == 2
 
 
 def test_contiguous_resize_copies_overlap():

@@ -112,3 +112,26 @@ def test_finish_cleans_up_node_process_table():
     assert p in cluster.nodes[0].procs
     cluster.sim.run()
     assert p not in cluster.nodes[0].procs
+
+
+def test_inject_at_compute_completion_resumes_once():
+    """An inject landing at the very instant a ``Compute`` completes
+    abandons that compute: its completion must not resume the process a
+    second time and cut the sleep it went on to short."""
+    cluster = Cluster(ClusterSpec(n_nodes=1, node=NodeSpec(speed=1e6)))
+    sim = cluster.sim
+    wakes = []
+
+    def prog():
+        try:
+            yield Compute(1e6)  # ends at t=1.0
+        except InjectedFault:
+            pass
+        yield Sleep(5.0)
+        wakes.append(sim.now)
+
+    p = sim.spawn(prog(), name="p", node=cluster.nodes[0])
+    sim.schedule(1.0, lambda: sim.inject(p, InjectedFault()))
+    sim.run()
+    assert wakes == [6.0]
+    assert p.state == ProcState.DONE

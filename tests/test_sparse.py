@@ -1,15 +1,20 @@
-"""Tests for the vector-of-lists SparseMatrix and its iterator API."""
+"""Tests for the CSR-slab SparseMatrix, its iterator API, and its
+equivalence with the paper's vector of lists (tests/oracles/sparse_lists.py)."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._intervals import IntervalSet
+from repro.apps.kernels import cg_block_csr
 from repro.dmem import SparseMatrix
 from repro.dmem.sparse import ELEM_STORE_BYTES, ELEM_WIRE_BYTES, ROW_WIRE_BYTES
 from repro.errors import AllocationError
+from tests.oracles import sparse_lists
 
 
 def build(n=6, m=8):
@@ -110,7 +115,8 @@ def test_unpack_validation():
 # bulk CSR install == the per-row path it replaced
 # ----------------------------------------------------------------------
 def _install_by_row(m, rows, indptr, cols, vals):
-    """What ``unpack`` did one row at a time before ``set_rows_csr``."""
+    """What ``unpack`` did one row at a time before ``set_rows_csr``, on
+    the list oracle ``m``."""
     for i, g in enumerate(rows):
         a, b = indptr[i], indptr[i + 1]
         if a == b:
@@ -146,7 +152,8 @@ def csr_installs(draw):
 @given(csr_installs())
 @settings(max_examples=200, deadline=None)
 def test_bulk_install_equals_per_row_install(blocks):
-    bulk, by_row = build(12, 9), build(12, 9)
+    bulk, by_row = build(12, 9), sparse_lists.SparseMatrix("s", (12, 9))
+    by_row.hold(range(12))
     for rows, indptr, cols, vals in blocks:
         before = bulk.csr_version
         bulk.set_rows_csr(rows, indptr, cols, vals)
@@ -300,3 +307,105 @@ def test_row_wire_nbytes():
     s.set_row_items(0, [1, 2, 3], [1, 2, 3])
     assert s.row_wire_nbytes(0) == ROW_WIRE_BYTES + 3 * ELEM_WIRE_BYTES
     assert s.row_wire_nbytes(1) == ROW_WIRE_BYTES
+
+
+# ----------------------------------------------------------------------
+# CSR slabs == the paper's vector of lists, operation by operation
+# ----------------------------------------------------------------------
+_N, _M = 12, 9
+_rows = st.lists(st.integers(0, _N - 1), max_size=8)
+_val = st.floats(-9, 9, allow_nan=False)
+_ops = st.one_of(
+    st.tuples(st.sampled_from(["hold", "drop", "retarget"]), _rows),
+    st.tuples(st.just("roundtrip"), _rows, st.booleans()),
+    st.tuples(st.just("set"), st.integers(0, _N - 1), st.integers(0, _M - 1),
+              st.one_of(st.just(0.0), _val)),
+    st.tuples(st.just("set_row_items"), st.integers(0, _N - 1),
+              st.lists(st.tuples(st.integers(0, _M - 1), _val), max_size=5)),
+    st.tuples(st.just("set_rows_csr"), csr_installs()),
+    st.tuples(st.just("set_next"), st.integers(0, _N - 1), st.integers(0, 3), _val),
+)
+
+
+def _apply(m, op):
+    """Run ``op`` on ``m``; returns what it returned or the error type."""
+    kind, *args = op
+    try:
+        if kind in ("hold", "drop", "retarget"):
+            return getattr(m, kind)(args[0])
+        if kind == "roundtrip":  # rows in any order: drop and unpack
+            rows = list(dict.fromkeys(args[0]))  # them, or unpack mirrored
+            payload, nbytes = m.pack(rows)
+            if args[1]:
+                rows.reverse()
+            else:
+                m.drop(rows)
+            m.unpack(rows, payload)
+            return nbytes, [payload[k].tobytes() for k in sorted(payload)]
+        if kind == "set":
+            return m.set(*args)
+        if kind == "set_row_items":
+            g, items = args
+            return m.set_row_items(g, [c for c, _ in items], [v for _, v in items])
+        if kind == "set_rows_csr":
+            for block in args[0]:
+                m.set_rows_csr(*block)
+            return None
+        g, steps, value = args
+        it = m.iterator(g)
+        for _ in range(steps):
+            if it.has_next():
+                it.next()
+        return it.set_next(value)
+    except AllocationError:
+        return AllocationError
+
+
+def _full_state(m):
+    rows = m.held_rows()
+    payload, nbytes = m.pack(m.held_intervals())
+    return (rows, [m.row_items(g) for g in rows], m.held_nbytes, m.csr_version,
+            nbytes, {k: (a.dtype, a.tobytes()) for k, a in payload.items()},
+            dataclasses.asdict(m.stats))
+
+
+@given(st.lists(_ops, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_csr_slabs_equal_the_list_oracle(ops):
+    m, ref = SparseMatrix("s", (_N, _M)), sparse_lists.SparseMatrix("s", (_N, _M))
+    for op in [("hold", range(_N)), *ops]:
+        assert _apply(m, op) == _apply(ref, op), op
+        assert _full_state(m) == _full_state(ref), op
+
+
+def test_cg_matrix_costs_at_most_24_bytes_per_element():
+    """The 7 000-row CG matrix of the Figure 4 grid, built the way the
+    app builds it: what stays live is the CSR data (12 B an element)
+    plus the row pointers and the slab objects."""
+    n = 7000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a = SparseMatrix("A", (n, n))
+        a.hold(range(n))
+        for lo in range(0, n, 256):
+            hi = min(lo + 255, n - 1)
+            a.set_rows_csr(range(lo, hi + 1), *cg_block_csr(n, lo, hi))
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nnz = a.held_nbytes // ELEM_STORE_BYTES
+    assert nnz > 10 * n
+    assert live / nnz <= 24
+
+
+def test_row_runs_in_any_order_pack_as_given():
+    s = build(8, 8)
+    for g in range(8):
+        s.set_row_items(g, [g], [float(g)])
+    payload, _ = s.pack([5, 6, 2, 2, 7])
+    assert payload["cols"].tolist() == [5, 6, 2, 2, 7]
+    assert payload["row_ptr"].tolist() == [0, 1, 2, 3, 4, 5]
+    with pytest.raises(AllocationError):
+        s.set_rows_csr([3, 3], [0, 1, 2], [1, 2], [1.0, 2.0])  # a row twice
+    assert s.pack(IntervalSet.span(0, 7))[0]["cols"].tolist() == list(range(8))
