@@ -30,17 +30,17 @@ __all__ = ["lint_source", "lint_file"]
 
 #: endpoint/runtime methods that return generators and must be driven
 GENERATOR_METHODS = frozenset({
-    "send", "recv", "sendrecv", "wait",
+    "send", "isend", "recv", "sendrecv", "wait",
     "send_rel", "recv_rel", "sendrecv_rel",
     "allreduce_active", "allgather_active", "bcast_active", "global_reduce",
     "begin_cycle", "end_cycle", "compute",
 })
 
-#: module-level generator functions (collectives, redistribution)
+#: module-level generator functions (collectives, redistribution, halos)
 GENERATOR_FUNCS = frozenset({
     "barrier", "bcast", "reduce", "allreduce", "gather", "scatter",
     "allgather", "allgather_dissemination", "neighbor_alltoallv",
-    "redistribute",
+    "redistribute", "halo_start",
 })
 
 #: top-level modules whose import constitutes process-level parallelism

@@ -94,7 +94,7 @@ def run_program(
     )
 
 
-def halo_start(ctx: DynMPI, arr, *, materialized: bool) -> list:
+def halo_start(ctx: DynMPI, arr, *, materialized: bool) -> Generator:
     """Post the boundary-row sends of a halo exchange (non-blocking);
     returns the send requests for :func:`halo_finish`."""
     s, e = ctx.my_bounds()
@@ -105,12 +105,12 @@ def halo_start(ctx: DynMPI, arr, *, materialized: bool) -> list:
     reqs = []
     if left is not None:
         payload = arr.row(s).copy() if materialized else None
-        reqs.append(ctx.ep.isend(ctx.active_group.world(left), HALO_UP_TAG,
-                                 payload, nbytes=nbytes))
+        reqs.append((yield from ctx.ep.isend(
+            ctx.active_group.world(left), HALO_UP_TAG, payload, nbytes=nbytes)))
     if right is not None:
         payload = arr.row(e).copy() if materialized else None
-        reqs.append(ctx.ep.isend(ctx.active_group.world(right), HALO_DOWN_TAG,
-                                 payload, nbytes=nbytes))
+        reqs.append((yield from ctx.ep.isend(
+            ctx.active_group.world(right), HALO_DOWN_TAG, payload, nbytes=nbytes)))
     return reqs
 
 
@@ -139,7 +139,7 @@ def exchange_halo(ctx: DynMPI, arr, *, materialized: bool) -> Generator:
     """Nearest-neighbor ghost-row exchange for a block distribution:
     my first owned row goes to the left neighbor, my last to the right,
     and I install their counterparts as rows ``s-1`` / ``e+1``."""
-    reqs = halo_start(ctx, arr, materialized=materialized)
+    reqs = yield from halo_start(ctx, arr, materialized=materialized)
     yield from halo_finish(ctx, arr, reqs, materialized=materialized)
 
 

@@ -97,7 +97,7 @@ def cg_program(ctx, cfg: CGConfig) -> Generator:
     def work_of(s: int, e: int) -> np.ndarray:
         key = (A.csr_version, s, e)
         if work_cache["key"] != key:
-            nnz = np.array([A.row_nnz(g) for g in range(s, e + 1)], dtype=float)
+            nnz = A.rows_nnz(s, e).astype(float)
             work_cache.update(key=key, work=nnz * CG_WORK_PER_NNZ + CG_WORK_PER_ROW)
         return work_cache["work"]
 

@@ -129,13 +129,13 @@ def particle_program(ctx, cfg: ParticleConfig) -> Generator:
                 left, right = ctx.nn_neighbors()
                 reqs = []
                 if left is not None:
-                    reqs.append(ctx.ep.isend(
+                    reqs.append((yield from ctx.ep.isend(
                         ctx.active_group.world(left), _FLOW_UP_TAG, edge_up
-                    ))
+                    )))
                 if right is not None:
-                    reqs.append(ctx.ep.isend(
+                    reqs.append((yield from ctx.ep.isend(
                         ctx.active_group.world(right), _FLOW_DOWN_TAG, edge_down
-                    ))
+                    )))
                 if left is not None:
                     inflow, _ = yield from ctx.recv_rel(left, _FLOW_DOWN_TAG)
                     new[0] += inflow

@@ -81,7 +81,7 @@ def sor_program(ctx, cfg: SORConfig) -> Generator:
                 # after the ghosts arrive (standard stencil overlap —
                 # and the reason a loaded node's slow message handling
                 # only hurts when the cycle is communication-bound)
-                reqs = halo_start(ctx, G, materialized=cfg.materialized)
+                reqs = yield from halo_start(ctx, G, materialized=cfg.materialized)
                 if e - s + 1 > 2:
                     yield from ctx.compute(phase, work_of, exec_fn,
                                            rows=(s + 1, e - 1))

@@ -93,10 +93,10 @@ def measure_comm_model(
 ) -> CommCostModel:
     """Fit a :class:`CommCostModel` by simulated micro-benchmarks.
 
-    Runs ``reps`` ping-pongs per message size on a dedicated 2-node
-    scratch cluster built from ``spec``; splits cost into CPU and wire
-    components using exact process CPU time, and fits both affinely in
-    the message size.
+    Runs ``reps`` ping-pongs (isend, recv, wait: the halo exchange's
+    pattern) per message size on a 2-node scratch cluster from ``spec``;
+    splits cost into CPU and wire components using exact process CPU
+    time, and fits both affinely in the message size.
     """
     from ..mpi import run_spmd  # local import: avoid cycle at package load
 
@@ -114,11 +114,12 @@ def measure_comm_model(
         def program(ep, nbytes=nbytes):
             for _ in range(reps):
                 if ep.rank == 0:
-                    yield from ep.send(1, tag=0, payload=None, nbytes=nbytes)
+                    req = yield from ep.isend(1, tag=0, payload=None, nbytes=nbytes)
                     yield from ep.recv(1, tag=1)
                 else:
                     yield from ep.recv(0, tag=0)
-                    yield from ep.send(0, tag=1, payload=None, nbytes=nbytes)
+                    req = yield from ep.isend(0, tag=1, payload=None, nbytes=nbytes)
+                yield from req.wait()
 
         run_spmd(scratch, program)
         rank0 = next(p for p in scratch.sim.processes if p.name == "rank0")

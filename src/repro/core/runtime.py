@@ -479,7 +479,7 @@ class DynMPI:
             result = yield from coll.allreduce(self.ep, self.active_group, value, op)
             if removed and self.rel_rank() == 0:
                 for w in removed:
-                    self.ep.isend(w, _CTRL_TAG, result)
+                    yield from self.ep.isend(w, _CTRL_TAG, result)
             return result
         result, _ = yield from self.ep.recv(tag=_CTRL_TAG)
         return result
@@ -523,7 +523,7 @@ class DynMPI:
                 ("rejoin", self.loop_size, rejoining),
                 lambda view: plan_rejoin(view, self.loop_size, rejoining),
             ) if rejoining else None)
-            self._send_tokens(rejoin)
+            yield from self._send_tokens(rejoin)
             if rejoin is not None:
                 yield from self._apply(rejoin)
                 return  # next cycle starts fresh over the new group
@@ -548,7 +548,7 @@ class DynMPI:
             yield from self._maybe_checkpoint()
         record = int(self.job.ps.load(self.node_id))
         if resilient or self.spec.allow_rejoin:
-            record = (record, self._poll_rejoin_candidates())
+            record = (record, (yield from self._poll_rejoin_candidates()))
             if resilient:
                 record += (self._suspect_failures(),)
         gathered = yield from coll.allgather_dissemination(
@@ -642,7 +642,7 @@ class DynMPI:
                                        replication, array_rows),
         )
         if self.spec.allow_rejoin:
-            self._send_tokens(plan)
+            yield from self._send_tokens(plan)
         yield from self._apply(plan, t0)
         if self.obs is not None:
             self.obs.complete(
@@ -659,8 +659,8 @@ class DynMPI:
         """One phase cycle on a physically removed rank: publish the
         local load to the active root and consume the root's per-cycle
         token, which either keeps us parked or re-admits us."""
-        self.ep.isend(self._token_root, _LOAD_TAG,
-                      (self.world_rank, int(self.job.ps.load(self.node_id))))
+        load = (self.world_rank, int(self.job.ps.load(self.node_id)))
+        yield from self.ep.isend(self._token_root, _LOAD_TAG, load)
         token, _ = yield from self.ep.recv(tag=_TOKEN_TAG)
         kind, root, payload = token
         self._token_root = root
@@ -677,26 +677,21 @@ class DynMPI:
             # stays consistent across parked and active ranks
             self.dead_world.update(payload)
 
-    def _poll_rejoin_candidates(self) -> tuple:
+    def _poll_rejoin_candidates(self) -> Generator:
         """(active rel 0 only) Drain pending load updates from removed
         ranks; return the world ranks whose load has cleared."""
         if self.rel_rank() != 0 or not self.spec.allow_rejoin:
             return ()
-        updates = {}
         while self.ep.iprobe(tag=_LOAD_TAG) is not None:
-            req = self.ep.irecv(tag=_LOAD_TAG)
-            if not req.test():
-                break
-            (world, load), _status = req._value
-            updates[world] = load
-        self._removed_loads.update(updates)
+            (world, load), _status = yield from self.ep.recv(tag=_LOAD_TAG)
+            self._removed_loads[world] = load
         removed = set(self._removed_world_ranks())
         return tuple(sorted(
             w for w, load in self._removed_loads.items()
             if w in removed and load <= 1
         ))
 
-    def _send_tokens(self, plan: Optional[Transition]) -> None:
+    def _send_tokens(self, plan: Optional[Transition]) -> Generator:
         """(the root only: the lowest active rank that survives this
         cycle's ``plan``) One token per parked rank per cycle — its
         death sentence if the plan declares it dead, the plan itself if
@@ -709,12 +704,9 @@ class DynMPI:
         noop = ("noop", root, dead or None)
         admitted = () if plan is None else plan.after.world
         for w in self._removed_world_ranks():
-            if w in dead:
-                self.ep.isend(w, _TOKEN_TAG, ("dead", root, None))
-            elif w in admitted:
-                self.ep.isend(w, _TOKEN_TAG, ("rejoin", root, plan))
-            else:
-                self.ep.isend(w, _TOKEN_TAG, noop)
+            token = (("dead", root, None) if w in dead
+                     else ("rejoin", root, plan) if w in admitted else noop)
+            yield from self.ep.isend(w, _TOKEN_TAG, token)
 
     def _enter_grace(self) -> None:
         if (

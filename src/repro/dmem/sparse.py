@@ -117,6 +117,17 @@ class SparseMatrix(SlabRows):
             return None, 0, 0
         return s, int(s.indptr[g - s.lo]), int(s.indptr[g - s.lo + 1])
 
+    def rows_nnz(self, lo: int, hi: int) -> np.ndarray:
+        """Element counts (int64) of the held rows ``lo..hi``, read off
+        the ``indptr`` of each slab the run crosses: no pack, no copy."""
+        self._check_held(range(lo, hi + 1))
+        n = np.zeros(hi - lo + 1, dtype=np.int64)
+        for s in self._slabs[self._overlap(lo, hi)]:
+            a, b = max(lo, s.lo), min(hi, s.hi)
+            if a <= b:
+                n[a - lo: b - lo + 1] = np.diff(s.indptr[a - s.lo: b - s.lo + 2])
+        return n
+
     def _csr(self, runs):
         """``(indptr, cols, vals)`` of the row ``runs``, in order: one slice
         of each slab a run crosses, concatenated."""

@@ -270,7 +270,7 @@ def _rma_phase(ep, win, spec: FarmSpec, costs, results, stats: dict):
                          tid=ep.rank, jobs=len(jobs))
         # fire-and-forget: the master consumes this without replying,
         # so the worker goes straight back to the counter
-        ep.isend(master, TAG_DONE, done, nbytes=done_nbytes(len(jobs)))
+        yield from ep.isend(master, TAG_DONE, done, nbytes=done_nbytes(len(jobs)))
         stats["jobs"] += len(jobs)
         stats["chunks"] += 1
     yield from h.unlock(master)

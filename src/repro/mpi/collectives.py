@@ -238,7 +238,7 @@ def allgather(ep: Endpoint, group: Group, value: Any) -> Generator:
     left = group.world((me - 1) % n)
     carry_idx = me
     for _ in range(n - 1):
-        sreq = ep.isend(right, tag, (carry_idx, out[carry_idx]))
+        sreq = yield from ep.isend(right, tag, (carry_idx, out[carry_idx]))
         (idx, payload), _ = yield from ep.recv(left, tag)
         out[idx] = payload
         carry_idx = idx
@@ -328,7 +328,7 @@ def neighbor_alltoallv(
     sreqs = []
     for dst in sorted(sends, key=lambda d: (d - me) % n):
         payload, nbytes = sends[dst]
-        sreqs.append(ep.isend(group.world(dst), tag, payload, nbytes=nbytes))
+        sreqs.append((yield from ep.isend(group.world(dst), tag, payload, nbytes=nbytes)))
     out: dict[int, tuple[Any, int]] = {}
     for src in sorted(recv_from, key=lambda s: (me - s) % n):
         payload, status = yield from ep.recv(group.world(src), tag)

@@ -12,13 +12,14 @@ that take time are generators meant to be driven with ``yield from``::
 
 Cost model (per message):
 
-* sender CPU: ``cpu_per_msg + nbytes * cpu_per_byte`` work units,
-  charged as ordinary :class:`Compute` so it competes with the
-  application and with competing processes — this is the Section 4.3
-  effect;
+* sender CPU: ``cpu_per_msg + nbytes * cpu_per_byte`` work units, charged
+  to the caller of ``send`` or ``isend`` as an ordinary :class:`Compute`
+  so it competes with the application and with competing processes —
+  this is the Section 4.3 effect;
 * wire: latency + serialized bandwidth (see
   :class:`~repro.simcluster.network.Network`);
-* receiver CPU: same as sender, charged when the message is consumed.
+* receiver CPU: same as sender, charged to the caller of ``recv`` (or of
+  an ``irecv`` request's first ``wait()``) when the message is consumed.
 
 Messages at or below the eager threshold complete at the sender once
 injected; larger messages use a rendezvous (RTS → CTS → data) and the
@@ -95,7 +96,8 @@ class _PendingRecv:
 class Request:
     """Handle for a non-blocking operation: ``yield from req.wait()``
     returns its value (``(payload, Status)`` for a receive, None for a
-    send), or raises RankFailedError if the peer rank died first."""
+    send), or raises RankFailedError if the peer rank died first.  A
+    receive's first ``wait()`` pays the receive's CPU charge."""
 
     def __init__(self, ep: "Endpoint"):
         self._ep = ep
@@ -103,6 +105,7 @@ class Request:
         self._value: Any = None
         self._signal: Optional[Signal] = None
         self._failed_rank: Optional[int] = None
+        self._owed = 0.0  # work units the next wait() charges its caller
 
     def _complete(self, value: Any) -> None:
         self._done = True
@@ -124,6 +127,9 @@ class Request:
             yield Wait(self._signal)
         if self._failed_rank is not None:
             raise RankFailedError(self._failed_rank)
+        if self._owed:
+            work, self._owed = self._owed, 0.0
+            yield Compute(work)
         return self._value
 
 
@@ -378,10 +384,7 @@ class Endpoint:
                 "mpi.send", t0, cat="mpi", pid=self.node_id, tid=self.rank,
                 dst=dest, nbytes=nbytes, tag=_obs_tag(tag),
             )
-            reg = obs.rank_registry(self.rank)
-            reg.count("mpi.messages_sent", 1)
-            reg.count("mpi.bytes_sent", nbytes)
-            reg.observe("mpi.send_seconds", obs.now() - t0)
+            obs.rank_registry(self.rank).observe("mpi.send_seconds", obs.now() - t0)
         return None
 
     def _envelope(self, dest: int, tag: int, payload: Any,
@@ -393,20 +396,32 @@ class Endpoint:
                          next(comm._seq),
                          nbytes > comm.net.spec.eager_threshold)
 
-    def _send(self, dest: int, tag: int, payload: Any, nbytes: int) -> Generator:
+    def _start(self, dest: int, tag: int, payload: Any, nbytes: int,
+               on_sent=None) -> Generator:
+        """Every send's body: charge the caller the send's CPU, then put
+        the message on the wire (:meth:`SimComm._post`); returns it."""
         comm = self.comm
         if not (0 <= dest < comm.size):
             raise MPIError(f"send to invalid rank {dest}")
+        env = self._envelope(dest, tag, payload, nbytes)
+        yield Compute(comm.net.cpu_cost(nbytes))
+        if comm.san is not None:
+            comm.san.on_send(env, comm.cid)
+        comm._post(env, on_sent)
+        if comm.obs is not None:
+            reg = comm.obs.rank_registry(self.rank)
+            reg.count("mpi.messages_sent", 1)
+            reg.count("mpi.bytes_sent", nbytes)
+        return env
+
+    def _send(self, dest: int, tag: int, payload: Any, nbytes: int) -> Generator:
+        comm = self.comm
         if dest in comm._dead:
             raise RankFailedError(dest, "send to")
-        env = self._envelope(dest, tag, payload, nbytes)
-        san = comm.san
-        yield Compute(comm.net.cpu_cost(nbytes))
-        if san is not None:
-            san.on_send(env, comm.cid)
-        comm._post(env)
+        env = yield from self._start(dest, tag, payload, nbytes)
         if not env.rendezvous:
             return None
+        san = comm.san
         # rendezvous: block until the receiver has matched and the data
         # transfer has completed
         if san is not None:
@@ -504,7 +519,7 @@ class Endpoint:
     ) -> Generator:
         """Combined send+recv without deadlock (send first, non-blocking
         semantics through eager/rendezvous machinery)."""
-        sreq = self.isend(dest, send_tag, payload, nbytes=nbytes)
+        sreq = yield from self.isend(dest, send_tag, payload, nbytes=nbytes)
         result = yield from self.recv(source, recv_tag)
         yield from sreq.wait()
         return result
@@ -518,26 +533,17 @@ class Endpoint:
         tag: int = 0,
         payload: Any = None,
         nbytes: Optional[int] = None,
-    ) -> Request:
-        """Non-blocking send.  The send's CPU charge runs as a shadow job
-        on this rank's node; when it ends the message goes on the wire
-        (:meth:`SimComm._post`), and the request completes with the
-        send."""
+    ) -> Generator:
+        """Non-blocking send: ``req = yield from ep.isend(...)``.  Pays
+        the send's CPU charge and puts the message on the wire as
+        :meth:`send` does, without waiting for a rendezvous; the request
+        completes with the send."""
         comm = self.comm
-        if not (0 <= dest < comm.size):
-            raise MPIError(f"send to invalid rank {dest}")
         req = Request(self)
         if dest in comm._dead:
             req._fail(dest)
             return req
         nbytes = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        env = self._envelope(dest, tag, payload, nbytes)
-        if comm.san is not None:
-            comm.san.on_send(env, comm.cid)
-        if comm.obs is not None:
-            reg = comm.obs.rank_registry(self.rank)
-            reg.count("mpi.messages_sent", 1)
-            reg.count("mpi.bytes_sent", nbytes)
 
         def on_sent(value) -> None:
             if value is _POISON:
@@ -545,17 +551,12 @@ class Endpoint:
             else:
                 req._complete(None)
 
-        # The CPU cost of injecting is charged through a shadow compute
-        # job on this rank's node: it contends for the CPU without
-        # blocking the caller, approximating kernel/DMA offload under
-        # load.
-        comm.cluster.nodes[self.node_id].cpu.submit(
-            _ShadowProc(f"isend:{self.rank}->{dest}"),
-            comm.net.cpu_cost(nbytes), comm._post, env, on_sent)
+        yield from self._start(dest, tag, payload, nbytes, on_sent)
         return req
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; ``wait()`` returns ``(payload, Status)``."""
+        """Non-blocking receive; ``wait()`` returns ``(payload, Status)``
+        and pays the receive's CPU charge."""
         comm = self.comm
         req = Request(self)
         if source != ANY_SOURCE and source in comm._dead:
@@ -569,6 +570,7 @@ class Endpoint:
                 return
 
             def done() -> None:
+                req._owed = comm.net.cpu_cost(env.nbytes)
                 req._complete((env.payload, Status(env.src, env.tag, env.nbytes)))
 
             if env.rendezvous:
@@ -602,18 +604,6 @@ class Endpoint:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Endpoint rank={self.rank}/{self.size} node={self.node_id}>"
-
-
-class _ShadowProc:
-    """Phantom schedulable entity for offloaded (isend) CPU charges."""
-
-    __slots__ = ("name", "state", "cpu_time", "fair_share")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.state = "ready"
-        self.cpu_time = 0.0
-        self.fair_share = None
 
 
 def _detach(payload: Any) -> Any:

@@ -213,6 +213,8 @@ class RmaHandle:
                 sig.fire((False, None))
 
         def on_request() -> None:
+            if self.rank in comm._dead:
+                return  # the origin died in flight: grant and apply nothing
             if target in comm._dead:
                 reply(ok=False)
             else:

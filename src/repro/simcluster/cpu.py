@@ -238,9 +238,9 @@ class RoundRobinCPU:
                 self._preempt_current()
             return job
         # NOTE: an unmatched continuation record is left in place — a
-        # same-instant submit by another process (e.g. an isend shadow)
-        # must not destroy the running process's quantum credit; the
-        # timestamp check invalidates it as soon as time advances.
+        # same-instant submit by another process (a peer woken by the same
+        # event) must not destroy the running process's quantum credit;
+        # the timestamp check invalidates it as soon as time advances.
 
         # wakeup boost: a process that was blocked (I/O, message wait)
         # and becomes runnable preempts CPU-bound work — the standard
@@ -272,9 +272,9 @@ class RoundRobinCPU:
                 job.turn_used = max(0.0, self.quantum - slice_budget)
             self.n_wake_boosts += 1
             job.boost_time = now
-            # FIFO among jobs boosted at this same instant — otherwise
-            # two back-to-back isends would have their wire order
-            # reversed, violating MPI's non-overtaking guarantee
+            # FIFO among jobs boosted at this same instant: processes
+            # woken together run in wakeup order, so a peer woken as a
+            # row chain starts waits for its first row, not its last
             idx = 0
             while (idx < len(self._queue)
                    and self._queue[idx].boost_time == now):

@@ -23,6 +23,8 @@ from repro.core.commcost import (
 )
 from repro.core.power import available_powers, naive_shares
 from repro.errors import DistributionError
+from repro.mpi import run_spmd
+from repro.simcluster import Cluster
 
 
 def model(cpu_msg=1e-5, cpu_byte=4e-9, wire_msg=75e-6, wire_byte=8e-8, speed=1e8):
@@ -79,6 +81,34 @@ def test_measured_model_close_to_oracle():
     assert fit.wire_byte_s == pytest.approx(oracle.wire_byte_s, rel=0.15)
     # per-message terms are small and noisier; just require same scale
     assert fit.cpu_msg_s < 10 * oracle.cpu_msg_s + 1e-4
+
+
+def test_halo_exchange_cpu_per_message_matches_the_fitted_model():
+    """The planner's per-message CPU is fitted on the path the apps
+    take: on a 4-rank isend/recv halo exchange every rank's CPU per
+    message side (each send and each receive) is what the fit says."""
+    spec = pentium_cluster(4)
+    nbytes, iters = 8192, 6
+    fit = measure_comm_model(spec, sizes=(1024, 8192, 65536), reps=4)
+    cluster = Cluster(spec)
+
+    def program(ep):
+        peers = [p for p in (ep.rank - 1, ep.rank + 1) if 0 <= p < ep.size]
+        for _ in range(iters):
+            reqs = []
+            for p in peers:
+                reqs.append((yield from ep.isend(p, tag=0, nbytes=nbytes)))
+            for p in peers:
+                yield from ep.recv(p, tag=0)
+            for req in reqs:
+                yield from req.wait()
+
+    run_spmd(cluster, program)
+    per_side = fit.cpu_work(nbytes) / spec.node.speed
+    for p in cluster.sim.processes:
+        rank = int(p.name[len("rank"):])
+        sides = 2 * iters * (1 if rank in (0, 3) else 2)
+        assert p.cpu_time / sides == pytest.approx(per_side, rel=0.05), p.name
 
 
 def test_nearest_neighbor_edges_cheaper():

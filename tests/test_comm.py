@@ -7,7 +7,8 @@ import pytest
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.errors import DeadlockError, MPIError
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_spmd
-from repro.simcluster import Cluster, Compute, Sleep
+from repro.obs.scenario import RemovalScenario, run_removal
+from repro.simcluster import BackgroundJob, Cluster, SimProcess, Sleep
 from repro.simcluster.cpu import RoundRobinCPU
 
 
@@ -226,7 +227,9 @@ def test_isend_irecv_completion():
 
     def program(ep):
         if ep.rank == 0:
-            reqs = [ep.isend(1, tag=i, payload=i) for i in range(5)]
+            reqs = []
+            for i in range(5):
+                reqs.append((yield from ep.isend(1, tag=i, payload=i)))
             for r in reqs:
                 yield from r.wait()
         else:
@@ -240,33 +243,73 @@ def test_isend_irecv_completion():
     run_spmd(cluster, program)
 
 
-def test_finished_isend_shadow_leaves_no_fair_share_record(monkeypatch):
-    """The fair-share record lives on the schedulable itself, so a
-    finished isend shadow takes its record with it: the scheduler keeps
-    no per-process table a later shadow could inherit from."""
-    cluster = make_cluster(cpu_per_msg=50.0)
-    shadows = []
-    real_submit = RoundRobinCPU.submit
+def rank_proc(cluster, rank):
+    return next(p for p in cluster.sim.processes if p.name == f"rank{rank}")
 
-    def spy(cpu, proc, work, callback, *args, **kwargs):
-        if proc.name.startswith("isend:"):
-            shadows.append((cpu, proc))  # held: no address is reused
-        return real_submit(cpu, proc, work, callback, *args, **kwargs)
 
-    monkeypatch.setattr(RoundRobinCPU, "submit", spy)
+def test_fire_and_forget_isend_is_delivered_and_charged_to_its_sender():
+    """A worker's last act is a DONE isend it never waits on: the
+    message still arrives, and its CPU charge is on the worker's clock."""
+    cluster = make_cluster(cpu_per_msg=5000.0, cpu_per_byte=2.0)
+    got = []
 
     def program(ep):
-        reqs = [ep.isend(1 - ep.rank, tag=i, payload=i) for i in range(5)]
-        for i in range(5):
-            yield from ep.recv(1 - ep.rank, tag=i)
-        for r in reqs:
-            yield from r.wait()
+        if ep.rank == 1:
+            yield from ep.isend(0, tag=9, payload=None, nbytes=100)
+            return None
+        _, status = yield from ep.recv(1, tag=9)
+        got.append(status.nbytes)
 
     run_spmd(cluster, program)
-    assert len(shadows) == 10
-    assert all(shadow.cpu_time > 0 for _cpu, shadow in shadows)
-    assert all(shadow.fair_share is not None for _cpu, shadow in shadows)
-    assert len({id(shadow.fair_share) for _cpu, shadow in shadows}) == 10
+    assert got == [100]
+    assert rank_proc(cluster, 1).cpu_time == pytest.approx(
+        cluster.network.cpu_cost(100) / 1e6, rel=1e-12)
+
+
+def test_irecv_pays_the_receive_charge_at_its_first_wait_only():
+    """A master polls ``irecv(...).test()`` between sleeps: the polls
+    cost nothing, the first ``wait()`` costs exactly the receive charge
+    ``recv`` pays, and a second ``wait()`` costs nothing again."""
+    cluster = make_cluster(cpu_per_msg=5000.0, cpu_per_byte=2.0)
+    clocks = []
+
+    def program(ep):
+        if ep.rank == 1:
+            yield Sleep(0.01)
+            yield from ep.send(0, tag=3, payload=None, nbytes=800)
+            return None
+        proc = rank_proc(cluster, 0)
+        req = ep.irecv(1, tag=3)
+        while not req.test():
+            yield Sleep(0.004)
+        clocks.append(proc.cpu_time)
+        _, status = yield from req.wait()
+        clocks.append(proc.cpu_time)
+        yield from req.wait()
+        clocks.append(proc.cpu_time)
+        return status.nbytes
+
+    assert run_spmd(cluster, program)[0] == 800
+    assert clocks[0] == 0.0
+    assert clocks[1] - clocks[0] == pytest.approx(
+        cluster.network.cpu_cost(800) / 1e6, rel=1e-12)
+    assert clocks[2] == clocks[1]
+
+
+def test_every_cpu_job_belongs_to_a_process_or_a_competitor(monkeypatch):
+    """Messages are paid by the process that posts them: no phantom
+    schedulable ever reaches a CPU, even on a loaded removal run."""
+    owners = set()
+    real_submit = RoundRobinCPU.submit
+
+    def spy(cpu, proc, *args, **kwargs):
+        owners.add(type(proc))
+        return real_submit(cpu, proc, *args, **kwargs)
+
+    monkeypatch.setattr(RoundRobinCPU, "submit", spy)
+    result, _cluster = run_removal(RemovalScenario(), observe=False)
+    assert result.events  # the run adapted: messages under load
+    assert owners == {SimProcess, BackgroundJob}
 
 
 def test_irecv_posted_before_send_matches():

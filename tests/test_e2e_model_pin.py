@@ -46,37 +46,38 @@ def _hexed(x):
 
 
 #: (workload, seed) -> one (label, wall_time.hex(), record sha256[:16])
-#: per cell, recorded before sparse rows moved into CSR slabs
+#: per cell, re-captured when isend and irecv began charging the calling
+#: rank (before that: recorded before sparse rows moved into CSR slabs)
 MODEL_PIN = {
     ('removal-256', 0): [
-        ('removal:16', '0x1.646d67e267692p-3', '817942a20fa8aaab'),
-        ('removal:8', '0x1.b005e914c8ab3p-4', 'b89d1217d8a28a6d'),
+        ('removal:16', '0x1.826a00b3119e5p-4', 'a48778d5bcf30cce'),
+        ('removal:8', '0x1.58f869b3a2daap-4', 'b49b5057f95795d2'),
     ],
     ('removal-256', 1): [
-        ('removal:16', '0x1.6226afb8c1dd3p-3', '7b038f07b291b17d'),
-        ('removal:8', '0x1.b90c06c9059dfp-4', '4882c110be1390dd'),
+        ('removal:16', '0x1.d5d1e7772b696p-4', '2056e0d0fed8be41'),
+        ('removal:8', '0x1.4ff58bb2d1238p-4', 'ac9c0f9e67b9361d'),
     ],
     ('fig4-grid', 0): [
         ('fig4:jacobi:2:dedicated', '0x1.e7fba2d9d7631p+0', '0a4f51fbfa0813eb'),
-        ('fig4:jacobi:2:noadapt', '0x1.f0a954f588776p+1', '55ddccc9e1b22dec'),
-        ('fig4:jacobi:2:dynmpi', '0x1.8365c5271dafcp+1', 'fb70d52e8cc89650'),
+        ('fig4:jacobi:2:noadapt', '0x1.f82ca8d03c9ddp+1', '0fd45521364d1194'),
+        ('fig4:jacobi:2:dynmpi', '0x1.8c1ddba1be484p+1', '156ba21904869afd'),
         ('fig4:jacobi:4:dedicated', '0x1.053350e1633c8p+0', 'ced02326279907e7'),
-        ('fig4:jacobi:4:noadapt', '0x1.e2abec8d023adp+0', 'a30f62106a93d71c'),
-        ('fig4:jacobi:4:dynmpi', '0x1.67203f7708822p+0', '19f90e9e6dfcea17'),
+        ('fig4:jacobi:4:noadapt', '0x1.ebcfe386811afp+0', '429ceee77478e78c'),
+        ('fig4:jacobi:4:dynmpi', '0x1.6952a4eab1cd0p+0', '849b69560f096d06'),
         ('fig4:jacobi:8:dedicated', '0x1.1fa659af02912p-1', 'e05714d997bd7920'),
-        ('fig4:jacobi:8:noadapt', '0x1.0e503692e9a1bp+0', '73dc4471ce1203c3'),
-        ('fig4:jacobi:8:dynmpi', '0x1.a075a88b30fa8p-1', '32ccf198dcdc756b'),
+        ('fig4:jacobi:8:noadapt', '0x1.10a3a39a4fa1cp+0', '27716d4883ef05b0'),
+        ('fig4:jacobi:8:dynmpi', '0x1.a44e99c0da49ap-1', '15b83ac5dffba948'),
     ],
     ('fig4-grid', 1): [
         ('fig4:jacobi:2:dedicated', '0x1.e7fba2d9d7631p+0', '0a4f51fbfa0813eb'),
-        ('fig4:jacobi:2:noadapt', '0x1.ef44e4ff8d50dp+1', 'b1bc4f2422b5af48'),
-        ('fig4:jacobi:2:dynmpi', '0x1.8277ae3a3b160p+1', '45b9943dd9dd41eb'),
+        ('fig4:jacobi:2:noadapt', '0x1.f316d6957d4abp+1', '8587d904dba4f593'),
+        ('fig4:jacobi:2:dynmpi', '0x1.897f723b999d7p+1', '566dc5f7a0ca1919'),
         ('fig4:jacobi:4:dedicated', '0x1.053350e1633c8p+0', 'ced02326279907e7'),
-        ('fig4:jacobi:4:noadapt', '0x1.e094c6b321663p+0', '00336e35fd496590'),
-        ('fig4:jacobi:4:dynmpi', '0x1.636c0109a0706p+0', '9064e447d1f5bc09'),
+        ('fig4:jacobi:4:noadapt', '0x1.014accce4f9f8p+1', '7dc5f53cda2677c0'),
+        ('fig4:jacobi:4:dynmpi', '0x1.62c8949a12ca6p+0', '8c4bf44a97016656'),
         ('fig4:jacobi:8:dedicated', '0x1.1fa659af02912p-1', 'e05714d997bd7920'),
-        ('fig4:jacobi:8:noadapt', '0x1.0e36e994b2d75p+0', '79ce3e38ea675566'),
-        ('fig4:jacobi:8:dynmpi', '0x1.933b157bc5152p-1', '25ee4d4cbd39987b'),
+        ('fig4:jacobi:8:noadapt', '0x1.0f9358b8f5d8dp+0', 'db0882a1a68ee8ce'),
+        ('fig4:jacobi:8:dynmpi', '0x1.96bb54bb40fc8p-1', 'f9424bf02b434677'),
     ],
     ('farm-64', 0): [
         ('farm:static:churn0', '0x1.75f06ba731cf6p-4', 'a49469845cbe8f42'),
@@ -103,23 +104,23 @@ MODEL_PIN = {
         ('farm:rma:churn1', '0x1.9ec14ddfff27bp-4', '81d25aa09847934d'),
     ],
     ('redist-churn', 0): [
-        ('churn', '0x1.680c4b9d954bcp+0', '207f9d5d0314c2b7'),
+        ('churn', '0x1.4075a5455d674p+0', '2b56b7ae32ba5c12'),
     ],
     ('redist-churn', 1): [
-        ('churn', '0x1.5324991ec68dap+0', 'b3d2b09dfd8b7c11'),
+        ('churn', '0x1.48a73886bc8e6p+0', 'b2bc5074df2486ae'),
     ],
 }
 
 #: (workload, seed) -> ``sim.n_events`` per cell
 N_EVENTS = {
-    ('removal-256', 0): (16032, 5677),
-    ('removal-256', 1): (16076, 5697),
-    ('fig4-grid', 0): (1448, 2096, 5074, 4098, 4379, 10213, 9216, 9310, 24200),
-    ('fig4-grid', 1): (1449, 2098, 5075, 4099, 4384, 10210, 9216, 9312, 24216),
-    ('farm-64', 0): (851, 7029, 3323, 2459, 8388, 1186, 7083, 3218, 2313, 8437),
-    ('farm-64', 1): (851, 7029, 3323, 2459, 8388, 1186, 7083, 3218, 2312, 8437),
-    ('redist-churn', 0): (28247,),
-    ('redist-churn', 1): (27625,),
+    ('removal-256', 0): (13516, 4874),
+    ('removal-256', 1): (13697, 4890),
+    ('fig4-grid', 0): (1448, 2112, 5059, 3922, 4213, 9807, 8680, 8775, 22953),
+    ('fig4-grid', 1): (1449, 2107, 5057, 3923, 4231, 9801, 8680, 8776, 22951),
+    ('farm-64', 0): (851, 7029, 3323, 2459, 7888, 1186, 7083, 3218, 2313, 7939),
+    ('farm-64', 1): (851, 7029, 3323, 2459, 7888, 1186, 7083, 3218, 2312, 7939),
+    ('redist-churn', 0): (26748,),
+    ('redist-churn', 1): (26666,),
 }
 
 

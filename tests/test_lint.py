@@ -46,6 +46,21 @@ def test_bare_endpoint_send_is_caught():
     assert "yield from" in findings[0].message
 
 
+def test_bare_isend_and_halo_start_are_caught():
+    # both pay the send's CPU inside the generator: a bare call charges
+    # nothing and puts nothing on the wire
+    findings = lint("""
+        def program(ep, ctx, arr):
+            ep.isend(1, tag=0, payload="lost")
+            halo_start(ctx, arr, materialized=False)
+            req = yield from ep.isend(1, tag=1, payload="sent")
+            yield from req.wait()
+    """)
+    assert codes(findings) == ["DYN001", "DYN001"]
+    assert "ep.isend(...)" in findings[0].message
+    assert "halo_start(...)" in findings[1].message
+
+
 def test_bare_collective_call_is_caught():
     findings = lint("""
         def program(ep):

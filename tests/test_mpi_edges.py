@@ -26,7 +26,7 @@ def test_rendezvous_self_send():
     cluster = make_cluster(1, eager=8)
 
     def program(ep):
-        req = ep.isend(0, tag=0, payload=np.arange(64.0))
+        req = yield from ep.isend(0, tag=0, payload=np.arange(64.0))
         data, _ = yield from ep.recv(0, tag=0)
         assert np.array_equal(data, np.arange(64.0))
         yield from req.wait()
@@ -96,7 +96,7 @@ def test_isend_request_completes_for_eager():
 
     def program(ep):
         if ep.rank == 0:
-            req = ep.isend(1, tag=0, payload="hello")
+            req = yield from ep.isend(1, tag=0, payload="hello")
             yield Sleep(0.05)
             flags.append(req.test())
             yield from req.wait()

@@ -43,10 +43,10 @@ def test_per_tag_fifo_and_exactly_once(sizes, tags, eager, delay):
             # non-blocking sends: a blocking rendezvous send to a
             # receiver that posts tags out of order would deadlock,
             # exactly as in real (unbuffered) MPI
-            reqs = [
-                ep.isend(1, tag=tag, payload=np.full(size // 8 + 1, float(i)))
-                for i, (size, tag) in enumerate(zip(sizes, tags))
-            ]
+            reqs = []
+            for i, (size, tag) in enumerate(zip(sizes, tags)):
+                reqs.append((yield from ep.isend(
+                    1, tag=tag, payload=np.full(size // 8 + 1, float(i)))))
             for req in reqs:
                 yield from req.wait()
         else:

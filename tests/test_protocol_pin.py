@@ -54,8 +54,8 @@ def _p2p_cell(send, recv, size, mode, load, sanitize):
                     yield from ep.send(1, tag=i, payload=payload,
                                        nbytes=nbytes)
                 else:
-                    reqs.append(ep.isend(1, tag=i, payload=payload,
-                                         nbytes=nbytes))
+                    reqs.append((yield from ep.isend(1, tag=i, payload=payload,
+                                                     nbytes=nbytes)))
                 yield Compute((1.5e6, 6e6, 1e5)[i])
             for req in reqs:
                 yield from req.wait()
@@ -108,7 +108,9 @@ P2P_CELLS = list(itertools.product(
     ("send", "isend"), ("recv", "irecv"), ("eager", "rendezvous"),
     ("blocking", "polling"), ("idle", "loaded")))
 
-#: values captured before the p2p/RMA protocol refactor
+#: values captured before the p2p/RMA protocol refactor; the isend and
+#: irecv cells re-captured when both began charging the calling rank
+#: (send/recv cells and the RMA cell unchanged)
 P2P_PIN = {
     ('send', 'recv', 'eager', 'blocking', 'idle'):
         ('0x1.37b70861c5ba3p-4', 28, 3,
@@ -135,77 +137,77 @@ P2P_PIN = {
         ('0x1.250f9cafa591ep-3', 63, 9,
          ('0x1.3ae2c8145ee54p-4', '0x1.0c3103e1948dap-4')),
     ('send', 'irecv', 'eager', 'blocking', 'idle'):
-        ('0x1.37b70861c5ba3p-4', 25, 3,
-         ('0x1.37b70861c5ba3p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('send', 'irecv', 'eager', 'blocking', 'loaded'):
-        ('0x1.37b70861c5ba3p-4', 33, 3,
-         ('0x1.37b70861c5ba3p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('send', 'irecv', 'eager', 'polling', 'idle'):
-        ('0x1.37b70861c5ba3p-4', 25, 3,
-         ('0x1.37b70861c5ba3p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('send', 'irecv', 'eager', 'polling', 'loaded'):
-        ('0x1.37b70861c5ba3p-4', 33, 3,
-         ('0x1.37b70861c5ba3p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('send', 'irecv', 'rendezvous', 'blocking', 'idle'):
-        ('0x1.e313828b2c90dp-4', 37, 9,
-         ('0x1.3ae2c8145ee54p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('send', 'irecv', 'rendezvous', 'blocking', 'loaded'):
-        ('0x1.1a7562b9c4c42p-3', 52, 9,
-         ('0x1.3ae2c8145ee53p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('send', 'irecv', 'rendezvous', 'polling', 'idle'):
-        ('0x1.e313828b2c90dp-4', 37, 9,
-         ('0x1.3ae2c8145ee54p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('send', 'irecv', 'rendezvous', 'polling', 'loaded'):
-        ('0x1.1a7562b9c4c42p-3', 52, 9,
-         ('0x1.3ae2c8145ee53p-4', '0x1.a9fbe76c8b43ap-6')),
-    ('isend', 'recv', 'eager', 'blocking', 'idle'):
         ('0x1.37b70861c5ba3p-4', 31, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.9b46a080f20b8p-6')),
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b58p-6')),
+    ('send', 'irecv', 'eager', 'blocking', 'loaded'):
+        ('0x1.37b70861c5ba3p-4', 42, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b56p-6')),
+    ('send', 'irecv', 'eager', 'polling', 'idle'):
+        ('0x1.37b70861c5ba3p-4', 31, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b58p-6')),
+    ('send', 'irecv', 'eager', 'polling', 'loaded'):
+        ('0x1.37b70861c5ba3p-4', 42, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b56p-6')),
+    ('send', 'irecv', 'rendezvous', 'blocking', 'idle'):
+        ('0x1.e313828b2c90dp-4', 43, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.b857ed1e4861ep-6')),
+    ('send', 'irecv', 'rendezvous', 'blocking', 'loaded'):
+        ('0x1.1a7562b9c4c42p-3', 59, 9,
+         ('0x1.3ae2c8145ee53p-4', '0x1.b857ed1e4861cp-6')),
+    ('send', 'irecv', 'rendezvous', 'polling', 'idle'):
+        ('0x1.e313828b2c90dp-4', 43, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.b857ed1e4861ep-6')),
+    ('send', 'irecv', 'rendezvous', 'polling', 'loaded'):
+        ('0x1.1a7562b9c4c42p-3', 59, 9,
+         ('0x1.3ae2c8145ee53p-4', '0x1.b857ed1e4861cp-6')),
+    ('isend', 'recv', 'eager', 'blocking', 'idle'):
+        ('0x1.37b70861c5ba3p-4', 28, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.9b46a080f20b8p-6')),
     ('isend', 'recv', 'eager', 'blocking', 'loaded'):
-        ('0x1.37b70861c5ba3p-4', 41, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.9b46a080f20b6p-6')),
+        ('0x1.37b70861c5ba3p-4', 38, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.9b46a080f20b6p-6')),
     ('isend', 'recv', 'eager', 'polling', 'idle'):
-        ('0x1.37b70861c5ba3p-4', 33, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.34702c046231dp-4')),
+        ('0x1.37b70861c5ba3p-4', 30, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.34702c046231dp-4')),
     ('isend', 'recv', 'eager', 'polling', 'loaded'):
-        ('0x1.490132d5225b4p-4', 46, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.488497ee8d809p-5')),
+        ('0x1.490132d5225b4p-4', 43, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.488497ee8d809p-5')),
     ('isend', 'recv', 'rendezvous', 'blocking', 'idle'):
-        ('0x1.4e6cc41257e03p-4', 44, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.a7f59f4b56b7ep-6')),
+        ('0x1.4e6cc41257e03p-4', 41, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.a7f59f4b56b7ep-6')),
     ('isend', 'recv', 'rendezvous', 'blocking', 'loaded'):
-        ('0x1.4e6cc41257e03p-4', 54, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.a7f59f4b56b7ep-6')),
+        ('0x1.4e6cc41257e03p-4', 51, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.a7f59f4b56b7ep-6')),
     ('isend', 'recv', 'rendezvous', 'polling', 'idle'):
-        ('0x1.4e85a7a7d7d38p-4', 46, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.0c3103e1948dap-4')),
+        ('0x1.4e85a7a7d7d38p-4', 43, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.0c3103e1948dap-4')),
     ('isend', 'recv', 'rendezvous', 'polling', 'loaded'):
-        ('0x1.4eaf7755948aap-4', 57, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.25149dad0acbcp-5')),
+        ('0x1.4eaf7755948aap-4', 54, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.25149dad0acbcp-5')),
     ('isend', 'irecv', 'eager', 'blocking', 'idle'):
-        ('0x1.37b70861c5ba3p-4', 28, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.37b70861c5ba3p-4', 31, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b58p-6')),
     ('isend', 'irecv', 'eager', 'blocking', 'loaded'):
-        ('0x1.37b70861c5ba3p-4', 36, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.37b70861c5ba3p-4', 42, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b56p-6')),
     ('isend', 'irecv', 'eager', 'polling', 'idle'):
-        ('0x1.37b70861c5ba3p-4', 28, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.37b70861c5ba3p-4', 31, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b58p-6')),
     ('isend', 'irecv', 'eager', 'polling', 'loaded'):
-        ('0x1.37b70861c5ba3p-4', 36, 3,
-         ('0x1.374bc6a7ef9dcp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.37b70861c5ba3p-4', 42, 3,
+         ('0x1.37b70861c5ba3p-4', '0x1.aba8ee53e3b56p-6')),
     ('isend', 'irecv', 'rendezvous', 'blocking', 'idle'):
-        ('0x1.4d3a6e43881dbp-4', 40, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.4e6cc41257e03p-4', 43, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.b857ed1e4861ep-6')),
     ('isend', 'irecv', 'rendezvous', 'blocking', 'loaded'):
-        ('0x1.4d3a6e43881dbp-4', 49, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.4e6cc41257e03p-4', 54, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.b857ed1e4861ep-6')),
     ('isend', 'irecv', 'rendezvous', 'polling', 'idle'):
-        ('0x1.4d3a6e43881dbp-4', 40, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.4e6cc41257e03p-4', 43, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.b857ed1e4861ep-6')),
     ('isend', 'irecv', 'rendezvous', 'polling', 'loaded'):
-        ('0x1.4d3a6e43881dbp-4', 49, 9,
-         ('0x1.374bc6a7ef9dbp-4', '0x1.a9fbe76c8b43ap-6')),
+        ('0x1.4e6cc41257e03p-4', 54, 9,
+         ('0x1.3ae2c8145ee54p-4', '0x1.b857ed1e4861ep-6')),
 }
 
 RMA_PIN = ('0x1.2a7c918737a8bp-8', 284, 72, (

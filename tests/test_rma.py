@@ -8,7 +8,7 @@ import pytest
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.errors import MPIError, RankFailedError, SanitizerError
 from repro.mpi import Window, make_comm
-from repro.simcluster import Cluster, Sleep
+from repro.simcluster import Cluster, Compute, Sleep
 
 
 def make_cluster(n=3, **kw):
@@ -405,6 +405,33 @@ def test_lock_queued_at_dying_target_raises(sanitize):
     _spawn_with_kill(cluster, [waiter, holder, target],
                      kill_rank=2, kill_at=0.01)
     assert failed == [pytest.approx(0.01)]
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "san"])
+def test_lock_request_of_an_origin_dead_in_flight_is_not_granted(sanitize):
+    # rank 1 dies at t=60 us, its lock request still on the wire (it
+    # lands at ~110 us): granting it left rank 0 locked by a dead rank
+    # forever, and rank 2's later lock deadlocked
+    cluster = make_cluster(3, sanitize=sanitize)
+
+    def target(ep, h):
+        yield Sleep(2.0)
+
+    def doomed(ep, h):
+        yield from h.lock(0)
+        yield from h.unlock(0)
+
+    def later(ep, h):
+        yield Compute(1e6)
+        yield from h.lock(0)
+        yield from h.fetch_and_op(0, 0, 1)
+        yield from h.unlock(0)
+        return "locked"
+
+    results, win = _spawn_with_kill(cluster, [target, doomed, later],
+                                    kill_rank=1, kill_at=60e-6)
+    assert results[2] == "locked"
+    assert win._locks[0].holders == {} and int(win.local(0)[0]) == 1
 
 
 @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "san"])

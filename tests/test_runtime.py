@@ -212,7 +212,8 @@ def test_exec_rows_runs_once_per_compute_call(split, monkeypatch):
     assert {mode for mode, _, _ in log} == {"normal", "grace", "post"}
     for mode, expected, calls in log:
         assert calls == [expected], (mode, expected, calls)
-    # pinned from the tree that still called exec_rows(g, g) per row
+    # pinned when isend began charging its caller (before that, from
+    # the tree that still called exec_rows(g, g) per row)
     digest = hashlib.sha256(np.concatenate(samples).tobytes()).hexdigest()
     assert (len(samples), digest) == GRACE_SAMPLES_AT_PARENT[split]
 
@@ -220,8 +221,8 @@ def test_exec_rows_runs_once_per_compute_call(split, monkeypatch):
 #: (grace cycles measured, sha256 of their hr + /PROC samples) of the
 #: run above, whole-range and split
 GRACE_SAMPLES_AT_PARENT = {
-    False: (12, "f59c328d6c30877a0413503d32fed15b5aa417bdfc19ca318d203faef381acdb"),
-    True: (36, "2b43bd4fda66bda421436be56ee8a402fbbc3d0aefd24f757fec389c0a8afcb2"),
+    False: (12, "de9229cd9e3e4230f6eab3f35f009c6a8225d13045ec6eeace2077bef6ec677c"),
+    True: (36, "3f7d2c3d4312897b5769b1693a6d7124674b937591beed6fca45e912f26141f5"),
 }
 
 

@@ -183,12 +183,12 @@ def test_unmatched_eager_send_reported_at_finalize():
 
 def test_unmatched_rendezvous_isend_reported_as_rendezvous():
     # an isend above the eager threshold is a rendezvous from the start:
-    # the sanitizer must not see it as eager before its CPU charge ends
+    # the sanitizer must report it as one, not as an eager send
     cluster = make_cluster(eager=16 * 1024)
 
     def program(ep):
         if ep.rank == 0:
-            ep.isend(1, tag=5, nbytes=1 << 20)
+            yield from ep.isend(1, tag=5, nbytes=1 << 20)
         yield Sleep(0.01)
 
     with pytest.raises(SanitizerError,
@@ -204,7 +204,7 @@ def test_messages_of_two_communicators_do_not_collide():
 
     def leaves_a_send(ep):
         if ep.rank == 0:
-            ep.isend(1, tag=5, payload=None, nbytes=8)
+            yield from ep.isend(1, tag=5, payload=None, nbytes=8)
         yield Sleep(0.01)
 
     def exchanges_one(ep):

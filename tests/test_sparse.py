@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._intervals import IntervalSet
-from repro.apps.kernels import cg_block_csr
+from repro.apps.kernels import CG_WORK_PER_NNZ, CG_WORK_PER_ROW, cg_block_csr
 from repro.dmem import SparseMatrix
 from repro.dmem.sparse import ELEM_STORE_BYTES, ELEM_WIRE_BYTES, ROW_WIRE_BYTES
 from repro.errors import AllocationError
@@ -376,6 +376,41 @@ def test_csr_slabs_equal_the_list_oracle(ops):
     for op in [("hold", range(_N)), *ops]:
         assert _apply(m, op) == _apply(ref, op), op
         assert _full_state(m) == _full_state(ref), op
+
+
+@given(st.lists(_ops, max_size=12), st.integers(0, _N - 1), st.integers(0, _N - 1))
+@settings(max_examples=200, deadline=None)
+def test_rows_nnz_equals_the_per_row_loop(ops, lo, hi):
+    """``rows_nnz`` reads the slab ``indptr``s: the per-row ``row_nnz``
+    loop's counts, its error on a row not held, no ``AllocStats`` move."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    m = SparseMatrix("s", (_N, _M))
+    for op in [("hold", range(_N)), *ops]:
+        _apply(m, op)
+    stats = dataclasses.asdict(m.stats)
+    try:
+        loop = [m.row_nnz(g) for g in range(lo, hi + 1)]
+    except AllocationError:
+        with pytest.raises(AllocationError):
+            m.rows_nnz(lo, hi)
+    else:
+        got = m.rows_nnz(lo, hi)
+        assert got.dtype == np.int64 and got.tolist() == loop
+    assert dataclasses.asdict(m.stats) == stats
+
+
+def test_cg_work_vector_is_bitwise_the_per_row_loops():
+    n = 700
+    a = SparseMatrix("A", (n, n))
+    a.hold(range(n))
+    for lo in range(0, n, 256):
+        hi = min(lo + 255, n - 1)
+        a.set_rows_csr(range(lo, hi + 1), *cg_block_csr(n, lo, hi))
+    for lo, hi in ((0, n - 1), (37, 300), (255, 256), (699, 699)):
+        loop = np.array([a.row_nnz(g) for g in range(lo, hi + 1)], dtype=float)
+        fast = a.rows_nnz(lo, hi).astype(float)
+        assert ((fast * CG_WORK_PER_NNZ + CG_WORK_PER_ROW).tobytes()
+                == (loop * CG_WORK_PER_NNZ + CG_WORK_PER_ROW).tobytes())
 
 
 def test_cg_matrix_costs_at_most_24_bytes_per_element():
