@@ -7,8 +7,6 @@ every halo exchange and collective.  This bench measures both policies
 on the SOR removal scenario.
 """
 
-import pytest
-
 from repro.apps import SORConfig, sor_program
 from repro.config import RuntimeSpec, ultrasparc_cluster
 from repro.experiments.harness import (

@@ -6,10 +6,6 @@ unusable, while dmpi_ps (running/ready + monitored app always counted)
 detects the competing process at its first post-arrival sample.
 """
 
-import math
-
-import pytest
-
 from repro.experiments import format_monitor_ablation, run_monitor_ablation
 
 

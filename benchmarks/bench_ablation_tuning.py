@@ -13,8 +13,6 @@ threshold.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.apps import JacobiConfig, jacobi_program
 from repro.config import RuntimeSpec, pentium_cluster
 from repro.experiments.harness import Scenario, bench_scale, scaled, scaled_spec

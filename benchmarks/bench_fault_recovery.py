@@ -9,7 +9,6 @@ per-cycle checkpointing tax is a modest multiplier on the cycle time.
 """
 
 import numpy as np
-import pytest
 
 from repro.apps import JacobiConfig, jacobi_program, run_program
 from repro.config import (

@@ -5,8 +5,6 @@ memory traffic and modeled cost of both layouts across a sweep of
 partition-boundary shifts, for dense and sparse matrices.
 """
 
-import pytest
-
 from repro.experiments import format_memalloc, run_memalloc
 from repro.experiments.harness import bench_scale
 

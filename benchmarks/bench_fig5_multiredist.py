@@ -9,8 +9,6 @@ No Redist / Redist Once / Redist Twice.  Shape assertions:
   the redistribution cost negates the speedup).
 """
 
-import pytest
-
 from repro.experiments import format_figure5, run_figure5
 from repro.experiments.harness import bench_scale
 

@@ -8,9 +8,6 @@ with the number of competing processes; at 8 nodes dropping is at
 best marginal.
 """
 
-import numpy as np
-import pytest
-
 from repro.experiments import format_figure6, run_figure6
 from repro.experiments.harness import bench_scale
 

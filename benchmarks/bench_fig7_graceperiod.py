@@ -6,8 +6,6 @@ Shape assertions: iteration timing uses gethrtime (not /PROC), and the
 1-cycle one (the paper: 13-16% better).
 """
 
-import pytest
-
 from repro.experiments import format_figure7, run_figure7
 from repro.experiments.harness import bench_scale
 

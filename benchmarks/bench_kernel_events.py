@@ -42,7 +42,7 @@ from typing import Optional
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.obs.scenario import RemovalScenario, run_removal
-from repro.simcluster import Cluster, Compute, Simulator, Sleep
+from repro.simcluster import Cluster, Compute, Simulator, Sleep, to_ns
 from repro.mpi import run_spmd
 
 SMOKE = os.environ.get("DYNMPI_KERNEL_SMOKE", "") not in ("", "0")
@@ -101,18 +101,18 @@ def _churn_once(n_pumps: int) -> tuple[int, float]:
             if old is not None:
                 for t in old:
                     t.cancel()
-            watchdogs[i] = [sim.schedule(CHURN_WATCHDOG_TIMEOUT, fire)
+            watchdogs[i] = [sim.schedule(to_ns(CHURN_WATCHDOG_TIMEOUT), fire)
                             for _ in range(CHURN_WATCHDOGS)]
             remaining[0] -= 1
             if remaining[0]:
-                sim.schedule(CHURN_TICK_DT, tick)
+                sim.schedule(to_ns(CHURN_TICK_DT), tick)
 
         return tick
 
     # stagger the pumps inside one tick period so their re-arms
     # interleave instead of batching
     for i in range(n_pumps):
-        sim.schedule(CHURN_TICK_DT * (i / n_pumps), make_pump(i))
+        sim.schedule(to_ns(CHURN_TICK_DT * (i / n_pumps)), make_pump(i))
     t0 = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - t0
@@ -133,7 +133,7 @@ def _churn_daemon(sim, beats: int):
     """Heartbeat-style timer churn: arm far-future timers, cancel them
     a beat later — every armed timer becomes a heap tombstone."""
     for _ in range(beats):
-        timers = [sim.schedule(1_000.0, _noop) for _ in range(CHURN_TIMERS)]
+        timers = [sim.schedule(to_ns(1_000.0), _noop) for _ in range(CHURN_TIMERS)]
         yield Sleep(CHURN_PERIOD)
         for t in timers:
             t.cancel()

@@ -21,7 +21,7 @@ from ..config import RuntimeSpec
 from ..core import DynMPIJob
 from ..core.runtime import DynMPI
 from ..errors import ConfigError
-from ..simcluster import Cluster, LoadScript
+from ..simcluster import Cluster, LoadScript, to_s
 
 __all__ = ["AppResult", "run_program", "require_at_least", "exchange_halo",
            "halo_start", "halo_finish", "collect_rows"]
@@ -85,7 +85,7 @@ def run_program(
     job = DynMPIJob(cluster, spec, adaptive=adaptive)
     per_rank = job.launch(program, args=(cfg,))
     return AppResult(
-        wall_time=cluster.sim.now,
+        wall_time=to_s(cluster.sim.now),
         events=list(job.events),
         bounds=[ctx.my_bounds() for ctx in job.contexts],
         cycle_times=[list(ctx.cycle_times) for ctx in job.contexts],

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..config import ClusterSpec, NetworkSpec
 from ..errors import ConfigError
-from ..simcluster import Cluster
+from ..simcluster import Cluster, to_s
 
 __all__ = [
     "CommCostModel",
@@ -124,8 +124,8 @@ def measure_comm_model(
         run_spmd(scratch, program)
         rank0 = next(p for p in scratch.sim.processes if p.name == "rank0")
         # per one-way message: rank0 handled 2*reps messages
-        cpu_per_size.append(rank0.cpu_time / (2 * reps))
-        wall_per_size.append(scratch.sim.now / (2 * reps))
+        cpu_per_size.append(to_s(rank0.cpu_time) / (2 * reps))
+        wall_per_size.append(to_s(scratch.sim.now) / (2 * reps))
 
     sizes_arr = np.asarray(sizes, dtype=float)
     design = np.stack([np.ones_like(sizes_arr), sizes_arr], axis=1)

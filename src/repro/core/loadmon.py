@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from ..simcluster import to_s
+
 __all__ = ["LoadMonitor", "FailureDetector"]
 
 
@@ -64,7 +66,7 @@ class FailureDetector:
             raise ValueError("failure-detector timeout must be positive")
         self.ps = ps
         self.timeout = timeout
-        self._now = now if now is not None else (lambda: ps.cluster.sim.now)
+        self._now = now if now is not None else (lambda: to_s(ps.cluster.sim.now))
         self.suspected_log: list[tuple[float, int]] = []
         self._already: set[int] = set()
 

@@ -64,7 +64,7 @@ from ..mpi.datatypes import SUM, ReduceOp
 from ..obs.recorder import JOB_PID
 from ..resilience.checkpoint import CheckpointStore, checkpoint_exchange, snapshot
 from ..resilience.failures import terminate_rank
-from ..simcluster import Cluster, Compute, ProcState
+from ..simcluster import Cluster, Compute, ProcState, to_s
 from ..sysmon import DmpiPs, HrTimer, ProcClock
 from .commcost import CommCostModel, PhasePattern
 from .distribution import BlockDistribution
@@ -153,8 +153,7 @@ class DynMPIJob:
             self._groups[world_ranks] = g
         return g
 
-    def launch(self, program: Callable[..., Any], args: tuple = (),
-               until: float = float("inf")) -> list[Any]:
+    def launch(self, program: Callable[..., Any], args: tuple = ()) -> list[Any]:
         """Run ``program(ctx, *args)`` on every rank to completion."""
         if self._launched:
             raise SimulationError("job already launched")
@@ -185,7 +184,7 @@ class DynMPIJob:
             return ctx.crashed or board.failed(self.comm.node_of(rank))
 
         try:
-            self.cluster.sim.run_all(procs, until=until, tolerate=expected_death)
+            self.cluster.sim.run_all(procs, tolerate=expected_death)
         finally:
             self._epochs.clear()  # nothing shared outlives the run
         if self.cluster.sanitizer is not None:
@@ -245,9 +244,9 @@ class DynMPI:
         self._grace_count = 0
         self._post_count = 0
         self._post_times: list[float] = []
-        self._cycle_t0 = 0.0
+        self._cycle_t0 = 0  # hrtimer ns
         self.cycle_times: list[float] = []
-        self.cycle_stamps: list[tuple[float, float]] = []  # (begin, end) sim times
+        self.cycle_stamps: list[tuple[float, float]] = []  # (begin, end) sim seconds
         self.n_redistributions = 0
         self._removed_loads: dict[int, int] = {}  # rejoin bookkeeping (rel 0)
         self._token_root = 0  # world rank that sends this removed rank tokens
@@ -646,7 +645,7 @@ class DynMPI:
         yield from self._apply(plan, t0)
         if self.obs is not None:
             self.obs.complete(
-                "recover.crash", t0, cat="recover",
+                "recover.crash", to_s(t0), cat="recover",
                 pid=self.node_id, tid=self.world_rank,
                 cycle=self.cycle, n_dead=len(dead),
             )
@@ -728,12 +727,13 @@ class DynMPI:
         if not self.active:
             return
         now = self.job.hr.read()
-        cycle_time = now - self._cycle_t0
+        cycle_time = to_s(now - self._cycle_t0)
+        t0 = to_s(self._cycle_t0)
         self.cycle_times.append(cycle_time)
-        self.cycle_stamps.append((self._cycle_t0, now))
+        self.cycle_stamps.append((t0, to_s(now)))
         if self.obs is not None:
             self.obs.complete(
-                "cycle", self._cycle_t0, dur=max(0.0, cycle_time), cat="cycle",
+                "cycle", t0, dur=cycle_time, cat="cycle",
                 pid=self.node_id, tid=self.world_rank,
                 cycle=self.cycle, mode=self.mode,
             )
@@ -964,11 +964,11 @@ class DynMPI:
         if plan is not None:
             yield from self._apply(plan)
 
-    def _apply(self, plan: Transition, t0: Optional[float] = None) -> Generator:
+    def _apply(self, plan: Transition, t0: Optional[int] = None) -> Generator:
         """Execute one planned change of the replicated view: move the
         rows over the exchange group, install ``plan.after``, record the
         event.  Every member runs it identically, a rejoining rank
-        included.  ``t0``: when the adaptation began, if it is timed."""
+        included.  ``t0``: when the adaptation began (hrtimer ns), if timed."""
         obs = self.obs
         if plan.exchange_world is not None:
             ts = obs.now() if obs is not None else 0.0
@@ -1020,13 +1020,14 @@ class DynMPI:
                 self._ckpt_store.discard(dead)
         self._install(plan.after)
         if self.world_rank == plan.recorder:
-            now = self.job.cluster.sim.now
-            duration = 0.0 if t0 is None else self.job.hr.read() - t0
+            now = self.job.hr.read()
+            start = now if t0 is None else t0
+            duration = to_s(now - start)
             self.job.events.append(RuntimeEvent(
-                plan.kind, self.cycle, now, duration, plan.detail))
+                plan.kind, self.cycle, to_s(now), duration, plan.detail))
             if obs is not None:
                 obs.complete(
-                    f"adapt.{plan.kind}", now - duration, dur=duration,
+                    f"adapt.{plan.kind}", to_s(start), dur=duration,
                     cat="adapt", pid=JOB_PID, tid=0,
                     cycle=self.cycle, **plan.detail,
                 )

@@ -26,7 +26,7 @@ from ..core import (
     predict_times,
 )
 from ..core.power import available_powers
-from ..simcluster import Cluster, Compute, Sleep
+from ..simcluster import Cluster, Compute, Sleep, to_ns
 from ..sysmon import DmpiPs, Vmstat
 from .report import format_table
 
@@ -115,7 +115,7 @@ def run_monitor_ablation(
         compute_work = 1e8 * period * (1 - blocked_fraction)
 
         def app():
-            while cluster.sim.now < duration:
+            while cluster.sim.now < to_ns(duration):
                 yield Compute(compute_work)
                 yield Sleep(period * blocked_fraction)
 
@@ -126,7 +126,7 @@ def run_monitor_ablation(
         else:
             mon = Vmstat(cluster, interval=interval)
         mon.start()
-        cluster.sim.schedule(cp_start, lambda n=node: n.start_competing())
+        cluster.sim.schedule(to_ns(cp_start), lambda n=node: n.start_competing())
         cluster.sim.run_all([proc])
 
         history = mon.history(0)

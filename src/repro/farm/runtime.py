@@ -42,7 +42,7 @@ import numpy as np
 from ..errors import ConfigError, FarmError
 from ..mpi import ANY_TAG, make_comm
 from ..mpi.rma import Window
-from ..simcluster import Compute, Sleep
+from ..simcluster import Compute, Sleep, to_s
 from .jobs import (JobQueue, chunk_ids, chunk_rows, job_costs, job_results,
                    mask_digest)
 from .policies import POLICIES, make_policy
@@ -494,7 +494,7 @@ def run_farm(cluster, spec: FarmSpec, *, load_script=None,
         done=state.done,
         values=state.values,
         jobs_done=state.n_done,
-        wall_time=cluster.sim.now - t0,
+        wall_time=to_s(cluster.sim.now - t0),
         per_worker=dict(sorted(state.per_worker.items())),
         duplicates=state.duplicates,
         n_requeued=state.queue.n_requeued,

@@ -30,7 +30,6 @@ def run_spmd(
     *,
     rank_to_node: Optional[Sequence[int]] = None,
     args: tuple = (),
-    until: float = float("inf"),
     name: str = "rank",
 ) -> list[Any]:
     """Run ``program(endpoint, *args)`` as one process per rank.
@@ -50,7 +49,7 @@ def run_spmd(
             )
         node = cluster.nodes[comm.node_of(rank)]
         procs.append(cluster.sim.spawn(gen, name=f"{name}{rank}", node=node))
-    cluster.sim.run_all(procs, until=until)
+    cluster.sim.run_all(procs)
     if cluster.sanitizer is not None:
         cluster.sanitizer.finalize()
     return [p.result for p in procs]

@@ -39,6 +39,7 @@ import pathlib
 from typing import Union
 
 from ..errors import ConfigError
+from ..simcluster.kernel import to_s
 from .recorder import CPU_TID, JOB_PID, NET_PID, ObsEvent, ObsRecorder
 
 __all__ = [
@@ -81,10 +82,10 @@ def trace_events(recorder: ObsRecorder) -> list[ObsEvent]:
     of one instant keep emission order with the simulator tracks last."""
     events = list(recorder.events)
     for node, proc, start, end in recorder.slices:
-        events.append(ObsEvent(f"cpu.{proc}", "sim", "X", start,
-                               max(0.0, end - start), node, CPU_TID,
+        events.append(ObsEvent(f"cpu.{proc}", "sim", "X", to_s(start),
+                               to_s(end - start), node, CPU_TID,
                                {"proc": proc}))
-    lanes: list[float] = []  # lane index -> end of its last flight
+    lanes: list[int] = []  # lane index -> end of its last flight (ns)
     for src, dst, nbytes, sent, delivered in sorted(
             recorder.flights, key=lambda f: (f[3], f[4], f[0], f[1])):
         for lane, busy_until in enumerate(lanes):
@@ -92,10 +93,10 @@ def trace_events(recorder: ObsRecorder) -> list[ObsEvent]:
                 break
         else:
             lane = len(lanes)
-            lanes.append(0.0)
+            lanes.append(0)
         lanes[lane] = delivered
-        events.append(ObsEvent("net.msg", "sim", "X", sent,
-                               max(0.0, delivered - sent), NET_PID, lane,
+        events.append(ObsEvent("net.msg", "sim", "X", to_s(sent),
+                               to_s(delivered - sent), NET_PID, lane,
                                {"src": src, "dst": dst, "nbytes": nbytes}))
     events.sort(key=lambda e: e.ts)
     return events

@@ -114,19 +114,20 @@ class ObsRecorder:
     :attr:`events`; per-rank metric registries merge into one view for
     reporting.  The simulator's scheduler and NIC model append to
     :attr:`slices` and :attr:`flights` as plain tuples (one per CPU
-    slice / wire flight is too many for an :class:`ObsEvent` each); the
-    exporters turn them into the ``cpu.<proc>`` / ``net.msg`` tracks."""
+    slice / wire flight is too many for an :class:`ObsEvent` each), with
+    their times in clock nanoseconds; the exporters turn them into the
+    ``cpu.<proc>`` / ``net.msg`` tracks, in seconds."""
 
     def __init__(self, *, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self.events: list[ObsEvent] = []
         #: ``(node, proc, start, end)`` per CPU slice, in completion
         #: order (``RoundRobinCPU._account_current``)
-        self.slices: list[tuple[int, str, float, float]] = []
+        self.slices: list[tuple[int, str, int, int]] = []
         #: ``(src, dst, nbytes, sent, delivered)`` per message put on
         #: the wire (``Network._inject``; one held across a partition
         #: appears when ``heal()`` sends it)
-        self.flights: list[tuple[int, int, int, float, float]] = []
+        self.flights: list[tuple[int, int, int, int, int]] = []
         self._registries: dict[int, MetricsRegistry] = {}
 
     def now(self) -> float:
@@ -175,8 +176,10 @@ class ObsRecorder:
     def busy_time(self, node: int, proc_prefix: str = "") -> float:
         """Total CPU seconds on ``node`` for processes whose name
         starts with ``proc_prefix`` ('' = everything)."""
-        return sum(end - start for n, proc, start, end in self.slices
-                   if n == node and proc.startswith(proc_prefix))
+        from ..simcluster.kernel import to_s  # repro.simcluster imports this module
+
+        return to_s(sum(end - start for n, proc, start, end in self.slices
+                        if n == node and proc.startswith(proc_prefix)))
 
     def timeline(self, node: int, t0: float = 0.0,
                  t1: Optional[float] = None, width: int = 72) -> str:
@@ -186,6 +189,8 @@ class ObsRecorder:
 
             n0 |rrrrrrrrccccrrrrcccc....|
         """
+        from ..simcluster.kernel import to_s  # repro.simcluster imports this module
+
         if t1 is None:
             t1 = self.now()
         if t1 <= t0:
@@ -193,6 +198,7 @@ class ObsRecorder:
         step = (t1 - t0) / width
         chars = ["."] * width
         for n, proc, start, end in self.slices:
+            start, end = to_s(start), to_s(end)
             if n != node or end <= t0 or start >= t1:
                 continue
             a = max(0, int((start - t0) / step))

@@ -23,7 +23,7 @@ replacing the send-out phase the dead rank can no longer perform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Mapping, Optional, Sequence
+from typing import Generator, Mapping, Optional
 
 from .._intervals import IntervalSet  # leaf import: keeps repro.core acyclic
 from ..errors import CheckpointLostError

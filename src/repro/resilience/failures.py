@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, Optional
 
 from ..errors import ConfigError, ReproError, SimulationError
 from ..obs.recorder import CPU_TID
+from ..simcluster.kernel import to_ns, to_s
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcluster.cluster import Cluster
@@ -138,7 +139,7 @@ class FailureScript:
         self._cluster = cluster
         for fault in self.time_faults:
             cluster.sim.schedule(
-                fault.time - cluster.sim.now,
+                to_ns(fault.time) - cluster.sim.now,
                 lambda fault=fault: self._apply(fault),
             )
 
@@ -163,19 +164,19 @@ class FailureScript:
                                 pid=fault.node, tid=CPU_TID)
 
     def _apply_crash(self, cluster: "Cluster", fault) -> None:
-        cluster.failure_board.mark_crashed(fault.node, cluster.sim.now)
+        cluster.failure_board.mark_crashed(fault.node, to_s(cluster.sim.now))
         # a dead node runs nothing: its competing load disappears with it
         node = cluster.nodes[fault.node]
         for handle in list(node.background):
             node.stop_competing(handle)
 
     def _apply_kill(self, cluster: "Cluster", fault) -> None:
-        cluster.failure_board.mark_killed(fault.node, cluster.sim.now)
+        cluster.failure_board.mark_killed(fault.node, to_s(cluster.sim.now))
         for proc in self._app_procs(cluster, fault.node):
             cluster.sim.kill(proc)
 
     def _apply_inject(self, cluster: "Cluster", fault) -> None:
-        cluster.failure_board.mark_killed(fault.node, cluster.sim.now)
+        cluster.failure_board.mark_killed(fault.node, to_s(cluster.sim.now))
         for proc in self._app_procs(cluster, fault.node):
             cluster.sim.inject(
                 proc, InjectedFault(f"fault injected into {proc.name}")
@@ -192,7 +193,7 @@ class FailureScript:
                     if h in handles:
                         handles.remove(h)
                         node.stop_competing(h)
-            cluster.sim.schedule(fault.duration, stop)
+            cluster.sim.schedule(to_ns(fault.duration), stop)
 
     def _apply_partition(self, cluster: "Cluster", fault) -> None:
         cluster.network.partition({fault.node, *fault.peers})

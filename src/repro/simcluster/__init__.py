@@ -8,7 +8,7 @@ substitution argument.
 
 from .cluster import Cluster
 from .cpu import BackgroundJob, RoundRobinCPU
-from .kernel import ProcState, Signal, Simulator, SimProcess
+from .kernel import ProcState, Signal, Simulator, SimProcess, to_ns, to_s
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
@@ -37,4 +37,6 @@ __all__ = [
     "TimeTrigger",
     "CycleTrigger",
     "single_competitor",
+    "to_ns",
+    "to_s",
 ]

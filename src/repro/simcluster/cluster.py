@@ -13,7 +13,7 @@ from ..analysis.sanitizer import CommSanitizer, sanitizer_enabled
 from ..config import ClusterSpec
 from ..obs.recorder import ObsRecorder, obs_enabled
 from ..resilience.board import FailureBoard
-from .kernel import SimProcess, Simulator
+from .kernel import SimProcess, Simulator, to_s
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
@@ -33,7 +33,7 @@ class Cluster:
         #: with one None test
         self.obs: Optional[ObsRecorder] = None
         if obs_enabled(spec):
-            self.obs = ObsRecorder(clock=lambda: self.sim.now)
+            self.obs = ObsRecorder(clock=lambda: to_s(self.sim.now))
         #: bumped on every competitor start or stop on any node, so a
         #: reader of :meth:`competing_counts` can tell nothing changed
         self.load_version = 0
@@ -87,4 +87,4 @@ class Cluster:
         return [node.n_competing for node in self.nodes]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Cluster {self.spec.name} n={self.n_nodes} t={self.sim.now:.3f}>"
+        return f"<Cluster {self.spec.name} n={self.n_nodes} t={to_s(self.sim.now):.3f}>"

@@ -31,11 +31,17 @@ does inline what a row's completion and its successor's submit would
 do through two deferred events (same continuation credit, same jitter
 draws, one event per row at most).  Alone on the CPU, the rest of the
 chain is one untimed slice ending at the last row's end — the row ends
-are the per-row fast path's sequential float sums — and whatever ends
+are the per-row fast path's sums — and whatever ends
 the slice early (a newcomer, a cancel) first credits every boundary
 already crossed, one by one, exactly as the rows' own slice ends would
-have (unlike a spin job's closed form, which is not bit-identical to
-its chain and need not be).
+have (unlike a spin job's fair-share EMA, a closed form not
+bit-identical to its chain's, which need not be).
+
+All time state — ``remaining``, the quantum and its credit, CPU and
+busy time, row stamps, spin steps — is ``int`` nanoseconds of the
+simulator clock, so every comparison here is exact: a request's work
+becomes time once, at submit (:func:`~.kernel.to_ns` of work over
+speed).
 """
 
 from __future__ import annotations
@@ -46,11 +52,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import SimulationError
-from .kernel import ProcState, Simulator, Timer
+from .kernel import NS, ProcState, Simulator, Timer, to_ns
 
 __all__ = ["Job", "RowChain", "BackgroundJob", "RoundRobinCPU"]
-
-_EPS = 1e-12
 
 
 class BackgroundJob:
@@ -66,7 +70,7 @@ class BackgroundJob:
     def __init__(self, name: str):
         self.name = name
         self.state = ProcState.READY
-        self.cpu_time = 0.0
+        self.cpu_time = 0
         self.fair_share = None  # see RoundRobinCPU._ema_share
         self.node = None
 
@@ -75,7 +79,8 @@ class BackgroundJob:
 
 
 class Job:
-    """One outstanding compute request on a CPU.
+    """One outstanding compute request on a CPU; ``remaining`` is the
+    CPU time (ns) it still needs.
 
     ``allowed`` is the quantum budget left for a *continuation* job — a
     request submitted by the process that was running at this very
@@ -84,50 +89,52 @@ class Job:
     unexpired slice had already used and is zeroed whenever the job is
     requeued (which breaks the continuation chain).
 
-    A *spin job* has ``step`` set (CPU seconds per poll step) and
+    A *spin job* has ``step`` set (CPU ns per poll step) and
     infinite ``remaining`` until ``stop_spin`` cuts it down to the rest
     of its current step; ``phase`` is the CPU time it had consumed
-    inside that step at the last accounting.
+    inside that step when it last left the CPU, at ``left``.
 
     A *row chain* has ``rows`` set; ``remaining`` is then what is left
     of its current row.
     """
 
     __slots__ = ("proc", "remaining", "callback", "cb_args", "cancelled",
-                 "allowed", "turn_used", "boost_time", "step", "phase", "rows",
-                 "done_timer")
+                 "allowed", "turn_used", "boost_time", "step", "phase", "left",
+                 "rows", "done_timer")
 
     def __init__(self, proc, remaining: float,
                  callback: Optional[Callable[..., None]], cb_args: tuple = ()):
         self.proc = proc
-        self.remaining = remaining
+        self.remaining = remaining  # int, or inf for a spin/background job
         self.callback = callback
         self.cb_args = cb_args
         self.cancelled = False
-        self.allowed: Optional[float] = None
-        self.turn_used = 0.0
-        self.boost_time: Optional[float] = None  # instant this job was boosted
-        self.step: Optional[float] = None
-        self.phase = 0.0
+        self.allowed: Optional[int] = None
+        self.turn_used = 0
+        self.boost_time: Optional[int] = None  # instant this job was boosted
+        self.step: Optional[int] = None
+        self.phase = 0
+        self.left: Optional[int] = None
         self.rows: Optional[RowChain] = None
         self.done_timer = None  # the deferred completion callback, once due
 
 
 class RowChain:
     """The rows of a :class:`~.syscalls.ComputeRows` job and what has
-    been measured of them: ``stamps[k]`` / ``clocks[k]`` are the time
-    and the process's ``cpu_time`` at the start of row ``k`` (at
-    ``k = len(works)``, the end of the last row), filled in as the rows
-    are crossed.  While the chain runs an untimed slice, ``ends[j]`` is
-    when row ``row + j`` ends in it."""
+    been measured of them: ``durs[k]`` is row ``k``'s CPU time (ns);
+    ``stamps[k]`` / ``clocks[k]`` are the time and the process's
+    ``cpu_time`` at the start of row ``k`` (at ``k = len(durs)``, the
+    end of the last row), filled in as the rows are crossed.  While the
+    chain runs an untimed slice, ``ends[j]`` is when row ``row + j``
+    ends in it."""
 
-    __slots__ = ("works", "row", "stamps", "clocks", "ends")
+    __slots__ = ("durs", "row", "stamps", "clocks", "ends")
 
-    def __init__(self, works: np.ndarray, now: float, cpu_time: float):
-        self.works = works
+    def __init__(self, durs: np.ndarray, now: int, cpu_time: int):
+        self.durs = durs
         self.row = 0
-        self.stamps = np.empty(len(works) + 1)
-        self.clocks = np.empty(len(works) + 1)
+        self.stamps = np.empty(len(durs) + 1, dtype=np.int64)
+        self.clocks = np.empty(len(durs) + 1, dtype=np.int64)
         self.stamps[0], self.clocks[0] = now, cpu_time
         self.ends: Optional[np.ndarray] = None
 
@@ -154,13 +161,13 @@ class RoundRobinCPU:
             raise SimulationError("quantum must be positive")
         self.sim = sim
         self.speed = speed
-        self.quantum = quantum
-        self.busy_time = 0.0  # total CPU-seconds delivered to any job
+        self.quantum = to_ns(quantum)
+        self.busy_time = 0  # total CPU ns delivered to any job
         self._bg_jobs: dict[BackgroundJob, Job] = {}
         self._queue: list[Job] = []
         self._current: Optional[Job] = None
         self._slice_timer: Optional[Timer] = None
-        self._slice_start = 0.0
+        self._slice_start = 0
         self._slice_long = False  # True when running the single-job fast path
         # (proc, time, quantum_used) of the most recent mid-quantum completion
         self._cont: Optional[tuple] = None
@@ -179,8 +186,7 @@ class RoundRobinCPU:
     def add_background(self, bg: BackgroundJob) -> None:
         if bg in self._bg_jobs:
             raise SimulationError(f"background job {bg.name} already running")
-        job = self.submit(bg, math.inf, None)
-        self._bg_jobs[bg] = job
+        self._bg_jobs[bg] = self._enqueue(Job(bg, math.inf, None))
 
     def remove_background(self, bg: BackgroundJob) -> None:
         job = self._bg_jobs.pop(bg, None)
@@ -198,10 +204,9 @@ class RoundRobinCPU:
                spin: bool = False) -> Job:
         """Queue ``work`` units for ``proc``; with ``spin`` the job
         repeats steps of ``work`` until :meth:`stop_spin`."""
-        job = Job(proc, work, callback, cb_args)
+        job = Job(proc, to_ns(work / self.speed), callback, cb_args)
         if spin:
-            job.step = work / self.speed
-            job.remaining = math.inf
+            job.step, job.remaining = job.remaining, math.inf
         return self._enqueue(job)
 
     def submit_rows(self, proc, works, callback, *cb_args) -> Job:
@@ -209,9 +214,10 @@ class RoundRobinCPU:
         chain job; on completion ``callback(*cb_args, chain)`` gets its
         :class:`RowChain`, whose ``stamps`` / ``clocks`` hold every row
         boundary but the last, which the callback reads itself."""
-        works = np.asarray(works, dtype=float)
-        rows = RowChain(works, self.sim.now, proc.cpu_time)
-        job = Job(proc, float(works[0]), callback, (*cb_args, rows))
+        # each row's time rounds as its own submit would round it
+        durs = np.rint(np.asarray(works, dtype=float) / self.speed * NS).astype(np.int64)
+        rows = RowChain(durs, self.sim.now, proc.cpu_time)
+        job = Job(proc, int(durs[0]), callback, (*cb_args, rows))
         job.rows = rows
         return self._enqueue(job)
 
@@ -225,7 +231,7 @@ class RoundRobinCPU:
             cont is not None
             and cont[0] is proc
             and cont[1] == now
-            and cont[2] < self.quantum - _EPS
+            and cont[2] < self.quantum
         ):
             # continuation within the unexpired quantum: head of queue
             job.allowed = self.quantum - cont[2]
@@ -268,8 +274,8 @@ class RoundRobinCPU:
                 slice_budget = self.quantum * self._INTERACTIVE_FRAC
                 if self._rng is not None:
                     slice_budget *= 0.5 + float(self._rng.random())
-                job.allowed = slice_budget
-                job.turn_used = max(0.0, self.quantum - slice_budget)
+                job.allowed = round(slice_budget)
+                job.turn_used = self.quantum - job.allowed
             self.n_wake_boosts += 1
             job.boost_time = now
             # FIFO among jobs boosted at this same instant: processes
@@ -326,19 +332,19 @@ class RoundRobinCPU:
             return  # killed mid-poll, or stopped already
         if job is not self._current:
             # queued: it runs the rest of its step when next dispatched
-            job.remaining = self._spin_rest(job, 0.0) * self.speed
+            job.remaining = self._spin_rest(job, 0)
             return
         # the slice is not split here — ``remaining`` counts from its
         # start — so its accounting stays one closed form
         elapsed = self.sim.now - self._slice_start
         rest = self._spin_rest(job, elapsed)
-        job.remaining = (elapsed + rest) * self.speed
+        job.remaining = elapsed + rest
         # re-arm the slice: to the end of the step, or to the end of
         # the turn if that comes first
         if self._slice_timer is not None:
             self._slice_timer.cancel()
         if not self._slice_long:
-            rest = min(max(0.0, job.allowed - elapsed), rest)
+            rest = min(max(0, job.allowed - elapsed), rest)
         self._slice_timer = self.sim.schedule(rest, self._on_slice_end)
 
     def runnable_jobs(self) -> list[Job]:
@@ -367,11 +373,7 @@ class RoundRobinCPU:
                 # nothing to time: a newcomer preempts the slice and
                 # stop_spin arms the timer for the last step
                 return
-            if job.rows is not None:
-                self._slice_timer = self.sim.schedule_at(
-                    self._plan_rows(job), self._on_slice_end)
-                return
-            duration = job.remaining / self.speed
+            duration = job.remaining if job.rows is None else self._plan_rows(job)
         else:
             self._slice_long = False
             budget = self.quantum if job.allowed is None else job.allowed
@@ -389,14 +391,14 @@ class RoundRobinCPU:
                 # step never reached (the draw keeps the stream aligned)
                 job.allowed = duration = budget
             else:
-                duration = min(budget * jitter, job.remaining / self.speed)
+                duration = min(round(budget * jitter), job.remaining)
         self._slice_timer = self.sim.schedule(duration, self._on_slice_end)
 
-    # EMA window for the fair-share governor (seconds); several quanta
+    # EMA window for the fair-share governor (ns); several quanta
     # long, so sustained compute loses its boost within a few tens of
     # milliseconds — roughly the reaction time of a UNIX TS scheduler's
     # priority decay
-    _EMA_TAU = 0.04
+    _EMA_TAU = 40_000_000
     # hysteresis: full-quantum boost only while share < fair * this
     _BOOST_HEADROOM = 0.9
     # fraction of a quantum granted to an above-fair-share wakeup
@@ -431,19 +433,17 @@ class RoundRobinCPU:
         fair = 1.0 / runnable
         return self._ema_share(proc) < fair * self._BOOST_HEADROOM
 
-    def _account_current(self) -> float:
-        """Credit the elapsed part of the in-flight slice to its job;
-        returns the elapsed slice time."""
+    def _account_current(self) -> None:
+        """Credit the elapsed part of the in-flight slice to its job."""
         job = self._current
         if job is None:
-            return 0.0
+            return
         now = self.sim.now
         if job.rows is not None and job.rows.ends is not None:
             self._cross_rows(job, now)
         elapsed = now - self._slice_start
         if elapsed > 0:
-            done = elapsed * self.speed
-            job.remaining = max(0.0, job.remaining - done)
+            job.remaining -= elapsed
             job.proc.cpu_time += elapsed
             self.busy_time += elapsed
             if job.step is None:
@@ -452,43 +452,36 @@ class RoundRobinCPU:
             else:
                 self._account_spin(job, elapsed)
             if job.allowed is not None:
-                job.allowed = max(0.0, job.allowed - elapsed)
+                job.allowed = max(0, job.allowed - elapsed)
             if self.obs is not None:
-                start = self._slice_start
                 self.obs.slices.append(
-                    (self.node_id, job.proc.name, start, start + elapsed))
+                    (self.node_id, job.proc.name, self._slice_start, now))
         self._slice_start = now
-        return elapsed
 
-    def _plan_rows(self, job: Job) -> float:
+    def _plan_rows(self, job: Job) -> int:
         """Lay out a chain's untimed slice from now: its rows' ends as
-        the per-row fast path would reach them (each the previous end
-        plus the row's work over speed, in float, in order) — each row
-        done at its end, as it is while the clock's rounding stays under
-        ``_EPS`` of work (hours of simulated time; past that the per-row
-        path never finishes such a row: its leftover is below half a
-        clock ulp).  A chain boosted at this very instant runs only its
-        current row untimed: a peer boosted at the same instant queues
-        behind it *without* preempting, and the next row's own dispatch
-        would then find the queue busy.  Returns when the slice ends."""
+        the per-row fast path would reach them, each the previous end
+        plus the row's time.  A chain boosted at this very instant runs
+        only its current row untimed: a peer boosted at the same instant
+        queues behind it *without* preempting, and the next row's own
+        dispatch would then find the queue busy.  Returns the slice's
+        length."""
         rows = job.rows
         now = self.sim.now
-        rest = rows.works[rows.row + 1:] if job.boost_time != now else rows.works[:0]
-        work = np.concatenate(([job.remaining], rest))
-        rows.ends = np.cumsum(np.concatenate(([now], work / self.speed)))[1:]
-        return float(rows.ends[-1])
+        rest = rows.durs[rows.row + 1:] if job.boost_time != now else rows.durs[:0]
+        rows.ends = now + np.cumsum(np.concatenate(([job.remaining], rest)))
+        return int(rows.ends[-1]) - now
 
-    def _cross_rows(self, job: Job, now: float) -> None:
+    def _cross_rows(self, job: Job, now: int) -> None:
         """End a chain's untimed slice at ``now``: credit every row
         boundary it crossed before its last, in order, as that row's own
         slice end and its successor's submit would have — for each, the
         credit of :meth:`_account_current` then :meth:`_next_row`.  CPU
-        time, busy time, stamps and slices are sequential float sums,
-        done as array sums (``cumsum`` adds in order); the fair-share EMA
-        (:meth:`_ema_add` at each boundary's time, ``math.exp``) and the
-        quantum credit are a loop over locals — all an idle node's grace
-        period costs per row.  The rest of the slice is the caller's
-        plain credit."""
+        time, busy time, stamps and slices are array sums; the
+        fair-share EMA (:meth:`_ema_add` at each boundary's time,
+        ``math.exp``) and the quantum credit are a loop over locals —
+        all an idle node's grace period costs per row.  The rest of the
+        slice is the caller's plain credit."""
         rows = job.rows
         ends, rows.ends = rows.ends, None
         crossed = min(int(np.searchsorted(ends, now, side="right")), len(ends) - 1)
@@ -498,21 +491,19 @@ class RoundRobinCPU:
         start = self._slice_start
         times = ends[:crossed]
         elapsed = np.diff(times, prepend=start)
-        clocks = np.cumsum(np.concatenate(([proc.cpu_time], elapsed)))[1:]
         first = rows.row + 1
         rows.stamps[first:first + crossed] = times
-        rows.clocks[first:first + crossed] = clocks
+        rows.clocks[first:first + crossed] = proc.cpu_time + np.cumsum(elapsed)
+        times, elapsed = times.tolist(), elapsed.tolist()
         if self.obs is not None:
-            starts = np.concatenate(([start], times[:-1])).tolist()
-            self.obs.slices.extend(
-                (self.node_id, proc.name, s, s + e)
-                for s, e in zip(starts, elapsed.tolist()) if e > 0)
-        proc.cpu_time = float(clocks[-1])
-        self.busy_time = float(np.cumsum(np.concatenate(([self.busy_time], elapsed)))[-1])
-        quantum, full, tau = self.quantum, self.quantum - _EPS, self._EMA_TAU
+            self.obs.slices.extend((self.node_id, proc.name, t - e, t)
+                                   for t, e in zip(times, elapsed) if e > 0)
+        proc.cpu_time += times[-1] - start
+        self.busy_time += times[-1] - start
+        quantum, tau = self.quantum, self._EMA_TAU
         used, allowed = job.turn_used, job.allowed
         rec = proc.fair_share
-        for t, e in zip(times.tolist(), elapsed.tolist()):
+        for t, e in zip(times, elapsed):
             if e > 0:
                 if rec is None:
                     rec = proc.fair_share = [t, 0.0]
@@ -522,17 +513,17 @@ class RoundRobinCPU:
                 rec[0] = t
                 rec[1] += e
                 used += e
-            if used < full:
+            if used < quantum:
                 allowed = quantum - used
             else:
-                allowed, used = None, 0.0
+                allowed, used = None, 0
         rows.row += crossed
-        job.remaining = float(rows.works[rows.row])
+        job.remaining = int(rows.durs[rows.row])
         job.turn_used, job.allowed, job.boost_time = used, allowed, None
-        self._slice_start = float(times[-1])
+        self._slice_start = times[-1]
         self._last_done, self._cont = (proc, self._slice_start), None
 
-    def _next_row(self, job: Job, now: float) -> bool:
+    def _next_row(self, job: Job, now: int) -> bool:
         """Move a chain past the row boundary at ``now``: the state the
         row's completion leaves (the process done at ``now``, its
         continuation credit consumed at once) and the state its
@@ -546,13 +537,13 @@ class RoundRobinCPU:
         rows.row += 1
         rows.stamps[rows.row] = now
         rows.clocks[rows.row] = proc.cpu_time
-        job.remaining = float(rows.works[rows.row])
+        job.remaining = int(rows.durs[rows.row])
         job.boost_time = None
-        if job.turn_used < self.quantum - _EPS:
+        if job.turn_used < self.quantum:
             job.allowed = self.quantum - job.turn_used
             return True
         job.allowed = None
-        job.turn_used = 0.0
+        job.turn_used = 0
         return False
 
     def _requeue_row(self, job: Job) -> bool:
@@ -560,7 +551,7 @@ class RoundRobinCPU:
         where that row's own submit would have queued it; False (and
         nothing queued) when it was the last row."""
         rows = job.rows
-        if rows.row + 1 == len(rows.works):
+        if rows.row + 1 == len(rows.durs):
             return False
         job.proc.state = ProcState.READY
         if self._next_row(job, self.sim.now):
@@ -569,37 +560,29 @@ class RoundRobinCPU:
             self._queue.append(job)
         return True
 
-    @staticmethod
-    def _spin_split(job: Job, elapsed: float) -> tuple[int, float]:
-        """Where a spin job stands ``elapsed`` CPU seconds past
-        ``job.phase``: (step ends crossed, CPU time since the last)."""
-        total = job.phase + elapsed
-        n = int((total + _EPS) / job.step)
-        return n, max(0.0, total - n * job.step)
-
-    @classmethod
-    def _spin_rest(cls, job: Job, elapsed: float) -> float:
-        """CPU seconds from now to the step end a spin job stopped now
-        notices at, having run ``elapsed`` CPU seconds past
-        ``job.phase``.  Tie rule: a step end reached at this very
-        instant counts (the poll that ends now sees the message); one
+    def _spin_rest(self, job: Job, elapsed: int) -> int:
+        """CPU ns from now to the step end a spin job stopped now
+        notices at, having run ``elapsed`` CPU ns past ``job.phase``
+        (0 while queued).  Tie rule: a step end reached at this very
+        instant counts (the poll that ends now sees the message),
+        whether the job is still running or left the CPU on it; one
         reached earlier does not — that poll already ran, so a whole
         step follows."""
-        _, tail = cls._spin_split(job, elapsed)
-        if elapsed > _EPS and tail <= _EPS:
-            return 0.0
+        tail = (job.phase + elapsed) % job.step
+        if not tail and (elapsed or job.left == self.sim.now):
+            return 0
         return job.step - tail
 
-    def _account_spin(self, job: Job, elapsed: float) -> None:
-        """Credit ``elapsed`` seconds of a spin job as the chain of
+    def _account_spin(self, job: Job, elapsed: int) -> None:
+        """Credit ``elapsed`` ns of a spin job as the chain of
         one-step requests would have: one EMA add per step end (the
         closed-form sum of their decayed contributions) and, on an
         untimed slice, the quantum credit restarting at every step end
         that found the quantum used up."""
         step = job.step
         head = step - job.phase  # what this slice ran of its first step
-        n, tail = self._spin_split(job, elapsed)
-        job.phase = tail
+        n, tail = divmod(job.phase + elapsed, step)
+        job.phase, job.left = tail, self.sim.now
         if n == 0:
             self._ema_add(job.proc, elapsed)
             job.turn_used += elapsed
@@ -616,12 +599,13 @@ class RoundRobinCPU:
             # untimed slice: the credit restarts at the first step end
             # with the quantum used up, then every ``per`` steps; a step
             # end reached at this very instant has not restarted it yet
-            full = self.quantum - _EPS
-            ends = n if tail > _EPS else n - 1
+            full = self.quantum
+            ends = n if tail else n - 1
             used = job.turn_used + head  # at the first step end
-            first = 1 if used >= full else 1 + math.ceil((full - used) / step)
+            # (-(-a // b) is the ceiling of a / b)
+            first = 1 if used >= full else 1 - (-(full - used) // step)
             if first <= ends:
-                per = math.ceil(full / step)
+                per = -(-full // step)
                 last = first + (ends - first) // per * per
                 job.turn_used = tail + (n - last) * step
                 return
@@ -637,13 +621,13 @@ class RoundRobinCPU:
         self._account_current()
         self.n_context_switches += 1
         self._current = None
-        if job.remaining <= _EPS * self.speed:
+        if job.remaining == 0:
             if job.rows is None or not self._requeue_row(job):
                 self._complete(job)
         else:
             job.proc.state = ProcState.READY
             job.allowed = None  # fresh quantum on its next dispatch
-            job.turn_used = 0.0
+            job.turn_used = 0
             # preempted job keeps its turn (or yields to a waking one)
             self._queue.insert(min(insert_pos, len(self._queue)), job)
         self._start_next()
@@ -663,7 +647,7 @@ class RoundRobinCPU:
         if job.cancelled:
             self._start_next()
             return
-        if job.remaining <= _EPS * self.speed:
+        if job.remaining == 0:
             if job.rows is not None and self._requeue_row(job):
                 # nobody to wait for: the chain's next row is queued
                 # where its own submit would have put it
@@ -681,7 +665,7 @@ class RoundRobinCPU:
         self.n_context_switches += 1
         job.proc.state = ProcState.READY
         job.allowed = None  # fresh quantum on its next dispatch
-        job.turn_used = 0.0
+        job.turn_used = 0
         self._queue.append(job)
         self._start_next()
 
@@ -693,10 +677,7 @@ class RoundRobinCPU:
         job.proc.state = ProcState.BLOCKED
         self._last_done = (job.proc, self.sim.now)
         used = job.turn_used
-        if used < self.quantum - _EPS:
-            self._cont = (job.proc, self.sim.now, used)
-        else:
-            self._cont = None
+        self._cont = (job.proc, self.sim.now, used) if used < self.quantum else None
         if job.callback is not None:
             # Defer so completion ordering matches event ordering.
             job.done_timer = self.sim.call_soon(job.callback, *job.cb_args)

@@ -9,6 +9,11 @@ process and wake it later.
 
 Design notes
 ------------
+* Time is ``int`` nanoseconds (``now``, every heap key, all CPU and NIC
+  state), ``gethrtime``'s resolution, so instants add and compare
+  exactly.  Seconds, work over speed and bytes over bandwidth enter
+  through :func:`to_ns` (rounded once, half to even); reports leave
+  through :func:`to_s` as float seconds.
 * Events are ``(time, seq)``-ordered callbacks; ``seq`` is a global
   monotone counter so simultaneous events run in schedule order and the
   simulation is fully deterministic.
@@ -51,8 +56,20 @@ from .syscalls import Compute, ComputeRows, Fork, Poll, Sleep, Syscall, Wait, Wa
 
 __all__ = [
     "Perturb", "ProcState", "Signal", "SimProcess", "Simulator", "Timer",
-    "perturb_from_env",
+    "perturb_from_env", "to_ns", "to_s",
 ]
+
+NS = 1_000_000_000  # clock ticks per second
+
+
+def to_ns(seconds: float) -> int:
+    """Seconds as clock ns, half to even (as ``np.rint(a * NS)``)."""
+    return round(seconds * NS)
+
+
+def to_s(ns: int) -> float:
+    """Clock ns as float seconds (what every report holds)."""
+    return ns / NS
 
 #: tombstone compaction floor: no compaction below this many cancelled
 #: heap entries, so tiny simulations never pay a heapify
@@ -197,7 +214,7 @@ class SimProcess:
         self.gen = gen
         self.node = None  # set by Node.attach / launcher
         self.state = ProcState.NEW
-        self.cpu_time = 0.0  # CPU seconds consumed (the /PROC counter)
+        self.cpu_time = 0  # CPU ns consumed (the /PROC counter)
         self.fair_share = None  # the scheduler's EMA record of that use
         self.result: Any = None
         self.error: Optional[BaseException] = None
@@ -221,9 +238,9 @@ class Simulator:
     """
 
     def __init__(self, *, perturb: Optional[int] = None) -> None:
-        self.now = 0.0
+        self.now = 0  # ns
         #: pending events: (time, seq, Timer) triples, heap-ordered
-        self._heap: list[tuple[float, int, Timer]] = []
+        self._heap: list[tuple[int, int, Timer]] = []
         #: cancelled entries still sitting in ``_heap`` (tombstones);
         #: drives compaction
         self._heap_cancels = 0
@@ -257,24 +274,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # event scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Timer:
-        """Run ``fn(*args)`` at ``now + delay``; returns a cancellable handle."""
-        if not delay >= 0.0:  # also rejects NaN, which ``delay < 0`` lets through
+    def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Timer:
+        """Run ``fn(*args)`` at ``now + delay`` (ns); returns a cancellable handle."""
+        if not delay >= 0:  # also rejects NaN, which ``delay < 0`` lets through
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         t = Timer(fn, args, self)
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (self.now + delay, seq, t))
-        return t
-
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Timer:
-        """Run ``fn(*args)`` at the absolute time ``when`` (for a deadline
-        that is a sum of steps, which ``now + (when - now)`` can miss by
-        a rounding)."""
-        if not when >= self.now:
-            raise SimulationError(f"cannot schedule in the past (at {when}, now {self.now})")
-        t = Timer(fn, args, self)
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (when, seq, t))
         return t
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
@@ -415,7 +421,7 @@ class Simulator:
                 self._notify_block(proc, request)
         elif isinstance(request, Sleep):
             proc.state = ProcState.BLOCKED
-            self.schedule(request.duration, self._wake, proc, None)
+            self.schedule(to_ns(request.duration), self._wake, proc, None)
         elif isinstance(request, ComputeRows):
             if proc.node is None:
                 raise SimulationError(
@@ -484,10 +490,10 @@ class Simulator:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, until: float = float("inf"), max_events: int = 200_000_000) -> float:
-        """Run until the queue drains or ``until`` is reached.
+    def run(self, until: float = float("inf"), max_events: int = 200_000_000) -> int:
+        """Run until the queue drains or ``until`` (ns) is reached.
 
-        Returns the final simulated time.  Raises
+        Returns the final simulated time (ns).  Raises
         :class:`~repro.errors.DeadlockError` if non-daemon processes
         remain blocked when no events are left.
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 from ..config import NetworkSpec
 from ..errors import SimulationError
-from .kernel import Simulator
+from .kernel import Simulator, to_ns
 
 __all__ = ["Network"]
 
@@ -50,8 +50,10 @@ class Network:
         self.sim = sim
         self.spec = spec
         self.n_nodes = n_nodes
-        self._out_free = [0.0] * n_nodes
-        self._in_free = [0.0] * n_nodes
+        #: per NIC, when its link is next free (ns)
+        self._out_free = [0] * n_nodes
+        self._in_free = [0] * n_nodes
+        self._latency = to_ns(spec.latency)
         self.n_messages = 0
         self.n_bytes = 0
         #: isolated island of a network partition (empty = fully
@@ -84,7 +86,7 @@ class Network:
         nbytes: int,
         on_delivered: Callable[[], None],
     ) -> float:
-        """Schedule delivery of a message; returns the delivery time.
+        """Schedule delivery of a message; returns the delivery time (ns).
 
         ``on_delivered`` fires when the last byte reaches ``dst``.
         Counts the message (once, here — see the module docstring) even
@@ -105,12 +107,12 @@ class Network:
         """Serialize one counted, non-held message onto the NICs."""
         now = self.sim.now
         if src == dst:
-            deliver = now + _LOCAL_LATENCY + nbytes / (self.spec.bandwidth * _LOCAL_SPEEDUP)
+            deliver = now + to_ns(_LOCAL_LATENCY + nbytes / (self.spec.bandwidth * _LOCAL_SPEEDUP))
         else:
-            tx = nbytes / self.spec.bandwidth
+            tx = to_ns(nbytes / self.spec.bandwidth)
             send_start = max(now, self._out_free[src])
             self._out_free[src] = send_start + tx
-            arrive_start = send_start + self.spec.latency
+            arrive_start = send_start + self._latency
             deliver = max(arrive_start, self._in_free[dst]) + tx
             self._in_free[dst] = deliver
         self.sim.schedule(deliver - now, on_delivered)

@@ -84,8 +84,8 @@ class Node:
     # ------------------------------------------------------------------
     # process table (what ps / vmstat see)
     # ------------------------------------------------------------------
-    def process_table(self) -> list[tuple[str, str, float]]:
-        """Return ``(name, state, cpu_time)`` for every live process."""
+    def process_table(self) -> list[tuple[str, str, int]]:
+        """Return ``(name, state, cpu_time)`` (ns) for every live process."""
         rows = [(p.name, p.state, p.cpu_time) for p in self.procs]
         rows.extend((b.name, b.state, b.cpu_time) for b in self.background.values())
         return rows

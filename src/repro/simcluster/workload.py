@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..errors import ConfigError
 from ..obs.recorder import CPU_TID
+from .kernel import to_ns
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
@@ -87,7 +88,7 @@ class LoadScript:
         self._cluster = cluster
         for trig in self.time_triggers:
             cluster.sim.schedule(
-                trig.time - cluster.sim.now,
+                to_ns(trig.time) - cluster.sim.now,
                 lambda trig=trig: self._apply(trig),
             )
 

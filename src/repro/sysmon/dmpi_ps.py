@@ -18,7 +18,7 @@ from __future__ import annotations
 
 
 from ..errors import SimulationError
-from ..simcluster import Cluster, ProcState, Sleep
+from ..simcluster import Cluster, ProcState, Sleep, to_s
 from ..simcluster.kernel import SimProcess
 
 __all__ = ["DmpiPs"]
@@ -65,7 +65,7 @@ class DmpiPs:
 
     def _take_sample(self, node_id: int) -> None:
         self._latest[node_id] = self._measure(node_id)
-        self._history[node_id].append((self.cluster.sim.now, self._latest[node_id]))
+        self._history[node_id].append((to_s(self.cluster.sim.now), self._latest[node_id]))
 
     def _measure(self, node_id: int) -> int:
         node = self.cluster.nodes[node_id]

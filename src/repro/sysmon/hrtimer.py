@@ -7,8 +7,9 @@ completes unpreempted (true time) or absorbs one or more competing
 slices (inflated time).  The paper's fix is to measure over several
 phase-cycle iterations and take the **minimum**.
 
-:class:`HrTimer` reads the simulator clock (plus a tiny fixed call
-overhead); :func:`min_filter` implements the minimum-over-cycles
+:class:`HrTimer` reads the simulator clock in nanoseconds, as
+``gethrtime`` does, and turns intervals into seconds (plus a tiny fixed
+call overhead); :func:`min_filter` implements the minimum-over-cycles
 reduction used during the grace period.
 """
 
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from ..simcluster import Simulator
+from ..simcluster import Simulator, to_s
 
 __all__ = ["HrTimer", "min_filter"]
 
@@ -32,21 +33,21 @@ class HrTimer:
     def __init__(self, sim: Simulator):
         self.sim = sim
 
-    def read(self) -> float:
+    def read(self) -> int:
         return self.sim.now
 
-    def interval(self, t0: float, t1: float) -> float:
+    def interval(self, t0: int, t1: int) -> float:
         if t1 < t0:
             raise SimulationError("hrtimer interval ran backwards")
-        return (t1 - t0) + CALL_OVERHEAD
+        return to_s(t1 - t0) + CALL_OVERHEAD
 
-    def intervals(self, stamps: Sequence[float]) -> np.ndarray:
+    def intervals(self, stamps: Sequence[int]) -> np.ndarray:
         """:meth:`interval` between each pair of consecutive reads
         ``stamps`` (elementwise the same floats)."""
-        gaps = np.diff(np.asarray(stamps, dtype=float))
+        gaps = np.diff(np.asarray(stamps, dtype=np.int64))
         if (gaps < 0).any():
             raise SimulationError("hrtimer interval ran backwards")
-        return gaps + CALL_OVERHEAD
+        return to_s(gaps) + CALL_OVERHEAD
 
 
 def min_filter(samples: Sequence[Sequence[float]]) -> np.ndarray:

@@ -7,19 +7,18 @@ granularity: the paper cites 10 ms, below which readings are useless
 and ``gethrtime`` must be used instead.
 
 :class:`ProcClock` wraps a simulated process's exact ``cpu_time``
-counter and quantizes reads to the configured granularity, reproducing
-both the virtue and the flaw.
+counter (ns) and quantizes reads to whole ticks of the configured
+granularity, reproducing both the virtue and the flaw.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..simcluster.kernel import SimProcess
+from ..simcluster.kernel import SimProcess, to_ns
 
 __all__ = ["ProcClock"]
 
@@ -30,20 +29,15 @@ class ProcClock:
             raise SimulationError("granularity must be positive")
         self.proc = proc
         self.granularity = granularity
+        self._tick = to_ns(granularity)
 
     def read(self) -> float:
         """CPU seconds consumed, rounded down to the granularity."""
-        ticks = math.floor(self.proc.cpu_time / self.granularity + 1e-12)
-        return ticks * self.granularity
+        return self.proc.cpu_time // self._tick * self.granularity
 
-    def deltas(self, cpu_times: Sequence[float]) -> np.ndarray:
+    def deltas(self, cpu_times: Sequence[int]) -> np.ndarray:
         """What consecutive :meth:`read` calls would have returned apart,
-        had the process's ``cpu_time`` been ``cpu_times`` at them
+        had the process's ``cpu_time`` been ``cpu_times`` (ns) at them
         (elementwise the same floats)."""
-        ticks = np.floor(np.asarray(cpu_times, dtype=float) / self.granularity + 1e-12)
+        ticks = np.asarray(cpu_times, dtype=np.int64) // self._tick
         return np.diff(ticks * self.granularity)
-
-    def read_exact(self) -> float:
-        """The unquantized counter (not available on a real system;
-        used only by tests to bound quantization error)."""
-        return self.proc.cpu_time

@@ -12,7 +12,7 @@ is compared against it in tests and the monitor ablation bench.
 from __future__ import annotations
 
 from ..errors import SimulationError
-from ..simcluster import Cluster, ProcState, Sleep
+from ..simcluster import Cluster, ProcState, Sleep, to_s
 
 __all__ = ["Vmstat"]
 
@@ -45,7 +45,7 @@ class Vmstat:
                 if state in (ProcState.RUNNING, ProcState.READY)
             )
             self._latest[node_id] = load
-            self._history[node_id].append((self.cluster.sim.now, load))
+            self._history[node_id].append((to_s(self.cluster.sim.now), load))
             yield Sleep(self.interval)
 
     def load(self, node_id: int) -> int:

@@ -30,7 +30,7 @@ __all__ = ["ReferenceSimulator", "reference_engine"]
 class ReferenceSimulator(Simulator):
     """Single-heap engine; see module docstring."""
 
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Timer:
+    def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Timer:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # sim=None: a cancel is a bare tombstone, never counted or compacted
@@ -40,18 +40,9 @@ class ReferenceSimulator(Simulator):
         return t
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
-        return self.schedule(0.0, fn, *args)
+        return self.schedule(0, fn, *args)
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Timer:
-        # the absolute-time twin of schedule (added with the API, same shape)
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past (at {when})")
-        t = Timer((lambda: fn(*args)) if args else fn, (), None)
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, t))
-        return t
-
-    def run(self, until: float = float("inf"), max_events: int = 200_000_000) -> float:
+    def run(self, until: float = float("inf"), max_events: int = 200_000_000) -> int:
         """Run until the heap drains or ``until`` is reached."""
         self._stopped = False
         while self._heap and not self._stopped:
@@ -62,7 +53,7 @@ class ReferenceSimulator(Simulator):
             heapq.heappop(self._heap)
             if timer.cancelled:
                 continue
-            if t < self.now - 1e-12:
+            if t < self.now:
                 raise SimulationError("time went backwards")
             self.now = t
             self.n_events += 1

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ClusterSpec, NetworkSpec, NodeSpec, pentium_cluster
+from repro.config import pentium_cluster
 from repro.core.balance import (
     closed_form_shares,
-    comm_terms,
     predict_times,
     successive_balance,
 )
@@ -24,7 +23,7 @@ from repro.core.commcost import (
 from repro.core.power import available_powers, naive_shares
 from repro.errors import DistributionError
 from repro.mpi import run_spmd
-from repro.simcluster import Cluster
+from repro.simcluster import Cluster, to_s
 
 
 def model(cpu_msg=1e-5, cpu_byte=4e-9, wire_msg=75e-6, wire_byte=8e-8, speed=1e8):
@@ -108,7 +107,7 @@ def test_halo_exchange_cpu_per_message_matches_the_fitted_model():
     for p in cluster.sim.processes:
         rank = int(p.name[len("rank"):])
         sides = 2 * iters * (1 if rank in (0, 3) else 2)
-        assert p.cpu_time / sides == pytest.approx(per_side, rel=0.05), p.name
+        assert to_s(p.cpu_time) / sides == pytest.approx(per_side, rel=0.05), p.name
 
 
 def test_nearest_neighbor_edges_cheaper():

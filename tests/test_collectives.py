@@ -20,7 +20,7 @@ from repro.mpi.collectives import (
     reduce,
     scatter,
 )
-from repro.simcluster import Cluster, Sleep
+from repro.simcluster import Cluster, Sleep, to_ns
 
 from tests.oracles.dissemination import allgather_dissemination_dict
 
@@ -210,7 +210,7 @@ def test_alltoallv_with_none_blocks():
     # counted after every edge has landed and before the allgather
     counted = []
     cluster.sim.schedule(
-        0.25, lambda: counted.append(cluster.network.n_messages))
+        to_ns(0.25), lambda: counted.append(cluster.network.n_messages))
     run_spmd(cluster, program)
     assert counted == [len(edges)] == [4]
 

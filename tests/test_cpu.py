@@ -1,13 +1,11 @@
 """Tests for the round-robin CPU scheduler — the core of the non
 dedicated node model."""
 
-import math
-
 import pytest
 
 from repro.config import NodeSpec
 from repro.errors import SimulationError
-from repro.simcluster import Compute, ProcState, Simulator, Sleep
+from repro.simcluster import Compute, ComputeRows, ProcState, Simulator, Sleep, to_ns, to_s
 from repro.simcluster.node import Node
 
 
@@ -26,13 +24,13 @@ def run_compute(work, speed=100.0, n_competing=0, quantum=0.010):
         node.start_competing()
     p = sim.spawn(compute_prog(work), name="w", node=node)
     sim.run_all([p])
-    return sim.now, p
+    return to_s(sim.now), p
 
 
 def test_dedicated_compute_takes_work_over_speed():
     t, p = run_compute(work=250.0, speed=100.0)
-    assert t == pytest.approx(2.5, rel=1e-9)
-    assert p.cpu_time == pytest.approx(2.5, rel=1e-9)
+    assert t == 2.5
+    assert p.cpu_time == to_ns(2.5)
 
 
 def test_one_competitor_doubles_wallclock():
@@ -41,13 +39,13 @@ def test_one_competitor_doubles_wallclock():
     t, p = run_compute(work=100.0, speed=100.0, n_competing=1)
     assert t == pytest.approx(2.0, rel=1e-2)
     # CPU time actually consumed by the app is unchanged.
-    assert p.cpu_time == pytest.approx(1.0, rel=1e-9)
+    assert p.cpu_time == to_ns(1.0)
 
 
 def test_three_competitors_quadruple_wallclock():
     t, p = run_compute(work=100.0, speed=100.0, n_competing=3)
     assert t == pytest.approx(4.0, rel=1e-2)
-    assert p.cpu_time == pytest.approx(1.0, rel=1e-9)
+    assert p.cpu_time == to_ns(1.0)
 
 
 def test_rr_two_equal_jobs_finish_together_roughly():
@@ -56,9 +54,9 @@ def test_rr_two_equal_jobs_finish_together_roughly():
     p1 = sim.spawn(compute_prog(100.0), name="a", node=node)
     p2 = sim.spawn(compute_prog(100.0), name="b", node=node)
     sim.run()
-    assert sim.now == pytest.approx(2.0, rel=1e-2)
-    assert p1.cpu_time == pytest.approx(1.0, rel=1e-9)
-    assert p2.cpu_time == pytest.approx(1.0, rel=1e-9)
+    assert to_s(sim.now) == pytest.approx(2.0, rel=1e-2)
+    assert p1.cpu_time == to_ns(1.0)
+    assert p2.cpu_time == to_ns(1.0)
 
 
 def test_rr_fast_path_single_event_for_dedicated_job():
@@ -84,9 +82,9 @@ def test_rr_fast_path_preempted_by_arrival():
     sim.run()
     # long: 0.5 s alone + shares [0.5..1.5]; late needs 0.5 CPU inside the
     # shared interval.  long finishes at 1.5, late at ~1.5.
-    assert sim.now == pytest.approx(1.5, rel=1e-2)
-    assert p1.cpu_time == pytest.approx(1.0, rel=1e-9)
-    assert p2.cpu_time == pytest.approx(0.5, rel=1e-9)
+    assert to_s(sim.now) == pytest.approx(1.5, rel=1e-2)
+    assert p1.cpu_time == to_ns(1.0)
+    assert p2.cpu_time == to_ns(0.5)
 
 
 def test_competing_process_accumulates_cpu_time():
@@ -97,19 +95,19 @@ def test_competing_process_accumulates_cpu_time():
     sim.run_all([p])
     bg = node.background[name]
     # Total CPU delivered over ~2 s is split evenly.
-    assert bg.cpu_time == pytest.approx(1.0, rel=5e-2)
+    assert to_s(bg.cpu_time) == pytest.approx(1.0, rel=5e-2)
 
 
 def test_stop_competing_restores_full_speed():
     sim = Simulator()
     node = make_node(sim, speed=100.0)
     node.start_competing("cp")
-    sim.schedule(1.0, lambda: node.stop_competing("cp"))
+    sim.schedule(to_ns(1.0), lambda: node.stop_competing("cp"))
     p = sim.spawn(compute_prog(100.0), name="w", node=node)
     sim.run_all([p])
     # 1 s at half speed (50 work) + 0.5 s at full speed (50 work).
-    assert sim.now == pytest.approx(1.5, rel=1e-2)
-    assert p.cpu_time == pytest.approx(1.0, rel=1e-9)
+    assert to_s(sim.now) == pytest.approx(1.5, rel=1e-2)
+    assert p.cpu_time == to_ns(1.0)
 
 
 def test_stop_unknown_competing_raises():
@@ -178,7 +176,7 @@ def test_rr_context_switch_counter_increases_under_load():
 
 def test_zero_work_completes_immediately():
     t, p = run_compute(work=0.0)
-    assert t == pytest.approx(0.0)
+    assert t == 0
     assert p.state == ProcState.DONE
 
 
@@ -207,5 +205,30 @@ def test_sequential_computes_accumulate():
 
     p = sim.spawn(prog(), name="w", node=node)
     sim.run()
-    assert sim.now == pytest.approx(2.0, rel=1e-9)
-    assert p.cpu_time == pytest.approx(2.0, rel=1e-9)
+    assert sim.now == to_ns(2.0)
+    assert p.cpu_time == to_ns(2.0)
+
+
+def test_sub_quantum_requests_finish_ten_hours_in():
+    """Past ~2 h of float seconds the clock's ulp outgrew the old work
+    tolerance: a contended request under a quantum never finished (its
+    leftover was below half an ulp), and the run spun to the event cap.
+    On the integer clock, 200 computes and 200 five-row chains of
+    0.7 ms each, started 10 h in beside a competitor, take a few events
+    each."""
+    sim = Simulator()
+    node = make_node(sim, speed=1e8)
+
+    def prog():
+        yield Sleep(10 * 3600.0)
+        node.start_competing()
+        for _ in range(200):
+            yield Compute(0.0007 * 1e8)
+        for _ in range(200):
+            yield ComputeRows([0.0007 * 1e8] * 5)
+
+    p = sim.spawn(prog(), name="w", node=node)
+    p.done_signal.add_waiter(lambda _value: sim.stop())
+    sim.run(max_events=20_000)
+    assert p.state == ProcState.DONE
+    assert p.cpu_time == (200 + 200 * 5) * to_ns(0.0007)

@@ -46,68 +46,68 @@ def _hexed(x):
 
 
 #: (workload, seed) -> one (label, wall_time.hex(), record sha256[:16])
-#: per cell, re-captured when isend and irecv began charging the calling
-#: rank (before that: recorded before sparse rows moved into CSR slabs)
+#: per cell, re-captured when the clock became integer nanoseconds
+#: (before that: when isend and irecv began charging the calling rank)
 MODEL_PIN = {
     ('removal-256', 0): [
-        ('removal:16', '0x1.826a00b3119e5p-4', 'a48778d5bcf30cce'),
-        ('removal:8', '0x1.58f869b3a2daap-4', 'b49b5057f95795d2'),
+        ('removal:16', '0x1.826a0c6bd1bddp-4', 'f554e19769c09496'),
+        ('removal:8', '0x1.58f8681751bc7p-4', '000bd94568156402'),
     ],
     ('removal-256', 1): [
-        ('removal:16', '0x1.d5d1e7772b696p-4', '2056e0d0fed8be41'),
-        ('removal:8', '0x1.4ff58bb2d1238p-4', 'ac9c0f9e67b9361d'),
+        ('removal:16', '0x1.d5d1f32feb88bp-4', 'b600c45d822fd07a'),
+        ('removal:8', '0x1.4ff58a1680056p-4', '775146f649f5aee8'),
     ],
     ('fig4-grid', 0): [
-        ('fig4:jacobi:2:dedicated', '0x1.e7fba2d9d7631p+0', '0a4f51fbfa0813eb'),
-        ('fig4:jacobi:2:noadapt', '0x1.f82ca8d03c9ddp+1', '0fd45521364d1194'),
-        ('fig4:jacobi:2:dynmpi', '0x1.8c1ddba1be484p+1', '156ba21904869afd'),
-        ('fig4:jacobi:4:dedicated', '0x1.053350e1633c8p+0', 'ced02326279907e7'),
-        ('fig4:jacobi:4:noadapt', '0x1.ebcfe386811afp+0', '429ceee77478e78c'),
-        ('fig4:jacobi:4:dynmpi', '0x1.6952a4eab1cd0p+0', '849b69560f096d06'),
-        ('fig4:jacobi:8:dedicated', '0x1.1fa659af02912p-1', 'e05714d997bd7920'),
-        ('fig4:jacobi:8:noadapt', '0x1.10a3a39a4fa1cp+0', '27716d4883ef05b0'),
-        ('fig4:jacobi:8:dynmpi', '0x1.a44e99c0da49ap-1', '15b83ac5dffba948'),
+        ('fig4:jacobi:2:dedicated', '0x1.e7fba2e7e5c6bp+0', '1d3a3f16711e8cf7'),
+        ('fig4:jacobi:2:noadapt', '0x1.f82ca883dc06fp+1', '5f39b6e8ef448d6b'),
+        ('fig4:jacobi:2:dynmpi', '0x1.8c1de142e1b82p+1', '8cf033c073f997bf'),
+        ('fig4:jacobi:4:dedicated', '0x1.05335148138c7p+0', '1dee83df3141342a'),
+        ('fig4:jacobi:4:noadapt', '0x1.ebcfe44c78dd1p+0', 'dadef47588a30411'),
+        ('fig4:jacobi:4:dynmpi', '0x1.6952ab10c2f97p+0', '0b9df86520b38f62'),
+        ('fig4:jacobi:8:dedicated', '0x1.1fa6597089aaep-1', '25736369f864298d'),
+        ('fig4:jacobi:8:noadapt', '0x1.10a3a38019b83p+0', 'b294ca1ea8769776'),
+        ('fig4:jacobi:8:dynmpi', '0x1.a44e9f52f4a23p-1', '3c6f54cff992f01a'),
     ],
     ('fig4-grid', 1): [
-        ('fig4:jacobi:2:dedicated', '0x1.e7fba2d9d7631p+0', '0a4f51fbfa0813eb'),
-        ('fig4:jacobi:2:noadapt', '0x1.f316d6957d4abp+1', '8587d904dba4f593'),
-        ('fig4:jacobi:2:dynmpi', '0x1.897f723b999d7p+1', '566dc5f7a0ca1919'),
-        ('fig4:jacobi:4:dedicated', '0x1.053350e1633c8p+0', 'ced02326279907e7'),
-        ('fig4:jacobi:4:noadapt', '0x1.014accce4f9f8p+1', '7dc5f53cda2677c0'),
-        ('fig4:jacobi:4:dynmpi', '0x1.62c8949a12ca6p+0', '8c4bf44a97016656'),
-        ('fig4:jacobi:8:dedicated', '0x1.1fa659af02912p-1', 'e05714d997bd7920'),
-        ('fig4:jacobi:8:noadapt', '0x1.0f9358b8f5d8dp+0', 'db0882a1a68ee8ce'),
-        ('fig4:jacobi:8:dynmpi', '0x1.96bb54bb40fc8p-1', 'f9424bf02b434677'),
+        ('fig4:jacobi:2:dedicated', '0x1.e7fba2e7e5c6bp+0', '1d3a3f16711e8cf7'),
+        ('fig4:jacobi:2:noadapt', '0x1.f316d64e5e657p+1', 'e8791ff3a1a1228f'),
+        ('fig4:jacobi:2:dynmpi', '0x1.897f77d1c01e1p+1', 'd64005caecd0e985'),
+        ('fig4:jacobi:4:dedicated', '0x1.05335148138c7p+0', '1dee83df3141342a'),
+        ('fig4:jacobi:4:noadapt', '0x1.014acd2dc5b60p+1', 'fec3bcfec9ee9128'),
+        ('fig4:jacobi:4:dynmpi', '0x1.62c89ab8fe63dp+0', 'a541c523f948b8c5'),
+        ('fig4:jacobi:8:dedicated', '0x1.1fa6597089aaep-1', '25736369f864298d'),
+        ('fig4:jacobi:8:noadapt', '0x1.0f93588893732p+0', '3a57a4de5d12df4c'),
+        ('fig4:jacobi:8:dynmpi', '0x1.96bb5a44d62f0p-1', '67b3906c51812a74'),
     ],
     ('farm-64', 0): [
-        ('farm:static:churn0', '0x1.75f06ba731cf6p-4', 'a49469845cbe8f42'),
-        ('farm:self:churn0', '0x1.861c88bb94b12p-4', '48b3e1b7c49eda6f'),
-        ('farm:guided:churn0', '0x1.68428bb826f18p-4', '5ca1506070a3065d'),
-        ('farm:factoring:churn0', '0x1.5d634e6a2c80fp-4', '849bca31636e20c7'),
-        ('farm:rma:churn0', '0x1.6b24b5b0c041cp-4', '355ede6b41d4224a'),
-        ('farm:static:churn1', '0x1.411362aabc7ebp-3', 'efb9dc5e650b26f9'),
-        ('farm:self:churn1', '0x1.a2387327d9a8dp-4', '3451ca6cb6b4663d'),
-        ('farm:guided:churn1', '0x1.7a529d6cf407cp-4', '9f77312b9adc67c0'),
-        ('farm:factoring:churn1', '0x1.73622484bc0c2p-4', '567661d5a6b9f903'),
-        ('farm:rma:churn1', '0x1.9ec14ddfff27bp-4', 'ad9327da54df9f00'),
+        ('farm:static:churn0', '0x1.75f06ba731cc7p-4', '85d8f7990228a17b'),
+        ('farm:self:churn0', '0x1.861c88bb94affp-4', '7c32438022de79ac'),
+        ('farm:guided:churn0', '0x1.68428bb826efdp-4', '07925c12d51cbbb0'),
+        ('farm:factoring:churn0', '0x1.5d634e6a2c7fdp-4', 'ff8d3c0ee0944a93'),
+        ('farm:rma:churn0', '0x1.6b24b5b0c0409p-4', 'acab92c9581828c8'),
+        ('farm:static:churn1', '0x1.411362aabc791p-3', 'f78e172b642e660c'),
+        ('farm:self:churn1', '0x1.a2387327d9a79p-4', 'b09ebfc589d17491'),
+        ('farm:guided:churn1', '0x1.7a529d6cf4056p-4', '4d36b50083636751'),
+        ('farm:factoring:churn1', '0x1.73622484bc095p-4', '9fd5a1b1732fa7ef'),
+        ('farm:rma:churn1', '0x1.9ec14ddfff260p-4', '4e48064362225035'),
     ],
     ('farm-64', 1): [
-        ('farm:static:churn0', '0x1.75f06ba731cf6p-4', '2991c772923a138e'),
-        ('farm:self:churn0', '0x1.861c88bb94b12p-4', 'c1f94eaa137190c9'),
-        ('farm:guided:churn0', '0x1.68428bb826f18p-4', '9037152152dff717'),
-        ('farm:factoring:churn0', '0x1.5d634e6a2c80fp-4', 'f3b1e2dbaffa6d61'),
-        ('farm:rma:churn0', '0x1.6b24b5b0c041cp-4', 'ef45b51913e7b25e'),
-        ('farm:static:churn1', '0x1.411362aabc7ebp-3', '3c2770587b58488b'),
-        ('farm:self:churn1', '0x1.a2387327d9a8dp-4', 'a59ebda4aafaa1fc'),
-        ('farm:guided:churn1', '0x1.7a529d6cf407cp-4', 'c439580a034e5cf4'),
-        ('farm:factoring:churn1', '0x1.72906d6d632a0p-4', '05cb03bbc10e6f80'),
-        ('farm:rma:churn1', '0x1.9ec14ddfff27bp-4', '81d25aa09847934d'),
+        ('farm:static:churn0', '0x1.75f06ba731cc7p-4', '2d89465b32b5bebd'),
+        ('farm:self:churn0', '0x1.861c88bb94affp-4', '817418ab154464c0'),
+        ('farm:guided:churn0', '0x1.68428bb826efdp-4', '51690efef3f41fac'),
+        ('farm:factoring:churn0', '0x1.5d634e6a2c7fdp-4', 'dcddfb83e0a08aa2'),
+        ('farm:rma:churn0', '0x1.6b24b5b0c0409p-4', '66548598b9948eb8'),
+        ('farm:static:churn1', '0x1.411362aabc791p-3', '4eda4561dd99b51e'),
+        ('farm:self:churn1', '0x1.a2387327d9a79p-4', '0b82364a09a3f4eb'),
+        ('farm:guided:churn1', '0x1.7a529d6cf4056p-4', 'ba971e0c1cd7b24f'),
+        ('farm:factoring:churn1', '0x1.72906d6d63274p-4', '09f8a6ccceafe8ee'),
+        ('farm:rma:churn1', '0x1.9ec14ddfff260p-4', '9031b5b6a6af22ed'),
     ],
     ('redist-churn', 0): [
-        ('churn', '0x1.4075a5455d674p+0', '2b56b7ae32ba5c12'),
+        ('churn', '0x1.4075a63d74884p+0', '64acee0a50340df8'),
     ],
     ('redist-churn', 1): [
-        ('churn', '0x1.48a73886bc8e6p+0', 'b2bc5074df2486ae'),
+        ('churn', '0x1.48a73943b24b3p+0', 'da2c8d3336779fd3'),
     ],
 }
 
@@ -115,8 +115,8 @@ MODEL_PIN = {
 N_EVENTS = {
     ('removal-256', 0): (13516, 4874),
     ('removal-256', 1): (13697, 4890),
-    ('fig4-grid', 0): (1448, 2112, 5059, 3922, 4213, 9807, 8680, 8775, 22953),
-    ('fig4-grid', 1): (1449, 2107, 5057, 3923, 4231, 9801, 8680, 8776, 22951),
+    ('fig4-grid', 0): (1448, 2112, 5059, 3921, 4212, 9807, 8677, 8771, 22953),
+    ('fig4-grid', 1): (1449, 2107, 5057, 3922, 4230, 9801, 8677, 8772, 22951),
     ('farm-64', 0): (851, 7029, 3323, 2459, 7888, 1186, 7083, 3218, 2313, 7939),
     ('farm-64', 1): (851, 7029, 3323, 2459, 7888, 1186, 7083, 3218, 2312, 7939),
     ('redist-churn', 0): (26748,),
@@ -138,3 +138,45 @@ def test_e2e_model_pin(key):
            for s in sims]
     assert got == MODEL_PIN[key]
     assert events == N_EVENTS[key]
+
+
+#: one observed smoke cell per workload: a removal, a Figure 4 app with
+#: competitors, a farm policy under churn, the redistribution churn
+INVARIANT_CELLS = (("removal-256", "removal:8"), ("fig4-grid", "fig4:jacobi:4:dynmpi"),
+                   ("farm-64", "farm:rma:churn1"), ("redist-churn", "churn"))
+
+
+@pytest.mark.parametrize("name,label", INVARIANT_CELLS, ids=lambda v: v)
+def test_clock_is_integer_and_slices_tile_busy_time(name, label, monkeypatch):
+    """The integer clock end to end: every heap key pushed and every
+    simulator's final ``now`` is an ``int``; per node the CPU slices
+    never overlap and their durations sum to ``cpu.busy_time`` exactly."""
+    from types import SimpleNamespace
+
+    from repro.simcluster import cpu as cpu_module
+    from repro.simcluster import kernel
+
+    keys, sims, cpus = [], [], []
+    heapq = kernel.heapq
+
+    def heappush(heap, item):
+        keys.append(item[0])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(kernel, "heapq", SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
+    for cls, seen in ((kernel.Simulator, sims), (cpu_module.RoundRobinCPU, cpus)):
+        def init(self, *args, _init=cls.__init__, _seen=seen, **kwargs):
+            _init(self, *args, **kwargs)
+            _seen.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    (cell,) = [c for c in _workloads()[name].setup(0, "smoke") if c.label == label]
+    run = cell.run(True, False)
+    assert run.error is None and keys and sims and cpus
+    assert {type(k) for k in keys} == {int}
+    assert {type(sim.now) for sim in sims} == {int}
+    for cpu in cpus:
+        mine = sorted((s, e) for node, _, s, e in cpu.obs.slices if node == cpu.node_id)
+        assert all(a[1] <= b[0] for a, b in zip(mine, mine[1:]))
+        assert sum(e - s for s, e in mine) == cpu.busy_time

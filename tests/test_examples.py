@@ -3,9 +3,6 @@ its headline output (examples are documentation — they must not rot)."""
 
 import pathlib
 import runpy
-import sys
-
-import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 

@@ -2,17 +2,14 @@
 benches assert full-shape at larger scales; these keep the harness
 itself honest in the regular test run)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
-    Scenario,
     bench_scale,
     cg_4node_narrative,
     format_balance_ablation,
     format_figure4,
     format_figure5,
-    format_figure6,
     format_figure7,
     format_memalloc,
     format_monitor_ablation,

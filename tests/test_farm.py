@@ -227,33 +227,34 @@ PIN_DIGEST = "48c47332b2e9378e1308161486ee842517f06ce9"
 #: jobs, chunk 16, seed 0, recorded before the job tables replaced the
 #: per-job hashes (the ``rma`` event counts re-captured when a worker's
 #: DONE isend began paying its CPU in the worker, not in a phantom job
-#: beside it).  A change to how a job is priced or reported moves
-#: one of these.  A chunk summed in another order does not (its last-bit
-#: difference is below the simulated clock's resolution at this size):
-#: tests/test_farm_jobs.py holds the summation order.
+#: beside it; the wall times when the clock became integer ns, each the
+#: old float rounded to ns).  A change to how a job is priced or
+#: reported moves one of these.  A chunk summed in another order does
+#: not (its last-bit difference is far below the clock's 1 ns
+#: resolution): tests/test_farm_jobs.py holds the summation order.
 MODEL_PIN = {
     ('static', 'hot', 0):
-        ('0x1.7d557823f573ap-5', 419, 28, 0, 0, PIN_DIGEST),
+        ('0x1.7d557823f5750p-5', 419, 28, 0, 0, PIN_DIGEST),
     ('self', 'hot', 0):
-        ('0x1.8ede3f3afe58ep-5', 1928, 264, 0, 0, PIN_DIGEST),
+        ('0x1.8ede3f3afe58bp-5', 1928, 264, 0, 0, PIN_DIGEST),
     ('guided', 'hot', 0):
-        ('0x1.7e2a4581720dbp-5', 1448, 190, 0, 0, PIN_DIGEST),
+        ('0x1.7e2a4581720e1p-5', 1448, 190, 0, 0, PIN_DIGEST),
     ('factoring', 'hot', 0):
-        ('0x1.70c7e4ecba63cp-5', 1097, 136, 0, 0, PIN_DIGEST),
+        ('0x1.70c7e4ecba642p-5', 1097, 136, 0, 0, PIN_DIGEST),
     ('rma', 'hot', 0):
-        ('0x1.778dc09d69879p-5', 2205, 431, 0, 0, PIN_DIGEST),
+        ('0x1.778dc09d6987ep-5', 2205, 431, 0, 0, PIN_DIGEST),
     ('static', 'hot', 1):
-        ('0x1.5a5a381e9938fp-4', 610, 28, 286, 0, PIN_DIGEST),
+        ('0x1.5a5a381e99371p-4', 610, 28, 286, 0, PIN_DIGEST),
     ('self', 'hot', 1):
-        ('0x1.d431858916697p-5', 1987, 266, 32, 16, PIN_DIGEST),
+        ('0x1.d43185891669ap-5', 1987, 266, 32, 16, PIN_DIGEST),
     ('guided', 'hot', 1):
-        ('0x1.cc0761eb79d78p-5', 1391, 173, 200, 200, PIN_DIGEST),
+        ('0x1.cc0761eb79d88p-5', 1391, 173, 200, 200, PIN_DIGEST),
     ('factoring', 'hot', 1):
-        ('0x1.a39ad39a35386p-5', 1004, 116, 144, 72, PIN_DIGEST),
+        ('0x1.a39ad39a3539bp-5', 1004, 116, 144, 72, PIN_DIGEST),
     ('rma', 'hot', 1):
-        ('0x1.db80149e83c97p-5', 2253, 425, 16, 0, PIN_DIGEST),
+        ('0x1.db80149e83ca6p-5', 2253, 425, 16, 0, PIN_DIGEST),
     ('self', 'linear', 0):
-        ('0x1.40399679a98f7p-5', 1880, 264, 0, 0, PIN_DIGEST),
+        ('0x1.40399679a98f3p-5', 1880, 264, 0, 0, PIN_DIGEST),
 }
 
 

@@ -4,9 +4,8 @@ processes, process kills, and what the rest of the job observes."""
 import pytest
 
 from repro.config import ClusterSpec, NodeSpec
-from repro.errors import DeadlockError, SimulationError
-from repro.mpi import run_spmd
-from repro.simcluster import Cluster, Compute, ProcState, Simulator, Sleep
+from repro.errors import DeadlockError
+from repro.simcluster import Cluster, Compute, ProcState, Simulator, Sleep, to_ns
 
 
 class InjectedFault(Exception):
@@ -20,11 +19,11 @@ def test_injected_exception_kills_uncatching_process():
         yield Sleep(10.0)
 
     p = sim.spawn(prog(), name="victim")
-    sim.schedule(1.0, lambda: sim.inject(p, InjectedFault("zap")))
-    sim.run(until=5.0)
+    sim.schedule(to_ns(1.0), lambda: sim.inject(p, InjectedFault("zap")))
+    sim.run(until=to_ns(5.0))
     assert p.state == ProcState.FAILED
     assert isinstance(p.error, InjectedFault)
-    assert sim.now <= 5.0
+    assert sim.now <= to_ns(5.0)
 
 
 def test_injected_exception_can_be_caught_and_survived():
@@ -40,7 +39,7 @@ def test_injected_exception_can_be_caught_and_survived():
         log.append("done")
 
     p = sim.spawn(prog(), name="survivor")
-    sim.schedule(1.0, lambda: sim.inject(p, InjectedFault()))
+    sim.schedule(to_ns(1.0), lambda: sim.inject(p, InjectedFault()))
     sim.run()
     assert log == ["caught", "done"]
     assert p.state == ProcState.DONE
@@ -53,7 +52,7 @@ def test_inject_into_finished_process_is_noop():
         yield Sleep(0.1)
 
     p = sim.spawn(prog(), name="quick")
-    sim.schedule(1.0, lambda: sim.inject(p, InjectedFault()))
+    sim.schedule(to_ns(1.0), lambda: sim.inject(p, InjectedFault()))
     sim.run()
     assert p.state == ProcState.DONE
     assert p.error is None
@@ -67,11 +66,11 @@ def test_kill_terminates_mid_compute():
         yield Compute(1e9)  # 1000 s of work
 
     p = sim.spawn(prog(), name="hog", node=cluster.nodes[0])
-    sim.schedule(2.0, lambda: sim.kill(p))
-    sim.run(until=10.0)
+    sim.schedule(to_ns(2.0), lambda: sim.kill(p))
+    sim.run(until=to_ns(10.0))
     assert p.state == ProcState.FAILED
     assert "killed" in str(p.error)
-    assert sim.now < 10.0 or True
+    assert sim.now == to_ns(2.0)  # the cancelled compute left no event
 
 
 def test_killed_rank_deadlocks_its_peer():
@@ -96,7 +95,7 @@ def test_killed_rank_deadlocks_its_peer():
             program(comm.endpoint(rank)), name=f"rank{rank}",
             node=cluster.nodes[rank],
         ))
-    cluster.sim.schedule(1.0, lambda: cluster.sim.kill(procs[0]))
+    cluster.sim.schedule(to_ns(1.0), lambda: cluster.sim.kill(procs[0]))
     with pytest.raises(DeadlockError) as exc:
         cluster.sim.run()
     assert "rank1" in str(exc.value)
@@ -131,7 +130,7 @@ def test_inject_at_compute_completion_resumes_once():
         wakes.append(sim.now)
 
     p = sim.spawn(prog(), name="p", node=cluster.nodes[0])
-    sim.schedule(1.0, lambda: sim.inject(p, InjectedFault()))
+    sim.schedule(to_ns(1.0), lambda: sim.inject(p, InjectedFault()))
     sim.run()
-    assert wakes == [6.0]
+    assert wakes == [to_ns(6.0)]
     assert p.state == ProcState.DONE

@@ -22,7 +22,7 @@ from repro.core import DynMPIJob
 from repro.core.timing import GraceSamples, timed_rows
 from repro.errors import SimulationError
 from repro.simcluster import (Cluster, Compute, ComputeRows, CycleTrigger,
-                              LoadScript, Sleep, TimeTrigger)
+                              LoadScript, Sleep, TimeTrigger, to_ns)
 from repro.sysmon import HrTimer, ProcClock
 
 from tests.oracles.grace_rows import per_row_grace, row_loop
@@ -93,6 +93,7 @@ def run_case(form, seed, works, n_cp, warm, churn, fate):
         names[wakers[-1]] = f"w{i}"
 
     for i, (t, action) in enumerate(churn):
+        t = to_ns(t)
         if action == "start":
             sim.schedule(t, start)
         elif action == "stop":
@@ -101,7 +102,7 @@ def run_case(form, seed, works, n_cp, warm, churn, fate):
         else:
             sim.schedule(t, wake, i)
     if fate is not None:
-        action, t = fate
+        action, t = fate[0], to_ns(fate[1])
         if action == "kill":
             sim.schedule(t, sim.kill, app_proc)
         else:
@@ -148,8 +149,8 @@ def test_row_chain_matches_row_loop(seed, works, n_cp, warm, churn, fate):
     # the loop's requests was ordered by event sequence numbers there.
     # The instant the rows start is no tie: whatever comes after the
     # first submit sees a row in flight in both forms
-    ties = [t for t, _ in churn] + ([] if fate is None else [fate[1]])
-    assume(all(abs(b - t) > 1e-9 for b in row_ends for t in ties))
+    ties = [to_ns(t) for t, _ in churn] + ([] if fate is None else [to_ns(fate[1])])
+    assume(all(b != t for b in row_ends for t in ties))
     chain, _, chain_events = run_case("chain", *case)
     assert chain == loop
     assert chain_events <= loop_events
@@ -282,6 +283,6 @@ def test_compute_rows_resumes_with_every_boundary():
     proc = sim.spawn(prog(), name="p", node=cluster.nodes[0])
     sim.run()
     stamps, clocks = seen["rows"]
-    assert stamps == pytest.approx([0.5, 0.501, 0.501, 0.503], abs=1e-12)
-    assert clocks == pytest.approx([0.0, 0.001, 0.001, 0.003], abs=1e-12)
+    assert stamps.tolist() == [to_ns(t) for t in (0.5, 0.501, 0.501, 0.503)]
+    assert clocks.tolist() == [to_ns(t) for t in (0.0, 0.001, 0.001, 0.003)]
     assert proc.cpu_time == clocks[-1]

@@ -10,6 +10,7 @@ from repro.simcluster import (
     Sleep,
     Wait,
     WaitAny,
+    to_ns,
 )
 from repro.simcluster.kernel import SimProcess
 from repro.simcluster.syscalls import Fork
@@ -17,24 +18,24 @@ from repro.simcluster.syscalls import Fork
 
 def test_empty_run_returns_zero():
     sim = Simulator()
-    assert sim.run() == 0.0
+    assert sim.run() == 0
 
 
 def test_schedule_order_is_time_then_fifo():
     sim = Simulator()
     order = []
-    sim.schedule(2.0, lambda: order.append("b"))
-    sim.schedule(1.0, lambda: order.append("a"))
-    sim.schedule(2.0, lambda: order.append("c"))
+    sim.schedule(2, lambda: order.append("b"))
+    sim.schedule(1, lambda: order.append("a"))
+    sim.schedule(2, lambda: order.append("c"))
     sim.run()
     assert order == ["a", "b", "c"]
-    assert sim.now == 2.0
+    assert sim.now == 2
 
 
 def test_cancelled_timer_does_not_fire():
     sim = Simulator()
     fired = []
-    t = sim.schedule(1.0, lambda: fired.append(1))
+    t = sim.schedule(1, lambda: fired.append(1))
     t.cancel()
     sim.run()
     assert fired == []
@@ -43,7 +44,7 @@ def test_cancelled_timer_does_not_fire():
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-0.5, lambda: None)
+        sim.schedule(-1, lambda: None)
 
 
 def test_sleep_advances_time():
@@ -58,7 +59,7 @@ def test_sleep_advances_time():
     sim.run()
     assert p.state == ProcState.DONE
     assert p.result == "done"
-    assert sim.now == pytest.approx(2.0)
+    assert sim.now == to_ns(2.0)
 
 
 def test_process_return_value_captured():
@@ -83,10 +84,10 @@ def test_signal_wait_and_fire():
         got.append(value)
 
     sim.spawn(waiter(), name="w")
-    sim.schedule(3.0, lambda: sig.fire("hello"))
+    sim.schedule(3, lambda: sig.fire("hello"))
     sim.run()
     assert got == ["hello"]
-    assert sim.now == pytest.approx(3.0)
+    assert sim.now == 3
 
 
 def test_wait_on_already_fired_signal_resumes_immediately():
@@ -120,8 +121,8 @@ def test_wait_any_returns_first_index():
         return (idx, value)
 
     p = sim.spawn(waiter(), name="w")
-    sim.schedule(2.0, lambda: s2.fire("second"))
-    sim.schedule(5.0, lambda: s1.fire("first"))
+    sim.schedule(2, lambda: s2.fire("second"))
+    sim.schedule(5, lambda: s1.fire("first"))
     sim.run()
     assert p.result == (1, "second")
 
@@ -224,9 +225,9 @@ def test_done_signal_fires_with_result():
 def test_run_until_stops_early():
     sim = Simulator()
     fired = []
-    sim.schedule(10.0, lambda: fired.append(1))
-    t = sim.run(until=5.0)
-    assert t == 5.0
+    sim.schedule(10, lambda: fired.append(1))
+    t = sim.run(until=5)
+    assert t == 5
     assert fired == []
 
 
@@ -235,25 +236,24 @@ def test_run_until_ignores_tombstones_whether_or_not_compacted(n_dead):
     """One live event at t=1 and ``n_dead`` cancelled timers at t=10:
     past the compaction floor (65) the tombstones are gone before the
     run, below it (64) they are still queued — ``run(until=5)`` must not
-    tell the two apart.  It used to return 5.0 for 64 and 1.0 for 65."""
+    tell the two apart.  It used to return 5 for 64 and 1 for 65."""
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.schedule(1, lambda: None)
     for _ in range(n_dead):
-        sim.schedule(10.0, lambda: None).cancel()
+        sim.schedule(10, lambda: None).cancel()
     assert len(sim._heap) == (1 + n_dead if n_dead == 64 else 1)
-    assert sim.run(until=5.0) == 1.0
-    assert sim.now == 1.0 and not sim._heap and sim._heap_cancels == 0
+    assert sim.run(until=5) == 1
+    assert sim.now == 1 and not sim._heap and sim._heap_cancels == 0
 
 
-def test_schedule_at_fires_at_the_exact_instant():
+def test_a_sum_of_delays_fires_at_the_exact_instant():
+    """Integer time: a deadline reached as a sum of delays is the sum
+    (float seconds made 0.1 + 0.2 land one ulp past 0.3)."""
     sim = Simulator()
-    when = 0.1 + 0.2
     seen = []
-    sim.schedule(0.1, lambda: sim.schedule_at(when, lambda: seen.append(sim.now)))
+    sim.schedule(to_ns(0.1), lambda: sim.schedule(to_ns(0.2), lambda: seen.append(sim.now)))
     sim.run()
-    assert seen == [when]
-    with pytest.raises(SimulationError):
-        sim.schedule_at(when - 1e-3, lambda: None)
+    assert seen == [to_ns(0.3)] and type(seen[0]) is int
 
 
 def test_determinism_same_seed_same_trace():
@@ -261,7 +261,7 @@ def test_determinism_same_seed_same_trace():
         sim = Simulator()
         order = []
         for i in range(50):
-            sim.schedule((i * 7919) % 13 * 0.1, lambda i=i: order.append(i))
+            sim.schedule((i * 7919) % 13, lambda i=i: order.append(i))
         sim.run()
         return order
 
@@ -292,12 +292,12 @@ def test_zero_delay_fifo_interleaves_with_timed(engine):
     # events must honour the global seq order
     sim = engine()
     order = []
-    sim.schedule(1.0, lambda: order.append("timed"))
+    sim.schedule(1, lambda: order.append("timed"))
 
     def kickoff():
         sim.call_soon(lambda: order.append("soon"))
 
-    sim.schedule(1.0, lambda: kickoff())
+    sim.schedule(1, lambda: kickoff())
     sim.run()
     assert order == ["timed", "soon"]
 
@@ -327,17 +327,17 @@ def test_tombstone_compaction_bounds_heap():
     # until its deadline)
     sim = Simulator()
     churn = 50_000
-    live = sim.schedule(1e9, lambda: None)  # one live far-future timer
+    live = sim.schedule(10**18, lambda: None)  # one live far-future timer
 
     def pump(remaining):
         if remaining:
-            t = sim.schedule(1e6, lambda: None)
+            t = sim.schedule(10**15, lambda: None)
             t.cancel()
-            sim.schedule(1e-6, lambda: pump(remaining - 1))
+            sim.schedule(1, lambda: pump(remaining - 1))
 
     pump(churn)
-    sim.run(until=1.0)
-    # live timers: the 1e9 sentinel (a drained pump leaves no pending
+    sim.run(until=10**9)
+    # live timers: the far-future sentinel (a drained pump leaves no pending
     # tick).  Compaction keeps tombstones below half the heap + floor.
     assert len(sim._heap) < 200, len(sim._heap)
     live.cancel()
@@ -348,8 +348,8 @@ def test_reference_engine_keeps_tombstones():
     # original behaviour)
     sim = ReferenceSimulator()
     for _ in range(1000):
-        sim.schedule(1e6, lambda: None).cancel()
-    sim.run(until=1.0)
+        sim.schedule(10**15, lambda: None).cancel()
+    sim.run(until=10**9)
     assert len(sim._heap) == 1000
 
 
@@ -367,7 +367,7 @@ def test_engines_agree_on_event_order(engine):
 
     handles = []
     for i in range(20):
-        delay = (i * 7919) % 13 * 0.1
+        delay = (i * 7919) % 13
         handles.append(sim.schedule(delay, cascade, i, i % 4))
     for i in (3, 7, 11):
         handles[i].cancel()
@@ -381,8 +381,7 @@ def test_engines_agree_on_event_order(engine):
 # a scheduling program: nested lists of ("schedule", delay, body) /
 # ("soon", body) / ("cancel", k) steps, where body runs inside the
 # event's callback; ("run", dt) resumes the loop from the top level
-_DELAYS = (st.sampled_from([0.0, 0.0, 0.5, 0.5, 1.0])
-           | st.floats(0.0, 2.0, allow_nan=False))
+_DELAYS = st.sampled_from([0, 0, 5, 5, 10]) | st.integers(0, 20)
 _CANCEL = st.tuples(st.just("cancel"), st.integers(0, 63))
 
 
@@ -394,7 +393,7 @@ def _steps(bodies, *extra):
 
 
 _PROGRAMS = _steps(st.recursive(st.just([]), _steps, max_leaves=10),
-                   st.tuples(st.just("run"), st.floats(0.0, 1.5)))
+                   st.tuples(st.just("run"), st.integers(0, 15)))
 
 
 def _play(engine, program):
@@ -404,7 +403,7 @@ def _play(engine, program):
     # past it, and whether a queue of nothing but tombstones counts is
     # the one thing compaction changes; a live far-future event (out
     # of the random cancels' reach) takes that out of the comparison
-    keep_alive = sim.schedule(1e9, lambda: None)
+    keep_alive = sim.schedule(10**18, lambda: None)
 
     def execute(steps):
         for step in steps:
@@ -443,12 +442,12 @@ def test_random_programs_match_the_reference_loop(program):
 def test_args_reach_the_callback():
     sim = Simulator()
     got = []
-    sim.schedule(1.0, lambda *a: got.append(("timed", a)), 1, None)
+    sim.schedule(1, lambda *a: got.append(("timed", a)), 1, None)
     sim.call_soon(lambda *a: got.append(("soon", a)), "x")
     sig = sim.signal("s")
     sig.add_waiter(lambda *a: got.append(("waiter", a)), "bound", 2)
     sig.add_waiter(lambda *a: got.append(("bare", a)))
-    sim.schedule(2.0, sig.fire, "value")
+    sim.schedule(2, sig.fire, "value")
     sim.run()
     sig.add_waiter(lambda *a: got.append(("late", a)), "bound")  # already fired
     sim.run()
@@ -519,7 +518,7 @@ def test_kill_mid_compute_cancels_cpu_job():
 
     p = sim.spawn(victim(), name="victim", node=node)
     q = sim.spawn(bystander(), name="bystander", node=node)
-    sim.schedule(1.0, lambda: sim.kill(p))
+    sim.schedule(to_ns(1.0), lambda: sim.kill(p))
     sim.run_all([p, q], tolerate=lambda pr: pr is p)
     assert p.state == ProcState.FAILED
     assert p.cpu_job is None

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec, pentium_cluster
-from repro.errors import MPIError
 from repro.mpi import ANY_SOURCE, ANY_TAG, Group, run_spmd
 from repro.mpi import collectives as coll
 from repro.mpi.datatypes import SUM
 from repro.mpi.group import COLL_TAG_BASE
-from repro.simcluster import Cluster, Sleep
+from repro.simcluster import Cluster, Sleep, to_s
 
 
 def make_cluster(n=2, eager=1 << 20):
@@ -216,4 +215,4 @@ def test_dissemination_allgather_under_5ms_at_16_pentium_ranks():
             yield from coll.allgather_dissemination(ep, group, ep.rank)
 
     run_spmd(cluster, program)
-    assert cluster.sim.now / 10 < 0.005
+    assert to_s(cluster.sim.now) / 10 < 0.005

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import NetworkSpec
 from repro.errors import ConfigError, SimulationError
-from repro.simcluster import Simulator
+from repro.simcluster import Simulator, to_ns
 from repro.simcluster.network import Network
 
 
@@ -19,9 +19,9 @@ def test_uncontended_delivery_time():
     got = []
     t = net.transmit(0, 1, 1000, lambda: got.append(sim.now))
     # cut-through: latency + nbytes/bandwidth
-    assert t == pytest.approx(1e-4 + 1e-3)
+    assert t == to_ns(1e-4) + to_ns(1e-3)
     sim.run()
-    assert got == [pytest.approx(t)]
+    assert got == [t]
 
 
 def test_sender_link_serializes_consecutive_sends():
@@ -29,7 +29,7 @@ def test_sender_link_serializes_consecutive_sends():
     t1 = net.transmit(0, 1, 10_000, lambda: None)
     t2 = net.transmit(0, 2, 10_000, lambda: None)
     # second message cannot start until the first left the NIC
-    assert t2 == pytest.approx(t1 + 0.01)
+    assert t2 == t1 + to_ns(0.01)
     sim.run()
 
 
@@ -37,7 +37,7 @@ def test_receiver_link_serializes_concurrent_senders():
     sim, net = make_net()
     t1 = net.transmit(0, 2, 10_000, lambda: None)
     t2 = net.transmit(1, 2, 10_000, lambda: None)
-    assert t2 == pytest.approx(t1 + 0.01)
+    assert t2 == t1 + to_ns(0.01)
     sim.run()
 
 
@@ -45,7 +45,7 @@ def test_disjoint_pairs_do_not_contend():
     sim, net = make_net()
     t1 = net.transmit(0, 1, 10_000, lambda: None)
     t2 = net.transmit(2, 3, 10_000, lambda: None)
-    assert t1 == pytest.approx(t2)
+    assert t1 == t2
     sim.run()
 
 
@@ -53,14 +53,14 @@ def test_local_delivery_is_fast():
     sim, net = make_net()
     t = net.transmit(1, 1, 1_000_000, lambda: None)
     remote = 1e-4 + 1.0  # what a remote 1 MB transfer would cost
-    assert t < remote / 10
+    assert t < to_ns(remote) / 10
     sim.run()
 
 
 def test_zero_byte_message():
     sim, net = make_net()
     t = net.transmit(0, 1, 0, lambda: None)
-    assert t == pytest.approx(1e-4)
+    assert t == to_ns(1e-4)
     sim.run()
 
 

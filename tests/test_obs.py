@@ -330,11 +330,12 @@ def test_diff_reports_deltas():
 
 def test_replay_lays_overlapping_messages_into_lanes():
     rec = ObsRecorder(clock=lambda: 0.0)
-    rec.slices.append((0, "rank0", 0.0, 1.0))
+    ns = 10**9  # the simulator tracks hold clock nanoseconds
+    rec.slices.append((0, "rank0", 0, ns))
     rec.flights += [
-        (0, 1, 64, 2.5, 4.0),   # lane 0 free again (listed out of order)
-        (0, 1, 64, 0.0, 2.0),
-        (1, 0, 64, 1.0, 3.0),   # overlaps the first -> lane 1
+        (0, 1, 64, 25 * ns // 10, 4 * ns),   # lane 0 free again (listed out of order)
+        (0, 1, 64, 0, 2 * ns),
+        (1, 0, 64, ns, 3 * ns),   # overlaps the first -> lane 1
     ]
     assert rec.events == []
     events = trace_events(rec)

@@ -8,8 +8,6 @@ Lifecycle: a poll with no sender deadlocks instead of spinning, and a
 process killed or interrupted mid-poll leaves nothing behind.
 """
 
-import math
-
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -19,12 +17,14 @@ from repro.errors import DeadlockError, RankFailedError, SimulationError
 from repro.mpi import make_comm, run_spmd
 from repro.mpi.comm import SimComm
 from repro.obs.scenario import RemovalScenario, run_removal
-from repro.simcluster import Cluster, Compute, Poll, ProcState, Sleep
+from repro.simcluster import Cluster, Compute, Poll, ProcState, Sleep, to_ns, to_s
 
 from tests.oracles.poll_loop import chunk_loop_recv
 
 QUANTUM = 0.010
 STEP = QUANTUM * 0.01  # one poll step, CPU seconds
+STEP_NS = to_ns(STEP)
+QUANTUM_NS = to_ns(QUANTUM)
 SPEED = 1e8
 
 
@@ -56,7 +56,7 @@ def run_case(seed, n_cp, warm, reply, send_at, oracle, churn_at=None):
     for _ in range(n_cp):
         node.start_competing()
     if churn_at is not None:
-        sim.schedule(churn_at, node.stop_all_competing if n_cp == 1
+        sim.schedule(to_ns(churn_at), node.stop_all_competing if n_cp == 1
                      else node.start_competing)
     out = {"step_ends": [], "arrivals": [], "first_step_polls": 0}
 
@@ -82,7 +82,7 @@ def run_case(seed, n_cp, warm, reply, send_at, oracle, churn_at=None):
         proc = rank_proc(sim, ep.rank)
         before = proc.cpu_time
         yield from ep.recv(src, tag=tag)
-        if 0.0 < proc.cpu_time - before < 1.5 * STEP:
+        if 0 < proc.cpu_time - before < 1.5 * STEP_NS:
             out["first_step_polls"] += 1
 
     def program(ep):
@@ -140,19 +140,38 @@ def test_spin_job_matches_chunk_loop(seed, n_cp, warm, reply, send_at,
     case = (seed, n_cp, warm, reply, send_at)
     loop = run_case(*case, oracle=True, churn_at=churn_at)
     # off-boundary only: an arrival (or a competitor's) landing exactly
-    # on a step end was decided by rounding noise in the loop
-    ties = [loop["arrivals"][0]] + ([] if churn_at is None else [churn_at])
-    assume(all(abs(t - tie) > 1e-8 for t in loop["step_ends"] for tie in ties))
+    # on a step end is a tie the two forms may order differently
+    ties = [loop["arrivals"][0]] + ([] if churn_at is None else [to_ns(churn_at)])
+    assume(all(t != tie for t in loop["step_ends"] for tie in ties))
     spin = run_case(*case, oracle=False, churn_at=churn_at)
-    for key in ("noticed", "cpu_time", "busy_time", "follow_up"):
-        assert spin[key] == pytest.approx(loop[key], abs=1e-9), key
+    for key in ("noticed", "cpu_time", "busy_time", "follow_up", "credit"):
+        assert spin[key] == loop[key], key
     assert spin["ema"] == pytest.approx(loop["ema"], abs=1e-9)
-    if loop["credit"] is None:
-        assert spin["credit"] is None
-    else:
-        assert spin["credit"] == pytest.approx(loop["credit"], abs=1e-9)
     # a poll noticed at its first step costs the stop event extra
     assert spin["events"] <= loop["events"] + spin["first_step_polls"]
+
+
+@pytest.mark.parametrize("seed,n_cp,warm,send_at", [
+    (0, 1, "none", 0.029519955),
+    (0, 2, "sleep", 0.01066935),
+    (3, 2, "none", 0.039241383),
+])
+def test_arrival_as_the_poller_is_rotated_out_on_a_step_end(seed, n_cp, warm,
+                                                            send_at):
+    """The tie rule for a queued spin job: its turn ended exactly on a
+    step end, and the message lands at that very instant.  The loop's
+    step completed then, and its mailbox look (queued after the arrival)
+    saw the message, so no further step runs.  The spin job used to run
+    one more whole step when next dispatched."""
+    loop = run_case(seed, n_cp, warm, False, send_at, oracle=True)
+    # the tie is real: the loop's last look was at the arrival instant,
+    # and a competitor's turn came before its receive charge
+    assert loop["arrivals"][0] == loop["step_ends"][-1]
+    assert loop["noticed"] - loop["arrivals"][0] > QUANTUM_NS / 2
+    spin = run_case(seed, n_cp, warm, False, send_at, oracle=False)
+    for key in ("noticed", "cpu_time", "busy_time", "follow_up", "credit"):
+        assert spin[key] == loop[key], key
+    assert spin["ema"] == pytest.approx(loop["ema"], abs=1e-9)
 
 
 def test_long_wait_costs_constant_events():
@@ -170,13 +189,13 @@ def test_long_wait_costs_constant_events():
 def test_arrival_on_a_step_boundary_is_noticed_at_that_boundary():
     """The tie rule, pinned.  Alone on its CPU from t=0, the poller's
     step ends fall on multiples of STEP; a signal fired exactly on one
-    ends the poll right there, one fired any later costs the next step.
-    (The loop resolved an exact float tie the same way — the arrival
-    event was always queued ahead of the poller's resume — but its
-    step ends were sums of a hundred roundings, so "exact" was luck.)"""
-    for fire_at, noticed_at in ((50 * STEP, 50 * STEP),
-                                (50 * STEP + 1e-9, 51 * STEP),
-                                (0.0, STEP)):   # at least one step
+    ends the poll right there, one fired any later (by 1 ns, the clock's
+    resolution) costs the next step.  The loop resolves the tie the same
+    way: the arrival event is always queued ahead of the poller's
+    resume."""
+    for fire_at, noticed_at in ((50 * STEP_NS, 50 * STEP_NS),
+                                (50 * STEP_NS + 1, 51 * STEP_NS),
+                                (0, STEP_NS)):   # at least one step
         cluster = make_cluster()
         sim = cluster.sim
         sig = sim.signal("msg")
@@ -189,7 +208,7 @@ def test_arrival_on_a_step_boundary_is_noticed_at_that_boundary():
         sim.spawn(poller(), name="poller", node=cluster.nodes[0])
         sim.schedule(fire_at, sig.fire)
         sim.run()
-        assert seen["t"] == pytest.approx(noticed_at, abs=1e-12)
+        assert seen["t"] == noticed_at
 
 
 def test_poll_rejects_bad_chunk_and_detached_process():
@@ -215,7 +234,7 @@ def test_removal_simulated_time_matches_chunk_loop(ranks):
     spin, spin_cluster = run_removal(scenario, observe=False)
     with chunk_loop_recv():
         loop, loop_cluster = run_removal(scenario, observe=False)
-    assert spin.wall_time == pytest.approx(loop.wall_time, abs=1e-12)
+    assert spin.wall_time == loop.wall_time
     assert spin.bounds == loop.bounds
     assert ([(e.kind, e.cycle) for e in spin.events]
             == [(e.kind, e.cycle) for e in loop.events]
@@ -268,7 +287,7 @@ def _poll_victim(n_cp):
     proc.done_signal.add_waiter(fired.append)
     # a lone spin job holds no timer, so something else must keep the
     # queue from draining (and the run from ending in DeadlockError)
-    cluster.sim.schedule(1.0, lambda: None)
+    cluster.sim.schedule(to_ns(1.0), lambda: None)
     return cluster, comm, proc, fired, caught
 
 
@@ -285,38 +304,38 @@ def _send_late(cluster, comm):
 def test_kill_mid_poll_cancels_the_spin_job(n_cp):
     cluster, comm, proc, fired, _ = _poll_victim(n_cp)
     sim, cpu = cluster.sim, cluster.nodes[1].cpu
-    sim.run(until=0.0123)
+    sim.run(until=to_ns(0.0123))
     job = proc.cpu_job
     assert job is not None and job.step is not None and not job.cancelled
     sim.kill(proc)
-    sim.run(until=0.02)
+    sim.run(until=to_ns(0.02))
     assert proc.state == ProcState.FAILED and proc.cpu_job is None
     assert job.cancelled and job not in cpu.runnable_jobs()
     assert cpu.runnable_count() == n_cp
-    assert proc.cpu_time == pytest.approx(0.0123 / (n_cp + 1), abs=QUANTUM)
+    assert to_s(proc.cpu_time) == pytest.approx(0.0123 / (n_cp + 1), abs=QUANTUM)
     if n_cp == 0:
         # no live timer: no uncancelled event besides the keep-alive
         assert sum(not e[2].cancelled for e in sim._heap) == 1
     # a message for the dead poller, and its source dying, are no-ops
     _send_late(cluster, comm)
     comm.mark_rank_dead(0)
-    sim.run(until=0.05)
+    sim.run(until=to_ns(0.05))
     assert fired == [None]  # done_signal fired exactly once
 
 
 def test_inject_mid_poll_cancels_the_spin_job_and_the_process_goes_on():
     cluster, comm, proc, fired, caught = _poll_victim(n_cp=1)
     sim = cluster.sim
-    sim.run(until=0.0123)
+    sim.run(until=to_ns(0.0123))
     job = proc.cpu_job
     sim.inject(proc, RuntimeError("interrupt"))
-    sim.run(until=0.1)
+    sim.run(until=to_ns(0.1))
     assert job.cancelled and len(caught) == 1
     assert proc.state == ProcState.DONE and proc.result == "survived"
     assert fired == ["survived"]
     # the abandoned poll's slot fires harmlessly when its message shows up
     _send_late(cluster, comm)
-    sim.run(until=0.2)
+    sim.run(until=to_ns(0.2))
     assert comm._pollers[1] is None and fired == ["survived"]
 
 
@@ -333,11 +352,11 @@ def test_poller_on_a_dead_source_stops_spinning():
 
     proc = cluster.sim.spawn(receiver(comm.endpoint(1)), name="r1",
                              node=cluster.nodes[1])
-    cluster.sim.schedule(0.00325, lambda: comm.mark_rank_dead(0))
+    cluster.sim.schedule(to_ns(0.00325), lambda: comm.mark_rank_dead(0))
     cluster.sim.run()
     assert seen["rank"] == 0
-    assert seen["t"] == pytest.approx(33 * STEP, abs=1e-12)  # next step end
-    assert proc.cpu_time == pytest.approx(33 * STEP, abs=1e-12)
+    assert seen["t"] == 33 * STEP_NS  # next step end
+    assert proc.cpu_time == 33 * STEP_NS
 
 
 @pytest.mark.parametrize("n_cp", [0, 2])
@@ -358,10 +377,9 @@ def test_tracer_slices_tile_the_pollers_cpu_time(n_cp):
     everyone = [(start, end, name) for node, name, start, end
                 in cluster.obs.slices if node == 1]
     mine = sorted(s for s in everyone if s[2] == "rank1")
-    assert math.fsum(end - start for start, end, _ in mine) == pytest.approx(
-        proc.cpu_time, abs=1e-12)
-    assert all(a[1] <= b[0] + 1e-12 for a, b in zip(mine, mine[1:]))
-    assert (math.fsum(end - start for start, end, _ in everyone)
-            == pytest.approx(cluster.nodes[1].cpu.busy_time, abs=1e-9))
+    assert sum(end - start for start, end, _ in mine) == proc.cpu_time
+    assert all(a[1] <= b[0] for a, b in zip(mine, mine[1:]))
+    assert (sum(end - start for start, end, _ in everyone)
+            == cluster.nodes[1].cpu.busy_time)
     # O(turns), not O(steps): the loop cut a slice per 100 us step
     assert len(mine) < 0.0456 / STEP / 10

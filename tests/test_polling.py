@@ -1,12 +1,11 @@
 """Tests for the busy-polling receive mode (2003-era MPICH ch_p4
 behavior) — the mechanism behind the paper's node-removal results."""
 
-import numpy as np
 import pytest
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.mpi import run_spmd
-from repro.simcluster import Cluster, Compute, Sleep
+from repro.simcluster import Cluster, Compute, Sleep, to_s
 
 
 def make_cluster(recv_mode, n=2, quantum=0.010, speed=1e8):
@@ -29,8 +28,8 @@ def test_polling_recv_burns_cpu_while_waiting():
             yield from ep.send(1, tag=0, payload="x")
         else:
             _, _ = yield from ep.recv(0, tag=0)
-            times["cpu"] = [p for p in ep.comm.sim.processes
-                            if p.name == "rank1"][0].cpu_time
+            times["cpu"] = to_s([p for p in ep.comm.sim.processes
+                                 if p.name == "rank1"][0].cpu_time)
 
     run_spmd(cluster, program)
     # the receiver spun for ~the whole wait
@@ -47,8 +46,8 @@ def test_blocking_recv_uses_no_cpu_while_waiting():
             yield from ep.send(1, tag=0, payload="x")
         else:
             _, _ = yield from ep.recv(0, tag=0)
-            times["cpu"] = [p for p in ep.comm.sim.processes
-                            if p.name == "rank1"][0].cpu_time
+            times["cpu"] = to_s([p for p in ep.comm.sim.processes
+                                 if p.name == "rank1"][0].cpu_time)
 
     run_spmd(cluster, program)
     assert times["cpu"] < 0.001
@@ -90,14 +89,14 @@ def test_polling_on_loaded_node_delays_message_notice():
             sim = ep.comm.sim
             if ep.rank == 0:
                 for t_send in send_times:
-                    yield Sleep(t_send - sim.now)
+                    yield Sleep(t_send - to_s(sim.now))
                     yield from ep.send(1, tag=0, payload="x")
             else:
                 # burn CPU first so the EMA share is realistic
                 yield Compute(1e6)
                 for t_send in send_times:
                     _, _ = yield from ep.recv(0, tag=0)
-                    delays.append(sim.now - t_send)
+                    delays.append(to_s(sim.now) - t_send)
 
         run_spmd(cluster, program)
         notice[mode] = sum(delays) / len(delays)
@@ -119,7 +118,7 @@ def test_polling_sub_quantum_chunks_bound_overshoot():
             yield from ep.send(1, tag=0, payload="x")
         else:
             _, _ = yield from ep.recv(0, tag=0)
-            arrival["t"] = sim.now
+            arrival["t"] = to_s(sim.now)
 
     run_spmd(cluster, program)
     assert arrival["t"] - 0.0501 < 0.001

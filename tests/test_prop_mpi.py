@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
-from repro.mpi import ANY_SOURCE, Group, run_spmd
+from repro.mpi import Group, run_spmd
 from repro.mpi import collectives as coll
 from repro.mpi.datatypes import MAX, SUM
 from repro.simcluster import Cluster, Sleep

@@ -11,7 +11,6 @@ from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.core import AccessMode, DRSD, NearestNeighbor, Phase, needed_map
 from repro.core.intervals import IntervalSet
 from repro.core.redistribute import (
-    RedistReport,
     owned_intervals,
     plan_edges,
     redistribute,

@@ -3,7 +3,6 @@ a physically removed node is re-admitted once its competing load
 disappears, receiving a fresh share of every registered array."""
 
 import numpy as np
-import pytest
 
 from repro.config import (
     ClusterSpec, NetworkSpec, NodeSpec, ResilienceSpec, RuntimeSpec,

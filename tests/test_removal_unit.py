@@ -1,12 +1,11 @@
 """Unit tests for the drop decision logic (paper Section 4.4), and the
 partial-removal extension (Section 6 future work)."""
 
-import numpy as np
 import pytest
 
 from repro.config import RuntimeSpec
 from repro.core.commcost import CommCostModel, NearestNeighbor, NoComm
-from repro.core.removal import DropDecision, evaluate_drop
+from repro.core.removal import evaluate_drop
 from repro.errors import DistributionError
 
 MODEL = CommCostModel(3e-5, 4e-9, 75e-6, 8e-8, 1e8)

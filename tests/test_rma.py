@@ -8,7 +8,7 @@ import pytest
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.errors import MPIError, RankFailedError, SanitizerError
 from repro.mpi import Window, make_comm
-from repro.simcluster import Cluster, Compute, Sleep
+from repro.simcluster import Cluster, Compute, Sleep, to_ns, to_s
 
 
 def make_cluster(n=3, **kw):
@@ -192,7 +192,7 @@ def test_exclusive_lock_serializes_epochs():
     assert kinds == [("acq", 1), ("op", 1), ("acq", 2), ("op", 2)]
     # rank 2's epoch could not begin until rank 1 released
     acq2 = next(t for k, r, t in order if k == "acq" and r == 2)
-    assert acq2 >= 0.02
+    assert acq2 >= to_ns(0.02)
 
 
 def test_shared_locks_coexist_exclusive_waits():
@@ -221,8 +221,8 @@ def test_shared_locks_coexist_exclusive_waits():
 
     run_ranks(cluster, [idle, reader(1), reader(2), writer])
     # both shared epochs overlapped; the exclusive one waited them out
-    assert abs(times[1] - times[2]) < 5e-3
-    assert times["writer"] >= max(times[1], times[2]) + 0.01
+    assert abs(times[1] - times[2]) < to_ns(5e-3)
+    assert times["writer"] >= max(times[1], times[2]) + to_ns(0.01)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +350,7 @@ def _spawn_with_kill(cluster, programs, kill_rank, kill_at):
         comm.watch_rank(rank, proc)
         procs.append(proc)
     victim = procs[kill_rank]
-    cluster.sim.schedule(kill_at, lambda: cluster.sim.kill(victim))
+    cluster.sim.schedule(to_ns(kill_at), lambda: cluster.sim.kill(victim))
     cluster.sim.run_all(procs, tolerate=lambda p: p is victim)
     if cluster.sanitizer is not None:
         cluster.sanitizer.finalize()
@@ -379,7 +379,7 @@ def test_dead_holder_releases_lock_to_fifo_waiter():
 
     _, win = _spawn_with_kill(cluster, [idle, doomed, waiter],
                               kill_rank=1, kill_at=0.01)
-    assert acquired and acquired[0] >= 0.01
+    assert acquired and acquired[0] >= to_ns(0.01)
     assert int(win.local(0)[0]) == 1
 
 
@@ -404,7 +404,7 @@ def test_lock_queued_at_dying_target_raises(sanitize):
 
     _spawn_with_kill(cluster, [waiter, holder, target],
                      kill_rank=2, kill_at=0.01)
-    assert failed == [pytest.approx(0.01)]
+    assert failed == [to_ns(0.01)]
 
 
 @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "san"])
@@ -447,7 +447,7 @@ def test_requests_reaching_dead_target(sanitize):
 
     def op(ep, h):
         yield from h.lock(3, shared=True)
-        yield Sleep(1e-3 - cluster.sim.now)
+        yield Sleep(1e-3 - to_s(cluster.sim.now))
         with pytest.raises(RankFailedError):
             yield from h.fetch_and_op(3, 0, 1)
         yield from h.unlock(3)  # the target is dead: returns at once
@@ -455,7 +455,7 @@ def test_requests_reaching_dead_target(sanitize):
 
     def unlock(ep, h):
         yield from h.lock(3, shared=True)
-        yield Sleep(1e-3 - cluster.sim.now)
+        yield Sleep(1e-3 - to_s(cluster.sim.now))
         yield from h.unlock(3)  # the lock state died with the target
         return "unlock"
 

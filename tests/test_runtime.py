@@ -212,8 +212,8 @@ def test_exec_rows_runs_once_per_compute_call(split, monkeypatch):
     assert {mode for mode, _, _ in log} == {"normal", "grace", "post"}
     for mode, expected, calls in log:
         assert calls == [expected], (mode, expected, calls)
-    # pinned when isend began charging its caller (before that, from
-    # the tree that still called exec_rows(g, g) per row)
+    # re-pinned when the clock became integer ns (before that, when
+    # isend began charging its caller)
     digest = hashlib.sha256(np.concatenate(samples).tobytes()).hexdigest()
     assert (len(samples), digest) == GRACE_SAMPLES_AT_PARENT[split]
 
@@ -221,8 +221,8 @@ def test_exec_rows_runs_once_per_compute_call(split, monkeypatch):
 #: (grace cycles measured, sha256 of their hr + /PROC samples) of the
 #: run above, whole-range and split
 GRACE_SAMPLES_AT_PARENT = {
-    False: (12, "de9229cd9e3e4230f6eab3f35f009c6a8225d13045ec6eeace2077bef6ec677c"),
-    True: (36, "3f7d2c3d4312897b5769b1693a6d7124674b937591beed6fca45e912f26141f5"),
+    False: (12, "8fb510e3c9e1915d1282abf33661170fa73e069696bd2221d233cff33eb01470"),
+    True: (36, "83078337ae6beac1ffd2f607b360efb32e6eb6bc8ddcabd9539b73aa21afe8db"),
 }
 
 

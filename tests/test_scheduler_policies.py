@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from repro.config import ClusterSpec, NodeSpec
-from repro.simcluster import Cluster, Compute, Sleep
+from repro.simcluster import Cluster, Compute, Sleep, to_ns, to_s
 from repro.simcluster.cpu import RoundRobinCPU
 
 SPEED = 1e8
@@ -45,7 +45,7 @@ def test_cpu_hungry_app_gets_fair_share():
     cluster, p = run(prog(), n_competing=1)
     total_cpu = 40 * QUANTUM * 2
     # wallclock ~= 2x its CPU need under 1 competing process
-    assert cluster.sim.now == pytest.approx(2 * total_cpu, rel=0.15)
+    assert to_s(cluster.sim.now) == pytest.approx(2 * total_cpu, rel=0.15)
 
 
 def test_mostly_blocked_app_keeps_its_boost():
@@ -62,7 +62,7 @@ def test_mostly_blocked_app_keeps_its_boost():
     # ideal = 40 * (10 ms sleep + 0.5 ms burst); boosted bursts keep
     # the overhead small even with a CPU hog present
     ideal = 40 * 0.0105
-    assert cluster.sim.now < ideal * 1.25
+    assert to_s(cluster.sim.now) < ideal * 1.25
 
 
 def test_interactive_slice_caps_boosted_compute():
@@ -77,7 +77,7 @@ def test_interactive_slice_caps_boosted_compute():
     cluster, p = run(prog(), n_competing=1)
     # the post-wake 50 ms compute must NOT have run at full speed:
     # total elapsed >> sum of CPU times
-    assert cluster.sim.now > 0.13 * 1.6
+    assert to_s(cluster.sim.now) > 0.13 * 1.6
 
 
 def test_quantum_continuation_chains_same_instant_submissions():
@@ -94,7 +94,7 @@ def test_quantum_continuation_chains_same_instant_submissions():
     cluster, p = run(prog(), n_competing=1)
     # without continuation each row would wait ~a competing quantum:
     # >200 ms; with it the chain finishes within a few quanta
-    assert cluster.sim.now < 0.05
+    assert to_s(cluster.sim.now) < 0.05
 
 
 def test_ema_share_decays_over_time():
@@ -105,13 +105,13 @@ def test_ema_share_decays_over_time():
     class P:  # stand-in schedulable
         name = "x"
         state = "ready"
-        cpu_time = 0.0
+        cpu_time = 0
         fair_share = None
 
     proc = P()
-    cpu._ema_add(proc, 0.02)
+    cpu._ema_add(proc, to_ns(0.02))
     s0 = cpu._ema_share(proc)
-    cluster.sim.now = 0.2  # let a long time pass
+    cluster.sim.now = to_ns(0.2)  # let a long time pass
     s1 = cpu._ema_share(proc)
     assert s1 < s0 / 10
 
@@ -123,7 +123,7 @@ def test_below_fair_share_threshold():
     class P:
         name = "y"
         state = "ready"
-        cpu_time = 0.0
+        cpu_time = 0
         fair_share = None
 
     proc = P()

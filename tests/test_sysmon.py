@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import ClusterSpec, NodeSpec
 from repro.errors import SimulationError
-from repro.simcluster import Cluster, Compute, Sleep
+from repro.simcluster import Cluster, Compute, Sleep, to_ns, to_s
 from repro.sysmon import DmpiPs, HrTimer, ProcClock, Vmstat, min_filter
 
 
@@ -77,7 +77,7 @@ def test_dmpi_ps_detects_load_change_within_interval():
     app = cluster.sim.spawn(app_prog(), name="app", node=cluster.nodes[0])
     ps.register_monitored(0, app)
     ps.start()
-    cluster.sim.schedule(3.5, lambda: cluster.nodes[0].start_competing())
+    cluster.sim.schedule(to_ns(3.5), lambda: cluster.nodes[0].start_competing())
     cluster.sim.run_all([app])
     hist = dict(ps.history(0))
     # at t=3s the load is still 1; by t=5s it must read 2
@@ -104,9 +104,9 @@ def test_proc_clock_quantizes_down():
     app = cluster.sim.spawn(spin(2.37 * 100.0), name="app", node=cluster.nodes[0])
     cluster.sim.run_all([app])
     clock = ProcClock(app, granularity=0.010)
-    assert clock.read_exact() == pytest.approx(2.37, rel=1e-9)
-    assert clock.read() == pytest.approx(2.37, abs=0.010 + 1e-12)
-    assert clock.read() <= clock.read_exact() + 1e-12
+    assert app.cpu_time == to_ns(2.37)
+    assert clock.read() == pytest.approx(2.37, abs=0.010)
+    assert clock.read() <= to_s(app.cpu_time)
 
 
 def test_proc_clock_excludes_competing_time():
@@ -116,7 +116,7 @@ def test_proc_clock_excludes_competing_time():
     cluster.nodes[0].start_competing()
     app = cluster.sim.spawn(spin(100.0), name="app", node=cluster.nodes[0])
     cluster.sim.run_all([app])
-    assert cluster.sim.now == pytest.approx(2.0, rel=1e-2)  # wallclock: 2x
+    assert to_s(cluster.sim.now) == pytest.approx(2.0, rel=1e-2)  # wallclock: 2x
     clock = ProcClock(app, granularity=0.010)
     assert clock.read() == pytest.approx(1.0, abs=0.011)  # CPU: true 1 s
 
@@ -152,7 +152,7 @@ def test_hrtimer_interval_backwards_raises():
     cluster = make_cluster(1)
     timer = HrTimer(cluster.sim)
     with pytest.raises(SimulationError):
-        timer.interval(2.0, 1.0)
+        timer.interval(2, 1)
 
 
 def test_vectorised_reads_equal_the_scalar_ones_bit_for_bit():
@@ -162,23 +162,24 @@ def test_vectorised_reads_equal_the_scalar_ones_bit_for_bit():
     rng = np.random.default_rng(5)
 
     class Proc:
-        cpu_time = 0.0
+        cpu_time = 0
 
     timer, proc = HrTimer(cluster.sim), Proc()
     clock = ProcClock(proc, granularity=0.010)
     for scale in (1e-5, 1e-3, 0.5):
-        stamps = np.cumsum(rng.random(500) * scale) + rng.random() * 100
-        cpus = np.cumsum(rng.random(500) * scale)
+        stamps = np.rint((np.cumsum(rng.random(500) * scale) + rng.random() * 100) * 1e9)
+        cpus = np.rint(np.cumsum(rng.random(500) * scale) * 1e9)
+        stamps, cpus = stamps.astype(np.int64).tolist(), cpus.astype(np.int64).tolist()
         reads = []
         for c in cpus:
-            proc.cpu_time = float(c)
+            proc.cpu_time = c
             reads.append(clock.read())
-        hr = [timer.interval(float(a), float(b)) for a, b in zip(stamps, stamps[1:])]
+        hr = [timer.interval(a, b) for a, b in zip(stamps, stamps[1:])]
         pr = [b - a for a, b in zip(reads, reads[1:])]
-        assert timer.intervals(list(stamps)).tobytes() == np.array(hr).tobytes()
-        assert clock.deltas(list(cpus)).tobytes() == np.array(pr).tobytes()
+        assert timer.intervals(stamps).tobytes() == np.array(hr).tobytes()
+        assert clock.deltas(cpus).tobytes() == np.array(pr).tobytes()
     with pytest.raises(SimulationError):
-        timer.intervals([2.0, 1.0])
+        timer.intervals([2, 1])
 
 
 def test_min_filter_removes_spikes():

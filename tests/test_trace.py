@@ -7,7 +7,7 @@ import pytest
 from repro.config import ClusterSpec, NodeSpec
 from repro.errors import SimulationError
 from repro.mpi import run_spmd
-from repro.simcluster import Cluster, Compute, Sleep
+from repro.simcluster import Cluster, Compute, Sleep, to_s
 
 
 def make_cluster(n=2):
@@ -27,8 +27,8 @@ def run_app(cluster, *steps):
 def test_traces_cpu_slices_and_busy_time():
     # 10 ms, a sleep, 20 ms
     rec = run_app(make_cluster(1), Compute(1e6), Sleep(0.01), Compute(2e6))
-    assert rec.busy_time(0, "app") == pytest.approx(0.03, rel=1e-6)
-    assert rec.busy_time(0) == sum(end - start for _, _, start, end in rec.slices)
+    assert rec.busy_time(0, "app") == 0.03
+    assert rec.busy_time(0) == to_s(sum(end - start for _, _, start, end in rec.slices))
     assert len(rec.slices) >= 2
 
 
@@ -37,11 +37,11 @@ def test_traces_competing_slices():
     cluster.nodes[0].start_competing("cp0")
     # the competing process owns the CPU during the sleep
     rec = run_app(cluster, Compute(1e6), Sleep(0.05), Compute(1e6))
-    assert rec.busy_time(0, "app") == pytest.approx(0.02, rel=1e-6)
+    assert rec.busy_time(0, "app") == 0.02
     assert rec.busy_time(0, "cp0") > 0.03
     # one CPU: whoever holds it, a node's slices never overlap
     mine = sorted((start, end) for node, _, start, end in rec.slices if node == 0)
-    assert all(a[1] <= b[0] + 1e-12 for a, b in zip(mine, mine[1:]))
+    assert all(a[1] <= b[0] for a, b in zip(mine, mine[1:]))
 
 
 def test_traces_messages():

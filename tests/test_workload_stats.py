@@ -12,6 +12,8 @@ from repro.simcluster import (
     LoadScript,
     TimeTrigger,
     single_competitor,
+    to_ns,
+    to_s,
 )
 from repro.simcluster.rng import StreamRegistry
 
@@ -32,10 +34,10 @@ def test_time_trigger_starts_and_stops():
     ])
     cluster.install_load_script(script)
     counts = []
-    cluster.sim.schedule(0.5, lambda: counts.append(cluster.nodes[0].n_competing))
-    cluster.sim.schedule(1.5, lambda: counts.append(cluster.nodes[0].n_competing))
-    cluster.sim.schedule(3.5, lambda: counts.append(cluster.nodes[0].n_competing))
-    cluster.sim.run(until=4.0)
+    cluster.sim.schedule(to_ns(0.5), lambda: counts.append(cluster.nodes[0].n_competing))
+    cluster.sim.schedule(to_ns(1.5), lambda: counts.append(cluster.nodes[0].n_competing))
+    cluster.sim.schedule(to_ns(3.5), lambda: counts.append(cluster.nodes[0].n_competing))
+    cluster.sim.run(until=to_ns(4.0))
     assert counts == [0, 2, 1]
 
 
@@ -87,7 +89,7 @@ def test_recorder_marks_events():
     cluster.notify_cycle(2)
     (mark,) = cluster.obs.events
     assert (mark.name, mark.ph, mark.pid, mark.tid) == ("load.start", "i", 0, CPU_TID)
-    assert mark.ts == cluster.sim.now and mark.args == {"count": 1}
+    assert mark.ts == to_s(cluster.sim.now) and mark.args == {"count": 1}
     # an unobserved cluster runs the same script and records nowhere
     quiet = make_cluster(observe=False)
     quiet.install_load_script(single_competitor(0, start_cycle=2))
