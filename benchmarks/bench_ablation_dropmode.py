@@ -7,17 +7,16 @@ every halo exchange and collective.  This bench measures both policies
 on the SOR removal scenario.
 """
 
-from repro.apps import SORConfig, sor_program
+from repro.apps import SORConfig, run_program, sor_program
 from repro.config import RuntimeSpec, ultrasparc_cluster
 from repro.experiments.harness import (
-    Scenario,
     bench_scale,
     scaled,
     scaled_spec,
     steady_state_cycle_time,
 )
 from repro.experiments.report import format_table
-from repro.simcluster import single_competitor
+from repro.simcluster import Cluster, single_competitor
 
 DEFAULT_SCALE = 1.0
 
@@ -30,15 +29,10 @@ def run_drop_mode(mode: str, *, n_nodes=16, n_cp=3, scale=None):
         allow_removal=True, drop_mode=mode, drop_margin=1e-9,
         post_redist_period=5,
     ), scale)
-    return Scenario(
-        name=f"dropmode:{mode}",
-        cluster_spec=ultrasparc_cluster(n_nodes),
-        program=sor_program,
-        cfg=cfg,
-        spec=spec,
-        adaptive=True,
+    return run_program(
+        Cluster(ultrasparc_cluster(n_nodes)), sor_program, cfg, spec=spec,
         load_script=single_competitor(0, start_cycle=10, count=n_cp),
-    ).run()
+    )
 
 
 def test_physical_vs_logical_drop(benchmark, record_table):

@@ -13,11 +13,11 @@ threshold.
 
 from dataclasses import replace
 
-from repro.apps import JacobiConfig, jacobi_program
+from repro.apps import JacobiConfig, jacobi_program, run_program
 from repro.config import RuntimeSpec, pentium_cluster
-from repro.experiments.harness import Scenario, bench_scale, scaled, scaled_spec
+from repro.experiments.harness import bench_scale, scaled, scaled_spec
 from repro.experiments.report import format_table
-from repro.simcluster import single_competitor
+from repro.simcluster import Cluster, single_competitor
 
 DEFAULT_SCALE = 0.5
 
@@ -26,15 +26,10 @@ def run_jacobi(spec, *, scale, cluster_spec=None, iters_mult=1.0):
     cfg = JacobiConfig(n=scaled(2048, scale, 64),
                        iters=scaled(int(250 * iters_mult), scale, 30),
                        materialized=False)
-    return Scenario(
-        name="ablation",
-        cluster_spec=cluster_spec or pentium_cluster(4),
-        program=jacobi_program,
-        cfg=cfg,
-        spec=spec,
-        adaptive=True,
-        load_script=single_competitor(0, start_cycle=10),
-    ).run()
+    return run_program(
+        Cluster(cluster_spec or pentium_cluster(4)), jacobi_program, cfg,
+        spec=spec, load_script=single_competitor(0, start_cycle=10),
+    )
 
 
 def test_grace_period_sweep(benchmark, record_table):

@@ -40,12 +40,11 @@ def base_spec(resilience=None):
 
 
 def run_crash():
-    cluster = make_cluster()
-    cluster.install_failure_script(node_crash(1, at_cycle=15))
     return run_program(
-        cluster, jacobi_program,
+        make_cluster(), jacobi_program,
         JacobiConfig(n=N, iters=ITERS, materialized=True),
         spec=base_spec(ResilienceSpec(heartbeat_timeout=0.02)),
+        failure_script=node_crash(1, at_cycle=15),
     )
 
 

@@ -39,10 +39,6 @@ def make_cluster():
 
 
 def run(crash: bool):
-    cluster = make_cluster()
-    if crash:
-        cluster.install_failure_script(
-            node_crash(CRASH_NODE, at_cycle=CRASH_CYCLE))
     spec = RuntimeSpec(
         grace_period=2, post_redist_period=3,
         allow_removal=True, drop_mode="physical", allow_rejoin=True,
@@ -50,7 +46,9 @@ def run(crash: bool):
         resilience=ResilienceSpec(heartbeat_timeout=0.004),
     )
     cfg = JacobiConfig(n=64, iters=60, materialized=True, collect=True, seed=3)
-    return run_program(cluster, jacobi_program, cfg, spec=spec)
+    failure = node_crash(CRASH_NODE, at_cycle=CRASH_CYCLE) if crash else None
+    return run_program(make_cluster(), jacobi_program, cfg, spec=spec,
+                       failure_script=failure)
 
 
 def main() -> None:

@@ -1,9 +1,9 @@
 """Common scaffolding for the evaluated applications.
 
-Every app module exposes a ``*Config`` dataclass, a ``*_program``
-generator (the Dyn-MPI program itself), and a ``run_*`` driver that
-wires a cluster, a load script, and a :class:`DynMPIJob` together and
-returns an :class:`AppResult`.  The same program runs in three guises:
+Every app module exposes a ``*Config`` dataclass and a ``*_program``
+generator (the Dyn-MPI program itself); :func:`run_program` wires a
+cluster, its load and fault scripts, and a :class:`DynMPIJob` together
+and returns an :class:`AppResult`.  The same program runs in three guises:
 
 * dedicated — no competing processes (the paper's baseline),
 * no-adapt — competing load but ``adaptive=False`` (plain MPI),
@@ -21,7 +21,7 @@ from ..config import RuntimeSpec
 from ..core import DynMPIJob
 from ..core.runtime import DynMPI
 from ..errors import ConfigError
-from ..simcluster import Cluster, LoadScript, to_s
+from ..simcluster import Cluster, Script, to_s
 
 __all__ = ["AppResult", "run_program", "require_at_least", "exchange_halo",
            "halo_start", "halo_finish", "collect_rows"]
@@ -77,11 +77,14 @@ def run_program(
     *,
     spec: Optional[RuntimeSpec] = None,
     adaptive: bool = True,
-    load_script: Optional[LoadScript] = None,
+    load_script: Optional[Script] = None,
+    failure_script: Optional[Script] = None,
 ) -> AppResult:
-    """Launch ``program(ctx, cfg)`` on ``cluster`` and collect results."""
-    if load_script is not None:
-        cluster.install_load_script(load_script)
+    """Launch ``program(ctx, cfg)`` on ``cluster`` and collect results;
+    the scripts are installed first, the load script before the faults."""
+    for script in (load_script, failure_script):
+        if script is not None:
+            cluster.install_script(script)
     job = DynMPIJob(cluster, spec, adaptive=adaptive)
     per_rank = job.launch(program, args=(cfg,))
     return AppResult(

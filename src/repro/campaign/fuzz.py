@@ -161,21 +161,14 @@ def _sanitize_invariant(params: dict) -> str:
 
 
 def _traced_export(params: dict, perturb: int) -> str:
-    from ..apps import run_program
     from ..obs.export import jsonl_text
-    from ..simcluster import Cluster
 
     traced = dict(params)
     traced["observe"] = 1
     traced["perturb"] = perturb
     traced["check"] = 0
-    built = build_scenario(resolve_params(traced))
-    cluster = Cluster(built.cluster_spec)
-    if built.failure_script is not None:
-        cluster.install_failure_script(built.failure_script)
-    run_program(cluster, built.program, built.cfg, spec=built.spec,
-                adaptive=True, load_script=built.load_script)
-    return jsonl_text(cluster.obs)
+    result = build_scenario(resolve_params(traced)).run()
+    return jsonl_text(result.job.cluster.obs)
 
 
 def _perturb_invariant(params: dict) -> str:

@@ -1,11 +1,12 @@
 """Worker-side combo execution.
 
 :func:`run_combo` is the unit of work the pool distributes: build the
-scenario for one parameter assignment, run the (deterministic,
-single-process) simulator, and return a plain-dict result row.  It is
-a module-level function so it pickles across ``multiprocessing``
-workers, and it touches no campaign state — journaling stays with the
-parent's :class:`~repro.campaign.sweeper.ParamSweeper`.
+scenario for one parameter assignment, run it (``BuiltScenario.run``:
+the deterministic, single-process simulator), and return a plain-dict
+result row.  It is a module-level function so it pickles across
+``multiprocessing`` workers, and it touches no campaign state —
+journaling stays with the parent's
+:class:`~repro.campaign.sweeper.ParamSweeper`.
 
 :func:`safe_run_combo` is the pool wrapper: it converts any exception
 into an error row instead of letting it tear down the map call, so
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import traceback
 
-from ..simcluster import Cluster
 from .scenarios import build_scenario, resolve_params
 from .space import combo_slug
 
@@ -32,69 +32,34 @@ def run_combo(params: dict) -> dict:
     — so a result row is a pure function of its parameters and the
     aggregate stays byte-stable across runs, hosts, and interrupts.
     """
-    from ..apps import run_program  # deferred: keep worker import light
-
     # identity = the declared combo, not the resolved assignment: the
     # sweeper journals the slug of what the space expanded to, and the
     # two differ when a spec leans on defaults
     slug = combo_slug(params)
-    full = resolve_params(params)
-    built = build_scenario(full)
+    built = build_scenario(resolve_params(params))
+    result = built.run()
     if built.farm_spec is not None:
-        return _run_farm_combo(slug, params, built)
-    cluster = Cluster(built.cluster_spec)
-    if built.failure_script is not None:
-        cluster.install_failure_script(built.failure_script)
-    result = run_program(
-        cluster,
-        built.program,
-        built.cfg,
-        spec=built.spec,
-        adaptive=True,
-        load_script=built.load_script,
-    )
-    metrics = {
-        "wall_time": float(result.wall_time),
-        "n_redistributions": int(result.n_redistributions),
-        "n_drops": int(result.n_drops),
-        "n_crash_recoveries": sum(
-            1 for ev in result.events if ev.kind == "crash_recovery"
-        ),
-        "mean_cycle_time": float(result.mean_cycle_time()),
-        "n_events": len(result.events),
-    }
-    checks = {}
-    if built.oracle is not None:
-        err = built.oracle(result.per_rank)
-        checks["oracle"] = err or "ok"
-        if err:
-            raise AssertionError(f"oracle violation: {err}")
-    return {"slug": slug, "params": dict(params),
-            "metrics": metrics, "checks": checks}
-
-
-def _run_farm_combo(slug: str, params: dict, built) -> dict:
-    """Farm combos run through the elastic farm launcher; the oracle is
-    the completed-result digest against the computed reference."""
-    from ..farm import run_farm  # deferred, like run_program
-
-    cluster = Cluster(built.cluster_spec)
-    result = run_farm(
-        cluster,
-        built.farm_spec,
-        load_script=built.load_script,
-        failure_script=built.failure_script,
-    )
-    metrics = {
-        "wall_time": float(result.wall_time),
-        "jobs_done": int(result.jobs_done),
-        "jobs_per_sec": float(result.jobs_per_sec),
-        "n_requeued": int(result.n_requeued),
-        "duplicates": int(result.duplicates),
-        "park_events": int(result.park_events),
-        "readmit_events": int(result.readmit_events),
-        "dead_workers": len(result.dead_workers),
-    }
+        metrics = {
+            "wall_time": float(result.wall_time),
+            "jobs_done": int(result.jobs_done),
+            "jobs_per_sec": float(result.jobs_per_sec),
+            "n_requeued": int(result.n_requeued),
+            "duplicates": int(result.duplicates),
+            "park_events": int(result.park_events),
+            "readmit_events": int(result.readmit_events),
+            "dead_workers": len(result.dead_workers),
+        }
+    else:
+        metrics = {
+            "wall_time": float(result.wall_time),
+            "n_redistributions": int(result.n_redistributions),
+            "n_drops": int(result.n_drops),
+            "n_crash_recoveries": sum(
+                1 for ev in result.events if ev.kind == "crash_recovery"
+            ),
+            "mean_cycle_time": float(result.mean_cycle_time()),
+            "n_events": len(result.events),
+        }
     checks = {}
     if built.oracle is not None:
         err = built.oracle(result)

@@ -42,16 +42,16 @@ Load DSL — ``+``-separated triggers, each
 * ``n0@c3x2-c6`` two competitors on node 0 at cycle 3, gone at cycle 6
 
 Failure DSL — ``+``-separated faults, each
-``<kind>:n<node>@c<cycle>[x<count>][-c<stop_cycle>]`` with kind
-``slow`` (transient competing-load burst, stop via ``-c``) or
+``<kind>:n<node>@c<cycle>[x<count>]`` with kind ``slow`` (a
+competing-load burst that persists; faults take no ``-c`` stop) or
 ``crash`` (fail-stop node crash, recovered from buddy checkpoints).
 A ``crash`` switches the runtime to the resilience recipe (checkpoint
 interval 1, tight heartbeat), the regime PR 2 proved bitwise-exact
 for the evaluated apps.
 
-Everything here is pure construction — no multiprocessing, no I/O —
-so :func:`build_scenario` is equally usable from the worker pool, the
-fuzzer, and unit tests.
+Everything here but :meth:`BuiltScenario.run` is pure construction —
+no multiprocessing, no I/O — so :func:`build_scenario` is equally
+usable from the worker pool, the fuzzer, and unit tests.
 """
 
 from __future__ import annotations
@@ -71,11 +71,12 @@ from ..apps import (
     initial_counts,
     jacobi_program,
     particle_program,
+    run_program,
     sor_program,
 )
 from ..apps import jacobi as jacobi_mod
 from ..apps import sor as sor_mod
-from ..farm import FarmSpec, farm_oracle
+from ..farm import FarmSpec, farm_oracle, run_farm
 from ..apps.reference import (
     cg_matrix_dense,
     cg_reference,
@@ -92,7 +93,7 @@ from ..config import (
 )
 from ..errors import ConfigError
 from ..resilience import CycleFault, FailureScript
-from ..simcluster import CycleTrigger, LoadScript
+from ..simcluster import Cluster, CycleTrigger, LoadScript
 
 __all__ = [
     "APP_NAMES",
@@ -146,47 +147,51 @@ def _parse_trigger(text: str) -> tuple[int, int, int, Optional[int]]:
     )
 
 
+def _parse_parts(spec: str, parse_part: Callable) -> list:
+    """The triggers ``parse_part`` makes of each ``+``-separated part
+    of ``spec`` (none for ``"none"``/empty)."""
+    if not spec or spec == "none":
+        return []
+    return [trig for part in spec.split("+") for trig in parse_part(part)]
+
+
+def _load_part(part: str) -> list:
+    node, cycle, count, stop = _parse_trigger(part)
+    triggers = [CycleTrigger(cycle=cycle, node=node, action="start", count=count)]
+    if stop is not None:
+        triggers.append(
+            CycleTrigger(cycle=stop, node=node, action="stop", count=count)
+        )
+    return triggers
+
+
+def _failure_part(part: str) -> list:
+    kind, _, trigger = part.partition(":")
+    if kind not in ("slow", "crash"):
+        raise ConfigError(
+            f"bad fault kind {kind!r} in {part!r} (want slow|crash)"
+        )
+    node, cycle, count, stop = _parse_trigger(trigger)
+    if stop is not None:
+        raise ConfigError(
+            f"fault {part!r}: stop cycles are a load-script notion; "
+            f"faults are point events (slowdowns persist)"
+        )
+    if kind == "crash":
+        return [CycleFault(cycle=cycle, node=node, action="crash")]
+    return [CycleFault(cycle=cycle, node=node, action="slowdown", count=count)]
+
+
 def parse_load(spec: str) -> Optional[LoadScript]:
     """Parse the load DSL; ``"none"``/empty means no script."""
-    if not spec or spec == "none":
-        return None
-    triggers = []
-    for part in spec.split("+"):
-        node, cycle, count, stop = _parse_trigger(part)
-        triggers.append(
-            CycleTrigger(cycle=cycle, node=node, action="start", count=count)
-        )
-        if stop is not None:
-            triggers.append(
-                CycleTrigger(cycle=stop, node=node, action="stop", count=count)
-            )
-    return LoadScript(cycle_triggers=triggers)
+    triggers = _parse_parts(spec, _load_part)
+    return LoadScript(cycle_triggers=triggers) if triggers else None
 
 
 def parse_failure(spec: str) -> Optional[FailureScript]:
     """Parse the failure DSL; ``"none"``/empty means no script."""
-    if not spec or spec == "none":
-        return None
-    faults = []
-    for part in spec.split("+"):
-        kind, _, trigger = part.partition(":")
-        if kind not in ("slow", "crash"):
-            raise ConfigError(
-                f"bad fault kind {kind!r} in {part!r} (want slow|crash)"
-            )
-        node, cycle, count, stop = _parse_trigger(trigger)
-        if stop is not None:
-            raise ConfigError(
-                f"fault {part!r}: stop cycles are a load-script notion; "
-                f"faults are point events (slowdowns persist)"
-            )
-        if kind == "crash":
-            faults.append(CycleFault(cycle=cycle, node=node, action="crash"))
-        else:
-            faults.append(CycleFault(
-                cycle=cycle, node=node, action="slowdown", count=count,
-            ))
-    return FailureScript(cycle_faults=faults)
+    faults = _parse_parts(spec, _failure_part)
+    return FailureScript(cycle_faults=faults) if faults else None
 
 
 def has_crash(spec: str) -> bool:
@@ -226,16 +231,12 @@ def _reject_master_node(full: dict) -> None:
     """The farm master is rank 0 on node 0: churn there is not worker
     elasticity but master loss, which the farm (by design) does not
     survive — reject it at scenario-construction time."""
-    for kind, spec in (("load", full["load"]), ("failure", full["failure"])):
-        if not spec or spec == "none":
-            continue
-        for part in spec.split("+"):
-            trigger = part.partition(":")[2] if kind == "failure" else part
-            if _parse_trigger(trigger)[0] == 0:
-                raise ConfigError(
-                    f"farm scenarios cannot target node 0 ({kind} "
-                    f"{part!r}): node 0 hosts the master"
-                )
+    for kind, parse_part in (("load", _load_part), ("failure", _failure_part)):
+        if any(t.node == 0 for t in _parse_parts(full[kind], parse_part)):
+            raise ConfigError(
+                f"farm scenarios cannot target node 0 ({kind} "
+                f"{full[kind]!r}): node 0 hosts the master"
+            )
 
 
 @dataclass
@@ -248,12 +249,23 @@ class BuiltScenario:
     spec: RuntimeSpec
     load_script: Optional[LoadScript]
     failure_script: Optional[FailureScript]
-    #: sequential-reference check: (per_rank results) -> error string or ""
+    #: sequential-reference check: (the run's result) -> error string or ""
     oracle: Optional[Callable]
     #: set for ``app=farm``: the combo runs through
     #: :func:`repro.farm.run_farm` instead of ``run_program``
-    #: (and ``oracle`` then takes the :class:`~repro.farm.FarmResult`)
     farm_spec: Optional[FarmSpec] = None
+
+    def run(self):
+        """Run on a fresh cluster; the launcher installs the scripts.
+        Returns the :class:`~repro.apps.AppResult` (the
+        :class:`~repro.farm.FarmResult` for ``app=farm``)."""
+        cluster = Cluster(self.cluster_spec)
+        scripts = dict(load_script=self.load_script,
+                       failure_script=self.failure_script)
+        if self.farm_spec is not None:
+            return run_farm(cluster, self.farm_spec, **scripts)
+        return run_program(cluster, self.program, self.cfg, spec=self.spec,
+                           adaptive=True, **scripts)
 
 
 def _app_setup(full: dict, check: bool):
@@ -294,9 +306,9 @@ def _app_setup(full: dict, check: bool):
 
 
 def _grid_oracle(reference: Callable, *, exact: bool = False) -> Callable:
-    def check(per_rank) -> str:
+    def check(result) -> str:
         expected = reference()
-        for rank, out in enumerate(per_rank):
+        for rank, out in enumerate(result.per_rank):
             if out is None:  # crashed rank (fail-stop victim)
                 continue
             got = out["grid"]
@@ -311,11 +323,11 @@ def _grid_oracle(reference: Callable, *, exact: bool = False) -> Callable:
 
 
 def _cg_oracle(cfg: CGConfig) -> Callable:
-    def check(per_rank) -> str:
+    def check(result) -> str:
         A = cg_matrix_dense(cfg.n, nnz_target=cfg.nnz_target, seed=cfg.seed)
         x_ref, _ = cg_reference(A, np.ones(cfg.n), cfg.iters)
         x = np.zeros(cfg.n)
-        for out in per_rank:
+        for out in result.per_rank:
             if out is None:
                 continue
             for g, v in out["x_local"].items():
@@ -339,12 +351,8 @@ def _farm_scenario(full: dict, check: bool) -> BuiltScenario:
         name=f"farm-{full['policy']}",
     )
     farm.validate()
-    failure = parse_failure(full["failure"])
-    if failure is not None:
-        failure = FailureScript(cycle_faults=[
-            replace(f, action="kill") if f.action == "crash" else f
-            for f in failure.cycle_faults
-        ])
+    faults = [replace(f, action="kill") if f.action == "crash" else f
+              for f in _parse_parts(full["failure"], _failure_part)]
     cluster_spec = ClusterSpec(
         n_nodes=full["n_nodes"],
         node=NodeSpec(speed=1e8),
@@ -362,7 +370,7 @@ def _farm_scenario(full: dict, check: bool) -> BuiltScenario:
         cfg=None,
         spec=RuntimeSpec(),
         load_script=parse_load(full["load"]),
-        failure_script=failure,
+        failure_script=FailureScript(cycle_faults=faults) if faults else None,
         oracle=farm_oracle(farm) if check else None,
         farm_spec=farm,
     )

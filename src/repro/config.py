@@ -152,12 +152,6 @@ class ClusterSpec:
     def with_nodes(self, n_nodes: int) -> "ClusterSpec":
         return replace(self, n_nodes=n_nodes)
 
-    def with_seed(self, seed: int) -> "ClusterSpec":
-        """The same cluster with a different RNG seed — how campaign
-        sweeps and ``--seed`` CLI flags derive per-run variants."""
-        return replace(self, seed=seed)
-
-
 @dataclass(frozen=True)
 class ResilienceSpec:
     """In-memory neighbor checkpointing + crash recovery knobs
@@ -207,17 +201,10 @@ class RuntimeSpec:
     post_redist_period: int = 10
     #: dmpi_ps daemon sampling interval in seconds (paper: 1 s)
     daemon_interval: float = 1.0
-    #: /PROC CPU-time accounting granularity in seconds (paper: 10 ms)
-    proc_granularity: float = 0.010
-    #: iteration-time threshold below which gethrtime is used instead
-    #: of /PROC (paper: 10 ms)
-    hrtimer_threshold: float = 0.010
     #: whether node removal is considered at all
     allow_removal: bool = True
     #: "physical" (paper default) or "logical" dropping
     drop_mode: str = "physical"
-    #: minimum rows assigned to a logically dropped node
-    logical_min_rows: int = 1
     #: consider re-adding removed nodes when their load clears
     allow_rejoin: bool = False
     #: consider dropping subsets of loaded nodes (paper future work)

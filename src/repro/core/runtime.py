@@ -269,7 +269,7 @@ class DynMPI:
     # ------------------------------------------------------------------
     def _bind_process(self, proc) -> None:
         self.proc = proc
-        self.proc_clock = ProcClock(proc, self.spec.proc_granularity)
+        self.proc_clock = ProcClock(proc)
 
     # ------------------------------------------------------------------
     # registration (paper: DMPI_register_*, DMPI_init_phase, ...)
@@ -885,9 +885,7 @@ class DynMPI:
         total = np.zeros(len(rows))
         source = "none"
         for _key, samples in self._grace.items():
-            est, source = estimate_unloaded_times(
-                samples, self.spec.hrtimer_threshold
-            )
+            est, source = estimate_unloaded_times(samples)
             for g, value in zip(samples.rows, est):
                 if not (s <= g <= e):
                     raise SimulationError(

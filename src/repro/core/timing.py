@@ -27,7 +27,12 @@ from ..simcluster import ComputeRows
 from ..sysmon import HrTimer, ProcClock
 from ..sysmon.hrtimer import min_filter
 
-__all__ = ["GraceSamples", "estimate_unloaded_times", "timed_rows"]
+__all__ = ["HRTIMER_THRESHOLD", "GraceSamples", "estimate_unloaded_times",
+           "timed_rows"]
+
+#: median iteration time below which gethrtime is used instead of
+#: /PROC (paper: 10 ms, the /PROC granularity)
+HRTIMER_THRESHOLD = 0.010
 
 
 def timed_rows(hr: HrTimer, clock: ProcClock, works: np.ndarray) -> Generator:
@@ -65,10 +70,7 @@ class GraceSamples:
         return len(self.hr)
 
 
-def estimate_unloaded_times(
-    samples: GraceSamples,
-    hrtimer_threshold: float = 0.010,
-) -> tuple[np.ndarray, str]:
+def estimate_unloaded_times(samples: GraceSamples) -> tuple[np.ndarray, str]:
     """Per-owned-iteration unloaded time estimates (seconds).
 
     Returns ``(estimates, source)`` where source is "proc" or
@@ -81,7 +83,7 @@ def estimate_unloaded_times(
 
     hr_min = min_filter(samples.hr)
     median_iter = float(np.median(hr_min))
-    if median_iter >= hrtimer_threshold:
+    if median_iter >= HRTIMER_THRESHOLD:
         # /PROC: average the quantized deltas over cycles; quantization
         # noise is zero-mean at this scale
         est = np.mean(np.stack(samples.proc), axis=0)

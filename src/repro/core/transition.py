@@ -28,11 +28,14 @@ from .removal import DropDecision
 
 __all__ = ["MODE_NORMAL", "MODE_GRACE", "MODE_POST", "View", "Transition",
            "even_by_weight", "plan_rebalance", "plan_drop", "plan_rejoin",
-           "plan_recovery"]
+           "plan_recovery", "LOGICAL_MIN_ROWS"]
 
 MODE_NORMAL = "normal"
 MODE_GRACE = "grace"
 MODE_POST = "post"
+#: rows a logically dropped node keeps (paper Section 2.2: "a minimal
+#: amount of data")
+LOGICAL_MIN_ROWS = 1
 
 
 class View(NamedTuple):
@@ -118,7 +121,7 @@ def plan_drop(view: View, loop_size: int, decision: DropDecision,
               spec: RuntimeSpec) -> Transition:
     """Remove ``decision.removed`` (relative ranks).  *Physical*: they
     give up every row over the old group, then leave it.  *Logical*:
-    each keeps ``logical_min_rows`` rows at its rank position."""
+    each keeps :data:`LOGICAL_MIN_ROWS` rows at its rank position."""
     world = view.world
     n = len(world)
     removed = sorted(decision.removed)
@@ -141,7 +144,7 @@ def plan_drop(view: View, loop_size: int, decision: DropDecision,
             {"removed_world": [world[r] for r in removed], **times},
         )
     counts = np.zeros(n, dtype=int)
-    counts[removed] = spec.logical_min_rows
+    counts[removed] = LOGICAL_MIN_ROWS
     free_rows = loop_size - counts.sum()
     if free_rows <= 0:
         raise SimulationError("logical drop leaves no rows for active nodes")

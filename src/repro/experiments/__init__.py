@@ -14,13 +14,7 @@ from .figure4 import Figure4Row, cg_4node_narrative, format_figure4, run_figure4
 from .figure5 import Figure5Cell, format_figure5, run_figure5
 from .figure6 import Figure6Cell, format_figure6, run_figure6
 from .figure7 import Figure7Cell, format_figure7, run_figure7
-from .harness import (
-    Scenario,
-    bench_scale,
-    scaled,
-    scaled_spec,
-    steady_state_cycle_time,
-)
+from .harness import bench_scale, scaled, scaled_spec, steady_state_cycle_time
 from .memalloc import MemAllocRow, format_memalloc, run_memalloc
 from .report import format_table, print_table
 from .synthetic import (
@@ -40,6 +34,6 @@ __all__ = [
     "run_memalloc", "format_memalloc", "MemAllocRow",
     "run_balance_ablation", "format_balance_ablation", "BalanceAblationRow",
     "run_monitor_ablation", "format_monitor_ablation", "MonitorAblationRow",
-    "Scenario", "bench_scale", "scaled", "scaled_spec",
+    "bench_scale", "scaled", "scaled_spec",
     "steady_state_cycle_time", "format_table", "print_table",
 ]

@@ -27,11 +27,12 @@ from ..apps import (
     cg_program,
     jacobi_program,
     particle_program,
+    run_program,
     sor_program,
 )
 from ..config import RuntimeSpec, pentium_cluster
-from ..simcluster import single_competitor
-from .harness import Scenario, bench_scale, scaled, scaled_spec
+from ..simcluster import Cluster, single_competitor
+from .harness import bench_scale, scaled, scaled_spec
 from .report import format_table
 
 __all__ = ["Figure4Row", "run_figure4", "cg_4node_narrative", "APP_NAMES"]
@@ -110,16 +111,11 @@ def run_figure4(
                     None if variant == "dedicated"
                     else single_competitor(0, start_cycle=10)
                 )
-                scenario = Scenario(
-                    name=f"fig4:{app}:{n}:{variant}",
-                    cluster_spec=pentium_cluster(n, seed=seed),
-                    program=program,
-                    cfg=cfg,
+                times[variant] = run_program(
+                    Cluster(pentium_cluster(n, seed=seed)), program, cfg,
                     spec=scaled_spec(_SPEC, scale),
-                    adaptive=(variant == "dynmpi"),
-                    load_script=script,
-                )
-                times[variant] = scenario.run().wall_time
+                    adaptive=(variant == "dynmpi"), load_script=script,
+                ).wall_time
             rows.append(Figure4Row(
                 app, n, times["dedicated"], times["noadapt"], times["dynmpi"]
             ))
@@ -156,13 +152,11 @@ def cg_4node_narrative(*, scale: Optional[float] = None, seed: int = 0) -> CGNar
     results = {}
     for variant in ("dedicated", "noadapt", "dynmpi"):
         script = None if variant == "dedicated" else single_competitor(0, start_cycle=10)
-        res = Scenario(
-            name=f"cg4:{variant}",
-            cluster_spec=pentium_cluster(4, seed=seed),
-            program=program, cfg=cfg, spec=scaled_spec(_SPEC, scale),
+        results[variant] = run_program(
+            Cluster(pentium_cluster(4, seed=seed)), program, cfg,
+            spec=scaled_spec(_SPEC, scale),
             adaptive=(variant == "dynmpi"), load_script=script,
-        ).run()
-        results[variant] = res
+        )
     redists = [ev for ev in results["dynmpi"].events if ev.kind == "redistribute"]
     shares = tuple(redists[0].detail["shares"]) if redists else ()
     redist_s = sum(ev.duration for ev in redists)

@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 
-from ..apps import JacobiConfig, jacobi_program
+from ..apps import JacobiConfig, jacobi_program, run_program
 from ..config import RuntimeSpec, pentium_cluster
-from ..simcluster import CycleTrigger, LoadScript
-from .harness import Scenario, bench_scale, scaled, scaled_spec
+from ..simcluster import Cluster, CycleTrigger, LoadScript
+from .harness import bench_scale, scaled, scaled_spec
 from .report import format_table
 
 __all__ = ["Figure5Cell", "run_figure5", "format_figure5"]
@@ -82,16 +82,12 @@ def run_figure5(
             spec = scaled_spec(RuntimeSpec(allow_removal=False), scale)
             if policy == "redist_once":
                 spec = replace(spec, max_redistributions=1)
-            scenario = Scenario(
-                name=f"fig5:{period}:{policy}",
-                cluster_spec=pentium_cluster(n_nodes, seed=seed),
-                program=jacobi_program,
-                cfg=cfg,
-                spec=spec,
+            res = run_program(
+                Cluster(pentium_cluster(n_nodes, seed=seed)),
+                jacobi_program, cfg, spec=spec,
                 adaptive=(policy != "no_redist"),
                 load_script=LoadScript(cycle_triggers=script_triggers),
             )
-            res = scenario.run()
             redists = [ev for ev in res.events if ev.kind == "redistribute"]
             cells.append(Figure5Cell(
                 period_len=p,

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 
-from ..apps import SORConfig, sor_program
+from ..apps import SORConfig, run_program, sor_program
 from ..config import RuntimeSpec, ultrasparc_cluster
-from ..simcluster import single_competitor
-from .harness import Scenario, bench_scale, scaled, scaled_spec, steady_state_cycle_time
+from ..simcluster import Cluster, single_competitor
+from .harness import bench_scale, scaled, scaled_spec, steady_state_cycle_time
 from .report import format_table
 
 __all__ = ["Figure6Cell", "run_figure6", "format_figure6"]
@@ -52,16 +52,11 @@ def _run(n_nodes: int, n_cp: int, *, force: str, scale: float, seed: int,
         # time beats the measured one under a tiny margin
         base = replace(base, drop_margin=1e-9, post_redist_period=5)
     spec = scaled_spec(base, scale)
-    scenario = Scenario(
-        name=f"fig6:{n_nodes}n:{n_cp}cp:{force}",
-        cluster_spec=ultrasparc_cluster(n_nodes, seed=seed),
-        program=sor_program,
-        cfg=cfg,
+    return run_program(
+        Cluster(ultrasparc_cluster(n_nodes, seed=seed)), sor_program, cfg,
         spec=spec,
-        adaptive=True,
         load_script=single_competitor(0, start_cycle=10, count=n_cp),
     )
-    return scenario.run()
 
 
 def run_figure6(

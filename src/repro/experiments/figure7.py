@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
-from ..apps import ParticleConfig, particle_program
+from ..apps import ParticleConfig, particle_program, run_program
 from ..config import RuntimeSpec, pentium_cluster
-from ..simcluster import single_competitor
-from .harness import Scenario, bench_scale, scaled, scaled_spec, steady_state_cycle_time
+from ..simcluster import Cluster, single_competitor
+from .harness import bench_scale, scaled, scaled_spec, steady_state_cycle_time
 from .report import format_table
 
 __all__ = ["Figure7Cell", "run_figure7", "format_figure7"]
@@ -60,16 +60,11 @@ def run_figure7(
             spec = scaled_spec(
                 RuntimeSpec(grace_period=gp, allow_removal=False), scale
             )
-            scenario = Scenario(
-                name=f"fig7:part{part:g}:gp{gp}",
-                cluster_spec=pentium_cluster(n_nodes, seed=seed),
-                program=particle_program,
-                cfg=cfg,
-                spec=spec,
-                adaptive=True,
+            res = run_program(
+                Cluster(pentium_cluster(n_nodes, seed=seed)),
+                particle_program, cfg, spec=spec,
                 load_script=single_competitor(0, start_cycle=10),
             )
-            res = scenario.run()
             source = "none"
             for ctx in res.job.contexts:
                 if ctx.last_estimate_source != "none":

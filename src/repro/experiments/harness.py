@@ -1,4 +1,6 @@
-"""Experiment harness: scenario runners shared by the figure modules.
+"""Experiment harness: scaling and summary helpers shared by the
+figure modules, which run each scenario with ``run_program`` on a
+fresh ``Cluster``.
 
 Scaling: every experiment accepts ``scale`` (default from the
 ``DYNMPI_BENCH_SCALE`` environment variable, 1.0 = paper sizes).
@@ -10,23 +12,19 @@ results at scale 1.0.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import replace
 
 import numpy as np
 
-from ..apps import AppResult, run_program
-from ..config import ClusterSpec, RuntimeSpec
+from ..apps import AppResult
+from ..config import RuntimeSpec
 from ..errors import ConfigError
-from ..simcluster import Cluster, LoadScript
 
 __all__ = [
     "parse_scale",
     "bench_scale",
     "scaled",
     "scaled_spec",
-    "Scenario",
-    "run_scenario",
     "steady_state_cycle_time",
 ]
 
@@ -67,40 +65,6 @@ def scaled_spec(base: RuntimeSpec, scale: float) -> RuntimeSpec:
         return base
     interval = max(0.001, base.daemon_interval * scale * scale)
     return replace(base, daemon_interval=interval)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One application run: cluster + load + runtime policy."""
-
-    name: str
-    cluster_spec: ClusterSpec
-    program: Callable
-    cfg: object
-    spec: RuntimeSpec = field(default_factory=RuntimeSpec)
-    adaptive: bool = True
-    load_script: Optional[LoadScript] = None
-    #: override for the cluster RNG seed (``--seed`` on the CLI and the
-    #: campaign engine thread through here); None keeps the spec's seed
-    seed: Optional[int] = None
-
-    def run(self) -> AppResult:
-        cluster_spec = self.cluster_spec
-        if self.seed is not None and self.seed != cluster_spec.seed:
-            cluster_spec = cluster_spec.with_seed(self.seed)
-        cluster = Cluster(cluster_spec)
-        return run_program(
-            cluster,
-            self.program,
-            self.cfg,
-            spec=self.spec,
-            adaptive=self.adaptive,
-            load_script=self.load_script,
-        )
-
-
-def run_scenario(scenario: Scenario) -> AppResult:
-    return scenario.run()
 
 
 def steady_state_cycle_time(result: AppResult, *, tail_frac: float = 0.25) -> float:

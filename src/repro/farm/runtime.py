@@ -452,10 +452,9 @@ def run_farm(cluster, spec: FarmSpec, *, load_script=None,
     comm = make_comm(cluster, rank_to_node)
     if comm.size < 2:
         raise ConfigError("a farm needs a master and at least one worker")
-    if load_script is not None:
-        cluster.install_load_script(load_script)
-    if failure_script is not None:
-        cluster.install_failure_script(failure_script)
+    for script in (load_script, failure_script):
+        if script is not None:
+            cluster.install_script(script)
 
     win = Window(comm, _WIN_SLOTS, name=spec.name)
     state = _MasterState(spec, list(range(1, comm.size)))

@@ -1,8 +1,8 @@
-"""Fault-injection scripts (the failure-side mirror of
-:class:`~repro.simcluster.workload.LoadScript`).
+"""Fault-injection scripts.
 
 A :class:`FailureScript` is an ordered set of time- or cycle-triggered
-faults applied to a cluster.  Five fault kinds are supported:
+faults applied to a cluster: a :class:`~repro.simcluster.workload.Script`
+whose triggers are faults.  Five fault kinds are supported:
 
 ``crash``
     Fail-stop node failure, recoverable when
@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, Optional
 from ..errors import ConfigError, ReproError, SimulationError
 from ..obs.recorder import CPU_TID
 from ..simcluster.kernel import to_ns, to_s
+from ..simcluster.workload import Script
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcluster.cluster import Cluster
@@ -119,7 +120,7 @@ class CycleFault:
         _validate(self.action, self.count, self.duration, self.peers)
 
 
-class FailureScript:
+class FailureScript(Script):
     """An ordered set of fault triggers applied to a cluster."""
 
     def __init__(
@@ -127,38 +128,10 @@ class FailureScript:
         time_faults: Iterable[TimeFault] = (),
         cycle_faults: Iterable[CycleFault] = (),
     ):
-        self.time_faults = sorted(time_faults, key=lambda f: f.time)
-        self.cycle_faults = sorted(cycle_faults, key=lambda f: f.cycle)
-        self._fired_cycles: set[int] = set()
-        self._slow_handles: dict[int, list[str]] = {}
-        self._cluster: Optional["Cluster"] = None
+        super().__init__(time_faults, cycle_faults)
 
-    # -- lifecycle -----------------------------------------------------
-    def install(self, cluster: "Cluster") -> None:
-        """Bind to a cluster and schedule the time-based faults."""
-        self._cluster = cluster
-        for fault in self.time_faults:
-            cluster.sim.schedule(
-                to_ns(fault.time) - cluster.sim.now,
-                lambda fault=fault: self._apply(fault),
-            )
-
-    def on_cycle(self, cycle: int) -> None:
-        """Called by the runtime at each phase-cycle start."""
-        if cycle in self._fired_cycles:
-            return
-        self._fired_cycles.add(cycle)
-        for fault in self.cycle_faults:
-            if fault.cycle == cycle:
-                self._apply(fault)
-
-    # -- internals -----------------------------------------------------
-    def _apply(self, fault) -> None:
-        cluster = self._cluster
-        if cluster is None:
-            raise ConfigError("FailureScript not installed on a cluster")
-        apply = getattr(self, f"_apply_{fault.action}")
-        apply(cluster, fault)
+    def _apply(self, cluster: "Cluster", fault) -> None:
+        getattr(self, f"_apply_{fault.action}")(cluster, fault)
         if cluster.obs is not None:
             cluster.obs.instant(f"fault.{fault.action}", cat="fault",
                                 pid=fault.node, tid=CPU_TID)
@@ -166,9 +139,7 @@ class FailureScript:
     def _apply_crash(self, cluster: "Cluster", fault) -> None:
         cluster.failure_board.mark_crashed(fault.node, to_s(cluster.sim.now))
         # a dead node runs nothing: its competing load disappears with it
-        node = cluster.nodes[fault.node]
-        for handle in list(node.background):
-            node.stop_competing(handle)
+        cluster.nodes[fault.node].stop_all_competing()
 
     def _apply_kill(self, cluster: "Cluster", fault) -> None:
         cluster.failure_board.mark_killed(fault.node, to_s(cluster.sim.now))
@@ -183,17 +154,10 @@ class FailureScript:
             )
 
     def _apply_slowdown(self, cluster: "Cluster", fault) -> None:
-        node = cluster.nodes[fault.node]
-        handles = self._slow_handles.setdefault(fault.node, [])
-        started = [node.start_competing() for _ in range(fault.count)]
-        handles.extend(started)
+        started = self._start(fault.node, fault.count)
         if fault.duration > 0:
-            def stop(started=started, node=node, handles=handles) -> None:
-                for h in started:
-                    if h in handles:
-                        handles.remove(h)
-                        node.stop_competing(h)
-            cluster.sim.schedule(to_ns(fault.duration), stop)
+            cluster.sim.schedule(to_ns(fault.duration), self._stop,
+                                 fault.node, started)
 
     def _apply_partition(self, cluster: "Cluster", fault) -> None:
         cluster.network.partition({fault.node, *fault.peers})

@@ -12,8 +12,8 @@ from .kernel import ProcState, Signal, Simulator, SimProcess, to_ns, to_s
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
-from .syscalls import Compute, ComputeRows, Fork, Poll, Sleep, Wait, WaitAny
-from .workload import CycleTrigger, LoadScript, TimeTrigger, single_competitor
+from .syscalls import Compute, ComputeRows, Poll, Sleep, Wait
+from .workload import CycleTrigger, LoadScript, Script, TimeTrigger, single_competitor
 
 __all__ = [
     "Cluster",
@@ -31,8 +31,7 @@ __all__ = [
     "Poll",
     "Sleep",
     "Wait",
-    "WaitAny",
-    "Fork",
+    "Script",
     "LoadScript",
     "TimeTrigger",
     "CycleTrigger",

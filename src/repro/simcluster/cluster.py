@@ -17,7 +17,7 @@ from .kernel import SimProcess, Simulator, to_s
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
-from .workload import LoadScript
+from .workload import Script
 
 __all__ = ["Cluster"]
 
@@ -44,11 +44,12 @@ class Cluster:
         ]
         self.network = Network(self.sim, spec.network, spec.n_nodes,
                                obs=self.obs)
-        self.load_script: Optional[LoadScript] = None
+        #: the installed load and fault scripts, in install order (the
+        #: order their cycle triggers fire in)
+        self.scripts: list[Script] = []
         #: ground-truth node-failure state; always present (and empty)
         #: so readers need no None checks
         self.failure_board = FailureBoard(spec.n_nodes)
-        self.failure_script = None
         #: node_id -> application (rank) processes launched there, the
         #: kill/inject fault targets; populated by DynMPIJob.launch
         self.app_procs: dict[int, list[SimProcess]] = {}
@@ -61,12 +62,8 @@ class Cluster:
     def n_nodes(self) -> int:
         return self.spec.n_nodes
 
-    def install_load_script(self, script: LoadScript) -> None:
-        self.load_script = script
-        script.install(self)
-
-    def install_failure_script(self, script) -> None:
-        self.failure_script = script
+    def install_script(self, script: Script) -> None:
+        self.scripts.append(script)
         script.install(self)
 
     def register_app_proc(self, node_id: int, proc: SimProcess) -> None:
@@ -75,10 +72,8 @@ class Cluster:
     def notify_cycle(self, cycle: int) -> None:
         """Called by the runtime at phase-cycle boundaries so that
         cycle-triggered load and failure scripts can fire."""
-        if self.load_script is not None:
-            self.load_script.on_cycle(cycle)
-        if self.failure_script is not None:
-            self.failure_script.on_cycle(cycle)
+        for script in self.scripts:
+            script.on_cycle(cycle)
 
     def _load_changed(self) -> None:
         self.load_version += 1

@@ -195,10 +195,6 @@ class RoundRobinCPU:
         self.cancel(job)
         bg.state = ProcState.DONE
 
-    @property
-    def n_background(self) -> int:
-        return len(self._bg_jobs)
-
     # -- public -----------------------------------------------------------
     def submit(self, proc, work: float, callback, *cb_args,
                spin: bool = False) -> Job:

@@ -52,7 +52,7 @@ import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .syscalls import Compute, ComputeRows, Fork, Poll, Sleep, Syscall, Wait, WaitAny
+from .syscalls import Compute, ComputeRows, Poll, Sleep, Syscall, Wait
 
 __all__ = [
     "Perturb", "ProcState", "Signal", "SimProcess", "Simulator", "Timer",
@@ -187,13 +187,6 @@ class Signal:
         else:
             self._waiters.append((cb, args))
 
-    def discard_waiter(self, cb: Callable[[Any], None]) -> None:
-        """Drop the first argument-less registration of ``cb``."""
-        for i, (fn, args) in enumerate(self._waiters):
-            if fn == cb and not args:
-                del self._waiters[i]
-                return
-
 
 class SimProcess:
     """A simulated process: a generator plus scheduling bookkeeping.
@@ -260,7 +253,7 @@ class Simulator:
 
     def add_watchdog(self, cb: Callable[[SimProcess, Syscall], None]) -> None:
         """Register ``cb(proc, request)`` to run every time a process
-        blocks on a Wait/WaitAny.  Watchdogs may raise (e.g. the
+        blocks on a Wait.  Watchdogs may raise (e.g. the
         communication sanitizer's wait-for-graph deadlock check turns a
         would-be hang into an immediate diagnostic); the exception
         propagates out of :meth:`run`.
@@ -442,30 +435,10 @@ class Simulator:
                 proc, request.chunk, self._resume_done, proc, spin=True
             )
             request.signal.add_waiter(cpu.stop_spin, job)
-        elif isinstance(request, WaitAny):
-            proc.state = ProcState.BLOCKED
-            hit: list[int] = []  # shared by the waiters: first one in wins
-            for idx, sig in enumerate(request.signals):
-                sig.add_waiter(self._wake_any, proc, hit, idx)
-            if self._watchdogs:
-                self._notify_block(proc, request)
-        elif isinstance(request, Fork):
-            child = request.process
-            child.sim = self
-            child.done_signal = self.signal(f"done:{child.name}")
-            self.processes.append(child)
-            child.state = ProcState.READY
-            self.call_soon(self._resume, child, None)
-            self.call_soon(self._resume, proc, child)
         else:
             raise SimulationError(
                 f"process {proc.name} yielded a non-syscall: {request!r}"
             )
-
-    def _wake_any(self, proc: SimProcess, hit: list, idx: int, value: Any) -> None:
-        if not hit:
-            hit.append(idx)
-            self._wake(proc, (idx, value))
 
     def _wake(self, proc: SimProcess, value: Any) -> None:
         if proc.state in (ProcState.DONE, ProcState.FAILED):

@@ -4,7 +4,7 @@ A simulated process is a Python generator.  It interacts with the
 kernel by yielding one of the request objects below; the kernel
 performs the request and resumes the generator with the result (if
 any).  Higher layers (the MPI library, the Dyn-MPI runtime) are built
-from these seven primitives:
+from these five primitives:
 
 * :class:`Compute` — consume CPU work units on the owning node.  The
   time this takes depends on the node's speed *and* on competing
@@ -19,9 +19,6 @@ from these seven primitives:
 * :class:`Sleep` — advance simulated time without using CPU.
 * :class:`Wait` — block until a :class:`~repro.simcluster.kernel.Signal`
   fires; resumes with the fired value.
-* :class:`WaitAny` — block until the first of several signals fires;
-  resumes with ``(index, value)``.
-* :class:`Fork` — start another process (used by daemons).
 """
 
 from __future__ import annotations
@@ -32,9 +29,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .kernel import Signal, SimProcess
+    from .kernel import Signal
 
-__all__ = ["Compute", "ComputeRows", "Poll", "Sleep", "Wait", "WaitAny", "Fork", "Syscall"]
+__all__ = ["Compute", "ComputeRows", "Poll", "Sleep", "Wait", "Syscall"]
 
 
 class Syscall:
@@ -118,18 +115,3 @@ class Wait(Syscall):
     """Block until ``signal`` fires; resume with its value."""
 
     signal: "Signal"
-
-
-@dataclass(frozen=True)
-class WaitAny(Syscall):
-    """Block until the first of ``signals`` fires; resume with
-    ``(index, value)``."""
-
-    signals: Sequence["Signal"]
-
-
-@dataclass(frozen=True)
-class Fork(Syscall):
-    """Schedule ``process`` to start immediately; resume with it."""
-
-    process: "SimProcess"

@@ -10,10 +10,12 @@ provided:
   cluster start-up via the event queue);
 * :class:`CycleTrigger` — fire when the application reaches a given
   phase-cycle number (the Dyn-MPI runtime reports cycle boundaries to
-  the script through :meth:`LoadScript.on_cycle`).
+  the script through :meth:`Script.on_cycle`).
 
-A :class:`LoadScript` is a collection of triggers; the experiment
-harness attaches it to the cluster so that both styles work together.
+A :class:`LoadScript` is a collection of triggers.  Its base
+:class:`Script` is the one trigger mechanism, shared with the fault
+scripts of :mod:`repro.resilience.failures`; ``Cluster.install_script``
+binds either kind.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .kernel import to_ns
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
 
-__all__ = ["TimeTrigger", "CycleTrigger", "LoadScript", "single_competitor"]
+__all__ = ["TimeTrigger", "CycleTrigger", "Script", "LoadScript", "single_competitor"]
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,18 @@ class CycleTrigger:
             raise ConfigError("cycle must be >= 0")
 
 
-class LoadScript:
-    """An ordered set of load triggers applied to a cluster."""
+class Script:
+    """An ordered set of time and cycle triggers applied to a cluster.
 
-    def __init__(
-        self,
-        time_triggers: Iterable[TimeTrigger] = (),
-        cycle_triggers: Iterable[CycleTrigger] = (),
-    ):
+    The one trigger mechanism: the competing-load script here and the
+    fault script of :mod:`repro.resilience.failures` differ only in
+    what :meth:`_apply` does with a trigger.
+    """
+
+    def __init__(self, time_triggers: Iterable = (), cycle_triggers: Iterable = ()):
         self.time_triggers = sorted(time_triggers, key=lambda t: t.time)
         self.cycle_triggers = sorted(cycle_triggers, key=lambda t: t.cycle)
+        #: node id -> competitors this script started and still runs
         self._handles: dict[int, list[str]] = {}
         self._fired_cycles: set[int] = set()
         self._cluster: Optional["Cluster"] = None
@@ -87,10 +91,8 @@ class LoadScript:
         """Bind to a cluster and schedule the time-based triggers."""
         self._cluster = cluster
         for trig in self.time_triggers:
-            cluster.sim.schedule(
-                to_ns(trig.time) - cluster.sim.now,
-                lambda trig=trig: self._apply(trig),
-            )
+            cluster.sim.schedule(to_ns(trig.time) - cluster.sim.now,
+                                 self._fire, trig)
 
     def on_cycle(self, cycle: int) -> None:
         """Called by the runtime (rank 0) at each phase-cycle start."""
@@ -99,24 +101,46 @@ class LoadScript:
         self._fired_cycles.add(cycle)
         for trig in self.cycle_triggers:
             if trig.cycle == cycle:
-                self._apply(trig)
+                self._fire(trig)
 
     # -- internals -----------------------------------------------------------
-    def _apply(self, trig) -> None:
+    def _fire(self, trig) -> None:
         if self._cluster is None:
-            raise ConfigError("LoadScript not installed on a cluster")
-        node = self._cluster.nodes[trig.node]
-        handles = self._handles.setdefault(trig.node, [])
+            raise ConfigError(f"{type(self).__name__} not installed on a cluster")
+        self._apply(self._cluster, trig)
+
+    def _apply(self, cluster: "Cluster", trig) -> None:
+        raise NotImplementedError
+
+    def _start(self, node_id: int, count: int) -> list[str]:
+        """Start ``count`` competitors on ``node_id``; returns their handles."""
+        node = self._cluster.nodes[node_id]
+        started = [node.start_competing() for _ in range(count)]
+        self._handles.setdefault(node_id, []).extend(started)
+        return started
+
+    def _stop(self, node_id: int, handles: Iterable[str]) -> None:
+        """Stop those of ``handles`` this script still runs, in order."""
+        held = self._handles.get(node_id, [])
+        node = self._cluster.nodes[node_id]
+        for h in list(handles):
+            if h in held:
+                held.remove(h)
+                node.stop_competing(h)
+
+
+class LoadScript(Script):
+    """Competing processes started and stopped by :class:`TimeTrigger`
+    and :class:`CycleTrigger` s."""
+
+    def _apply(self, cluster: "Cluster", trig) -> None:
         if trig.action == "start":
-            for _ in range(trig.count):
-                handles.append(node.start_competing())
-        else:
-            for _ in range(min(trig.count, len(handles))):
-                node.stop_competing(handles.pop())
-        obs = self._cluster.obs
-        if obs is not None:
-            obs.instant(f"load.{trig.action}", cat="load", pid=trig.node,
-                        tid=CPU_TID, count=trig.count)
+            self._start(trig.node, trig.count)
+        else:  # the newest first
+            self._stop(trig.node, self._handles.get(trig.node, [])[::-1][:trig.count])
+        if cluster.obs is not None:
+            cluster.obs.instant(f"load.{trig.action}", cat="load", pid=trig.node,
+                                tid=CPU_TID, count=trig.count)
 
 
 def single_competitor(

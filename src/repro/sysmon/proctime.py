@@ -20,11 +20,14 @@ import numpy as np
 from ..errors import SimulationError
 from ..simcluster.kernel import SimProcess, to_ns
 
-__all__ = ["ProcClock"]
+__all__ = ["PROC_GRANULARITY", "ProcClock"]
+
+#: /PROC CPU-time accounting granularity in seconds (paper: 10 ms)
+PROC_GRANULARITY = 0.010
 
 
 class ProcClock:
-    def __init__(self, proc: SimProcess, granularity: float = 0.010):
+    def __init__(self, proc: SimProcess, granularity: float = PROC_GRANULARITY):
         if granularity <= 0:
             raise SimulationError("granularity must be positive")
         self.proc = proc

@@ -112,7 +112,7 @@ def test_parse_load_dsl():
 def test_parse_failure_dsl():
     assert parse_failure("none") is None
     script = parse_failure("slow:n0@c2x2+crash:n1@c5")
-    acts = [(f.node, f.cycle, f.action) for f in script.cycle_faults]
+    acts = [(f.node, f.cycle, f.action) for f in script.cycle_triggers]
     assert (0, 2, "slowdown") in acts
     assert (1, 5, "crash") in acts
     with pytest.raises(ConfigError):

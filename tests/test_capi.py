@@ -74,7 +74,7 @@ def figure2_program(ctx, numprocs):
 
 def test_figure2_program_runs_and_adapts():
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=4, node=0, action="start")
     ]))
     job = DynMPIJob(cluster, RuntimeSpec(

@@ -61,28 +61,3 @@ def test_cli_seed_flag_threads_into_figures(capsys):
                  "--seed", "3"]) == 0
     again = capsys.readouterr().out
     assert seeded == again          # same seed -> identical tables
-
-
-def test_scenario_seed_override_equals_reseeded_spec():
-    from repro.campaign.scenarios import build_scenario
-    from repro.experiments.harness import Scenario
-
-    built = build_scenario({"app": "jacobi", "size": 16, "cycles": 4,
-                            "n_nodes": 2, "check": 0})
-
-    def scenario(**kw):
-        return Scenario(name="s", cluster_spec=built.cluster_spec,
-                        program=built.program, cfg=built.cfg,
-                        spec=built.spec, **kw)
-
-    # the override is equivalent to baking the seed into the spec...
-    overridden = scenario(seed=5).run()
-    baked = scenario().run()
-    rebaked = Scenario(
-        name="s", cluster_spec=built.cluster_spec.with_seed(5),
-        program=built.program, cfg=built.cfg, spec=built.spec,
-    ).run()
-    assert overridden.wall_time == rebaked.wall_time
-    # ...and seed=None keeps the spec's own seed
-    assert baked.wall_time == scenario(seed=built.cluster_spec.seed).run() \
-        .wall_time

@@ -13,7 +13,9 @@ from repro.config import (
     pentium_cluster,
     ultrasparc_cluster,
 )
+from repro.core.timing import HRTIMER_THRESHOLD
 from repro.errors import ConfigError
+from repro.sysmon.proctime import PROC_GRANULARITY
 
 
 def test_node_spec_defaults_valid():
@@ -136,8 +138,8 @@ def test_runtime_spec_paper_defaults():
     assert spec.grace_period == 5          # paper Section 4.2
     assert spec.post_redist_period == 10   # paper Section 4.4
     assert spec.daemon_interval == 1.0     # dmpi_ps updates every second
-    assert spec.proc_granularity == 0.010  # /PROC granularity
-    assert spec.hrtimer_threshold == 0.010
+    assert PROC_GRANULARITY == 0.010       # /PROC granularity
+    assert HRTIMER_THRESHOLD == 0.010
     assert spec.drop_mode == "physical"
     assert spec.allow_removal
     assert not spec.allow_rejoin

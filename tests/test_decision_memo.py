@@ -220,7 +220,7 @@ def test_divergent_replica_misses_the_memo_and_fails_lockstep(monkeypatch):
                             cpu_per_byte=0.4, cpu_per_msg=3000.0),
         sanitize=True,
     ))
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]))
     job = DynMPIJob(cluster, RuntimeSpec(
         grace_period=3, post_redist_period=5, allow_removal=False,

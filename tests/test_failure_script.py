@@ -55,8 +55,8 @@ def test_node_crash_needs_exactly_one_trigger():
         node_crash(1)
     with pytest.raises(ConfigError):
         node_crash(1, at_cycle=5, at_time=1.0)
-    assert node_crash(1, at_cycle=5).cycle_faults[0].cycle == 5
-    assert node_crash(1, at_time=2.0).time_faults[0].time == 2.0
+    assert node_crash(1, at_cycle=5).cycle_triggers[0].cycle == 5
+    assert node_crash(1, at_time=2.0).time_triggers[0].time == 2.0
 
 
 def test_uninstalled_script_cannot_fire():
@@ -70,7 +70,7 @@ def test_cycle_fault_fires_once():
     cluster = make_cluster()
     script = FailureScript(cycle_faults=[
         CycleFault(cycle=3, node=1, action="slowdown", count=2)])
-    cluster.install_failure_script(script)
+    cluster.install_script(script)
     cluster.notify_cycle(3)
     cluster.notify_cycle(3)  # duplicate notification must not re-fire
     assert len(cluster.nodes[1].background) == 2
@@ -83,7 +83,7 @@ def test_cycle_fault_fires_once():
 def test_crash_marks_board_and_stops_competing():
     cluster = make_cluster(observe=True)
     cluster.nodes[2].start_competing()
-    cluster.install_failure_script(node_crash(2, at_cycle=5))
+    cluster.install_script(node_crash(2, at_cycle=5))
     cluster.notify_cycle(5)
     board = cluster.failure_board
     assert board.crashed(2) and board.failed(2)
@@ -99,7 +99,7 @@ def test_crash_marks_board_and_stops_competing():
 
 def test_time_triggered_crash():
     cluster = make_cluster()
-    cluster.install_failure_script(node_crash(1, at_time=2.5))
+    cluster.install_script(node_crash(1, at_time=2.5))
     p = cluster.sim.spawn(spin(5.0), name="clock")
     cluster.sim.run_all([p])
     assert cluster.failure_board.crashed(1)
@@ -114,7 +114,7 @@ def test_slowdown_is_transient():
     cluster = make_cluster()
     script = FailureScript(time_faults=[
         TimeFault(time=1.0, node=0, action="slowdown", count=3, duration=2.0)])
-    cluster.install_failure_script(script)
+    cluster.install_script(script)
     seen = []
     cluster.sim.schedule(to_ns(1.5), lambda: seen.append(len(cluster.nodes[0].background)))
     cluster.sim.schedule(to_ns(4.0), lambda: seen.append(len(cluster.nodes[0].background)))
@@ -127,7 +127,7 @@ def test_slowdown_without_duration_persists():
     cluster = make_cluster()
     script = FailureScript(time_faults=[
         TimeFault(time=1.0, node=0, action="slowdown", count=2)])
-    cluster.install_failure_script(script)
+    cluster.install_script(script)
     p = cluster.sim.spawn(spin(5.0), name="clock")
     cluster.sim.run_all([p])
     assert len(cluster.nodes[0].background) == 2
@@ -139,7 +139,7 @@ def test_slowdown_without_duration_persists():
 
 def test_kill_requires_registered_app_procs():
     cluster = make_cluster()
-    cluster.install_failure_script(FailureScript(cycle_faults=[
+    cluster.install_script(FailureScript(cycle_faults=[
         CycleFault(cycle=0, node=1, action="kill")]))
     with pytest.raises(SimulationError):
         cluster.notify_cycle(0)
@@ -149,7 +149,7 @@ def test_kill_terminates_registered_proc():
     cluster = make_cluster()
     victim = cluster.sim.spawn(spin(), name="victim", node=cluster.nodes[1])
     cluster.register_app_proc(1, victim)
-    cluster.install_failure_script(FailureScript(time_faults=[
+    cluster.install_script(FailureScript(time_faults=[
         TimeFault(time=1.0, node=1, action="kill")]))
     clock = cluster.sim.spawn(spin(2.0), name="clock")
     cluster.sim.run_all([clock])
@@ -171,7 +171,7 @@ def test_inject_delivers_catchable_fault():
     victim = cluster.sim.spawn(victim_prog(), name="victim",
                                node=cluster.nodes[0])
     cluster.register_app_proc(0, victim)
-    cluster.install_failure_script(FailureScript(time_faults=[
+    cluster.install_script(FailureScript(time_faults=[
         TimeFault(time=1.0, node=0, action="inject")]))
     clock = cluster.sim.spawn(spin(2.0), name="clock")
     cluster.sim.run_all([clock, victim])
@@ -190,7 +190,7 @@ def test_partition_holds_and_heal_retransmits():
         TimeFault(time=1.0, node=0, action="partition", peers=(1,)),
         TimeFault(time=3.0, node=0, action="heal"),
     ])
-    cluster.install_failure_script(script)
+    cluster.install_script(script)
     delivered = []
     # sent while partitioned: {0,1} vs {2,3}
     cluster.sim.schedule(
@@ -213,7 +213,7 @@ def test_partition_validates_island():
     cluster = make_cluster()
     script = FailureScript(time_faults=[
         TimeFault(time=0.5, node=99, action="partition")])
-    cluster.install_failure_script(script)
+    cluster.install_script(script)
     clock = cluster.sim.spawn(spin(1.0), name="clock")
     with pytest.raises(SimulationError):
         cluster.sim.run_all([clock])

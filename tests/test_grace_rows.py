@@ -225,7 +225,7 @@ def test_runtime_grace_matches_row_loop(split, churn, monkeypatch):
             n_nodes=4, observe=True, node=NodeSpec(speed=SPEED, quantum=QUANTUM),
             network=NetworkSpec(latency=75e-6, bandwidth=12.5e6,
                                 cpu_per_byte=0.4, cpu_per_msg=3000.0)))
-        cluster.install_load_script(LoadScript(
+        cluster.install_script(LoadScript(
             time_triggers=_CHURN[churn],
             cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]))
         job = DynMPIJob(cluster, RuntimeSpec(grace_period=3, post_redist_period=5,

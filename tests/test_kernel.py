@@ -9,11 +9,8 @@ from repro.simcluster import (
     Simulator,
     Sleep,
     Wait,
-    WaitAny,
     to_ns,
 )
-from repro.simcluster.kernel import SimProcess
-from repro.simcluster.syscalls import Fork
 
 
 def test_empty_run_returns_zero():
@@ -112,21 +109,6 @@ def test_signal_double_fire_raises():
         sig.fire()
 
 
-def test_wait_any_returns_first_index():
-    sim = Simulator()
-    s1, s2 = sim.signal("a"), sim.signal("b")
-
-    def waiter():
-        idx, value = yield WaitAny([s1, s2])
-        return (idx, value)
-
-    p = sim.spawn(waiter(), name="w")
-    sim.schedule(2, lambda: s2.fire("second"))
-    sim.schedule(5, lambda: s1.fire("first"))
-    sim.run()
-    assert p.result == (1, "second")
-
-
 def test_deadlock_detection_lists_blocked():
     sim = Simulator()
     sig = sim.signal()
@@ -185,24 +167,6 @@ def test_process_exception_propagates_and_marks_failed():
         sim.run()
     assert p.state == ProcState.FAILED
     assert isinstance(p.error, ValueError)
-
-
-def test_fork_starts_child():
-    sim = Simulator()
-    log = []
-
-    def child():
-        yield Sleep(1.0)
-        log.append("child")
-
-    def parent():
-        c = yield Fork(SimProcess("c", child()))
-        yield Wait(c.done_signal)
-        log.append("parent")
-
-    sim.spawn(parent(), name="parent")
-    sim.run()
-    assert log == ["child", "parent"]
 
 
 def test_done_signal_fires_with_result():
@@ -454,23 +418,6 @@ def test_args_reach_the_callback():
     assert got == [("soon", ("x",)), ("timed", (1, None)),
                    ("waiter", ("bound", 2, "value")), ("bare", ("value",)),
                    ("late", ("bound", "value"))]
-
-
-def test_discard_waiter_removes_only_the_bare_registration():
-    sim = Simulator()
-    got = []
-
-    def cb(*a):
-        got.append(a)
-
-    sig = sim.signal("s")
-    sig.add_waiter(cb, "bound")
-    sig.add_waiter(cb)
-    sig.add_waiter(cb)
-    sig.discard_waiter(cb)
-    sig.fire("v")
-    sim.run()
-    assert got == [("bound", "v"), ("v",)]
 
 
 def test_schedule_rejects_nan_delay():

@@ -141,7 +141,7 @@ def test_crash_recovery_byte_identical():
                                     cpu_per_byte=0.4, cpu_per_msg=3000.0),
                 observe=True,
             ))
-        cluster.install_failure_script(node_crash(2, at_cycle=10))
+        cluster.install_script(node_crash(2, at_cycle=10))
         job = DynMPIJob(cluster, RuntimeSpec(
             grace_period=2, post_redist_period=3, allow_removal=True,
             drop_mode="physical", allow_rejoin=True, daemon_interval=0.01,

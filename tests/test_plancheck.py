@@ -235,7 +235,7 @@ def sanitized_adaptive_job():
                             cpu_per_byte=0.4, cpu_per_msg=3000.0),
         sanitize=True,
     ))
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]
     ))
     return cluster, DynMPIJob(cluster, RuntimeSpec(

@@ -95,7 +95,7 @@ def test_runtime_invariants_under_arbitrary_load(script, n_nodes, removal,
                      action=t.action, count=t.count)
         for t in script.cycle_triggers
     ])
-    cluster.install_load_script(script)
+    cluster.install_script(script)
     job = DynMPIJob(cluster, RuntimeSpec(
         grace_period=2, post_redist_period=3,
         allow_removal=removal, allow_rejoin=rejoin, daemon_interval=0.002,
@@ -133,7 +133,7 @@ def test_simulation_determinism_same_seed(seed):
             network=NetworkSpec(latency=75e-6, bandwidth=12.5e6),
             seed=seed,
         ))
-        cluster.install_load_script(LoadScript(cycle_triggers=[
+        cluster.install_script(LoadScript(cycle_triggers=[
             CycleTrigger(cycle=5, node=1, action="start"),
         ]))
         job = DynMPIJob(cluster, RuntimeSpec(

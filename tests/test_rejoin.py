@@ -51,7 +51,7 @@ def program(ctx, n_cycles, row_work, check_data=False):
 def run_scenario(*, allow_rejoin, n_cycles=120, stop_cycle=60):
     cluster = make_cluster(4)
     # heavy load drives the drop; it disappears at stop_cycle
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=4, node=2, action="start", count=8),
         CycleTrigger(cycle=stop_cycle, node=2, action="stop", count=8),
     ]))
@@ -106,7 +106,7 @@ def test_rejoin_during_post_redistribution_period():
     checkpointing enabled so the rejoin path of the resilient control
     exchange is the one exercised."""
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=4, node=2, action="start", count=8),
         # a second load change opens a long POST window on the
         # survivor group just before node 2's load clears
@@ -136,7 +136,7 @@ def test_rejoined_node_participates_in_collectives():
     """After rejoin, the next load change redistributes over the full
     group again (the rejoined rank is a first-class member)."""
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=4, node=2, action="start", count=8),
         CycleTrigger(cycle=50, node=2, action="stop", count=8),
         CycleTrigger(cycle=90, node=1, action="start", count=1),
@@ -164,7 +164,7 @@ def run_staggered_drops(monkeypatch, last_trigger, **spec_kw):
     drop[3]@45, rejoin[2]@79, then ``last_trigger`` at cycle 110."""
     monkeypatch.setitem(globals(), "N_ROWS", 96)  # read by program()
     cluster = make_cluster(6)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=4, node=2, action="start", count=8),
         CycleTrigger(cycle=30, node=3, action="start", count=8),
         CycleTrigger(cycle=70, node=2, action="stop", count=8),

@@ -79,7 +79,7 @@ def resilient_spec(**kw):
 
 def run_crash_scenario(script, *, spec=None, n_cycles=30, observe=None):
     cluster = make_cluster(4, observe)
-    cluster.install_failure_script(script)
+    cluster.install_script(script)
     job = DynMPIJob(cluster, spec or resilient_spec())
     results = job.launch(program, args=(n_cycles, ROW_WORK, True))
     return job, results
@@ -292,10 +292,10 @@ def test_crash_of_parked_rank():
     rejoin) is excised from the rejoin protocol via a 'dead' token; no
     data recovery is needed because it owned no rows."""
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=4, node=2, action="start", count=8),
     ]))
-    cluster.install_failure_script(node_crash(2, at_cycle=30))
+    cluster.install_script(node_crash(2, at_cycle=30))
     # comm-dominant cycles so the loaded node is dropped (the
     # test_rejoin regime), with a proportionally tight heartbeat
     job = DynMPIJob(cluster, resilient_spec(
@@ -342,17 +342,15 @@ def test_checkpoint_interval_spacing():
 def _run_jacobi(crash_cycle=None, *, observe=None, load_script=None, **spec_kw):
     from repro.apps import JacobiConfig, jacobi_program, run_program
 
-    cluster = make_cluster(4, observe)
-    if crash_cycle is not None:
-        cluster.install_failure_script(node_crash(1, at_cycle=crash_cycle))
     spec = resilient_spec(
         daemon_interval=0.001,
         resilience=ResilienceSpec(heartbeat_timeout=0.004),
         **spec_kw,
     )
     cfg = JacobiConfig(n=64, iters=60, materialized=True, collect=True, seed=3)
-    return run_program(cluster, jacobi_program, cfg, spec=spec,
-                       load_script=load_script)
+    failure = None if crash_cycle is None else node_crash(1, at_cycle=crash_cycle)
+    return run_program(make_cluster(4, observe), jacobi_program, cfg, spec=spec,
+                       load_script=load_script, failure_script=failure)
 
 
 def test_jacobi_bitwise_equal_after_crash():
@@ -418,7 +416,7 @@ def test_hard_kill_poisons_survivors():
         CycleFault(cycle=8, node=1, action="kill"),
     ])
     cluster = make_cluster(4)
-    cluster.install_failure_script(script)
+    cluster.install_script(script)
     job = DynMPIJob(cluster, RuntimeSpec(daemon_interval=0.01))
     with pytest.raises(RankFailedError):
         job.launch(program, args=(30, ROW_WORK))

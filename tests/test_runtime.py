@@ -149,7 +149,7 @@ def test_no_load_change_means_no_adaptation():
 
 def test_load_change_triggers_grace_then_redistribution():
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]
     ))
     job = DynMPIJob(cluster, RuntimeSpec(grace_period=3, post_redist_period=5,
@@ -201,7 +201,7 @@ def test_exec_rows_runs_once_per_compute_call(split, monkeypatch):
             log.append((mode, rows or (s, e), calls))
 
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]
     ))
     job = DynMPIJob(cluster, RuntimeSpec(grace_period=3, post_redist_period=5,
@@ -228,7 +228,7 @@ GRACE_SAMPLES_AT_PARENT = {
 
 def test_redistribution_preserves_array_contents():
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=1, action="start", count=2)]
     ))
     job = DynMPIJob(cluster, RuntimeSpec(grace_period=2, post_redist_period=4,
@@ -237,7 +237,7 @@ def test_redistribution_preserves_array_contents():
     job.launch(synthetic_program, args=(40,), )
     # run again with data checking enabled via kwargs-like tuple
     cluster2 = make_cluster(4)
-    cluster2.install_load_script(LoadScript(
+    cluster2.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=1, action="start", count=2)]
     ))
     job2 = DynMPIJob(cluster2, RuntimeSpec(grace_period=2, post_redist_period=4,
@@ -254,7 +254,7 @@ def test_redistribution_preserves_array_contents():
 
 def test_second_load_change_triggers_second_redistribution():
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=5, node=0, action="start"),
         CycleTrigger(cycle=25, node=0, action="stop"),
     ]))
@@ -273,7 +273,7 @@ def test_second_load_change_triggers_second_redistribution():
 
 def test_non_adaptive_job_never_redistributes():
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start")]
     ))
     job = DynMPIJob(cluster, adaptive=False)
@@ -288,7 +288,7 @@ def test_adaptive_beats_no_adaptation_under_load():
     version finishes faster than the never-adapting version."""
     def run(adaptive):
         cluster = make_cluster(4)
-        cluster.install_load_script(LoadScript(
+        cluster.install_script(LoadScript(
             cycle_triggers=[CycleTrigger(cycle=5, node=0, action="start", count=3)]
         ))
         job = DynMPIJob(
@@ -309,7 +309,7 @@ def test_physical_drop_removes_loaded_node():
     """Make communication dominant so keeping a heavily loaded node is
     a losing proposition; Dyn-MPI must physically drop it."""
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=4, node=2, action="start", count=8)]
     ))
     job = DynMPIJob(cluster, RuntimeSpec(
@@ -331,12 +331,12 @@ def test_physical_drop_removes_loaded_node():
 
 def test_logical_drop_keeps_rank_with_min_rows():
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(
+    cluster.install_script(LoadScript(
         cycle_triggers=[CycleTrigger(cycle=4, node=2, action="start", count=8)]
     ))
     job = DynMPIJob(cluster, RuntimeSpec(
         grace_period=2, post_redist_period=3, allow_removal=True,
-        drop_mode="logical", logical_min_rows=1, daemon_interval=0.05,
+        drop_mode="logical", daemon_interval=0.05,
     ))
     results = job.launch(synthetic_program, args=(60, SPEED * 0.2e-3 / N_ROWS * 4))
     drops = [ev for ev in job.events if ev.kind == "logical_drop"]

@@ -45,7 +45,7 @@ def test_grace_restarts_on_second_load_change():
     """A second load change mid-grace restarts the measurement window,
     so the redistribution uses loads/timings from the final state."""
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=4, node=0, action="start"),
         CycleTrigger(cycle=7, node=0, action="start"),  # mid-grace
     ]))
@@ -107,7 +107,7 @@ def test_global_reduce_reaches_removed_ranks():
     """The send-in/send-out rule: a dropped rank still receives global
     reduction results (paper Section 4.4's termination concern)."""
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=3, node=2, action="start", count=8)
     ]))
     job = DynMPIJob(cluster, RuntimeSpec(
@@ -170,7 +170,7 @@ def test_array_shorter_than_loop_rejected_at_commit():
 
 def test_max_redistributions_zero_means_unlimited():
     cluster = make_cluster(4)
-    cluster.install_load_script(LoadScript(cycle_triggers=[
+    cluster.install_script(LoadScript(cycle_triggers=[
         CycleTrigger(cycle=3, node=0, action="start"),
         CycleTrigger(cycle=25, node=0, action="stop"),
     ]))

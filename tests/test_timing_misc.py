@@ -27,7 +27,7 @@ def test_estimate_prefers_proc_for_big_iterations():
     gs = GraceSamples([0, 1])
     for _ in range(3):
         gs.add_cycle([0.05, 0.06], [0.05, 0.06])
-    est, source = estimate_unloaded_times(gs, hrtimer_threshold=0.010)
+    est, source = estimate_unloaded_times(gs)
     assert source == "proc"
     assert np.allclose(est, [0.05, 0.06])
 
@@ -36,7 +36,7 @@ def test_estimate_uses_hrtimer_below_threshold():
     gs = GraceSamples([0, 1])
     gs.add_cycle([0.002, 0.012], [0.0, 0.01])  # median 7ms < 10ms
     gs.add_cycle([0.002, 0.003], [0.0, 0.0])
-    est, source = estimate_unloaded_times(gs, hrtimer_threshold=0.010)
+    est, source = estimate_unloaded_times(gs)
     assert source == "hrtimer"
     # per-iteration minimum across cycles
     assert np.allclose(est, [0.002, 0.003])
@@ -45,7 +45,7 @@ def test_estimate_uses_hrtimer_below_threshold():
 def test_estimate_proc_all_zero_falls_back_to_hrtimer():
     gs = GraceSamples([0])
     gs.add_cycle([0.05], [0.0])  # /PROC read nothing despite big iters
-    est, source = estimate_unloaded_times(gs, hrtimer_threshold=0.010)
+    est, source = estimate_unloaded_times(gs)
     assert source == "hrtimer"
     assert est[0] == pytest.approx(0.05)
 

@@ -131,11 +131,9 @@ def test_physical_drop_empties_and_excludes_the_removed(data):
 def test_logical_drop_parks_min_rows_at_the_rank_position(data):
     view, loop_size, _parked = data.draw(views())
     decision, _kept = drop_decision(data.draw, len(view.world))
-    min_rows = data.draw(st.integers(1, 3))
-    assume(loop_size > min_rows * len(decision.removed))
+    assume(loop_size > tr.LOGICAL_MIN_ROWS * len(decision.removed))
     plan = tr.plan_drop(
-        view, loop_size, decision,
-        RuntimeSpec(drop_mode="logical", logical_min_rows=min_rows),
+        view, loop_size, decision, RuntimeSpec(drop_mode="logical"),
     )
     assert_sound(plan, loop_size)  # tiling in rank order = rank position
     assert plan.kind == "logical_drop"
@@ -143,7 +141,7 @@ def test_logical_drop_parks_min_rows_at_the_rank_position(data):
     assert plan.after.bounds == plan.new_bounds
     for r in decision.removed:
         lo, hi = plan.new_bounds[r]
-        assert hi - lo + 1 == min_rows
+        assert hi - lo + 1 == tr.LOGICAL_MIN_ROWS
 
 
 @given(st.data())

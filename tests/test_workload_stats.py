@@ -32,7 +32,7 @@ def test_time_trigger_starts_and_stops():
         TimeTrigger(time=1.0, node=0, action="start", count=2),
         TimeTrigger(time=3.0, node=0, action="stop", count=1),
     ])
-    cluster.install_load_script(script)
+    cluster.install_script(script)
     counts = []
     cluster.sim.schedule(to_ns(0.5), lambda: counts.append(cluster.nodes[0].n_competing))
     cluster.sim.schedule(to_ns(1.5), lambda: counts.append(cluster.nodes[0].n_competing))
@@ -44,7 +44,7 @@ def test_time_trigger_starts_and_stops():
 def test_cycle_trigger_fires_once_per_cycle():
     cluster = make_cluster()
     script = single_competitor(1, start_cycle=3, stop_cycle=6)
-    cluster.install_load_script(script)
+    cluster.install_script(script)
     cluster.notify_cycle(0)
     cluster.notify_cycle(3)
     assert cluster.nodes[1].n_competing == 1
@@ -60,7 +60,7 @@ def test_stop_more_than_started_is_clamped():
         CycleTrigger(cycle=1, node=0, action="start", count=1),
         CycleTrigger(cycle=2, node=0, action="stop", count=5),
     ])
-    cluster.install_load_script(script)
+    cluster.install_script(script)
     cluster.notify_cycle(1)
     cluster.notify_cycle(2)
     assert cluster.nodes[0].n_competing == 0
@@ -85,14 +85,14 @@ def test_uninstalled_script_rejects_cycles():
 
 def test_recorder_marks_events():
     cluster = make_cluster(observe=True)
-    cluster.install_load_script(single_competitor(0, start_cycle=2))
+    cluster.install_script(single_competitor(0, start_cycle=2))
     cluster.notify_cycle(2)
     (mark,) = cluster.obs.events
     assert (mark.name, mark.ph, mark.pid, mark.tid) == ("load.start", "i", 0, CPU_TID)
     assert mark.ts == to_s(cluster.sim.now) and mark.args == {"count": 1}
     # an unobserved cluster runs the same script and records nowhere
     quiet = make_cluster(observe=False)
-    quiet.install_load_script(single_competitor(0, start_cycle=2))
+    quiet.install_script(single_competitor(0, start_cycle=2))
     quiet.notify_cycle(2)
     assert quiet.obs is None and quiet.nodes[0].n_competing == 1
 
