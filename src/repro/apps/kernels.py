@@ -16,20 +16,14 @@ near the paper's 37.5 s; the other apps use consistent per-flop costs.
   37.5 s).
 * Particle: per-cell base cost plus per-particle move/collide cost.
 
-The distributed programs run the real math a slab at a time:
-:func:`jacobi_block_update` and :func:`sor_block_halfsweep` take the
-``ProjectedArray.block(lo - 1, hi + 1)`` gather of a whole ``compute()``
-range (owned rows plus the ghost rows fetched by redistribution or halo
-exchange) and return the updated rows for one ``set_block``;
-:func:`particle_block_flows` takes ``block(lo, hi)`` and returns the
-three flow slabs; :func:`cg_block_csr` generates a whole row span of the
-CG matrix as one CSR block.  Their row-at-a-time forms,
-:func:`jacobi_row_update`, :func:`sor_row_halfsweep`,
-:func:`particle_row_flows` and :func:`make_cg_rows`, are the sequential
-oracle's kernels (``apps/reference.py``); the block kernels do the same
-elementwise IEEE operations in the same order (and draw the same
-per-row random streams), so the two agree bit for bit
-(``tests/test_kernels.py``).
+The distributed programs run the real math one ``compute()`` range at a
+time (:func:`jacobi_block_update`, :func:`sor_block_halfsweep`,
+:func:`particle_block_flows`, :func:`cg_block_csr`).  Their row forms
+(:func:`jacobi_row_update`, :func:`sor_row_halfsweep`,
+:func:`particle_row_flows`, :func:`make_cg_rows`) are the sequential
+oracle's kernels (``apps/reference.py``): the same elementwise IEEE
+operations in the same order, the particle forms' shed fractions from
+one keyed hash, so the two agree bit for bit (``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +31,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from ..simcluster.rng import mix64, unit_doubles
 
 __all__ = [
     "JACOBI_WORK_PER_CELL",
@@ -61,6 +57,7 @@ CG_WORK_PER_NNZ = 1250.0
 CG_WORK_PER_ROW = 1000.0
 PARTICLE_WORK_PER_CELL = 6.0
 PARTICLE_WORK_PER_PARTICLE = 40.0
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
 
 
 def jacobi_row_update(src_row, s_up, s_down) -> np.ndarray:
@@ -289,16 +286,10 @@ def particle_row_flows(counts: np.ndarray, g: int, step: int, seed: int):
     the row never changes the physics, which is what makes results
     invariant under redistribution.
     """
-    counts = np.asarray(counts)
-    # content-addressed stream, fully determined by (g, step, seed)
-    # and identical on every rank
-    rng = np.random.default_rng(
-        ((step * 1_000_003 + g) ^ seed) & 0x7FFFFFFF)
     n = counts.shape[0]
-    frac_up = rng.uniform(0.05, 0.15, size=n)
-    frac_down = rng.uniform(0.05, 0.15, size=n)
-    up = np.floor(counts * frac_up)
-    down = np.floor(counts * frac_down)
+    frac = _particle_fractions(1, n, g, step, seed)[0]
+    up = np.floor(counts * frac[:n])
+    down = np.floor(counts * frac[n:])
     stay = counts - up - down
     # intra-row drift: circular shift of a third of the remainder
     drift = np.floor(stay / 3.0)
@@ -306,19 +297,21 @@ def particle_row_flows(counts: np.ndarray, g: int, step: int, seed: int):
     return stay, up, down
 
 
+@lru_cache(maxsize=64)  # every row of a step, on every rank, starts here
+def _step_key(seed: int, step: int) -> np.uint64:
+    return mix64(mix64(np.array([seed % 2**64], dtype=np.uint64)) ^ np.uint64(step))[0]
+
+
 def _particle_fractions(k: int, n: int, lo: int, step: int, seed: int) -> np.ndarray:
     """The shed fractions of rows ``lo..lo+k-1`` as a ``(k, 2n)`` array:
-    ``[:, :n]`` is each row's ``frac_up``, ``[:, n:]`` its ``frac_down``.
-
-    Row ``g`` still draws from its own ``(g, step, seed)`` stream — that
-    is what makes the physics independent of ownership — but takes its
-    ``2n`` doubles in one ``random`` call: ``uniform(low, high)`` is
-    ``low + (high - low) * next_double``.
+    ``[:, :n]`` is each row's ``frac_up``, ``[:, n:]`` its ``frac_down``,
+    uniform in ``[0.05, 0.15)``.  Cell ``j`` of row ``g`` is a pure hash
+    of ``(seed mod 2**64, step, g, j)``, so ownership of a row cannot
+    change the physics: draw ``2n * g + j`` of the SplitMix64 stream
+    that ``(seed, step)`` seeds.
     """
-    frac = np.empty((k, 2 * n))
-    base = step * 1_000_003 + lo
-    for i in range(k):
-        np.random.default_rng(((base + i) ^ seed) & 0x7FFFFFFF).random(out=frac[i])
+    draws = np.arange(2 * n * lo, 2 * n * (lo + k), dtype=np.uint64).reshape(k, 2 * n)
+    frac = unit_doubles(mix64(_step_key(seed, step) + draws * _GAMMA))
     frac *= 0.15 - 0.05
     frac += 0.05
     return frac

@@ -9,10 +9,11 @@ because every execution of job ``j`` returns the same
 ``job_results(n_jobs, seed)[j]`` no matter where or when it runs.
 Schedules may differ; the *set* cannot.
 
-Costs are skewed through a stable 64-bit mix (SplitMix64 finalizer) so
-load imbalance is reproducible without touching any RNG stream.  Both
-tables are built for every job at once, one vectorised pass each, once
-per run: a chunk's cost and results are lookups into them.
+Costs are skewed through the shared SplitMix64 finalizer
+(:func:`repro.simcluster.rng.mix64`) so load imbalance is reproducible
+without touching any RNG stream.  Both tables are built for every job
+at once, one vectorised pass each, once per run: a chunk's cost and
+results are lookups into them.
 """
 
 from __future__ import annotations
@@ -22,28 +23,16 @@ from collections import deque
 
 import numpy as np
 
+from ..simcluster.rng import mix64
+
 __all__ = [
     "job_costs", "job_results", "reference_results", "farm_digest",
     "mask_digest", "farm_oracle", "chunk_rows", "chunk_ids", "JobQueue",
 ]
 
-_MASK = (1 << 64) - 1
-
 #: domain separators so cost and result draws never correlate
 _COST_SALT = 0x9E3779B97F4A7C15
 _RESULT_SALT = 0xD1B54A32D192ED03
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic):
-    a stable, well-mixed 64-bit hash per element."""
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
 
 
 def job_costs(n_jobs: int, base: float, skew: str) -> np.ndarray:
@@ -64,7 +53,7 @@ def job_costs(n_jobs: int, base: float, skew: str) -> np.ndarray:
         return base * (0.5 + np.arange(n_jobs, dtype=np.float64)
                        / max(1, n_jobs - 1))
     if skew == "hot":
-        h = _mix64(np.arange(n_jobs, dtype=np.uint64) ^ np.uint64(_COST_SALT))
+        h = mix64(np.arange(n_jobs, dtype=np.uint64) ^ np.uint64(_COST_SALT))
         costs = base * (0.5 + (h % np.uint64(1024)).astype(np.float64) / 1024.0)
         costs[h % np.uint64(16) == 0] = base * 8.0
         return costs
@@ -74,8 +63,8 @@ def job_costs(n_jobs: int, base: float, skew: str) -> np.ndarray:
 def job_results(n_jobs: int, seed: int) -> np.ndarray:
     """The (pure, deterministic) result of each job ``0..n_jobs-1``
     (uint64, indexed by job id)."""
-    salt = np.uint64(((seed << 32) ^ _RESULT_SALT) & _MASK)
-    return _mix64(np.arange(n_jobs, dtype=np.uint64) ^ salt)
+    salt = np.uint64(((seed << 32) ^ _RESULT_SALT) % 2**64)
+    return mix64(np.arange(n_jobs, dtype=np.uint64) ^ salt)
 
 
 def reference_results(n_jobs: int, seed: int) -> dict[int, int]:

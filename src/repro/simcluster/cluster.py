@@ -79,7 +79,7 @@ class Cluster:
         self.load_version += 1
 
     def competing_counts(self) -> list[int]:
-        return [node.n_competing for node in self.nodes]
+        return [len(node.background) for node in self.nodes]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Cluster {self.spec.name} n={self.n_nodes} t={to_s(self.sim.now):.3f}>"

@@ -52,9 +52,13 @@ class Node:
     # competing processes
     # ------------------------------------------------------------------
     def start_competing(self, name: Optional[str] = None) -> str:
-        """Start a CPU-bound competing process; returns its name."""
+        """Start a CPU-bound competing process; returns its name
+        (by default ``cp{i}@n{node}`` with the lowest free ``i``)."""
         if name is None:
-            name = f"cp{len(self.background)}@n{self.node_id}"
+            i = 0
+            while f"cp{i}@n{self.node_id}" in self.background:
+                i += 1
+            name = f"cp{i}@n{self.node_id}"
         if name in self.background:
             raise SimulationError(f"competing process {name!r} already exists")
         bg = BackgroundJob(name)
@@ -77,10 +81,6 @@ class Node:
         for name in list(self.background):
             self.stop_competing(name)
 
-    @property
-    def n_competing(self) -> int:
-        return len(self.background)
-
     # ------------------------------------------------------------------
     # process table (what ps / vmstat see)
     # ------------------------------------------------------------------
@@ -99,4 +99,4 @@ class Node:
         )
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Node {self.node_id} procs={len(self.procs)} cp={self.n_competing}>"
+        return f"<Node {self.node_id} procs={len(self.procs)} cp={len(self.background)}>"

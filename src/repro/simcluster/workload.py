@@ -2,15 +2,10 @@
 
 The paper's experiments introduce competing processes ("programs that
 execute an infinite loop") on specific nodes at specific points of the
-run — usually *at iteration k* of the application, sometimes for a
-fixed stretch of iterations.  Two trigger styles are therefore
-provided:
-
-* :class:`TimeTrigger` — fire at an absolute simulated time (applied at
-  cluster start-up via the event queue);
-* :class:`CycleTrigger` — fire when the application reaches a given
-  phase-cycle number (the Dyn-MPI runtime reports cycle boundaries to
-  the script through :meth:`Script.on_cycle`).
+run — usually *at iteration k* of the application.  A
+:class:`TimeTrigger` fires at an absolute simulated time, a
+:class:`CycleTrigger` when the application begins a phase cycle (the
+runtime reports cycle boundaries through :meth:`Script.on_cycle`).
 
 A :class:`LoadScript` is a collection of triggers.  Its base
 :class:`Script` is the one trigger mechanism, shared with the fault
@@ -25,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..errors import ConfigError
 from ..obs.recorder import CPU_TID
+from .cpu import BackgroundJob
 from .kernel import to_ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,8 +77,8 @@ class Script:
     def __init__(self, time_triggers: Iterable = (), cycle_triggers: Iterable = ()):
         self.time_triggers = sorted(time_triggers, key=lambda t: t.time)
         self.cycle_triggers = sorted(cycle_triggers, key=lambda t: t.cycle)
-        #: node id -> competitors this script started and still runs
-        self._handles: dict[int, list[str]] = {}
+        #: node id -> competitors this script started on that node
+        self._handles: dict[int, list[BackgroundJob]] = {}
         self._fired_cycles: set[int] = set()
         self._cluster: Optional["Cluster"] = None
 
@@ -112,21 +108,26 @@ class Script:
     def _apply(self, cluster: "Cluster", trig) -> None:
         raise NotImplementedError
 
-    def _start(self, node_id: int, count: int) -> list[str]:
+    def _start(self, node_id: int, count: int) -> list[BackgroundJob]:
         """Start ``count`` competitors on ``node_id``; returns their handles."""
         node = self._cluster.nodes[node_id]
-        started = [node.start_competing() for _ in range(count)]
+        started = [node.background[node.start_competing()] for _ in range(count)]
         self._handles.setdefault(node_id, []).extend(started)
         return started
 
-    def _stop(self, node_id: int, handles: Iterable[str]) -> None:
-        """Stop those of ``handles`` this script still runs, in order."""
-        held = self._handles.get(node_id, [])
-        node = self._cluster.nodes[node_id]
-        for h in list(handles):
-            if h in held:
-                held.remove(h)
-                node.stop_competing(h)
+    def _held(self, node_id: int) -> list[BackgroundJob]:
+        """This script's competitors on ``node_id``, oldest first; it
+        forgets those the node no longer runs (a crash stops them)."""
+        running = self._cluster.nodes[node_id].background
+        held = self._handles[node_id] = [
+            bg for bg in self._handles.get(node_id, ()) if running.get(bg.name) is bg]
+        return held
+
+    def _stop(self, node_id: int, handles: Iterable[BackgroundJob]) -> None:
+        """Stop those of ``handles`` the node still runs, in order."""
+        for bg in handles:
+            if bg in self._held(node_id):
+                self._cluster.nodes[node_id].stop_competing(bg.name)
 
 
 class LoadScript(Script):
@@ -137,7 +138,7 @@ class LoadScript(Script):
         if trig.action == "start":
             self._start(trig.node, trig.count)
         else:  # the newest first
-            self._stop(trig.node, self._handles.get(trig.node, [])[::-1][:trig.count])
+            self._stop(trig.node, self._held(trig.node)[::-1][:trig.count])
         if cluster.obs is not None:
             cluster.obs.instant(f"load.{trig.action}", cat="load", pid=trig.node,
                                 tid=CPU_TID, count=trig.count)

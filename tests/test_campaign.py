@@ -13,6 +13,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -44,6 +45,7 @@ from repro.campaign.scenarios import (
 )
 from repro.campaign.space import load_space
 from repro.errors import ConfigError
+from repro.simcluster.rng import mix64
 
 TINY = {"size": 16, "cycles": 4}
 
@@ -390,6 +392,18 @@ def test_splitmix64_is_stable_and_uniformish():
     assert [SplitMix64(42, 0).next_u64() for _ in range(4)] == \
         [SplitMix64(42, 0).next_u64() for _ in range(4)]
     assert SplitMix64(42, 0).next_u64() != SplitMix64(42, 1).next_u64()
+
+
+def test_splitmix64_draws_the_shared_finalizer():
+    """The fuzzer's scalar generator is ``mix64`` of its pre-increment
+    state: one SplitMix64 finalizer, kept in scalar form for the fuzzer
+    so its draws never depend on numpy."""
+    rng = SplitMix64(2024, 3)
+    states, draws = [], []
+    for _ in range(300):
+        states.append(rng._state)
+        draws.append(rng.next_u64())
+    assert mix64(np.array(states, dtype=np.uint64)).tolist() == draws
 
 
 def test_fuzz_params_deterministic_and_valid():

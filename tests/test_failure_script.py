@@ -13,7 +13,15 @@ from repro.resilience import (
     TimeFault,
     node_crash,
 )
-from repro.simcluster import Cluster, ProcState, Sleep, to_ns, to_s
+from repro.simcluster import (
+    Cluster,
+    LoadScript,
+    ProcState,
+    Sleep,
+    TimeTrigger,
+    to_ns,
+    to_s,
+)
 
 
 def make_cluster(n=3, observe=None):
@@ -131,6 +139,49 @@ def test_slowdown_without_duration_persists():
     p = cluster.sim.spawn(spin(5.0), name="clock")
     cluster.sim.run_all([p])
     assert len(cluster.nodes[0].background) == 2
+
+
+# ---------------------------------------------------------------------------
+# competitor lifecycle: a load script and a fault script on one node
+# ---------------------------------------------------------------------------
+
+def _run_scripts(load, faults, until=0.005, n=2):
+    """Install ``load`` then ``faults`` (time triggers in ms) on a fresh
+    cluster, run to ``until`` seconds; returns node 0's competitors."""
+    cluster = make_cluster(n)
+    cluster.install_script(LoadScript(time_triggers=[
+        TimeTrigger(time=t / 1000, node=0, action=a) for t, a in load]))
+    cluster.install_script(FailureScript(time_faults=[
+        TimeFault(time=t / 1000, node=0, action=a, duration=d / 1000)
+        for t, a, d in faults]))
+    cluster.sim.run_all([cluster.sim.spawn(spin(until), name="clock")])
+    return cluster.nodes[0].background
+
+
+def test_competitor_names_reuse_the_lowest_free_index():
+    """A load stop that is not of the node's newest competitor frees a
+    name below the count; the next start takes it rather than
+    re-issuing the live ``cp1@n0``."""
+    running = _run_scripts(load=[(1, "start"), (3, "stop"), (4, "start")],
+                           faults=[(2, "slowdown", 0)])
+    assert sorted(running) == ["cp0@n0", "cp1@n0"]
+
+
+def test_load_stop_after_a_crash_forgets_the_crashed_competitors():
+    assert not _run_scripts(load=[(1, "start"), (3, "stop")],
+                            faults=[(2, "crash", 0)])
+
+
+def test_slowdown_end_after_a_crash_forgets_the_crashed_competitors():
+    assert not _run_scripts(load=[], faults=[(1, "slowdown", 2), (2, "crash", 0)])
+
+
+def test_slowdown_end_never_stops_a_competitor_that_reuses_its_name():
+    """The crash frees ``cp0@n0``; the load start reissues it; the
+    slowdown's end must leave the load's competitor running."""
+    running = _run_scripts(load=[(3, "start")],
+                           faults=[(1, "slowdown", 3), (2, "crash", 0)])
+    assert list(running) == ["cp0@n0"]
 
 
 # ---------------------------------------------------------------------------

@@ -179,20 +179,31 @@ def test_particle_block_equals_stacked_row_flows(case):
         assert np.array_equal(slab, np.stack(rows))
 
 
-@given(st.integers(1, 40), st.integers(0, 500), st.integers(0, 1000),
-       st.integers(-3, 2**40))
-@settings(max_examples=200, deadline=None)
-def test_particle_fractions_are_the_two_uniform_draws(n, g, step, seed):
-    """One ``random(out=...)`` of ``2n`` doubles scaled by hand is what
-    ``uniform(0.05, 0.15, n)`` twice returns — numpy's ``low + (high -
-    low) * next_double``.  If a numpy release changes that, it fails
-    here, not in a digest."""
-    rng = np.random.default_rng(((step * 1_000_003 + g) ^ seed) & 0x7FFFFFFF)
-    frac_up = rng.uniform(0.05, 0.15, size=n)
-    frac_down = rng.uniform(0.05, 0.15, size=n)
+def test_particle_fractions_are_uniform_on_their_band():
+    """Over a grid of seeds, steps, rows and cells, the shed fractions
+    look like uniform ``[0.05, 0.15)`` draws: range, mean and variance
+    (``0.1**2 / 12``) within six standard errors."""
+    frac = np.concatenate([
+        _particle_fractions(64, 256, lo, step, seed).ravel()
+        for seed in (0, 7, -1, 2**40) for step in (0, 1, 99)
+        for lo in (0, 1_000)])
+    n = frac.size
+    assert frac.min() >= 0.05 and frac.max() < 0.15
+    var = 0.1**2 / 12
+    assert abs(frac.mean() - 0.1) < 6 * np.sqrt(var / n)
+    # the variance estimator's spread: (mu4 - sigma**4) / n, mu4 = w**4 / 80
+    assert abs(frac.var() - var) < 6 * np.sqrt((0.1**4 / 80 - var**2) / n)
+
+
+@given(st.integers(1, 12), st.integers(0, 500), st.integers(0, 1000),
+       st.integers(-2**40, 2**40))
+@settings(max_examples=100, deadline=None)
+def test_particle_fractions_key_all_64_seed_bits(n, g, step, seed):
+    """Seeds ``s`` and ``s + 2**31`` draw different fractions (no 31-bit
+    mask aliases them); a negative seed is that seed mod ``2**64``."""
     frac = _particle_fractions(1, n, g, step, seed)
-    assert np.array_equal(frac[0, :n], frac_up)
-    assert np.array_equal(frac[0, n:], frac_down)
+    assert not np.array_equal(frac, _particle_fractions(1, n, g, step, seed + 2**31))
+    assert np.array_equal(frac, _particle_fractions(1, n, g, step, seed % 2**64))
 
 
 @st.composite

@@ -34,9 +34,9 @@ def test_time_trigger_starts_and_stops():
     ])
     cluster.install_script(script)
     counts = []
-    cluster.sim.schedule(to_ns(0.5), lambda: counts.append(cluster.nodes[0].n_competing))
-    cluster.sim.schedule(to_ns(1.5), lambda: counts.append(cluster.nodes[0].n_competing))
-    cluster.sim.schedule(to_ns(3.5), lambda: counts.append(cluster.nodes[0].n_competing))
+    cluster.sim.schedule(to_ns(0.5), lambda: counts.append(len(cluster.nodes[0].background)))
+    cluster.sim.schedule(to_ns(1.5), lambda: counts.append(len(cluster.nodes[0].background)))
+    cluster.sim.schedule(to_ns(3.5), lambda: counts.append(len(cluster.nodes[0].background)))
     cluster.sim.run(until=to_ns(4.0))
     assert counts == [0, 2, 1]
 
@@ -47,11 +47,11 @@ def test_cycle_trigger_fires_once_per_cycle():
     cluster.install_script(script)
     cluster.notify_cycle(0)
     cluster.notify_cycle(3)
-    assert cluster.nodes[1].n_competing == 1
+    assert len(cluster.nodes[1].background) == 1
     cluster.notify_cycle(3)  # repeated notification must not double-fire
-    assert cluster.nodes[1].n_competing == 1
+    assert len(cluster.nodes[1].background) == 1
     cluster.notify_cycle(6)
-    assert cluster.nodes[1].n_competing == 0
+    assert len(cluster.nodes[1].background) == 0
 
 
 def test_stop_more_than_started_is_clamped():
@@ -63,7 +63,7 @@ def test_stop_more_than_started_is_clamped():
     cluster.install_script(script)
     cluster.notify_cycle(1)
     cluster.notify_cycle(2)
-    assert cluster.nodes[0].n_competing == 0
+    assert len(cluster.nodes[0].background) == 0
 
 
 def test_trigger_validation():
@@ -94,7 +94,7 @@ def test_recorder_marks_events():
     quiet = make_cluster(observe=False)
     quiet.install_script(single_competitor(0, start_cycle=2))
     quiet.notify_cycle(2)
-    assert quiet.obs is None and quiet.nodes[0].n_competing == 1
+    assert quiet.obs is None and len(quiet.nodes[0].background) == 1
 
 
 # ----------------------------------------------------------------------
