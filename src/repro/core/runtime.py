@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Generator, Optional, Sequence
 
@@ -58,7 +59,7 @@ from ..config import RuntimeSpec
 from ..dmem import MemCostModel, ProjectedArray, SparseMatrix
 from ..errors import (CheckpointLostError, RegistrationError, SanitizerError,
                       SimulationError)
-from ..mpi import Endpoint, Group, make_comm
+from ..mpi import Endpoint, Group, make_comm, run_spmd
 from ..mpi import collectives as coll
 from ..mpi.datatypes import SUM, ReduceOp
 from ..obs.recorder import JOB_PID
@@ -159,39 +160,20 @@ class DynMPIJob:
             raise SimulationError("job already launched")
         self._launched = True
         self.ps.start()
-        procs = []
-        for rank in range(self.comm.size):
-            ctx = DynMPI(self, self.comm.endpoint(rank))
+
+        def rank_program(ep: Endpoint, *a):
+            ctx = DynMPI(self, ep)
             self.contexts.append(ctx)
-            gen = program(ctx, *args)
-            if not hasattr(gen, "send"):
-                raise RegistrationError("program must be a generator function")
-            node = self.cluster.nodes[self.comm.node_of(rank)]
-            proc = self.cluster.sim.spawn(gen, name=f"rank{rank}", node=node)
-            ctx._bind_process(proc)
-            self.ps.register_monitored(node.node_id, proc)
-            self.cluster.register_app_proc(node.node_id, proc)
-            # dead-endpoint poisoning: a rank death turns peers' blocked
-            # operations into RankFailedError instead of a hang
-            self.comm.watch_rank(rank, proc)
-            procs.append(proc)
-
-        board = self.cluster.failure_board
-
-        def expected_death(proc) -> bool:
-            rank = procs.index(proc)
-            ctx = self.contexts[rank]
-            return ctx.crashed or board.failed(self.comm.node_of(rank))
+            return program(ctx, *a)
 
         try:
-            self.cluster.sim.run_all(procs, tolerate=expected_death)
-        finally:
-            self._epochs.clear()  # nothing shared outlives the run
-        if self.cluster.sanitizer is not None:
             # a rank still parked at the end leaves its last load report
             # unread whenever it ran behind the root's final poll
-            self.cluster.sanitizer.finalize(advisory_tags=(_LOAD_TAG,))
-        return [p.result for p in procs]
+            return run_spmd(self.cluster, rank_program, args=args, comm=self.comm,
+                            tolerate=lambda rank: self.contexts[rank].crashed,
+                            advisory_tags=(_LOAD_TAG,))
+        finally:
+            self._epochs.clear()  # nothing shared outlives the run
 
 
 class DynMPI:
@@ -234,8 +216,6 @@ class DynMPI:
         #: dynscope recorder, or None when observability is off (the
         #: hot-path guard — one None test per instrumented site)
         self.obs = job.cluster.obs
-        self.proc = None
-        self.proc_clock: Optional[ProcClock] = None
         self._committed = False
         #: the registration by value, frozen by commit(): part of every
         #: row move's key, so a rank registered differently misses
@@ -264,12 +244,14 @@ class DynMPI:
         #: replica's bounds always match the live distribution
         self._ckpt_due = True
 
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def _bind_process(self, proc) -> None:
-        self.proc = proc
-        self.proc_clock = ProcClock(proc)
+    @property
+    def proc(self):
+        """This rank's process, from the communicator's rank table."""
+        return self.ep.comm.procs[self.world_rank]
+
+    @cached_property
+    def proc_clock(self) -> ProcClock:
+        return ProcClock(self.proc)
 
     # ------------------------------------------------------------------
     # registration (paper: DMPI_register_*, DMPI_init_phase, ...)
@@ -617,7 +599,7 @@ class DynMPI:
         for w in range(self.ep.size):
             if w in self.dead_world:
                 continue
-            proc = self.job.contexts[w].proc if w < len(self.job.contexts) else None
+            proc = self.job.comm.procs[w]
             if proc is not None and proc.state == ProcState.DONE:
                 continue
             if suspect(node_of(w)):

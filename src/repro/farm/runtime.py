@@ -22,7 +22,7 @@ Elasticity model (how churn maps onto the farm):
   served chunks again.
 
 The master never blocks in ``recv``: it probes its mailbox, consumes
-what is there, and sleeps ``poll_dt`` otherwise — so it always notices
+what is there, and sleeps ``POLL_DT`` otherwise — so it always notices
 deaths, load changes, and phase transitions.  The completed-result set
 is bitwise-identical across policies, perturbation seeds, and churn
 because job results are pure functions of the job id (see
@@ -40,7 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ..errors import ConfigError, FarmError
-from ..mpi import ANY_TAG, make_comm
+from ..mpi import ANY_TAG, make_comm, run_spmd
 from ..mpi.rma import Window
 from ..simcluster import Compute, Sleep, to_s
 from .jobs import (JobQueue, chunk_ids, chunk_rows, job_costs, job_results,
@@ -65,6 +65,13 @@ SKEWS = ("uniform", "linear", "hot")
 _COUNTER_SLOT = 0
 _WIN_SLOTS = 2
 
+#: work units per job before skew
+BASE_COST = 1e4
+#: master poll interval, simulated seconds
+POLL_DT = 2e-4
+#: never park below this many active workers
+MIN_WORKERS = 1
+
 
 @dataclass(frozen=True)
 class FarmSpec:
@@ -74,11 +81,8 @@ class FarmSpec:
     policy: str = "self"        # static | self | guided | factoring | rma
     chunk: int = 8              # chunk size for self/rma dispatch
     skew: str = "hot"           # uniform | linear | hot (see jobs.job_costs)
-    base_cost: float = 1e4      # work units per job before skew
     seed: int = 0               # result seed (job_results values)
     cycles: int = 8             # notify_cycle boundaries across the run
-    poll_dt: float = 2e-4       # master poll interval, simulated seconds
-    min_workers: int = 1        # never park below this many active workers
     name: str = "farm"
 
     def validate(self) -> None:
@@ -88,16 +92,6 @@ class FarmSpec:
             raise ConfigError(f"farm chunk must be positive ({self.chunk})")
         if self.cycles <= 0:
             raise ConfigError(f"farm cycles must be positive ({self.cycles})")
-        # `not x > 0` also rejects NaN; a zero poll_dt would have the
-        # master Sleep(0) at one instant forever
-        if not self.poll_dt > 0:
-            raise ConfigError(f"farm poll_dt must be positive ({self.poll_dt})")
-        if not self.base_cost >= 0:
-            raise ConfigError(
-                f"farm base_cost must be non-negative ({self.base_cost})")
-        if self.min_workers < 0:
-            raise ConfigError(
-                f"farm min_workers must be non-negative ({self.min_workers})")
         if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown farm policy {self.policy!r} (one of {POLICIES})")
@@ -350,8 +344,8 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
             counts = cluster.competing_counts()
             desired = {r for r in live if counts[comm.node_of(r)] > 0}
             excess = len(live) - len(desired)
-            if excess < spec.min_workers:
-                for r in sorted(desired)[:spec.min_workers - excess]:
+            if excess < MIN_WORKERS:
+                for r in sorted(desired)[:MIN_WORKERS - excess]:
                     desired.discard(r)
             for r in sorted(desired - parked):
                 parked.add(r)
@@ -421,7 +415,7 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
                 and all(r in ready for r in live)):
             break
         if not progressed:
-            yield Sleep(spec.poll_dt)
+            yield Sleep(POLL_DT)
 
     # late cycle boundaries (tiny farms may complete inside cycle 1)
     while next_cycle <= spec.cycles:
@@ -439,17 +433,17 @@ def _farm_master(ep, win, cluster, spec: FarmSpec, state: _MasterState):
 # ---------------------------------------------------------------------------
 
 def run_farm(cluster, spec: FarmSpec, *, load_script=None,
-             failure_script=None, rank_to_node=None) -> FarmResult:
+             failure_script=None) -> FarmResult:
     """Run one farm on ``cluster``; returns the :class:`FarmResult`.
 
-    Rank 0 (the master) lives on node 0 by default; every other node
-    hosts one worker.  ``load_script``/``failure_script`` are
-    installed before the run when given — their cycle triggers fire at
-    the farm's completion-count boundaries (``spec.cycles`` per run),
-    their time triggers at the scheduled simulated times.
+    Rank 0 (the master) lives on node 0; every other node hosts one
+    worker.  ``load_script``/``failure_script`` are installed before
+    the run when given — their cycle triggers fire at the farm's
+    completion-count boundaries (``spec.cycles`` per run), their time
+    triggers at the scheduled simulated times.
     """
     spec.validate()
-    comm = make_comm(cluster, rank_to_node)
+    comm = make_comm(cluster)
     if comm.size < 2:
         raise ConfigError("a farm needs a master and at least one worker")
     for script in (load_script, failure_script):
@@ -460,33 +454,17 @@ def run_farm(cluster, spec: FarmSpec, *, load_script=None,
     state = _MasterState(spec, list(range(1, comm.size)))
     # every job priced once per run; the workers index these tables, and
     # a DONE payload may be a view of ``results``, so nobody may write it
-    costs = job_costs(spec.n_jobs, spec.base_cost, spec.skew)
+    costs = job_costs(spec.n_jobs, BASE_COST, spec.skew)
     results = job_results(spec.n_jobs, spec.seed)
     results.flags.writeable = False
 
-    procs = []
-    for rank in range(comm.size):
-        ep = comm.endpoint(rank)
-        if rank == 0:
-            gen = _farm_master(ep, win, cluster, spec, state)
-        else:
-            gen = _farm_worker(ep, win, spec, costs, results)
-        node = cluster.nodes[comm.node_of(rank)]
-        proc = cluster.sim.spawn(gen, name=f"farm{rank}", node=node)
-        comm.watch_rank(rank, proc)
-        cluster.register_app_proc(node.node_id, proc)
-        procs.append(proc)
-
-    board = cluster.failure_board
-
-    def expected_death(proc) -> bool:
-        rank = procs.index(proc)
-        return board.failed(comm.node_of(rank))
+    def program(ep):
+        if ep.rank == 0:
+            return _farm_master(ep, win, cluster, spec, state)
+        return _farm_worker(ep, win, spec, costs, results)
 
     t0 = cluster.sim.now
-    cluster.sim.run_all(procs, tolerate=expected_death)
-    if cluster.sanitizer is not None:
-        cluster.sanitizer.finalize()
+    run_spmd(cluster, program, comm=comm, name="farm")
 
     return FarmResult(
         spec=spec,

@@ -155,6 +155,8 @@ class SimComm:
         self._pollers: list[Optional[tuple]] = [None] * self.size
         self._endpoints = [Endpoint(self, r) for r in range(self.size)]
         self._seq = itertools.count()
+        #: rank -> its process, once :meth:`watch_rank` watches it
+        self.procs: list = [None] * self.size
         #: ranks whose process died (resilience fail-fast poisoning)
         self._dead: set[int] = set()
         #: RMA windows (repro.mpi.rma) registered on this communicator;
@@ -184,13 +186,17 @@ class SimComm:
     # dead-endpoint poisoning (repro.resilience fail-fast path)
     # ------------------------------------------------------------------
     def watch_rank(self, rank: int, proc) -> None:
-        """Mark ``rank`` dead the moment ``proc`` dies, so survivors
-        blocked on it get :class:`RankFailedError` instead of a hang.
+        """Record ``proc`` as ``rank``'s process and mark ``rank`` dead
+        the moment it dies, so survivors blocked on it get
+        :class:`RankFailedError` instead of a hang.
 
-        Wired by ``DynMPIJob.launch``; raw :func:`make_comm` users keep
-        the undecorated behavior (a killed peer then shows up as a
-        plain deadlock).
+        :func:`~repro.mpi.launcher.run_spmd` watches every rank it
+        starts; a process spawned by hand and never watched keeps the
+        undecorated behavior (a killed peer then shows up as a plain
+        deadlock).
         """
+        self.procs[rank] = proc
+
         def on_done(_value) -> None:
             if proc.state == ProcState.FAILED:
                 self.mark_rank_dead(rank)

@@ -1,9 +1,12 @@
-"""SPMD launcher — the simulated ``mpirun``.
+"""SPMD launcher — the simulated ``mpirun``, the one place ranks start.
 
 ``run_spmd(cluster, program, ...)`` spawns one process per rank (a
-generator produced by ``program(endpoint, *args)``), places it on its
-node, runs the simulation until every rank finishes, and returns the
-per-rank results.
+generator produced by ``program(endpoint, *args)``) on its node,
+registers it as the node's application process (the target of a
+``FailureScript`` ``kill`` / ``inject`` and of ``dmpi_ps``'s count),
+has the communicator watch it (a dead rank's blocked peers get
+:class:`~repro.errors.RankFailedError`), runs the simulation until
+every rank finishes, and returns the per-rank results.
 """
 
 from __future__ import annotations
@@ -28,28 +31,43 @@ def run_spmd(
     cluster: Cluster,
     program: Callable[..., Any],
     *,
-    rank_to_node: Optional[Sequence[int]] = None,
     args: tuple = (),
+    comm: Optional[SimComm] = None,
     name: str = "rank",
+    tolerate: Optional[Callable[[int], bool]] = None,
+    advisory_tags: tuple = (),
 ) -> list[Any]:
-    """Run ``program(endpoint, *args)`` as one process per rank.
+    """Run ``program(endpoint, *args)`` as one process per rank of
+    ``comm`` (default: a fresh one rank per node).
 
-    Returns the list of per-rank return values.  Raises the first rank
-    error encountered, or :class:`~repro.errors.DeadlockError` if the
-    job hangs.
+    Returns the list of per-rank return values.  A rank that dies on a
+    node the failure board marks failed, or whose rank ``tolerate``
+    accepts, is an expected death; any other rank error is raised, and
+    a hang is a :class:`~repro.errors.DeadlockError`.
+    ``advisory_tags`` go to the sanitizer's final check.
     """
-    comm = make_comm(cluster, rank_to_node)
+    if comm is None:
+        comm = make_comm(cluster)
     procs = []
     for rank in range(comm.size):
-        ep = comm.endpoint(rank)
-        gen = program(ep, *args)
+        gen = program(comm.endpoint(rank), *args)
         if not hasattr(gen, "send"):
             raise MPIError(
                 f"program must be a generator function (rank {rank} produced {type(gen)!r})"
             )
-        node = cluster.nodes[comm.node_of(rank)]
-        procs.append(cluster.sim.spawn(gen, name=f"{name}{rank}", node=node))
-    cluster.sim.run_all(procs)
+        node_id = comm.node_of(rank)
+        proc = cluster.sim.spawn(gen, name=f"{name}{rank}", node=cluster.nodes[node_id])
+        cluster.register_app_proc(node_id, proc)
+        comm.watch_rank(rank, proc)
+        procs.append(proc)
+
+    board = cluster.failure_board
+
+    def expected_death(proc) -> bool:
+        rank = procs.index(proc)
+        return board.failed(comm.node_of(rank)) or (tolerate is not None and tolerate(rank))
+
+    cluster.sim.run_all(procs, tolerate=expected_death)
     if cluster.sanitizer is not None:
-        cluster.sanitizer.finalize()
+        cluster.sanitizer.finalize(advisory_tags=advisory_tags)
     return [p.result for p in procs]

@@ -51,7 +51,8 @@ class Cluster:
         #: so readers need no None checks
         self.failure_board = FailureBoard(spec.n_nodes)
         #: node_id -> application (rank) processes launched there, the
-        #: kill/inject fault targets; populated by DynMPIJob.launch
+        #: kill/inject fault targets and what dmpi_ps always counts;
+        #: populated by repro.mpi.run_spmd
         self.app_procs: dict[int, list[SimProcess]] = {}
         self.sanitizer: Optional[CommSanitizer] = None
         if sanitizer_enabled(spec):

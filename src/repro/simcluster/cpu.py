@@ -174,6 +174,8 @@ class RoundRobinCPU:
         # (proc, time) of the most recent completion of any kind: a
         # process resubmitting at that instant is CPU-bound, not waking
         self._last_done: Optional[tuple] = None
+        # when a cancel last emptied the queue (see _on_slice_end)
+        self._emptied = -1
         self._rng = rng
         self.n_context_switches = 0
         self.n_wake_boosts = 0
@@ -320,6 +322,9 @@ class RoundRobinCPU:
                 self._queue.remove(job)
             except ValueError:
                 pass  # already finished
+            else:
+                if not self._queue:
+                    self._emptied = self.sim.now
 
     def stop_spin(self, job: Job, _value=None) -> None:
         """End a spin job at the end of the poll step it is in (a
@@ -635,7 +640,15 @@ class RoundRobinCPU:
         self._slice_timer = None
         if job.step is not None and job.remaining == math.inf and not self._queue:
             # a spinning job whose competitors left mid-turn carries on
-            # untimed, as its one-step requests each would have
+            # untimed, as its one-step requests each would have.  The
+            # step in progress was dispatched with this turn's timer iff
+            # it began before the queue emptied: then the chain's turn
+            # ends here and its credit restarts; otherwise its steps ran
+            # untimed already and the credit runs on
+            tail = (job.phase + self.sim.now - self._slice_start) % job.step
+            if self._emptied > self.sim.now - tail:
+                self._account_current()
+                job.allowed, job.turn_used = None, 0
             self._slice_long = True
             return
         self._account_current()

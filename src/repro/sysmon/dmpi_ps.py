@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from ..errors import SimulationError
 from ..simcluster import Cluster, ProcState, Sleep, to_s
-from ..simcluster.kernel import SimProcess
 
 __all__ = ["DmpiPs"]
 
@@ -31,16 +30,11 @@ class DmpiPs:
         self.cluster = cluster
         self.interval = interval
         self._jitter = jitter
-        self._monitored: dict[int, list[SimProcess]] = {i: [] for i in range(cluster.n_nodes)}
         self._latest: list[int] = [1] * cluster.n_nodes  # before first sample: just the app
         self._history: list[list[tuple[float, int]]] = [[] for _ in range(cluster.n_nodes)]
         self._started = False
 
     # ------------------------------------------------------------------
-    def register_monitored(self, node_id: int, proc: SimProcess) -> None:
-        """Mark ``proc`` as the (or an) application process on ``node_id``."""
-        self._monitored[node_id].append(proc)
-
     def start(self) -> None:
         """Spawn one sampling daemon per node."""
         if self._started:
@@ -69,7 +63,7 @@ class DmpiPs:
 
     def _measure(self, node_id: int) -> int:
         node = self.cluster.nodes[node_id]
-        monitored = self._monitored[node_id]
+        monitored = self.cluster.app_procs.get(node_id, ())
         monitored_ids = {id(p) for p in monitored}
         count = 0
         for proc in node.procs:
@@ -112,10 +106,10 @@ class DmpiPs:
         return hist[-1][0] if hist else float("-inf")
 
     def app_alive(self, node_id: int) -> bool:
-        """True while at least one monitored application process on the
-        node has neither finished nor died (vacuously True when nothing
-        is monitored there)."""
-        monitored = self._monitored[node_id]
+        """True while at least one application process on the node has
+        neither finished nor died (vacuously True when none was
+        launched there)."""
+        monitored = self.cluster.app_procs.get(node_id)
         if not monitored:
             return True
         return any(

@@ -4,7 +4,9 @@ processes, process kills, and what the rest of the job observes."""
 import pytest
 
 from repro.config import ClusterSpec, NodeSpec
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, RankFailedError
+from repro.mpi import run_spmd
+from repro.resilience import FailureScript, TimeFault
 from repro.simcluster import Cluster, Compute, ProcState, Simulator, Sleep, to_ns
 
 
@@ -85,7 +87,8 @@ def test_killed_rank_deadlocks_its_peer():
         else:
             yield from ep.recv(0, tag=0)
 
-    # spawn manually so we can kill rank 0
+    # spawned by hand and never watched: run_spmd would watch both
+    # ranks (test_failure_script_kill_reaches_a_run_spmd_rank)
     from repro.mpi import make_comm
 
     comm = make_comm(cluster)
@@ -99,6 +102,34 @@ def test_killed_rank_deadlocks_its_peer():
     with pytest.raises(DeadlockError) as exc:
         cluster.sim.run()
     assert "rank1" in str(exc.value)
+
+
+def test_failure_script_kill_reaches_a_run_spmd_rank():
+    """A time-triggered FailureScript kill on a plain run_spmd run
+    terminates the rank the launcher registered on that node; the peer
+    blocked on it gets RankFailedError (not a SimulationError for an
+    unregistered node, nor a DeadlockError), and the run finishes with
+    the death tolerated."""
+    cluster = Cluster(ClusterSpec(n_nodes=2, node=NodeSpec(speed=1e8)))
+    cluster.install_script(FailureScript(time_faults=[
+        TimeFault(time=1.0, node=0, action="kill")]))
+    caught = []
+
+    def program(ep):
+        if ep.rank == 0:
+            yield Sleep(5.0)  # killed at t=1 before it sends
+            yield from ep.send(1, tag=0, payload="never")
+            return "sent"
+        try:
+            yield from ep.recv(0, tag=0)
+        except RankFailedError as exc:
+            caught.append((cluster.sim.now, exc.rank))
+        return "survived"
+
+    assert run_spmd(cluster, program) == [None, "survived"]
+    assert caught == [(to_ns(1.0), 0)]
+    (victim,) = cluster.app_procs[0]
+    assert victim.state == ProcState.FAILED and "killed" in str(victim.error)
 
 
 def test_finish_cleans_up_node_process_table():

@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec, RuntimeSpec
 from repro.core import AccessMode, DynMPIJob, NearestNeighbor
-from repro.errors import RegistrationError, SimulationError
+from repro.errors import MPIError, SimulationError
 from repro.simcluster import Cluster
 
 
@@ -66,8 +66,9 @@ def test_double_launch_rejected():
 
 
 def test_non_generator_program_rejected():
+    # the launcher's one typed error, as for a plain run_spmd program
     job = DynMPIJob(make_cluster(1))
-    with pytest.raises(RegistrationError):
+    with pytest.raises(MPIError, match="generator function"):
         job.launch(lambda ctx: 42)
 
 

@@ -135,6 +135,15 @@ def run_case(seed, n_cp, warm, reply, send_at, oracle, churn_at=None):
 # both ranks poll (reply) and both polls end on their first step
 @example(seed=3, n_cp=3, warm="compute", reply=True,
          send_at=0.08922611712953357, churn_at=None)
+# the competitor leaves mid-turn; the poll step in progress at the turn
+# end began before it left (the chain's credit restarts there) ...
+@example(seed=0, n_cp=1, warm="none", reply=True, send_at=0.015625,
+         churn_at=0.01)
+@example(seed=0, n_cp=1, warm="none", reply=True, send_at=0.0625,
+         churn_at=0.046875)
+# ... or after it left (the chain's steps already ran untimed)
+@example(seed=0, n_cp=1, warm="none", reply=True, send_at=0.015625,
+         churn_at=0.0078125)
 def test_spin_job_matches_chunk_loop(seed, n_cp, warm, reply, send_at,
                                      churn_at):
     case = (seed, n_cp, warm, reply, send_at)

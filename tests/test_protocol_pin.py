@@ -83,23 +83,16 @@ def _rma_cell(sanitize):
     cluster = _cluster(4, "blocking", sanitize)
     comm = make_comm(cluster)
     win = Window(comm, 4, name="pin")
-    procs = []
-    for rank in range(comm.size):
-        h = win.origin(rank)
 
-        def program(h=h, rank=rank):
-            for _ in range(3):
-                yield Compute(1e4 * (rank + 1))
-                yield from h.lock(0)
-                yield from h.fetch_and_op(0, 0, 1)
-                yield from h.unlock(0)
+    def program(ep):
+        h = win.origin(ep.rank)
+        for _ in range(3):
+            yield Compute(1e4 * (ep.rank + 1))
+            yield from h.lock(0)
+            yield from h.fetch_and_op(0, 0, 1)
+            yield from h.unlock(0)
 
-        procs.append(cluster.sim.spawn(
-            program(), name=f"rank{rank}",
-            node=cluster.nodes[comm.node_of(rank)]))
-    cluster.sim.run_all(procs)
-    if cluster.sanitizer is not None:
-        cluster.sanitizer.finalize()
+    run_spmd(cluster, program, comm=comm)
     assert int(win.local(0)[0]) == 12
     return _digest(cluster, 4)
 
@@ -110,75 +103,77 @@ P2P_CELLS = list(itertools.product(
 
 #: (end time, events, wire messages, per-rank CPU time), times in clock
 #: ns; re-captured when the clock became integer nanoseconds (every
-#: cell equal to its old float pin rounded to ns: none moved)
+#: cell equal to its old float pin rounded to ns: none moved), and when
+#: run_spmd began watching every rank (one more event per rank, the
+#: watch's waiter on its exit; nothing else moved)
 P2P_PIN = {
     ('send', 'recv', 'eager', 'blocking', 'idle'):
-        (76102288, 28, 3, (76102288, 25102288)),
+        (76102288, 30, 3, (76102288, 25102288)),
     ('send', 'recv', 'eager', 'blocking', 'loaded'):
-        (76102288, 38, 3, (76102288, 25102288)),
+        (76102288, 40, 3, (76102288, 25102288)),
     ('send', 'recv', 'eager', 'polling', 'idle'):
-        (76102288, 30, 3, (76102288, 75302288)),
+        (76102288, 32, 3, (76102288, 75302288)),
     ('send', 'recv', 'eager', 'polling', 'loaded'):
-        (80323409, 43, 3, (76102288, 40102288)),
+        (80323409, 45, 3, (76102288, 40102288)),
     ('send', 'recv', 'rendezvous', 'blocking', 'idle'):
-        (117938528, 41, 9, (76876432, 25876432)),
+        (117938528, 43, 9, (76876432, 25876432)),
     ('send', 'recv', 'rendezvous', 'blocking', 'loaded'):
-        (137919208, 56, 9, (76876432, 25876432)),
+        (137919208, 58, 9, (76876432, 25876432)),
     ('send', 'recv', 'rendezvous', 'polling', 'idle'):
-        (117978288, 45, 9, (76876432, 101076432)),
+        (117978288, 47, 9, (76876432, 101076432)),
     ('send', 'recv', 'rendezvous', 'polling', 'loaded'):
-        (143096184, 63, 9, (76876432, 65476432)),
+        (143096184, 65, 9, (76876432, 65476432)),
     ('send', 'irecv', 'eager', 'blocking', 'idle'):
-        (76102288, 31, 3, (76102288, 26102288)),
+        (76102288, 33, 3, (76102288, 26102288)),
     ('send', 'irecv', 'eager', 'blocking', 'loaded'):
-        (76102288, 42, 3, (76102288, 26102288)),
+        (76102288, 44, 3, (76102288, 26102288)),
     ('send', 'irecv', 'eager', 'polling', 'idle'):
-        (76102288, 31, 3, (76102288, 26102288)),
+        (76102288, 33, 3, (76102288, 26102288)),
     ('send', 'irecv', 'eager', 'polling', 'loaded'):
-        (76102288, 42, 3, (76102288, 26102288)),
+        (76102288, 44, 3, (76102288, 26102288)),
     ('send', 'irecv', 'rendezvous', 'blocking', 'idle'):
-        (117938528, 43, 9, (76876432, 26876432)),
+        (117938528, 45, 9, (76876432, 26876432)),
     ('send', 'irecv', 'rendezvous', 'blocking', 'loaded'):
-        (137919208, 59, 9, (76876432, 26876432)),
+        (137919208, 61, 9, (76876432, 26876432)),
     ('send', 'irecv', 'rendezvous', 'polling', 'idle'):
-        (117938528, 43, 9, (76876432, 26876432)),
+        (117938528, 45, 9, (76876432, 26876432)),
     ('send', 'irecv', 'rendezvous', 'polling', 'loaded'):
-        (137919208, 59, 9, (76876432, 26876432)),
+        (137919208, 61, 9, (76876432, 26876432)),
     ('isend', 'recv', 'eager', 'blocking', 'idle'):
-        (76102288, 28, 3, (76102288, 25102288)),
+        (76102288, 30, 3, (76102288, 25102288)),
     ('isend', 'recv', 'eager', 'blocking', 'loaded'):
-        (76102288, 38, 3, (76102288, 25102288)),
+        (76102288, 40, 3, (76102288, 25102288)),
     ('isend', 'recv', 'eager', 'polling', 'idle'):
-        (76102288, 30, 3, (76102288, 75302288)),
+        (76102288, 32, 3, (76102288, 75302288)),
     ('isend', 'recv', 'eager', 'polling', 'loaded'):
-        (80323409, 43, 3, (76102288, 40102288)),
+        (80323409, 45, 3, (76102288, 40102288)),
     ('isend', 'recv', 'rendezvous', 'blocking', 'idle'):
-        (81646696, 41, 9, (76876432, 25876432)),
+        (81646696, 43, 9, (76876432, 25876432)),
     ('isend', 'recv', 'rendezvous', 'blocking', 'loaded'):
-        (81646696, 51, 9, (76876432, 25876432)),
+        (81646696, 53, 9, (76876432, 25876432)),
     ('isend', 'recv', 'rendezvous', 'polling', 'idle'):
-        (81670432, 43, 9, (76876432, 65476432)),
+        (81670432, 45, 9, (76876432, 65476432)),
     ('isend', 'recv', 'rendezvous', 'polling', 'loaded'):
-        (81710306, 54, 9, (76876432, 35776432)),
+        (81710306, 56, 9, (76876432, 35776432)),
     ('isend', 'irecv', 'eager', 'blocking', 'idle'):
-        (76102288, 31, 3, (76102288, 26102288)),
+        (76102288, 33, 3, (76102288, 26102288)),
     ('isend', 'irecv', 'eager', 'blocking', 'loaded'):
-        (76102288, 42, 3, (76102288, 26102288)),
+        (76102288, 44, 3, (76102288, 26102288)),
     ('isend', 'irecv', 'eager', 'polling', 'idle'):
-        (76102288, 31, 3, (76102288, 26102288)),
+        (76102288, 33, 3, (76102288, 26102288)),
     ('isend', 'irecv', 'eager', 'polling', 'loaded'):
-        (76102288, 42, 3, (76102288, 26102288)),
+        (76102288, 44, 3, (76102288, 26102288)),
     ('isend', 'irecv', 'rendezvous', 'blocking', 'idle'):
-        (81646696, 43, 9, (76876432, 26876432)),
+        (81646696, 45, 9, (76876432, 26876432)),
     ('isend', 'irecv', 'rendezvous', 'blocking', 'loaded'):
-        (81646696, 54, 9, (76876432, 26876432)),
+        (81646696, 56, 9, (76876432, 26876432)),
     ('isend', 'irecv', 'rendezvous', 'polling', 'idle'):
-        (81646696, 43, 9, (76876432, 26876432)),
+        (81646696, 45, 9, (76876432, 26876432)),
     ('isend', 'irecv', 'rendezvous', 'polling', 'loaded'):
-        (81646696, 54, 9, (76876432, 26876432)),
+        (81646696, 56, 9, (76876432, 26876432)),
 }
 
-RMA_PIN = (4554544, 284, 72, (842496, 1142496, 1442496, 1742496))
+RMA_PIN = (4554544, 288, 72, (842496, 1142496, 1442496, 1742496))
 
 
 @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "san"])

@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
 from repro.errors import MPIError, RankFailedError, SanitizerError
-from repro.mpi import Window, make_comm
+from repro.mpi import Window, make_comm, run_spmd
+from repro.resilience import FailureScript, TimeFault
 from repro.simcluster import Cluster, Compute, Sleep, to_ns, to_s
 
 
@@ -21,25 +22,25 @@ def make_cluster(n=3, **kw):
     ))
 
 
-def run_ranks(cluster, programs, *, tolerate=None):
-    """Spawn ``programs[rank](ep, win.origin(rank))`` and run to
-    completion; returns (per-rank results, win)."""
+def idle(ep, h):
+    return None
+    yield  # pragma: no cover
+
+
+def run_window(cluster, programs, *, kill=None):
+    """Run ``programs[rank](ep, win.origin(rank))`` with ``run_spmd``
+    over one 8-slot window; returns (per-rank results, win).  ``kill``
+    = ``(rank, t)`` has a ``FailureScript`` kill that rank's node at
+    simulated time ``t``."""
     comm = make_comm(cluster)
     win = Window(comm, 8, name="t")
-    procs = []
-    for rank, prog in enumerate(programs):
-        if prog is None:
-            continue
-        ep = comm.endpoint(rank)
-        node = cluster.nodes[comm.node_of(rank)]
-        proc = cluster.sim.spawn(prog(ep, win.origin(rank)),
-                                 name=f"r{rank}", node=node)
-        comm.watch_rank(rank, proc)
-        procs.append(proc)
-    cluster.sim.run_all(procs, tolerate=tolerate or (lambda p: False))
-    if cluster.sanitizer is not None:
-        cluster.sanitizer.finalize()
-    return [p.result for p in procs], win
+    if kill is not None:
+        rank, t = kill
+        cluster.install_script(FailureScript(time_faults=[
+            TimeFault(time=t, node=comm.node_of(rank), action="kill")]))
+    results = run_spmd(cluster, lambda ep: programs[ep.rank](ep, win.origin(ep.rank)),
+                       comm=comm)
+    return results, win
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +73,7 @@ def test_put_get_accumulate_fetchop_cas():
         return True
         yield  # pragma: no cover — make it a generator
 
-    results, win = run_ranks(cluster, [target, origin])
+    results, win = run_window(cluster, [target, origin])
     assert results == [True, True]
     assert int(win.local(0)[0]) == 20
     assert int(win.local(0)[1]) == 99
@@ -94,7 +95,7 @@ def test_ops_cost_simulated_time_and_target_stays_passive():
         return "done"
         yield  # pragma: no cover
 
-    _, win = run_ranks(cluster, [target, origin])
+    _, win = run_window(cluster, [target, origin])
     assert int(win.local(0)[0]) == 5
     assert cluster.sim.now > 0.0
     # a target CPU that never computes: only the origin node was charged
@@ -124,7 +125,7 @@ def test_fetch_and_op_claims_are_disjoint():
     def master(ep, h):
         yield Sleep(0.05)
 
-    run_ranks(cluster, [master] + [worker(r) for r in range(1, 5)])
+    run_window(cluster, [master] + [worker(r) for r in range(1, 5)])
     starts = sorted(s for mine in claims.values() for s in mine)
     assert starts == list(range(0, 30, 3))
 
@@ -140,11 +141,7 @@ def test_slot_bounds_and_bad_ranks():
             yield from h.get(5, 0)
         yield from h.unlock(0)
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
-    run_ranks(cluster, [idle, origin])
+    run_window(cluster, [idle, origin])
 
 
 def test_bad_rank_is_a_usage_error_under_the_sanitizer():
@@ -160,7 +157,7 @@ def test_bad_rank_is_a_usage_error_under_the_sanitizer():
                 yield from op
         yield from h.unlock(0)
 
-    run_ranks(cluster, [None, origin])
+    run_window(cluster, [idle, origin])
 
 
 # ----------------------------------------------------------------------
@@ -183,11 +180,7 @@ def test_exclusive_lock_serializes_epochs():
             yield from h.unlock(0)
         return prog
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
-    run_ranks(cluster, [idle, contender(1, 0.02), contender(2, 0.0)])
+    run_window(cluster, [idle, contender(1, 0.02), contender(2, 0.0)])
     kinds = [(k, r) for k, r, _ in order]
     assert kinds == [("acq", 1), ("op", 1), ("acq", 2), ("op", 2)]
     # rank 2's epoch could not begin until rank 1 released
@@ -215,11 +208,7 @@ def test_shared_locks_coexist_exclusive_waits():
         yield from h.put(0, 0, 1)
         yield from h.unlock(0)
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
-    run_ranks(cluster, [idle, reader(1), reader(2), writer])
+    run_window(cluster, [idle, reader(1), reader(2), writer])
     # both shared epochs overlapped; the exclusive one waited them out
     assert abs(times[1] - times[2]) < to_ns(5e-3)
     assert times["writer"] >= max(times[1], times[2]) + to_ns(0.01)
@@ -235,12 +224,8 @@ def test_sanitizer_flags_op_outside_epoch():
     def origin(ep, h):
         yield from h.fetch_and_op(0, 0, 1)
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
     with pytest.raises(SanitizerError, match="DYN1112"):
-        run_ranks(cluster, [idle, origin])
+        run_window(cluster, [idle, origin])
 
 
 def test_sanitizer_flags_unpaired_unlock():
@@ -249,12 +234,8 @@ def test_sanitizer_flags_unpaired_unlock():
     def origin(ep, h):
         yield from h.unlock(0)
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
     with pytest.raises(SanitizerError, match="DYN1111"):
-        run_ranks(cluster, [idle, origin])
+        run_window(cluster, [idle, origin])
 
 
 def test_sanitizer_flags_conflicting_lock_acquisition():
@@ -264,12 +245,8 @@ def test_sanitizer_flags_conflicting_lock_acquisition():
         yield from h.lock(0)
         yield from h.lock(0)  # same origin, same target, epoch open
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
     with pytest.raises(SanitizerError, match="DYN1113"):
-        run_ranks(cluster, [idle, origin])
+        run_window(cluster, [idle, origin])
 
 
 def test_sanitizer_finalize_reports_unclosed_epoch():
@@ -279,12 +256,8 @@ def test_sanitizer_finalize_reports_unclosed_epoch():
         yield from h.lock(0)
         yield from h.put(0, 0, 1)  # never unlocked
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
     with pytest.raises(SanitizerError, match="DYN1111"):
-        run_ranks(cluster, [idle, origin])
+        run_window(cluster, [idle, origin])
 
 
 def test_sanitizer_clean_run_is_silent():
@@ -295,11 +268,7 @@ def test_sanitizer_clean_run_is_silent():
         yield from h.fetch_and_op(0, 0, 1)
         yield from h.unlock(0)
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
-    run_ranks(cluster, [idle, origin])  # no raise
+    run_window(cluster, [idle, origin])  # no raise
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +285,7 @@ def test_rma_spans_and_counters_recorded():
         yield from h.fetch_and_op(0, 2, 4)
         yield from h.unlock(0)
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
-    run_ranks(cluster, [idle, origin])
+    run_window(cluster, [idle, origin])
     names = [e.name for e in cluster.obs.events if e.cat == "rma"]
     assert "rma.lock" in names
     assert "rma.put" in names
@@ -335,27 +300,6 @@ def test_rma_spans_and_counters_recorded():
 # ----------------------------------------------------------------------
 # resilience
 # ----------------------------------------------------------------------
-
-def _spawn_with_kill(cluster, programs, kill_rank, kill_at):
-    """Spawn like :func:`run_ranks` but kill ``kill_rank``'s process at
-    simulated time ``kill_at``; tolerates only that death."""
-    comm = make_comm(cluster)
-    win = Window(comm, 8, name="t")
-    procs = []
-    for rank, prog in enumerate(programs):
-        ep = comm.endpoint(rank)
-        node = cluster.nodes[comm.node_of(rank)]
-        proc = cluster.sim.spawn(prog(ep, win.origin(rank)),
-                                 name=f"r{rank}", node=node)
-        comm.watch_rank(rank, proc)
-        procs.append(proc)
-    victim = procs[kill_rank]
-    cluster.sim.schedule(to_ns(kill_at), lambda: cluster.sim.kill(victim))
-    cluster.sim.run_all(procs, tolerate=lambda p: p is victim)
-    if cluster.sanitizer is not None:
-        cluster.sanitizer.finalize()
-    return [p.result for p in procs], win
-
 
 def test_dead_holder_releases_lock_to_fifo_waiter():
     cluster = make_cluster(3, sanitize=True)
@@ -373,12 +317,7 @@ def test_dead_holder_releases_lock_to_fifo_waiter():
         yield from h.fetch_and_op(0, 0, 1)
         yield from h.unlock(0)
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
-    _, win = _spawn_with_kill(cluster, [idle, doomed, waiter],
-                              kill_rank=1, kill_at=0.01)
+    _, win = run_window(cluster, [idle, doomed, waiter], kill=(1, 0.01))
     assert acquired and acquired[0] >= to_ns(0.01)
     assert int(win.local(0)[0]) == 1
 
@@ -402,8 +341,7 @@ def test_lock_queued_at_dying_target_raises(sanitize):
     def target(ep, h):
         yield Sleep(10.0)
 
-    _spawn_with_kill(cluster, [waiter, holder, target],
-                     kill_rank=2, kill_at=0.01)
+    run_window(cluster, [waiter, holder, target], kill=(2, 0.01))
     assert failed == [to_ns(0.01)]
 
 
@@ -428,8 +366,7 @@ def test_lock_request_of_an_origin_dead_in_flight_is_not_granted(sanitize):
         yield from h.unlock(0)
         return "locked"
 
-    results, win = _spawn_with_kill(cluster, [target, doomed, later],
-                                    kill_rank=1, kill_at=60e-6)
+    results, win = run_window(cluster, [target, doomed, later], kill=(1, 60e-6))
     assert results[2] == "locked"
     assert win._locks[0].holders == {} and int(win.local(0)[0]) == 1
 
@@ -462,8 +399,7 @@ def test_requests_reaching_dead_target(sanitize):
     def target(ep, h):
         yield Sleep(10.0)
 
-    results, win = _spawn_with_kill(cluster, [lock, op, unlock, target],
-                                    kill_rank=3, kill_at=1.05e-3)
+    results, win = run_window(cluster, [lock, op, unlock, target], kill=(3, 1.05e-3))
     assert results[:3] == ["lock", "op", "unlock"]
     assert int(win.local(3)[0]) == 0
 
@@ -480,10 +416,5 @@ def test_rma_op_on_dead_target_raises():
             yield from h.lock(1)
         return "survived"
 
-    def idle(ep, h):
-        return None
-        yield  # pragma: no cover
-
-    results, _ = _spawn_with_kill(cluster, [idle, doomed, origin],
-                                  kill_rank=1, kill_at=1e-3)
+    results, _ = run_window(cluster, [idle, doomed, origin], kill=(1, 1e-3))
     assert "survived" in results

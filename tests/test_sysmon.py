@@ -25,7 +25,7 @@ def test_dmpi_ps_counts_app_plus_competitors():
     cluster.nodes[0].start_competing()
 
     app = cluster.sim.spawn(spin(1000.0), name="app", node=cluster.nodes[0])
-    ps.register_monitored(0, app)
+    cluster.register_app_proc(0, app)
     ps.start()
     cluster.sim.run_all([app])
     # app + 2 competitors
@@ -44,7 +44,7 @@ def test_dmpi_ps_includes_blocked_monitored_app():
         yield Sleep(3.0)  # voluntarily off the run queue
 
     app = cluster.sim.spawn(app_prog(), name="app", node=cluster.nodes[0])
-    ps.register_monitored(0, app)
+    cluster.register_app_proc(0, app)
     ps.start()
     cluster.sim.run_all([app])
     samples = [v for t, v in ps.history(0) if t < 3.0]
@@ -75,7 +75,7 @@ def test_dmpi_ps_detects_load_change_within_interval():
         yield Compute(1000.0)  # long-running
 
     app = cluster.sim.spawn(app_prog(), name="app", node=cluster.nodes[0])
-    ps.register_monitored(0, app)
+    cluster.register_app_proc(0, app)
     ps.start()
     cluster.sim.schedule(to_ns(3.5), lambda: cluster.nodes[0].start_competing())
     cluster.sim.run_all([app])
