@@ -2,9 +2,11 @@
 three independent invariant checkers.
 
 Each fuzz iteration derives a scenario from ``(campaign_seed, index)``
-through a self-contained SplitMix64 generator — no ``random`` module,
-no numpy Generator, so the draw sequence is bit-stable across Python
-and numpy versions.  The scenario is then executed up to three times:
+through a SplitMix64 generator that draws with the shared finalizer
+:func:`~repro.simcluster.rng.mix64` — no ``random`` module, no numpy
+Generator, only wrapping uint64 arithmetic, so the draw sequence is
+bit-stable across Python and numpy versions.  The scenario is then
+executed up to three times:
 
 1. **oracle** (PR 3): the distributed run must compute exactly what
    its sequential reference computes, redistribution or not;
@@ -39,7 +41,10 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..errors import ConfigError
+from ..simcluster.rng import mix64
 from .runner import run_combo
 from .scenarios import build_scenario, resolve_params
 from .space import combo_slug
@@ -76,11 +81,10 @@ class SplitMix64:
         self._state = acc
 
     def next_u64(self) -> int:
+        # mix64 adds the golden-ratio increment before finalizing
+        z = int(mix64(np.array([self._state], dtype=np.uint64))[0])
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return z
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] (inclusive)."""

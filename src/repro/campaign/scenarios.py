@@ -308,9 +308,13 @@ def _app_setup(full: dict, check: bool):
 def _grid_oracle(reference: Callable, *, exact: bool = False) -> Callable:
     def check(result) -> str:
         expected = reference()
+        checked = 0
         for rank, out in enumerate(result.per_rank):
-            if out is None:  # crashed rank (fail-stop victim)
+            # a crashed rank returns None; a rank a drop parked returns
+            # no grid (only participating ranks collect one)
+            if out is None or "grid" not in out:
                 continue
+            checked += 1
             got = out["grid"]
             ok = (np.array_equal(got, expected) if exact
                   else np.allclose(got, expected, atol=1e-12))
@@ -318,7 +322,7 @@ def _grid_oracle(reference: Callable, *, exact: bool = False) -> Callable:
                 worst = float(np.max(np.abs(np.asarray(got) - expected)))
                 return (f"rank {rank} grid deviates from the sequential "
                         f"reference (max abs err {worst:.3e})")
-        return ""
+        return "" if checked else "no rank returned a grid"
     return check
 
 

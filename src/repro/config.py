@@ -207,8 +207,6 @@ class RuntimeSpec:
     drop_mode: str = "physical"
     #: consider re-adding removed nodes when their load clears
     allow_rejoin: bool = False
-    #: consider dropping subsets of loaded nodes (paper future work)
-    partial_removal: bool = False
     #: safety margin: predicted unloaded-config time must beat the
     #: measured time by this factor before nodes are dropped (tiny
     #: values force dropping, huge values forbid it — used by the

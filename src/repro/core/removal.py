@@ -15,17 +15,11 @@ Two drop modes:
 * **logical** — the node stays but is assigned a minimal number of
   rows, so ranks stay static.  The paper notes the performance gap
   between the two can be significant; the ablation bench measures it.
-
-``partial removal`` (the paper's future work) additionally evaluates
-keeping subsets of the loaded nodes, using the load-scaled power
-estimate the paper says would need better prediction — it is off by
-default and exists for the extension experiments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,8 +58,7 @@ def evaluate_drop(
     """
     loads = np.asarray(loads, dtype=int)
     speeds = np.asarray(speeds, dtype=float)
-    n = loads.size
-    if speeds.size != n:
+    if speeds.size != loads.size:
         raise DistributionError("loads and speeds must have the same length")
     loaded = np.flatnonzero(loads > 1)
     unloaded = np.flatnonzero(loads <= 1)
@@ -74,36 +67,14 @@ def evaluate_drop(
     if not spec.allow_removal or loaded.size == 0 or unloaded.size == 0:
         return no_drop
 
-    candidates: list[tuple[tuple, np.ndarray]] = []
     # the paper's candidate: all loaded nodes removed
-    candidates.append((tuple(loaded), speeds[unloaded]))
-    if spec.partial_removal:
-        # future-work extension: keep some loaded nodes, with their
-        # power discounted by measured load.  The candidate sweep is
-        # combinatorial by design and gated off by default; it runs
-        # once per adaptation decision, never per event.
-        all_ranks = np.arange(n)
-        for r in range(1, loaded.size):
-            for keep_loaded in combinations(loaded, r):
-                removed_arr = np.setdiff1d(loaded, keep_loaded)
-                kept = np.setdiff1d(all_ranks, removed_arr)
-                avails = speeds[kept] / np.maximum(loads[kept], 1)
-                candidates.append((tuple(int(x)
-                                         for x in removed_arr), avails))
-
-    best: Optional[tuple[float, tuple, np.ndarray]] = None
-    for removed, avails in candidates:
-        try:
-            res = closed_form_shares(total_work, avails, patterns, model, n_rows)
-        except DistributionError:
-            continue
-        pred = res.predicted_cycle_time
-        if best is None or pred < best[0]:
-            best = (pred, removed, res.shares)
-    if best is None:
+    removed = tuple(loaded)
+    try:
+        res = closed_form_shares(total_work, speeds[unloaded], patterns,
+                                 model, n_rows)
+    except DistributionError:
         return no_drop
-
-    pred, removed, shares = best
+    pred, shares = res.predicted_cycle_time, res.shares
     if pred * spec.drop_margin < measured_max:
         # the decision is shared by every rank that acts on it
         shares.setflags(write=False)

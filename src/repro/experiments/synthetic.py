@@ -120,7 +120,6 @@ def run_monitor_ablation(
                 yield Sleep(period * blocked_fraction)
 
         proc = cluster.sim.spawn(app(), name="app", node=node)
-        cluster.register_app_proc(0, proc)
         if name == "dmpi_ps":
             mon = DmpiPs(cluster, interval=interval, jitter=False)
         else:

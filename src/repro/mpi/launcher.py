@@ -1,9 +1,9 @@
 """SPMD launcher — the simulated ``mpirun``, the one place ranks start.
 
 ``run_spmd(cluster, program, ...)`` spawns one process per rank (a
-generator produced by ``program(endpoint, *args)``) on its node,
-registers it as the node's application process (the target of a
-``FailureScript`` ``kill`` / ``inject`` and of ``dmpi_ps``'s count),
+generator produced by ``program(endpoint, *args)``) on its node —
+which makes it the node's application process, the target of a
+``FailureScript`` ``kill`` / ``inject`` and of ``dmpi_ps``'s count —
 has the communicator watch it (a dead rank's blocked peers get
 :class:`~repro.errors.RankFailedError`), runs the simulation until
 every rank finishes, and returns the per-rank results.
@@ -41,7 +41,7 @@ def run_spmd(
     ``comm`` (default: a fresh one rank per node).
 
     Returns the list of per-rank return values.  A rank that dies on a
-    node the failure board marks failed, or whose rank ``tolerate``
+    node that recorded a fault, or whose rank ``tolerate``
     accepts, is an expected death; any other rank error is raised, and
     a hang is a :class:`~repro.errors.DeadlockError`.
     ``advisory_tags`` go to the sanitizer's final check.
@@ -55,17 +55,13 @@ def run_spmd(
             raise MPIError(
                 f"program must be a generator function (rank {rank} produced {type(gen)!r})"
             )
-        node_id = comm.node_of(rank)
-        proc = cluster.sim.spawn(gen, name=f"{name}{rank}", node=cluster.nodes[node_id])
-        cluster.register_app_proc(node_id, proc)
+        proc = cluster.sim.spawn(gen, name=f"{name}{rank}",
+                                 node=cluster.nodes[comm.node_of(rank)])
         comm.watch_rank(rank, proc)
         procs.append(proc)
 
-    board = cluster.failure_board
-
     def expected_death(proc) -> bool:
-        rank = procs.index(proc)
-        return board.failed(comm.node_of(rank)) or (tolerate is not None and tolerate(rank))
+        return proc.node.failed or (tolerate is not None and tolerate(procs.index(proc)))
 
     cluster.sim.run_all(procs, tolerate=expected_death)
     if cluster.sanitizer is not None:

@@ -2,13 +2,12 @@
 
 The subsystem has three cooperating parts (docs/RESILIENCE.md):
 
-* **Failure injection** (:mod:`.failures`, :mod:`.board`): a
-  :class:`FailureScript` mirrors the workload
-  :class:`~repro.simcluster.workload.LoadScript`, triggering node
-  crashes, hard process kills, exception injection, transient
-  slowdowns, and network partitions at simulated times or phase-cycle
-  boundaries.  Ground-truth failure state lives on the cluster's
-  :class:`FailureBoard`.
+* **Failure injection** (:mod:`.failures`): a :class:`FailureScript`
+  is a :class:`~repro.simcluster.workload.Script` whose time and
+  phase-cycle triggers are faults — node crashes, hard process kills,
+  exception injection, transient slowdowns and network partitions.
+  Each node records its own crash and kill times
+  (:class:`~repro.simcluster.node.Node`).
 
 * **In-memory neighbor checkpointing** (:mod:`.checkpoint`): each rank
   periodically packs its owned extended rows (the same serialization
@@ -22,7 +21,6 @@ The subsystem has three cooperating parts (docs/RESILIENCE.md):
   rows from its stored checkpoint.
 """
 
-from .board import FailureBoard
 from .checkpoint import (
     Checkpoint,
     CheckpointStore,
@@ -41,7 +39,6 @@ from .failures import (
 )
 
 __all__ = [
-    "FailureBoard",
     "Checkpoint",
     "CheckpointStore",
     "checkpoint_exchange",

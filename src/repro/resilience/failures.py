@@ -6,10 +6,10 @@ whose triggers are faults.  Five fault kinds are supported:
 
 ``crash``
     Fail-stop node failure, recoverable when
-    :class:`~repro.config.ResilienceSpec` is enabled.  The node is
-    marked on the :class:`~repro.resilience.board.FailureBoard`, its
-    ``dmpi_ps`` daemon stops publishing (so the heartbeat goes stale —
-    the detectable signature), its competing processes stop, and the
+    :class:`~repro.config.ResilienceSpec` is enabled.  The node records
+    the crash time (``Node.crashed_at``), its ``dmpi_ps`` daemon stops
+    publishing (so the heartbeat goes stale — the detectable
+    signature), its competing processes stop, and the
     Dyn-MPI runtime excises the node at the next phase-cycle boundary,
     replaying its rows from the buddy checkpoint.  The fail-stop unit
     is the phase cycle: a crash injected mid-cycle takes effect at the
@@ -18,7 +18,9 @@ whose triggers are faults.  Five fault kinds are supported:
 
 ``kill`` / ``inject``
     Hard, *immediate* process death (``Simulator.kill`` /
-    ``Simulator.inject``) with no recovery guarantee: survivors blocked
+    ``Simulator.inject``) of every process spawned on the node, with no
+    recovery guarantee; the node records the time (``Node.killed_at``),
+    so ``run_spmd`` tolerates the deaths.  Survivors blocked
     on the dead rank get :class:`~repro.errors.RankFailedError` from
     the comm layer's dead-endpoint poisoning instead of hanging.
 
@@ -33,9 +35,9 @@ whose triggers are faults.  Five fault kinds are supported:
     above need no retransmission logic).
 
 All direct ``Simulator.kill``/``inject`` use in the library lives in
-this package: a kill that bypasses the board and ``terminate_rank``
-leaves the runtime's crash accounting behind, which the crash-recovery
-tests catch (``tests/test_resilience.py``).
+this package: a kill that bypasses the node's fault record and
+``terminate_rank`` leaves the runtime's crash accounting behind, which
+the crash-recovery tests catch (``tests/test_resilience.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, Optional
 
 from ..errors import ConfigError, ReproError, SimulationError
 from ..obs.recorder import CPU_TID
-from ..simcluster.kernel import to_ns, to_s
+from ..simcluster.kernel import to_ns
 from ..simcluster.workload import Script
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -137,18 +139,17 @@ class FailureScript(Script):
                                 pid=fault.node, tid=CPU_TID)
 
     def _apply_crash(self, cluster: "Cluster", fault) -> None:
-        cluster.failure_board.mark_crashed(fault.node, to_s(cluster.sim.now))
+        node = cluster.nodes[fault.node]
+        node.mark_crashed()
         # a dead node runs nothing: its competing load disappears with it
-        cluster.nodes[fault.node].stop_all_competing()
+        node.stop_all_competing()
 
     def _apply_kill(self, cluster: "Cluster", fault) -> None:
-        cluster.failure_board.mark_killed(fault.node, to_s(cluster.sim.now))
-        for proc in self._app_procs(cluster, fault.node):
+        for proc in self._kill_targets(cluster, fault.node):
             cluster.sim.kill(proc)
 
     def _apply_inject(self, cluster: "Cluster", fault) -> None:
-        cluster.failure_board.mark_killed(fault.node, to_s(cluster.sim.now))
-        for proc in self._app_procs(cluster, fault.node):
+        for proc in self._kill_targets(cluster, fault.node):
             cluster.sim.inject(
                 proc, InjectedFault(f"fault injected into {proc.name}")
             )
@@ -166,14 +167,16 @@ class FailureScript(Script):
         cluster.network.heal()
 
     @staticmethod
-    def _app_procs(cluster: "Cluster", node_id: int) -> list:
-        procs = cluster.app_procs.get(node_id, [])
-        if not procs:
+    def _kill_targets(cluster: "Cluster", node_id: int) -> list:
+        """Record a kill on the node; return every process spawned there."""
+        node = cluster.nodes[node_id]
+        node.mark_killed()
+        if not node.procs:
             raise SimulationError(
                 f"fault targets node {node_id} but no application process "
-                f"is registered there (launch the job first)"
+                f"was spawned there (launch the job first)"
             )
-        return procs
+        return node.procs
 
 
 def node_crash(node: int, *, at_cycle: Optional[int] = None,

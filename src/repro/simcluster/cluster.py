@@ -12,8 +12,7 @@ from typing import Optional
 from ..analysis.sanitizer import CommSanitizer, sanitizer_enabled
 from ..config import ClusterSpec
 from ..obs.recorder import ObsRecorder, obs_enabled
-from ..resilience.board import FailureBoard
-from .kernel import SimProcess, Simulator, to_s
+from .kernel import Simulator, to_s
 from .network import Network
 from .node import Node
 from .rng import StreamRegistry
@@ -47,13 +46,6 @@ class Cluster:
         #: the installed load and fault scripts, in install order (the
         #: order their cycle triggers fire in)
         self.scripts: list[Script] = []
-        #: ground-truth node-failure state; always present (and empty)
-        #: so readers need no None checks
-        self.failure_board = FailureBoard(spec.n_nodes)
-        #: node_id -> application (rank) processes launched there, the
-        #: kill/inject fault targets and what dmpi_ps always counts;
-        #: populated by repro.mpi.run_spmd
-        self.app_procs: dict[int, list[SimProcess]] = {}
         self.sanitizer: Optional[CommSanitizer] = None
         if sanitizer_enabled(spec):
             self.sanitizer = CommSanitizer()
@@ -66,9 +58,6 @@ class Cluster:
     def install_script(self, script: Script) -> None:
         self.scripts.append(script)
         script.install(self)
-
-    def register_app_proc(self, node_id: int, proc: SimProcess) -> None:
-        self.app_procs.setdefault(node_id, []).append(proc)
 
     def notify_cycle(self, cycle: int) -> None:
         """Called by the runtime at phase-cycle boundaries so that

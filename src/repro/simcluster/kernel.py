@@ -191,10 +191,10 @@ class Signal:
 class SimProcess:
     """A simulated process: a generator plus scheduling bookkeeping.
 
-    ``node`` is assigned when the process is registered with a node
-    (see :class:`~repro.simcluster.node.Node`); processes that never
-    compute (pure bookkeeping daemons) may run detached with
-    ``node=None`` but must not yield :class:`Compute`.
+    ``node`` is the :class:`~repro.simcluster.node.Node` it was spawned
+    on, whose process table keeps it for good, finished or not;
+    processes that never compute (pure bookkeeping daemons) run with
+    ``node=None`` and must not yield :class:`Compute`.
     """
 
     __slots__ = (
@@ -205,7 +205,7 @@ class SimProcess:
     def __init__(self, name: str, gen: Generator[Syscall, Any, Any], *, daemon: bool = False):
         self.name = name
         self.gen = gen
-        self.node = None  # set by Node.attach / launcher
+        self.node = None  # set by Node.attach at spawn
         self.state = ProcState.NEW
         self.cpu_time = 0  # CPU ns consumed (the /PROC counter)
         self.fair_share = None  # the scheduler's EMA record of that use
@@ -390,8 +390,6 @@ class Simulator:
         proc.result = result
         proc.error = error
         proc.state = ProcState.FAILED if error is not None else ProcState.DONE
-        if proc.node is not None:
-            proc.node.detach(proc)
         proc.done_signal.fire(result)
 
     # ------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""A simulated cluster node: one CPU plus a process table.
+"""A simulated cluster node: one CPU, a process table and a fault record.
 
-The process table is what the monitoring substrate (``dmpi_ps``,
-``vmstat``) inspects.  It contains every attached
-:class:`~repro.simcluster.kernel.SimProcess` and every
-:class:`~repro.simcluster.cpu.BackgroundJob` (competing process), each
-with a live scheduling state.
+The node is the one record of what runs on it: ``procs`` holds every
+:class:`~repro.simcluster.kernel.SimProcess` spawned there, finished
+ones included, in spawn order (the ``kill`` / ``inject`` fault targets
+and what ``dmpi_ps`` always counts while live), and ``background`` every
+:class:`~repro.simcluster.cpu.BackgroundJob` (competing process).  The
+process table the monitoring substrate (``dmpi_ps``, ``vmstat``)
+inspects is the live part of both, each row with its scheduling state.
+
+The node also records its own faults: the simulated time of its first
+``crash`` and of its first ``kill`` / ``inject``, written only by
+:class:`~repro.resilience.failures.FailureScript`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ class Node:
         self.spec = spec
         self.cpu = RoundRobinCPU(sim, spec.speed, spec.quantum, rng=rng,
                                  node_id=node_id, obs=obs)
+        #: every process spawned on the node, finished ones included
         self.procs: list[SimProcess] = []
+        #: sim time (ns) of the node's first crash fault, and of its
+        #: first kill or inject fault, or None
+        self.crashed_at: Optional[int] = None
+        self.killed_at: Optional[int] = None
         self.background: dict[str, BackgroundJob] = {}
         #: called after every competitor start or stop (the cluster's
         #: ``load_version`` counter), or None
@@ -44,9 +55,21 @@ class Node:
         proc.node = self
         self.procs.append(proc)
 
-    def detach(self, proc: SimProcess) -> None:
-        if proc in self.procs:
-            self.procs.remove(proc)
+    # ------------------------------------------------------------------
+    # faults (written by FailureScript only; the first time of each wins)
+    # ------------------------------------------------------------------
+    def mark_crashed(self) -> None:
+        if self.crashed_at is None:
+            self.crashed_at = self.sim.now
+
+    def mark_killed(self) -> None:
+        if self.killed_at is None:
+            self.killed_at = self.sim.now
+
+    @property
+    def failed(self) -> bool:
+        """Any injected fault: a crash or a hard process kill."""
+        return self.crashed_at is not None or self.killed_at is not None
 
     # ------------------------------------------------------------------
     # competing processes
@@ -84,9 +107,14 @@ class Node:
     # ------------------------------------------------------------------
     # process table (what ps / vmstat see)
     # ------------------------------------------------------------------
+    def live_procs(self) -> list[SimProcess]:
+        """The node's processes that have neither finished nor died."""
+        return [p for p in self.procs
+                if p.state not in (ProcState.DONE, ProcState.FAILED)]
+
     def process_table(self) -> list[tuple[str, str, int]]:
         """Return ``(name, state, cpu_time)`` (ns) for every live process."""
-        rows = [(p.name, p.state, p.cpu_time) for p in self.procs]
+        rows = [(p.name, p.state, p.cpu_time) for p in self.live_procs()]
         rows.extend((b.name, b.state, b.cpu_time) for b in self.background.values())
         return rows
 

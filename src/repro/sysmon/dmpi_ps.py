@@ -52,7 +52,7 @@ class DmpiPs:
     def _daemon(self, node_id: int, phase: float):
         yield Sleep(phase)
         while True:
-            if self.cluster.failure_board.crashed(node_id):
+            if self.cluster.nodes[node_id].crashed_at is not None:
                 return  # a dead node samples nothing: heartbeat goes stale
             self._take_sample(node_id)
             yield Sleep(self.interval)
@@ -62,39 +62,19 @@ class DmpiPs:
         self._history[node_id].append((to_s(self.cluster.sim.now), self._latest[node_id]))
 
     def _measure(self, node_id: int) -> int:
+        # every live process spawned on the node is the monitored
+        # application, counted even while blocked at a receive;
+        # competitors count while running or ready
         node = self.cluster.nodes[node_id]
-        monitored = self.cluster.app_procs.get(node_id, ())
-        monitored_ids = {id(p) for p in monitored}
-        count = 0
-        for proc in node.procs:
-            if id(proc) in monitored_ids:
-                continue  # counted unconditionally below
-            if proc.state in (ProcState.RUNNING, ProcState.READY):
-                count += 1
-        for bg in node.background.values():
-            if bg.state in (ProcState.RUNNING, ProcState.READY):
-                count += 1
-        # the monitored application is automatically included, even
-        # while blocked at a receive
-        live = sum(
-            1 for p in monitored
-            if p.state not in (ProcState.DONE, ProcState.FAILED)
+        return len(node.live_procs()) + sum(
+            1 for bg in node.background.values()
+            if bg.state in (ProcState.RUNNING, ProcState.READY)
         )
-        return count + live
 
     # ------------------------------------------------------------------
     def load(self, node_id: int) -> int:
         """Latest published load for ``node_id`` (local read)."""
         return self._latest[node_id]
-
-    def loads(self) -> list[int]:
-        """Latest published loads of all nodes.
-
-        NOTE: only valid as a *global* view in tests/analysis; the
-        runtime itself reads locally and allgathers, as a real
-        distributed system must.
-        """
-        return list(self._latest)
 
     def history(self, node_id: int) -> list[tuple[float, int]]:
         return list(self._history[node_id])
@@ -106,12 +86,7 @@ class DmpiPs:
         return hist[-1][0] if hist else float("-inf")
 
     def app_alive(self, node_id: int) -> bool:
-        """True while at least one application process on the node has
-        neither finished nor died (vacuously True when none was
-        launched there)."""
-        monitored = self.cluster.app_procs.get(node_id)
-        if not monitored:
-            return True
-        return any(
-            p.state not in (ProcState.DONE, ProcState.FAILED) for p in monitored
-        )
+        """True while at least one process spawned on the node has
+        neither finished nor died (vacuously True when none was)."""
+        node = self.cluster.nodes[node_id]
+        return not node.procs or bool(node.live_procs())

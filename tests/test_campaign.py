@@ -155,6 +155,21 @@ def test_run_combo_all_apps_pass_oracle():
         assert row["metrics"]["wall_time"] > 0
 
 
+def test_grid_oracle_skips_a_rank_a_drop_parked():
+    """Node 1 is loaded from cycle 2 and crashes at cycle 3, but a drop
+    removes it (cycle 6) before its heartbeat times out: its parked rank
+    returns no grid, and the oracle checks the participating one."""
+    built = build_scenario(dict(app="jacobi", n_nodes=2, load="n1@c2x2",
+                                failure="crash:n1@c3", cycles=10, size=16,
+                                seed=0, check=1))
+    result = built.run()
+    assert result.n_drops == 1
+    assert ["grid" in out for out in result.per_rank] == [True, False]
+    assert built.oracle(result) == ""
+    result.per_rank = [{}, {}]
+    assert built.oracle(result) == "no rank returned a grid"
+
+
 def test_run_combo_slug_is_declared_params_not_resolved():
     row = run_combo({"app": "jacobi", **TINY})
     assert row["slug"] == combo_slug({"app": "jacobi", **TINY})

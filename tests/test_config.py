@@ -143,7 +143,6 @@ def test_runtime_spec_paper_defaults():
     assert spec.drop_mode == "physical"
     assert spec.allow_removal
     assert not spec.allow_rejoin
-    assert not spec.partial_removal
 
 
 def test_pentium_preset():

@@ -1,6 +1,6 @@
 """Unit tests for repro.resilience.failures: the FailureScript trigger
-machinery (the failure-side mirror of LoadScript) and each fault kind's
-effect on the cluster, independent of the Dyn-MPI runtime."""
+machinery (the Script base it shares with LoadScript) and each fault
+kind's effect on the cluster, independent of the Dyn-MPI runtime."""
 
 import pytest
 
@@ -93,11 +93,10 @@ def test_crash_marks_board_and_stops_competing():
     cluster.nodes[2].start_competing()
     cluster.install_script(node_crash(2, at_cycle=5))
     cluster.notify_cycle(5)
-    board = cluster.failure_board
-    assert board.crashed(2) and board.failed(2)
-    assert not board.killed(2)
-    assert board.failed_nodes() == [2]
-    assert board.crash_time(2) == to_s(cluster.sim.now)
+    node = cluster.nodes[2]
+    assert node.crashed_at == cluster.sim.now and node.failed
+    assert node.killed_at is None
+    assert [n.node_id for n in cluster.nodes if n.failed] == [2]
     # a dead node runs nothing
     assert len(cluster.nodes[2].background) == 0
     (mark,) = cluster.obs.events
@@ -110,8 +109,7 @@ def test_time_triggered_crash():
     cluster.install_script(node_crash(1, at_time=2.5))
     p = cluster.sim.spawn(spin(5.0), name="clock")
     cluster.sim.run_all([p])
-    assert cluster.failure_board.crashed(1)
-    assert cluster.failure_board.crash_time(1) == 2.5
+    assert cluster.nodes[1].crashed_at == to_ns(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ def test_slowdown_end_never_stops_a_competitor_that_reuses_its_name():
 # kill / inject
 # ---------------------------------------------------------------------------
 
-def test_kill_requires_registered_app_procs():
+def test_kill_requires_a_process_spawned_on_the_node():
     cluster = make_cluster()
     cluster.install_script(FailureScript(cycle_faults=[
         CycleFault(cycle=0, node=1, action="kill")]))
@@ -199,14 +197,39 @@ def test_kill_requires_registered_app_procs():
 def test_kill_terminates_registered_proc():
     cluster = make_cluster()
     victim = cluster.sim.spawn(spin(), name="victim", node=cluster.nodes[1])
-    cluster.register_app_proc(1, victim)
     cluster.install_script(FailureScript(time_faults=[
         TimeFault(time=1.0, node=1, action="kill")]))
     clock = cluster.sim.spawn(spin(2.0), name="clock")
     cluster.sim.run_all([clock])
     assert victim.state == ProcState.FAILED
     assert "killed" in str(victim.error)
-    assert cluster.failure_board.killed(1) and cluster.failure_board.failed(1)
+    assert cluster.nodes[1].killed_at == to_ns(1.0) and cluster.nodes[1].failed
+    assert cluster.nodes[1].crashed_at is None
+
+
+def test_kill_after_every_process_finished_is_a_no_op():
+    """The node keeps its finished processes, so a kill there finds its
+    targets, records the kill and ends nothing."""
+    cluster = make_cluster()
+    done = cluster.sim.spawn(spin(0.5), name="done", node=cluster.nodes[1])
+    cluster.install_script(FailureScript(time_faults=[
+        TimeFault(time=1.0, node=1, action="kill")]))
+    cluster.sim.run_all([cluster.sim.spawn(spin(2.0), name="clock")])
+    assert done.state == ProcState.DONE and done.error is None
+    assert cluster.nodes[1].procs == [done]
+    assert cluster.nodes[1].killed_at == to_ns(1.0)
+
+
+def test_node_fault_record_keeps_the_first_crash_and_the_first_kill():
+    cluster = make_cluster()
+    cluster.sim.spawn(spin(), name="victim", node=cluster.nodes[1])
+    cluster.install_script(FailureScript(time_faults=[
+        TimeFault(time=t, node=1, action=a) for t, a in
+        [(1.0, "kill"), (2.0, "crash"), (3.0, "inject"), (4.0, "crash")]]))
+    cluster.sim.run_all([cluster.sim.spawn(spin(5.0), name="clock")])
+    node = cluster.nodes[1]
+    assert (node.crashed_at, node.killed_at) == (to_ns(2.0), to_ns(1.0))
+    assert node.failed and not cluster.nodes[0].failed
 
 
 def test_inject_delivers_catchable_fault():
@@ -221,7 +244,6 @@ def test_inject_delivers_catchable_fault():
 
     victim = cluster.sim.spawn(victim_prog(), name="victim",
                                node=cluster.nodes[0])
-    cluster.register_app_proc(0, victim)
     cluster.install_script(FailureScript(time_faults=[
         TimeFault(time=1.0, node=0, action="inject")]))
     clock = cluster.sim.spawn(spin(2.0), name="clock")

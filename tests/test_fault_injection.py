@@ -8,6 +8,7 @@ from repro.errors import DeadlockError, RankFailedError
 from repro.mpi import run_spmd
 from repro.resilience import FailureScript, TimeFault
 from repro.simcluster import Cluster, Compute, ProcState, Simulator, Sleep, to_ns
+from repro.sysmon import DmpiPs
 
 
 class InjectedFault(Exception):
@@ -128,20 +129,32 @@ def test_failure_script_kill_reaches_a_run_spmd_rank():
 
     assert run_spmd(cluster, program) == [None, "survived"]
     assert caught == [(to_ns(1.0), 0)]
-    (victim,) = cluster.app_procs[0]
+    (victim,) = cluster.nodes[0].procs
     assert victim.state == ProcState.FAILED and "killed" in str(victim.error)
 
 
 def test_finish_cleans_up_node_process_table():
+    """A finished process stays in its node's ``procs`` in its terminal
+    state, but neither ``process_table()``, ``runnable_count()`` nor a
+    ``dmpi_ps`` sample counts it, and ``app_alive`` turns false."""
     cluster = Cluster(ClusterSpec(n_nodes=1, node=NodeSpec(speed=1e8)))
+    node = cluster.nodes[0]
+    ps = DmpiPs(cluster, interval=1.0, jitter=False)
 
     def prog():
-        yield Sleep(1.0)
+        yield Compute(5e7)  # ends at t=0.5
 
-    p = cluster.sim.spawn(prog(), name="p", node=cluster.nodes[0])
-    assert p in cluster.nodes[0].procs
-    cluster.sim.run()
-    assert p not in cluster.nodes[0].procs
+    p = cluster.sim.spawn(prog(), name="p", node=node)
+    ps.start()
+    assert node.procs == [p] and ps.app_alive(0)
+    cluster.sim.run_all([p])
+    cluster.sim.schedule(to_ns(1.0), node.start_competing)
+    cluster.sim.run(until=to_ns(2.5))
+    assert node.procs == [p] and p.state == ProcState.DONE
+    assert [name for name, _, _ in node.process_table()] == ["cp0@n0"]
+    assert node.runnable_count() == 1
+    assert ps.history(0) == [(0.0, 1), (1.0, 0), (2.0, 1)]
+    assert not ps.app_alive(0)
 
 
 def test_inject_at_compute_completion_resumes_once():

@@ -22,7 +22,7 @@ from repro.resilience import (
     snapshot,
 )
 from repro.obs import CPU_TID
-from repro.simcluster import Cluster, CycleTrigger, LoadScript, single_competitor
+from repro.simcluster import Cluster, CycleTrigger, LoadScript, single_competitor, to_s
 
 SPEED = 1e8
 N_ROWS = 64
@@ -394,7 +394,7 @@ def test_load_and_fault_marks_precede_the_adaptations_they_cause():
     # rank 0 fires the cycle triggers as it enters the cycle
     stamps = job.contexts[0].cycle_stamps
     assert [e.ts for e in marks] == [stamps[5][0], stamps[20][0], stamps[40][0]]
-    assert marks[2].ts == job.cluster.failure_board.crash_time(1)
+    assert marks[2].ts == to_s(job.cluster.nodes[1].crashed_at)
     # each load change is followed by the grace period it caused, the
     # crash by its recovery
     names = [e.name for e in trace]

@@ -25,12 +25,11 @@ def test_dmpi_ps_counts_app_plus_competitors():
     cluster.nodes[0].start_competing()
 
     app = cluster.sim.spawn(spin(1000.0), name="app", node=cluster.nodes[0])
-    cluster.register_app_proc(0, app)
     ps.start()
     cluster.sim.run_all([app])
     # app + 2 competitors
     assert ps.load(0) == 3
-    # node 1 idle, no monitored app registered there
+    # node 1 idle, no process spawned there
     assert ps.load(1) == 0
 
 
@@ -44,7 +43,6 @@ def test_dmpi_ps_includes_blocked_monitored_app():
         yield Sleep(3.0)  # voluntarily off the run queue
 
     app = cluster.sim.spawn(app_prog(), name="app", node=cluster.nodes[0])
-    cluster.register_app_proc(0, app)
     ps.start()
     cluster.sim.run_all([app])
     samples = [v for t, v in ps.history(0) if t < 3.0]
@@ -75,7 +73,6 @@ def test_dmpi_ps_detects_load_change_within_interval():
         yield Compute(1000.0)  # long-running
 
     app = cluster.sim.spawn(app_prog(), name="app", node=cluster.nodes[0])
-    cluster.register_app_proc(0, app)
     ps.start()
     cluster.sim.schedule(to_ns(3.5), lambda: cluster.nodes[0].start_competing())
     cluster.sim.run_all([app])
