@@ -17,10 +17,10 @@ most one *wait-for* edge: a receiver with an explicit source waits on
 that source (unless a matching message is already in flight), and a
 rendezvous sender waits on its destination (unless the destination has
 already posted a matching receive).  Whenever a rank blocks — reported
-both by the comm layer and by the kernel's block watchdog — the
-sanitizer walks the edge chain; a cycle raises
-:class:`~repro.errors.CommDeadlockError` naming every rank in the
-cycle and its pending operation.  This converts the classic
+by the comm layer, and by the kernel, whose ``Simulator.on_block`` is
+:meth:`CommSanitizer.check_deadlock` — the sanitizer walks the edge
+chain; a cycle raises :class:`~repro.errors.CommDeadlockError` naming
+every rank in the cycle and its pending operation.  This converts the classic
 head-to-head rendezvous send (and recv/recv cycles) into an immediate
 diagnostic instead of a drained-heap :class:`DeadlockError` — or, on a
 cluster with periodic daemons, instead of an unbounded hang.
@@ -260,11 +260,6 @@ class CommSanitizer:
 
     def on_unblock(self, rank: int) -> None:
         self._blocked.pop(rank, None)
-
-    def kernel_block_hook(self, proc, request) -> None:
-        """Kernel watchdog: re-check the wait-for graph whenever *any*
-        simulated process blocks (see ``Simulator.add_watchdog``)."""
-        self.check_deadlock()
 
     def _wait_edge(self, rank: int, b: _BlockRec) -> Optional[int]:
         """The rank this blocked rank is definitely waiting on, or None.

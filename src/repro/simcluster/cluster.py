@@ -49,7 +49,7 @@ class Cluster:
         self.sanitizer: Optional[CommSanitizer] = None
         if sanitizer_enabled(spec):
             self.sanitizer = CommSanitizer()
-            self.sim.add_watchdog(self.sanitizer.kernel_block_hook)
+            self.sim.on_block = self.sanitizer.check_deadlock
 
     @property
     def n_nodes(self) -> int:

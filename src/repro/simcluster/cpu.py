@@ -100,7 +100,7 @@ class Job:
 
     __slots__ = ("proc", "remaining", "callback", "cb_args", "cancelled",
                  "allowed", "turn_used", "boost_time", "step", "phase", "left",
-                 "rows", "done_timer")
+                 "rows")
 
     def __init__(self, proc, remaining: float,
                  callback: Optional[Callable[..., None]], cb_args: tuple = ()):
@@ -116,7 +116,6 @@ class Job:
         self.phase = 0
         self.left: Optional[int] = None
         self.rows: Optional[RowChain] = None
-        self.done_timer = None  # the deferred completion callback, once due
 
 
 class RowChain:
@@ -306,10 +305,6 @@ class RoundRobinCPU:
 
     def cancel(self, job: Job) -> None:
         job.cancelled = True
-        if job.done_timer is not None:
-            # abandoned at its completion instant: the process must not
-            # be resumed by it as well
-            job.done_timer.cancel()
         if job is self._current:
             self._account_current()
             self._current = None
@@ -689,4 +684,4 @@ class RoundRobinCPU:
         self._cont = (job.proc, self.sim.now, used) if used < self.quantum else None
         if job.callback is not None:
             # Defer so completion ordering matches event ordering.
-            job.done_timer = self.sim.call_soon(job.callback, *job.cb_args)
+            self.sim.call_soon(job.callback, *job.cb_args)

@@ -31,9 +31,17 @@ Design notes
   re-heapifies in place — when more than half the heap is cancelled
   (and it is past a small size floor), so heartbeat-style
   schedule/cancel churn cannot grow the heap without bound.
+* One wakeup per process: ``SimProcess.wakeup`` is bumped for every
+  syscall ``_dispatch`` starts and by ``_throw``/``_finish``, which
+  abandon the one in flight.  Each resumption the kernel arms (spawn
+  kick, ``Sleep`` timer, ``Wait`` waiter, CPU completion) carries the
+  value it was armed with; :meth:`Simulator._resume`, the one place
+  that resumes a generator after a wakeup, ignores any other.
 * Deadlock detection: if the queue drains while registered processes
   are still blocked, :class:`~repro.errors.DeadlockError` is raised
   listing them — the simulated analogue of a hung MPI job.
+  ``Simulator.on_block`` (None when off) runs at every ``Wait``; the
+  cluster sets it to the sanitizer's wait-for-graph check.
 * Schedule perturbation (:class:`Perturb`, ``DYNMPI_PERTURB=<seed>``)
   flips tie-breaks that real MPI leaves *undefined* — today the choice
   among queued wildcard-receive candidates from distinct sources
@@ -48,6 +56,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -70,6 +79,16 @@ def to_ns(seconds: float) -> int:
 def to_s(ns: int) -> float:
     """Clock ns as float seconds (what every report holds)."""
     return ns / NS
+
+
+def _horizon(until: Any) -> int | float:
+    """``Simulator.run``'s ``until`` as whole ns (an int), or math.inf."""
+    if isinstance(until, float) and until.is_integer():
+        return int(until)
+    if isinstance(until, int) or until == math.inf:
+        return until
+    raise SimulationError(f"run(until=...) takes whole ns or math.inf, got {until!r}")
+
 
 #: tombstone compaction floor: no compaction below this many cancelled
 #: heap entries, so tiny simulations never pay a heapify
@@ -199,7 +218,7 @@ class SimProcess:
 
     __slots__ = (
         "name", "gen", "node", "state", "cpu_time", "fair_share", "result", "error",
-        "done_signal", "sim", "daemon", "cpu_job",
+        "done_signal", "daemon", "cpu_job", "wakeup",
     )
 
     def __init__(self, name: str, gen: Generator[Syscall, Any, Any], *, daemon: bool = False):
@@ -212,9 +231,10 @@ class SimProcess:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.done_signal: Optional[Signal] = None
-        self.sim: Optional[Simulator] = None
         self.daemon = daemon
         self.cpu_job = None  # in-flight CPU Job while a Compute/Poll is outstanding
+        #: the one wakeup that may resume the process (module docstring)
+        self.wakeup = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimProcess {self.name} {self.state}>"
@@ -241,7 +261,9 @@ class Simulator:
         self.processes: list[SimProcess] = []
         self.n_events = 0
         self._stopped = False
-        self._watchdogs: list[Callable[[SimProcess, Syscall], None]] = []
+        #: called at every ``Wait`` (None when off); what it raises
+        #: propagates out of :meth:`run` (the sanitizer's deadlock check)
+        self.on_block: Optional[Callable[[], None]] = None
         #: schedule-perturbation state, or None when off.  An explicit
         #: seed wins; ``None`` defers to ``DYNMPI_PERTURB`` (the same
         #: explicit-beats-environment convention as ClusterSpec.sanitize
@@ -250,19 +272,6 @@ class Simulator:
         self.perturb: Optional[Perturb] = (
             Perturb(perturb) if perturb is not None else perturb_from_env()
         )
-
-    def add_watchdog(self, cb: Callable[[SimProcess, Syscall], None]) -> None:
-        """Register ``cb(proc, request)`` to run every time a process
-        blocks on a Wait.  Watchdogs may raise (e.g. the
-        communication sanitizer's wait-for-graph deadlock check turns a
-        would-be hang into an immediate diagnostic); the exception
-        propagates out of :meth:`run`.
-        """
-        self._watchdogs.append(cb)
-
-    def _notify_block(self, proc: SimProcess, request: Syscall) -> None:
-        for cb in self._watchdogs:
-            cb(proc, request)
 
     # ------------------------------------------------------------------
     # event scheduling
@@ -311,19 +320,20 @@ class Simulator:
     ) -> SimProcess:
         """Register and start a process at the current time."""
         proc = SimProcess(name, gen, daemon=daemon)
-        proc.sim = self
         proc.done_signal = self.signal(f"done:{name}")
         if node is not None:
             node.attach(proc)
         self.processes.append(proc)
         proc.state = ProcState.READY
-        self.call_soon(self._resume, proc, None)
+        self.call_soon(self._resume, proc, proc.wakeup, None)
         return proc
 
-    def _resume(self, proc: SimProcess, value: Any) -> None:
-        """Advance ``proc`` by one syscall."""
-        if proc.state in (ProcState.DONE, ProcState.FAILED):
+    def _resume(self, proc: SimProcess, wakeup: int, value: Any) -> None:
+        """Advance ``proc`` by one syscall, unless ``wakeup`` is not the
+        process's current one (its syscall was abandoned, or it ended)."""
+        if wakeup != proc.wakeup:
             return
+        proc.cpu_job = None
         try:
             request = proc.gen.send(value)
         except StopIteration as stop:
@@ -334,14 +344,11 @@ class Simulator:
             raise
         self._dispatch(proc, request)
 
-    def _abandon_cpu_job(self, proc: SimProcess) -> None:
-        """Cancel ``proc``'s outstanding compute or poll, if any.
-
-        A process killed (or thrown into) mid-``Compute``/``ComputeRows``/``Poll`` leaves
-        a live job on its node's CPU; without cancellation that job completes
-        later, clobbers the terminal state back to BLOCKED and resumes a
-        closed generator — firing ``done_signal`` a second time.
-        """
+    def _abandon(self, proc: SimProcess) -> None:
+        """Abandon ``proc``'s syscall in flight: no wakeup armed for it
+        resumes the process, and its CPU job, if any, is cancelled (it
+        must stop using the CPU, not only not resume the process)."""
+        proc.wakeup += 1
         job = proc.cpu_job
         if job is not None:
             proc.cpu_job = None
@@ -352,7 +359,7 @@ class Simulator:
         """Inject an exception into ``proc`` (used for fault injection)."""
         if proc.state in (ProcState.DONE, ProcState.FAILED):
             return
-        self._abandon_cpu_job(proc)
+        self._abandon(proc)
         try:
             request = proc.gen.throw(exc)
         except StopIteration as stop:
@@ -370,8 +377,10 @@ class Simulator:
         equivalent of delivering a fatal signal.
 
         Note: a process whose current syscall is still outstanding (a
-        pending compute, a message wait) receives the exception
-        immediately; the abandoned syscall's completion is ignored.
+        pending compute, a sleep, a message wait) receives the exception
+        immediately; the abandoned syscall's completion is ignored,
+        whatever the syscall, so a process that catches the fault is
+        resumed only by the syscall it makes next.
         """
         self.call_soon(self._throw, proc, exc)
 
@@ -386,7 +395,7 @@ class Simulator:
         self._finish(proc, None, SimulationError(f"{proc.name} killed"))
 
     def _finish(self, proc: SimProcess, result: Any, error: Optional[BaseException]) -> None:
-        self._abandon_cpu_job(proc)
+        self._abandon(proc)
         proc.result = result
         proc.error = error
         proc.state = ProcState.FAILED if error is not None else ProcState.DONE
@@ -396,82 +405,57 @@ class Simulator:
     # syscall dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, proc: SimProcess, request: Syscall) -> None:
-        if isinstance(request, Compute):
+        proc.wakeup = wakeup = proc.wakeup + 1
+        if isinstance(request, (Compute, ComputeRows, Poll)):
             if proc.node is None:
-                raise SimulationError(
-                    f"process {proc.name} is not attached to a node but asked to compute"
-                )
-            proc.state = ProcState.READY
-            proc.cpu_job = proc.node.cpu.submit(
-                proc, request.work, self._resume_done, proc
-            )
+                raise SimulationError(f"process {proc.name} is not attached to a node "
+                                      f"but asked to {type(request).__name__}")
+            cpu = proc.node.cpu
+            if isinstance(request, Compute):
+                proc.cpu_job = cpu.submit(proc, request.work, self._resume, proc, wakeup, None)
+            elif isinstance(request, ComputeRows):
+                proc.cpu_job = cpu.submit_rows(proc, request.works, self._resume_rows, proc, wakeup)
+            else:
+                proc.cpu_job = job = cpu.submit(proc, request.chunk, self._resume,
+                                                proc, wakeup, None, spin=True)
+                request.signal.add_waiter(cpu.stop_spin, job)
         elif isinstance(request, Wait):
             proc.state = ProcState.BLOCKED
-            request.signal.add_waiter(self._wake, proc)
-            if self._watchdogs:
-                self._notify_block(proc, request)
+            request.signal.add_waiter(self._resume, proc, wakeup)
+            if self.on_block is not None:
+                self.on_block()
         elif isinstance(request, Sleep):
             proc.state = ProcState.BLOCKED
-            self.schedule(to_ns(request.duration), self._wake, proc, None)
-        elif isinstance(request, ComputeRows):
-            if proc.node is None:
-                raise SimulationError(
-                    f"process {proc.name} is not attached to a node but asked to compute"
-                )
-            proc.state = ProcState.READY
-            proc.cpu_job = proc.node.cpu.submit_rows(
-                proc, request.works, self._resume_rows, proc
-            )
-        elif isinstance(request, Poll):
-            if proc.node is None:
-                raise SimulationError(
-                    f"process {proc.name} is not attached to a node but asked to poll"
-                )
-            cpu = proc.node.cpu
-            proc.state = ProcState.READY
-            proc.cpu_job = job = cpu.submit(
-                proc, request.chunk, self._resume_done, proc, spin=True
-            )
-            request.signal.add_waiter(cpu.stop_spin, job)
+            self.schedule(to_ns(request.duration), self._resume, proc, wakeup, None)
         else:
-            raise SimulationError(
-                f"process {proc.name} yielded a non-syscall: {request!r}"
-            )
+            raise SimulationError(f"process {proc.name} yielded a non-syscall: {request!r}")
 
-    def _wake(self, proc: SimProcess, value: Any) -> None:
-        if proc.state in (ProcState.DONE, ProcState.FAILED):
-            return
-        proc.state = ProcState.READY
-        self._resume(proc, value)
-
-    def _resume_done(self, proc: SimProcess) -> None:
-        """Compute/Poll-completion callback."""
-        proc.cpu_job = None
-        self._resume(proc, None)
-
-    def _resume_rows(self, proc: SimProcess, rows) -> None:
+    def _resume_rows(self, proc: SimProcess, wakeup: int, rows) -> None:
         """ComputeRows-completion callback: resume with the row
         boundaries, the last one read now, as a process reading its
         clocks after its last row would read it."""
-        proc.cpu_job = None
         rows.stamps[-1] = self.now
         rows.clocks[-1] = proc.cpu_time
-        self._resume(proc, (rows.stamps, rows.clocks))
+        self._resume(proc, wakeup, (rows.stamps, rows.clocks))
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, until: float = float("inf"), max_events: int = 200_000_000) -> int:
+    def run(self, until: int | float = math.inf,
+            max_events: int = 200_000_000) -> int:
         """Run until the queue drains or ``until`` (ns) is reached.
 
-        Returns the final simulated time (ns).  Raises
-        :class:`~repro.errors.DeadlockError` if non-daemon processes
-        remain blocked when no events are left.
+        Returns the final simulated time (ns).  ``until`` is whole ns
+        (an int, or a float holding one) or the unbounded default, so
+        the clock stays an int; anything else raises SimulationError.
+        Raises :class:`~repro.errors.DeadlockError` if non-daemon
+        processes remain blocked when no events are left.
 
         Note that a cluster with competing (infinite-loop) background
         processes or periodic daemons never drains its queue; use
         :meth:`run_all` or :meth:`stop` to bound such runs.
         """
+        horizon = _horizon(until)
         self._stopped = False
         heap = self._heap      # mutated only in place (see compaction)
         heappop = heapq.heappop
@@ -486,9 +470,9 @@ class Simulator:
                 timer.sim = None
                 self._heap_cancels -= 1
                 continue
-            if t > until:
-                self.now = until
-                return until
+            if t > horizon:
+                self.now = horizon
+                return horizon
             heappop(heap)
             timer.sim = None
             self.now = t
@@ -513,7 +497,7 @@ class Simulator:
         if blocked:
             raise DeadlockError(blocked)
 
-    def run_all(self, procs: Iterable[SimProcess], until: float = float("inf"),
+    def run_all(self, procs: Iterable[SimProcess], until: int | float = math.inf,
                 tolerate=None) -> None:
         """Run until every process in ``procs`` has finished.
 

@@ -101,6 +101,56 @@ def test_wait_on_already_fired_signal_resumes_immediately():
     assert p.result == 7
 
 
+class Fault(Exception):
+    pass
+
+
+def test_caught_inject_abandons_a_sleep():
+    """A fault caught in a ``Sleep`` abandons it: its timer must not
+    resume the ``Sleep`` the process makes next (it used to, at 1.0 s)."""
+    sim = Simulator()
+    wakes = []
+
+    def prog():
+        try:
+            yield Sleep(1.0)
+        except Fault:
+            pass
+        yield Sleep(5.0)
+        wakes.append(sim.now)
+
+    p = sim.spawn(prog(), name="p")
+    sim.schedule(to_ns(0.5), lambda: sim.inject(p, Fault()))
+    sim.run()
+    assert wakes == [to_ns(5.5)]
+    assert p.state == ProcState.DONE
+
+
+def test_caught_inject_abandons_a_wait():
+    """A fault caught in a ``Wait(a)`` abandons it: ``a`` firing must not
+    resume the ``Wait(b)`` the process makes next (it used to, at 1.0 s
+    with ``a``'s value)."""
+    sim = Simulator()
+    a, b = sim.signal("a"), sim.signal("b")
+    wakes = []
+
+    def prog():
+        try:
+            yield Wait(a)
+        except Fault:
+            pass
+        value = yield Wait(b)
+        wakes.append((sim.now, value))
+
+    p = sim.spawn(prog(), name="p")
+    sim.schedule(to_ns(0.5), lambda: sim.inject(p, Fault()))
+    sim.schedule(to_ns(1.0), lambda: a.fire("a"))
+    sim.schedule(to_ns(2.0), lambda: b.fire("b"))
+    sim.run()
+    assert wakes == [(to_ns(2.0), "b")]
+    assert p.state == ProcState.DONE
+
+
 def test_signal_double_fire_raises():
     sim = Simulator()
     sig = sim.signal()
@@ -193,6 +243,33 @@ def test_run_until_stops_early():
     t = sim.run(until=5)
     assert t == 5
     assert fired == []
+
+
+def test_run_until_keeps_the_clock_integer():
+    """A whole number of ns given as a float stops the clock at that
+    int; it used to leave ``now`` a float, and every later key too."""
+    sim = Simulator()
+    sim.schedule(to_ns(0.3), lambda: None)
+    assert sim.run(until=2.5e8) == 250_000_000
+    assert type(sim.now) is int
+    sim.run()
+    assert sim.now == to_ns(0.3) and type(sim.now) is int
+    assert sim.run(until=float("inf")) == to_ns(0.3)  # the unbounded default
+
+
+@pytest.mark.parametrize("until", [2.5, float("nan"), None, "5"])
+def test_run_until_rejects_what_is_not_whole_ns(until):
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(until=until)
+    def prog():
+        yield Sleep(1.0)
+
+    p = sim.spawn(prog(), name="p")
+    with pytest.raises(SimulationError):
+        sim.run_all([p], until=until)
+    assert sim.now == 0 and p.state == ProcState.READY
 
 
 @pytest.mark.parametrize("n_dead", [64, 65])
