@@ -126,12 +126,12 @@ def halo_finish(ctx: DynMPI, arr, reqs: list, *, materialized: bool) -> Generato
     left, right = ctx.nn_neighbors()
     if left is not None:
         data, _ = yield from ctx.recv_rel(left, HALO_DOWN_TAG)
-        arr.hold([s - 1])
+        arr.hold(range(s - 1, s))
         if materialized:
             arr.set_row(s - 1, data)
     if right is not None:
         data, _ = yield from ctx.recv_rel(right, HALO_UP_TAG)
-        arr.hold([e + 1])
+        arr.hold(range(e + 1, e + 2))
         if materialized:
             arr.set_row(e + 1, data)
     for req in reqs:

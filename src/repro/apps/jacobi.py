@@ -75,10 +75,12 @@ def jacobi_program(ctx, cfg: JacobiConfig) -> Generator:
                 yield from exchange_halo(ctx, src, materialized=cfg.materialized)
 
                 def exec_rows(lo: int, hi: int, src=src, dst=dst) -> None:
-                    halo = src.block(max(lo - 1, 0), min(hi + 1, n - 1))
+                    # views, not copies: the stencil reads its halo
+                    # and writes its rows in place
+                    halo = src.rows(max(lo - 1, 0), min(hi + 1, n - 1))
                     dst.hold(range(lo, hi + 1))
-                    dst.set_block(lo, jacobi_block_update(
-                        halo, top=lo == 0, bottom=hi == n - 1))
+                    jacobi_block_update(halo, top=lo == 0, bottom=hi == n - 1,
+                                        out=dst.rows(lo, hi))
 
                 yield from ctx.compute(
                     1, work_of, exec_rows if cfg.materialized else None

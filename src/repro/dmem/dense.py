@@ -2,19 +2,28 @@
 
 An N-dimensional array is projected onto two dimensions: the first
 axis stays, and each *extended row* holds the product of the remaining
-N-1 dimensions.  Locally a node holds a set of global row intervals;
-each interval is backed by one contiguous numpy **slab** (rows are
-views sliced out of the slab on demand).  This preserves exactly the
-properties redistribution needs:
+N-1 dimensions.  Locally a node holds a set of global row intervals,
+and each maximal run of held rows is backed by exactly **one**
+contiguous numpy **slab** (rows are views sliced out of the slab on
+demand).  This preserves exactly the properties redistribution needs:
 
 * a whole extended row — or a whole interval of rows — travels in a
-  single message, packed with a handful of slice copies;
+  single message, packed with one slice copy per held run;
 * rows that stay local are *reused* — dropping neighbors splits a slab
   into sub-views of the same buffer and only the top-level pointer
   vector is rewritten (``pointer_moves``); once the views left of a
   buffer cover at most half of it, they are copied out so the dead
   rows' memory is freed (host memory only: the model still charges
-  no copy).
+  no copy);
+* any held span ``lo..hi`` is one live view (:meth:`ProjectedArray.rows`),
+  so a stencil reads its halo and writes its rows in place.
+
+The one-slab-per-run invariant is kept by :meth:`ProjectedArray.hold`
+(and so ``unpack``): a new interval that touches held rows is merged
+with their slabs into one fresh buffer.  That merge is a host copy
+only: like the copy-out above it is not charged, so :class:`AllocStats`
+(and the redistribution cost it feeds) records exactly the per-row
+allocations it would record without it.
 
 Accounting stays per extended row (the paper's Figure 3 charges one
 malloc/free per row) via the bulk :meth:`AllocStats.record_allocs` /
@@ -250,23 +259,51 @@ class ProjectedArray(SlabRows):
         return slab
 
     def hold(self, rows: Iterable[int]) -> int:
-        """Allocate slabs for ``rows`` (no-op for rows already held).
-        Accepts an :class:`IntervalSet`, a range, or any iterable of
-        global rows.  Returns the number of rows newly allocated."""
+        """Allocate ``rows`` (no-op for rows already held).  Accepts an
+        :class:`IntervalSet`, a range, or any iterable of global rows.
+        Returns the number of rows newly allocated.
+
+        Each maximal held run stays one slab: a new interval that
+        touches held rows is merged with their slabs into one buffer
+        (a host copy, not charged; views of the merged slabs are
+        stale).  A ``range`` already held returns after one bisect."""
+        if isinstance(rows, range) and rows.step == 1 and rows:
+            slab = self._slab_at(rows.start)
+            if slab is not None and rows.stop - 1 <= slab.hi:
+                return 0
         ivl = IntervalSet.coerce(rows)
         self._check_interval(ivl)
         new = ivl - self._held
         if not new:
             return 0
-        for lo, hi in new.spans:
-            block = None
-            if self.materialized:
-                block = np.zeros((hi - lo + 1, self.row_elems), dtype=self.dtype)
-            self._insert_slab(_Slab(lo, hi, block))
-        self._held = self._held | new
+        held = self._held | new
+        old, i, slabs = self._slabs, 0, []
+        for lo, hi in held.spans:
+            j = i
+            while j < len(old) and old[j].lo <= hi:
+                j += 1
+            run = old[i:j]
+            i = j
+            if len(run) == 1 and run[0].lo == lo and run[0].hi == hi:
+                slabs.append(run[0])
+            else:
+                slabs.append(self._merged(lo, hi, run))
+        self._slabs = compact_views(slabs)
+        self._los = [s.lo for s in slabs]
+        self._held = held
         n = len(new)
         self.stats.record_allocs(n, n * self.row_nbytes)
         return n
+
+    def _merged(self, lo: int, hi: int, run: list) -> _Slab:
+        """One slab for rows ``lo..hi``: the held slabs ``run`` copied
+        into a fresh zeroed buffer, the rest zero."""
+        block = None
+        if self.materialized:
+            block = np.zeros((hi - lo + 1, self.row_elems), dtype=self.dtype)
+            for slab in run:
+                block[slab.lo - lo: slab.hi - lo + 1] = slab.block
+        return _Slab(lo, hi, block)
 
     @property
     def held_nbytes(self) -> int:
@@ -283,11 +320,26 @@ class ProjectedArray(SlabRows):
 
     def row(self, g: int) -> np.ndarray:
         """The buffer of global row ``g``: a live, writable view into its
-        slab, valid only until the next :meth:`drop` / :meth:`retarget`
-        (which may copy the slab out)."""
+        slab, valid only until the next :meth:`hold` / :meth:`unpack`
+        (which may merge the slab into a new buffer) or :meth:`drop` /
+        :meth:`retarget` (which may copy it out)."""
         self._check_row(g)
         slab = self._materialized_slab(g)
         return slab.block[g - slab.lo]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo..hi`` inclusive as a live, writable (hi-lo+1,
+        row_elems) view into their slab — the block analogue of
+        :meth:`row`, valid as long as a row view is.  Every row must be
+        held; a held span is one slab, so it is always one view."""
+        if hi < lo:
+            raise AllocationError(f"{self.name}: empty block [{lo},{hi}]")
+        self._check_row(lo)
+        self._check_row(hi)
+        slab = self._materialized_slab(lo)
+        if hi > slab.hi:
+            raise AllocationError(f"{self.name}: row {slab.hi + 1} is not held locally")
+        return slab.block[lo - slab.lo: hi - slab.lo + 1]
 
     def set_row(self, g: int, data: np.ndarray) -> None:
         buf = self.row(g)
@@ -296,41 +348,24 @@ class ProjectedArray(SlabRows):
         self.stats.record_copy(self.row_nbytes)
 
     def _views(self, runs):
-        """Yield ``(pos, rows)`` along the runs ``(lo, hi)`` in order: the
-        writable slab rows each run crosses, at row offset ``pos`` of the
-        runs; raises if any row is unheld or the array virtual."""
+        """Yield ``(pos, rows)`` along the runs ``(lo, hi)`` in order: each
+        run's :meth:`rows` view, at row offset ``pos`` of the runs."""
         pos = 0
         for lo, hi in runs:
-            g = lo
-            while g <= hi:
-                slab = self._materialized_slab(g)
-                end = min(hi, slab.hi)
-                yield pos, slab.block[g - slab.lo: end - slab.lo + 1]
-                pos += end - g + 1
-                g = end + 1
+            yield pos, self.rows(lo, hi)
+            pos += hi - lo + 1
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Copy rows ``lo..hi`` inclusive into a contiguous 2-d array
         (row-major), shaped (hi-lo+1, row_elems)."""
-        if hi < lo:
-            raise AllocationError(f"empty block [{lo},{hi}]")
-        self._check_row(lo)
-        self._check_row(hi)
-        out = np.empty((hi - lo + 1, self.row_elems), dtype=self.dtype)
-        for pos, rows in self._views([(lo, hi)]):
-            out[pos: pos + len(rows)] = rows
-        return out
+        return self.rows(lo, hi).copy()
 
     def set_block(self, lo: int, data: np.ndarray) -> None:
         data = np.asarray(data, dtype=self.dtype)
         k = data.shape[0]
         if k == 0:
             return
-        data = data.reshape(k, self.row_elems)
-        self._check_row(lo)
-        self._check_row(lo + k - 1)
-        for pos, rows in self._views([(lo, lo + k - 1)]):
-            rows[:] = data[pos: pos + len(rows)]
+        self.rows(lo, lo + k - 1)[:] = data.reshape(k, self.row_elems)
         self.stats.record_copy(k * self.row_nbytes)
 
     # ------------------------------------------------------------------
@@ -340,7 +375,7 @@ class ProjectedArray(SlabRows):
         """Pack ``rows`` for the wire.  Returns ``(payload, nbytes)``:
         for materialized arrays a (k, row_elems) array whose row ``i`` is
         the ``i``-th row of ``rows`` (any order; ascending for an
-        :class:`IntervalSet`), one slice copy per slab run; None for
+        :class:`IntervalSet`), one slice copy per run; None for
         virtual ones (sizes still charged)."""
         runs = row_runs(rows)
         self._check_held(IntervalSet(runs))

@@ -272,6 +272,54 @@ def test_jacobi_interval_algebra_does_not_scale_with_rows(monkeypatch):
     assert large / small < 1.5, built
 
 
+def test_jacobi_stencil_copies_no_block(monkeypatch):
+    """The materialized stencil reads its halo and writes its rows as
+    slab views (``ProjectedArray.rows``): across a redistribution, no
+    ``block`` / ``set_block`` call comes from inside a ``compute()``,
+    and the result is still the sequential one."""
+    from repro.core.runtime import DynMPI
+    from repro.dmem import ProjectedArray
+
+    calls = {"exec": 0, "block": 0, "set_block": 0}
+    inside = [False]
+
+    def counted(name):
+        fn = getattr(ProjectedArray, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += inside[0]
+            return fn(self, *args, **kwargs)
+        return wrapper
+
+    compute = DynMPI.compute
+
+    def watched(self, phase_id, work_of_rows, exec_rows=None, rows=None):
+        def exec_watched(lo, hi):
+            calls["exec"] += 1
+            inside[0] = True
+            try:
+                exec_rows(lo, hi)
+            finally:
+                inside[0] = False
+        yield from compute(self, phase_id, work_of_rows,
+                           exec_watched if exec_rows else None, rows)
+
+    for name in ("block", "set_block"):
+        monkeypatch.setattr(ProjectedArray, name, counted(name))
+    monkeypatch.setattr(DynMPI, "compute", watched)
+    cfg = JacobiConfig(n=32, iters=30, materialized=True, collect=True)
+    res = run_program(
+        make_cluster(4), jacobi_program, cfg,
+        spec=FAST_SPEC, adaptive=True, load_script=loaded_script(),
+    )
+    assert res.n_redistributions >= 1
+    assert calls["exec"] >= 4 * cfg.iters
+    assert calls["block"] == calls["set_block"] == 0, calls
+    expected = jacobi_reference(jacobi_mod.initial_grid(cfg), cfg.iters)
+    for out in res.per_rank:
+        assert np.array_equal(out["grid"], expected)
+
+
 def test_particle_and_cg_do_not_walk_their_rows(monkeypatch):
     """The particle step and the CG matrix build are one kernel entry
     per ``compute()`` call / per build chunk, whatever the problem

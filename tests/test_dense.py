@@ -80,19 +80,19 @@ def test_block_roundtrip():
         a.block(4, 2)
 
 
-def test_block_roundtrip_across_fragmented_slabs():
-    """An owned slab plus ghost rows held later sit in separate slabs;
-    ``block`` / ``set_block`` gather and scatter across them."""
+def test_block_roundtrip_across_merged_ghost_rows():
+    """Ghost rows held after the owned rows merge with them into one
+    slab, so ``block`` / ``set_block`` / ``rows`` cover the whole run."""
     a = ProjectedArray("a", (12, 3))
     a.hold(range(4, 8))   # the owned rows
     a.hold([3])           # ghosts arrive one at a time, after
     a.hold([8])
-    assert a.n_slabs == 3
+    assert a.n_slabs == 1
     data = np.arange(18.0).reshape(6, 3)
     a.set_block(3, data)
     assert np.array_equal(a.block(3, 8), data)
     assert np.array_equal(a.block(5, 8), data[2:])
-    for g in range(3, 9):  # every row landed in its own slab
+    for g in range(3, 9):  # every row landed where its run keeps it
         assert np.array_equal(a.row(g), data[g - 3])
     a.block(3, 8)[:] = -1.0  # a gather is a copy, not a view
     assert np.array_equal(a.block(3, 8), data)
@@ -100,6 +100,31 @@ def test_block_roundtrip_across_fragmented_slabs():
         a.block(2, 8)  # row 2 is not held
     with pytest.raises(AllocationError):
         a.set_block(7, np.zeros((3, 3)))  # nor is row 9
+
+
+def test_rows_is_a_live_view_of_a_held_run():
+    """``rows`` is one writable view per held run; a hold inside the
+    run keeps its buffer, one that extends it merges the run into a
+    new buffer with the data kept and nothing charged for the copy."""
+    a = ProjectedArray("a", (10, 2))
+    a.hold(range(2, 6))
+    view = a.rows(3, 5)
+    view[:] = 7.0
+    assert np.all(a.row(4) == 7.0)
+    assert a.hold(range(3, 5)) == 0
+    assert np.shares_memory(a.rows(2, 5), view)
+    assert a.hold([6]) == 1
+    assert a.n_slabs == 1
+    assert not np.shares_memory(a.rows(2, 6), view)  # the old view is stale
+    assert np.array_equal(a.block(2, 6), [[0, 0], [7, 7], [7, 7], [7, 7], [0, 0]])
+    assert (a.stats.n_allocs, a.stats.bytes_copied) == (5, 0)
+    for lo, hi in ((5, 7), (0, 2), (4, 3), (6, 10)):
+        with pytest.raises(AllocationError):
+            a.rows(lo, hi)  # unheld row, empty span, out of range
+    v = ProjectedArray("v", (10, 2), materialized=False)
+    v.hold(range(3))
+    with pytest.raises(AllocationError):
+        v.rows(0, 2)
 
 
 @pytest.mark.parametrize("make", [
@@ -193,6 +218,22 @@ def test_drop_counts_every_view_of_a_buffer_together():
     assert a.row(0).base.shape == (300, 4)
     assert a.row(900).base.shape == (150, 4)
     assert a.n_slabs == 2
+
+
+def test_hold_merge_applies_the_copy_out_rule_to_views_it_leaves():
+    """A merge that takes one view of a buffer leaves the others; once
+    they cover at most half of it they get their own buffer, as after
+    a drop."""
+    a = ProjectedArray("a", (200, 4))
+    a.hold(range(100))
+    a.row(5)[:] = 5.0
+    a.drop(range(40, 50))            # views of 40 + 50 rows: kept
+    assert a.row(0).base.shape == (100, 4)
+    a.hold(range(100, 110))          # merges the 50-row view away
+    assert a.n_slabs == 2
+    assert a.row(0).base.shape == (40, 4)
+    assert np.all(a.row(5) == 5.0)
+    assert a.stats.bytes_copied == 0
 
 
 def test_contiguous_resize_copies_overlap():

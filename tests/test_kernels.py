@@ -24,6 +24,7 @@ from repro.apps.reference import (
     particle_reference,
     sor_reference,
 )
+from repro.dmem import ProjectedArray
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +154,48 @@ def test_sor_block_equals_row_halfsweeps(case, color):
     if m < hi:
         _sor_block_sweep(split, m + 1, hi, color)
     assert np.array_equal(split, by_row)
+
+
+@pytest.mark.parametrize("n_rows,n,lo,hi", [
+    (6, 5, 2, 3), (6, 5, 0, 2), (6, 5, 3, 5), (6, 5, 0, 5),
+    (6, 5, 2, 2), (1, 5, 0, 0), (6, 1, 2, 4), (6, 2, 0, 3), (6, 2, 4, 5),
+], ids=["interior", "top", "bottom", "both", "k1", "k1-both",
+        "n1", "n2-top", "n2-bottom"])
+def test_jacobi_block_out_into_a_slab_view_equals_row_updates(n_rows, n, lo, hi):
+    """What ``jacobi_program.exec_rows`` does: the halo is a view of
+    the source array's slab, ``out`` a view of the destination's; the
+    rows written are the row kernel's, bit for bit, and no other row
+    of the destination changes."""
+    rng = np.random.default_rng(100 * n_rows + 10 * n + lo)
+    grid = rng.standard_normal((n_rows, n)) * 10.0
+    src, dst = ProjectedArray("src", (n_rows, n)), ProjectedArray("dst", (n_rows, n))
+    for arr in (src, dst):
+        arr.hold(range(n_rows))
+    src.set_block(0, grid)
+    dst.rows(0, n_rows - 1)[:] = np.nan
+    out = dst.rows(lo, hi)
+    halo = src.rows(max(lo - 1, 0), min(hi + 1, n_rows - 1))
+    assert jacobi_block_update(halo, lo == 0, hi == n_rows - 1, out=out) is out
+    rows = np.stack([jacobi_row_update(grid[g], *_neighbors(grid, g))
+                     for g in range(lo, hi + 1)])
+    assert dst.block(lo, hi).tobytes() == rows.tobytes()
+    rest = np.delete(dst.block(0, n_rows - 1), range(lo, hi + 1), axis=0)
+    assert np.isnan(rest).all()
+    assert src.block(0, n_rows - 1).tobytes() == grid.tobytes()
+
+
+def test_jacobi_block_rejects_what_it_cannot_write_in_place():
+    """A halo or ``out`` that is not C-contiguous, or an ``out`` of the
+    wrong shape, raises instead of returning wrong rows."""
+    grid = np.arange(40.0).reshape(5, 8)
+    with pytest.raises(ValueError):
+        jacobi_block_update(grid[:, ::2], top=True, bottom=True)
+    with pytest.raises(ValueError):
+        jacobi_block_update(grid, True, True, out=np.empty((8, 5)).T)
+    with pytest.raises(ValueError):
+        jacobi_block_update(grid, True, True, out=np.empty((4, 8)))
+    with pytest.raises(ValueError):
+        sor_block_halfsweep(grid[:, ::2], 0, 0, 1.5, top=True, bottom=True)
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import IntervalSet
-from repro.dmem import ContiguousArray, ProjectedArray, SparseMatrix
+from repro.dmem import AllocStats, ContiguousArray, ProjectedArray, SparseMatrix
 from tests.oracles.row_sets import RowDictStore
 
 row_sets = st.sets(st.integers(min_value=0, max_value=39), min_size=1, max_size=40)
@@ -33,6 +33,56 @@ def test_dense_pack_unpack_roundtrip(rows, data):
     dst.unpack(rows, payload)
     for g in rows:
         assert np.array_equal(dst.row(g), values[g])
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_slab_per_held_run(data):
+    """Over random hold / drop / retarget / unpack sequences each
+    maximal run of held rows is exactly one slab, every row equals a
+    dict oracle, and ``AllocStats`` hold what per-row accounting
+    charges (one alloc/free per row, one row copy per unpacked row,
+    the pointer vector per retarget): merging slabs costs nothing."""
+    n, w = 40, 2
+    arr = ProjectedArray("a", (n, w))
+    ref: dict = {}
+    want = AllocStats()
+    nbytes = arr.row_nbytes
+    for step in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["hold", "drop", "retarget", "unpack"]))
+        rows = data.draw(st.sets(st.integers(0, n - 1), max_size=12))
+        if op == "drop":
+            gone = rows & ref.keys()
+            assert arr.drop(rows) == len(gone)
+            want.record_frees(len(gone), len(gone) * nbytes)
+        elif op == "retarget":
+            gone = ref.keys() - rows
+            arr.retarget(rows)
+            want.record_frees(len(gone), len(gone) * nbytes)
+            want.record_pointer_moves(n)
+        else:
+            new = rows - ref.keys()
+            if op == "hold":
+                assert arr.hold(rows) == len(new)
+            else:
+                order = sorted(rows)
+                payload = np.arange(len(order) * w, dtype=float).reshape(-1, w) + step
+                arr.unpack(order, payload)
+                want.record_copy(len(order) * nbytes)
+                ref.update((g, payload[i]) for i, g in enumerate(order))
+            want.record_allocs(len(new), len(new) * nbytes)
+            ref.update((g, np.zeros(w)) for g in new - ref.keys())
+        for g in gone if op in ("drop", "retarget") else ():
+            del ref[g]
+        runs = IntervalSet.from_rows(ref).spans
+        assert arr.n_slabs == len(runs)
+        if runs:  # write through one run's view; later merges keep it
+            lo, hi = data.draw(st.sampled_from(runs))
+            arr.rows(lo, hi)[:] = -step
+            ref.update((g, np.full(w, -step, dtype=float)) for g in range(lo, hi + 1))
+        for g, val in ref.items():
+            assert arr.row(g).tobytes() == val.tobytes(), g
+        assert arr.stats == want
 
 
 @given(held=row_sets, keep=row_sets)
