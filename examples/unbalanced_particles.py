@@ -36,7 +36,7 @@ def main() -> None:
     print("Particle simulation, 128 rows x 64 cols on 4 nodes; rows 0-31 "
           "start with 6x the particles\n")
     ctx = res.job.contexts[0]
-    w = ctx.row_weights
+    w = ctx.view.row_weights
     if w is not None:
         print(f"  measured row weights (us): hot rows ~"
               f"{np.mean(w[:32]) * 1e6:.1f}, cold rows ~"

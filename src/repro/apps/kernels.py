@@ -347,9 +347,9 @@ def _particle_fractions(k: int, n: int, lo: int, step: int, seed: int) -> np.nda
 
 def particle_block_flows(counts: np.ndarray, lo: int, step: int, seed: int):
     """:func:`particle_row_flows` for the whole block of rows starting
-    at global row ``lo`` (``counts`` is the ``block(lo, hi)`` gather).
-    Returns the ``(stay, up, down)`` slabs, bitwise equal to the row
-    kernel's.
+    at global row ``lo`` (``counts`` may be a live ``rows(lo, hi)``
+    view: it is only read).  Returns the ``(stay, up, down)`` slabs,
+    bitwise equal to the row kernel's.
     """
     k, n = counts.shape
     frac = _particle_fractions(k, n, lo, step, seed)

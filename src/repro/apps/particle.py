@@ -86,7 +86,7 @@ def particle_program(ctx, cfg: ParticleConfig) -> Generator:
         grid.row(g)[:] = init[g]
 
     def work_of(s: int, e: int) -> np.ndarray:
-        particles = grid.block(s, e).sum(axis=1)
+        particles = grid.rows(s, e).sum(axis=1)
         return C * PARTICLE_WORK_PER_CELL + particles * PARTICLE_WORK_PER_PARTICLE
 
     for step in range(cfg.steps):
@@ -100,7 +100,7 @@ def particle_program(ctx, cfg: ParticleConfig) -> Generator:
 
                 def exec_rows(lo: int, hi: int) -> None:
                     stay, up, down = particle_block_flows(
-                        grid.block(lo, hi), lo, step, cfg.seed
+                        grid.rows(lo, hi), lo, step, cfg.seed
                     )
                     a, b = lo - s, hi - s + 1
                     # each row takes its neighbours' flows in row

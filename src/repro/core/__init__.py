@@ -32,7 +32,6 @@ from .commcost import (
 from .distribution import BlockDistribution, shares_to_blocks
 from .drsd import DRSD, AccessMode
 from .intervals import IntervalSet
-from .loadmon import LoadMonitor
 from .phase import Phase
 from .power import available_powers, naive_shares
 from .redistribute import RedistReport, needed_map, redistribute
@@ -65,7 +64,6 @@ __all__ = [
     "RingAllgather",
     "ScalarAllreduce",
     "NoComm",
-    "LoadMonitor",
     "GraceSamples",
     "estimate_unloaded_times",
     "needed_map",

@@ -1,11 +1,6 @@
-"""Load-change and failure detection (paper Section 4.2 + resilience).
+"""Failure detection over the ``dmpi_ps`` heartbeat (resilience).
 
-"Our policy is to check system load at every phase cycle and
-redistribute if any change is detected."  :class:`LoadMonitor` keeps
-the last agreed-upon load vector and reports changes; the runtime
-feeds it the allgathered ``dmpi_ps`` samples of the active group.
-
-:class:`FailureDetector` layers crash *suspicion* on the same 1 Hz
+:class:`FailureDetector` layers crash *suspicion* on the 1 Hz
 ``dmpi_ps`` sampling: a node whose daemon has not heartbeat within the
 timeout — or whose monitored application processes have all died — is
 suspected dead.  Only relative-rank-0 consults the detector; its
@@ -15,41 +10,11 @@ one consistent view (see ``DynMPI.begin_cycle``).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..simcluster import to_s
 
-__all__ = ["LoadMonitor", "FailureDetector"]
-
-
-class LoadMonitor:
-    def __init__(self) -> None:
-        self._last: Optional[tuple[int, ...]] = None
-        self.n_changes = 0
-        self.change_cycles: list[int] = []
-
-    @property
-    def last(self) -> Optional[tuple[int, ...]]:
-        return self._last
-
-    def observe(self, loads: Sequence[int], cycle: int) -> bool:
-        """Record ``loads``; True if they differ from the last
-        observation (the redistribution trigger)."""
-        loads = tuple(map(int, loads))
-        changed = self._last is not None and loads != self._last
-        if self._last is None:
-            self._last = loads
-            return False
-        if changed:
-            self.n_changes += 1
-            self.change_cycles.append(cycle)
-            self._last = loads
-        return changed
-
-    def rebase(self, loads: Sequence[int]) -> None:
-        """Reset the baseline (after a group change, the vector length
-        changes)."""
-        self._last = tuple(map(int, loads))
+__all__ = ["FailureDetector"]
 
 
 class FailureDetector:

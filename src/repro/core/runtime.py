@@ -38,11 +38,15 @@ lockstep without extra coordination — the same property the real
 Dyn-MPI relies on.  The planners of :mod:`.transition` turn that
 replicated ``View`` into a ``Transition``, once per adaptation per job
 (:meth:`DynMPI._decide`); :meth:`DynMPI._apply` is the only code that
-moves rows and, through :meth:`DynMPI._install`, the only code that
-writes the view after ``commit()``.  Whatever the members of a cycle
-derive alike — the decision, each row move's plan (verified there when
-the sanitizer is on), a collected array — the first derives into one
-job-level table, ``DynMPIJob._epochs``, and the rest take it.
+moves rows.  ``DynMPI.view`` is the only copy of that state, and it
+changes only by assignment: :meth:`DynMPI._install` sets the initial
+view and each ``Transition.after``; the rest is one field at a time —
+``begin_cycle`` the agreed loads, ``_enter_grace`` and
+``_consider_drop`` the mode, ``_removed_cycle`` a parked rank's death
+record.  Whatever the members of a cycle derive alike — the decision,
+each row move's plan (verified there when the sanitizer is on), a
+collected array — the first derives into one job-level table,
+``DynMPIJob._epochs``, and the rest take it.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from ..sysmon import DmpiPs, HrTimer, ProcClock
 from .commcost import CommCostModel, PhasePattern
 from .distribution import BlockDistribution
 from .drsd import DRSD
-from .loadmon import FailureDetector, LoadMonitor
+from .loadmon import FailureDetector
 from .phase import Phase
 from .redistribute import needed_map, plan_edges, redistribute
 from .removal import evaluate_drop
@@ -117,7 +121,6 @@ class DynMPIJob:
         self.comm_model = CommCostModel.from_spec(
             cluster.spec.network, cluster.spec.node.speed
         )
-        self.ref_speed = cluster.spec.node.speed
         #: the adaptations applied so far, in order — the same list
         #: whether or not the run is observed
         self.events: list[RuntimeEvent] = []
@@ -179,10 +182,6 @@ class DynMPIJob:
 class DynMPI:
     """One rank's Dyn-MPI context."""
 
-    MODE_NORMAL = MODE_NORMAL
-    MODE_GRACE = MODE_GRACE
-    MODE_POST = MODE_POST
-
     @property
     def job(self) -> DynMPIJob:
         """The owning job, held weakly: ``job.contexts`` is the strong
@@ -205,37 +204,30 @@ class DynMPI:
         self.arrays: dict[str, object] = {}
         self.phases: dict[int, Phase] = {}
         self.loop_size: Optional[int] = None
-        self.bounds: Optional[tuple] = None  # per active rel rank
-        self._nn: tuple = (None, None)  # nn_neighbors(), set with bounds
-        self.mode = self.MODE_NORMAL
+        #: this rank's copy of the replicated adaptation state; None
+        #: until commit(), then changed only by assignment
+        self.view: Optional[View] = None
+        self._nn: tuple = (None, None)  # nn_neighbors(), set with the view
         self.cycle = -1
-        self.monitor = LoadMonitor()
-        self.loads: Optional[np.ndarray] = None
-        self.row_weights: Optional[np.ndarray] = None  # seconds/iter, unloaded
         self.last_estimate_source = "none"
         #: dynscope recorder, or None when observability is off (the
         #: hot-path guard — one None test per instrumented site)
         self.obs = job.cluster.obs
-        self._committed = False
         #: the registration by value, frozen by commit(): part of every
         #: row move's key, so a rank registered differently misses
         self._registration: tuple = ()
         self._grace: dict[int, GraceSamples] = {}
         self._grace_count = 0
-        self._post_count = 0
         self._post_times: list[float] = []
         self._cycle_t0 = 0  # hrtimer ns
         self.cycle_times: list[float] = []
         self.cycle_stamps: list[tuple[float, float]] = []  # (begin, end) sim seconds
-        self.n_redistributions = 0
         self._removed_loads: dict[int, int] = {}  # rejoin bookkeeping (rel 0)
         self._token_root = 0  # world rank that sends this removed rank tokens
         # -- resilience (repro.resilience) ------------------------------
         #: set by terminate_rank when this rank dies to an injected
         #: crash, so the launcher can tell it from an application bug
         self.crashed = False
-        #: world ranks every survivor agrees are dead
-        self.dead_world: set[int] = set()
         self._ckpt_store: Optional[CheckpointStore] = (
             CheckpointStore() if job.spec.resilience is not None else None
         )
@@ -264,7 +256,7 @@ class DynMPI:
         *,
         materialized: bool = True,
     ) -> ProjectedArray:
-        self._check_not_committed(name)
+        self._check_new_array(name)
         arr = ProjectedArray(name, shape, dtype, materialized=materialized)
         self.arrays[name] = arr
         return arr
@@ -272,19 +264,19 @@ class DynMPI:
     def register_sparse(
         self, name: str, shape: tuple[int, int], dtype=np.float64
     ) -> SparseMatrix:
-        self._check_not_committed(name)
+        self._check_new_array(name)
         arr = SparseMatrix(name, shape, dtype)
         self.arrays[name] = arr
         return arr
 
-    def _check_not_committed(self, name: str) -> None:
-        if self._committed:
+    def _check_new_array(self, name: str) -> None:
+        if self.view is not None:
             raise RegistrationError("cannot register after commit()")
         if name in self.arrays:
             raise RegistrationError(f"array {name!r} already registered")
 
     def init_phase(self, phase_id: int, n_iters: int, pattern: PhasePattern) -> None:
-        if self._committed:
+        if self.view is not None:
             raise RegistrationError("cannot add phases after commit()")
         if phase_id in self.phases:
             raise RegistrationError(f"phase {phase_id} already declared")
@@ -306,7 +298,7 @@ class DynMPI:
         hi_off: int = 0,
         step: int = 1,
     ) -> None:
-        if self._committed:
+        if self.view is not None:
             raise RegistrationError("cannot add array accesses after commit()")
         if phase_id not in self.phases:
             raise RegistrationError(f"unknown phase {phase_id}")
@@ -317,7 +309,7 @@ class DynMPI:
     def commit(self) -> None:
         """Finish registration: validate, set the initial even block
         distribution, and allocate the initially needed rows."""
-        if self._committed:
+        if self.view is not None:
             raise RegistrationError("commit() called twice")
         if not self.phases:
             raise RegistrationError("no phases declared")
@@ -337,19 +329,16 @@ class DynMPI:
                   for pid, ph in sorted(self.phases.items())),
             tuple(sorted(self._array_rows().items())),
         )
-        n = self.active_group.size
-        self.bounds = self._shared(
-            ("initial", self.loop_size, n),
-            lambda: BlockDistribution.even(self.loop_size, n).bounds,
+        world = tuple(self.active_group.ranks)
+        bounds = self._shared(
+            ("initial", self.loop_size, len(world)),
+            lambda: BlockDistribution.even(self.loop_size, len(world)).bounds,
         )
-        self._nn = self._owned_neighbors()
-        needed, _ = self._move(None, self.bounds)
+        self._install(View(world, bounds, None, None, 0, MODE_NORMAL, ()))
+        needed, _ = self._move(None, bounds)
         me = self.active_group.rel(self.world_rank)
         for name, arr in self.arrays.items():
             arr.hold(needed[me][name])
-        # baseline load expectation: all nodes unloaded
-        self.monitor.rebase([1] * self.active_group.size)
-        self._committed = True
 
     # ------------------------------------------------------------------
     # queries (paper: DMPI_get_*, DMPI_participating)
@@ -367,7 +356,7 @@ class DynMPI:
         """(start_iter, end_iter) inclusive; (0, -1) when empty."""
         if not self.active:
             return (0, -1)
-        b = self.bounds[self.rel_rank()]
+        b = self.view.bounds[self.rel_rank()]
         return (0, -1) if b is None else b
 
     def start_iter(self) -> int:
@@ -382,11 +371,11 @@ class DynMPI:
         return self._nn if self.active else (None, None)
 
     def _owned_neighbors(self) -> tuple[Optional[int], Optional[int]]:
-        """The pair :meth:`nn_neighbors` returns, derived whenever
-        ``bounds`` is written (by ``commit()`` and :meth:`_install`)."""
+        """The pair :meth:`nn_neighbors` returns, derived whenever a
+        view is installed (:meth:`_install`)."""
         if not self.active:
             return (None, None)
-        bounds = self.bounds
+        bounds = self.view.bounds
         me = self.rel_rank()
         if bounds[me] is None:
             return (None, None)
@@ -468,22 +457,23 @@ class DynMPI:
     def _removed_world_ranks(self) -> list[int]:
         return [
             w for w in range(self.ep.size)
-            if w not in self.active_group and w not in self.dead_world
+            if w not in self.active_group and w not in self.view.dead_world
         ]
 
     # ------------------------------------------------------------------
     # the phase cycle
     # ------------------------------------------------------------------
     def begin_cycle(self) -> Generator:
-        if not self._committed:
+        if self.view is None:
             raise RegistrationError("commit() must be called before cycles")
         self.cycle += 1
         # the cycle notifier is the lowest-ranked *surviving* rank, so
         # cycle-triggered scripts keep firing if rank 0 crashes
+        dead_world = self.view.dead_world
         notifier = 0
-        if self.dead_world:
+        if dead_world:
             notifier = min(
-                w for w in range(self.ep.size) if w not in self.dead_world
+                w for w in range(self.ep.size) if w not in dead_world
             )
         if self.world_rank == notifier:
             self.job.cluster.notify_cycle(self.cycle)
@@ -508,8 +498,12 @@ class DynMPI:
             if rejoin is not None:
                 yield from self._apply(rejoin)
                 return  # next cycle starts fresh over the new group
-        self.loads = np.asarray(loads, dtype=int)
-        if self.monitor.observe(loads, self.cycle):
+        # Section 4.2: "redistribute if any change is detected" — a
+        # change from the last agreed loads, all unloaded at first
+        loads = np.asarray(loads, dtype=int)
+        last = self.view.loads
+        self.view = self.view._replace(loads=loads)
+        if not np.array_equal(loads, np.ones_like(loads) if last is None else last):
             self._enter_grace()  # (re)start with fresh measurements
 
     def _control(self) -> Generator:
@@ -540,18 +534,10 @@ class DynMPI:
         head = gathered[0]
         return [g[0] for g in gathered], head[1], head[2] if resilient else ()
 
-    def _view(self) -> View:
-        """This rank's copy of the replicated adaptation state."""
-        return View(
-            tuple(self.active_group.ranks), self.bounds, self.loads,
-            self.row_weights, self.n_redistributions, self.mode,
-            tuple(sorted(self.dead_world)),
-        )
-
     def _check_lockstep(self) -> None:
         """(sanitizer) A replica that diverged from the first rank's to
         reach this cycle fails here, not as corrupted rows later."""
-        mine = self._view().fingerprint()
+        mine = self.view.fingerprint()
         first = self._shared(("lockstep",), lambda: (self.world_rank, mine))
         for name, a, b in zip(View._fields, first[1], mine):
             if a != b:
@@ -571,7 +557,7 @@ class DynMPI:
         self._ckpt_due = False
         t0 = self.obs.now() if self.obs is not None else 0.0
         ckpt = snapshot(
-            self.arrays, self.bounds[self.rel_rank()],
+            self.arrays, self.view.bounds[self.rel_rank()],
             self.world_rank, self.cycle,
         )
         yield from checkpoint_exchange(
@@ -597,7 +583,7 @@ class DynMPI:
         suspect = self.job.detector.suspect
         node_of = self.job.comm.node_of
         for w in range(self.ep.size):
-            if w in self.dead_world:
+            if w in self.view.dead_world:
                 continue
             proc = self.job.comm.procs[w]
             if proc is not None and proc.state == ProcState.DONE:
@@ -656,7 +642,8 @@ class DynMPI:
         elif kind == "noop" and payload:
             # keep the death record current so the notifier choice
             # stays consistent across parked and active ranks
-            self.dead_world.update(payload)
+            self.view = self.view._replace(dead_world=tuple(
+                sorted(set(self.view.dead_world).union(payload))))
 
     def _poll_rejoin_candidates(self) -> Generator:
         """(active rel 0 only) Drain pending load updates from removed
@@ -677,7 +664,7 @@ class DynMPI:
         cycle's ``plan``) One token per parked rank per cycle — its
         death sentence if the plan declares it dead, the plan itself if
         that re-admits it, the death record otherwise."""
-        dead = (tuple(sorted(self.dead_world)) if plan is None
+        dead = (self.view.dead_world if plan is None
                 else plan.after.dead_world)
         root = next(w for w in self.active_group.ranks if w not in dead)
         if self.world_rank != root:
@@ -692,17 +679,17 @@ class DynMPI:
     def _enter_grace(self) -> None:
         if (
             self.spec.max_redistributions
-            and self.n_redistributions >= self.spec.max_redistributions
+            and self.view.n_redistributions >= self.spec.max_redistributions
         ):
             return  # redistribution budget exhausted (Figure 5 "Once")
-        self.mode = self.MODE_GRACE
+        self.view = self.view._replace(mode=MODE_GRACE)
         self._grace = {}
         self._grace_count = 0
         if self.obs is not None and self.rel_rank() == 0:
             self.obs.instant(
                 "adapt.grace_enter", cat="adapt", pid=JOB_PID, tid=0,
                 cycle=self.cycle,
-                loads=[] if self.loads is None else self.loads.tolist(),
+                loads=self.view.loads.tolist(),
             )
 
     def end_cycle(self) -> Generator:
@@ -717,18 +704,18 @@ class DynMPI:
             self.obs.complete(
                 "cycle", t0, dur=cycle_time, cat="cycle",
                 pid=self.node_id, tid=self.world_rank,
-                cycle=self.cycle, mode=self.mode,
+                cycle=self.cycle, mode=self.view.mode,
             )
         if not self.job.adaptive:
             return
-        if self.mode == self.MODE_GRACE:
+        mode = self.view.mode
+        if mode == MODE_GRACE:
             self._grace_count += 1
             if self._grace_count >= self.spec.grace_period:
                 yield from self._redistribute()
-        elif self.mode == self.MODE_POST:
-            self._post_count += 1
+        elif mode == MODE_POST:
             self._post_times.append(cycle_time)
-            if self._post_count >= self.spec.post_redist_period:
+            if len(self._post_times) >= self.spec.post_redist_period:
                 yield from self._consider_drop()
 
     # ------------------------------------------------------------------
@@ -787,7 +774,7 @@ class DynMPI:
         obs = self.obs
         n_rows = e - s + 1
         t0 = obs.now() if obs is not None else 0.0
-        if self.mode == self.MODE_GRACE and self.job.adaptive:
+        if self.view.mode == MODE_GRACE and self.job.adaptive:
             key = (phase_id, s, e)  # the key is the sample's row range
             samples = self._grace.get(key)
             if samples is None:
@@ -803,7 +790,7 @@ class DynMPI:
             obs.complete(
                 "compute", t0, cat="compute",
                 pid=self.node_id, tid=self.world_rank,
-                phase=phase_id, mode=self.mode, rows=n_rows,
+                phase=phase_id, mode=self.view.mode, rows=n_rows,
             )
 
     # ------------------------------------------------------------------
@@ -830,7 +817,7 @@ class DynMPI:
         planner and everything it reads besides the view, by value: a
         replica whose view or gathered data diverged misses and plans
         its own, and the sanitizer's lockstep check still names it."""
-        view = self._view()
+        view = self.view
         return self._shared((view.fingerprint(),) + inputs, lambda: plan(view))
 
     def _move(self, old_bounds: Optional[tuple], new_bounds: tuple) -> tuple:
@@ -898,7 +885,7 @@ class DynMPI:
              all_rows.tobytes(), all_ests.tobytes()),
             lambda view: plan_rebalance(
                 view, self.loop_size, gathered,
-                ref_speed=self.job.ref_speed, patterns=patterns,
+                ref_speed=self.job.comm_model.ref_speed, patterns=patterns,
                 comm_model=self.job.comm_model, source=source,
             ),
         )
@@ -914,13 +901,14 @@ class DynMPI:
         avgs = yield from coll.allgather_dissemination(
             self.ep, self.active_group, avg
         )
-        self.mode = self.MODE_NORMAL
+        self.view = self.view._replace(mode=MODE_NORMAL)
         patterns = self._patterns()
+        ref_speed = self.job.comm_model.ref_speed
 
         def derive(view: View) -> tuple:
             decision = evaluate_drop(
-                view.loads, [self.job.ref_speed] * len(view.world),
-                float(view.row_weights.sum()) * self.job.ref_speed,
+                view.loads, [ref_speed] * len(view.world),
+                float(view.row_weights.sum()) * ref_speed,
                 patterns, self.job.comm_model, self.loop_size, max(avgs),
                 self.spec,
             )
@@ -993,7 +981,6 @@ class DynMPI:
             # are void, and stored replicas must match the new ones
             self._grace = {}
             self._grace_count = 0
-            self._post_count = 0
             self._post_times = []
             self._ckpt_due = True
             for dead, _holder in plan.replays:
@@ -1013,18 +1000,15 @@ class DynMPI:
                 )
 
     def _install(self, view: View) -> None:
-        """Commit ``view``: the only writer of the replicated view once
-        ``commit()`` has set the initial one."""
+        """Make ``view`` this rank's replicated state — the initial one
+        from ``commit()``, then each ``Transition.after`` — and derive
+        the membership caches it implies: ``active``, ``active_group``,
+        the neighbour pair, whom a parked rank reports to, and the
+        parked-load reports of ranks that are no longer parked."""
+        self.view = view
         self.active = self.world_rank in view.world
         self._token_root = view.world[0]  # whom a parked rank reports to
         self.active_group = self.job.group_for(view.world)
-        self.bounds = view.bounds
         self._nn = self._owned_neighbors()
-        self.loads = view.loads
-        self.monitor.rebase(view.loads)
-        self.row_weights = view.row_weights
-        self.n_redistributions = view.n_redistributions
-        self.mode = view.mode
-        self.dead_world = set(view.dead_world)
         for w in view.world + view.dead_world:
             self._removed_loads.pop(w, None)  # no longer parked

@@ -12,7 +12,7 @@
 
 from .allocator import AllocStats, MemCostModel
 from .contiguous import ContiguousArray
-from .dense import ProjectedArray, VirtualRow
+from .dense import ProjectedArray
 from .sparse import SparseIterator, SparseMatrix
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "MemCostModel",
     "ProjectedArray",
     "ContiguousArray",
-    "VirtualRow",
     "SparseMatrix",
     "SparseIterator",
 ]

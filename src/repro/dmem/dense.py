@@ -48,7 +48,7 @@ from .._intervals import IntervalSet
 from ..errors import AllocationError
 from .allocator import AllocStats
 
-__all__ = ["ProjectedArray", "VirtualRow"]
+__all__ = ["ProjectedArray"]
 
 
 def row_runs(rows) -> list:
@@ -77,18 +77,6 @@ def compact_views(slabs: list) -> list:
             live[id(pin[0])] = live.get(id(pin[0]), 0) + pin[1]
     return [s.compacted() if pin is not None and 2 * live[id(pin[0])] <= pin[2] else s
             for s, pin in zip(slabs, pins)]
-
-
-class VirtualRow:
-    """Placeholder for a row in an unmaterialized array."""
-
-    __slots__ = ("nbytes",)
-
-    def __init__(self, nbytes: int):
-        self.nbytes = nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<VirtualRow {self.nbytes}B>"
 
 
 class _Slab:

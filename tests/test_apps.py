@@ -374,7 +374,7 @@ def test_grace_rows_do_not_cost_events_per_row(monkeypatch):
 
     def counted(self, phase_id, work_of_rows, *args, **kwargs):
         node = self.job.cluster.nodes[self.node_id]
-        mode, loaded, before = self.mode, bool(node.background), own_events(self)
+        mode, loaded, before = self.view.mode, bool(node.background), own_events(self)
         s, e = self.my_bounds()
         yield from compute(self, phase_id, work_of_rows, *args, **kwargs)
         if mode == "grace":

@@ -219,7 +219,8 @@ def adaptive_program(ctx, n_cycles, corrupt_at=None):
 
     for t in range(n_cycles):
         if t == corrupt_at and ctx.world_rank == 1:
-            ctx.row_weights = ctx.row_weights * 2.0  # one replica diverges
+            # one replica diverges
+            ctx.view = ctx.view._replace(row_weights=ctx.view.row_weights * 2.0)
         yield from ctx.begin_cycle()
         if ctx.participating():
             yield from ctx.compute(1, work_of)

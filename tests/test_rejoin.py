@@ -189,8 +189,8 @@ def assert_one_replicated_view(job, results):
         assert s2 == e1 + 1
     first = job.contexts[0]
     for ctx in job.contexts[1:]:
-        assert ctx.n_redistributions == first.n_redistributions
-        assert np.array_equal(ctx.row_weights, first.row_weights)
+        assert ctx.view.n_redistributions == first.view.n_redistributions
+        assert np.array_equal(ctx.view.row_weights, first.view.row_weights)
 
 
 def test_rejoined_rank_adopts_the_whole_replicated_view(monkeypatch):

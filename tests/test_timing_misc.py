@@ -4,7 +4,7 @@ load monitoring, phase descriptors, and datatype helpers."""
 import numpy as np
 import pytest
 
-from repro.core import GraceSamples, LoadMonitor, Phase, estimate_unloaded_times
+from repro.core import GraceSamples, Phase, estimate_unloaded_times
 from repro.core.commcost import NearestNeighbor
 from repro.core.drsd import DRSD, AccessMode
 from repro.errors import RegistrationError, SimulationError
@@ -58,28 +58,6 @@ def test_estimate_empty_rows():
 def test_estimate_no_cycles_raises():
     with pytest.raises(SimulationError):
         estimate_unloaded_times(GraceSamples([0]))
-
-
-# ----------------------------------------------------------------------
-# LoadMonitor
-# ----------------------------------------------------------------------
-def test_load_monitor_detects_changes_only():
-    mon = LoadMonitor()
-    assert not mon.observe([1, 1], cycle=0)  # baseline
-    assert not mon.observe([1, 1], cycle=1)
-    assert mon.observe([2, 1], cycle=2)
-    assert not mon.observe([2, 1], cycle=3)
-    assert mon.observe([1, 1], cycle=4)  # change back counts too
-    assert mon.n_changes == 2
-    assert mon.change_cycles == [2, 4]
-
-
-def test_load_monitor_rebase():
-    mon = LoadMonitor()
-    mon.observe([1, 1, 1], cycle=0)
-    mon.rebase([2, 1])  # group shrank
-    assert not mon.observe([2, 1], cycle=1)
-    assert mon.observe([1, 1], cycle=2)
 
 
 # ----------------------------------------------------------------------
